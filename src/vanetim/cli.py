@@ -130,8 +130,7 @@ def make_setup(config: RunConfig, *, policy: Optional[str] = None,
 # commands
 
 
-def cmd_run(config: RunConfig) -> int:
-    config.validate()
+def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -139,7 +138,6 @@ def cmd_run(config: RunConfig) -> int:
         print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    setup = make_setup(config)
     spec = spec_for(setup.script)
     sweep = SweepResult()
     all_pass = True
@@ -190,10 +188,6 @@ def run_sweep(config: RunConfig, policies: Sequence[str] = ("hop4", "fresh60")) 
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    config.validate()
-    if not config.densities:
-        print("error: sweep requires --densities", file=sys.stderr)
-        return EXIT_CONFIG
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -232,22 +226,23 @@ def cmd_report(csv_path: str) -> int:
 
     means = {}
     for scenario, policy, vehicles, mean, _ in aggregates:
-        means[(policy, vehicles)] = mean
-    densities = sorted({v for (_, v) in means})
-    inverted = []
-    for vehicles in densities:
-        hop = means.get(("hop4", vehicles))
-        fresh = means.get(("fresh60", vehicles))
-        if hop is None or fresh is None:
-            continue
-        print(f"{vehicles:4d} vehicles: mean(hop4)={hop:.1f} mean(fresh60)={fresh:.1f}")
-        if hop < fresh:
-            inverted.append(vehicles)
-    if inverted:
-        print("hop4 >= fresh60 violated at densities: "
-              + ", ".join(str(v) for v in inverted))
-    else:
-        print("hop4 >= fresh60 at all densities: PASS")
+        means.setdefault(scenario, {})[(policy, vehicles)] = mean
+    for scenario, cells in means.items():
+        inverted = []
+        for vehicles in sorted({v for (_, v) in cells}):
+            hop = cells.get(("hop4", vehicles))
+            fresh = cells.get(("fresh60", vehicles))
+            if hop is None or fresh is None:
+                continue
+            print(f"{scenario} {vehicles:4d} vehicles: "
+                  f"mean(hop4)={hop:.1f} mean(fresh60)={fresh:.1f}")
+            if hop < fresh:
+                inverted.append(vehicles)
+        if inverted:
+            print(f"{scenario}: hop4 >= fresh60 violated at densities: "
+                  + ", ".join(str(v) for v in inverted))
+        else:
+            print(f"{scenario}: hop4 >= fresh60 at all densities: PASS")
     return EXIT_OK
 
 
@@ -310,16 +305,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     report_parser.add_argument("csv", help="path to a sweep CSV")
 
     args = parser.parse_args(argv)
+    if args.command == "report":
+        return cmd_report(args.csv)
+    # only building and validating the trial set-up can fail with a config
+    # error; a fault raised while a trial runs is not the user's input
     try:
-        if args.command == "report":
-            return cmd_report(args.csv)
         config = _build_config(args)
+        config.validate()
         if args.command == "run":
-            return cmd_run(config)
-        return cmd_sweep(config)
+            setup = make_setup(config)
+            setup.validate()
+        else:
+            if not config.densities:
+                raise ConfigError("sweep requires --densities")
+            for vehicles in config.densities:
+                make_setup(config, vehicles=vehicles).validate()
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.command == "run":
+        return cmd_run(config, setup)
+    return cmd_sweep(config)
 
 
 if __name__ == "__main__":

@@ -203,16 +203,13 @@ class MessageIdSource:
         return f"{self._prefix}{next(self._counter):05d}"
 
 
-_DEFAULT_IDS = MessageIdSource()
-
-
 def make_message(
     kind: MessageKind,
     road: str,
     origin: EntityId,
     now: float,
     *,
-    ids: Optional[MessageIdSource] = None,
+    ids: MessageIdSource,
     correlation: Optional[str] = None,
     payload: Optional[str] = None,
 ) -> Message:
@@ -223,14 +220,13 @@ def make_message(
         raise ValueError(f"unknown message kind: {kind!r}")
     if now < 0:
         raise ValueError("origination time must be non-negative")
-    source = ids if ids is not None else _DEFAULT_IDS
     priority = (
         Priority.OFFICIAL
         if origin.role.kind is RoleKind.OFFICIAL_VEHICLE
         else Priority.NORMAL
     )
     return Message(
-        id=source.next(),
+        id=ids.next(),
         kind=kind,
         road=road,
         origin=origin,

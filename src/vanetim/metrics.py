@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .domain import ActionSource, MessageKind, RoleKind
 
@@ -37,12 +37,6 @@ class TrialMetrics:
 
     def by_kind(self, kind: MessageKind) -> int:
         return sum(n for (k, _, _), n in self.counters.items() if k is kind)
-
-
-def count(metrics: TrialMetrics, record) -> TrialMetrics:
-    """Fold one trace transmission record into the counters."""
-    metrics.count(record.kind, record.sender_class, record.source)
-    return metrics
 
 
 def aggregate(trials: Sequence) -> Tuple[float, float]:

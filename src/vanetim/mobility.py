@@ -253,10 +253,6 @@ class CircularWorld:
     def add_blockage(self, arc: float) -> None:
         self.blockages.append(arc % self.route_length)
 
-    def remove_blockage(self, arc: float) -> None:
-        arc %= self.route_length
-        self.blockages = [b for b in self.blockages if b != arc]
-
 
 class StaticWorld:
     """Fixed entity positions in the plane; no kinematics.
@@ -273,12 +269,6 @@ class StaticWorld:
 
     def position_of(self, entity: EntityId) -> Tuple[float, float]:
         return self.positions[entity]
-
-    def inject_flow(self, now: float) -> None:
-        pass
-
-    def step(self, dt: float) -> None:
-        pass
 
     def neighbours_within(self, center: EntityId, radius: float) -> List[EntityId]:
         if radius <= 0:
@@ -297,21 +287,3 @@ class StaticWorld:
             if entity.role.kind is RoleKind.RSU:
                 raise ValueError("downstream ordering is defined for vehicles only")
         return self.positions[b][0] > self.positions[a][0]
-
-
-def step(world: CircularWorld, dt: float) -> CircularWorld:
-    world.step(dt)
-    return world
-
-
-def neighbours_within(world, center: EntityId, radius: float) -> List[EntityId]:
-    return world.neighbours_within(center, radius)
-
-
-def downstream_of(world, a: EntityId, b: EntityId) -> bool:
-    return world.downstream_of(a, b)
-
-
-def inject_flow(world: CircularWorld, now: float) -> CircularWorld:
-    world.inject_flow(now)
-    return world

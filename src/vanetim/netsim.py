@@ -28,10 +28,8 @@ from .domain import (
     POLICE,
     Priority,
     RESOLUTION_KINDS,
-    Role,
     RoleKind,
     TA as TA_ROLE,
-    TA_REPORT_KINDS,
     VEHICLE,
     make_message,
     relayed_copy,
@@ -40,13 +38,12 @@ from .metrics import TrialMetrics
 from .mobility import CircularWorld, MobilityConfig
 from .protocol import (
     Arm,
-    BROADCAST_REPORT_KINDS,
     Broadcast,
     DEFAULT_PROTOCOL_CONFIG,
     EntityState,
-    IncidentStatus,
     OfficialState,
     ProtocolConfig,
+    RSU_HANDLERS,
     ReceivedMessage,
     RsuState,
     ServiceDirectory,
@@ -65,14 +62,6 @@ from .protocol import (
 )
 from .relay import RelayPolicy, record_seen
 
-#: kinds the RSU handles through protocol rules rather than plain relaying
-_RSU_PROTOCOL_KINDS = (
-    frozenset({MessageKind.ACCIDENT, MessageKind.AVOID_ROAD, MessageKind.ADDRESSING_INCIDENT})
-    | RESOLUTION_KINDS
-    | TA_REPORT_KINDS
-    | BROADCAST_REPORT_KINDS
-)
-
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -83,7 +72,6 @@ class NetConfig:
     relay_hold: float = 35.0       # store-carry-forward hold before relaying
     relay_jitter: float = 0.2      # +/- fraction applied to the hold
     official_hold: float = 0.5     # hold for high-priority messages
-    detectors_enabled: bool = False
 
 
 @dataclass(frozen=True)
@@ -115,6 +103,19 @@ class TrialSetup:
             )
         if self.script.report_time < self.warmup:
             raise ValueError("incident report must not fall inside the warm-up")
+        fleet = self.vehicles + self.police
+        mob = self.mobility
+        footprint = mob.vehicle_length + mob.standstill_gap
+        if fleet * footprint > mob.route_length:
+            raise ValueError(
+                f"{fleet} vehicles of {footprint} m each do not fit on a "
+                f"{mob.route_length} m route"
+            )
+        if (fleet - 1) * mob.entry_headway >= self.warmup:
+            raise ValueError(
+                f"{fleet} vehicles at a {mob.entry_headway} s entry headway cannot all "
+                f"spawn before the {self.warmup} s warm-up ends"
+            )
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,10 @@ class Engine:
         self.ids = MessageIdSource()
         self.trace: List[TraceRecord] = []
         self.metrics = TrialMetrics()
-        self.dropped_duplicates = 0
         self.now = 0.0
         self._queue: List[tuple] = []
         self._seq = 0
+        self._steps = int(setup.duration / setup.mobility.dt)
         self.coordinator: Optional[EntityId] = None
         self._report_ids: set = set()
 
@@ -217,14 +218,14 @@ class Engine:
                 ta=self.ta,
                 position=arc,
             )
-        self._histories: Dict[EntityId, "object"] = {}
         self._label_index = {entity.label: entity for entity in self.states}
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, at: float, tag: str, payload) -> None:
+    def _schedule(self, at: float, fn, *args) -> None:
+        """Queue ``fn(*args)`` to run at ``at``; ties run in scheduling order."""
         self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, tag, payload))
+        heapq.heappush(self._queue, (at, self._seq, fn, args))
 
     # -- transmissions -----------------------------------------------------
 
@@ -281,7 +282,7 @@ class Engine:
             # a radio hop is counted at delivery: the receiver's copy carries
             # one more hop than the sender's, so a hop-limit policy cuts off
             # after exactly max_hops transmissions from the origin
-            self._schedule(at, "deliver", (relayed_copy(msg), receiver, sender))
+            self._schedule(at, self._deliver, relayed_copy(msg), receiver, sender)
             deliveries.append((at, receiver))
         return deliveries
 
@@ -293,7 +294,7 @@ class Engine:
                 raise ValueError("wired links join infrastructure nodes only")
         self._record(msg, sender, to.label, ActionSource.WIRED)
         at = now + self.setup.net.wired_latency
-        self._schedule(at, "deliver", (msg, to, sender))
+        self._schedule(at, self._deliver, msg, to, sender)
         return at, to
 
     def _hold_delay(self, msg: Message) -> float:
@@ -310,16 +311,14 @@ class Engine:
             if isinstance(action, Broadcast):
                 at = max(action.at, self.now)
                 self._schedule(
-                    at,
-                    "send",
-                    (action.message, entity, action.source, action.downstream_only),
+                    at, self.broadcast, action.message, entity, at, action.source,
+                    action.downstream_only,
                 )
             elif isinstance(action, Wired):
-                self._schedule(
-                    max(action.at, self.now), "wired", (action.message, entity, action.to)
-                )
+                at = max(action.at, self.now)
+                self._schedule(at, self.wired_send, action.message, entity, action.to, at)
             elif isinstance(action, Arm):
-                self._schedule(action.at, "timer", (entity, action.token))
+                self._schedule(action.at, self._fire_timer, entity, action.token)
             else:
                 raise TypeError(f"unknown action: {action!r}")
 
@@ -331,70 +330,52 @@ class Engine:
         if kind is RoleKind.TA:
             reporting = sender if sender.role.kind is RoleKind.RSU else None
             self._execute(receiver, handle_ta(state, msg, self.now, reporting_rsu=reporting))
-            return
-        if kind is RoleKind.RSU:
+        elif kind is RoleKind.RSU:
             if msg.id in self._report_ids and self.coordinator is None:
                 self.coordinator = receiver
             if msg.kind is MessageKind.SERVICE_QUERY:
-                if msg.id not in state.seen:
-                    record_seen(state.seen, msg.id, self.now)
-                    self._execute(
-                        receiver,
-                        handle_service_query(
-                            state, msg, self.registry, self.now, ids=self.ids
-                        ),
-                    )
-                return
-            if msg.kind in _RSU_PROTOCOL_KINDS:
-                self._execute(
-                    receiver,
-                    handle_rsu(state, msg, sender.role, self.now, ids=self.ids),
+                actions = handle_service_query(
+                    state, msg, self.registry, self.now, ids=self.ids
                 )
+            elif msg.kind in RSU_HANDLERS:
+                actions = handle_rsu(state, msg, sender.role, self.now, ids=self.ids)
+            else:
+                self._schedule_relay(state, msg)
                 return
-            self._schedule_relay(state, msg)
-            return
-        # vehicles and official vehicles
-        first = msg.id not in state.seen
-        if kind is RoleKind.OFFICIAL_VEHICLE:
-            actions = handle_official(
-                state, ReceivedMessage(msg, sender.role), self.now, ids=self.ids
-            )
             self._execute(receiver, actions)
-        if first:
-            record_seen(state.seen, msg.id, self.now)
-            self._schedule(
-                self.now + self._hold_delay(msg), "timer", (receiver, ("relay", msg))
-            )
         else:
-            self.dropped_duplicates += 1
+            if kind is RoleKind.OFFICIAL_VEHICLE:
+                actions = handle_official(
+                    state, ReceivedMessage(msg, sender.role), self.now, ids=self.ids
+                )
+                self._execute(receiver, actions)
+            self._schedule_relay(state, msg)
 
     def _schedule_relay(self, state: EntityState, msg: Message) -> None:
+        """Hold a first-seen copy, then run the relay decision on it."""
         if msg.id in state.seen:
-            self.dropped_duplicates += 1
             return
         record_seen(state.seen, msg.id, self.now)
-        self._schedule(
-            self.now + self._hold_delay(msg), "timer", (state.entity, ("relay", msg))
+        self._schedule(self.now + self._hold_delay(msg), self._relay, state, msg)
+
+    def _relay(self, state: EntityState, msg: Message) -> None:
+        self._execute(
+            state.entity, relay_decision(state, msg, self.setup.policy, self.now)
         )
 
     # -- timers ------------------------------------------------------------
 
     def _fire_timer(self, entity: EntityId, token: tuple) -> None:
+        """Hand a timer token back to the handler of its owner's role."""
         state = self.states[entity]
-        name = token[0]
-        if name == "relay":
-            msg = token[1]
-            self._execute(entity, relay_decision(state, msg, self.setup.policy, self.now))
-        elif name in ("rsu-report", "rsu-restricted"):
-            self._execute(entity, handle_rsu_timer(state, token, self.now))
-        elif name.startswith("official-"):
-            self._execute(
-                entity, handle_official_timer(state, token, self.now, ids=self.ids)
-            )
-        elif name == "ta-resolve":
-            self._execute(entity, handle_ta_timer(state, token, self.now, ids=self.ids))
+        kind = entity.role.kind
+        if kind is RoleKind.RSU:
+            actions = handle_rsu_timer(state, token, self.now)
+        elif kind is RoleKind.TA:
+            actions = handle_ta_timer(state, token, self.now, ids=self.ids)
         else:
-            raise ValueError(f"unknown timer token: {token!r}")
+            actions = handle_official_timer(state, token, self.now, ids=self.ids)
+        self._execute(entity, actions)
 
     # -- scripted events ---------------------------------------------------
 
@@ -415,122 +396,66 @@ class Engine:
         self.broadcast(msg, entity, now, ActionSource.ORIGIN)
         return msg
 
-    def _run_script_event(self, name: str, payload) -> None:
+    def _report(self) -> None:
         script = self.setup.script
-        if name == "report":
-            reporter = self._label_index[script.reporter]
-            if script.blockage and reporter in self.world._index:
-                self.world.add_blockage(self.world.arc_of(reporter))
-            msg = self.originate(
-                reporter, script.kind, script.road, self.now, payload=script.payload
-            )
-            self._report_ids.add(msg.id)
-        elif name == "timed-resolution":
-            rsu = self.coordinator
-            if rsu is None:
-                return
-            state = self.states[rsu]
-            self._execute(
-                rsu, rsu_scripted_resolution(state, script.road, self.now, ids=self.ids)
-            )
-        elif name == "vehicle-clear":
-            reporter = self._label_index[script.reporter]
-            self.originate(reporter, MessageKind.CLEARED_ROAD, script.road, self.now)
-        else:
-            raise ValueError(f"unknown script event: {name!r}")
+        reporter = self._label_index[script.reporter]
+        if script.blockage and reporter in self.world._index:
+            self.world.add_blockage(self.world.arc_of(reporter))
+        msg = self.originate(
+            reporter, script.kind, script.road, self.now, payload=script.payload
+        )
+        self._report_ids.add(msg.id)
 
-    # -- detectors ---------------------------------------------------------
+    def _timed_resolution(self) -> None:
+        rsu = self.coordinator
+        if rsu is None:
+            return
+        state = self.states[rsu]
+        self._execute(
+            rsu, rsu_scripted_resolution(state, self.setup.script.road, self.now, ids=self.ids)
+        )
 
-    def _run_detectors(self) -> None:
-        from .protocol import SpeedHistory, detect_congestion, detect_jam
-
-        for vehicle in self.world.vehicles:
-            entity = vehicle.entity
-            history = self._histories.get(entity)
-            if history is None:
-                history = SpeedHistory()
-                self._histories[entity] = history
-            history.record(self.now, vehicle.speed)
-            road = self.world.road_at(vehicle.position)
-            jam = detect_jam(
-                history,
-                self.world.queue_ahead(entity),
-                self.now,
-                origin=entity,
-                road=road,
-                ids=self.ids,
-            )
-            if jam is not None:
-                state = self.states[entity]
-                record_seen(state.seen, jam.id, self.now)
-                record_seen(state.relayed, jam.id, self.now)
-                self.broadcast(jam, entity, self.now, ActionSource.ORIGIN)
-            slow = detect_congestion(
-                history, self.now, origin=entity, road=road, ids=self.ids
-            )
-            if slow is not None:
-                state = self.states[entity]
-                record_seen(state.seen, slow.id, self.now)
-                record_seen(state.relayed, slow.id, self.now)
-                self.broadcast(slow, entity, self.now, ActionSource.ORIGIN)
+    def _vehicle_clear(self) -> None:
+        script = self.setup.script
+        reporter = self._label_index[script.reporter]
+        self.originate(reporter, MessageKind.CLEARED_ROAD, script.road, self.now)
 
     # -- main loop ---------------------------------------------------------
+
+    def _tick(self, i: int) -> None:
+        """Mobility step i at i * dt; it schedules step i + 1."""
+        world = self.world
+        if world.spawned_count < world.fleet_size:
+            world.inject_flow(self.now)
+        world.step(self.setup.mobility.dt)
+        if i < self._steps:
+            self._push_tick(i + 1)
+
+    def _push_tick(self, i: int) -> None:
+        # seq -i sorts each step before every other event due at its time
+        heapq.heappush(
+            self._queue, (i * self.setup.mobility.dt, -i, self._tick, (i,))
+        )
 
     def run(self) -> Tuple[List[TraceRecord], TrialMetrics]:
         setup = self.setup
         script = setup.script
-        dt = setup.mobility.dt
-        steps = int(setup.duration / dt)
-        for i in range(steps + 1):
-            self._schedule(i * dt, "step", None)
-        self._schedule(script.report_time, "script", ("report", None))
+        self._push_tick(0)
+        self._schedule(script.report_time, self._report)
         resolution = script.resolution
         if isinstance(resolution, _scenarios.TimedResolution):
-            self._schedule(resolution.at, "script", ("timed-resolution", None))
+            self._schedule(resolution.at, self._timed_resolution)
         elif isinstance(resolution, _scenarios.VehicleClearResolution):
-            self._schedule(resolution.at, "script", ("vehicle-clear", None))
+            self._schedule(resolution.at, self._vehicle_clear)
         # official and authority resolutions are event-driven, not scheduled
 
         while self._queue:
-            at, _, tag, payload = heapq.heappop(self._queue)
+            at, _, fn, args = heapq.heappop(self._queue)
             if at > setup.duration:
                 break
             self.now = at
-            if tag == "step":
-                if self.world.spawned_count < self.world.fleet_size:
-                    self.world.inject_flow(at)
-                self.world.step(dt)
-                if setup.net.detectors_enabled and at >= setup.warmup:
-                    self._run_detectors()
-            elif tag == "deliver":
-                msg, receiver, sender = payload
-                self._deliver(msg, receiver, sender)
-            elif tag == "send":
-                msg, sender, source, downstream_only = payload
-                self.broadcast(msg, sender, at, source, downstream_only)
-            elif tag == "wired":
-                msg, sender, to = payload
-                self.wired_send(msg, sender, to, at)
-            elif tag == "timer":
-                entity, token = payload
-                self._fire_timer(entity, token)
-            elif tag == "script":
-                self._run_script_event(payload[0], payload[1])
-            else:
-                raise ValueError(f"unknown event tag: {tag!r}")
+            fn(*args)
         return self.trace, self.metrics
-
-
-def broadcast(
-    engine: Engine, msg: Message, sender: EntityId, now: float
-) -> List[Tuple[float, EntityId]]:
-    return engine.broadcast(msg, sender, now)
-
-
-def wired_send(
-    engine: Engine, msg: Message, sender: EntityId, to: EntityId, now: float
-) -> Tuple[float, EntityId]:
-    return engine.wired_send(msg, sender, to, now)
 
 
 def run_trial(setup: TrialSetup, seed: int) -> Tuple[List[TraceRecord], TrialMetrics]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .domain import (
     ActionSource,
@@ -22,7 +22,6 @@ from .domain import (
     Message,
     MessageIdSource,
     MessageKind,
-    Priority,
     RESOLUTION_FOR,
     RESOLUTION_KINDS,
     Role,
@@ -149,21 +148,9 @@ class RuleRow:
     derived_kind: Optional[MessageKind] = None
 
 
-class RsuRuleTable:
-    """Burst counts per (incoming kind, sender class, first-receipt flag).
-
-    Lookups on unpopulated rows yield zero repeats. The default table covers
-    the accident lifecycle exactly; other incident kinds are handled by the
-    generic announcement path.
-    """
-
-    def __init__(self, rows: Optional[Dict[tuple, RuleRow]] = None) -> None:
-        self.rows = dict(DEFAULT_RULE_ROWS if rows is None else rows)
-
-    def lookup(self, kind: MessageKind, sender: RoleKind, first: bool) -> RuleRow:
-        return self.rows.get((kind, sender, first), RuleRow(0))
-
-
+#: Burst counts per (incoming kind, sender class, first-receipt flag). The
+#: rows cover the accident lifecycle exactly; other incident kinds are
+#: handled by the generic announcement path.
 DEFAULT_RULE_ROWS: Dict[tuple, RuleRow] = {
     (MessageKind.ACCIDENT, RoleKind.REGULAR_VEHICLE, True): RuleRow(
         3, 3, MessageKind.AVOID_ROAD
@@ -182,7 +169,11 @@ DEFAULT_RULE_ROWS: Dict[tuple, RuleRow] = {
     ),
 }
 
-DEFAULT_RULE_TABLE = RsuRuleTable()
+
+def _rule_row(kind: MessageKind, sender: RoleKind, first: bool) -> RuleRow:
+    """The row for one receipt; an unpopulated row yields zero repeats."""
+    return DEFAULT_RULE_ROWS.get((kind, sender, first), RuleRow(0))
+
 
 #: Report kinds an RSU announces itself rather than escalating or relaying.
 BROADCAST_REPORT_KINDS = frozenset(
@@ -222,7 +213,6 @@ class RsuState(EntityState):
     neighbours: Tuple[EntityId, ...] = ()
     ta: Optional[EntityId] = None
     position: float = 0.0  # arc metres along the route
-    table: RsuRuleTable = field(default_factory=RsuRuleTable)
     ledger: IncidentLedger = field(default_factory=IncidentLedger)
     applied: Set[Tuple[str, RoleKind]] = field(default_factory=set)
     escalated: Set[str] = field(default_factory=set)
@@ -307,14 +297,6 @@ def relay_decision(
     return [Broadcast(msg, at=now, source=ActionSource.RELAY)]
 
 
-def handle_vehicle(
-    state: EntityState, msg: Message, policy: RelayPolicy, now: float
-) -> List[OutgoingAction]:
-    if state.role.kind is not RoleKind.REGULAR_VEHICLE:
-        raise ValueError("handle_vehicle requires a regular vehicle")
-    return relay_decision(state, msg, policy, now)
-
-
 # ---------------------------------------------------------------------------
 # RSU handlers
 
@@ -334,26 +316,15 @@ def handle_rsu(
     sender_role: Role,
     now: float,
     *,
-    ids: Optional[MessageIdSource] = None,
+    ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     """Dispatch one received message through the RSU's announcement rules."""
     if state.role.kind is not RoleKind.RSU:
         raise ValueError("handle_rsu requires an RSU")
-    kind = msg.kind
-    if kind in (MessageKind.ACCIDENT, MessageKind.AVOID_ROAD):
-        return _rsu_table_driven(state, msg, sender_role, now, ids)
-    if kind in RESOLUTION_KINDS:
-        return handle_rsu_resolution(state, msg, sender_role, now, ids=ids)
-    if kind in TA_REPORT_KINDS:
-        return _rsu_escalate(state, msg, now)
-    if kind in BROADCAST_REPORT_KINDS:
-        return _rsu_announce_report(state, msg, sender_role, now)
-    if kind is MessageKind.SERVICE_QUERY:
-        raise ValueError("service queries go through handle_service_query")
-    if kind is MessageKind.ADDRESSING_INCIDENT:
-        return _rsu_acknowledge_official(state, msg, sender_role, now, ids)
-    # anything else an RSU treats as a plain relay candidate (engine path)
-    return []
+    handler = RSU_HANDLERS.get(msg.kind)
+    if handler is None:  # a plain relay candidate, held by the engine
+        return []
+    return handler(state, msg, sender_role, now, ids)
 
 
 def _first_receipt(state: RsuState, msg: Message) -> bool:
@@ -373,7 +344,7 @@ def _rsu_table_driven(
     msg: Message,
     sender_role: Role,
     now: float,
-    ids: Optional[MessageIdSource],
+    ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     if state.ledger.status(msg.road) is IncidentStatus.RESOLVED:
         return []
@@ -381,7 +352,7 @@ def _rsu_table_driven(
     record_seen(state.seen, msg.id, now)
     if not _apply_once(state, msg, sender_role.kind, first):
         return []
-    row = state.table.lookup(msg.kind, sender_role.kind, first)
+    row = _rule_row(msg.kind, sender_role.kind, first)
     if row.same_count == 0 and row.derived_count == 0:
         return []
 
@@ -406,7 +377,9 @@ def _rsu_table_driven(
     return actions
 
 
-def _rsu_escalate(state: RsuState, msg: Message, now: float) -> List[OutgoingAction]:
+def _rsu_escalate(
+    state: RsuState, msg: Message, sender_role: Role, now: float, ids: MessageIdSource
+) -> List[OutgoingAction]:
     """Authority-class reports go straight to the TA over the wired link."""
     first = _first_receipt(state, msg)
     record_seen(state.seen, msg.id, now)
@@ -418,7 +391,7 @@ def _rsu_escalate(state: RsuState, msg: Message, now: float) -> List[OutgoingAct
 
 
 def _rsu_announce_report(
-    state: RsuState, msg: Message, sender_role: Role, now: float
+    state: RsuState, msg: Message, sender_role: Role, now: float, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Announce an open report three times, notify peers, then re-announce
     periodically until the road is cleared."""
@@ -445,13 +418,13 @@ def _rsu_acknowledge_official(
     msg: Message,
     sender_role: Role,
     now: float,
-    ids: Optional[MessageIdSource],
+    ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     first = _first_receipt(state, msg)
     record_seen(state.seen, msg.id, now)
     if not _apply_once(state, msg, sender_role.kind, first):
         return []
-    row = state.table.lookup(msg.kind, sender_role.kind, first)
+    row = _rule_row(msg.kind, sender_role.kind, first)
     if row.derived_count == 0:
         return []
     ack = make_message(
@@ -480,13 +453,12 @@ def _rsu_acknowledge_official(
     return actions
 
 
-def handle_rsu_resolution(
+def _rsu_resolution(
     state: RsuState,
     msg: Message,
     sender_role: Role,
     now: float,
-    *,
-    ids: Optional[MessageIdSource] = None,
+    ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     """Close the incident and spread the road-clear status.
 
@@ -496,8 +468,6 @@ def handle_rsu_resolution(
     announces the road-clear status ``cleared_repeats`` times; clearances
     for roads with no open incident are only forwarded.
     """
-    if state.role.kind is not RoleKind.RSU:
-        raise ValueError("handle_rsu_resolution requires an RSU")
     first = _first_receipt(state, msg)
     record_seen(state.seen, msg.id, now)
     actions: List[OutgoingAction] = []
@@ -511,7 +481,7 @@ def handle_rsu_resolution(
     state.restricted.pop(msg.road, None)
 
     repeats = state.cfg.cleared_repeats
-    row = state.table.lookup(msg.kind, sender_role.kind, first)
+    row = _rule_row(msg.kind, sender_role.kind, first)
     if row.same_count or row.derived_count:
         repeats = max(row.same_count, row.derived_count)
 
@@ -532,8 +502,19 @@ def handle_rsu_resolution(
     return actions
 
 
+#: what an RSU does itself on receipt, by kind; any other kind is a plain relay
+RSU_HANDLERS: Dict[MessageKind, Callable[..., List[OutgoingAction]]] = {
+    MessageKind.ACCIDENT: _rsu_table_driven,
+    MessageKind.AVOID_ROAD: _rsu_table_driven,
+    MessageKind.ADDRESSING_INCIDENT: _rsu_acknowledge_official,
+    **dict.fromkeys(RESOLUTION_KINDS, _rsu_resolution),
+    **dict.fromkeys(TA_REPORT_KINDS, _rsu_escalate),
+    **dict.fromkeys(BROADCAST_REPORT_KINDS, _rsu_announce_report),
+}
+
+
 def rsu_scripted_resolution(
-    state: RsuState, road: str, now: float, *, ids: Optional[MessageIdSource] = None
+    state: RsuState, road: str, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Timed clearance for runs with no attending entity: the coordinating
     RSU originates the road-clear flow itself."""
@@ -610,7 +591,7 @@ def handle_service_query(
     registry: ServiceDirectory,
     now: float,
     *,
-    ids: Optional[MessageIdSource] = None,
+    ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     """Answer a service lookup with the nearest registered entry."""
     if state.role.kind is not RoleKind.RSU:
@@ -642,7 +623,7 @@ def handle_official(
     event: OfficialEvent,
     now: float,
     *,
-    ids: Optional[MessageIdSource] = None,
+    ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     if state.role.kind is not RoleKind.OFFICIAL_VEHICLE:
         raise ValueError("handle_official requires an official vehicle")
@@ -677,7 +658,7 @@ def handle_official(
 
 
 def _official_receive(
-    state: OfficialState, msg: Message, now: float, ids: Optional[MessageIdSource]
+    state: OfficialState, msg: Message, now: float, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     if msg.kind in OFFICIAL_RESPONSE_KINDS and state.responder:
         if msg.road in state.incidents:
@@ -716,7 +697,7 @@ def _incident_for_ack(state: OfficialState, ack: Message) -> Optional[OfficialIn
 
 
 def handle_official_timer(
-    state: OfficialState, token: tuple, now: float, *, ids: Optional[MessageIdSource] = None
+    state: OfficialState, token: tuple, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     name, road = token[0], token[1]
     incident = state.incidents.get(road)
@@ -786,7 +767,7 @@ def handle_ta(
 
 
 def handle_ta_timer(
-    state: TaState, token: tuple, now: float, *, ids: Optional[MessageIdSource] = None
+    state: TaState, token: tuple, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     _, road, kind, report_id, reporting_rsu = token
     resolution = make_message(
@@ -855,7 +836,7 @@ def detect_jam(
     *,
     origin: Optional[EntityId] = None,
     road: str = "X",
-    ids: Optional[MessageIdSource] = None,
+    ids: MessageIdSource,
 ) -> Optional[Message]:
     """One report per stop: stationary strictly longer than 30 s with a
     queue ahead."""
@@ -877,7 +858,7 @@ def detect_congestion(
     *,
     origin: Optional[EntityId] = None,
     road: str = "X",
-    ids: Optional[MessageIdSource] = None,
+    ids: MessageIdSource,
 ) -> Optional[Message]:
     """One report per episode: speed inside the slow band continuously for
     60 to 90 seconds."""

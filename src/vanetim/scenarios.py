@@ -9,7 +9,7 @@ freely, so ordering constraints compare first occurrences only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from .domain import ActionSource, MessageKind, RoleKind
@@ -334,15 +334,6 @@ _register(SequenceSpec(
 _register(SequenceSpec(
     "signal-malfunction",
     _escalation_steps(MessageKind.SIGNAL_MALFUNCTION, MessageKind.SIGNAL_RESOLVED),
-))
-
-_register(SequenceSpec(
-    "service-lookup",
-    (
-        Step("query", MessageKind.SERVICE_QUERY, from_role=V, source=ORIGIN, max_count=1),
-        Step("reply", MessageKind.SERVICE_REPLY, from_role=R, source=ORIGIN,
-             after=("query",)),
-    ),
 ))
 
 _register(SequenceSpec(

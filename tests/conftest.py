@@ -4,11 +4,20 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import pytest
+
+from vanetim.domain import MessageIdSource
 from vanetim.netsim import Engine, TraceRecord, TrialSetup
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
 
 POLICIES = {"hop4": HOP4, "fresh60": FRESH60}
+
+
+@pytest.fixture
+def ids() -> MessageIdSource:
+    """A fresh message-id source for one test."""
+    return MessageIdSource()
 
 
 def run_cell(

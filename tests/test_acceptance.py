@@ -138,13 +138,13 @@ def test_criterion_03_policy_ordering_with_police(sweep_police):
     )
 
 
-def test_criterion_04_rule_table_exactness():
+def test_criterion_04_rule_table_exactness(ids):
     from test_protocol import broadcasts, fresh_rsu
 
     ok = True
 
     def counts(state, msg, sender_role, now):
-        actions = handle_rsu(state, msg, sender_role, now, ids=MessageIdSource())
+        actions = handle_rsu(state, msg, sender_role, now, ids=ids)
         return (
             len(broadcasts(actions, msg.kind)),
             len(broadcasts(actions, MessageKind.AVOID_ROAD))
@@ -156,12 +156,14 @@ def test_criterion_04_rule_table_exactness():
 
     reporter = EntityId(17, VEHICLE)
     state = fresh_rsu()
-    accident = make_message(MessageKind.ACCIDENT, "X", reporter, 550.0)
+    accident = make_message(MessageKind.ACCIDENT, "X", reporter, 550.0, ids=ids)
     ok &= counts(state, accident, VEHICLE, 550.0) == (3, 3)        # first, vehicle
     ok &= counts(state, accident, VEHICLE, 580.0) == (2, 0)        # stale, vehicle
     state2 = fresh_rsu(1)
     ok &= counts(state2, accident, RSU_ROLE, 551.0) == (2, 2)      # first, RSU
-    avoid = make_message(MessageKind.AVOID_ROAD, "X", EntityId(1, RSU_ROLE), 551.0)
+    avoid = make_message(
+        MessageKind.AVOID_ROAD, "X", EntityId(1, RSU_ROLE), 551.0, ids=ids
+    )
     state3 = fresh_rsu(2)
     ok &= counts(state3, avoid, RSU_ROLE, 551.0) == (3, 0)
     state4 = fresh_rsu(3)
@@ -264,7 +266,7 @@ def test_criterion_06_flood_oracle_equivalence():
     )
 
 
-def test_criterion_07_detector_thresholds():
+def test_criterion_07_detector_thresholds(ids):
     def held(speed, seconds):
         history = SpeedHistory()
         t = 0.0
@@ -275,15 +277,15 @@ def test_criterion_07_detector_thresholds():
 
     reports = []
     history, now = held(0.05, 31.0)
-    reports.append(detect_jam(history, True, now) is not None)
-    reports.append(detect_jam(history, True, now + 1.0) is None)  # once only
+    reports.append(detect_jam(history, True, now, ids=ids) is not None)
+    reports.append(detect_jam(history, True, now + 1.0, ids=ids) is None)  # once only
     history, now = held(0.0, 30.0)
-    reports.append(detect_jam(history, True, now) is None)
+    reports.append(detect_jam(history, True, now, ids=ids) is None)
     history, now = held(5.0, 70.0)
-    reports.append(detect_congestion(history, now) is not None)
-    reports.append(detect_congestion(history, now + 1.0) is None)
+    reports.append(detect_congestion(history, now, ids=ids) is not None)
+    reports.append(detect_congestion(history, now + 1.0, ids=ids) is None)
     history, now = held(5.0, 59.0)
-    reports.append(detect_congestion(history, now) is None)
+    reports.append(detect_congestion(history, now, ids=ids) is None)
     announce(
         "criterion-7 detector thresholds",
         all(reports),

@@ -128,6 +128,24 @@ class TestRunCommand:
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert code == EXIT_CONFIG
 
+    def test_unknown_scenario_is_config_error(self, tmp_path):
+        code = main(["run", "--scenario", "meteor", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+
+    def test_fleet_that_cannot_spawn_in_warmup_is_config_error(self, tmp_path):
+        code = main(["run", "--vehicles", "251", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+
+    def test_engine_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
+        from vanetim.netsim import Engine
+
+        def fault(self):
+            raise ValueError("engine fault")
+
+        monkeypatch.setattr(Engine, "run", fault)
+        with pytest.raises(ValueError, match="engine fault"):
+            main(["run", "--trials", "1", "--out-dir", str(tmp_path)])
+
 
 class TestSweepAndReport:
     def test_minimal_sweep_and_report(self, tmp_path, capsys):
@@ -172,6 +190,24 @@ class TestSweepAndReport:
         assert main(["report", str(csv_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "violated at densities: 19" in out
+
+    def test_report_keeps_scenarios_apart(self, tmp_path, capsys):
+        from vanetim.metrics import AGGREGATE_HEADER, DETAIL_HEADER
+
+        csv_path = tmp_path / "two.csv"
+        csv_path.write_text(
+            DETAIL_HEADER
+            + "\n"
+            + AGGREGATE_HEADER
+            + "\naccident,hop4,19,200.0,0.0\naccident,fresh60,19,150.0,0.0"
+            + "\nflood,hop4,19,100.0,0.0\nflood,fresh60,19,120.0,0.0\n"
+        )
+        assert main(["report", str(csv_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "accident   19 vehicles: mean(hop4)=200.0 mean(fresh60)=150.0" in out
+        assert "flood   19 vehicles: mean(hop4)=100.0 mean(fresh60)=120.0" in out
+        assert "accident: hop4 >= fresh60 at all densities: PASS" in out
+        assert "flood: hop4 >= fresh60 violated at densities: 19" in out
 
     def test_report_empty_aggregates(self, tmp_path):
         from vanetim.metrics import AGGREGATE_HEADER, DETAIL_HEADER

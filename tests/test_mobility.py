@@ -5,15 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetim.domain import EntityId, RSU, VEHICLE
-from vanetim.mobility import (
-    CircularWorld,
-    MobilityConfig,
-    StaticWorld,
-    downstream_of,
-    inject_flow,
-    neighbours_within,
-    step,
-)
+from vanetim.mobility import CircularWorld, MobilityConfig, StaticWorld
 from vanetim.protocol import SpeedHistory, detect_jam
 
 
@@ -117,11 +109,6 @@ class TestInjectFlow:
         world.inject_flow(100.0)
         assert world.spawned_count == 1
 
-    def test_module_function_wrapper(self):
-        world = make_world(1)
-        assert inject_flow(world, 0.0) is world
-        assert world.spawned_count == 1
-
 
 class TestNeighbours:
     def line(self, spacing, count):
@@ -132,18 +119,18 @@ class TestNeighbours:
     def test_in_range_pair(self):
         world = self.line(200.0, 2)
         a, b = world.entities()
-        assert neighbours_within(world, a, 300.0) == [b]
-        assert neighbours_within(world, b, 300.0) == [a]
+        assert world.neighbours_within(a, 300.0) == [b]
+        assert world.neighbours_within(b, 300.0) == [a]
 
     def test_out_of_range_boundary(self):
         world = self.line(301.0, 2)
         a, b = world.entities()
-        assert neighbours_within(world, a, 300.0) == []
+        assert world.neighbours_within(a, 300.0) == []
 
     def test_line_of_five_query_middle(self):
         world = self.line(200.0, 5)
         middle = EntityId(2, VEHICLE)
-        found = set(neighbours_within(world, middle, 300.0))
+        found = set(world.neighbours_within(middle, 300.0))
         # brute-force pairwise oracle
         oracle = {
             e
@@ -157,7 +144,7 @@ class TestNeighbours:
     def test_radius_must_be_positive(self):
         world = self.line(100.0, 2)
         with pytest.raises(ValueError):
-            neighbours_within(world, world.entities()[0], 0.0)
+            world.neighbours_within(world.entities()[0], 0.0)
 
     @settings(max_examples=25)
     @given(
@@ -188,8 +175,8 @@ class TestDownstream:
         a, b = world.vehicles[1].entity, world.vehicles[0].entity
         world.vehicles[1].position = 100.0
         world.vehicles[0].position = 150.0  # b is 50 m ahead of a
-        assert downstream_of(world, a, b)
-        assert not downstream_of(world, b, a)
+        assert world.downstream_of(a, b)
+        assert not world.downstream_of(b, a)
 
     def test_diametric_tie_is_false(self):
         world = make_world(2)
@@ -199,14 +186,14 @@ class TestDownstream:
         a, b = world.vehicles[1].entity, world.vehicles[0].entity
         # arc-length oracle: exactly half the loop is not "ahead"
         assert world.arc_gap(0.0, 2000.0) == world.route_length / 2
-        assert not downstream_of(world, a, b)
-        assert not downstream_of(world, b, a)
+        assert not world.downstream_of(a, b)
+        assert not world.downstream_of(b, a)
 
     def test_rsu_arguments_rejected(self):
         world = make_world(1)
         spawn_all(world)
         with pytest.raises(ValueError):
-            downstream_of(world, world.vehicles[0].entity, EntityId(0, RSU))
+            world.downstream_of(world.vehicles[0].entity, EntityId(0, RSU))
 
 
 class TestGeometry:
@@ -241,7 +228,7 @@ class TestGeometry:
 
 
 class TestPlatoonJam:
-    def test_tail_of_blocked_platoon_reports_jam(self):
+    def test_tail_of_blocked_platoon_reports_jam(self, ids):
         """A 20-vehicle column stalls behind a blockage; the tail vehicle's
         speed history satisfies the jam detector once it has been stationary
         for more than 30 s with the queue ahead of it.
@@ -262,16 +249,10 @@ class TestPlatoonJam:
             t += 0.5
             if tail in world._index:
                 history.record(t, world.vehicles[world._index[tail]].speed)
-                msg = detect_jam(history, world.queue_ahead(tail), t, origin=tail)
+                msg = detect_jam(history, world.queue_ahead(tail), t, origin=tail, ids=ids)
                 if msg is not None:
                     fired_at = t
                     break
         assert fired_at is not None
         # cannot fire before entry + 30 s of standstill
         assert fired_at > 38.0 + 30.0
-
-
-def test_module_step_wrapper():
-    world = make_world(1)
-    world.inject_flow(0.0)
-    assert step(world, 0.5) is world

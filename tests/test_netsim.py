@@ -9,6 +9,7 @@ from vanetim.domain import (
     VEHICLE,
     make_message,
 )
+from vanetim.mobility import MobilityConfig
 from vanetim.netsim import (
     Engine,
     NetConfig,
@@ -137,6 +138,36 @@ class TestTrialSetupValidation:
         setup = TrialSetup(script=script, policy=HOP4, vehicles=19)
         with pytest.raises(ValueError, match="warm-up"):
             setup.validate()
+
+    def test_fleet_must_fit_on_the_route(self):
+        # 20 vehicles of 4.5 m plus a 2 m gap fill a 130 m route exactly
+        def setup(vehicles):
+            return TrialSetup(
+                script=build_scenario("accident"),
+                policy=HOP4,
+                vehicles=vehicles,
+                mobility=MobilityConfig(route_length=130.0),
+            )
+
+        setup(20).validate()
+        with pytest.raises(ValueError, match="do not fit"):
+            setup(21).validate()
+
+    def test_fleet_must_spawn_before_warmup_ends(self):
+        # at a 2 s headway the 251st vehicle would enter at 500 s
+        def setup(vehicles, police=0):
+            return TrialSetup(
+                script=build_scenario("accident-police"),
+                policy=HOP4,
+                vehicles=vehicles,
+                police=police,
+            )
+
+        setup(249, police=1).validate()
+        with pytest.raises(ValueError, match="cannot all spawn"):
+            setup(250, police=1).validate()
+        with pytest.raises(ValueError, match="cannot all spawn"):
+            setup(249, police=2).validate()
 
 
 class TestRunProperties:

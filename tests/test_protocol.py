@@ -22,9 +22,7 @@ from vanetim.protocol import (
     ProtocolOrderError,
     ReceivedMessage,
     IncidentResolved,
-    RsuRuleTable,
     RsuState,
-    RuleRow,
     ServiceDirectory,
     ServiceEntry,
     SpeedHistory,
@@ -39,7 +37,6 @@ from vanetim.protocol import (
     handle_service_query,
     handle_ta,
     handle_ta_timer,
-    handle_vehicle,
     relay_decision,
 )
 from vanetim.relay import FRESH60, HOP4, record_seen
@@ -74,82 +71,84 @@ class TestRuleTable:
     def test_exactly_nine_populated_rows(self):
         assert len(DEFAULT_RULE_ROWS) == 9
 
-    def test_unpopulated_rows_yield_zero(self):
-        table = RsuRuleTable()
-        row = table.lookup(MessageKind.FLOOD, VEHICLE.kind, True)
-        assert row == RuleRow(0)
-
-    def test_accident_from_vehicle_first_receipt(self):
+    def test_unpopulated_rows_yield_zero(self, ids):
+        # no row covers an accident first heard from an official vehicle
+        assert (MessageKind.ACCIDENT, POLICE.kind, True) not in DEFAULT_RULE_ROWS
         state = fresh_rsu()
-        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0)
-        actions = handle_rsu(state, msg, VEHICLE, 550.0, ids=MessageIdSource())
+        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
+        assert handle_rsu(state, msg, POLICE, 550.0, ids=ids) == []
+
+    def test_accident_from_vehicle_first_receipt(self, ids):
+        state = fresh_rsu()
+        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
+        actions = handle_rsu(state, msg, VEHICLE, 550.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.ACCIDENT)) == 3
         assert len(broadcasts(actions, MessageKind.AVOID_ROAD)) == 3
         assert len(wired(actions, MessageKind.ACCIDENT)) == 2  # both neighbours
         assert state.ledger.status("X") is IncidentStatus.OPEN
 
-    def test_accident_from_rsu(self):
+    def test_accident_from_rsu(self, ids):
         state = fresh_rsu()
-        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0)
-        actions = handle_rsu(state, msg, RSU, 551.0, ids=MessageIdSource())
+        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
+        actions = handle_rsu(state, msg, RSU, 551.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.ACCIDENT)) == 2
         assert len(broadcasts(actions, MessageKind.AVOID_ROAD)) == 2
         assert wired(actions) == []
 
-    def test_avoid_road_from_rsu(self):
+    def test_avoid_road_from_rsu(self, ids):
         state = fresh_rsu()
-        msg = make_message(MessageKind.AVOID_ROAD, "X", RSU1, 551.0)
-        actions = handle_rsu(state, msg, RSU, 551.0, ids=MessageIdSource())
+        msg = make_message(MessageKind.AVOID_ROAD, "X", RSU1, 551.0, ids=ids)
+        actions = handle_rsu(state, msg, RSU, 551.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.AVOID_ROAD)) == 3
         assert len(actions) == 3
 
-    def test_avoid_road_from_vehicle(self):
+    def test_avoid_road_from_vehicle(self, ids):
         state = fresh_rsu()
-        msg = make_message(MessageKind.AVOID_ROAD, "X", RSU1, 551.0)
-        actions = handle_rsu(state, msg, VEHICLE, 560.0, ids=MessageIdSource())
+        msg = make_message(MessageKind.AVOID_ROAD, "X", RSU1, 551.0, ids=ids)
+        actions = handle_rsu(state, msg, VEHICLE, 560.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.AVOID_ROAD)) == 2
         assert len(actions) == 2
 
-    def test_stale_accident_from_vehicle(self):
+    def test_stale_accident_from_vehicle(self, ids):
         state = fresh_rsu()
-        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0)
-        handle_rsu(state, msg, VEHICLE, 550.0, ids=MessageIdSource())
+        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
+        handle_rsu(state, msg, VEHICLE, 550.0, ids=ids)
         # the same report arrives again from another vehicle; incident open
-        actions = handle_rsu(state, msg, VEHICLE, 580.0, ids=MessageIdSource())
+        actions = handle_rsu(state, msg, VEHICLE, 580.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.ACCIDENT)) == 2
         assert broadcasts(actions, MessageKind.AVOID_ROAD) == []
-        third = handle_rsu(state, msg, VEHICLE, 590.0, ids=MessageIdSource())
+        third = handle_rsu(state, msg, VEHICLE, 590.0, ids=ids)
         assert third == []  # stale row fires once
 
-    def test_accident_on_resolved_road_ignored(self):
+    def test_accident_on_resolved_road_ignored(self, ids):
         state = fresh_rsu()
         state.ledger.open("X", 500.0)
         state.ledger.resolve("X", 540.0)
-        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0)
-        assert handle_rsu(state, msg, VEHICLE, 550.0, ids=MessageIdSource()) == []
+        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
+        assert handle_rsu(state, msg, VEHICLE, 550.0, ids=ids) == []
 
 
 class TestRsuResolution:
-    def test_sorted_road_from_police(self):
+    def test_sorted_road_from_police(self, ids):
         state = fresh_rsu()
         state.ledger.open("X", 550.0)
-        msg = make_message(MessageKind.SORTED_ROAD, "X", P0, 700.0)
-        actions = handle_rsu(state, msg, POLICE, 700.0, ids=MessageIdSource())
+        msg = make_message(MessageKind.SORTED_ROAD, "X", P0, 700.0, ids=ids)
+        actions = handle_rsu(state, msg, POLICE, 700.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.CLEARED_ROAD)) == 3
         assert len(wired(actions, MessageKind.CLEARED_ROAD)) == 2
         assert state.ledger.status("X") is IncidentStatus.RESOLVED
 
-    def test_cleared_road_from_rsu(self):
+    def test_cleared_road_from_rsu(self, ids):
         state = fresh_rsu()
         state.ledger.open("X", 550.0)
-        msg = make_message(MessageKind.CLEARED_ROAD, "X", RSU1, 700.0)
-        actions = handle_rsu(state, msg, RSU, 700.0, ids=MessageIdSource())
+        msg = make_message(MessageKind.CLEARED_ROAD, "X", RSU1, 700.0, ids=ids)
+        actions = handle_rsu(state, msg, RSU, 700.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.CLEARED_ROAD)) == 3
 
-    def test_clearance_without_open_incident_not_rebroadcast(self):
+    def test_clearance_without_open_incident_not_rebroadcast(self, ids):
         state = fresh_rsu()
-        msg = make_message(MessageKind.CLEARED_ROAD, "X", RSU1, 700.0)
-        actions = handle_rsu(state, msg, RSU, 700.0, ids=MessageIdSource())
+        msg = make_message(MessageKind.CLEARED_ROAD, "X", RSU1, 700.0, ids=ids)
+        actions = handle_rsu(state, msg, RSU, 700.0, ids=ids)
         assert broadcasts(actions) == []  # only forwarded along the backbone
         assert all(isinstance(a, Wired) for a in actions)
 
@@ -252,15 +251,15 @@ class TestOfficialFlow:
         assert done[0].message.correlation == report.id
         assert state.incidents["X"].phase is OfficialPhase.DONE
 
-    def test_resolution_without_incident_is_order_violation(self):
+    def test_resolution_without_incident_is_order_violation(self, ids):
         state = OfficialState(entity=P0, responder=True)
         with pytest.raises(ProtocolOrderError):
-            handle_official(state, IncidentResolved("X"), 700.0)
+            handle_official(state, IncidentResolved("X"), 700.0, ids=ids)
 
-    def test_non_responder_ignores_reports(self):
+    def test_non_responder_ignores_reports(self, ids):
         state = OfficialState(entity=P0, responder=False)
-        report = make_message(MessageKind.ACCIDENT, "X", V17, 550.0)
-        assert handle_official(state, ReceivedMessage(report, VEHICLE), 551.0) == []
+        report = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
+        assert handle_official(state, ReceivedMessage(report, VEHICLE), 551.0, ids=ids) == []
 
 
 class TestTrafficAuthority:
@@ -285,38 +284,38 @@ class TestTrafficAuthority:
         (out,) = handle_ta_timer(state, arm.token, arm.at, ids=ids)
         assert out.message.kind is MessageKind.SIGNAL_RESOLVED
 
-    def test_non_authority_kind_dropped(self):
+    def test_non_authority_kind_dropped(self, ids):
         state = TaState(entity=TA0)
-        report = make_message(MessageKind.ACCIDENT, "X", V17, 600.0)
+        report = make_message(MessageKind.ACCIDENT, "X", V17, 600.0, ids=ids)
         assert handle_ta(state, report, 600.0, reporting_rsu=RSU0) == []
 
-    def test_duplicate_report_scheduled_once(self):
+    def test_duplicate_report_scheduled_once(self, ids):
         state = TaState(entity=TA0)
-        report = make_message(MessageKind.FLOOD, "X", V17, 600.0)
+        report = make_message(MessageKind.FLOOD, "X", V17, 600.0, ids=ids)
         assert len(handle_ta(state, report, 600.0, reporting_rsu=RSU0)) == 1
         assert handle_ta(state, report, 601.0, reporting_rsu=RSU1) == []
 
 
 class TestServiceDirectory:
-    def test_query_returns_registered_road(self):
+    def test_query_returns_registered_road(self, ids):
         state = fresh_rsu()
         registry = ServiceDirectory((ServiceEntry("petrol-pump", "X", 500.0),))
         query = make_message(
-            MessageKind.SERVICE_QUERY, "Y", V17, 600.0, payload="petrol-pump"
+            MessageKind.SERVICE_QUERY, "Y", V17, 600.0, payload="petrol-pump", ids=ids
         )
         (reply,) = handle_service_query(
-            state, query, registry, 600.0, ids=MessageIdSource()
+            state, query, registry, 600.0, ids=ids
         )
         assert reply.message.kind is MessageKind.SERVICE_REPLY
         assert reply.message.road == "X"
 
-    def test_empty_registry_gives_empty_reply(self):
+    def test_empty_registry_gives_empty_reply(self, ids):
         state = fresh_rsu()
         query = make_message(
-            MessageKind.SERVICE_QUERY, "Y", V17, 600.0, payload="parking"
+            MessageKind.SERVICE_QUERY, "Y", V17, 600.0, payload="parking", ids=ids
         )
         (reply,) = handle_service_query(
-            state, query, ServiceDirectory(), 600.0, ids=MessageIdSource()
+            state, query, ServiceDirectory(), 600.0, ids=ids
         )
         assert reply.message.payload == "no-result"
 
@@ -337,14 +336,14 @@ class TestServiceDirectory:
         assert registry.nearest("restaurant", origin) == oracle
         assert oracle.road == "W"
 
-    def test_query_answered_once(self):
+    def test_query_answered_once(self, ids):
         state = fresh_rsu()
         registry = ServiceDirectory((ServiceEntry("petrol-pump", "X", 500.0),))
         query = make_message(
-            MessageKind.SERVICE_QUERY, "Y", V17, 600.0, payload="petrol-pump"
+            MessageKind.SERVICE_QUERY, "Y", V17, 600.0, payload="petrol-pump", ids=ids
         )
-        assert len(handle_service_query(state, query, registry, 600.0)) == 1
-        assert handle_service_query(state, query, registry, 601.0) == []
+        assert len(handle_service_query(state, query, registry, 600.0, ids=ids)) == 1
+        assert handle_service_query(state, query, registry, 601.0, ids=ids) == []
 
 
 class TestDetectors:
@@ -356,44 +355,44 @@ class TestDetectors:
             t += dt
         return history, t - dt
 
-    def test_jam_after_31s_with_queue(self):
+    def test_jam_after_31s_with_queue(self, ids):
         history, now = self._history(0.05, 31.0)
-        msg = detect_jam(history, True, now, origin=V17)
+        msg = detect_jam(history, True, now, origin=V17, ids=ids)
         assert msg is not None and msg.kind is MessageKind.TRAFFIC_JAM
         # once per episode
-        assert detect_jam(history, True, now + 1.0, origin=V17) is None
+        assert detect_jam(history, True, now + 1.0, origin=V17, ids=ids) is None
 
-    def test_jam_requires_queue_ahead(self):
+    def test_jam_requires_queue_ahead(self, ids):
         history, now = self._history(0.05, 31.0)
-        assert detect_jam(history, False, now, origin=V17) is None
+        assert detect_jam(history, False, now, origin=V17, ids=ids) is None
 
-    def test_jam_boundary_is_strict(self):
+    def test_jam_boundary_is_strict(self, ids):
         history, now = self._history(0.0, 30.0)
-        assert detect_jam(history, True, now, origin=V17) is None
+        assert detect_jam(history, True, now, origin=V17, ids=ids) is None
 
-    def test_congestion_in_window(self):
+    def test_congestion_in_window(self, ids):
         history, now = self._history(5.0, 70.0)
-        msg = detect_congestion(history, now, origin=V17)
+        msg = detect_congestion(history, now, origin=V17, ids=ids)
         assert msg is not None and msg.kind is MessageKind.CONGESTION
-        assert detect_congestion(history, now + 1.0, origin=V17) is None
+        assert detect_congestion(history, now + 1.0, origin=V17, ids=ids) is None
 
-    def test_congestion_below_window(self):
+    def test_congestion_below_window(self, ids):
         history, now = self._history(5.0, 59.0)
-        assert detect_congestion(history, now, origin=V17) is None
+        assert detect_congestion(history, now, origin=V17, ids=ids) is None
 
-    def test_crawl_speed_is_jam_path_not_congestion(self):
+    def test_crawl_speed_is_jam_path_not_congestion(self, ids):
         history, now = self._history(0.5, 70.0)
-        assert detect_congestion(history, now, origin=V17) is None
+        assert detect_congestion(history, now, origin=V17, ids=ids) is None
 
-    def test_moving_again_resets_episode(self):
+    def test_moving_again_resets_episode(self, ids):
         history = SpeedHistory()
         for t in range(0, 32):
             history.record(float(t), 0.0)
-        assert detect_jam(history, True, 31.0, origin=V17) is not None
+        assert detect_jam(history, True, 31.0, origin=V17, ids=ids) is not None
         history.record(32.0, 5.0)   # moving again ends the episode
         for t in range(33, 90):
             history.record(float(t), 0.0)
-        assert detect_jam(history, True, 89.0, origin=V17) is not None
+        assert detect_jam(history, True, 89.0, origin=V17, ids=ids) is not None
 
     def test_samples_must_advance_in_time(self):
         history = SpeedHistory()
@@ -403,30 +402,24 @@ class TestDetectors:
 
 
 class TestRelayDecision:
-    def test_copy_forwarded_as_received(self):
+    def test_copy_forwarded_as_received(self, ids):
         # hop counting happens at radio delivery, so the relayed copy keeps
         # the hop count it arrived with
         state = VehicleState(entity=EntityId(3, VEHICLE))
-        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0)
+        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
         (out,) = relay_decision(state, relayed_copy(msg), HOP4, 551.0)
         assert out.message.hops == 1
         assert out.message.id == msg.id
 
-    def test_dedup_is_permanent(self):
+    def test_dedup_is_permanent(self, ids):
         state = VehicleState(entity=EntityId(3, VEHICLE))
-        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0)
+        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
         relay_decision(state, msg, HOP4, 551.0)
         assert relay_decision(state, msg, HOP4, 560.0) == []
 
-    def test_policy_block_yields_no_action(self):
+    def test_policy_block_yields_no_action(self, ids):
         state = VehicleState(entity=EntityId(3, VEHICLE))
-        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0)
+        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
         assert relay_decision(state, msg, FRESH60, 650.0) == []
         # a blocked message is recorded only on actual relay
         assert relay_decision(state, msg, HOP4, 651.0) != []
-
-    def test_handle_vehicle_requires_regular_vehicle(self):
-        state = OfficialState(entity=P0)
-        msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0)
-        with pytest.raises(ValueError):
-            handle_vehicle(state, msg, HOP4, 551.0)
