@@ -2,9 +2,16 @@
 
 The road network is a parameterised circular two-lane loop; vehicles enter
 one after another from a fixed point and keep a safe gap behind their
-leader with a simple accelerate-or-brake rule. Because there is no
-overtaking, ring order equals spawn order for the whole run, which keeps
-leader lookup O(1) and the stepper O(n).
+leader with a simple accelerate-or-brake rule. A vehicle's leader is the
+one spawned before it (the previous entry of ``vehicles``), which keeps
+leader lookup O(1). :meth:`CircularWorld.step` is one pass over the list:
+every vehicle reads its leader's position from before the step, then moves.
+
+:meth:`CircularWorld.neighbours_within` skips every entity whose arc
+distance from the centre exceeds the arc of a chord as long as the radio
+range, before any trigonometry, and gives the rest the exact Euclidean
+test; receivers come back in list order (vehicles, then RSUs), which fixes
+delivery order.
 
 A :class:`StaticWorld` with fixed positions and no kinematics is provided
 for protocol-only experiments (for example a line of parked vehicles).
@@ -14,10 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .domain import RSU as _RSU_ROLE
 from .domain import EntityId, RoleKind
+
+#: slack on the neighbour query's arc window, far above float rounding
+_ARC_WINDOW_MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -166,33 +177,44 @@ class CircularWorld:
 
     # -- kinematics --------------------------------------------------------
 
-    def leader_gap(self, i: int) -> float:
-        """Clear distance ahead of vehicle i, bounded by any blockage."""
-        vehicle = self.vehicles[i]
-        gap = math.inf
-        if len(self.vehicles) > 1:
-            leader = self.vehicles[i - 1]  # ring order: previous spawn is ahead
-            gap = self.arc_gap(vehicle.position, leader.position) - leader.length
-        for blockage in self.blockages:
-            gap = min(gap, self.arc_gap(vehicle.position, blockage))
-        return gap
-
     def step(self, dt: float) -> None:
+        """Advance every vehicle by ``dt`` in one pass; each follows its
+        leader's position from before the step (vehicle 0 follows the last)."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         cfg = self.cfg
-        speeds: List[float] = []
-        for i, vehicle in enumerate(self.vehicles):
-            desired = min(vehicle.target_speed, vehicle.speed + cfg.accel * dt)
-            gap = self.leader_gap(i)
-            if math.isfinite(gap):
+        vehicles = self.vehicles
+        length = self.route_length
+        blockages = self.blockages
+        accel_dt = cfg.accel * dt
+        standstill = cfg.standstill_gap
+        followed = len(vehicles) > 1
+        if vehicles:
+            ahead, ahead_length = vehicles[-1].position, vehicles[-1].length
+        # each comparison below picks the operand min() or max() would, ties
+        # included, so speeds and positions are the same floats as theirs
+        for vehicle in vehicles:
+            position = vehicle.position
+            speed = vehicle.speed + accel_dt
+            if not speed < vehicle.target_speed:
+                speed = vehicle.target_speed
+            # clear distance ahead: the leader's tail, or a nearer blockage
+            gap = (ahead - position) % length - ahead_length if followed else math.inf
+            for blockage in blockages:
+                arc = (blockage - position) % length
+                if arc < gap:
+                    gap = arc
+            if gap < math.inf:
                 # cap the advance so the standstill gap survives even if the
                 # leader does not move this step
-                desired = min(desired, max(0.0, (gap - cfg.standstill_gap) / dt))
-            speeds.append(desired)
-        for vehicle, speed in zip(self.vehicles, speeds):
+                cap = (gap - standstill) / dt
+                if not cap > 0.0:
+                    cap = 0.0
+                if cap < speed:
+                    speed = cap
+            ahead, ahead_length = position, vehicle.length
             vehicle.speed = speed
-            vehicle.position = (vehicle.position + speed * dt) % self.route_length
+            vehicle.position = (position + speed * dt) % length
         if self.check_invariants:
             self._assert_no_overlap()
 
@@ -211,15 +233,23 @@ class CircularWorld:
     # -- protocol-facing queries ------------------------------------------
 
     def neighbours_within(self, center: EntityId, radius: float) -> List[EntityId]:
-        """All entities within Euclidean range of ``center``, excluding it."""
+        """All entities within Euclidean range of ``center``, excluding it,
+        vehicles in list order then RSUs. Chord length rises with arc length,
+        so entities beyond ``chord_for_radius(radius)`` of arc are skipped."""
         if radius <= 0:
             raise ValueError("radius must be positive")
-        cx, cy = self.position_of(center)
+        length = self.route_length
+        center_arc = self.arc_of(center)
+        cx, cy = self.point_of_arc(center_arc)
+        window = self.chord_for_radius(radius) + _ARC_WINDOW_MARGIN
+        far = length - window
         found: List[EntityId] = []
-        for entity in self.entities():
-            if entity == center:
+        vehicles = ((v.entity, v.position) for v in self.vehicles)
+        for entity, arc in chain(vehicles, self.rsus):
+            # more than the window of arc away, one way round or the other
+            if window < (arc - center_arc) % length < far or entity == center:
                 continue
-            x, y = self.position_of(entity)
+            x, y = self.point_of_arc(arc)
             if math.hypot(x - cx, y - cy) <= radius:
                 found.append(entity)
         return found

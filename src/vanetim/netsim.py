@@ -270,6 +270,11 @@ class Engine:
         self._record(msg, sender, "*", source)
         deliveries: List[Tuple[float, EntityId]] = []
         net = self.setup.net
+        # a radio hop is counted at delivery: the receivers' copy carries
+        # one more hop than the sender's, so a hop-limit policy cuts off
+        # after exactly max_hops transmissions from the origin; messages are
+        # immutable, so every receiver shares the one copy
+        copy = relayed_copy(msg)
         for receiver in self.world.neighbours_within(sender, net.radio_range):
             if downstream_only:
                 if receiver.role.kind is RoleKind.RSU:
@@ -279,10 +284,7 @@ class Engine:
             if net.loss > 0 and self.rng.random() < net.loss:
                 continue
             at = now + net.hop_latency
-            # a radio hop is counted at delivery: the receiver's copy carries
-            # one more hop than the sender's, so a hop-limit policy cuts off
-            # after exactly max_hops transmissions from the origin
-            self._schedule(at, self._deliver, relayed_copy(msg), receiver, sender)
+            self._schedule(at, self._deliver, copy, receiver, sender)
             deliveries.append((at, receiver))
         return deliveries
 

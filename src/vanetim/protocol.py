@@ -497,7 +497,7 @@ def _rsu_resolution(
             correlation=msg.id,
         )
     actions.extend(_burst(cleared, repeats, now, state.cfg.burst_interval))
-    if cleared.id != msg.id:
+    if cleared is not msg:
         actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
     return actions
 

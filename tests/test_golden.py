@@ -1,10 +1,13 @@
 """Golden traces: the sha1 of each cell's trace file must not change.
 
-The digests were recorded before the engine's event routing was rewritten;
-any change to event order, message ids or relay timing shows up here. A
-change that alters traces on purpose must update these digests and say why.
-Cells of 131 vehicles or more are left out: their traces are expected to
-change once spawns are inserted in ring order.
+The 19- and 21-vehicle digests were recorded before the engine's event
+routing was rewritten, the 79-vehicle ones before the mobility step was
+fused and the neighbour query windowed (the window skips the most entities
+at high density); any change to event order, message ids, relay timing or
+receiver order shows up here. A change that alters traces on purpose must
+update these digests and say why. Cells of 131 vehicles or more are left
+out: their traces are expected to change once spawns are inserted in ring
+order.
 """
 
 import hashlib
@@ -17,6 +20,8 @@ GOLDEN = [
     # (scenario, policy, vehicles, police, seed, sha1 of the trace file)
     ("accident", "hop4", 19, 0, 1, "e307a17a357eb5cc511ce50b749abc0db119ca61"),
     ("accident", "fresh60", 19, 0, 1, "d9b0c164a6f526d805944755e1176284a163f28b"),
+    ("accident", "hop4", 79, 0, 1, "e6c76de27fac59b05e7789ea728499ed24ff9193"),
+    ("accident", "fresh60", 79, 0, 1, "0181c175410837e30473d47353d457841cc8a28c"),
     ("accident-police", "hop4", 21, 2, 1, "929ce0a7b4885a420c221b7035fa6c63783ab393"),
     ("accident-police", "hop4", 19, 0, 1, "b261178c101f7c20a2ea4597dd08619e8f8f2175"),
     ("traffic-jam", "hop4", 19, 0, 1, "aa199994a76060782bd44d975aaf989106fe2e8e"),

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetim.domain import EntityId, RSU, VEHICLE
-from vanetim.mobility import CircularWorld, MobilityConfig, StaticWorld
+from vanetim.mobility import (
+    CircularWorld,
+    MobilityConfig,
+    StaticWorld,
+    VehicleKinematics,
+)
 from vanetim.protocol import SpeedHistory, detect_jam
 
 
@@ -82,6 +87,93 @@ class TestCarFollowing:
             make_world(1).step(0.0)
 
 
+def oracle_leader_gap(world, i):
+    """The clear distance ahead of vehicle i, as the two-loop step found it."""
+    vehicle = world.vehicles[i]
+    gap = math.inf
+    if len(world.vehicles) > 1:
+        leader = world.vehicles[i - 1]
+        gap = world.arc_gap(vehicle.position, leader.position) - leader.length
+    for blockage in world.blockages:
+        gap = min(gap, world.arc_gap(vehicle.position, blockage))
+    return gap
+
+
+def oracle_step(world, dt):
+    """The two-loop step: every new speed from the old state, then every move."""
+    cfg = world.cfg
+    speeds = []
+    for i, vehicle in enumerate(world.vehicles):
+        desired = min(vehicle.target_speed, vehicle.speed + cfg.accel * dt)
+        gap = oracle_leader_gap(world, i)
+        if math.isfinite(gap):
+            desired = min(desired, max(0.0, (gap - cfg.standstill_gap) / dt))
+        speeds.append(desired)
+    for vehicle, speed in zip(world.vehicles, speeds):
+        vehicle.speed = speed
+        vehicle.position = (vehicle.position + speed * dt) % world.route_length
+
+
+ARCS = st.one_of(
+    st.floats(0.0, 3999.99, allow_nan=False),
+    st.floats(0.0, 120.0, allow_nan=False),  # a crowded stretch: gaps cap speeds
+    st.sampled_from([0.0, 6.5, 13.0, 2000.0, 3993.5]),  # exact and zero gaps
+)
+
+
+@st.composite
+def rings(draw):
+    """A world in any state the step can meet: unordered, crowded, stopped,
+    or exactly one acceleration step below the target speed."""
+    dt = draw(st.one_of(st.sampled_from([0.5, 0.25, 1.0]), st.floats(0.05, 1.0)))
+    cfg = MobilityConfig(dt=dt)
+    edge = cfg.target_speed - cfg.accel * dt
+    speed = st.one_of(
+        st.floats(0.0, cfg.target_speed, allow_nan=False),
+        st.sampled_from([0.0, edge, cfg.target_speed]),
+    )
+    n = draw(st.integers(1, 40))
+    states = draw(st.lists(st.tuples(ARCS, speed), min_size=n, max_size=n))
+    blockages = draw(st.lists(ARCS, max_size=3))
+    return cfg, states, blockages
+
+
+def build_ring(cfg, states, blockages):
+    world = CircularWorld(cfg, [EntityId(i, VEHICLE) for i in range(len(states))])
+    for i, (arc, speed) in enumerate(states):
+        world._index[world.spawn_queue[i]] = i
+        world.vehicles.append(
+            VehicleKinematics(world.spawn_queue[i], arc, speed=speed)
+        )
+    for arc in blockages:
+        world.add_blockage(arc)
+    return world
+
+
+def bits(world):
+    return [(v.position.hex(), v.speed.hex()) for v in world.vehicles]
+
+
+class TestStepExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(ring=rings())
+    def test_one_pass_step_equals_two_loop_step(self, ring):
+        cfg = ring[0]
+        fused, oracle = build_ring(*ring), build_ring(*ring)
+        for _ in range(3):
+            fused.step(cfg.dt)
+            oracle_step(oracle, cfg.dt)
+            assert bits(fused) == bits(oracle)
+
+    def test_edge_speed_reaches_target_exactly(self):
+        cfg = MobilityConfig()
+        edge = cfg.target_speed - cfg.accel * cfg.dt
+        assert edge + cfg.accel * cfg.dt == cfg.target_speed
+        world = build_ring(cfg, [(0.0, edge)], [])
+        world.step(cfg.dt)
+        assert world.vehicles[0].speed == cfg.target_speed
+
+
 class TestInjectFlow:
     def test_fleet_enters_well_before_warmup(self):
         world = make_world(19)
@@ -146,26 +238,47 @@ class TestNeighbours:
         with pytest.raises(ValueError):
             world.neighbours_within(world.entities()[0], 0.0)
 
-    @settings(max_examples=25)
+    @staticmethod
+    def brute_force(world, center, radius):
+        """Every other entity within range, in ``entities()`` order."""
+        cx, cy = world.position_of(center)
+        return [
+            e
+            for e in world.entities()
+            if e != center and math.dist(world.position_of(e), (cx, cy)) <= radius
+        ]
+
+    @settings(max_examples=25, deadline=None)
     @given(
         arcs=st.lists(
             st.floats(0, 3999.9, allow_nan=False), min_size=2, max_size=12, unique=True
         ),
-        radius=st.floats(10.0, 1500.0, allow_nan=False),
+        radius=st.floats(1.0, 3000.0, allow_nan=False),
     )
     def test_circular_world_matches_brute_force(self, arcs, radius):
         world = make_world(len(arcs))
         spawn_all(world)
-        for vehicle, arc in zip(world.vehicles, sorted(arcs, reverse=True)):
+        # list order need not be ring order
+        for vehicle, arc in zip(world.vehicles, arcs):
             vehicle.position = arc
-        center = world.vehicles[0].entity
-        oracle = {
-            e
-            for e in world.entities()
-            if e != center
-            and math.dist(world.position_of(e), world.position_of(center)) <= radius
-        }
-        assert set(world.neighbours_within(center, radius)) == oracle
+        for center in world.entities():
+            assert world.neighbours_within(center, radius) == self.brute_force(
+                world, center, radius
+            )
+
+    @pytest.mark.parametrize("radius", [1.0, 300.0, 637.0, 1273.0, 1500.0])
+    @pytest.mark.parametrize("center_arc", [0.0, 150.0, 3999.5])
+    def test_vehicle_at_window_edge(self, radius, center_arc):
+        world = make_world(4)
+        spawn_all(world)
+        edge = world.chord_for_radius(radius)
+        arcs = [center_arc, center_arc + edge, center_arc - edge, center_arc + 2 * edge]
+        for vehicle, arc in zip(world.vehicles, arcs):
+            vehicle.position = arc % world.route_length
+        for center in world.entities():
+            assert world.neighbours_within(center, radius) == self.brute_force(
+                world, center, radius
+            )
 
 
 class TestDownstream:

@@ -138,6 +138,16 @@ class TestRsuResolution:
         assert len(wired(actions, MessageKind.CLEARED_ROAD)) == 2
         assert state.ledger.status("X") is IncidentStatus.RESOLVED
 
+    def test_derived_notice_flooded_despite_colliding_ids(self, ids):
+        state = fresh_rsu()
+        state.ledger.open("X", 550.0)
+        msg = make_message(MessageKind.SORTED_ROAD, "X", P0, 700.0, ids=ids)
+        # a second, fresh source hands the derived notice the input's id
+        actions = handle_rsu(state, msg, POLICE, 700.0, ids=MessageIdSource())
+        notices = wired(actions, MessageKind.CLEARED_ROAD)
+        assert [a.to for a in notices] == [RSU9, RSU1]
+        assert all(a.message.id == msg.id for a in notices)
+
     def test_cleared_road_from_rsu(self, ids):
         state = fresh_rsu()
         state.ledger.open("X", 550.0)
