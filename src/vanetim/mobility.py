@@ -1,6 +1,6 @@
 """Road geometry, vehicle flow, and car-following kinematics.
 
-The road network is a parameterised circular two-lane loop; vehicles enter
+The road network is a parameterised circular loop; vehicles enter
 one after another from a fixed point and keep a safe gap behind their
 leader with a simple accelerate-or-brake rule. A vehicle's leader is the
 one spawned before it (the previous entry of ``vehicles``), which keeps
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .domain import RSU as _RSU_ROLE
 from .domain import EntityId, RoleKind
@@ -34,8 +34,6 @@ _ARC_WINDOW_MARGIN = 1.0
 @dataclass(frozen=True)
 class MobilityConfig:
     route_length: float = 4000.0
-    lane_count: int = 2
-    intersection_count: int = 4
     target_speed: float = 13.0
     accel: float = 2.0
     standstill_gap: float = 2.0
@@ -50,28 +48,15 @@ class MobilityConfig:
 class VehicleKinematics:
     entity: EntityId
     position: float  # arc metres along the route
-    lane: int = 0
     speed: float = 0.0
     target_speed: float = 13.0
     length: float = 4.5
 
 
-@dataclass(frozen=True)
-class RoadSegment:
-    road: str
-    start: float
-    end: float  # arc interval [start, end) along the loop
-
-
 class CircularWorld:
     """Mutable mobility state for one trial."""
 
-    def __init__(
-        self,
-        cfg: MobilityConfig,
-        spawn_queue: Sequence[EntityId],
-        roads: Optional[Sequence[RoadSegment]] = None,
-    ) -> None:
+    def __init__(self, cfg: MobilityConfig, spawn_queue: Sequence[EntityId]) -> None:
         self.cfg = cfg
         self.route_length = cfg.route_length
         self.spawn_queue: List[EntityId] = list(spawn_queue)
@@ -84,15 +69,6 @@ class CircularWorld:
         self.rsus: List[Tuple[EntityId, float]] = [
             (EntityId(i, _RSU_ROLE), i * cfg.route_length / n) for i in range(n)
         ]
-        if roads is None:
-            quarter = cfg.route_length / 4
-            roads = [
-                RoadSegment("X", 0.0, quarter),
-                RoadSegment("Y", quarter, 2 * quarter),
-                RoadSegment("Z", 2 * quarter, 3 * quarter),
-                RoadSegment("W", 3 * quarter, cfg.route_length),
-            ]
-        self.roads: List[RoadSegment] = list(roads)
         self.check_invariants = False
 
     # -- geometry ----------------------------------------------------------
@@ -115,13 +91,6 @@ class CircularWorld:
 
     def position_of(self, entity: EntityId) -> Tuple[float, float]:
         return self.point_of_arc(self.arc_of(entity))
-
-    def road_at(self, arc: float) -> str:
-        arc %= self.route_length
-        for segment in self.roads:
-            if segment.start <= arc < segment.end:
-                return segment.road
-        return self.roads[-1].road
 
     def entities(self) -> List[EntityId]:
         return [v.entity for v in self.vehicles] + [rsu for rsu, _ in self.rsus]

@@ -14,6 +14,7 @@ official messages use a much shorter hold.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -44,23 +45,18 @@ from .protocol import (
     OfficialState,
     ProtocolConfig,
     RSU_HANDLERS,
-    ReceivedMessage,
     RsuState,
     ServiceDirectory,
     TaState,
     VehicleState,
     Wired,
     handle_official,
-    handle_official_timer,
     handle_rsu,
-    handle_rsu_timer,
-    handle_service_query,
     handle_ta,
-    handle_ta_timer,
     relay_decision,
     rsu_scripted_resolution,
 )
-from .relay import RelayPolicy, record_seen
+from .relay import RelayPolicy
 
 
 @dataclass(frozen=True)
@@ -87,6 +83,8 @@ class TrialSetup:
     protocol: ProtocolConfig = DEFAULT_PROTOCOL_CONFIG
 
     def validate(self) -> None:
+        if not (math.isfinite(self.duration) and math.isfinite(self.warmup)):
+            raise ValueError("duration and warm-up must be finite")
         if self.warmup >= self.duration:
             raise ValueError("warm-up must end before the run does")
         reporter = self.script.reporter
@@ -193,7 +191,7 @@ class Engine:
         slot = min(script.reporter_index + 1, len(regulars))
         spawn_queue = regulars[:slot] + officials + regulars[slot:]
         self.world = CircularWorld(setup.mobility, spawn_queue)
-        self.registry = ServiceDirectory(
+        services = ServiceDirectory(
             entries=tuple(script.services), route_length=setup.mobility.route_length
         )
 
@@ -217,6 +215,7 @@ class Engine:
                 neighbours=neighbours,
                 ta=self.ta,
                 position=arc,
+                services=services,
             )
         self._label_index = {entity.label: entity for entity in self.states}
 
@@ -320,7 +319,7 @@ class Engine:
                 at = max(action.at, self.now)
                 self._schedule(at, self.wired_send, action.message, entity, action.to, at)
             elif isinstance(action, Arm):
-                self._schedule(action.at, self._fire_timer, entity, action.token)
+                self._schedule(action.at, self._fire_timer, entity, action)
             else:
                 raise TypeError(f"unknown action: {action!r}")
 
@@ -335,29 +334,24 @@ class Engine:
         elif kind is RoleKind.RSU:
             if msg.id in self._report_ids and self.coordinator is None:
                 self.coordinator = receiver
-            if msg.kind is MessageKind.SERVICE_QUERY:
-                actions = handle_service_query(
-                    state, msg, self.registry, self.now, ids=self.ids
+            if msg.kind in RSU_HANDLERS:
+                self._execute(
+                    receiver, handle_rsu(state, msg, sender.role, self.now, ids=self.ids)
                 )
-            elif msg.kind in RSU_HANDLERS:
-                actions = handle_rsu(state, msg, sender.role, self.now, ids=self.ids)
             else:
                 self._schedule_relay(state, msg)
-                return
-            self._execute(receiver, actions)
         else:
             if kind is RoleKind.OFFICIAL_VEHICLE:
-                actions = handle_official(
-                    state, ReceivedMessage(msg, sender.role), self.now, ids=self.ids
+                self._execute(
+                    receiver, handle_official(state, msg, self.now, ids=self.ids)
                 )
-                self._execute(receiver, actions)
             self._schedule_relay(state, msg)
 
     def _schedule_relay(self, state: EntityState, msg: Message) -> None:
         """Hold a first-seen copy, then run the relay decision on it."""
         if msg.id in state.seen:
             return
-        record_seen(state.seen, msg.id, self.now)
+        state.seen.add(msg.id, self.now)
         self._schedule(self.now + self._hold_delay(msg), self._relay, state, msg)
 
     def _relay(self, state: EntityState, msg: Message) -> None:
@@ -367,17 +361,10 @@ class Engine:
 
     # -- timers ------------------------------------------------------------
 
-    def _fire_timer(self, entity: EntityId, token: tuple) -> None:
-        """Hand a timer token back to the handler of its owner's role."""
+    def _fire_timer(self, entity: EntityId, timer: Arm) -> None:
+        """Call the timer's callback on the state of the entity that armed it."""
         state = self.states[entity]
-        kind = entity.role.kind
-        if kind is RoleKind.RSU:
-            actions = handle_rsu_timer(state, token, self.now)
-        elif kind is RoleKind.TA:
-            actions = handle_ta_timer(state, token, self.now, ids=self.ids)
-        else:
-            actions = handle_official_timer(state, token, self.now, ids=self.ids)
-        self._execute(entity, actions)
+        self._execute(entity, timer.fn(state, *timer.args, self.now, ids=self.ids))
 
     # -- scripted events ---------------------------------------------------
 
@@ -393,8 +380,8 @@ class Engine:
         """Create and broadcast a fresh report from an entity."""
         msg = make_message(kind, road, entity, now, ids=self.ids, payload=payload)
         state = self.states[entity]
-        record_seen(state.seen, msg.id, now)
-        record_seen(state.relayed, msg.id, now)
+        state.seen.add(msg.id, now)
+        state.relayed.add(msg.id, now)
         self.broadcast(msg, entity, now, ActionSource.ORIGIN)
         return msg
 

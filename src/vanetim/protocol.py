@@ -4,6 +4,10 @@ Handlers are pure functions of (state, event): they mutate only the state
 they are given and return a list of outgoing actions for the engine to
 execute. No handler performs I/O or touches the event queue directly.
 
+A timer names its callback: an :class:`Arm` carries the function, and its
+arguments, that the engine calls back on the arming entity's state when the
+timer fires.
+
 Timing defaults that the source material leaves open (burst spacing,
 periodic announcement intervals, authority service delay, official-vehicle
 travel and on-site service time) live in :class:`ProtocolConfig` and are
@@ -29,7 +33,7 @@ from .domain import (
     TA_REPORT_KINDS,
     make_message,
 )
-from .relay import RelayPolicy, SeenStore, record_seen, should_relay
+from .relay import RelayPolicy, SeenStore, should_relay
 
 
 class ProtocolOrderError(RuntimeError):
@@ -57,10 +61,12 @@ class Wired:
 
 @dataclass(frozen=True)
 class Arm:
-    """Request a timer; the engine calls back with the token at ``at``."""
+    """Request a timer: at ``at`` the engine calls
+    ``fn(state, *args, at, ids=ids)`` on the arming entity's state."""
 
-    token: tuple
     at: float
+    fn: Callable[..., List["OutgoingAction"]]
+    args: tuple
 
 
 OutgoingAction = Union[Broadcast, Wired, Arm]
@@ -188,6 +194,34 @@ BROADCAST_REPORT_KINDS = frozenset(
 
 
 # ---------------------------------------------------------------------------
+# service directory
+
+
+@dataclass(frozen=True)
+class ServiceEntry:
+    category: str
+    road: str
+    position: float  # arc metres along the route
+
+
+@dataclass(frozen=True)
+class ServiceDirectory:
+    entries: Tuple[ServiceEntry, ...] = ()
+    route_length: float = 4000.0
+
+    def nearest(self, category: str, origin: float) -> Optional[ServiceEntry]:
+        candidates = [e for e in self.entries if e.category == category]
+        if not candidates:
+            return None
+
+        def ring_distance(entry: ServiceEntry) -> float:
+            d = abs(entry.position - origin) % self.route_length
+            return min(d, self.route_length - d)
+
+        return min(candidates, key=lambda e: (ring_distance(e), e.road))
+
+
+# ---------------------------------------------------------------------------
 # entity state
 
 
@@ -213,6 +247,7 @@ class RsuState(EntityState):
     neighbours: Tuple[EntityId, ...] = ()
     ta: Optional[EntityId] = None
     position: float = 0.0  # arc metres along the route
+    services: ServiceDirectory = ServiceDirectory()
     ledger: IncidentLedger = field(default_factory=IncidentLedger)
     applied: Set[Tuple[str, RoleKind]] = field(default_factory=set)
     escalated: Set[str] = field(default_factory=set)
@@ -256,29 +291,6 @@ OFFICIAL_RESPONSE_KINDS = {
 
 
 # ---------------------------------------------------------------------------
-# events fed to official vehicles
-
-
-@dataclass(frozen=True)
-class ReceivedMessage:
-    message: Message
-    sender_role: Role
-
-
-@dataclass(frozen=True)
-class ArrivalAtIncident:
-    road: str
-
-
-@dataclass(frozen=True)
-class IncidentResolved:
-    road: str
-
-
-OfficialEvent = Union[ReceivedMessage, ArrivalAtIncident, IncidentResolved]
-
-
-# ---------------------------------------------------------------------------
 # shared relay decision
 
 
@@ -291,9 +303,9 @@ def relay_decision(
     advanced when the radio delivery happened, so a hop-limit policy sees
     the number of transmissions the copy has traversed.
     """
-    if not should_relay(policy, msg, now, state.relayed, state.role):
+    if not should_relay(policy, msg, now, state.relayed):
         return []
-    record_seen(state.relayed, msg.id, now)
+    state.relayed.add(msg.id, now)
     return [Broadcast(msg, at=now, source=ActionSource.RELAY)]
 
 
@@ -349,7 +361,7 @@ def _rsu_table_driven(
     if state.ledger.status(msg.road) is IncidentStatus.RESOLVED:
         return []
     first = _first_receipt(state, msg)
-    record_seen(state.seen, msg.id, now)
+    state.seen.add(msg.id, now)
     if not _apply_once(state, msg, sender_role.kind, first):
         return []
     row = _rule_row(msg.kind, sender_role.kind, first)
@@ -382,7 +394,7 @@ def _rsu_escalate(
 ) -> List[OutgoingAction]:
     """Authority-class reports go straight to the TA over the wired link."""
     first = _first_receipt(state, msg)
-    record_seen(state.seen, msg.id, now)
+    state.seen.add(msg.id, now)
     if not first or msg.id in state.escalated or state.ta is None:
         return []
     state.escalated.add(msg.id)
@@ -398,7 +410,7 @@ def _rsu_announce_report(
     if state.ledger.status(msg.road) is IncidentStatus.RESOLVED:
         return []
     first = _first_receipt(state, msg)
-    record_seen(state.seen, msg.id, now)
+    state.seen.add(msg.id, now)
     if not first:
         return []
     state.ledger.open(msg.road, now)
@@ -408,7 +420,7 @@ def _rsu_announce_report(
     # message-id dedup terminates the flood after one lap
     actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
     actions.append(
-        Arm(("rsu-report", msg.road), at=now + 3 * state.cfg.burst_interval)
+        Arm(now + 3 * state.cfg.burst_interval, rsu_report_tick, (msg.road,))
     )
     return actions
 
@@ -421,7 +433,7 @@ def _rsu_acknowledge_official(
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     first = _first_receipt(state, msg)
-    record_seen(state.seen, msg.id, now)
+    state.seen.add(msg.id, now)
     if not _apply_once(state, msg, sender_role.kind, first):
         return []
     row = _rule_row(msg.kind, sender_role.kind, first)
@@ -448,7 +460,7 @@ def _rsu_acknowledge_official(
         state.restricted[msg.road] = restricted
         actions.append(Broadcast(restricted, at=now, source=ActionSource.ORIGIN))
         actions.append(
-            Arm(("rsu-restricted", msg.road), at=now + state.cfg.restricted_period)
+            Arm(now + state.cfg.restricted_period, rsu_restricted_tick, (msg.road,))
         )
     return actions
 
@@ -469,7 +481,7 @@ def _rsu_resolution(
     for roads with no open incident are only forwarded.
     """
     first = _first_receipt(state, msg)
-    record_seen(state.seen, msg.id, now)
+    state.seen.add(msg.id, now)
     actions: List[OutgoingAction] = []
     if first:
         actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
@@ -502,11 +514,34 @@ def _rsu_resolution(
     return actions
 
 
+def _rsu_service_query(
+    state: RsuState, msg: Message, sender_role: Role, now: float, ids: MessageIdSource
+) -> List[OutgoingAction]:
+    """Answer a service lookup with the nearest registered entry."""
+    state.seen.add(msg.id, now)
+    if msg.id in state.replied_queries:
+        return []
+    state.replied_queries.add(msg.id)
+    category = msg.payload or ""
+    entry = state.services.nearest(category, state.position)
+    reply = make_message(
+        MessageKind.SERVICE_REPLY,
+        entry.road if entry else msg.road,
+        state.entity,
+        now,
+        ids=ids,
+        correlation=msg.id,
+        payload=category if entry else "no-result",
+    )
+    return [Broadcast(reply, at=now, source=ActionSource.ORIGIN)]
+
+
 #: what an RSU does itself on receipt, by kind; any other kind is a plain relay
 RSU_HANDLERS: Dict[MessageKind, Callable[..., List[OutgoingAction]]] = {
     MessageKind.ACCIDENT: _rsu_table_driven,
     MessageKind.AVOID_ROAD: _rsu_table_driven,
     MessageKind.ADDRESSING_INCIDENT: _rsu_acknowledge_official,
+    MessageKind.SERVICE_QUERY: _rsu_service_query,
     **dict.fromkeys(RESOLUTION_KINDS, _rsu_resolution),
     **dict.fromkeys(TA_REPORT_KINDS, _rsu_escalate),
     **dict.fromkeys(BROADCAST_REPORT_KINDS, _rsu_announce_report),
@@ -525,7 +560,7 @@ def rsu_scripted_resolution(
     state.announcing.pop(road, None)
     state.restricted.pop(road, None)
     cleared = make_message(MessageKind.CLEARED_ROAD, road, state.entity, now, ids=ids)
-    record_seen(state.seen, cleared.id, now)
+    state.seen.add(cleared.id, now)
     actions: List[OutgoingAction] = list(
         _burst(cleared, state.cfg.cleared_repeats, now, state.cfg.burst_interval)
     )
@@ -533,85 +568,30 @@ def rsu_scripted_resolution(
     return actions
 
 
-def handle_rsu_timer(
-    state: RsuState, token: tuple, now: float
+def rsu_report_tick(
+    state: RsuState, road: str, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
-    """Periodic re-announcements; timers disarm once the road is cleared."""
-    name, road = token[0], token[1]
-    if name == "rsu-report":
-        msg = state.announcing.get(road)
-        if msg is None or state.ledger.status(road) is IncidentStatus.RESOLVED:
-            return []
-        return [
-            Broadcast(msg, at=now, source=ActionSource.BURST),
-            Arm(token, at=now + state.cfg.report_period),
-        ]
-    if name == "rsu-restricted":
-        msg = state.restricted.get(road)
-        if msg is None or state.ledger.status(road) is not IncidentStatus.BEING_ATTENDED:
-            return []
-        return [
-            Broadcast(msg, at=now, source=ActionSource.BURST),
-            Arm(token, at=now + state.cfg.restricted_period),
-        ]
-    raise ValueError(f"unknown RSU timer token: {token!r}")
-
-
-# ---------------------------------------------------------------------------
-# service directory
-
-
-@dataclass(frozen=True)
-class ServiceEntry:
-    category: str
-    road: str
-    position: float  # arc metres along the route
-
-
-@dataclass(frozen=True)
-class ServiceDirectory:
-    entries: Tuple[ServiceEntry, ...] = ()
-    route_length: float = 4000.0
-
-    def nearest(self, category: str, origin: float) -> Optional[ServiceEntry]:
-        candidates = [e for e in self.entries if e.category == category]
-        if not candidates:
-            return None
-
-        def ring_distance(entry: ServiceEntry) -> float:
-            d = abs(entry.position - origin) % self.route_length
-            return min(d, self.route_length - d)
-
-        return min(candidates, key=lambda e: (ring_distance(e), e.road))
-
-
-def handle_service_query(
-    state: RsuState,
-    msg: Message,
-    registry: ServiceDirectory,
-    now: float,
-    *,
-    ids: MessageIdSource,
-) -> List[OutgoingAction]:
-    """Answer a service lookup with the nearest registered entry."""
-    if state.role.kind is not RoleKind.RSU:
-        raise ValueError("handle_service_query requires an RSU")
-    record_seen(state.seen, msg.id, now)
-    if msg.id in state.replied_queries:
+    """Re-announce an open report until the road is cleared."""
+    msg = state.announcing.get(road)
+    if msg is None or state.ledger.status(road) is IncidentStatus.RESOLVED:
         return []
-    state.replied_queries.add(msg.id)
-    category = msg.payload or ""
-    entry = registry.nearest(category, state.position)
-    reply = make_message(
-        MessageKind.SERVICE_REPLY,
-        entry.road if entry else msg.road,
-        state.entity,
-        now,
-        ids=ids,
-        correlation=msg.id,
-        payload=category if entry else "no-result",
-    )
-    return [Broadcast(reply, at=now, source=ActionSource.ORIGIN)]
+    return [
+        Broadcast(msg, at=now, source=ActionSource.BURST),
+        Arm(now + state.cfg.report_period, rsu_report_tick, (road,)),
+    ]
+
+
+def rsu_restricted_tick(
+    state: RsuState, road: str, now: float, *, ids: MessageIdSource
+) -> List[OutgoingAction]:
+    """Re-announce restricted movement while the incident is attended."""
+    msg = state.restricted.get(road)
+    if msg is None or state.ledger.status(road) is not IncidentStatus.BEING_ATTENDED:
+        return []
+    return [
+        Broadcast(msg, at=now, source=ActionSource.BURST),
+        Arm(now + state.cfg.restricted_period, rsu_restricted_tick, (road,)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -619,47 +599,12 @@ def handle_service_query(
 
 
 def handle_official(
-    state: OfficialState,
-    event: OfficialEvent,
-    now: float,
-    *,
-    ids: MessageIdSource,
+    state: OfficialState, msg: Message, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
+    """Address a report this vehicle responds to; set off on the RSU's
+    acknowledgement of the addressing notice."""
     if state.role.kind is not RoleKind.OFFICIAL_VEHICLE:
         raise ValueError("handle_official requires an official vehicle")
-    if isinstance(event, ReceivedMessage):
-        return _official_receive(state, event.message, now, ids)
-    if isinstance(event, ArrivalAtIncident):
-        incident = state.incidents.get(event.road)
-        if incident is None:
-            raise ProtocolOrderError(f"arrival with no incident on {event.road!r}")
-        incident.phase = OfficialPhase.ON_SITE
-        return [Arm(("official-resolve", event.road), at=now + state.cfg.service_time)]
-    if isinstance(event, IncidentResolved):
-        incident = state.incidents.get(event.road)
-        if incident is None or incident.phase is OfficialPhase.DONE:
-            raise ProtocolOrderError(
-                f"resolution with no open incident on {event.road!r}"
-            )
-        incident.phase = OfficialPhase.DONE
-        done_kind = OFFICIAL_RESPONSE_KINDS[incident.report.kind]
-        done = make_message(
-            done_kind,
-            event.road,
-            state.entity,
-            now,
-            ids=ids,
-            correlation=incident.report.id,
-        )
-        record_seen(state.seen, done.id, now)
-        record_seen(state.relayed, done.id, now)
-        return [Broadcast(done, at=now, source=ActionSource.ORIGIN)]
-    raise ValueError(f"unknown official event: {event!r}")
-
-
-def _official_receive(
-    state: OfficialState, msg: Message, now: float, ids: MessageIdSource
-) -> List[OutgoingAction]:
     if msg.kind in OFFICIAL_RESPONSE_KINDS and state.responder:
         if msg.road in state.incidents:
             return []
@@ -671,8 +616,8 @@ def _official_receive(
             ids=ids,
             correlation=msg.id,
         )
-        record_seen(state.seen, addressing.id, now)
-        record_seen(state.relayed, addressing.id, now)
+        state.seen.add(addressing.id, now)
+        state.relayed.add(addressing.id, now)
         state.incidents[msg.road] = OfficialIncident(
             road=msg.road, report=msg, addressing_id=addressing.id
         )
@@ -683,8 +628,8 @@ def _official_receive(
             return []
         incident.phase = OfficialPhase.EN_ROUTE
         return [
-            Arm(("official-announce", incident.road), at=now),
-            Arm(("official-arrival", incident.road), at=now + state.cfg.travel_time),
+            Arm(now, official_announce, (incident.road,)),
+            Arm(now + state.cfg.travel_time, official_arrival, (incident.road,)),
         ]
     return []
 
@@ -696,49 +641,75 @@ def _incident_for_ack(state: OfficialState, ack: Message) -> Optional[OfficialIn
     return None
 
 
-def handle_official_timer(
-    state: OfficialState, token: tuple, now: float, *, ids: MessageIdSource
+def official_announce(
+    state: OfficialState, road: str, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
-    name, road = token[0], token[1]
+    """Periodic free-road notice downstream, plus an attending notice while
+    en route, until the incident is done."""
     incident = state.incidents.get(road)
-    if incident is None:
+    if incident is None or incident.phase is OfficialPhase.DONE:
         return []
-    if name == "official-announce":
-        if incident.phase is OfficialPhase.DONE:
-            return []
-        actions: List[OutgoingAction] = []
-        free = make_message(
-            MessageKind.FREE_ROAD,
+    actions: List[OutgoingAction] = []
+    free = make_message(
+        MessageKind.FREE_ROAD,
+        road,
+        state.entity,
+        now,
+        ids=ids,
+        correlation=incident.report.id,
+    )
+    state.seen.add(free.id, now)
+    state.relayed.add(free.id, now)
+    actions.append(
+        Broadcast(free, at=now, source=ActionSource.ORIGIN, downstream_only=True)
+    )
+    if incident.phase is OfficialPhase.EN_ROUTE:
+        attending = make_message(
+            MessageKind.ATTENDING,
             road,
             state.entity,
             now,
             ids=ids,
             correlation=incident.report.id,
         )
-        record_seen(state.seen, free.id, now)
-        record_seen(state.relayed, free.id, now)
-        actions.append(
-            Broadcast(free, at=now, source=ActionSource.ORIGIN, downstream_only=True)
-        )
-        if incident.phase is OfficialPhase.EN_ROUTE:
-            attending = make_message(
-                MessageKind.ATTENDING,
-                road,
-                state.entity,
-                now,
-                ids=ids,
-                correlation=incident.report.id,
-            )
-            record_seen(state.seen, attending.id, now)
-            record_seen(state.relayed, attending.id, now)
-            actions.append(Broadcast(attending, at=now, source=ActionSource.ORIGIN))
-        actions.append(Arm(token, at=now + state.cfg.attending_period))
-        return actions
-    if name == "official-arrival":
-        return handle_official(state, ArrivalAtIncident(road), now, ids=ids)
-    if name == "official-resolve":
-        return handle_official(state, IncidentResolved(road), now, ids=ids)
-    raise ValueError(f"unknown official timer token: {token!r}")
+        state.seen.add(attending.id, now)
+        state.relayed.add(attending.id, now)
+        actions.append(Broadcast(attending, at=now, source=ActionSource.ORIGIN))
+    actions.append(Arm(now + state.cfg.attending_period, official_announce, (road,)))
+    return actions
+
+
+def official_arrival(
+    state: OfficialState, road: str, now: float, *, ids: MessageIdSource
+) -> List[OutgoingAction]:
+    """On site: the incident is resolved after the service time."""
+    incident = state.incidents.get(road)
+    if incident is None:
+        raise ProtocolOrderError(f"arrival with no incident on {road!r}")
+    incident.phase = OfficialPhase.ON_SITE
+    return [Arm(now + state.cfg.service_time, official_resolve, (road,))]
+
+
+def official_resolve(
+    state: OfficialState, road: str, now: float, *, ids: MessageIdSource
+) -> List[OutgoingAction]:
+    """Announce the incident's resolution notice once."""
+    incident = state.incidents.get(road)
+    if incident is None or incident.phase is OfficialPhase.DONE:
+        raise ProtocolOrderError(f"resolution with no open incident on {road!r}")
+    incident.phase = OfficialPhase.DONE
+    done_kind = OFFICIAL_RESPONSE_KINDS[incident.report.kind]
+    done = make_message(
+        done_kind,
+        road,
+        state.entity,
+        now,
+        ids=ids,
+        correlation=incident.report.id,
+    )
+    state.seen.add(done.id, now)
+    state.relayed.add(done.id, now)
+    return [Broadcast(done, at=now, source=ActionSource.ORIGIN)]
 
 
 # ---------------------------------------------------------------------------
@@ -754,22 +725,30 @@ def handle_ta(
         raise ValueError("handle_ta requires the TA")
     if msg.kind not in TA_REPORT_KINDS:
         return []
-    record_seen(state.seen, msg.id, now)
+    state.seen.add(msg.id, now)
     if msg.id in state.pending:
         return []
     state.pending.add(msg.id)
     return [
         Arm(
-            ("ta-resolve", msg.road, msg.kind, msg.id, reporting_rsu),
-            at=now + state.cfg.ta_service_delay,
+            now + state.cfg.ta_service_delay,
+            ta_resolve,
+            (msg.road, msg.kind, msg.id, reporting_rsu),
         )
     ]
 
 
-def handle_ta_timer(
-    state: TaState, token: tuple, now: float, *, ids: MessageIdSource
+def ta_resolve(
+    state: TaState,
+    road: str,
+    kind: MessageKind,
+    report_id: str,
+    reporting_rsu: Optional[EntityId],
+    now: float,
+    *,
+    ids: MessageIdSource,
 ) -> List[OutgoingAction]:
-    _, road, kind, report_id, reporting_rsu = token
+    """The authority's resolution notice, wired to the reporting RSU."""
     resolution = make_message(
         RESOLUTION_FOR[kind], road, state.entity, now, ids=ids, correlation=report_id
     )

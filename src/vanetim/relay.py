@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Union
 
-from .domain import Message, Priority, Role, age
+from .domain import Message, Priority, age
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class Freshness:
     max_age: float
 
     def __post_init__(self) -> None:
-        if self.max_age <= 0:
+        if not self.max_age > 0:  # NaN compares false both ways
             raise ValueError("freshness limit must be positive")
 
 
@@ -52,24 +52,15 @@ class SeenStore:
         return len(self._first_seen)
 
     def add(self, msg_id: str, now: float) -> None:
+        """Insert an id; re-insertion is a no-op and keeps the original time."""
         self._first_seen.setdefault(msg_id, now)
 
     def first_seen(self, msg_id: str) -> float:
         return self._first_seen[msg_id]
 
 
-def record_seen(seen: SeenStore, msg_id: str, now: float) -> SeenStore:
-    """Insert an id; re-insertion is a no-op and keeps the original time."""
-    seen.add(msg_id, now)
-    return seen
-
-
 def should_relay(
-    policy: RelayPolicy,
-    msg: Message,
-    now: float,
-    seen: SeenStore,
-    role: Role,
+    policy: RelayPolicy, msg: Message, now: float, seen: SeenStore
 ) -> bool:
     """Decide whether a received copy may be forwarded right now."""
     if msg.id in seen:

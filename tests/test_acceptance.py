@@ -31,7 +31,7 @@ from vanetim.protocol import (
     detect_jam,
     handle_rsu,
 )
-from vanetim.relay import HOP4, record_seen
+from vanetim.relay import HOP4
 from vanetim.scenarios import (
     NoResolution,
     SCENARIOS,
@@ -228,8 +228,8 @@ def _simulate_static_flood(positions, origin, radius, policy):
     states = {e: VehicleState(entity=e) for e in positions}
     ids = MessageIdSource()
     msg = make_message(MessageKind.ACCIDENT, "X", origin, 0.0, ids=ids)
-    record_seen(states[origin].seen, msg.id, 0.0)
-    record_seen(states[origin].relayed, msg.id, 0.0)
+    states[origin].seen.add(msg.id, 0.0)
+    states[origin].relayed.add(msg.id, 0.0)
     transmissions = 0
     reached = {origin}
     queue = [(0.0, 0, origin, msg)]
@@ -244,7 +244,7 @@ def _simulate_static_flood(positions, origin, radius, policy):
             arrived = relayed_copy(copy)
             if arrived.id in state.seen:
                 continue
-            record_seen(state.seen, arrived.id, now)
+            state.seen.add(arrived.id, now)
             from vanetim.protocol import relay_decision
 
             for action in relay_decision(state, arrived, policy, now + 1.0):

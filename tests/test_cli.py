@@ -136,6 +136,16 @@ class TestRunCommand:
         code = main(["run", "--vehicles", "251", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--duration", "nan"),
+        ("--duration", "inf"),
+        ("--warmup", "nan"),
+        ("--policy", "age=nan"),
+    ])
+    def test_non_finite_input_is_config_error(self, tmp_path, flag, value):
+        code = main(["run", flag, value, "--trials", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+
     def test_engine_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
         from vanetim.netsim import Engine
 

@@ -324,14 +324,6 @@ class TestGeometry:
             world.route_length / 2
         )
 
-    def test_roads_are_quarters(self):
-        world = make_world(1)
-        assert world.road_at(0.0) == "X"
-        assert world.road_at(1000.0) == "Y"
-        assert world.road_at(2000.0) == "Z"
-        assert world.road_at(3999.0) == "W"
-        assert world.road_at(4000.0) == "X"  # wraps
-
     def test_rsus_equally_spaced(self):
         world = make_world(1)
         arcs = [arc for _, arc in world.rsus]

@@ -111,15 +111,19 @@ class TestWired:
 
 class TestTrialSetupValidation:
     def test_warmup_must_precede_duration(self):
-        setup = TrialSetup(
-            script=build_scenario("accident"),
-            policy=HOP4,
-            vehicles=19,
-            duration=400.0,
-            warmup=500.0,
-        )
-        with pytest.raises(ValueError):
-            setup.validate()
+        nan, inf = float("nan"), float("inf")
+        # a non-finite duration or warm-up slips past every comparison
+        for duration, warmup in ((400.0, 500.0), (nan, 500.0), (inf, 500.0),
+                                 (1500.0, nan)):
+            setup = TrialSetup(
+                script=build_scenario("accident"),
+                policy=HOP4,
+                vehicles=19,
+                duration=duration,
+                warmup=warmup,
+            )
+            with pytest.raises(ValueError):
+                setup.validate()
 
     def test_reporter_must_exist(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=10)

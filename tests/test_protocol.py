@@ -1,6 +1,7 @@
 import pytest
 
 from vanetim.domain import (
+    ActionSource,
     EntityId,
     MessageIdSource,
     MessageKind,
@@ -20,8 +21,6 @@ from vanetim.protocol import (
     OfficialPhase,
     OfficialState,
     ProtocolOrderError,
-    ReceivedMessage,
-    IncidentResolved,
     RsuState,
     ServiceDirectory,
     ServiceEntry,
@@ -32,14 +31,17 @@ from vanetim.protocol import (
     detect_congestion,
     detect_jam,
     handle_official,
-    handle_official_timer,
     handle_rsu,
-    handle_service_query,
     handle_ta,
-    handle_ta_timer,
+    official_announce,
+    official_arrival,
+    official_resolve,
     relay_decision,
+    rsu_report_tick,
+    rsu_restricted_tick,
+    ta_resolve,
 )
-from vanetim.relay import FRESH60, HOP4, record_seen
+from vanetim.relay import FRESH60, HOP4
 
 V17 = EntityId(17, VEHICLE)
 P0 = EntityId(0, POLICE)
@@ -49,8 +51,10 @@ RSU9 = EntityId(9, RSU)
 TA0 = EntityId(0, TA)
 
 
-def fresh_rsu(index=0):
-    return RsuState(entity=EntityId(index, RSU), neighbours=(RSU9, RSU1), ta=TA0)
+def fresh_rsu(index=0, services=ServiceDirectory()):
+    return RsuState(
+        entity=EntityId(index, RSU), neighbours=(RSU9, RSU1), ta=TA0, services=services
+    )
 
 
 def broadcasts(actions, kind=None):
@@ -163,6 +167,41 @@ class TestRsuResolution:
         assert all(isinstance(a, Wired) for a in actions)
 
 
+class TestRsuTimers:
+    def _fire(self, state, arm, ids):
+        return arm.fn(state, *arm.args, arm.at, ids=ids)
+
+    def test_open_report_reannounced_until_cleared(self, ids):
+        state = fresh_rsu()
+        msg = make_message(MessageKind.OBSTACLE, "X", V17, 550.0, ids=ids)
+        (arm,) = [a for a in handle_rsu(state, msg, VEHICLE, 550.0, ids=ids)
+                  if isinstance(a, Arm)]
+        assert (arm.fn, arm.args) == (rsu_report_tick, ("X",))
+        assert arm.at == 550.0 + 3 * state.cfg.burst_interval
+        announce, rearm = self._fire(state, arm, ids)
+        assert announce.message is msg
+        assert announce.source is ActionSource.BURST
+        assert (rearm.fn, rearm.args) == (rsu_report_tick, ("X",))
+        assert rearm.at == arm.at + state.cfg.report_period
+        state.ledger.resolve("X", 600.0)
+        assert self._fire(state, rearm, ids) == []
+
+    def test_restricted_movement_reannounced_while_attended(self, ids):
+        state = fresh_rsu()
+        msg = make_message(MessageKind.ADDRESSING_INCIDENT, "X", P0, 560.0, ids=ids)
+        (arm,) = [a for a in handle_rsu(state, msg, POLICE, 560.0, ids=ids)
+                  if isinstance(a, Arm)]
+        assert (arm.fn, arm.args) == (rsu_restricted_tick, ("X",))
+        assert arm.at == 560.0 + state.cfg.restricted_period
+        announce, rearm = self._fire(state, arm, ids)
+        assert announce.message is state.restricted["X"]
+        assert announce.message.kind is MessageKind.RESTRICTED_MOVEMENT
+        assert (rearm.fn, rearm.args) == (rsu_restricted_tick, ("X",))
+        assert rearm.at == arm.at + state.cfg.restricted_period
+        state.ledger.resolve("X", 600.0)
+        assert self._fire(state, rearm, ids) == []
+
+
 class TestIncidentLedger:
     def test_lifecycle(self):
         ledger = IncidentLedger()
@@ -205,7 +244,7 @@ class TestOfficialFlow:
     def _respond(self, ids):
         state = OfficialState(entity=P0, responder=True)
         report = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
-        actions = handle_official(state, ReceivedMessage(report, VEHICLE), 551.0, ids=ids)
+        actions = handle_official(state, report, 551.0, ids=ids)
         return state, report, actions
 
     def test_report_triggers_addressing(self):
@@ -222,11 +261,12 @@ class TestOfficialFlow:
         ack = make_message(
             MessageKind.ACK, "X", RSU0, 552.0, ids=ids, correlation=addressing.id
         )
-        out = handle_official(state, ReceivedMessage(ack, RSU), 552.0, ids=ids)
-        assert {a.token[0] for a in out if isinstance(a, Arm)} == {
-            "official-announce",
-            "official-arrival",
+        out = handle_official(state, ack, 552.0, ids=ids)
+        assert {a.fn for a in out if isinstance(a, Arm)} == {
+            official_announce,
+            official_arrival,
         }
+        assert all(a.args == ("X",) for a in out if isinstance(a, Arm))
         assert state.incidents["X"].phase is OfficialPhase.EN_ROUTE
 
     def test_announce_timer_sends_free_road_and_attending(self):
@@ -236,13 +276,15 @@ class TestOfficialFlow:
         ack = make_message(
             MessageKind.ACK, "X", RSU0, 552.0, ids=ids, correlation=addressing.id
         )
-        handle_official(state, ReceivedMessage(ack, RSU), 552.0, ids=ids)
-        out = handle_official_timer(state, ("official-announce", "X"), 552.0, ids=ids)
+        handle_official(state, ack, 552.0, ids=ids)
+        out = official_announce(state, "X", 552.0, ids=ids)
         kinds = [a.message.kind for a in out if isinstance(a, Broadcast)]
         assert kinds == [MessageKind.FREE_ROAD, MessageKind.ATTENDING]
         free = [a for a in out if isinstance(a, Broadcast)][0]
         assert free.downstream_only  # free-road clears the path ahead only
-        assert any(isinstance(a, Arm) for a in out)  # periodic re-arm
+        (rearm,) = [a for a in out if isinstance(a, Arm)]  # periodic re-arm
+        assert rearm.fn is official_announce and rearm.args == ("X",)
+        assert rearm.at == 552.0 + state.cfg.attending_period
 
     def test_arrival_then_resolution(self):
         ids = MessageIdSource()
@@ -251,11 +293,11 @@ class TestOfficialFlow:
         ack = make_message(
             MessageKind.ACK, "X", RSU0, 552.0, ids=ids, correlation=addressing.id
         )
-        handle_official(state, ReceivedMessage(ack, RSU), 552.0, ids=ids)
-        arrival = handle_official_timer(state, ("official-arrival", "X"), 612.0, ids=ids)
+        handle_official(state, ack, 552.0, ids=ids)
+        arrival = official_arrival(state, "X", 612.0, ids=ids)
         assert state.incidents["X"].phase is OfficialPhase.ON_SITE
-        assert [a.token[0] for a in arrival] == ["official-resolve"]
-        done = handle_official_timer(state, ("official-resolve", "X"), 732.0, ids=ids)
+        assert [(a.fn, a.args) for a in arrival] == [(official_resolve, ("X",))]
+        done = official_resolve(state, "X", 732.0, ids=ids)
         assert len(done) == 1
         assert done[0].message.kind is MessageKind.SORTED_ROAD
         assert done[0].message.correlation == report.id
@@ -264,12 +306,14 @@ class TestOfficialFlow:
     def test_resolution_without_incident_is_order_violation(self, ids):
         state = OfficialState(entity=P0, responder=True)
         with pytest.raises(ProtocolOrderError):
-            handle_official(state, IncidentResolved("X"), 700.0, ids=ids)
+            official_resolve(state, "X", 700.0, ids=ids)
+        with pytest.raises(ProtocolOrderError):
+            official_arrival(state, "X", 640.0, ids=ids)
 
     def test_non_responder_ignores_reports(self, ids):
         state = OfficialState(entity=P0, responder=False)
         report = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
-        assert handle_official(state, ReceivedMessage(report, VEHICLE), 551.0, ids=ids) == []
+        assert handle_official(state, report, 551.0, ids=ids) == []
 
 
 class TestTrafficAuthority:
@@ -281,7 +325,8 @@ class TestTrafficAuthority:
         assert len(actions) == 1
         arm = actions[0]
         assert arm.at == 600.0 + state.cfg.ta_service_delay
-        out = handle_ta_timer(state, arm.token, arm.at, ids=ids)
+        assert arm.fn is ta_resolve
+        out = arm.fn(state, *arm.args, arm.at, ids=ids)
         assert len(out) == 1
         assert out[0].message.kind is MessageKind.FLOOD_RESOLVED
         assert out[0].to == RSU0
@@ -291,7 +336,7 @@ class TestTrafficAuthority:
         state = TaState(entity=TA0)
         report = make_message(MessageKind.SIGNAL_MALFUNCTION, "X", V17, 600.0, ids=ids)
         (arm,) = handle_ta(state, report, 600.0, reporting_rsu=RSU0)
-        (out,) = handle_ta_timer(state, arm.token, arm.at, ids=ids)
+        (out,) = ta_resolve(state, *arm.args, arm.at, ids=ids)
         assert out.message.kind is MessageKind.SIGNAL_RESOLVED
 
     def test_non_authority_kind_dropped(self, ids):
@@ -308,14 +353,12 @@ class TestTrafficAuthority:
 
 class TestServiceDirectory:
     def test_query_returns_registered_road(self, ids):
-        state = fresh_rsu()
         registry = ServiceDirectory((ServiceEntry("petrol-pump", "X", 500.0),))
+        state = fresh_rsu(services=registry)
         query = make_message(
             MessageKind.SERVICE_QUERY, "Y", V17, 600.0, payload="petrol-pump", ids=ids
         )
-        (reply,) = handle_service_query(
-            state, query, registry, 600.0, ids=ids
-        )
+        (reply,) = handle_rsu(state, query, VEHICLE, 600.0, ids=ids)
         assert reply.message.kind is MessageKind.SERVICE_REPLY
         assert reply.message.road == "X"
 
@@ -324,9 +367,7 @@ class TestServiceDirectory:
         query = make_message(
             MessageKind.SERVICE_QUERY, "Y", V17, 600.0, payload="parking", ids=ids
         )
-        (reply,) = handle_service_query(
-            state, query, ServiceDirectory(), 600.0, ids=ids
-        )
+        (reply,) = handle_rsu(state, query, VEHICLE, 600.0, ids=ids)
         assert reply.message.payload == "no-result"
 
     def test_nearest_by_route_distance(self):
@@ -347,13 +388,13 @@ class TestServiceDirectory:
         assert oracle.road == "W"
 
     def test_query_answered_once(self, ids):
-        state = fresh_rsu()
         registry = ServiceDirectory((ServiceEntry("petrol-pump", "X", 500.0),))
+        state = fresh_rsu(services=registry)
         query = make_message(
             MessageKind.SERVICE_QUERY, "Y", V17, 600.0, payload="petrol-pump", ids=ids
         )
-        assert len(handle_service_query(state, query, registry, 600.0, ids=ids)) == 1
-        assert handle_service_query(state, query, registry, 601.0, ids=ids) == []
+        assert len(handle_rsu(state, query, VEHICLE, 600.0, ids=ids)) == 1
+        assert handle_rsu(state, query, VEHICLE, 601.0, ids=ids) == []
 
 
 class TestDetectors:

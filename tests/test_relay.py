@@ -17,7 +17,6 @@ from vanetim.relay import (
     HOP4,
     HopLimit,
     SeenStore,
-    record_seen,
     should_relay,
 )
 
@@ -43,49 +42,53 @@ class TestPolicyConstruction:
             Freshness(0.0)
         with pytest.raises(ValueError):
             Freshness(-1.0)
+        with pytest.raises(ValueError):
+            Freshness(float("nan"))
 
 
 class TestShouldRelay:
     def test_hop_limit_admits_below_bound(self, ids):
         msg = _at_hops(make_message(MessageKind.ACCIDENT, "X", V0, 550.0, ids=ids), 3)
-        assert should_relay(HOP4, msg, 551.0, SeenStore(), VEHICLE)
+        assert should_relay(HOP4, msg, 551.0, SeenStore())
 
     def test_hop_limit_boundary(self, ids):
         # relaying a hop-4 copy would create a 5th hop
         msg = _at_hops(make_message(MessageKind.ACCIDENT, "X", V0, 550.0, ids=ids), 4)
-        assert not should_relay(HOP4, msg, 551.0, SeenStore(), VEHICLE)
+        assert not should_relay(HOP4, msg, 551.0, SeenStore())
 
     def test_hops_two_admitted(self, ids):
         msg = _at_hops(make_message(MessageKind.ACCIDENT, "X", V0, 550.0, ids=ids), 2)
-        assert should_relay(HOP4, msg, 551.0, SeenStore(), VEHICLE)
+        assert should_relay(HOP4, msg, 551.0, SeenStore())
 
     def test_freshness_boundary_is_strict(self, ids):
         msg = make_message(MessageKind.ACCIDENT, "X", V0, 550.0, ids=ids)
-        assert not should_relay(FRESH60, msg, 610.0, SeenStore(), VEHICLE)
-        assert should_relay(FRESH60, msg, 609.99, SeenStore(), VEHICLE)
+        assert not should_relay(FRESH60, msg, 610.0, SeenStore())
+        assert should_relay(FRESH60, msg, 609.99, SeenStore())
 
     def test_seen_always_blocks(self, ids):
         msg = make_message(MessageKind.ACCIDENT, "X", V0, 550.0, ids=ids)
-        seen = record_seen(SeenStore(), msg.id, 550.0)
-        assert not should_relay(HOP4, msg, 551.0, seen, VEHICLE)
-        assert not should_relay(FRESH60, msg, 551.0, seen, VEHICLE)
+        seen = SeenStore()
+        seen.add(msg.id, 550.0)
+        assert not should_relay(HOP4, msg, 551.0, seen)
+        assert not should_relay(FRESH60, msg, 551.0, seen)
 
     def test_official_priority_bypasses_both_bounds(self, ids):
         msg = _at_hops(make_message(MessageKind.FREE_ROAD, "X", P0, 300.0, ids=ids), 7)
-        assert should_relay(HOP4, msg, 600.0, SeenStore(), VEHICLE)
-        assert should_relay(FRESH60, msg, 600.0, SeenStore(), VEHICLE)
+        assert should_relay(HOP4, msg, 600.0, SeenStore())
+        assert should_relay(FRESH60, msg, 600.0, SeenStore())
 
     def test_official_priority_never_bypasses_dedup(self, ids):
         msg = make_message(MessageKind.FREE_ROAD, "X", P0, 300.0, ids=ids)
-        seen = record_seen(SeenStore(), msg.id, 300.0)
-        assert not should_relay(HOP4, msg, 301.0, seen, VEHICLE)
+        seen = SeenStore()
+        seen.add(msg.id, 300.0)
+        assert not should_relay(HOP4, msg, 301.0, seen)
 
     @given(hops=st.integers(0, 20), bound=st.integers(1, 20))
     def test_hop_rule_matches_arithmetic(self, hops, bound):
         msg = _at_hops(
             make_message(MessageKind.ACCIDENT, "X", V0, 0.0, ids=MessageIdSource()), hops
         )
-        assert should_relay(HopLimit(bound), msg, 1.0, SeenStore(), VEHICLE) == (
+        assert should_relay(HopLimit(bound), msg, 1.0, SeenStore()) == (
             hops < bound
         )
 
@@ -97,7 +100,7 @@ class TestShouldRelay:
         msg = make_message(MessageKind.ACCIDENT, "X", V0, 100.0, ids=MessageIdSource())
         now = 100.0 + age_s
         actual_age = now - 100.0  # the float difference the policy sees
-        assert should_relay(Freshness(bound), msg, now, SeenStore(), VEHICLE) == (
+        assert should_relay(Freshness(bound), msg, now, SeenStore()) == (
             actual_age < bound
         )
 
