@@ -7,10 +7,12 @@ one spawned before it (the previous entry of ``vehicles``), which keeps
 leader lookup O(1). :meth:`CircularWorld.step` is one pass over the list:
 every vehicle reads its leader's position from before the step, then moves.
 
-:meth:`CircularWorld.neighbours_within` skips every entity whose arc
-distance from the centre exceeds the arc of a chord as long as the radio
-range, before any trigonometry, and gives the rest the exact Euclidean
-test; receivers come back in list order (vehicles, then RSUs), which fixes
+:meth:`CircularWorld.neighbours_within` decides by arc distance from the
+centre where the arc settles it, before any trigonometry: an entity beyond
+the arc of a chord as long as the radio range (plus 1 m) is out of range,
+and one within the arc of a chord 1 m shorter than the range is in range.
+Only the entities in the 2 m band between take the exact Euclidean test;
+receivers come back in list order (vehicles, then RSUs), which fixes
 delivery order.
 
 A :class:`StaticWorld` with fixed positions and no kinematics is provided
@@ -27,7 +29,8 @@ from typing import Dict, List, Sequence, Tuple
 from .domain import RSU as _RSU_ROLE
 from .domain import EntityId, RoleKind
 
-#: slack on the neighbour query's arc window, far above float rounding
+#: metres of slack between the neighbour query's arcs and the radio range,
+#: far above float rounding
 _ARC_WINDOW_MARGIN = 1.0
 
 
@@ -204,7 +207,9 @@ class CircularWorld:
     def neighbours_within(self, center: EntityId, radius: float) -> List[EntityId]:
         """All entities within Euclidean range of ``center``, excluding it,
         vehicles in list order then RSUs. Chord length rises with arc length,
-        so entities beyond ``chord_for_radius(radius)`` of arc are skipped."""
+        so entities beyond ``chord_for_radius(radius)`` of arc are skipped,
+        and those within ``chord_for_radius(radius - 1)`` are in range
+        without the Euclidean test."""
         if radius <= 0:
             raise ValueError("radius must be positive")
         length = self.route_length
@@ -212,11 +217,19 @@ class CircularWorld:
         cx, cy = self.point_of_arc(center_arc)
         window = self.chord_for_radius(radius) + _ARC_WINDOW_MARGIN
         far = length - window
+        # within this arc the chord is at most radius - 1 m (or the arc is 0)
+        sure = self.chord_for_radius(max(radius - _ARC_WINDOW_MARGIN, 0.0))
+        sure_far = length - sure
         found: List[EntityId] = []
         vehicles = ((v.entity, v.position) for v in self.vehicles)
         for entity, arc in chain(vehicles, self.rsus):
+            offset = (arc - center_arc) % length
             # more than the window of arc away, one way round or the other
-            if window < (arc - center_arc) % length < far or entity == center:
+            if window < offset < far or entity == center:
+                continue
+            # in range, whatever the rounding of the Euclidean test
+            if offset <= sure or offset >= sure_far:
+                found.append(entity)
                 continue
             x, y = self.point_of_arc(arc)
             if math.hypot(x - cx, y - cy) <= radius:

@@ -3,7 +3,10 @@
 One engine instance runs one trial: a seeded event queue drives mobility
 steps, radio broadcasts with range-limited delivery, wired infrastructure
 links, protocol timers, and scripted incident events. Identical
-(setup, seed) pairs produce byte-identical traces.
+(setup, seed) pairs produce byte-identical traces. Only events schedule
+events, so the mobility tick stops once no event is due by the end of the
+run: a later step could not reach the trace. An event due before the
+current time is an error, not a reordering.
 
 Relays are store-carry-forward: a vehicle holds a newly received message
 for a jittered hold time before the forwarding decision runs, so
@@ -87,6 +90,12 @@ class TrialSetup:
             raise ValueError("duration and warm-up must be finite")
         if self.warmup >= self.duration:
             raise ValueError("warm-up must end before the run does")
+        mob = self.mobility
+        for name, value in (("step dt", mob.dt), ("route length", mob.route_length)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        if not (math.isfinite(self.net.relay_hold) and self.net.relay_hold >= 0):
+            raise ValueError("relay hold must be finite and not negative")
         reporter = self.script.reporter
         if reporter.startswith("V") and reporter[1:].isdigit():
             needed = int(reporter[1:]) + 1
@@ -102,7 +111,6 @@ class TrialSetup:
         if self.script.report_time < self.warmup:
             raise ValueError("incident report must not fall inside the warm-up")
         fleet = self.vehicles + self.police
-        mob = self.mobility
         footprint = mob.vehicle_length + mob.standstill_gap
         if fleet * footprint > mob.route_length:
             raise ValueError(
@@ -222,7 +230,10 @@ class Engine:
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, at: float, fn, *args) -> None:
-        """Queue ``fn(*args)`` to run at ``at``; ties run in scheduling order."""
+        """Queue ``fn(*args)`` to run at ``at``; ties run in scheduling order.
+        An event due before the current time would run out of causal order."""
+        if not at >= self.now:
+            raise RuntimeError(f"event due at {at} s scheduled at {self.now} s")
         self._seq += 1
         heapq.heappush(self._queue, (at, self._seq, fn, args))
 
@@ -412,12 +423,15 @@ class Engine:
     # -- main loop ---------------------------------------------------------
 
     def _tick(self, i: int) -> None:
-        """Mobility step i at i * dt; it schedules step i + 1."""
+        """Mobility step i at i * dt; it schedules step i + 1 while an event
+        is still due by the end of the run. Only events schedule events, so
+        once none is left a further step cannot reach the trace."""
         world = self.world
         if world.spawned_count < world.fleet_size:
             world.inject_flow(self.now)
         world.step(self.setup.mobility.dt)
-        if i < self._steps:
+        queue = self._queue
+        if i < self._steps and queue and queue[0][0] <= self.setup.duration:
             self._push_tick(i + 1)
 
     def _push_tick(self, i: int) -> None:

@@ -146,6 +146,24 @@ class TestRunCommand:
         code = main(["run", flag, value, "--trials", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "0"),
+        ("dt", "-0.5"),
+        ("dt", "nan"),
+        ("route_length", "nan"),
+        ("route_length", "inf"),
+        ("relay_hold", "-10"),
+        ("relay_hold", "nan"),
+    ])
+    def test_config_value_the_model_cannot_honour_is_config_error(
+        self, tmp_path, key, value
+    ):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(
+            RunConfig(trials=1, out_dir=str(tmp_path)).to_text() + f"{key} = {value}\n"
+        )
+        assert main(["run", "--config", str(config_file)]) == EXIT_CONFIG
+
     def test_engine_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
         from vanetim.netsim import Engine
 

@@ -266,19 +266,49 @@ class TestNeighbours:
                 world, center, radius
             )
 
-    @pytest.mark.parametrize("radius", [1.0, 300.0, 637.0, 1273.0, 1500.0])
+    # 0.5 and 1.0 leave a sure arc of length 0; 1274 lies between the ring's
+    # diameter (about 1273.24 m) and the diameter plus the 1 m margin
+    @pytest.mark.parametrize(
+        "radius", [0.5, 1.0, 300.0, 637.0, 1273.0, 1274.0, 1500.0]
+    )
     @pytest.mark.parametrize("center_arc", [0.0, 150.0, 3999.5])
     def test_vehicle_at_window_edge(self, radius, center_arc):
-        world = make_world(4)
+        world = make_world(10)
         spawn_all(world)
         edge = world.chord_for_radius(radius)
+        # either side of the edge of the arc accepted without trigonometry
+        sure = world.chord_for_radius(radius - 1.0)
         arcs = [center_arc, center_arc + edge, center_arc - edge, center_arc + 2 * edge]
+        arcs += [center_arc + sure + 1e-9, center_arc + sure - 1e-9,
+                 center_arc - sure + 1e-9, center_arc - sure - 1e-9]
+        # inside the arc window but out of range
+        arcs += [center_arc + edge + 0.5, center_arc - edge - 0.5]
         for vehicle, arc in zip(world.vehicles, arcs):
             vehicle.position = arc % world.route_length
         for center in world.entities():
             assert world.neighbours_within(center, radius) == self.brute_force(
                 world, center, radius
             )
+
+    def test_sure_arc_needs_no_trigonometry(self, monkeypatch):
+        world = make_world(3)
+        spawn_all(world)
+        sure = world.chord_for_radius(299.0)
+        # either side of the centre, the far one across the wrap
+        for vehicle, arc in zip(world.vehicles, [10.0, 10.0 + sure, 10.0 - sure]):
+            vehicle.position = arc % world.route_length
+        calls = []
+        point_of_arc = world.point_of_arc
+        monkeypatch.setattr(
+            world, "point_of_arc", lambda arc: calls.append(arc) or point_of_arc(arc)
+        )
+        center = world.vehicles[0].entity
+        found = world.neighbours_within(center, 300.0)
+        assert found == [world.vehicles[1].entity, world.vehicles[2].entity,
+                         world.rsus[0][0]]
+        # only the centre's point: the RSU at 0 is in the sure arc, the rest
+        # lie beyond the window
+        assert calls == [10.0]
 
 
 class TestDownstream:

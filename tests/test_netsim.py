@@ -19,7 +19,8 @@ from vanetim.netsim import (
     run_trial,
     write_trace,
 )
-from vanetim.relay import HOP4
+from vanetim.protocol import Arm
+from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
 
 
@@ -208,6 +209,97 @@ class TestRunProperties:
         free = first(MessageKind.FREE_ROAD)
         cleared = first(MessageKind.CLEARED_ROAD)
         assert addressing < ack < free < cleared
+
+
+class CountingEngine(Engine):
+    """The engine, counting the mobility steps it takes."""
+
+    steps_taken = 0
+
+    def _tick(self, i):
+        self.steps_taken += 1
+        super()._tick(i)
+
+
+class AlwaysStepEngine(CountingEngine):
+    """The oracle for the stop rule: every tick re-pushes the next one until
+    ``_steps``, whether or not any event is left to run."""
+
+    def _tick(self, i):
+        self.steps_taken += 1
+        world = self.world
+        if world.spawned_count < world.fleet_size:
+            world.inject_flow(self.now)
+        world.step(self.setup.mobility.dt)
+        if i < self._steps:
+            self._push_tick(i + 1)
+
+
+def lines(trace):
+    return [record.to_line() for record in trace]
+
+
+class TestStopRule:
+    """A trial stops stepping once no event is due by its end."""
+
+    @pytest.mark.parametrize("scenario, policy, vehicles, police", [
+        ("accident", HOP4, 19, 0),
+        ("accident", FRESH60, 19, 0),
+        ("accident", HOP4, 79, 0),
+        ("accident", FRESH60, 79, 0),
+        ("accident-police", HOP4, 21, 2),
+        ("debris", HOP4, 19, 0),
+        ("service-discovery", FRESH60, 19, 0),
+    ])
+    def test_matches_the_always_step_oracle(self, scenario, policy, vehicles, police):
+        setup = TrialSetup(
+            script=build_scenario(scenario), policy=policy, vehicles=vehicles,
+            police=police,
+        )
+        trace, metrics = CountingEngine(setup, 1).run()
+        expected, expected_metrics = AlwaysStepEngine(setup, 1).run()
+        assert lines(trace) == lines(expected)
+        assert metrics.total == expected_metrics.total
+
+    @staticmethod
+    def accident():
+        return TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+
+    def test_an_event_at_the_end_keeps_every_step(self):
+        setup = self.accident()
+        engine = CountingEngine(setup, 1)
+        engine._schedule(setup.duration, lambda: None)
+        engine.run()
+        assert engine.steps_taken == 3001
+
+    def test_an_event_after_the_end_adds_no_step(self):
+        setup = self.accident()
+        plain = CountingEngine(setup, 1)
+        plain.run()
+        engine = CountingEngine(setup, 1)
+        engine._schedule(setup.duration + setup.mobility.dt, lambda: None)
+        engine.run()
+        # and the plain trial stops well before the end
+        assert engine.steps_taken == plain.steps_taken < 3001
+
+
+class TestCausalOrder:
+    def test_timer_armed_in_the_past_raises(self):
+        def done(state, now, *, ids):
+            return []
+
+        def rewind(state, now, *, ids):
+            return [Arm(now - 1.0, done, ())]
+
+        engine = tiny_engine(1)
+        engine._execute(engine.ta, [Arm(600.0, rewind, ())])
+        with pytest.raises(RuntimeError, match="scheduled at 600"):
+            engine.run()
+
+    def test_nan_time_raises(self):
+        engine = tiny_engine(1)
+        with pytest.raises(RuntimeError):
+            engine._schedule(float("nan"), lambda: None)
 
 
 class TestTraceFiles:
