@@ -50,6 +50,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials: must be at least 1")
+        if self.police < 0:
+            raise ConfigError("police: must not be negative")
         if self.warmup >= self.duration:
             raise ConfigError("warmup: must be less than duration")
         if not 0.0 <= self.loss < 1.0:

@@ -7,6 +7,11 @@ one spawned before it (the previous entry of ``vehicles``), which keeps
 leader lookup O(1). :meth:`CircularWorld.step` is one pass over the list:
 every vehicle reads its leader's position from before the step, then moves.
 
+Inside the world every entity is a dense int *slot*: a vehicle's slot is
+its place in the spawn queue, which is also its index in ``vehicles``,
+and RSU ``i`` has slot ``fleet_size + i``. Queries take and return slots,
+so none of them hashes or compares an :class:`EntityId`.
+
 :meth:`CircularWorld.neighbours_within` decides by arc distance from the
 centre where the arc settles it, before any trigonometry: an entity beyond
 the arc of a chord as long as the radio range (plus 1 m) is out of range,
@@ -14,9 +19,6 @@ and one within the arc of a chord 1 m shorter than the range is in range.
 Only the entities in the 2 m band between take the exact Euclidean test;
 receivers come back in list order (vehicles, then RSUs), which fixes
 delivery order.
-
-A :class:`StaticWorld` with fixed positions and no kinematics is provided
-for protocol-only experiments (for example a line of parked vehicles).
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .domain import RSU as _RSU_ROLE
-from .domain import EntityId, RoleKind
+from .domain import EntityId
 
 #: metres of slack between the neighbour query's arcs and the radio range,
 #: far above float rounding
@@ -65,12 +66,13 @@ class CircularWorld:
         self.spawn_queue: List[EntityId] = list(spawn_queue)
         self.next_spawn_index = 0
         self.next_spawn_time = 0.0
-        self.vehicles: List[VehicleKinematics] = []  # ring order = spawn order
-        self._index: Dict[EntityId, int] = {}
+        # in spawn order, so a vehicle's slot is its index here
+        self.vehicles: List[VehicleKinematics] = []
         self.blockages: List[float] = []
         n = max(1, cfg.rsu_count)
-        self.rsus: List[Tuple[EntityId, float]] = [
-            (EntityId(i, _RSU_ROLE), i * cfg.route_length / n) for i in range(n)
+        #: (slot, arc) of each RSU, in RSU index order
+        self.rsus: List[Tuple[int, float]] = [
+            (self.fleet_size + i, i * cfg.route_length / n) for i in range(n)
         ]
         self.check_invariants = False
 
@@ -84,19 +86,17 @@ class CircularWorld:
         r = self._radius()
         return (r * math.cos(theta), r * math.sin(theta))
 
-    def arc_of(self, entity: EntityId) -> float:
-        if entity.role.kind is RoleKind.RSU:
-            for rsu, arc in self.rsus:
-                if rsu == entity:
-                    return arc
-            raise KeyError(entity)
-        return self.vehicles[self._index[entity]].position
+    def arc_of(self, slot: int) -> float:
+        if slot < len(self.vehicles):
+            return self.vehicles[slot].position
+        rsu = slot - len(self.spawn_queue)
+        if rsu < 0:
+            raise KeyError(f"vehicle slot {slot} has not spawned")
+        return self.rsus[rsu][1]
 
-    def position_of(self, entity: EntityId) -> Tuple[float, float]:
-        return self.point_of_arc(self.arc_of(entity))
-
-    def entities(self) -> List[EntityId]:
-        return [v.entity for v in self.vehicles] + [rsu for rsu, _ in self.rsus]
+    def entities(self) -> List[int]:
+        """The slots on the road: spawned vehicles in list order, then RSUs."""
+        return list(range(len(self.vehicles))) + [slot for slot, _ in self.rsus]
 
     def arc_gap(self, behind: float, ahead: float) -> float:
         return (ahead - behind) % self.route_length
@@ -134,7 +134,6 @@ class CircularWorld:
                 target_speed=self.cfg.target_speed,
                 length=self.cfg.vehicle_length,
             )
-            self._index[entity] = len(self.vehicles)
             self.vehicles.append(vehicle)
             self.next_spawn_index += 1
             self.next_spawn_time = now + self.cfg.entry_headway
@@ -204,12 +203,13 @@ class CircularWorld:
 
     # -- protocol-facing queries ------------------------------------------
 
-    def neighbours_within(self, center: EntityId, radius: float) -> List[EntityId]:
-        """All entities within Euclidean range of ``center``, excluding it,
-        vehicles in list order then RSUs. Chord length rises with arc length,
-        so entities beyond ``chord_for_radius(radius)`` of arc are skipped,
-        and those within ``chord_for_radius(radius - 1)`` are in range
-        without the Euclidean test."""
+    def neighbours_within(self, center: int, radius: float) -> List[int]:
+        """The slots of all entities within Euclidean range of slot
+        ``center``, excluding it, vehicles in list order then RSUs. Chord
+        length rises with arc length, so entities beyond
+        ``chord_for_radius(radius)`` of arc are skipped, and those within
+        ``chord_for_radius(radius - 1)`` are in range without the Euclidean
+        test."""
         if radius <= 0:
             raise ValueError("radius must be positive")
         length = self.route_length
@@ -220,41 +220,41 @@ class CircularWorld:
         # within this arc the chord is at most radius - 1 m (or the arc is 0)
         sure = self.chord_for_radius(max(radius - _ARC_WINDOW_MARGIN, 0.0))
         sure_far = length - sure
-        found: List[EntityId] = []
-        vehicles = ((v.entity, v.position) for v in self.vehicles)
-        for entity, arc in chain(vehicles, self.rsus):
+        found: List[int] = []
+        vehicles = enumerate([v.position for v in self.vehicles])
+        for slot, arc in chain(vehicles, self.rsus):
             offset = (arc - center_arc) % length
             # more than the window of arc away, one way round or the other
-            if window < offset < far or entity == center:
+            if window < offset < far or slot == center:
                 continue
             # in range, whatever the rounding of the Euclidean test
             if offset <= sure or offset >= sure_far:
-                found.append(entity)
+                found.append(slot)
                 continue
             x, y = self.point_of_arc(arc)
             if math.hypot(x - cx, y - cy) <= radius:
-                found.append(entity)
+                found.append(slot)
         return found
 
-    def downstream_of(self, a: EntityId, b: EntityId) -> bool:
-        """True iff b lies ahead of a along the travel direction, within half
-        the loop; the diametrically-opposite tie resolves to False."""
-        for entity in (a, b):
-            if entity.role.kind is RoleKind.RSU:
-                raise ValueError("downstream ordering is defined for vehicles only")
+    def downstream_of(self, a: int, b: int) -> bool:
+        """True iff vehicle slot b lies ahead of vehicle slot a along the
+        travel direction, within half the loop; the diametrically-opposite
+        tie resolves to False."""
+        fleet = len(self.spawn_queue)
+        if a >= fleet or b >= fleet:
+            raise ValueError("downstream ordering is defined for vehicles only")
         ahead = self.arc_gap(self.arc_of(a), self.arc_of(b))
         return 0.0 < ahead < self.route_length / 2
 
-    def queue_ahead(self, entity: EntityId) -> bool:
+    def queue_ahead(self, slot: int) -> bool:
         """A slower or stopped obstruction within the lookahead window."""
-        i = self._index[entity]
-        vehicle = self.vehicles[i]
+        vehicle = self.vehicles[slot]
         for blockage in self.blockages:
             if self.arc_gap(vehicle.position, blockage) <= self.cfg.queue_lookahead:
                 return True
         if len(self.vehicles) < 2:
             return False
-        leader = self.vehicles[i - 1]
+        leader = self.vehicles[slot - 1]
         ahead = self.arc_gap(vehicle.position, leader.position) - leader.length
         if ahead > self.cfg.queue_lookahead:
             return False
@@ -264,38 +264,3 @@ class CircularWorld:
 
     def add_blockage(self, arc: float) -> None:
         self.blockages.append(arc % self.route_length)
-
-
-class StaticWorld:
-    """Fixed entity positions in the plane; no kinematics.
-
-    Useful for protocol experiments on hand-laid topologies such as a line
-    of parked vehicles with known spacing.
-    """
-
-    def __init__(self, positions: Dict[EntityId, Tuple[float, float]]) -> None:
-        self.positions = dict(positions)
-
-    def entities(self) -> List[EntityId]:
-        return list(self.positions)
-
-    def position_of(self, entity: EntityId) -> Tuple[float, float]:
-        return self.positions[entity]
-
-    def neighbours_within(self, center: EntityId, radius: float) -> List[EntityId]:
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        cx, cy = self.positions[center]
-        found = []
-        for entity, (x, y) in self.positions.items():
-            if entity == center:
-                continue
-            if math.hypot(x - cx, y - cy) <= radius:
-                found.append(entity)
-        return found
-
-    def downstream_of(self, a: EntityId, b: EntityId) -> bool:
-        for entity in (a, b):
-            if entity.role.kind is RoleKind.RSU:
-                raise ValueError("downstream ordering is defined for vehicles only")
-        return self.positions[b][0] > self.positions[a][0]

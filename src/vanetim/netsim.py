@@ -8,6 +8,19 @@ events, so the mobility tick stops once no event is due by the end of the
 run: a later step could not reach the trace. An event due before the
 current time is an error, not a reordering.
 
+Every entity has a dense int slot fixed at set-up: the spawn queue (so a
+vehicle's slot is its index in ``world.vehicles``), then the RSUs, then
+the TA. State is a slot-indexed list and events carry slots; an
+:class:`EntityId` appears only in handler state, message origins,
+``Wired`` targets and trace labels.
+
+A radio broadcast is one event, one hop latency after the send, that hands
+the shared relayed copy to its receivers in order. Per-receiver events
+would have had consecutive sequence numbers, and whatever a receipt
+schedules runs after the whole batch, so the receipts run in the same
+order. A regular vehicle drops a copy it has seen at once; RSUs and
+official vehicles run their handlers on every receipt.
+
 Relays are store-carry-forward: a vehicle holds a newly received message
 for a jittered hold time before the forwarding decision runs, so
 dissemination advances at roughly one hop per hold period. High-priority
@@ -20,7 +33,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import scenarios as _scenarios
 from .domain import (
@@ -32,6 +45,7 @@ from .domain import (
     POLICE,
     Priority,
     RESOLUTION_KINDS,
+    RSU as RSU_ROLE,
     RoleKind,
     TA as TA_ROLE,
     VEHICLE,
@@ -190,42 +204,52 @@ class Engine:
         self._queue: List[tuple] = []
         self._seq = 0
         self._steps = int(setup.duration / setup.mobility.dt)
-        self.coordinator: Optional[EntityId] = None
+        self.coordinator: Optional[int] = None  # slot of the coordinating RSU
         self._report_ids: set = set()
 
         script = setup.script
         regulars = [EntityId(i, VEHICLE) for i in range(setup.vehicles)]
         officials = [EntityId(i, POLICE) for i in range(setup.police)]
-        slot = min(script.reporter_index + 1, len(regulars))
-        spawn_queue = regulars[:slot] + officials + regulars[slot:]
+        split = min(script.reporter_index + 1, len(regulars))
+        spawn_queue = regulars[:split] + officials + regulars[split:]
         self.world = CircularWorld(setup.mobility, spawn_queue)
         services = ServiceDirectory(
             entries=tuple(script.services), route_length=setup.mobility.route_length
         )
 
-        self.states: Dict[EntityId, EntityState] = {}
-        for entity in regulars:
-            self.states[entity] = VehicleState(entity=entity, cfg=setup.protocol)
-        for entity in officials:
-            self.states[entity] = OfficialState(
-                entity=entity,
-                cfg=setup.protocol,
-                responder=(entity.label == script.responder),
-            )
         self.ta = EntityId(0, TA_ROLE)
-        self.states[self.ta] = TaState(entity=self.ta, cfg=setup.protocol)
-        rsus = [rsu for rsu, _ in self.world.rsus]
-        for i, (rsu, arc) in enumerate(self.world.rsus):
-            neighbours = (rsus[i - 1], rsus[(i + 1) % len(rsus)])
-            self.states[rsu] = RsuState(
-                entity=rsu,
-                cfg=setup.protocol,
-                neighbours=neighbours,
-                ta=self.ta,
-                position=arc,
-                services=services,
-            )
-        self._label_index = {entity.label: entity for entity in self.states}
+        rsus = [EntityId(i, RSU_ROLE) for i in range(len(self.world.rsus))]
+        #: slot -> entity: the spawn queue, then the RSUs, then the TA
+        self.entities: List[EntityId] = spawn_queue + rsus + [self.ta]
+        #: entity label -> slot, for scripted reporters and wired targets
+        self.slot_of: Dict[str, int] = {
+            entity.label: slot for slot, entity in enumerate(self.entities)
+        }
+        self._kinds: List[RoleKind] = [entity.role.kind for entity in self.entities]
+        self.states: List[EntityState] = []
+        for entity in self.entities:
+            kind = entity.role.kind
+            if kind is RoleKind.REGULAR_VEHICLE:
+                state = VehicleState(entity=entity, cfg=setup.protocol)
+            elif kind is RoleKind.OFFICIAL_VEHICLE:
+                state = OfficialState(
+                    entity=entity,
+                    cfg=setup.protocol,
+                    responder=(entity.label == script.responder),
+                )
+            elif kind is RoleKind.RSU:
+                i = entity.index
+                state = RsuState(
+                    entity=entity,
+                    cfg=setup.protocol,
+                    neighbours=(rsus[i - 1], rsus[(i + 1) % len(rsus)]),
+                    ta=self.ta,
+                    position=self.world.rsus[i][1],
+                    services=services,
+                )
+            else:
+                state = TaState(entity=entity, cfg=setup.protocol)
+            self.states.append(state)
 
     # -- scheduling --------------------------------------------------------
 
@@ -242,14 +266,15 @@ class Engine:
     def _record(
         self,
         msg: Message,
-        sender: EntityId,
+        sender: int,
         receiver: str,
         source: ActionSource,
     ) -> None:
+        kind = self._kinds[sender]
         record = TraceRecord(
             time=self.now,
-            sender=sender.label,
-            sender_class=sender.role.kind,
+            sender=self.entities[sender].label,
+            sender_class=kind,
             receiver=receiver,
             msg_id=msg.id,
             kind=msg.kind,
@@ -258,7 +283,7 @@ class Engine:
             source=source,
         )
         self.trace.append(record)
-        self.metrics.count(msg.kind, sender.role.kind, source)
+        self.metrics.count(msg.kind, kind, source)
         script = self.setup.script
         if (
             script.blockage
@@ -271,42 +296,45 @@ class Engine:
     def broadcast(
         self,
         msg: Message,
-        sender: EntityId,
+        sender: int,
         now: float,
         source: ActionSource = ActionSource.ORIGIN,
         downstream_only: bool = False,
-    ) -> List[Tuple[float, EntityId]]:
-        """Transmit once; schedule one delivery per in-range receiver."""
+    ) -> List[Tuple[float, int]]:
+        """Transmit once; one event delivers the copy to every in-range
+        receiver, in receiver order. Returns each delivery's time and slot."""
         self._record(msg, sender, "*", source)
-        deliveries: List[Tuple[float, EntityId]] = []
         net = self.setup.net
         # a radio hop is counted at delivery: the receivers' copy carries
         # one more hop than the sender's, so a hop-limit policy cuts off
         # after exactly max_hops transmissions from the origin; messages are
         # immutable, so every receiver shares the one copy
         copy = relayed_copy(msg)
-        for receiver in self.world.neighbours_within(sender, net.radio_range):
-            if downstream_only:
-                if receiver.role.kind is RoleKind.RSU:
-                    continue
-                if not self.world.downstream_of(sender, receiver):
-                    continue
-            if net.loss > 0 and self.rng.random() < net.loss:
-                continue
-            at = now + net.hop_latency
-            self._schedule(at, self._deliver, copy, receiver, sender)
-            deliveries.append((at, receiver))
-        return deliveries
+        receivers = self.world.neighbours_within(sender, net.radio_range)
+        if downstream_only:
+            kinds, world = self._kinds, self.world
+            receivers = [
+                receiver for receiver in receivers
+                if kinds[receiver] is not RoleKind.RSU
+                and world.downstream_of(sender, receiver)
+            ]
+        if net.loss > 0:
+            rng, loss = self.rng, net.loss
+            receivers = [receiver for receiver in receivers if not rng.random() < loss]
+        at = now + net.hop_latency
+        if receivers:
+            self._schedule(at, self._deliver, copy, receivers, sender)
+        return [(at, receiver) for receiver in receivers]
 
     def wired_send(
-        self, msg: Message, sender: EntityId, to: EntityId, now: float
+        self, msg: Message, sender: int, to: EntityId, now: float
     ) -> Tuple[float, EntityId]:
-        for endpoint in (sender, to):
-            if endpoint.role.kind not in (RoleKind.RSU, RoleKind.TA):
+        for kind in (self._kinds[sender], to.role.kind):
+            if kind not in (RoleKind.RSU, RoleKind.TA):
                 raise ValueError("wired links join infrastructure nodes only")
         self._record(msg, sender, to.label, ActionSource.WIRED)
         at = now + self.setup.net.wired_latency
-        self._schedule(at, self._deliver, msg, to, sender)
+        self._schedule(at, self._deliver, msg, (self.slot_of[to.label],), sender)
         return at, to
 
     def _hold_delay(self, msg: Message) -> float:
@@ -318,88 +346,98 @@ class Engine:
 
     # -- action execution --------------------------------------------------
 
-    def _execute(self, entity: EntityId, actions) -> None:
+    def _execute(self, slot: int, actions) -> None:
         for action in actions:
             if isinstance(action, Broadcast):
                 at = max(action.at, self.now)
                 self._schedule(
-                    at, self.broadcast, action.message, entity, at, action.source,
+                    at, self.broadcast, action.message, slot, at, action.source,
                     action.downstream_only,
                 )
             elif isinstance(action, Wired):
                 at = max(action.at, self.now)
-                self._schedule(at, self.wired_send, action.message, entity, action.to, at)
+                self._schedule(at, self.wired_send, action.message, slot, action.to, at)
             elif isinstance(action, Arm):
-                self._schedule(action.at, self._fire_timer, entity, action)
+                self._schedule(action.at, self._fire_timer, slot, action)
             else:
                 raise TypeError(f"unknown action: {action!r}")
 
     # -- delivery dispatch -------------------------------------------------
 
-    def _deliver(self, msg: Message, receiver: EntityId, sender: EntityId) -> None:
-        state = self.states[receiver]
-        kind = receiver.role.kind
-        if kind is RoleKind.TA:
-            reporting = sender if sender.role.kind is RoleKind.RSU else None
-            self._execute(receiver, handle_ta(state, msg, self.now, reporting_rsu=reporting))
-        elif kind is RoleKind.RSU:
-            if msg.id in self._report_ids and self.coordinator is None:
-                self.coordinator = receiver
-            if msg.kind in RSU_HANDLERS:
-                self._execute(
-                    receiver, handle_rsu(state, msg, sender.role, self.now, ids=self.ids)
-                )
-            else:
-                self._schedule_relay(state, msg)
-        else:
-            if kind is RoleKind.OFFICIAL_VEHICLE:
+    def _deliver(self, msg: Message, receivers: Sequence[int], sender: int) -> None:
+        """Hand one transmission to each receiver slot, in order."""
+        states, kinds = self.states, self._kinds
+        msg_id = msg.id
+        for receiver in receivers:
+            state = states[receiver]
+            kind = kinds[receiver]
+            if kind is RoleKind.REGULAR_VEHICLE:
+                # a regular vehicle only relays, and only an unseen copy
+                if msg_id not in state.seen:
+                    self._schedule_relay(receiver, state, msg)
+            elif kind is RoleKind.OFFICIAL_VEHICLE:
                 self._execute(
                     receiver, handle_official(state, msg, self.now, ids=self.ids)
                 )
-            self._schedule_relay(state, msg)
+                self._schedule_relay(receiver, state, msg)
+            elif kind is RoleKind.RSU:
+                if msg_id in self._report_ids and self.coordinator is None:
+                    self.coordinator = receiver
+                if msg.kind in RSU_HANDLERS:
+                    role = self.entities[sender].role
+                    self._execute(
+                        receiver, handle_rsu(state, msg, role, self.now, ids=self.ids)
+                    )
+                else:
+                    self._schedule_relay(receiver, state, msg)
+            else:
+                reporting = self.entities[sender] if kinds[sender] is RoleKind.RSU else None
+                self._execute(
+                    receiver, handle_ta(state, msg, self.now, reporting_rsu=reporting)
+                )
 
-    def _schedule_relay(self, state: EntityState, msg: Message) -> None:
+    def _schedule_relay(self, slot: int, state: EntityState, msg: Message) -> None:
         """Hold a first-seen copy, then run the relay decision on it."""
         if msg.id in state.seen:
             return
         state.seen.add(msg.id, self.now)
-        self._schedule(self.now + self._hold_delay(msg), self._relay, state, msg)
+        self._schedule(self.now + self._hold_delay(msg), self._relay, slot, state, msg)
 
-    def _relay(self, state: EntityState, msg: Message) -> None:
-        self._execute(
-            state.entity, relay_decision(state, msg, self.setup.policy, self.now)
-        )
+    def _relay(self, slot: int, state: EntityState, msg: Message) -> None:
+        self._execute(slot, relay_decision(state, msg, self.setup.policy, self.now))
 
     # -- timers ------------------------------------------------------------
 
-    def _fire_timer(self, entity: EntityId, timer: Arm) -> None:
+    def _fire_timer(self, slot: int, timer: Arm) -> None:
         """Call the timer's callback on the state of the entity that armed it."""
-        state = self.states[entity]
-        self._execute(entity, timer.fn(state, *timer.args, self.now, ids=self.ids))
+        state = self.states[slot]
+        self._execute(slot, timer.fn(state, *timer.args, self.now, ids=self.ids))
 
     # -- scripted events ---------------------------------------------------
 
     def originate(
         self,
-        entity: EntityId,
+        slot: int,
         kind: MessageKind,
         road: str,
         now: float,
         *,
         payload: Optional[str] = None,
     ) -> Message:
-        """Create and broadcast a fresh report from an entity."""
-        msg = make_message(kind, road, entity, now, ids=self.ids, payload=payload)
-        state = self.states[entity]
+        """Create and broadcast a fresh report from the entity in ``slot``."""
+        msg = make_message(
+            kind, road, self.entities[slot], now, ids=self.ids, payload=payload
+        )
+        state = self.states[slot]
         state.seen.add(msg.id, now)
         state.relayed.add(msg.id, now)
-        self.broadcast(msg, entity, now, ActionSource.ORIGIN)
+        self.broadcast(msg, slot, now, ActionSource.ORIGIN)
         return msg
 
     def _report(self) -> None:
         script = self.setup.script
-        reporter = self._label_index[script.reporter]
-        if script.blockage and reporter in self.world._index:
+        reporter = self.slot_of[script.reporter]
+        if script.blockage and reporter < self.world.spawned_count:
             self.world.add_blockage(self.world.arc_of(reporter))
         msg = self.originate(
             reporter, script.kind, script.road, self.now, payload=script.payload
@@ -417,7 +455,7 @@ class Engine:
 
     def _vehicle_clear(self) -> None:
         script = self.setup.script
-        reporter = self._label_index[script.reporter]
+        reporter = self.slot_of[script.reporter]
         self.originate(reporter, MessageKind.CLEARED_ROAD, script.road, self.now)
 
     # -- main loop ---------------------------------------------------------

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from conftest import POLICIES, replay_count, run_cell
+from static_world import StaticWorld
 from vanetim.domain import (
     EntityId,
     MessageIdSource,
@@ -22,7 +23,6 @@ from vanetim.domain import (
     make_message,
     relayed_copy,
 )
-from vanetim.mobility import StaticWorld
 from vanetim.netsim import parse_trace, write_trace
 from vanetim.protocol import (
     SpeedHistory,

@@ -136,6 +136,13 @@ class TestRunCommand:
         code = main(["run", "--vehicles", "251", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("scenario", ["accident", "accident-police"])
+    def test_negative_police_is_config_error(self, tmp_path, scenario):
+        # not raised to the scenario's minimum: the count cannot be honoured
+        code = main(["run", "--scenario", scenario, "--police", "-1", "--trials", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+
     @pytest.mark.parametrize("flag, value", [
         ("--duration", "nan"),
         ("--duration", "inf"),

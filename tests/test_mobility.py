@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetim.domain import EntityId, RSU, VEHICLE
-from vanetim.mobility import (
-    CircularWorld,
-    MobilityConfig,
-    StaticWorld,
-    VehicleKinematics,
-)
+from static_world import StaticWorld
+from vanetim.domain import EntityId, VEHICLE
+from vanetim.mobility import CircularWorld, MobilityConfig, VehicleKinematics
 from vanetim.protocol import SpeedHistory, detect_jam
 
 
@@ -141,7 +137,6 @@ def rings(draw):
 def build_ring(cfg, states, blockages):
     world = CircularWorld(cfg, [EntityId(i, VEHICLE) for i in range(len(states))])
     for i, (arc, speed) in enumerate(states):
-        world._index[world.spawn_queue[i]] = i
         world.vehicles.append(
             VehicleKinematics(world.spawn_queue[i], arc, speed=speed)
         )
@@ -240,12 +235,14 @@ class TestNeighbours:
 
     @staticmethod
     def brute_force(world, center, radius):
-        """Every other entity within range, in ``entities()`` order."""
-        cx, cy = world.position_of(center)
+        """Every other slot within range, in ``entities()`` order."""
+        def position(slot):
+            return world.point_of_arc(world.arc_of(slot))
+
         return [
             e
             for e in world.entities()
-            if e != center and math.dist(world.position_of(e), (cx, cy)) <= radius
+            if e != center and math.dist(position(e), position(center)) <= radius
         ]
 
     @settings(max_examples=25, deadline=None)
@@ -302,10 +299,8 @@ class TestNeighbours:
         monkeypatch.setattr(
             world, "point_of_arc", lambda arc: calls.append(arc) or point_of_arc(arc)
         )
-        center = world.vehicles[0].entity
-        found = world.neighbours_within(center, 300.0)
-        assert found == [world.vehicles[1].entity, world.vehicles[2].entity,
-                         world.rsus[0][0]]
+        found = world.neighbours_within(0, 300.0)
+        assert found == [1, 2, world.rsus[0][0]]
         # only the centre's point: the RSU at 0 is in the sure arc, the rest
         # lie beyond the window
         assert calls == [10.0]
@@ -315,7 +310,7 @@ class TestDownstream:
     def test_ahead_and_behind(self):
         world = make_world(2)
         spawn_all(world)
-        a, b = world.vehicles[1].entity, world.vehicles[0].entity
+        a, b = 1, 0
         world.vehicles[1].position = 100.0
         world.vehicles[0].position = 150.0  # b is 50 m ahead of a
         assert world.downstream_of(a, b)
@@ -326,7 +321,7 @@ class TestDownstream:
         spawn_all(world)
         world.vehicles[1].position = 0.0
         world.vehicles[0].position = 2000.0  # half of the 4000 m loop
-        a, b = world.vehicles[1].entity, world.vehicles[0].entity
+        a, b = 1, 0
         # arc-length oracle: exactly half the loop is not "ahead"
         assert world.arc_gap(0.0, 2000.0) == world.route_length / 2
         assert not world.downstream_of(a, b)
@@ -336,7 +331,7 @@ class TestDownstream:
         world = make_world(1)
         spawn_all(world)
         with pytest.raises(ValueError):
-            world.downstream_of(world.vehicles[0].entity, EntityId(0, RSU))
+            world.downstream_of(0, world.rsus[0][0])
 
 
 class TestGeometry:
@@ -361,6 +356,21 @@ class TestGeometry:
         gaps = {round(world.arc_gap(a, b), 6) for a, b in zip(arcs, arcs[1:])}
         assert gaps == {400.0}
 
+    def test_rsu_slots_follow_the_fleet(self):
+        world = make_world(3)
+        spawn_all(world)
+        assert world.entities() == [0, 1, 2] + [3 + i for i in range(10)]
+        for i, (slot, arc) in enumerate(world.rsus):
+            assert slot == 3 + i
+            assert world.arc_of(slot) == arc == i * 400.0
+
+    def test_unspawned_vehicle_slot_has_no_arc(self):
+        world = make_world(3)
+        world.inject_flow(0.0)
+        assert world.arc_of(0) == world.vehicles[0].position
+        with pytest.raises(KeyError, match="slot 1"):
+            world.arc_of(1)
+
 
 class TestPlatoonJam:
     def test_tail_of_blocked_platoon_reports_jam(self, ids):
@@ -375,16 +385,19 @@ class TestPlatoonJam:
         world = make_world(20)
         world.add_blockage(1000.0)
         history = SpeedHistory()
-        tail = EntityId(19, VEHICLE)
+        tail = 19  # the last slot of the spawn queue
         t = 0.0
         fired_at = None
         while t < 300.0:
             world.inject_flow(t)
             world.step(0.5)
             t += 0.5
-            if tail in world._index:
-                history.record(t, world.vehicles[world._index[tail]].speed)
-                msg = detect_jam(history, world.queue_ahead(tail), t, origin=tail, ids=ids)
+            if tail < world.spawned_count:
+                history.record(t, world.vehicles[tail].speed)
+                msg = detect_jam(
+                    history, world.queue_ahead(tail), t, origin=world.spawn_queue[tail],
+                    ids=ids,
+                )
                 if msg is not None:
                     fired_at = t
                     break

@@ -1,13 +1,19 @@
+import heapq
+
 import pytest
 
+import vanetim.netsim as netsim
 from vanetim.domain import (
     ActionSource,
     EntityId,
     MessageKind,
+    POLICE,
     RSU,
+    RoleKind,
     TA,
     VEHICLE,
     make_message,
+    relayed_copy,
 )
 from vanetim.mobility import MobilityConfig
 from vanetim.netsim import (
@@ -19,27 +25,53 @@ from vanetim.netsim import (
     run_trial,
     write_trace,
 )
-from vanetim.protocol import Arm
+from vanetim.protocol import Arm, Broadcast
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
 
 
-def tiny_engine(vehicles=4, seed=1, **net_kwargs):
-    """An engine whose fleet is spawned and repositionable by hand."""
-    script = build_scenario("accident", reporter="V0", reporter_index=0)
+def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0, **net_kwargs):
+    """An engine whose fleet is spawned and repositionable by hand; V0 is
+    slot 0 and any police follow it."""
+    script = build_scenario(scenario, reporter="V0", reporter_index=0)
     setup = TrialSetup(
         script=script,
         policy=HOP4,
         vehicles=vehicles,
+        police=police,
         net=NetConfig(**net_kwargs),
     )
     engine = Engine(setup, seed)
     t = 0.0
-    while engine.world.spawned_count < vehicles:
+    while engine.world.spawned_count < vehicles + police:
         engine.world.inject_flow(t)
         engine.world.step(0.5)
         t += 0.5
     return engine
+
+
+def run_until(engine, t):
+    """Run the queued events due by ``t``, without the mobility tick."""
+    queue = engine._queue
+    while queue and queue[0][0] <= t:
+        at, _, fn, args = heapq.heappop(queue)
+        engine.now = at
+        fn(*args)
+
+
+def spy_on(monkeypatch, name):
+    """Record ``(receiving entity, message id, other arguments, actions)``
+    per call of the handler ``vanetim.netsim`` calls by ``name``."""
+    calls = []
+    handler = getattr(netsim, name)
+
+    def wrapper(state, msg, *args, **kwargs):
+        actions = handler(state, msg, *args, **kwargs)
+        calls.append((state.entity, msg.id, (args, kwargs), actions))
+        return actions
+
+    monkeypatch.setattr(netsim, name, wrapper)
+    return calls
 
 
 def place(engine, arcs):
@@ -52,9 +84,9 @@ class TestBroadcast:
         engine = tiny_engine(4)
         # sender V0 at arc 200: both flanking RSUs and V1 in range, rest far
         place(engine, [200.0, 300.0, 2200.0, 2300.0])
-        sender = engine.world.vehicles[0].entity
+        sender = 0
         assert len(engine.world.neighbours_within(sender, 300.0)) == 3
-        msg = make_message(MessageKind.ACCIDENT, "X", sender, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
         deliveries = engine.broadcast(msg, sender, 10.0)
         assert len(deliveries) == 3
         assert len(engine.trace) == 1
@@ -63,16 +95,16 @@ class TestBroadcast:
     def test_zero_neighbours_still_one_transmission(self):
         engine = tiny_engine(1, radio_range=50.0)
         place(engine, [200.0])  # nearest RSU is ~199 m away in arc terms
-        sender = engine.world.vehicles[0].entity
-        msg = make_message(MessageKind.ACCIDENT, "X", sender, 10.0, ids=engine.ids)
+        sender = 0
+        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
         assert engine.broadcast(msg, sender, 10.0) == []
         assert engine.metrics.total == 1
 
     def test_lossless_delivery_set_matches_adjacency(self):
         engine = tiny_engine(5)
         place(engine, [0.0, 200.0, 400.0, 600.0, 800.0])
-        sender = engine.world.vehicles[2].entity
-        msg = make_message(MessageKind.ACCIDENT, "X", sender, 10.0, ids=engine.ids)
+        sender = 2
+        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[2], 10.0, ids=engine.ids)
         delivered = {receiver for _, receiver in engine.broadcast(msg, sender, 10.0)}
         oracle = set(engine.world.neighbours_within(sender, 300.0))
         assert delivered == oracle
@@ -81,8 +113,10 @@ class TestBroadcast:
         def delivered(seed, loss):
             engine = tiny_engine(5, seed=seed, loss=loss)
             place(engine, [0.0, 150.0, 300.0, 450.0, 600.0])
-            sender = engine.world.vehicles[2].entity
-            msg = make_message(MessageKind.ACCIDENT, "X", sender, 10.0, ids=engine.ids)
+            sender = 2
+            msg = make_message(
+                MessageKind.ACCIDENT, "X", engine.entities[2], 10.0, ids=engine.ids
+            )
             return [receiver for _, receiver in engine.broadcast(msg, sender, 10.0)]
 
         full = delivered(1, 0.0)
@@ -97,9 +131,9 @@ class TestWired:
         engine = tiny_engine(1)
         rsu3, rsu4 = EntityId(3, RSU), EntityId(4, RSU)
         msg = make_message(MessageKind.ACCIDENT, "X", rsu3, 10.0, ids=engine.ids)
-        at, to = engine.wired_send(msg, rsu3, rsu4, 10.0)
+        at, to = engine.wired_send(msg, engine.slot_of[rsu3.label], rsu4, 10.0)
         assert to == rsu4 and at > 10.0
-        at, to = engine.wired_send(msg, rsu3, engine.ta, 10.0)
+        at, to = engine.wired_send(msg, engine.slot_of[rsu3.label], engine.ta, 10.0)
         assert to.role is TA
 
     def test_wired_to_vehicle_rejected(self):
@@ -107,7 +141,24 @@ class TestWired:
         rsu3 = EntityId(3, RSU)
         msg = make_message(MessageKind.ACCIDENT, "X", rsu3, 10.0, ids=engine.ids)
         with pytest.raises(ValueError):
-            engine.wired_send(msg, rsu3, EntityId(0, VEHICLE), 10.0)
+            engine.wired_send(msg, engine.slot_of[rsu3.label], EntityId(0, VEHICLE), 10.0)
+
+    def test_wired_target_receives(self, monkeypatch):
+        engine = tiny_engine(1)
+        rsu3, rsu4 = EntityId(3, RSU), EntityId(4, RSU)
+        by_rsu = spy_on(monkeypatch, "handle_rsu")
+        by_ta = spy_on(monkeypatch, "handle_ta")
+        accident = make_message(MessageKind.ACCIDENT, "X", rsu3, 10.0, ids=engine.ids)
+        debris = make_message(MessageKind.DEBRIS, "X", rsu3, 10.0, ids=engine.ids)
+        engine.wired_send(accident, engine.slot_of[rsu3.label], rsu4, 10.0)
+        engine.wired_send(debris, engine.slot_of[rsu3.label], engine.ta, 10.0)
+        run_until(engine, 10.0 + engine.setup.net.wired_latency)
+        assert [call[:3] for call in by_rsu] == [
+            (rsu4, accident.id, ((RSU, 10.005), {"ids": engine.ids}))
+        ]
+        assert [call[:3] for call in by_ta] == [
+            (engine.ta, debris.id, ((10.005,), {"reporting_rsu": rsu3}))
+        ]
 
 
 class TestTrialSetupValidation:
@@ -283,6 +334,123 @@ class TestStopRule:
         assert engine.steps_taken == plain.steps_taken < 3001
 
 
+class PerReceiverEngine(Engine):
+    """The oracle for batched delivery: one delivery event per receiver,
+    each with its own sequence number."""
+
+    def broadcast(self, msg, sender, now, source=ActionSource.ORIGIN,
+                  downstream_only=False):
+        self._record(msg, sender, "*", source)
+        net = self.setup.net
+        copy = relayed_copy(msg)
+        deliveries = []
+        for receiver in self.world.neighbours_within(sender, net.radio_range):
+            if downstream_only:
+                if self._kinds[receiver] is RoleKind.RSU:
+                    continue
+                if not self.world.downstream_of(sender, receiver):
+                    continue
+            if net.loss > 0 and self.rng.random() < net.loss:
+                continue
+            at = now + net.hop_latency
+            self._schedule(at, self._deliver, copy, (receiver,), sender)
+            deliveries.append((at, receiver))
+        return deliveries
+
+
+class TestBatchedDelivery:
+    """One event per broadcast runs the receipts the per-receiver events ran,
+    in the same order, with the same loss and hold-jitter draws."""
+
+    @pytest.mark.parametrize("scenario, policy, vehicles, police, loss", [
+        ("accident", HOP4, 19, 0, 0.0),
+        ("accident", FRESH60, 19, 0, 0.0),
+        ("accident", HOP4, 79, 0, 0.0),
+        ("accident", FRESH60, 79, 0, 0.0),
+        ("accident", HOP4, 139, 0, 0.0),
+        ("accident", FRESH60, 139, 0, 0.0),
+        ("accident-police", HOP4, 21, 2, 0.0),
+        ("debris", HOP4, 19, 0, 0.0),
+        ("service-discovery", FRESH60, 19, 0, 0.0),
+        ("accident", HOP4, 79, 0, 0.3),
+    ])
+    def test_matches_the_per_receiver_oracle(self, scenario, policy, vehicles, police,
+                                             loss):
+        setup = TrialSetup(
+            script=build_scenario(scenario), policy=policy, vehicles=vehicles,
+            police=police, net=NetConfig(loss=loss),
+        )
+        trace, metrics = Engine(setup, 1).run()
+        expected, expected_metrics = PerReceiverEngine(setup, 1).run()
+        assert lines(trace) == lines(expected)
+        assert metrics.total == expected_metrics.total
+
+    def test_one_event_per_broadcast(self):
+        engine = tiny_engine(4)
+        place(engine, [200.0, 300.0, 2200.0, 2300.0])
+        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
+        deliveries = engine.broadcast(msg, 0, 10.0)
+        assert len(deliveries) == 3
+        assert len(engine._queue) == 1
+
+
+class TestDuplicateReceipts:
+    """Only a regular vehicle drops a copy it has seen unread; RSUs and
+    official vehicles act on every receipt."""
+
+    def test_second_accident_copy_makes_the_rsu_burst_twice(self, monkeypatch):
+        engine = tiny_engine(2)
+        place(engine, [200.0, 2200.0])  # V0 between RSU0 and RSU1
+        calls = spy_on(monkeypatch, "handle_rsu")
+        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
+        engine.broadcast(msg, 0, 10.0)
+        engine.broadcast(msg, 0, 10.0)  # a second copy of the same report
+        run_until(engine, 10.0 + engine.setup.net.hop_latency)
+        rsu0 = [actions for entity, _, _, actions in calls if entity == EntityId(0, RSU)]
+        assert len(rsu0) == 2
+        # the (ACCIDENT, REGULAR_VEHICLE, False) row: a burst of 2 repeats
+        repeat = rsu0[1]
+        assert len(repeat) == 2
+        assert all(isinstance(action, Broadcast) for action in repeat)
+        assert {action.message.id for action in repeat} == {msg.id}
+        assert {action.source for action in repeat} == {ActionSource.BURST}
+
+    def test_duplicate_reaches_the_official_handler(self, monkeypatch):
+        engine = tiny_engine(2, scenario="accident-police", police=1)
+        place(engine, [1000.0, 1100.0, 3000.0])  # slot 1 is P0, beside V0
+        assert engine.entities[1] == EntityId(0, POLICE)
+        calls = spy_on(monkeypatch, "handle_official")
+        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
+        engine.broadcast(msg, 0, 10.0)
+        engine.broadcast(msg, 0, 10.0)
+        run_until(engine, 10.0 + engine.setup.net.hop_latency)
+        assert [(entity, msg_id) for entity, msg_id, _, _ in calls] == [
+            (EntityId(0, POLICE), msg.id), (EntityId(0, POLICE), msg.id)
+        ]
+        assert msg.id in engine.states[1].seen
+
+
+class TestSlots:
+    def test_vehicle_slots_map_back_to_their_labels(self):
+        engine = tiny_engine(5, scenario="accident-police", police=2)
+        world = engine.world
+        labels = [vehicle.entity.label for vehicle in world.vehicles]
+        # the officials spawn right after the reporter, V0
+        assert labels == ["V0", "P0", "P1", "V1", "V2", "V3", "V4"]
+        for slot, vehicle in enumerate(world.vehicles):
+            assert engine.entities[slot] == vehicle.entity
+            assert engine.states[slot].entity == vehicle.entity
+            assert engine.slot_of[vehicle.entity.label] == slot
+
+    def test_infrastructure_follows_the_fleet(self):
+        engine = tiny_engine(3)
+        for i, (slot, arc) in enumerate(engine.world.rsus):
+            assert engine.entities[slot] == EntityId(i, RSU)
+            assert engine.states[slot].position == arc
+        assert engine.entities[-1] == engine.ta
+        assert len(engine.states) == len(engine.entities) == 3 + 10 + 1
+
+
 class TestCausalOrder:
     def test_timer_armed_in_the_past_raises(self):
         def done(state, now, *, ids):
@@ -292,7 +460,7 @@ class TestCausalOrder:
             return [Arm(now - 1.0, done, ())]
 
         engine = tiny_engine(1)
-        engine._execute(engine.ta, [Arm(600.0, rewind, ())])
+        engine._execute(engine.slot_of["TA"], [Arm(600.0, rewind, ())])
         with pytest.raises(RuntimeError, match="scheduled at 600"):
             engine.run()
 
