@@ -71,7 +71,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        known = {f.name: f for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -84,15 +84,24 @@ class RunConfig:
             value = value.strip()
             if key not in known:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, value, known[key].type)
+            values[key] = _coerce(key, value)
         return cls(**values)
 
 
-def _coerce(key: str, value: str, typename) -> object:
+#: the spellings a config file may give a boolean, in any case
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _coerce(key: str, value: str) -> object:
     if key == "densities":
         return tuple(int(v) for v in value.split(",") if v)
     if key == "include_wired":
-        return value.lower() in ("1", "true", "yes")
+        try:
+            return _BOOLEANS[value.lower()]
+        except KeyError:
+            raise ConfigError(
+                f"include_wired: expected true/false/yes/no/1/0, got {value!r}"
+            ) from None
     if key in ("vehicles", "police", "seed", "trials"):
         return int(value)
     if key in ("duration", "warmup", "loss", "route_length", "dt", "relay_hold"):

@@ -57,10 +57,8 @@ from .mobility import CircularWorld, MobilityConfig
 from .protocol import (
     Arm,
     Broadcast,
-    DEFAULT_PROTOCOL_CONFIG,
     EntityState,
     OfficialState,
-    ProtocolConfig,
     RSU_HANDLERS,
     RsuState,
     ServiceDirectory,
@@ -76,15 +74,17 @@ from .protocol import (
 from .relay import RelayPolicy
 
 
+RADIO_RANGE = 300.0     # metres
+HOP_LATENCY = 0.01      # seconds from a radio send to its delivery
+WIRED_LATENCY = 0.005   # seconds from a wired send to its delivery
+RELAY_JITTER = 0.2      # +/- fraction applied to the relay hold
+OFFICIAL_HOLD = 0.5     # hold for high-priority messages
+
+
 @dataclass(frozen=True)
 class NetConfig:
-    radio_range: float = 300.0
-    hop_latency: float = 0.01
-    wired_latency: float = 0.005
     loss: float = 0.0
     relay_hold: float = 35.0       # store-carry-forward hold before relaying
-    relay_jitter: float = 0.2      # +/- fraction applied to the hold
-    official_hold: float = 0.5     # hold for high-priority messages
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,10 @@ class TrialSetup:
     warmup: float = 500.0
     net: NetConfig = NetConfig()
     mobility: MobilityConfig = MobilityConfig()
-    protocol: ProtocolConfig = DEFAULT_PROTOCOL_CONFIG
 
     def validate(self) -> None:
+        if self.vehicles < 0:
+            raise ValueError("vehicle count must not be negative")
         if not (math.isfinite(self.duration) and math.isfinite(self.warmup)):
             raise ValueError("duration and warm-up must be finite")
         if self.warmup >= self.duration:
@@ -230,25 +231,22 @@ class Engine:
         for entity in self.entities:
             kind = entity.role.kind
             if kind is RoleKind.REGULAR_VEHICLE:
-                state = VehicleState(entity=entity, cfg=setup.protocol)
+                state = VehicleState(entity=entity)
             elif kind is RoleKind.OFFICIAL_VEHICLE:
                 state = OfficialState(
-                    entity=entity,
-                    cfg=setup.protocol,
-                    responder=(entity.label == script.responder),
+                    entity=entity, responder=(entity.label == script.responder)
                 )
             elif kind is RoleKind.RSU:
                 i = entity.index
                 state = RsuState(
                     entity=entity,
-                    cfg=setup.protocol,
                     neighbours=(rsus[i - 1], rsus[(i + 1) % len(rsus)]),
                     ta=self.ta,
                     position=self.world.rsus[i][1],
                     services=services,
                 )
             else:
-                state = TaState(entity=entity, cfg=setup.protocol)
+                state = TaState(entity=entity)
             self.states.append(state)
 
     # -- scheduling --------------------------------------------------------
@@ -304,13 +302,12 @@ class Engine:
         """Transmit once; one event delivers the copy to every in-range
         receiver, in receiver order. Returns each delivery's time and slot."""
         self._record(msg, sender, "*", source)
-        net = self.setup.net
         # a radio hop is counted at delivery: the receivers' copy carries
         # one more hop than the sender's, so a hop-limit policy cuts off
         # after exactly max_hops transmissions from the origin; messages are
         # immutable, so every receiver shares the one copy
         copy = relayed_copy(msg)
-        receivers = self.world.neighbours_within(sender, net.radio_range)
+        receivers = self.world.neighbours_within(sender, RADIO_RANGE)
         if downstream_only:
             kinds, world = self._kinds, self.world
             receivers = [
@@ -318,10 +315,11 @@ class Engine:
                 if kinds[receiver] is not RoleKind.RSU
                 and world.downstream_of(sender, receiver)
             ]
-        if net.loss > 0:
-            rng, loss = self.rng, net.loss
+        loss = self.setup.net.loss
+        if loss > 0:
+            rng = self.rng
             receivers = [receiver for receiver in receivers if not rng.random() < loss]
-        at = now + net.hop_latency
+        at = now + HOP_LATENCY
         if receivers:
             self._schedule(at, self._deliver, copy, receivers, sender)
         return [(at, receiver) for receiver in receivers]
@@ -333,16 +331,15 @@ class Engine:
             if kind not in (RoleKind.RSU, RoleKind.TA):
                 raise ValueError("wired links join infrastructure nodes only")
         self._record(msg, sender, to.label, ActionSource.WIRED)
-        at = now + self.setup.net.wired_latency
+        at = now + WIRED_LATENCY
         self._schedule(at, self._deliver, msg, (self.slot_of[to.label],), sender)
         return at, to
 
     def _hold_delay(self, msg: Message) -> float:
-        net = self.setup.net
         if msg.priority is Priority.OFFICIAL:
-            return net.official_hold
-        jitter = self.rng.uniform(1 - net.relay_jitter, 1 + net.relay_jitter)
-        return net.relay_hold * jitter
+            return OFFICIAL_HOLD
+        jitter = self.rng.uniform(1 - RELAY_JITTER, 1 + RELAY_JITTER)
+        return self.setup.net.relay_hold * jitter
 
     # -- action execution --------------------------------------------------
 
@@ -400,7 +397,7 @@ class Engine:
         """Hold a first-seen copy, then run the relay decision on it."""
         if msg.id in state.seen:
             return
-        state.seen.add(msg.id, self.now)
+        state.seen.add(msg.id)
         self._schedule(self.now + self._hold_delay(msg), self._relay, slot, state, msg)
 
     def _relay(self, slot: int, state: EntityState, msg: Message) -> None:
@@ -429,8 +426,8 @@ class Engine:
             kind, road, self.entities[slot], now, ids=self.ids, payload=payload
         )
         state = self.states[slot]
-        state.seen.add(msg.id, now)
-        state.relayed.add(msg.id, now)
+        state.seen.add(msg.id)
+        state.relayed.add(msg.id)
         self.broadcast(msg, slot, now, ActionSource.ORIGIN)
         return msg
 

@@ -8,10 +8,14 @@ A timer names its callback: an :class:`Arm` carries the function, and its
 arguments, that the engine calls back on the arming entity's state when the
 timer fires.
 
-Timing defaults that the source material leaves open (burst spacing,
-periodic announcement intervals, authority service delay, official-vehicle
-travel and on-site service time) live in :class:`ProtocolConfig` and are
-overridable per run.
+Timings that the source material leaves open (burst spacing, periodic
+announcement intervals, authority service delay, official-vehicle travel
+and on-site service time) are module constants, the same in every run.
+
+Each entity's ``seen`` set records every message id it has handled, and is
+the one record of a first receipt: an RSU escalates, answers or announces
+an id, and the TA schedules its resolution, only on the receipt that adds
+the id.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .domain import (
     TA_REPORT_KINDS,
     make_message,
 )
-from .relay import RelayPolicy, SeenStore, should_relay
+from .relay import RelayPolicy, should_relay
 
 
 class ProtocolOrderError(RuntimeError):
@@ -72,19 +76,14 @@ class Arm:
 OutgoingAction = Union[Broadcast, Wired, Arm]
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    burst_interval: float = 2.0       # spacing between repeats within one burst
-    cleared_repeats: int = 3          # road-clear re-announcements per RSU
-    attending_period: float = 5.0     # official-vehicle periodic announcements
-    restricted_period: float = 10.0   # restricted-movement re-announcements
-    report_period: float = 10.0       # RSU re-announcement of open reports
-    ta_service_delay: float = 60.0    # authority turnaround for escalations
-    travel_time: float = 60.0         # official vehicle: acknowledgement -> arrival
-    service_time: float = 120.0       # official vehicle: arrival -> resolution
-
-
-DEFAULT_PROTOCOL_CONFIG = ProtocolConfig()
+BURST_INTERVAL = 2.0       # spacing between repeats within one burst
+CLEARED_REPEATS = 3        # road-clear re-announcements per RSU
+ATTENDING_PERIOD = 5.0     # official-vehicle periodic announcements
+RESTRICTED_PERIOD = 10.0   # restricted-movement re-announcements
+REPORT_PERIOD = 10.0       # RSU re-announcement of open reports
+TA_SERVICE_DELAY = 60.0    # authority turnaround for escalations
+TRAVEL_TIME = 60.0         # official vehicle: acknowledgement -> arrival
+SERVICE_TIME = 120.0       # official vehicle: arrival -> resolution
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +227,8 @@ class ServiceDirectory:
 @dataclass
 class EntityState:
     entity: EntityId
-    seen: SeenStore = field(default_factory=SeenStore)
-    relayed: SeenStore = field(default_factory=SeenStore)
-    cfg: ProtocolConfig = DEFAULT_PROTOCOL_CONFIG
+    seen: Set[str] = field(default_factory=set)
+    relayed: Set[str] = field(default_factory=set)
 
     @property
     def role(self) -> Role:
@@ -250,8 +248,6 @@ class RsuState(EntityState):
     services: ServiceDirectory = ServiceDirectory()
     ledger: IncidentLedger = field(default_factory=IncidentLedger)
     applied: Set[Tuple[str, RoleKind]] = field(default_factory=set)
-    escalated: Set[str] = field(default_factory=set)
-    replied_queries: Set[str] = field(default_factory=set)
     announcing: Dict[str, Message] = field(default_factory=dict)
     restricted: Dict[str, Message] = field(default_factory=dict)
 
@@ -279,7 +275,7 @@ class OfficialState(EntityState):
 
 @dataclass
 class TaState(EntityState):
-    pending: Set[str] = field(default_factory=set)
+    pass
 
 
 #: kinds an official vehicle responds to in person
@@ -305,7 +301,7 @@ def relay_decision(
     """
     if not should_relay(policy, msg, now, state.relayed):
         return []
-    state.relayed.add(msg.id, now)
+    state.relayed.add(msg.id)
     return [Broadcast(msg, at=now, source=ActionSource.RELAY)]
 
 
@@ -313,11 +309,9 @@ def relay_decision(
 # RSU handlers
 
 
-def _burst(
-    msg: Message, count: int, now: float, interval: float
-) -> List[OutgoingAction]:
+def _burst(msg: Message, count: int, now: float) -> List[OutgoingAction]:
     return [
-        Broadcast(msg, at=now + i * interval, source=ActionSource.BURST)
+        Broadcast(msg, at=now + i * BURST_INTERVAL, source=ActionSource.BURST)
         for i in range(count)
     ]
 
@@ -361,7 +355,7 @@ def _rsu_table_driven(
     if state.ledger.status(msg.road) is IncidentStatus.RESOLVED:
         return []
     first = _first_receipt(state, msg)
-    state.seen.add(msg.id, now)
+    state.seen.add(msg.id)
     if not _apply_once(state, msg, sender_role.kind, first):
         return []
     row = _rule_row(msg.kind, sender_role.kind, first)
@@ -371,15 +365,13 @@ def _rsu_table_driven(
     actions: List[OutgoingAction] = []
     if msg.kind is MessageKind.ACCIDENT:
         state.ledger.open(msg.road, now)
-    actions.extend(_burst(msg, row.same_count, now, state.cfg.burst_interval))
+    actions.extend(_burst(msg, row.same_count, now))
     if row.derived_count and row.derived_kind is not None:
         derived = make_message(
             row.derived_kind, msg.road, state.entity, now, ids=ids, correlation=msg.id
         )
-        offset = row.same_count * state.cfg.burst_interval
-        actions.extend(
-            _burst(derived, row.derived_count, now + offset, state.cfg.burst_interval)
-        )
+        offset = row.same_count * BURST_INTERVAL
+        actions.extend(_burst(derived, row.derived_count, now + offset))
     if (
         msg.kind is MessageKind.ACCIDENT
         and first
@@ -394,10 +386,9 @@ def _rsu_escalate(
 ) -> List[OutgoingAction]:
     """Authority-class reports go straight to the TA over the wired link."""
     first = _first_receipt(state, msg)
-    state.seen.add(msg.id, now)
-    if not first or msg.id in state.escalated or state.ta is None:
+    state.seen.add(msg.id)
+    if not first or state.ta is None:
         return []
-    state.escalated.add(msg.id)
     state.ledger.open(msg.road, now)
     return [Wired(msg, to=state.ta, at=now)]
 
@@ -410,18 +401,16 @@ def _rsu_announce_report(
     if state.ledger.status(msg.road) is IncidentStatus.RESOLVED:
         return []
     first = _first_receipt(state, msg)
-    state.seen.add(msg.id, now)
+    state.seen.add(msg.id)
     if not first:
         return []
     state.ledger.open(msg.road, now)
     state.announcing[msg.road] = msg
-    actions: List[OutgoingAction] = list(_burst(msg, 3, now, state.cfg.burst_interval))
+    actions: List[OutgoingAction] = list(_burst(msg, 3, now))
     # flood along the backbone ring so every zone learns of the incident;
     # message-id dedup terminates the flood after one lap
     actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
-    actions.append(
-        Arm(now + 3 * state.cfg.burst_interval, rsu_report_tick, (msg.road,))
-    )
+    actions.append(Arm(now + 3 * BURST_INTERVAL, rsu_report_tick, (msg.road,)))
     return actions
 
 
@@ -433,7 +422,7 @@ def _rsu_acknowledge_official(
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     first = _first_receipt(state, msg)
-    state.seen.add(msg.id, now)
+    state.seen.add(msg.id)
     if not _apply_once(state, msg, sender_role.kind, first):
         return []
     row = _rule_row(msg.kind, sender_role.kind, first)
@@ -459,9 +448,7 @@ def _rsu_acknowledge_official(
         )
         state.restricted[msg.road] = restricted
         actions.append(Broadcast(restricted, at=now, source=ActionSource.ORIGIN))
-        actions.append(
-            Arm(now + state.cfg.restricted_period, rsu_restricted_tick, (msg.road,))
-        )
+        actions.append(Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, (msg.road,)))
     return actions
 
 
@@ -477,11 +464,11 @@ def _rsu_resolution(
     A first-seen clearance is flooded along the backbone ring so every
     zone hears it (message-id dedup terminates the flood). If this RSU
     holds an open incident for the road, it also resolves the incident and
-    announces the road-clear status ``cleared_repeats`` times; clearances
+    announces the road-clear status ``CLEARED_REPEATS`` times; clearances
     for roads with no open incident are only forwarded.
     """
     first = _first_receipt(state, msg)
-    state.seen.add(msg.id, now)
+    state.seen.add(msg.id)
     actions: List[OutgoingAction] = []
     if first:
         actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
@@ -492,7 +479,7 @@ def _rsu_resolution(
     state.announcing.pop(msg.road, None)
     state.restricted.pop(msg.road, None)
 
-    repeats = state.cfg.cleared_repeats
+    repeats = CLEARED_REPEATS
     row = _rule_row(msg.kind, sender_role.kind, first)
     if row.same_count or row.derived_count:
         repeats = max(row.same_count, row.derived_count)
@@ -508,7 +495,7 @@ def _rsu_resolution(
             ids=ids,
             correlation=msg.id,
         )
-    actions.extend(_burst(cleared, repeats, now, state.cfg.burst_interval))
+    actions.extend(_burst(cleared, repeats, now))
     if cleared is not msg:
         actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
     return actions
@@ -518,10 +505,10 @@ def _rsu_service_query(
     state: RsuState, msg: Message, sender_role: Role, now: float, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Answer a service lookup with the nearest registered entry."""
-    state.seen.add(msg.id, now)
-    if msg.id in state.replied_queries:
+    first = _first_receipt(state, msg)
+    state.seen.add(msg.id)
+    if not first:
         return []
-    state.replied_queries.add(msg.id)
     category = msg.payload or ""
     entry = state.services.nearest(category, state.position)
     reply = make_message(
@@ -560,10 +547,8 @@ def rsu_scripted_resolution(
     state.announcing.pop(road, None)
     state.restricted.pop(road, None)
     cleared = make_message(MessageKind.CLEARED_ROAD, road, state.entity, now, ids=ids)
-    state.seen.add(cleared.id, now)
-    actions: List[OutgoingAction] = list(
-        _burst(cleared, state.cfg.cleared_repeats, now, state.cfg.burst_interval)
-    )
+    state.seen.add(cleared.id)
+    actions: List[OutgoingAction] = list(_burst(cleared, CLEARED_REPEATS, now))
     actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
     return actions
 
@@ -577,7 +562,7 @@ def rsu_report_tick(
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),
-        Arm(now + state.cfg.report_period, rsu_report_tick, (road,)),
+        Arm(now + REPORT_PERIOD, rsu_report_tick, (road,)),
     ]
 
 
@@ -590,7 +575,7 @@ def rsu_restricted_tick(
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),
-        Arm(now + state.cfg.restricted_period, rsu_restricted_tick, (road,)),
+        Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, (road,)),
     ]
 
 
@@ -616,8 +601,8 @@ def handle_official(
             ids=ids,
             correlation=msg.id,
         )
-        state.seen.add(addressing.id, now)
-        state.relayed.add(addressing.id, now)
+        state.seen.add(addressing.id)
+        state.relayed.add(addressing.id)
         state.incidents[msg.road] = OfficialIncident(
             road=msg.road, report=msg, addressing_id=addressing.id
         )
@@ -629,7 +614,7 @@ def handle_official(
         incident.phase = OfficialPhase.EN_ROUTE
         return [
             Arm(now, official_announce, (incident.road,)),
-            Arm(now + state.cfg.travel_time, official_arrival, (incident.road,)),
+            Arm(now + TRAVEL_TIME, official_arrival, (incident.road,)),
         ]
     return []
 
@@ -658,8 +643,8 @@ def official_announce(
         ids=ids,
         correlation=incident.report.id,
     )
-    state.seen.add(free.id, now)
-    state.relayed.add(free.id, now)
+    state.seen.add(free.id)
+    state.relayed.add(free.id)
     actions.append(
         Broadcast(free, at=now, source=ActionSource.ORIGIN, downstream_only=True)
     )
@@ -672,10 +657,10 @@ def official_announce(
             ids=ids,
             correlation=incident.report.id,
         )
-        state.seen.add(attending.id, now)
-        state.relayed.add(attending.id, now)
+        state.seen.add(attending.id)
+        state.relayed.add(attending.id)
         actions.append(Broadcast(attending, at=now, source=ActionSource.ORIGIN))
-    actions.append(Arm(now + state.cfg.attending_period, official_announce, (road,)))
+    actions.append(Arm(now + ATTENDING_PERIOD, official_announce, (road,)))
     return actions
 
 
@@ -687,7 +672,7 @@ def official_arrival(
     if incident is None:
         raise ProtocolOrderError(f"arrival with no incident on {road!r}")
     incident.phase = OfficialPhase.ON_SITE
-    return [Arm(now + state.cfg.service_time, official_resolve, (road,))]
+    return [Arm(now + SERVICE_TIME, official_resolve, (road,))]
 
 
 def official_resolve(
@@ -707,8 +692,8 @@ def official_resolve(
         ids=ids,
         correlation=incident.report.id,
     )
-    state.seen.add(done.id, now)
-    state.relayed.add(done.id, now)
+    state.seen.add(done.id)
+    state.relayed.add(done.id)
     return [Broadcast(done, at=now, source=ActionSource.ORIGIN)]
 
 
@@ -719,23 +704,16 @@ def official_resolve(
 def handle_ta(
     state: TaState, msg: Message, now: float, *, reporting_rsu: Optional[EntityId] = None
 ) -> List[OutgoingAction]:
-    """Schedule a resolution notice back to the reporting RSU after the
-    configured service delay; non-authority kinds are dropped."""
+    """Schedule one resolution notice per report id back to the reporting
+    RSU, the authority's service delay after the first receipt;
+    non-authority kinds are dropped."""
     if state.role.kind is not RoleKind.TA:
         raise ValueError("handle_ta requires the TA")
-    if msg.kind not in TA_REPORT_KINDS:
+    if msg.kind not in TA_REPORT_KINDS or msg.id in state.seen:
         return []
-    state.seen.add(msg.id, now)
-    if msg.id in state.pending:
-        return []
-    state.pending.add(msg.id)
-    return [
-        Arm(
-            now + state.cfg.ta_service_delay,
-            ta_resolve,
-            (msg.road, msg.kind, msg.id, reporting_rsu),
-        )
-    ]
+    state.seen.add(msg.id)
+    args = (msg.road, msg.kind, msg.id, reporting_rsu)
+    return [Arm(now + TA_SERVICE_DELAY, ta_resolve, args)]
 
 
 def ta_resolve(

@@ -1,16 +1,17 @@
-"""Relay-admission policies and the per-entity duplicate-suppression store.
+"""Relay-admission policies.
 
 Two policies are supported: a hop bound (a copy received at hop count h may
 be forwarded iff h is below the bound) and a freshness bound (forwarding is
 allowed only while the message's age is strictly below the bound, evaluated
 at relay-decision time). High-priority messages from official vehicles
-bypass both bounds but never bypass duplicate suppression.
+bypass both bounds but never bypass duplicate suppression, which is a plain
+set of message ids per entity, never evicted within a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import AbstractSet, Union
 
 from .domain import Message, Priority, age
 
@@ -39,28 +40,8 @@ HOP4 = HopLimit(4)
 FRESH60 = Freshness(60.0)
 
 
-class SeenStore:
-    """Set of message ids with first-insertion time; no eviction within a run."""
-
-    def __init__(self) -> None:
-        self._first_seen: Dict[str, float] = {}
-
-    def __contains__(self, msg_id: str) -> bool:
-        return msg_id in self._first_seen
-
-    def __len__(self) -> int:
-        return len(self._first_seen)
-
-    def add(self, msg_id: str, now: float) -> None:
-        """Insert an id; re-insertion is a no-op and keeps the original time."""
-        self._first_seen.setdefault(msg_id, now)
-
-    def first_seen(self, msg_id: str) -> float:
-        return self._first_seen[msg_id]
-
-
 def should_relay(
-    policy: RelayPolicy, msg: Message, now: float, seen: SeenStore
+    policy: RelayPolicy, msg: Message, now: float, seen: AbstractSet[str]
 ) -> bool:
     """Decide whether a received copy may be forwarded right now."""
     if msg.id in seen:

@@ -228,8 +228,8 @@ def _simulate_static_flood(positions, origin, radius, policy):
     states = {e: VehicleState(entity=e) for e in positions}
     ids = MessageIdSource()
     msg = make_message(MessageKind.ACCIDENT, "X", origin, 0.0, ids=ids)
-    states[origin].seen.add(msg.id, 0.0)
-    states[origin].relayed.add(msg.id, 0.0)
+    states[origin].seen.add(msg.id)
+    states[origin].relayed.add(msg.id)
     transmissions = 0
     reached = {origin}
     queue = [(0.0, 0, origin, msg)]
@@ -244,7 +244,7 @@ def _simulate_static_flood(positions, origin, radius, policy):
             arrived = relayed_copy(copy)
             if arrived.id in state.seen:
                 continue
-            state.seen.add(arrived.id, now)
+            state.seen.add(arrived.id)
             from vanetim.protocol import relay_decision
 
             for action in relay_decision(state, arrived, policy, now + 1.0):

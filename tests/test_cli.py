@@ -28,6 +28,19 @@ class TestRunConfig:
         )
         assert RunConfig.from_text(config.to_text()) == config
 
+    @pytest.mark.parametrize("value, expected", [
+        ("true", True), ("YES", True), ("1", True),
+        ("False", False), ("no", False), ("0", False),
+    ])
+    def test_include_wired_spellings(self, value, expected):
+        config = RunConfig.from_text(f"include_wired = {value}\n")
+        assert config.include_wired is expected
+
+    @pytest.mark.parametrize("value", ["ture", "2", ""])
+    def test_bad_include_wired_rejected(self, value):
+        with pytest.raises(ConfigError, match="include_wired"):
+            RunConfig.from_text(f"include_wired = {value}\n")
+
     def test_default_round_trip(self):
         assert RunConfig.from_text(RunConfig().to_text()) == RunConfig()
 
@@ -132,6 +145,14 @@ class TestRunCommand:
         code = main(["run", "--scenario", "meteor", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_negative_vehicle_count_is_config_error(self, tmp_path):
+        # diversion is reported by P0, so it needs no regular vehicle
+        args = ["run", "--scenario", "diversion", "--trials", "1",
+                "--out-dir", str(tmp_path)]
+        assert main(args + ["--vehicles", "-3"]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        assert main(args + ["--vehicles", "0"]) == EXIT_OK
+
     def test_fleet_that_cannot_spawn_in_warmup_is_config_error(self, tmp_path):
         code = main(["run", "--vehicles", "251", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -161,6 +182,7 @@ class TestRunCommand:
         ("route_length", "inf"),
         ("relay_hold", "-10"),
         ("relay_hold", "nan"),
+        ("include_wired", "ture"),
     ])
     def test_config_value_the_model_cannot_honour_is_config_error(
         self, tmp_path, key, value
@@ -207,6 +229,12 @@ class TestSweepAndReport:
         assert main(["report", str(csv_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "hop4 >= fresh60 at all densities: PASS" in out
+
+    def test_negative_density_is_config_error(self, tmp_path):
+        code = main(["sweep", "--scenario", "diversion", "--densities=-5,19",
+                     "--trials", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_requires_densities(self, tmp_path):
         code = main(["sweep", "--scenario", "accident", "--out-dir", str(tmp_path)])

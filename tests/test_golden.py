@@ -8,6 +8,11 @@ receiver order shows up here. A change that alters traces on purpose must
 update these digests and say why. Cells of 131 vehicles or more are left
 out: their traces are expected to change once spawns are inserted in ring
 order.
+
+The police-attended accident at 81 vehicles covers the official-vehicle
+flow at density, and the lossy cell covers the loss draw in the radio
+delivery; both were recorded before the per-entity dedup sets were merged
+into one.
 """
 
 import hashlib
@@ -15,6 +20,7 @@ import hashlib
 import pytest
 
 from conftest import run_cell
+from vanetim.netsim import NetConfig
 
 GOLDEN = [
     # (scenario, policy, vehicles, police, seed, sha1 of the trace file)
@@ -34,7 +40,20 @@ GOLDEN = [
     ("road-defect", "hop4", 19, 0, 1, "d81bf4e96f76c43b4cfb6acd43c07f6520117d5e"),
     ("flood", "hop4", 19, 0, 1, "228266091548c81a338b957019d947835c4159f5"),
     ("signal-malfunction", "hop4", 19, 0, 1, "527e0a8d89e5e655c726ac506238cf5054db60d6"),
+    ("accident-police", "hop4", 81, 2, 1, "49feb9c23df434e3a2022c8bc50dabc4be90543b"),
+    ("accident-police", "fresh60", 81, 2, 1, "6e9a0739935a5d70aa091e8446607ab81f762f32"),
 ]
+
+GOLDEN_LOSSY = [
+    # (scenario, policy, vehicles, seed, loss, sha1 of the trace file)
+    ("accident", "hop4", 79, 1, 0.3, "eee5cd62c4b9a57d8ed175cc22045ebfacad7b93"),
+]
+
+
+def _digest(trace) -> str:
+    return hashlib.sha1(
+        "".join(record.to_line() + "\n" for record in trace).encode("utf-8")
+    ).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -44,8 +63,17 @@ GOLDEN = [
 )
 def test_trace_digest_unchanged(scenario, policy, vehicles, police, seed, expected):
     ((_, trace, total),) = run_cell(scenario, policy, vehicles, (seed,), police=police)
-    digest = hashlib.sha1(
-        "".join(record.to_line() + "\n" for record in trace).encode("utf-8")
-    ).hexdigest()
-    assert digest == expected
+    assert _digest(trace) == expected
     assert total == len(trace)
+
+
+@pytest.mark.parametrize(
+    "scenario,policy,vehicles,seed,loss,expected",
+    GOLDEN_LOSSY,
+    ids=[f"{s}-{p}-{v}v-s{seed}-loss{loss}" for s, p, v, seed, loss, _ in GOLDEN_LOSSY],
+)
+def test_lossy_trace_digest_unchanged(scenario, policy, vehicles, seed, loss, expected):
+    ((_, trace, _),) = run_cell(
+        scenario, policy, vehicles, (seed,), net=NetConfig(loss=loss)
+    )
+    assert _digest(trace) == expected

@@ -30,7 +30,8 @@ from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
 
 
-def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0, **net_kwargs):
+def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0,
+                mobility=MobilityConfig(), **net_kwargs):
     """An engine whose fleet is spawned and repositionable by hand; V0 is
     slot 0 and any police follow it."""
     script = build_scenario(scenario, reporter="V0", reporter_index=0)
@@ -40,6 +41,7 @@ def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0, **net_kwargs)
         vehicles=vehicles,
         police=police,
         net=NetConfig(**net_kwargs),
+        mobility=mobility,
     )
     engine = Engine(setup, seed)
     t = 0.0
@@ -93,8 +95,8 @@ class TestBroadcast:
         assert engine.metrics.total == 1  # counted per send, not per receipt
 
     def test_zero_neighbours_still_one_transmission(self):
-        engine = tiny_engine(1, radio_range=50.0)
-        place(engine, [200.0])  # nearest RSU is ~199 m away in arc terms
+        engine = tiny_engine(1, mobility=MobilityConfig(rsu_count=1))
+        place(engine, [2000.0])  # the one RSU, at arc 0, is across the ring
         sender = 0
         msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
         assert engine.broadcast(msg, sender, 10.0) == []
@@ -152,7 +154,7 @@ class TestWired:
         debris = make_message(MessageKind.DEBRIS, "X", rsu3, 10.0, ids=engine.ids)
         engine.wired_send(accident, engine.slot_of[rsu3.label], rsu4, 10.0)
         engine.wired_send(debris, engine.slot_of[rsu3.label], engine.ta, 10.0)
-        run_until(engine, 10.0 + engine.setup.net.wired_latency)
+        run_until(engine, 10.0 + netsim.WIRED_LATENCY)
         assert [call[:3] for call in by_rsu] == [
             (rsu4, accident.id, ((RSU, 10.005), {"ids": engine.ids}))
         ]
@@ -344,7 +346,7 @@ class PerReceiverEngine(Engine):
         net = self.setup.net
         copy = relayed_copy(msg)
         deliveries = []
-        for receiver in self.world.neighbours_within(sender, net.radio_range):
+        for receiver in self.world.neighbours_within(sender, netsim.RADIO_RANGE):
             if downstream_only:
                 if self._kinds[receiver] is RoleKind.RSU:
                     continue
@@ -352,7 +354,7 @@ class PerReceiverEngine(Engine):
                     continue
             if net.loss > 0 and self.rng.random() < net.loss:
                 continue
-            at = now + net.hop_latency
+            at = now + netsim.HOP_LATENCY
             self._schedule(at, self._deliver, copy, (receiver,), sender)
             deliveries.append((at, receiver))
         return deliveries
@@ -405,7 +407,7 @@ class TestDuplicateReceipts:
         msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
         engine.broadcast(msg, 0, 10.0)
         engine.broadcast(msg, 0, 10.0)  # a second copy of the same report
-        run_until(engine, 10.0 + engine.setup.net.hop_latency)
+        run_until(engine, 10.0 + netsim.HOP_LATENCY)
         rsu0 = [actions for entity, _, _, actions in calls if entity == EntityId(0, RSU)]
         assert len(rsu0) == 2
         # the (ACCIDENT, REGULAR_VEHICLE, False) row: a burst of 2 repeats
@@ -423,7 +425,7 @@ class TestDuplicateReceipts:
         msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
         engine.broadcast(msg, 0, 10.0)
         engine.broadcast(msg, 0, 10.0)
-        run_until(engine, 10.0 + engine.setup.net.hop_latency)
+        run_until(engine, 10.0 + netsim.HOP_LATENCY)
         assert [(entity, msg_id) for entity, msg_id, _, _ in calls] == [
             (EntityId(0, POLICE), msg.id), (EntityId(0, POLICE), msg.id)
         ]

@@ -13,7 +13,9 @@ from vanetim.domain import (
     relayed_copy,
 )
 from vanetim.protocol import (
+    ATTENDING_PERIOD,
     Arm,
+    BURST_INTERVAL,
     Broadcast,
     DEFAULT_RULE_ROWS,
     IncidentLedger,
@@ -21,10 +23,13 @@ from vanetim.protocol import (
     OfficialPhase,
     OfficialState,
     ProtocolOrderError,
+    REPORT_PERIOD,
+    RESTRICTED_PERIOD,
     RsuState,
     ServiceDirectory,
     ServiceEntry,
     SpeedHistory,
+    TA_SERVICE_DELAY,
     TaState,
     VehicleState,
     Wired,
@@ -177,12 +182,12 @@ class TestRsuTimers:
         (arm,) = [a for a in handle_rsu(state, msg, VEHICLE, 550.0, ids=ids)
                   if isinstance(a, Arm)]
         assert (arm.fn, arm.args) == (rsu_report_tick, ("X",))
-        assert arm.at == 550.0 + 3 * state.cfg.burst_interval
+        assert arm.at == 550.0 + 3 * BURST_INTERVAL
         announce, rearm = self._fire(state, arm, ids)
         assert announce.message is msg
         assert announce.source is ActionSource.BURST
         assert (rearm.fn, rearm.args) == (rsu_report_tick, ("X",))
-        assert rearm.at == arm.at + state.cfg.report_period
+        assert rearm.at == arm.at + REPORT_PERIOD
         state.ledger.resolve("X", 600.0)
         assert self._fire(state, rearm, ids) == []
 
@@ -192,12 +197,12 @@ class TestRsuTimers:
         (arm,) = [a for a in handle_rsu(state, msg, POLICE, 560.0, ids=ids)
                   if isinstance(a, Arm)]
         assert (arm.fn, arm.args) == (rsu_restricted_tick, ("X",))
-        assert arm.at == 560.0 + state.cfg.restricted_period
+        assert arm.at == 560.0 + RESTRICTED_PERIOD
         announce, rearm = self._fire(state, arm, ids)
         assert announce.message is state.restricted["X"]
         assert announce.message.kind is MessageKind.RESTRICTED_MOVEMENT
         assert (rearm.fn, rearm.args) == (rsu_restricted_tick, ("X",))
-        assert rearm.at == arm.at + state.cfg.restricted_period
+        assert rearm.at == arm.at + RESTRICTED_PERIOD
         state.ledger.resolve("X", 600.0)
         assert self._fire(state, rearm, ids) == []
 
@@ -284,7 +289,7 @@ class TestOfficialFlow:
         assert free.downstream_only  # free-road clears the path ahead only
         (rearm,) = [a for a in out if isinstance(a, Arm)]  # periodic re-arm
         assert rearm.fn is official_announce and rearm.args == ("X",)
-        assert rearm.at == 552.0 + state.cfg.attending_period
+        assert rearm.at == 552.0 + ATTENDING_PERIOD
 
     def test_arrival_then_resolution(self):
         ids = MessageIdSource()
@@ -324,7 +329,7 @@ class TestTrafficAuthority:
         actions = handle_ta(state, report, 600.0, reporting_rsu=RSU0)
         assert len(actions) == 1
         arm = actions[0]
-        assert arm.at == 600.0 + state.cfg.ta_service_delay
+        assert arm.at == 600.0 + TA_SERVICE_DELAY
         assert arm.fn is ta_resolve
         out = arm.fn(state, *arm.args, arm.at, ids=ids)
         assert len(out) == 1
@@ -349,6 +354,22 @@ class TestTrafficAuthority:
         report = make_message(MessageKind.FLOOD, "X", V17, 600.0, ids=ids)
         assert len(handle_ta(state, report, 600.0, reporting_rsu=RSU0)) == 1
         assert handle_ta(state, report, 601.0, reporting_rsu=RSU1) == []
+
+    def test_rsu_escalates_each_report_once(self, ids):
+        # one wired send to the TA per message id, however many copies
+        # arrive and whichever role sends them
+        state = fresh_rsu()
+        report = make_message(MessageKind.DEBRIS, "X", V17, 600.0, ids=ids)
+        assert handle_rsu(state, report, VEHICLE, 600.0, ids=ids) == [
+            Wired(report, to=TA0, at=600.0)
+        ]
+        for now, role in ((601.0, VEHICLE), (602.0, RSU), (603.0, POLICE)):
+            copy = relayed_copy(report)
+            assert handle_rsu(state, copy, role, now, ids=ids) == []
+        again = make_message(MessageKind.DEBRIS, "X", V17, 610.0, ids=ids)
+        assert handle_rsu(state, again, RSU, 610.0, ids=ids) == [
+            Wired(again, to=TA0, at=610.0)
+        ]
 
 
 class TestServiceDirectory:
