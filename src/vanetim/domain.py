@@ -24,49 +24,17 @@ class RoleKind(Enum):
     TA = "ta"
 
 
-class OfficialService(Enum):
-    POLICE = "police"
-    AMBULANCE = "ambulance"
-    FIRE_SERVICE = "fire"
-
-
-@dataclass(frozen=True)
-class Role:
-    kind: RoleKind
-    service: Optional[OfficialService] = None
-
-    def __post_init__(self) -> None:
-        if self.kind is RoleKind.OFFICIAL_VEHICLE and self.service is None:
-            raise ValueError("official vehicles must declare a service branch")
-        if self.kind is not RoleKind.OFFICIAL_VEHICLE and self.service is not None:
-            raise ValueError("only official vehicles carry a service branch")
-
-
-VEHICLE = Role(RoleKind.REGULAR_VEHICLE)
-POLICE = Role(RoleKind.OFFICIAL_VEHICLE, OfficialService.POLICE)
-AMBULANCE = Role(RoleKind.OFFICIAL_VEHICLE, OfficialService.AMBULANCE)
-FIRE_SERVICE = Role(RoleKind.OFFICIAL_VEHICLE, OfficialService.FIRE_SERVICE)
-RSU = Role(RoleKind.RSU)
-TA = Role(RoleKind.TA)
-
 _LABEL_PREFIX = {
     RoleKind.REGULAR_VEHICLE: "V",
     RoleKind.OFFICIAL_VEHICLE: "P",
     RoleKind.RSU: "RSU",
-    RoleKind.TA: "TA",
-}
-
-_SERVICE_PREFIX = {
-    OfficialService.POLICE: "P",
-    OfficialService.AMBULANCE: "AMB",
-    OfficialService.FIRE_SERVICE: "FS",
 }
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class EntityId:
     index: int
-    role: Role = VEHICLE
+    kind: RoleKind = RoleKind.REGULAR_VEHICLE
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -74,11 +42,9 @@ class EntityId:
 
     @property
     def label(self) -> str:
-        if self.role.kind is RoleKind.OFFICIAL_VEHICLE:
-            return f"{_SERVICE_PREFIX[self.role.service]}{self.index}"
-        if self.role.kind is RoleKind.TA:
+        if self.kind is RoleKind.TA:
             return "TA"
-        return f"{_LABEL_PREFIX[self.role.kind]}{self.index}"
+        return f"{_LABEL_PREFIX[self.kind]}{self.index}"
 
     def __str__(self) -> str:
         return self.label
@@ -90,7 +56,7 @@ def role_of_label(label: str) -> RoleKind:
         return RoleKind.TA
     if label.startswith("RSU"):
         return RoleKind.RSU
-    if label.startswith(("AMB", "FS")) or (label.startswith("P") and label[1:].isdigit()):
+    if label.startswith("P") and label[1:].isdigit():
         return RoleKind.OFFICIAL_VEHICLE
     if label.startswith("V"):
         return RoleKind.REGULAR_VEHICLE
@@ -213,7 +179,7 @@ def make_message(
     correlation: Optional[str] = None,
     payload: Optional[str] = None,
 ) -> Message:
-    """Originate a fresh message; priority follows the origin's role."""
+    """Originate a fresh message; priority follows the origin's kind."""
     if not isinstance(origin, EntityId):
         raise ValueError("unknown origin entity")
     if not isinstance(kind, MessageKind):
@@ -222,7 +188,7 @@ def make_message(
         raise ValueError("origination time must be non-negative")
     priority = (
         Priority.OFFICIAL
-        if origin.role.kind is RoleKind.OFFICIAL_VEHICLE
+        if origin.kind is RoleKind.OFFICIAL_VEHICLE
         else Priority.NORMAL
     )
     return Message(

@@ -8,11 +8,11 @@ events, so the mobility tick stops once no event is due by the end of the
 run: a later step could not reach the trace. An event due before the
 current time is an error, not a reordering.
 
-Every entity has a dense int slot fixed at set-up: the spawn queue (so a
+Every entity is a dense int slot fixed at set-up: the spawn queue (so a
 vehicle's slot is its index in ``world.vehicles``), then the RSUs, then
-the TA. State is a slot-indexed list and events carry slots; an
-:class:`EntityId` appears only in handler state, message origins,
-``Wired`` targets and trace labels.
+the TA. State, trace labels and role kinds are slot-indexed lists; events,
+``Wired`` targets and handler addresses are slots. An :class:`EntityId`
+remains only as each state's own identity and as a message's origin.
 
 A radio broadcast is one event, one hop latency after the send, that hands
 the shared relayed copy to its receivers in order. Per-receiver events
@@ -33,7 +33,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import scenarios as _scenarios
 from .domain import (
@@ -42,15 +42,12 @@ from .domain import (
     Message,
     MessageIdSource,
     MessageKind,
-    POLICE,
     Priority,
     RESOLUTION_KINDS,
-    RSU as RSU_ROLE,
     RoleKind,
-    TA as TA_ROLE,
-    VEHICLE,
     make_message,
     relayed_copy,
+    role_of_label,
 )
 from .metrics import TrialMetrics
 from .mobility import CircularWorld, MobilityConfig
@@ -87,6 +84,17 @@ class NetConfig:
     relay_hold: float = 35.0       # store-carry-forward hold before relaying
 
 
+def _names_one_of(label: str, kind: RoleKind, count: int) -> bool:
+    """Whether ``label`` is the label of one of the first ``count`` entities
+    of ``kind``, e.g. ``V17`` of 18 or more regular vehicles."""
+    index = label[1:]
+    return (
+        index.isdecimal()
+        and int(index) < count
+        and EntityId(int(index), kind).label == label
+    )
+
+
 @dataclass(frozen=True)
 class TrialSetup:
     script: "_scenarios.ScenarioScript"
@@ -111,19 +119,26 @@ class TrialSetup:
                 raise ValueError(f"{name} must be finite and positive")
         if not (math.isfinite(self.net.relay_hold) and self.net.relay_hold >= 0):
             raise ValueError("relay hold must be finite and not negative")
-        reporter = self.script.reporter
-        if reporter.startswith("V") and reporter[1:].isdigit():
-            needed = int(reporter[1:]) + 1
-            if self.vehicles < needed:
-                raise ValueError(
-                    f"scenario reporter {reporter} requires at least {needed} vehicles"
-                )
-        if self.police < self.script.min_police:
+        script = self.script
+        if self.police < script.min_police:
             raise ValueError(
-                f"scenario {self.script.name!r} requires at least "
-                f"{self.script.min_police} police vehicles"
+                f"scenario {script.name!r} requires at least "
+                f"{script.min_police} police vehicles"
             )
-        if self.script.report_time < self.warmup:
+        official_kinds = ((RoleKind.OFFICIAL_VEHICLE, self.police),)
+        fleet_kinds = official_kinds + ((RoleKind.REGULAR_VEHICLE, self.vehicles),)
+        for name, label, kinds in (
+            ("reporter", script.reporter, fleet_kinds),
+            ("responder", script.responder, official_kinds),
+        ):
+            if label is not None and not any(
+                _names_one_of(label, kind, count) for kind, count in kinds
+            ):
+                raise ValueError(
+                    f"scenario {name} {label} names no entity in a fleet of "
+                    f"{self.vehicles} vehicles and {self.police} police"
+                )
+        if script.report_time < self.warmup:
             raise ValueError("incident report must not fall inside the warm-up")
         fleet = self.vehicles + self.police
         footprint = mob.vehicle_length + mob.standstill_gap
@@ -168,8 +183,6 @@ def write_trace(trace: List[TraceRecord], path) -> None:
 
 
 def parse_trace(path) -> List[TraceRecord]:
-    from .domain import role_of_label
-
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
@@ -209,8 +222,8 @@ class Engine:
         self._report_ids: set = set()
 
         script = setup.script
-        regulars = [EntityId(i, VEHICLE) for i in range(setup.vehicles)]
-        officials = [EntityId(i, POLICE) for i in range(setup.police)]
+        regulars = [EntityId(i) for i in range(setup.vehicles)]
+        officials = [EntityId(i, RoleKind.OFFICIAL_VEHICLE) for i in range(setup.police)]
         split = min(script.reporter_index + 1, len(regulars))
         spawn_queue = regulars[:split] + officials + regulars[split:]
         self.world = CircularWorld(setup.mobility, spawn_queue)
@@ -218,18 +231,20 @@ class Engine:
             entries=tuple(script.services), route_length=setup.mobility.route_length
         )
 
-        self.ta = EntityId(0, TA_ROLE)
-        rsus = [EntityId(i, RSU_ROLE) for i in range(len(self.world.rsus))]
-        #: slot -> entity: the spawn queue, then the RSUs, then the TA
-        self.entities: List[EntityId] = spawn_queue + rsus + [self.ta]
-        #: entity label -> slot, for scripted reporters and wired targets
-        self.slot_of: Dict[str, int] = {
-            entity.label: slot for slot, entity in enumerate(self.entities)
-        }
-        self._kinds: List[RoleKind] = [entity.role.kind for entity in self.entities]
+        fleet, n_rsus = len(spawn_queue), len(self.world.rsus)
+        entities = (
+            spawn_queue
+            + [EntityId(i, RoleKind.RSU) for i in range(n_rsus)]
+            + [EntityId(0, RoleKind.TA)]
+        )
+        ta = fleet + n_rsus
+        #: slot -> trace label and slot -> role: the spawn queue, the RSUs, the TA
+        self.labels: List[str] = [entity.label for entity in entities]
+        self._kinds: List[RoleKind] = [entity.kind for entity in entities]
+        self._reporter = self.labels.index(script.reporter)
         self.states: List[EntityState] = []
-        for entity in self.entities:
-            kind = entity.role.kind
+        for entity in entities:
+            kind = entity.kind
             if kind is RoleKind.REGULAR_VEHICLE:
                 state = VehicleState(entity=entity)
             elif kind is RoleKind.OFFICIAL_VEHICLE:
@@ -237,11 +252,12 @@ class Engine:
                     entity=entity, responder=(entity.label == script.responder)
                 )
             elif kind is RoleKind.RSU:
+                # the backbone is a ring: RSU0's predecessor is the last RSU
                 i = entity.index
                 state = RsuState(
                     entity=entity,
-                    neighbours=(rsus[i - 1], rsus[(i + 1) % len(rsus)]),
-                    ta=self.ta,
+                    neighbours=(fleet + (i - 1) % n_rsus, fleet + (i + 1) % n_rsus),
+                    ta=ta,
                     position=self.world.rsus[i][1],
                     services=services,
                 )
@@ -271,7 +287,7 @@ class Engine:
         kind = self._kinds[sender]
         record = TraceRecord(
             time=self.now,
-            sender=self.entities[sender].label,
+            sender=self.labels[sender],
             sender_class=kind,
             receiver=receiver,
             msg_id=msg.id,
@@ -325,14 +341,14 @@ class Engine:
         return [(at, receiver) for receiver in receivers]
 
     def wired_send(
-        self, msg: Message, sender: int, to: EntityId, now: float
-    ) -> Tuple[float, EntityId]:
-        for kind in (self._kinds[sender], to.role.kind):
+        self, msg: Message, sender: int, to: int, now: float
+    ) -> Tuple[float, int]:
+        for kind in (self._kinds[sender], self._kinds[to]):
             if kind not in (RoleKind.RSU, RoleKind.TA):
                 raise ValueError("wired links join infrastructure nodes only")
-        self._record(msg, sender, to.label, ActionSource.WIRED)
+        self._record(msg, sender, self.labels[to], ActionSource.WIRED)
         at = now + WIRED_LATENCY
-        self._schedule(at, self._deliver, msg, (self.slot_of[to.label],), sender)
+        self._schedule(at, self._deliver, msg, (to,), sender)
         return at, to
 
     def _hold_delay(self, msg: Message) -> float:
@@ -381,14 +397,14 @@ class Engine:
                 if msg_id in self._report_ids and self.coordinator is None:
                     self.coordinator = receiver
                 if msg.kind in RSU_HANDLERS:
-                    role = self.entities[sender].role
                     self._execute(
-                        receiver, handle_rsu(state, msg, role, self.now, ids=self.ids)
+                        receiver,
+                        handle_rsu(state, msg, kinds[sender], self.now, ids=self.ids),
                     )
                 else:
                     self._schedule_relay(receiver, state, msg)
             else:
-                reporting = self.entities[sender] if kinds[sender] is RoleKind.RSU else None
+                reporting = sender if kinds[sender] is RoleKind.RSU else None
                 self._execute(
                     receiver, handle_ta(state, msg, self.now, reporting_rsu=reporting)
                 )
@@ -422,10 +438,8 @@ class Engine:
         payload: Optional[str] = None,
     ) -> Message:
         """Create and broadcast a fresh report from the entity in ``slot``."""
-        msg = make_message(
-            kind, road, self.entities[slot], now, ids=self.ids, payload=payload
-        )
         state = self.states[slot]
+        msg = make_message(kind, road, state.entity, now, ids=self.ids, payload=payload)
         state.seen.add(msg.id)
         state.relayed.add(msg.id)
         self.broadcast(msg, slot, now, ActionSource.ORIGIN)
@@ -433,7 +447,7 @@ class Engine:
 
     def _report(self) -> None:
         script = self.setup.script
-        reporter = self.slot_of[script.reporter]
+        reporter = self._reporter
         if script.blockage and reporter < self.world.spawned_count:
             self.world.add_blockage(self.world.arc_of(reporter))
         msg = self.originate(
@@ -452,8 +466,7 @@ class Engine:
 
     def _vehicle_clear(self) -> None:
         script = self.setup.script
-        reporter = self.slot_of[script.reporter]
-        self.originate(reporter, MessageKind.CLEARED_ROAD, script.road, self.now)
+        self.originate(self._reporter, MessageKind.CLEARED_ROAD, script.road, self.now)
 
     # -- main loop ---------------------------------------------------------
 

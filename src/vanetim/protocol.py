@@ -8,6 +8,10 @@ A timer names its callback: an :class:`Arm` carries the function, and its
 arguments, that the engine calls back on the arming entity's state when the
 timer fires.
 
+Handlers address other entities by their engine slot: a ``Wired`` target,
+an RSU's two backbone peers, its TA and the TA's reporting RSU are ints.
+An RSU handler is told only the sender's :class:`RoleKind`.
+
 Timings that the source material leaves open (burst spacing, periodic
 announcement intervals, authority service delay, official-vehicle travel
 and on-site service time) are module constants, the same in every run.
@@ -32,7 +36,6 @@ from .domain import (
     MessageKind,
     RESOLUTION_FOR,
     RESOLUTION_KINDS,
-    Role,
     RoleKind,
     TA_REPORT_KINDS,
     make_message,
@@ -59,7 +62,7 @@ class Broadcast:
 @dataclass(frozen=True)
 class Wired:
     message: Message
-    to: EntityId
+    to: int  # slot of the receiving RSU or TA
     at: float
 
 
@@ -230,10 +233,6 @@ class EntityState:
     seen: Set[str] = field(default_factory=set)
     relayed: Set[str] = field(default_factory=set)
 
-    @property
-    def role(self) -> Role:
-        return self.entity.role
-
 
 @dataclass
 class VehicleState(EntityState):
@@ -242,12 +241,12 @@ class VehicleState(EntityState):
 
 @dataclass
 class RsuState(EntityState):
-    neighbours: Tuple[EntityId, ...] = ()
-    ta: Optional[EntityId] = None
+    neighbours: Tuple[int, ...] = ()  # slots of the backbone ring's two peers
+    ta: Optional[int] = None          # slot of the TA
     position: float = 0.0  # arc metres along the route
     services: ServiceDirectory = ServiceDirectory()
     ledger: IncidentLedger = field(default_factory=IncidentLedger)
-    applied: Set[Tuple[str, RoleKind]] = field(default_factory=set)
+    applied: Set[Tuple[str, RoleKind, bool]] = field(default_factory=set)
     announcing: Dict[str, Message] = field(default_factory=dict)
     restricted: Dict[str, Message] = field(default_factory=dict)
 
@@ -319,18 +318,18 @@ def _burst(msg: Message, count: int, now: float) -> List[OutgoingAction]:
 def handle_rsu(
     state: RsuState,
     msg: Message,
-    sender_role: Role,
+    sender: RoleKind,
     now: float,
     *,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     """Dispatch one received message through the RSU's announcement rules."""
-    if state.role.kind is not RoleKind.RSU:
+    if state.entity.kind is not RoleKind.RSU:
         raise ValueError("handle_rsu requires an RSU")
     handler = RSU_HANDLERS.get(msg.kind)
     if handler is None:  # a plain relay candidate, held by the engine
         return []
-    return handler(state, msg, sender_role, now, ids)
+    return handler(state, msg, sender, now, ids)
 
 
 def _first_receipt(state: RsuState, msg: Message) -> bool:
@@ -348,7 +347,7 @@ def _apply_once(state: RsuState, msg: Message, sender: RoleKind, first: bool) ->
 def _rsu_table_driven(
     state: RsuState,
     msg: Message,
-    sender_role: Role,
+    sender: RoleKind,
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
@@ -356,9 +355,9 @@ def _rsu_table_driven(
         return []
     first = _first_receipt(state, msg)
     state.seen.add(msg.id)
-    if not _apply_once(state, msg, sender_role.kind, first):
+    if not _apply_once(state, msg, sender, first):
         return []
-    row = _rule_row(msg.kind, sender_role.kind, first)
+    row = _rule_row(msg.kind, sender, first)
     if row.same_count == 0 and row.derived_count == 0:
         return []
 
@@ -372,17 +371,13 @@ def _rsu_table_driven(
         )
         offset = row.same_count * BURST_INTERVAL
         actions.extend(_burst(derived, row.derived_count, now + offset))
-    if (
-        msg.kind is MessageKind.ACCIDENT
-        and first
-        and sender_role.kind is not RoleKind.RSU
-    ):
+    if msg.kind is MessageKind.ACCIDENT and first and sender is not RoleKind.RSU:
         actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
     return actions
 
 
 def _rsu_escalate(
-    state: RsuState, msg: Message, sender_role: Role, now: float, ids: MessageIdSource
+    state: RsuState, msg: Message, sender: RoleKind, now: float, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Authority-class reports go straight to the TA over the wired link."""
     first = _first_receipt(state, msg)
@@ -394,7 +389,7 @@ def _rsu_escalate(
 
 
 def _rsu_announce_report(
-    state: RsuState, msg: Message, sender_role: Role, now: float, ids: MessageIdSource
+    state: RsuState, msg: Message, sender: RoleKind, now: float, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Announce an open report three times, notify peers, then re-announce
     periodically until the road is cleared."""
@@ -417,15 +412,15 @@ def _rsu_announce_report(
 def _rsu_acknowledge_official(
     state: RsuState,
     msg: Message,
-    sender_role: Role,
+    sender: RoleKind,
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     first = _first_receipt(state, msg)
     state.seen.add(msg.id)
-    if not _apply_once(state, msg, sender_role.kind, first):
+    if not _apply_once(state, msg, sender, first):
         return []
-    row = _rule_row(msg.kind, sender_role.kind, first)
+    row = _rule_row(msg.kind, sender, first)
     if row.derived_count == 0:
         return []
     ack = make_message(
@@ -455,7 +450,7 @@ def _rsu_acknowledge_official(
 def _rsu_resolution(
     state: RsuState,
     msg: Message,
-    sender_role: Role,
+    sender: RoleKind,
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
@@ -480,7 +475,7 @@ def _rsu_resolution(
     state.restricted.pop(msg.road, None)
 
     repeats = CLEARED_REPEATS
-    row = _rule_row(msg.kind, sender_role.kind, first)
+    row = _rule_row(msg.kind, sender, first)
     if row.same_count or row.derived_count:
         repeats = max(row.same_count, row.derived_count)
 
@@ -502,7 +497,7 @@ def _rsu_resolution(
 
 
 def _rsu_service_query(
-    state: RsuState, msg: Message, sender_role: Role, now: float, ids: MessageIdSource
+    state: RsuState, msg: Message, sender: RoleKind, now: float, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Answer a service lookup with the nearest registered entry."""
     first = _first_receipt(state, msg)
@@ -588,7 +583,7 @@ def handle_official(
 ) -> List[OutgoingAction]:
     """Address a report this vehicle responds to; set off on the RSU's
     acknowledgement of the addressing notice."""
-    if state.role.kind is not RoleKind.OFFICIAL_VEHICLE:
+    if state.entity.kind is not RoleKind.OFFICIAL_VEHICLE:
         raise ValueError("handle_official requires an official vehicle")
     if msg.kind in OFFICIAL_RESPONSE_KINDS and state.responder:
         if msg.road in state.incidents:
@@ -702,12 +697,12 @@ def official_resolve(
 
 
 def handle_ta(
-    state: TaState, msg: Message, now: float, *, reporting_rsu: Optional[EntityId] = None
+    state: TaState, msg: Message, now: float, *, reporting_rsu: Optional[int] = None
 ) -> List[OutgoingAction]:
     """Schedule one resolution notice per report id back to the reporting
     RSU, the authority's service delay after the first receipt;
     non-authority kinds are dropped."""
-    if state.role.kind is not RoleKind.TA:
+    if state.entity.kind is not RoleKind.TA:
         raise ValueError("handle_ta requires the TA")
     if msg.kind not in TA_REPORT_KINDS or msg.id in state.seen:
         return []
@@ -721,7 +716,7 @@ def ta_resolve(
     road: str,
     kind: MessageKind,
     report_id: str,
-    reporting_rsu: Optional[EntityId],
+    reporting_rsu: Optional[int],
     now: float,
     *,
     ids: MessageIdSource,

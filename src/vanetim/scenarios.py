@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
-from .domain import ActionSource, MessageKind, RoleKind
+from .domain import ActionSource, MessageKind, RoleKind, role_of_label
 from .protocol import ServiceEntry
 
 
@@ -133,8 +133,6 @@ def _matches(record, step: Step) -> bool:
     if step.to_role is not None:
         if record.receiver == "*":
             return False
-        from .domain import role_of_label
-
         if role_of_label(record.receiver) is not step.to_role:
             return False
     return True

@@ -19,7 +19,6 @@ from vanetim.domain import (
     MessageKind,
     RESOLUTION_KINDS,
     RoleKind,
-    VEHICLE,
     make_message,
     relayed_copy,
 )
@@ -143,8 +142,8 @@ def test_criterion_04_rule_table_exactness(ids):
 
     ok = True
 
-    def counts(state, msg, sender_role, now):
-        actions = handle_rsu(state, msg, sender_role, now, ids=ids)
+    def counts(state, msg, sender, now):
+        actions = handle_rsu(state, msg, sender, now, ids=ids)
         return (
             len(broadcasts(actions, msg.kind)),
             len(broadcasts(actions, MessageKind.AVOID_ROAD))
@@ -152,8 +151,7 @@ def test_criterion_04_rule_table_exactness(ids):
             else 0,
         )
 
-    from vanetim.domain import RSU as RSU_ROLE
-
+    VEHICLE, RSU_ROLE = RoleKind.REGULAR_VEHICLE, RoleKind.RSU
     reporter = EntityId(17, VEHICLE)
     state = fresh_rsu()
     accident = make_message(MessageKind.ACCIDENT, "X", reporter, 550.0, ids=ids)
@@ -254,8 +252,8 @@ def _simulate_static_flood(positions, origin, radius, policy):
 
 
 def test_criterion_06_flood_oracle_equivalence():
-    positions = {EntityId(i, VEHICLE): (i * 200.0, 0.0) for i in range(5)}
-    origin = EntityId(0, VEHICLE)
+    positions = {EntityId(i): (i * 200.0, 0.0) for i in range(5)}
+    origin = EntityId(0)
     sim = _simulate_static_flood(positions, origin, 300.0, HOP4)
     oracle = _bfs_flood_oracle(positions, origin, 300.0, HOP4.max_hops)
     ok = sim[0] == oracle[0] == 4 and sim[1] == oracle[1] and len(sim[1]) == 5

@@ -5,26 +5,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vanetim.domain import (
-    AMBULANCE,
     ClockInversionError,
     EntityId,
-    FIRE_SERVICE,
     Message,
     MessageIdSource,
     MessageKind,
-    OfficialService,
-    POLICE,
     Priority,
-    RSU,
-    Role,
     RoleKind,
-    TA,
-    VEHICLE,
     age,
     make_message,
     relayed_copy,
     role_of_label,
 )
+
+VEHICLE = RoleKind.REGULAR_VEHICLE
+POLICE = RoleKind.OFFICIAL_VEHICLE
+RSU = RoleKind.RSU
+TA = RoleKind.TA
 
 
 class TestRolesAndLabels:
@@ -33,8 +30,6 @@ class TestRolesAndLabels:
         assert EntityId(0, POLICE).label == "P0"
         assert EntityId(3, RSU).label == "RSU3"
         assert EntityId(0, TA).label == "TA"
-        assert EntityId(1, AMBULANCE).label == "AMB1"
-        assert EntityId(2, FIRE_SERVICE).label == "FS2"
 
     def test_role_of_label_round_trip(self):
         for entity in (
@@ -42,9 +37,8 @@ class TestRolesAndLabels:
             EntityId(0, POLICE),
             EntityId(3, RSU),
             EntityId(0, TA),
-            EntityId(1, AMBULANCE),
         ):
-            assert role_of_label(entity.label) is entity.role.kind
+            assert role_of_label(entity.label) is entity.kind
 
     def test_role_of_label_rejects_junk(self):
         with pytest.raises(ValueError):
@@ -53,12 +47,6 @@ class TestRolesAndLabels:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             EntityId(-1, VEHICLE)
-
-    def test_official_role_requires_service(self):
-        with pytest.raises(ValueError):
-            Role(RoleKind.OFFICIAL_VEHICLE)
-        with pytest.raises(ValueError):
-            Role(RoleKind.REGULAR_VEHICLE, OfficialService.POLICE)
 
 
 class TestMakeMessage:

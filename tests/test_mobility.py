@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from static_world import StaticWorld
-from vanetim.domain import EntityId, VEHICLE
+from vanetim.domain import EntityId
 from vanetim.mobility import CircularWorld, MobilityConfig, VehicleKinematics
 from vanetim.protocol import SpeedHistory, detect_jam
 
 
 def make_world(fleet=1, **cfg_kwargs):
     cfg = MobilityConfig(**cfg_kwargs)
-    queue = [EntityId(i, VEHICLE) for i in range(fleet)]
+    queue = [EntityId(i) for i in range(fleet)]
     return CircularWorld(cfg, queue)
 
 
@@ -135,7 +135,7 @@ def rings(draw):
 
 
 def build_ring(cfg, states, blockages):
-    world = CircularWorld(cfg, [EntityId(i, VEHICLE) for i in range(len(states))])
+    world = CircularWorld(cfg, [EntityId(i) for i in range(len(states))])
     for i, (arc, speed) in enumerate(states):
         world.vehicles.append(
             VehicleKinematics(world.spawn_queue[i], arc, speed=speed)
@@ -200,7 +200,7 @@ class TestInjectFlow:
 class TestNeighbours:
     def line(self, spacing, count):
         return StaticWorld(
-            {EntityId(i, VEHICLE): (i * spacing, 0.0) for i in range(count)}
+            {EntityId(i): (i * spacing, 0.0) for i in range(count)}
         )
 
     def test_in_range_pair(self):
@@ -216,7 +216,7 @@ class TestNeighbours:
 
     def test_line_of_five_query_middle(self):
         world = self.line(200.0, 5)
-        middle = EntityId(2, VEHICLE)
+        middle = EntityId(2)
         found = set(world.neighbours_within(middle, 300.0))
         # brute-force pairwise oracle
         oracle = {

@@ -7,11 +7,7 @@ from vanetim.domain import (
     ActionSource,
     EntityId,
     MessageKind,
-    POLICE,
-    RSU,
     RoleKind,
-    TA,
-    VEHICLE,
     make_message,
     relayed_copy,
 )
@@ -28,6 +24,11 @@ from vanetim.netsim import (
 from vanetim.protocol import Arm, Broadcast
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
+
+VEHICLE = RoleKind.REGULAR_VEHICLE
+POLICE = RoleKind.OFFICIAL_VEHICLE
+RSU = RoleKind.RSU
+TA = RoleKind.TA
 
 
 def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0,
@@ -88,7 +89,9 @@ class TestBroadcast:
         place(engine, [200.0, 300.0, 2200.0, 2300.0])
         sender = 0
         assert len(engine.world.neighbours_within(sender, 300.0)) == 3
-        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
+        msg = make_message(
+            MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
+        )
         deliveries = engine.broadcast(msg, sender, 10.0)
         assert len(deliveries) == 3
         assert len(engine.trace) == 1
@@ -98,7 +101,9 @@ class TestBroadcast:
         engine = tiny_engine(1, mobility=MobilityConfig(rsu_count=1))
         place(engine, [2000.0])  # the one RSU, at arc 0, is across the ring
         sender = 0
-        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
+        msg = make_message(
+            MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
+        )
         assert engine.broadcast(msg, sender, 10.0) == []
         assert engine.metrics.total == 1
 
@@ -106,7 +111,9 @@ class TestBroadcast:
         engine = tiny_engine(5)
         place(engine, [0.0, 200.0, 400.0, 600.0, 800.0])
         sender = 2
-        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[2], 10.0, ids=engine.ids)
+        msg = make_message(
+            MessageKind.ACCIDENT, "X", engine.states[2].entity, 10.0, ids=engine.ids
+        )
         delivered = {receiver for _, receiver in engine.broadcast(msg, sender, 10.0)}
         oracle = set(engine.world.neighbours_within(sender, 300.0))
         assert delivered == oracle
@@ -117,7 +124,7 @@ class TestBroadcast:
             place(engine, [0.0, 150.0, 300.0, 450.0, 600.0])
             sender = 2
             msg = make_message(
-                MessageKind.ACCIDENT, "X", engine.entities[2], 10.0, ids=engine.ids
+                MessageKind.ACCIDENT, "X", engine.states[2].entity, 10.0, ids=engine.ids
             )
             return [receiver for _, receiver in engine.broadcast(msg, sender, 10.0)]
 
@@ -128,38 +135,46 @@ class TestBroadcast:
         assert lossy == delivered(1, 0.6)  # same seed, same outcome
 
 
+RSU3 = EntityId(3, RSU)  # origin of the wired test messages
+
+
+def slots(engine, *labels):
+    return [engine.labels.index(label) for label in labels]
+
+
 class TestWired:
     def test_rsu_to_rsu_and_rsu_to_ta(self):
         engine = tiny_engine(1)
-        rsu3, rsu4 = EntityId(3, RSU), EntityId(4, RSU)
-        msg = make_message(MessageKind.ACCIDENT, "X", rsu3, 10.0, ids=engine.ids)
-        at, to = engine.wired_send(msg, engine.slot_of[rsu3.label], rsu4, 10.0)
+        rsu3, rsu4, ta = slots(engine, "RSU3", "RSU4", "TA")
+        msg = make_message(MessageKind.ACCIDENT, "X", RSU3, 10.0, ids=engine.ids)
+        at, to = engine.wired_send(msg, rsu3, rsu4, 10.0)
         assert to == rsu4 and at > 10.0
-        at, to = engine.wired_send(msg, engine.slot_of[rsu3.label], engine.ta, 10.0)
-        assert to.role is TA
+        at, to = engine.wired_send(msg, rsu3, ta, 10.0)
+        assert engine.states[to].entity.kind is TA
+        assert [record.receiver for record in engine.trace] == ["RSU4", "TA"]
 
     def test_wired_to_vehicle_rejected(self):
         engine = tiny_engine(1)
-        rsu3 = EntityId(3, RSU)
-        msg = make_message(MessageKind.ACCIDENT, "X", rsu3, 10.0, ids=engine.ids)
+        (rsu3,) = slots(engine, "RSU3")
+        msg = make_message(MessageKind.ACCIDENT, "X", RSU3, 10.0, ids=engine.ids)
         with pytest.raises(ValueError):
-            engine.wired_send(msg, engine.slot_of[rsu3.label], EntityId(0, VEHICLE), 10.0)
+            engine.wired_send(msg, rsu3, 0, 10.0)  # slot 0 is V0
 
     def test_wired_target_receives(self, monkeypatch):
         engine = tiny_engine(1)
-        rsu3, rsu4 = EntityId(3, RSU), EntityId(4, RSU)
+        rsu3, rsu4, ta = slots(engine, "RSU3", "RSU4", "TA")
         by_rsu = spy_on(monkeypatch, "handle_rsu")
         by_ta = spy_on(monkeypatch, "handle_ta")
-        accident = make_message(MessageKind.ACCIDENT, "X", rsu3, 10.0, ids=engine.ids)
-        debris = make_message(MessageKind.DEBRIS, "X", rsu3, 10.0, ids=engine.ids)
-        engine.wired_send(accident, engine.slot_of[rsu3.label], rsu4, 10.0)
-        engine.wired_send(debris, engine.slot_of[rsu3.label], engine.ta, 10.0)
+        accident = make_message(MessageKind.ACCIDENT, "X", RSU3, 10.0, ids=engine.ids)
+        debris = make_message(MessageKind.DEBRIS, "X", RSU3, 10.0, ids=engine.ids)
+        engine.wired_send(accident, rsu3, rsu4, 10.0)
+        engine.wired_send(debris, rsu3, ta, 10.0)
         run_until(engine, 10.0 + netsim.WIRED_LATENCY)
         assert [call[:3] for call in by_rsu] == [
-            (rsu4, accident.id, ((RSU, 10.005), {"ids": engine.ids}))
+            (EntityId(4, RSU), accident.id, ((RSU, 10.005), {"ids": engine.ids}))
         ]
         assert [call[:3] for call in by_ta] == [
-            (engine.ta, debris.id, ((10.005,), {"reporting_rsu": rsu3}))
+            (EntityId(0, TA), debris.id, ((10.005,), {"reporting_rsu": rsu3}))
         ]
 
 
@@ -182,6 +197,21 @@ class TestTrialSetupValidation:
     def test_reporter_must_exist(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=10)
         with pytest.raises(ValueError, match="V17"):
+            setup.validate()
+
+    def test_police_reporter_must_exist(self):
+        # with one police vehicle, P1 would first be looked up at the report
+        script = build_scenario("diversion", reporter="P1")
+        setup = TrialSetup(script=script, policy=HOP4, vehicles=19, police=1)
+        with pytest.raises(ValueError, match="reporter P1"):
+            setup.validate()
+
+    @pytest.mark.parametrize("responder", ["P3", "V0"])
+    def test_responder_must_be_a_police_vehicle_in_the_fleet(self, responder):
+        # otherwise no official vehicle attends and the accident never clears
+        script = build_scenario("accident-police", responder=responder)
+        setup = TrialSetup(script=script, policy=HOP4, vehicles=21, police=1)
+        with pytest.raises(ValueError, match=f"responder {responder}"):
             setup.validate()
 
     def test_minimum_police(self):
@@ -390,7 +420,9 @@ class TestBatchedDelivery:
     def test_one_event_per_broadcast(self):
         engine = tiny_engine(4)
         place(engine, [200.0, 300.0, 2200.0, 2300.0])
-        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
+        msg = make_message(
+            MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
+        )
         deliveries = engine.broadcast(msg, 0, 10.0)
         assert len(deliveries) == 3
         assert len(engine._queue) == 1
@@ -404,7 +436,9 @@ class TestDuplicateReceipts:
         engine = tiny_engine(2)
         place(engine, [200.0, 2200.0])  # V0 between RSU0 and RSU1
         calls = spy_on(monkeypatch, "handle_rsu")
-        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
+        msg = make_message(
+            MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
+        )
         engine.broadcast(msg, 0, 10.0)
         engine.broadcast(msg, 0, 10.0)  # a second copy of the same report
         run_until(engine, 10.0 + netsim.HOP_LATENCY)
@@ -420,9 +454,11 @@ class TestDuplicateReceipts:
     def test_duplicate_reaches_the_official_handler(self, monkeypatch):
         engine = tiny_engine(2, scenario="accident-police", police=1)
         place(engine, [1000.0, 1100.0, 3000.0])  # slot 1 is P0, beside V0
-        assert engine.entities[1] == EntityId(0, POLICE)
+        assert engine.states[1].entity == EntityId(0, POLICE)
         calls = spy_on(monkeypatch, "handle_official")
-        msg = make_message(MessageKind.ACCIDENT, "X", engine.entities[0], 10.0, ids=engine.ids)
+        msg = make_message(
+            MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
+        )
         engine.broadcast(msg, 0, 10.0)
         engine.broadcast(msg, 0, 10.0)
         run_until(engine, 10.0 + netsim.HOP_LATENCY)
@@ -440,17 +476,34 @@ class TestSlots:
         # the officials spawn right after the reporter, V0
         assert labels == ["V0", "P0", "P1", "V1", "V2", "V3", "V4"]
         for slot, vehicle in enumerate(world.vehicles):
-            assert engine.entities[slot] == vehicle.entity
+            assert engine.labels[slot] == vehicle.entity.label
             assert engine.states[slot].entity == vehicle.entity
-            assert engine.slot_of[vehicle.entity.label] == slot
+            assert engine._kinds[slot] is vehicle.entity.kind
 
     def test_infrastructure_follows_the_fleet(self):
         engine = tiny_engine(3)
         for i, (slot, arc) in enumerate(engine.world.rsus):
-            assert engine.entities[slot] == EntityId(i, RSU)
+            assert engine.states[slot].entity == EntityId(i, RSU)
+            assert engine.labels[slot] == f"RSU{i}"
             assert engine.states[slot].position == arc
-        assert engine.entities[-1] == engine.ta
-        assert len(engine.states) == len(engine.entities) == 3 + 10 + 1
+        assert engine.states[-1].entity == EntityId(0, TA)
+        assert engine.labels[-1] == "TA"
+        assert len(engine.states) == len(engine.labels) == 3 + 10 + 1
+
+    @pytest.mark.parametrize("police", [0, 2])
+    def test_backbone_ring_and_authority(self, police):
+        scenario = "accident-police" if police else "accident"
+        engine = tiny_engine(3, scenario=scenario, police=police)
+        rsus = [slot for slot, _ in engine.world.rsus]
+        (ta,) = slots(engine, "TA")
+        for i, slot in enumerate(rsus):
+            state = engine.states[slot]
+            # ring predecessor and successor, RSU0 <-> RSU9 included
+            assert state.neighbours == (rsus[i - 1], rsus[(i + 1) % len(rsus)])
+            assert [engine.labels[peer] for peer in state.neighbours] == [
+                f"RSU{(i - 1) % 10}", f"RSU{(i + 1) % 10}"
+            ]
+            assert state.ta == ta
 
 
 class TestCausalOrder:
@@ -462,7 +515,7 @@ class TestCausalOrder:
             return [Arm(now - 1.0, done, ())]
 
         engine = tiny_engine(1)
-        engine._execute(engine.slot_of["TA"], [Arm(600.0, rewind, ())])
+        engine._execute(engine.labels.index("TA"), [Arm(600.0, rewind, ())])
         with pytest.raises(RuntimeError, match="scheduled at 600"):
             engine.run()
 
@@ -486,7 +539,7 @@ class TestTraceFiles:
         record = TraceRecord(
             time=550.01,
             sender="V17",
-            sender_class=VEHICLE.kind,
+            sender_class=VEHICLE,
             receiver="*",
             msg_id="m00000",
             kind=MessageKind.ACCIDENT,

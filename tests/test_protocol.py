@@ -5,10 +5,7 @@ from vanetim.domain import (
     EntityId,
     MessageIdSource,
     MessageKind,
-    POLICE,
-    RSU,
-    TA,
-    VEHICLE,
+    RoleKind,
     make_message,
     relayed_copy,
 )
@@ -48,17 +45,27 @@ from vanetim.protocol import (
 )
 from vanetim.relay import FRESH60, HOP4
 
+VEHICLE = RoleKind.REGULAR_VEHICLE
+POLICE = RoleKind.OFFICIAL_VEHICLE
+RSU = RoleKind.RSU
+TA = RoleKind.TA
+
 V17 = EntityId(17, VEHICLE)
 P0 = EntityId(0, POLICE)
 RSU0 = EntityId(0, RSU)
 RSU1 = EntityId(1, RSU)
-RSU9 = EntityId(9, RSU)
 TA0 = EntityId(0, TA)
+
+# engine slots of a ten-RSU backbone after a 20-vehicle fleet, then the TA
+RSU0_SLOT, RSU1_SLOT, RSU9_SLOT, TA_SLOT = 20, 21, 29, 30
 
 
 def fresh_rsu(index=0, services=ServiceDirectory()):
     return RsuState(
-        entity=EntityId(index, RSU), neighbours=(RSU9, RSU1), ta=TA0, services=services
+        entity=EntityId(index, RSU),
+        neighbours=(RSU9_SLOT, RSU1_SLOT),
+        ta=TA_SLOT,
+        services=services,
     )
 
 
@@ -82,7 +89,7 @@ class TestRuleTable:
 
     def test_unpopulated_rows_yield_zero(self, ids):
         # no row covers an accident first heard from an official vehicle
-        assert (MessageKind.ACCIDENT, POLICE.kind, True) not in DEFAULT_RULE_ROWS
+        assert (MessageKind.ACCIDENT, POLICE, True) not in DEFAULT_RULE_ROWS
         state = fresh_rsu()
         msg = make_message(MessageKind.ACCIDENT, "X", V17, 550.0, ids=ids)
         assert handle_rsu(state, msg, POLICE, 550.0, ids=ids) == []
@@ -154,7 +161,7 @@ class TestRsuResolution:
         # a second, fresh source hands the derived notice the input's id
         actions = handle_rsu(state, msg, POLICE, 700.0, ids=MessageIdSource())
         notices = wired(actions, MessageKind.CLEARED_ROAD)
-        assert [a.to for a in notices] == [RSU9, RSU1]
+        assert [a.to for a in notices] == [RSU9_SLOT, RSU1_SLOT]
         assert all(a.message.id == msg.id for a in notices)
 
     def test_cleared_road_from_rsu(self, ids):
@@ -326,7 +333,7 @@ class TestTrafficAuthority:
         ids = MessageIdSource()
         state = TaState(entity=TA0)
         report = make_message(MessageKind.FLOOD, "X", V17, 600.0, ids=ids)
-        actions = handle_ta(state, report, 600.0, reporting_rsu=RSU0)
+        actions = handle_ta(state, report, 600.0, reporting_rsu=RSU0_SLOT)
         assert len(actions) == 1
         arm = actions[0]
         assert arm.at == 600.0 + TA_SERVICE_DELAY
@@ -334,26 +341,26 @@ class TestTrafficAuthority:
         out = arm.fn(state, *arm.args, arm.at, ids=ids)
         assert len(out) == 1
         assert out[0].message.kind is MessageKind.FLOOD_RESOLVED
-        assert out[0].to == RSU0
+        assert out[0].to == RSU0_SLOT
 
     def test_signal_malfunction_resolution_kind(self):
         ids = MessageIdSource()
         state = TaState(entity=TA0)
         report = make_message(MessageKind.SIGNAL_MALFUNCTION, "X", V17, 600.0, ids=ids)
-        (arm,) = handle_ta(state, report, 600.0, reporting_rsu=RSU0)
+        (arm,) = handle_ta(state, report, 600.0, reporting_rsu=RSU0_SLOT)
         (out,) = ta_resolve(state, *arm.args, arm.at, ids=ids)
         assert out.message.kind is MessageKind.SIGNAL_RESOLVED
 
     def test_non_authority_kind_dropped(self, ids):
         state = TaState(entity=TA0)
         report = make_message(MessageKind.ACCIDENT, "X", V17, 600.0, ids=ids)
-        assert handle_ta(state, report, 600.0, reporting_rsu=RSU0) == []
+        assert handle_ta(state, report, 600.0, reporting_rsu=RSU0_SLOT) == []
 
     def test_duplicate_report_scheduled_once(self, ids):
         state = TaState(entity=TA0)
         report = make_message(MessageKind.FLOOD, "X", V17, 600.0, ids=ids)
-        assert len(handle_ta(state, report, 600.0, reporting_rsu=RSU0)) == 1
-        assert handle_ta(state, report, 601.0, reporting_rsu=RSU1) == []
+        assert len(handle_ta(state, report, 600.0, reporting_rsu=RSU0_SLOT)) == 1
+        assert handle_ta(state, report, 601.0, reporting_rsu=RSU1_SLOT) == []
 
     def test_rsu_escalates_each_report_once(self, ids):
         # one wired send to the TA per message id, however many copies
@@ -361,14 +368,14 @@ class TestTrafficAuthority:
         state = fresh_rsu()
         report = make_message(MessageKind.DEBRIS, "X", V17, 600.0, ids=ids)
         assert handle_rsu(state, report, VEHICLE, 600.0, ids=ids) == [
-            Wired(report, to=TA0, at=600.0)
+            Wired(report, to=TA_SLOT, at=600.0)
         ]
         for now, role in ((601.0, VEHICLE), (602.0, RSU), (603.0, POLICE)):
             copy = relayed_copy(report)
             assert handle_rsu(state, copy, role, now, ids=ids) == []
         again = make_message(MessageKind.DEBRIS, "X", V17, 610.0, ids=ids)
         assert handle_rsu(state, again, RSU, 610.0, ids=ids) == [
-            Wired(again, to=TA0, at=610.0)
+            Wired(again, to=TA_SLOT, at=610.0)
         ]
 
 

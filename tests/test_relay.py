@@ -6,8 +6,7 @@ from vanetim.domain import (
     EntityId,
     MessageIdSource,
     MessageKind,
-    POLICE,
-    VEHICLE,
+    RoleKind,
     make_message,
     relayed_copy,
 )
@@ -19,8 +18,8 @@ from vanetim.relay import (
     should_relay,
 )
 
-V0 = EntityId(0, VEHICLE)
-P0 = EntityId(0, POLICE)
+V0 = EntityId(0, RoleKind.REGULAR_VEHICLE)
+P0 = EntityId(0, RoleKind.OFFICIAL_VEHICLE)
 
 
 def _at_hops(msg, hops):
