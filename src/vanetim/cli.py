@@ -54,8 +54,6 @@ class RunConfig:
             raise ConfigError("police: must not be negative")
         if self.warmup >= self.duration:
             raise ConfigError("warmup: must be less than duration")
-        if not 0.0 <= self.loss < 1.0:
-            raise ConfigError("loss: must be in [0, 1)")
         parse_policy(self.policy)
 
     # -- flat key=value round trip ----------------------------------------

@@ -2,22 +2,24 @@
 
 The road network is a parameterised circular loop; vehicles enter
 one after another from a fixed point and keep a safe gap behind their
-leader with a simple accelerate-or-brake rule. A vehicle's leader is the
-one spawned before it (the previous entry of ``vehicles``), which keeps
-leader lookup O(1). :meth:`CircularWorld.step` is one pass over the list:
-every vehicle reads its leader's position from before the step, then moves.
+leader with a simple accelerate-or-brake rule. Speed target, acceleration,
+length, gaps, entry headway and RSU count are module constants, the same
+for every vehicle and every trial; only the route length varies.
 
 Inside the world every entity is a dense int *slot*: a vehicle's slot is
-its place in the spawn queue, which is also its index in ``vehicles``,
-and RSU ``i`` has slot ``fleet_size + i``. Queries take and return slots,
-so none of them hashes or compares an :class:`EntityId`.
+its place in the spawn order, and RSU ``i`` has slot ``fleet_size + i``.
+A spawned vehicle is its slot's entries in ``positions`` and ``speeds``.
+Queries take and return slots, so none of them hashes or compares an
+entity id. A vehicle's leader is the slot before it, which keeps leader
+lookup O(1). :meth:`CircularWorld.step` is one pass over the slots: every
+vehicle reads its leader's position from before the step, then moves.
 
 :meth:`CircularWorld.neighbours_within` decides by arc distance from the
 centre where the arc settles it, before any trigonometry: an entity beyond
 the arc of a chord as long as the radio range (plus 1 m) is out of range,
 and one within the arc of a chord 1 m shorter than the range is in range.
 Only the entities in the 2 m band between take the exact Euclidean test;
-receivers come back in list order (vehicles, then RSUs), which fixes
+receivers come back in slot order (vehicles, then RSUs), which fixes
 delivery order.
 """
 
@@ -26,53 +28,42 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Sequence, Tuple
-
-from .domain import EntityId
+from typing import List, Tuple
 
 #: metres of slack between the neighbour query's arcs and the radio range,
 #: far above float rounding
 _ARC_WINDOW_MARGIN = 1.0
 
+# the kinematics the model fixes, the same for every vehicle
+TARGET_SPEED = 13.0     # m/s a vehicle accelerates towards
+ACCEL = 2.0             # m/s^2
+STANDSTILL_GAP = 2.0    # metres a vehicle keeps behind its leader's tail
+VEHICLE_LENGTH = 4.5    # metres
+ENTRY_HEADWAY = 2.0     # seconds between two spawns at the entry point
+RSU_COUNT = 10          # RSUs, equally spaced round the loop
+QUEUE_LOOKAHEAD = 50.0  # metres downstream that queue detection looks
+
 
 @dataclass(frozen=True)
 class MobilityConfig:
     route_length: float = 4000.0
-    target_speed: float = 13.0
-    accel: float = 2.0
-    standstill_gap: float = 2.0
-    vehicle_length: float = 4.5
-    entry_headway: float = 2.0
     dt: float = 0.5
-    rsu_count: int = 10
-    queue_lookahead: float = 50.0  # downstream window for queue detection
-
-
-@dataclass
-class VehicleKinematics:
-    entity: EntityId
-    position: float  # arc metres along the route
-    speed: float = 0.0
-    target_speed: float = 13.0
-    length: float = 4.5
 
 
 class CircularWorld:
     """Mutable mobility state for one trial."""
 
-    def __init__(self, cfg: MobilityConfig, spawn_queue: Sequence[EntityId]) -> None:
-        self.cfg = cfg
-        self.route_length = cfg.route_length
-        self.spawn_queue: List[EntityId] = list(spawn_queue)
-        self.next_spawn_index = 0
+    def __init__(self, route_length: float, fleet_size: int) -> None:
+        self.route_length = route_length
+        self.fleet_size = fleet_size
         self.next_spawn_time = 0.0
-        # in spawn order, so a vehicle's slot is its index here
-        self.vehicles: List[VehicleKinematics] = []
+        #: arc metres along the route and speed of each spawned vehicle, by slot
+        self.positions: List[float] = []
+        self.speeds: List[float] = []
         self.blockages: List[float] = []
-        n = max(1, cfg.rsu_count)
         #: (slot, arc) of each RSU, in RSU index order
         self.rsus: List[Tuple[int, float]] = [
-            (self.fleet_size + i, i * cfg.route_length / n) for i in range(n)
+            (fleet_size + i, i * route_length / RSU_COUNT) for i in range(RSU_COUNT)
         ]
         self.check_invariants = False
 
@@ -87,16 +78,16 @@ class CircularWorld:
         return (r * math.cos(theta), r * math.sin(theta))
 
     def arc_of(self, slot: int) -> float:
-        if slot < len(self.vehicles):
-            return self.vehicles[slot].position
-        rsu = slot - len(self.spawn_queue)
+        if slot < len(self.positions):
+            return self.positions[slot]
+        rsu = slot - self.fleet_size
         if rsu < 0:
             raise KeyError(f"vehicle slot {slot} has not spawned")
         return self.rsus[rsu][1]
 
     def entities(self) -> List[int]:
-        """The slots on the road: spawned vehicles in list order, then RSUs."""
-        return list(range(len(self.vehicles))) + [slot for slot, _ in self.rsus]
+        """The slots on the road: spawned vehicles, then RSUs."""
+        return list(range(len(self.positions))) + [slot for slot, _ in self.rsus]
 
     def arc_gap(self, behind: float, ahead: float) -> float:
         return (ahead - behind) % self.route_length
@@ -110,38 +101,23 @@ class CircularWorld:
     # -- spawning ----------------------------------------------------------
 
     @property
-    def fleet_size(self) -> int:
-        return len(self.spawn_queue)
-
-    @property
     def spawned_count(self) -> int:
-        return len(self.vehicles)
+        return len(self.positions)
 
     def inject_flow(self, now: float) -> None:
-        """Spawn the next queued vehicle at the entry point when the entry
-        gap is clear; deferred spawns retry on the next step."""
-        while (
-            self.next_spawn_index < len(self.spawn_queue)
-            and now >= self.next_spawn_time
-        ):
+        """Spawn the next slot's vehicle at rest on the entry point when the
+        entry gap is clear; deferred spawns retry on the next step."""
+        while len(self.positions) < self.fleet_size and now >= self.next_spawn_time:
             if not self._entry_clear():
                 return
-            entity = self.spawn_queue[self.next_spawn_index]
-            vehicle = VehicleKinematics(
-                entity=entity,
-                position=0.0,
-                speed=0.0,
-                target_speed=self.cfg.target_speed,
-                length=self.cfg.vehicle_length,
-            )
-            self.vehicles.append(vehicle)
-            self.next_spawn_index += 1
-            self.next_spawn_time = now + self.cfg.entry_headway
+            self.positions.append(0.0)
+            self.speeds.append(0.0)
+            self.next_spawn_time = now + ENTRY_HEADWAY
 
     def _entry_clear(self) -> bool:
-        required = self.cfg.vehicle_length + self.cfg.standstill_gap
-        for vehicle in self.vehicles:
-            ahead = self.arc_gap(0.0, vehicle.position)
+        required = VEHICLE_LENGTH + STANDSTILL_GAP
+        for position in self.positions:
+            ahead = self.arc_gap(0.0, position)
             if ahead < required or self.route_length - ahead < required:
                 return False
         return True
@@ -153,24 +129,22 @@ class CircularWorld:
         leader's position from before the step (vehicle 0 follows the last)."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        cfg = self.cfg
-        vehicles = self.vehicles
+        positions, speeds = self.positions, self.speeds
         length = self.route_length
         blockages = self.blockages
-        accel_dt = cfg.accel * dt
-        standstill = cfg.standstill_gap
-        followed = len(vehicles) > 1
-        if vehicles:
-            ahead, ahead_length = vehicles[-1].position, vehicles[-1].length
+        accel_dt = ACCEL * dt
+        target, standstill, car_length = TARGET_SPEED, STANDSTILL_GAP, VEHICLE_LENGTH
+        followed = len(positions) > 1
+        if positions:
+            ahead = positions[-1]
         # each comparison below picks the operand min() or max() would, ties
         # included, so speeds and positions are the same floats as theirs
-        for vehicle in vehicles:
-            position = vehicle.position
-            speed = vehicle.speed + accel_dt
-            if not speed < vehicle.target_speed:
-                speed = vehicle.target_speed
+        for slot, position in enumerate(positions):
+            speed = speeds[slot] + accel_dt
+            if not speed < target:
+                speed = target
             # clear distance ahead: the leader's tail, or a nearer blockage
-            gap = (ahead - position) % length - ahead_length if followed else math.inf
+            gap = (ahead - position) % length - car_length if followed else math.inf
             for blockage in blockages:
                 arc = (blockage - position) % length
                 if arc < gap:
@@ -183,29 +157,30 @@ class CircularWorld:
                     cap = 0.0
                 if cap < speed:
                     speed = cap
-            ahead, ahead_length = position, vehicle.length
-            vehicle.speed = speed
-            vehicle.position = (position + speed * dt) % length
+            ahead = position
+            speeds[slot] = speed
+            positions[slot] = (position + speed * dt) % length
         if self.check_invariants:
             self._assert_no_overlap()
 
     def _assert_no_overlap(self) -> None:
-        n = len(self.vehicles)
+        positions = self.positions
+        n = len(positions)
         if n < 2:
             return
-        for i, vehicle in enumerate(self.vehicles):
-            leader = self.vehicles[i - 1]
-            gap = self.arc_gap(vehicle.position, leader.position) - leader.length
-            if gap < self.cfg.standstill_gap - 1e-9:
+        for slot, position in enumerate(positions):
+            leader = (slot - 1) % n
+            gap = self.arc_gap(position, positions[leader]) - VEHICLE_LENGTH
+            if gap < STANDSTILL_GAP - 1e-9:
                 raise AssertionError(
-                    f"gap violation: {vehicle.entity} at {gap:.3f} m behind {leader.entity}"
+                    f"gap violation: slot {slot} at {gap:.3f} m behind slot {leader}"
                 )
 
     # -- protocol-facing queries ------------------------------------------
 
     def neighbours_within(self, center: int, radius: float) -> List[int]:
         """The slots of all entities within Euclidean range of slot
-        ``center``, excluding it, vehicles in list order then RSUs. Chord
+        ``center``, excluding it, in slot order (vehicles, then RSUs). Chord
         length rises with arc length, so entities beyond
         ``chord_for_radius(radius)`` of arc are skipped, and those within
         ``chord_for_radius(radius - 1)`` are in range without the Euclidean
@@ -221,8 +196,7 @@ class CircularWorld:
         sure = self.chord_for_radius(max(radius - _ARC_WINDOW_MARGIN, 0.0))
         sure_far = length - sure
         found: List[int] = []
-        vehicles = enumerate([v.position for v in self.vehicles])
-        for slot, arc in chain(vehicles, self.rsus):
+        for slot, arc in chain(enumerate(self.positions), self.rsus):
             offset = (arc - center_arc) % length
             # more than the window of arc away, one way round or the other
             if window < offset < far or slot == center:
@@ -240,7 +214,7 @@ class CircularWorld:
         """True iff vehicle slot b lies ahead of vehicle slot a along the
         travel direction, within half the loop; the diametrically-opposite
         tie resolves to False."""
-        fleet = len(self.spawn_queue)
+        fleet = self.fleet_size
         if a >= fleet or b >= fleet:
             raise ValueError("downstream ordering is defined for vehicles only")
         ahead = self.arc_gap(self.arc_of(a), self.arc_of(b))
@@ -248,17 +222,18 @@ class CircularWorld:
 
     def queue_ahead(self, slot: int) -> bool:
         """A slower or stopped obstruction within the lookahead window."""
-        vehicle = self.vehicles[slot]
+        positions, speeds = self.positions, self.speeds
+        position = positions[slot]
         for blockage in self.blockages:
-            if self.arc_gap(vehicle.position, blockage) <= self.cfg.queue_lookahead:
+            if self.arc_gap(position, blockage) <= QUEUE_LOOKAHEAD:
                 return True
-        if len(self.vehicles) < 2:
+        if len(positions) < 2:
             return False
-        leader = self.vehicles[slot - 1]
-        ahead = self.arc_gap(vehicle.position, leader.position) - leader.length
-        if ahead > self.cfg.queue_lookahead:
+        ahead = self.arc_gap(position, positions[slot - 1]) - VEHICLE_LENGTH
+        if ahead > QUEUE_LOOKAHEAD:
             return False
-        return leader.speed < vehicle.speed or leader.speed < 0.1
+        leader_speed = speeds[slot - 1]
+        return leader_speed < speeds[slot] or leader_speed < 0.1
 
     # -- incidents ---------------------------------------------------------
 

@@ -8,11 +8,13 @@ events, so the mobility tick stops once no event is due by the end of the
 run: a later step could not reach the trace. An event due before the
 current time is an error, not a reordering.
 
-Every entity is a dense int slot fixed at set-up: the spawn queue (so a
-vehicle's slot is its index in ``world.vehicles``), then the RSUs, then
-the TA. State, trace labels and role kinds are slot-indexed lists; events,
-``Wired`` targets and handler addresses are slots. An :class:`EntityId`
-remains only as each state's own identity and as a message's origin.
+Every entity is a dense int slot fixed at set-up: the vehicles in spawn
+order (a vehicle's slot indexes ``world.positions`` and ``world.speeds``),
+then the RSUs, then the TA. State, trace labels and role kinds are
+slot-indexed lists; events, ``Wired`` targets and handler addresses are
+slots. An :class:`EntityId` remains only as each state's own identity and
+as a message's origin. The kinematics are :mod:`vanetim.mobility`
+constants; a set-up varies only the route length and the step ``dt``.
 
 A radio broadcast is one event, one hop latency after the send, that hands
 the shared relayed copy to its receivers in order. Per-receiver events
@@ -50,7 +52,13 @@ from .domain import (
     role_of_label,
 )
 from .metrics import TrialMetrics
-from .mobility import CircularWorld, MobilityConfig
+from .mobility import (
+    ENTRY_HEADWAY,
+    STANDSTILL_GAP,
+    VEHICLE_LENGTH,
+    CircularWorld,
+    MobilityConfig,
+)
 from .protocol import (
     Arm,
     Broadcast,
@@ -119,6 +127,8 @@ class TrialSetup:
                 raise ValueError(f"{name} must be finite and positive")
         if not (math.isfinite(self.net.relay_hold) and self.net.relay_hold >= 0):
             raise ValueError("relay hold must be finite and not negative")
+        if not 0.0 <= self.net.loss < 1.0:  # NaN fails too
+            raise ValueError("loss must be in [0, 1)")
         script = self.script
         if self.police < script.min_police:
             raise ValueError(
@@ -141,15 +151,15 @@ class TrialSetup:
         if script.report_time < self.warmup:
             raise ValueError("incident report must not fall inside the warm-up")
         fleet = self.vehicles + self.police
-        footprint = mob.vehicle_length + mob.standstill_gap
+        footprint = VEHICLE_LENGTH + STANDSTILL_GAP
         if fleet * footprint > mob.route_length:
             raise ValueError(
                 f"{fleet} vehicles of {footprint} m each do not fit on a "
                 f"{mob.route_length} m route"
             )
-        if (fleet - 1) * mob.entry_headway >= self.warmup:
+        if (fleet - 1) * ENTRY_HEADWAY >= self.warmup:
             raise ValueError(
-                f"{fleet} vehicles at a {mob.entry_headway} s entry headway cannot all "
+                f"{fleet} vehicles at a {ENTRY_HEADWAY} s entry headway cannot all "
                 f"spawn before the {self.warmup} s warm-up ends"
             )
 
@@ -226,7 +236,7 @@ class Engine:
         officials = [EntityId(i, RoleKind.OFFICIAL_VEHICLE) for i in range(setup.police)]
         split = min(script.reporter_index + 1, len(regulars))
         spawn_queue = regulars[:split] + officials + regulars[split:]
-        self.world = CircularWorld(setup.mobility, spawn_queue)
+        self.world = CircularWorld(setup.mobility.route_length, len(spawn_queue))
         services = ServiceDirectory(
             entries=tuple(script.services), route_length=setup.mobility.route_length
         )
@@ -340,16 +350,12 @@ class Engine:
             self._schedule(at, self._deliver, copy, receivers, sender)
         return [(at, receiver) for receiver in receivers]
 
-    def wired_send(
-        self, msg: Message, sender: int, to: int, now: float
-    ) -> Tuple[float, int]:
+    def wired_send(self, msg: Message, sender: int, to: int, now: float) -> None:
         for kind in (self._kinds[sender], self._kinds[to]):
             if kind not in (RoleKind.RSU, RoleKind.TA):
                 raise ValueError("wired links join infrastructure nodes only")
         self._record(msg, sender, self.labels[to], ActionSource.WIRED)
-        at = now + WIRED_LATENCY
-        self._schedule(at, self._deliver, msg, (to,), sender)
-        return at, to
+        self._schedule(now + WIRED_LATENCY, self._deliver, msg, (to,), sender)
 
     def _hold_delay(self, msg: Message) -> float:
         if msg.priority is Priority.OFFICIAL:

@@ -7,6 +7,7 @@ from vanetim.cli import (
     EXIT_OK,
     RunConfig,
     main,
+    make_setup,
     parse_policy,
 )
 from vanetim.netsim import parse_trace
@@ -61,8 +62,9 @@ class TestRunConfig:
             RunConfig(trials=0).validate()
         with pytest.raises(ConfigError):
             RunConfig(warmup=2000.0).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(loss=1.0).validate()
+        # the loss rate is a model bound, checked with the trial set-up
+        with pytest.raises(ValueError, match="loss"):
+            make_setup(RunConfig(loss=1.0)).validate()
         with pytest.raises(ConfigError):
             RunConfig(policy="carrier-pigeon").validate()
 
@@ -172,6 +174,11 @@ class TestRunCommand:
     ])
     def test_non_finite_input_is_config_error(self, tmp_path, flag, value):
         code = main(["run", flag, value, "--trials", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("loss", ["1.5", "-0.2", "nan"])
+    def test_loss_outside_unit_interval_is_config_error(self, tmp_path, loss):
+        code = main(["run", "--loss", loss, "--trials", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("key, value", [

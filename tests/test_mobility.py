@@ -6,33 +6,45 @@ from hypothesis import strategies as st
 
 from static_world import StaticWorld
 from vanetim.domain import EntityId
-from vanetim.mobility import CircularWorld, MobilityConfig, VehicleKinematics
+from vanetim.mobility import (
+    ACCEL,
+    STANDSTILL_GAP,
+    TARGET_SPEED,
+    VEHICLE_LENGTH,
+    CircularWorld,
+    MobilityConfig,
+)
 from vanetim.protocol import SpeedHistory, detect_jam
 
+DT = MobilityConfig().dt
 
-def make_world(fleet=1, **cfg_kwargs):
-    cfg = MobilityConfig(**cfg_kwargs)
-    queue = [EntityId(i) for i in range(fleet)]
-    return CircularWorld(cfg, queue)
+
+def make_world(fleet=1):
+    return CircularWorld(MobilityConfig().route_length, fleet)
 
 
 def spawn_all(world, until=500.0):
     t = 0.0
     while t <= until and world.spawned_count < world.fleet_size:
         world.inject_flow(t)
-        world.step(world.cfg.dt)
-        t += world.cfg.dt
+        world.step(DT)
+        t += DT
     return t
+
+
+def place(world, arcs):
+    for slot, arc in enumerate(arcs):
+        world.positions[slot] = arc % world.route_length
 
 
 class TestFreeFlow:
     def test_single_vehicle_ramps_to_target(self):
-        world = make_world(1, dt=1.0)
+        world = make_world(1)
         world.inject_flow(0.0)
         speeds = []
         for _ in range(10):
             world.step(1.0)
-            speeds.append(world.vehicles[0].speed)
+            speeds.append(world.speeds[0])
         # accelerates 2 m/s^2 up to the 13 m/s target, then holds
         assert speeds[:6] == [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
         assert all(s == 13.0 for s in speeds[7:])
@@ -42,21 +54,19 @@ class TestCarFollowing:
     def test_follower_stops_behind_stopped_leader(self):
         world = make_world(2)
         world.inject_flow(0.0)
-        leader = world.vehicles[0]
-        leader.position = 100.0
-        leader.speed = 0.0
-        leader.target_speed = 0.0  # parked: it must not pull away
-        follower_entity = world.spawn_queue[1]
+        leader, follower = 0, 1
+        world.positions[leader] = 100.0
+        world.speeds[leader] = 0.0
+        world.add_blockage(102.0)  # parked: it must not pull away
         world.inject_flow(10.0)
-        follower = world.vehicles[1]
-        follower.position = 90.0  # 10 m behind a stopped leader
+        world.positions[follower] = 90.0  # 10 m behind a stopped leader
         world.check_invariants = True
         for _ in range(100):
             world.step(0.5)
-        assert follower.speed == 0.0
-        gap = world.arc_gap(follower.position, leader.position) - leader.length
-        assert gap >= world.cfg.standstill_gap - 1e-9
-        assert follower.entity == follower_entity
+        assert world.positions[leader] == 100.0
+        assert world.speeds[follower] == 0.0
+        gap = world.arc_gap(world.positions[follower], world.positions[leader])
+        assert gap - VEHICLE_LENGTH >= STANDSTILL_GAP - 1e-9
 
     def test_no_overlap_through_a_long_run(self):
         world = make_world(30)
@@ -74,9 +84,8 @@ class TestCarFollowing:
         spawn_all(world)
         for _ in range(400):
             world.step(0.5)
-        head = world.vehicles[0]
-        assert head.speed == 0.0
-        assert world.arc_gap(head.position, 200.0) >= world.cfg.standstill_gap - 1e-9
+        assert world.speeds[0] == 0.0
+        assert world.arc_gap(world.positions[0], 200.0) >= STANDSTILL_GAP - 1e-9
 
     def test_step_rejects_bad_dt(self):
         with pytest.raises(ValueError):
@@ -85,29 +94,27 @@ class TestCarFollowing:
 
 def oracle_leader_gap(world, i):
     """The clear distance ahead of vehicle i, as the two-loop step found it."""
-    vehicle = world.vehicles[i]
+    position = world.positions[i]
     gap = math.inf
-    if len(world.vehicles) > 1:
-        leader = world.vehicles[i - 1]
-        gap = world.arc_gap(vehicle.position, leader.position) - leader.length
+    if world.spawned_count > 1:
+        gap = world.arc_gap(position, world.positions[i - 1]) - VEHICLE_LENGTH
     for blockage in world.blockages:
-        gap = min(gap, world.arc_gap(vehicle.position, blockage))
+        gap = min(gap, world.arc_gap(position, blockage))
     return gap
 
 
 def oracle_step(world, dt):
     """The two-loop step: every new speed from the old state, then every move."""
-    cfg = world.cfg
     speeds = []
-    for i, vehicle in enumerate(world.vehicles):
-        desired = min(vehicle.target_speed, vehicle.speed + cfg.accel * dt)
+    for i, speed in enumerate(world.speeds):
+        desired = min(TARGET_SPEED, speed + ACCEL * dt)
         gap = oracle_leader_gap(world, i)
         if math.isfinite(gap):
-            desired = min(desired, max(0.0, (gap - cfg.standstill_gap) / dt))
+            desired = min(desired, max(0.0, (gap - STANDSTILL_GAP) / dt))
         speeds.append(desired)
-    for vehicle, speed in zip(world.vehicles, speeds):
-        vehicle.speed = speed
-        vehicle.position = (vehicle.position + speed * dt) % world.route_length
+    for i, speed in enumerate(speeds):
+        world.speeds[i] = speed
+        world.positions[i] = (world.positions[i] + speed * dt) % world.route_length
 
 
 ARCS = st.one_of(
@@ -123,10 +130,10 @@ def rings(draw):
     or exactly one acceleration step below the target speed."""
     dt = draw(st.one_of(st.sampled_from([0.5, 0.25, 1.0]), st.floats(0.05, 1.0)))
     cfg = MobilityConfig(dt=dt)
-    edge = cfg.target_speed - cfg.accel * dt
+    edge = TARGET_SPEED - ACCEL * dt
     speed = st.one_of(
-        st.floats(0.0, cfg.target_speed, allow_nan=False),
-        st.sampled_from([0.0, edge, cfg.target_speed]),
+        st.floats(0.0, TARGET_SPEED, allow_nan=False),
+        st.sampled_from([0.0, edge, TARGET_SPEED]),
     )
     n = draw(st.integers(1, 40))
     states = draw(st.lists(st.tuples(ARCS, speed), min_size=n, max_size=n))
@@ -135,18 +142,17 @@ def rings(draw):
 
 
 def build_ring(cfg, states, blockages):
-    world = CircularWorld(cfg, [EntityId(i) for i in range(len(states))])
-    for i, (arc, speed) in enumerate(states):
-        world.vehicles.append(
-            VehicleKinematics(world.spawn_queue[i], arc, speed=speed)
-        )
+    world = CircularWorld(cfg.route_length, len(states))
+    for arc, speed in states:
+        world.positions.append(arc)
+        world.speeds.append(speed)
     for arc in blockages:
         world.add_blockage(arc)
     return world
 
 
 def bits(world):
-    return [(v.position.hex(), v.speed.hex()) for v in world.vehicles]
+    return [(p.hex(), s.hex()) for p, s in zip(world.positions, world.speeds)]
 
 
 class TestStepExactness:
@@ -162,11 +168,11 @@ class TestStepExactness:
 
     def test_edge_speed_reaches_target_exactly(self):
         cfg = MobilityConfig()
-        edge = cfg.target_speed - cfg.accel * cfg.dt
-        assert edge + cfg.accel * cfg.dt == cfg.target_speed
+        edge = TARGET_SPEED - ACCEL * cfg.dt
+        assert edge + ACCEL * cfg.dt == TARGET_SPEED
         world = build_ring(cfg, [(0.0, edge)], [])
         world.step(cfg.dt)
-        assert world.vehicles[0].speed == cfg.target_speed
+        assert world.speeds[0] == TARGET_SPEED
 
 
 class TestInjectFlow:
@@ -180,13 +186,21 @@ class TestInjectFlow:
         assert finished <= 46.0
 
     def test_blocked_entry_defers_spawn(self):
+        self.check_entry_blocked_by(1.0)  # parked just ahead of the entry point
+
+    def test_entry_blocked_from_behind_across_the_wrap(self):
+        # 2 m behind the entry point: within VEHICLE_LENGTH + STANDSTILL_GAP
+        self.check_entry_blocked_by(3998.0)
+
+    @staticmethod
+    def check_entry_blocked_by(parked):
         world = make_world(2)
         world.inject_flow(0.0)
-        world.vehicles[0].position = 1.0  # parked on the entry point
-        world.vehicles[0].speed = 0.0
+        world.positions[0] = parked
+        world.speeds[0] = 0.0
         world.inject_flow(10.0)
         assert world.spawned_count == 1  # second spawn deferred
-        world.vehicles[0].position = 500.0
+        world.positions[0] = 500.0
         world.inject_flow(10.5)
         assert world.spawned_count == 2
 
@@ -256,8 +270,7 @@ class TestNeighbours:
         world = make_world(len(arcs))
         spawn_all(world)
         # list order need not be ring order
-        for vehicle, arc in zip(world.vehicles, arcs):
-            vehicle.position = arc
+        place(world, arcs)
         for center in world.entities():
             assert world.neighbours_within(center, radius) == self.brute_force(
                 world, center, radius
@@ -280,8 +293,7 @@ class TestNeighbours:
                  center_arc - sure + 1e-9, center_arc - sure - 1e-9]
         # inside the arc window but out of range
         arcs += [center_arc + edge + 0.5, center_arc - edge - 0.5]
-        for vehicle, arc in zip(world.vehicles, arcs):
-            vehicle.position = arc % world.route_length
+        place(world, arcs)
         for center in world.entities():
             assert world.neighbours_within(center, radius) == self.brute_force(
                 world, center, radius
@@ -292,8 +304,7 @@ class TestNeighbours:
         spawn_all(world)
         sure = world.chord_for_radius(299.0)
         # either side of the centre, the far one across the wrap
-        for vehicle, arc in zip(world.vehicles, [10.0, 10.0 + sure, 10.0 - sure]):
-            vehicle.position = arc % world.route_length
+        place(world, [10.0, 10.0 + sure, 10.0 - sure])
         calls = []
         point_of_arc = world.point_of_arc
         monkeypatch.setattr(
@@ -311,16 +322,16 @@ class TestDownstream:
         world = make_world(2)
         spawn_all(world)
         a, b = 1, 0
-        world.vehicles[1].position = 100.0
-        world.vehicles[0].position = 150.0  # b is 50 m ahead of a
+        world.positions[1] = 100.0
+        world.positions[0] = 150.0  # b is 50 m ahead of a
         assert world.downstream_of(a, b)
         assert not world.downstream_of(b, a)
 
     def test_diametric_tie_is_false(self):
         world = make_world(2)
         spawn_all(world)
-        world.vehicles[1].position = 0.0
-        world.vehicles[0].position = 2000.0  # half of the 4000 m loop
+        world.positions[1] = 0.0
+        world.positions[0] = 2000.0  # half of the 4000 m loop
         a, b = 1, 0
         # arc-length oracle: exactly half the loop is not "ahead"
         assert world.arc_gap(0.0, 2000.0) == world.route_length / 2
@@ -367,7 +378,7 @@ class TestGeometry:
     def test_unspawned_vehicle_slot_has_no_arc(self):
         world = make_world(3)
         world.inject_flow(0.0)
-        assert world.arc_of(0) == world.vehicles[0].position
+        assert world.arc_of(0) == world.positions[0]
         with pytest.raises(KeyError, match="slot 1"):
             world.arc_of(1)
 
@@ -393,9 +404,9 @@ class TestPlatoonJam:
             world.step(0.5)
             t += 0.5
             if tail < world.spawned_count:
-                history.record(t, world.vehicles[tail].speed)
+                history.record(t, world.speeds[tail])
                 msg = detect_jam(
-                    history, world.queue_ahead(tail), t, origin=world.spawn_queue[tail],
+                    history, world.queue_ahead(tail), t, origin=EntityId(tail),
                     ids=ids,
                 )
                 if msg is not None:

@@ -78,8 +78,8 @@ def spy_on(monkeypatch, name):
 
 
 def place(engine, arcs):
-    for vehicle, arc in zip(engine.world.vehicles, arcs):
-        vehicle.position = arc
+    for slot, arc in enumerate(arcs):
+        engine.world.positions[slot] = arc
 
 
 class TestBroadcast:
@@ -98,8 +98,8 @@ class TestBroadcast:
         assert engine.metrics.total == 1  # counted per send, not per receipt
 
     def test_zero_neighbours_still_one_transmission(self):
-        engine = tiny_engine(1, mobility=MobilityConfig(rsu_count=1))
-        place(engine, [2000.0])  # the one RSU, at arc 0, is across the ring
+        engine = tiny_engine(1, mobility=MobilityConfig(route_length=40000.0))
+        place(engine, [2000.0])  # midway between RSU0 and RSU1, 4000 m apart
         sender = 0
         msg = make_message(
             MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
@@ -147,10 +147,13 @@ class TestWired:
         engine = tiny_engine(1)
         rsu3, rsu4, ta = slots(engine, "RSU3", "RSU4", "TA")
         msg = make_message(MessageKind.ACCIDENT, "X", RSU3, 10.0, ids=engine.ids)
-        at, to = engine.wired_send(msg, rsu3, rsu4, 10.0)
-        assert to == rsu4 and at > 10.0
-        at, to = engine.wired_send(msg, rsu3, ta, 10.0)
-        assert engine.states[to].entity.kind is TA
+        engine.wired_send(msg, rsu3, rsu4, 10.0)
+        engine.wired_send(msg, rsu3, ta, 10.0)
+        at = 10.0 + netsim.WIRED_LATENCY
+        assert [(when, args) for when, _, _, args in sorted(engine._queue)] == [
+            (at, (msg, (rsu4,), rsu3)), (at, (msg, (ta,), rsu3))
+        ]
+        assert engine.states[ta].entity.kind is TA
         assert [record.receiver for record in engine.trace] == ["RSU4", "TA"]
 
     def test_wired_to_vehicle_rejected(self):
@@ -225,6 +228,18 @@ class TestTrialSetupValidation:
         script = build_scenario("accident", report_time=400.0)
         setup = TrialSetup(script=script, policy=HOP4, vehicles=19)
         with pytest.raises(ValueError, match="warm-up"):
+            setup.validate()
+
+    @pytest.mark.parametrize("loss", [1.5, float("nan"), -0.2])
+    def test_loss_must_lie_in_the_unit_interval(self, loss):
+        # otherwise 1.5 drops every copy and NaN or -0.2 runs lossless
+        setup = TrialSetup(
+            script=build_scenario("accident"),
+            policy=HOP4,
+            vehicles=19,
+            net=NetConfig(loss=loss),
+        )
+        with pytest.raises(ValueError, match="loss"):
             setup.validate()
 
     def test_fleet_must_fit_on_the_route(self):
@@ -471,14 +486,13 @@ class TestDuplicateReceipts:
 class TestSlots:
     def test_vehicle_slots_map_back_to_their_labels(self):
         engine = tiny_engine(5, scenario="accident-police", police=2)
-        world = engine.world
-        labels = [vehicle.entity.label for vehicle in world.vehicles]
+        fleet = engine.world.fleet_size
+        assert engine.world.spawned_count == fleet
         # the officials spawn right after the reporter, V0
-        assert labels == ["V0", "P0", "P1", "V1", "V2", "V3", "V4"]
-        for slot, vehicle in enumerate(world.vehicles):
-            assert engine.labels[slot] == vehicle.entity.label
-            assert engine.states[slot].entity == vehicle.entity
-            assert engine._kinds[slot] is vehicle.entity.kind
+        assert engine.labels[:fleet] == ["V0", "P0", "P1", "V1", "V2", "V3", "V4"]
+        for slot, label in enumerate(engine.labels[:fleet]):
+            assert engine.states[slot].entity.label == label
+            assert engine._kinds[slot] is engine.states[slot].entity.kind
 
     def test_infrastructure_follows_the_fleet(self):
         engine = tiny_engine(3)
