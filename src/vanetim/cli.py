@@ -52,8 +52,6 @@ class RunConfig:
             raise ConfigError("trials: must be at least 1")
         if self.police < 0:
             raise ConfigError("police: must not be negative")
-        if self.warmup >= self.duration:
-            raise ConfigError("warmup: must be less than duration")
         parse_policy(self.policy)
 
     # -- flat key=value round trip ----------------------------------------

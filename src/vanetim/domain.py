@@ -33,6 +33,9 @@ _LABEL_PREFIX = {
 
 @dataclass(frozen=True)
 class EntityId:
+    """Names an entity at set-up: its role and its index within the role,
+    which give its trace label. Inside a trial an entity is a slot."""
+
     index: int
     kind: RoleKind = RoleKind.REGULAR_VEHICLE
 
@@ -142,7 +145,6 @@ class Message:
     id: str
     kind: MessageKind
     road: str
-    origin: EntityId
     created_at: float
     hops: int = 0
     priority: Priority = Priority.NORMAL
@@ -172,30 +174,27 @@ class MessageIdSource:
 def make_message(
     kind: MessageKind,
     road: str,
-    origin: EntityId,
+    origin: RoleKind,
     now: float,
     *,
     ids: MessageIdSource,
     correlation: Optional[str] = None,
     payload: Optional[str] = None,
 ) -> Message:
-    """Originate a fresh message; priority follows the origin's kind."""
-    if not isinstance(origin, EntityId):
-        raise ValueError("unknown origin entity")
+    """Originate a fresh message; priority follows the originating role."""
+    if not isinstance(origin, RoleKind):
+        raise ValueError(f"unknown origin role: {origin!r}")
     if not isinstance(kind, MessageKind):
         raise ValueError(f"unknown message kind: {kind!r}")
     if now < 0:
         raise ValueError("origination time must be non-negative")
     priority = (
-        Priority.OFFICIAL
-        if origin.kind is RoleKind.OFFICIAL_VEHICLE
-        else Priority.NORMAL
+        Priority.OFFICIAL if origin is RoleKind.OFFICIAL_VEHICLE else Priority.NORMAL
     )
     return Message(
         id=ids.next(),
         kind=kind,
         road=road,
-        origin=origin,
         created_at=now,
         hops=0,
         priority=priority,

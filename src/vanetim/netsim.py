@@ -12,16 +12,20 @@ Every entity is a dense int slot fixed at set-up: the vehicles in spawn
 order (a vehicle's slot indexes ``world.positions`` and ``world.speeds``),
 then the RSUs, then the TA. State, trace labels and role kinds are
 slot-indexed lists; events, ``Wired`` targets and handler addresses are
-slots. An :class:`EntityId` remains only as each state's own identity and
-as a message's origin. The kinematics are :mod:`vanetim.mobility`
-constants; a set-up varies only the route length and the step ``dt``.
+slots. A slot's role lives only in ``_kinds``, its label only in
+``labels`` and the ids it has handled only in its state's ``seen`` set;
+an :class:`EntityId` is used only at set-up, to name the slots. The
+kinematics are :mod:`vanetim.mobility` constants; a set-up varies only the
+route length and the step ``dt``.
 
 A radio broadcast is one event, one hop latency after the send, that hands
 the shared relayed copy to its receivers in order. Per-receiver events
 would have had consecutive sequence numbers, and whatever a receipt
 schedules runs after the whole batch, so the receipts run in the same
 order. A regular vehicle drops a copy it has seen at once; RSUs and
-official vehicles run their handlers on every receipt.
+official vehicles run their handlers on every receipt. Only the receipt
+that first adds an id to an entity's ``seen`` set is held for the relay
+decision, so no entity relays an id twice.
 
 Relays are store-carry-forward: a vehicle holds a newly received message
 for a jittered hold time before the forwarding decision runs, so
@@ -67,8 +71,6 @@ from .protocol import (
     RSU_HANDLERS,
     RsuState,
     ServiceDirectory,
-    TaState,
-    VehicleState,
     Wired,
     handle_official,
     handle_rsu,
@@ -255,24 +257,19 @@ class Engine:
         self.states: List[EntityState] = []
         for entity in entities:
             kind = entity.kind
-            if kind is RoleKind.REGULAR_VEHICLE:
-                state = VehicleState(entity=entity)
-            elif kind is RoleKind.OFFICIAL_VEHICLE:
-                state = OfficialState(
-                    entity=entity, responder=(entity.label == script.responder)
-                )
+            if kind is RoleKind.OFFICIAL_VEHICLE:
+                state = OfficialState(responder=(entity.label == script.responder))
             elif kind is RoleKind.RSU:
                 # the backbone is a ring: RSU0's predecessor is the last RSU
                 i = entity.index
                 state = RsuState(
-                    entity=entity,
                     neighbours=(fleet + (i - 1) % n_rsus, fleet + (i + 1) % n_rsus),
                     ta=ta,
                     position=self.world.rsus[i][1],
                     services=services,
                 )
             else:
-                state = TaState(entity=entity)
+                state = EntityState()
             self.states.append(state)
 
     # -- scheduling --------------------------------------------------------
@@ -420,10 +417,10 @@ class Engine:
         if msg.id in state.seen:
             return
         state.seen.add(msg.id)
-        self._schedule(self.now + self._hold_delay(msg), self._relay, slot, state, msg)
+        self._schedule(self.now + self._hold_delay(msg), self._relay, slot, msg)
 
-    def _relay(self, slot: int, state: EntityState, msg: Message) -> None:
-        self._execute(slot, relay_decision(state, msg, self.setup.policy, self.now))
+    def _relay(self, slot: int, msg: Message) -> None:
+        self._execute(slot, relay_decision(msg, self.setup.policy, self.now))
 
     # -- timers ------------------------------------------------------------
 
@@ -444,10 +441,10 @@ class Engine:
         payload: Optional[str] = None,
     ) -> Message:
         """Create and broadcast a fresh report from the entity in ``slot``."""
-        state = self.states[slot]
-        msg = make_message(kind, road, state.entity, now, ids=self.ids, payload=payload)
-        state.seen.add(msg.id)
-        state.relayed.add(msg.id)
+        msg = make_message(
+            kind, road, self._kinds[slot], now, ids=self.ids, payload=payload
+        )
+        self.states[slot].seen.add(msg.id)
         self.broadcast(msg, slot, now, ActionSource.ORIGIN)
         return msg
 

@@ -16,10 +16,14 @@ Timings that the source material leaves open (burst spacing, periodic
 announcement intervals, authority service delay, official-vehicle travel
 and on-site service time) are module constants, the same in every run.
 
-Each entity's ``seen`` set records every message id it has handled, and is
-the one record of a first receipt: an RSU escalates, answers or announces
-an id, and the TA schedules its resolution, only on the receipt that adds
-the id.
+A state holds no identity of its own: the engine keeps each slot's role
+and label, and a handler originates a message as its own
+:class:`RoleKind`. Each entity's ``seen`` set records every message id it
+has handled, and is the one record of a first receipt. ``handle_rsu``
+decides it once for every receipt of a kind it handles, a copy heard while
+its road is resolved included, and passes it to the kind's handler; the TA
+schedules one resolution per id; and the engine runs the relay decision
+only for the receipt that adds an id.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .domain import (
     ActionSource,
-    EntityId,
     Message,
     MessageIdSource,
     MessageKind,
@@ -229,14 +232,10 @@ class ServiceDirectory:
 
 @dataclass
 class EntityState:
-    entity: EntityId
+    """A regular vehicle's or the TA's whole state; RSUs and official
+    vehicles extend it."""
+
     seen: Set[str] = field(default_factory=set)
-    relayed: Set[str] = field(default_factory=set)
-
-
-@dataclass
-class VehicleState(EntityState):
-    pass
 
 
 @dataclass
@@ -272,11 +271,6 @@ class OfficialState(EntityState):
     incidents: Dict[str, OfficialIncident] = field(default_factory=dict)
 
 
-@dataclass
-class TaState(EntityState):
-    pass
-
-
 #: kinds an official vehicle responds to in person
 OFFICIAL_RESPONSE_KINDS = {
     MessageKind.ACCIDENT: MessageKind.SORTED_ROAD,
@@ -290,17 +284,18 @@ OFFICIAL_RESPONSE_KINDS = {
 
 
 def relay_decision(
-    state: EntityState, msg: Message, policy: RelayPolicy, now: float
+    msg: Message, policy: RelayPolicy, now: float
 ) -> List[OutgoingAction]:
-    """Forward an unseen copy if the policy admits it; dedup is permanent.
+    """Forward a first-seen copy if the policy admits it.
 
-    The copy is retransmitted as received: its hop count was already
-    advanced when the radio delivery happened, so a hop-limit policy sees
-    the number of transmissions the copy has traversed.
+    The engine calls this at most once per (entity, id): only the receipt
+    that adds the id to the entity's ``seen`` set schedules it. The copy is
+    retransmitted as received: its hop count was already advanced when the
+    radio delivery happened, so a hop-limit policy sees the number of
+    transmissions the copy has traversed.
     """
-    if not should_relay(policy, msg, now, state.relayed):
+    if not should_relay(policy, msg, now):
         return []
-    state.relayed.add(msg.id)
     return [Broadcast(msg, at=now, source=ActionSource.RELAY)]
 
 
@@ -323,17 +318,12 @@ def handle_rsu(
     *,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
-    """Dispatch one received message through the RSU's announcement rules."""
-    if state.entity.kind is not RoleKind.RSU:
-        raise ValueError("handle_rsu requires an RSU")
-    handler = RSU_HANDLERS.get(msg.kind)
-    if handler is None:  # a plain relay candidate, held by the engine
-        return []
-    return handler(state, msg, sender, now, ids)
-
-
-def _first_receipt(state: RsuState, msg: Message) -> bool:
-    return msg.id not in state.seen
+    """Dispatch one received message of a kind in ``RSU_HANDLERS`` through
+    the RSU's announcement rules; any other kind is a plain relay candidate,
+    which the engine holds instead."""
+    first = msg.id not in state.seen
+    state.seen.add(msg.id)
+    return RSU_HANDLERS[msg.kind](state, msg, sender, first, now, ids)
 
 
 def _apply_once(state: RsuState, msg: Message, sender: RoleKind, first: bool) -> bool:
@@ -348,13 +338,12 @@ def _rsu_table_driven(
     state: RsuState,
     msg: Message,
     sender: RoleKind,
+    first: bool,
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     if state.ledger.status(msg.road) is IncidentStatus.RESOLVED:
         return []
-    first = _first_receipt(state, msg)
-    state.seen.add(msg.id)
     if not _apply_once(state, msg, sender, first):
         return []
     row = _rule_row(msg.kind, sender, first)
@@ -367,7 +356,7 @@ def _rsu_table_driven(
     actions.extend(_burst(msg, row.same_count, now))
     if row.derived_count and row.derived_kind is not None:
         derived = make_message(
-            row.derived_kind, msg.road, state.entity, now, ids=ids, correlation=msg.id
+            row.derived_kind, msg.road, RoleKind.RSU, now, ids=ids, correlation=msg.id
         )
         offset = row.same_count * BURST_INTERVAL
         actions.extend(_burst(derived, row.derived_count, now + offset))
@@ -377,11 +366,14 @@ def _rsu_table_driven(
 
 
 def _rsu_escalate(
-    state: RsuState, msg: Message, sender: RoleKind, now: float, ids: MessageIdSource
+    state: RsuState,
+    msg: Message,
+    sender: RoleKind,
+    first: bool,
+    now: float,
+    ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     """Authority-class reports go straight to the TA over the wired link."""
-    first = _first_receipt(state, msg)
-    state.seen.add(msg.id)
     if not first or state.ta is None:
         return []
     state.ledger.open(msg.road, now)
@@ -389,14 +381,17 @@ def _rsu_escalate(
 
 
 def _rsu_announce_report(
-    state: RsuState, msg: Message, sender: RoleKind, now: float, ids: MessageIdSource
+    state: RsuState,
+    msg: Message,
+    sender: RoleKind,
+    first: bool,
+    now: float,
+    ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     """Announce an open report three times, notify peers, then re-announce
     periodically until the road is cleared."""
     if state.ledger.status(msg.road) is IncidentStatus.RESOLVED:
         return []
-    first = _first_receipt(state, msg)
-    state.seen.add(msg.id)
     if not first:
         return []
     state.ledger.open(msg.road, now)
@@ -413,18 +408,17 @@ def _rsu_acknowledge_official(
     state: RsuState,
     msg: Message,
     sender: RoleKind,
+    first: bool,
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
-    first = _first_receipt(state, msg)
-    state.seen.add(msg.id)
     if not _apply_once(state, msg, sender, first):
         return []
     row = _rule_row(msg.kind, sender, first)
     if row.derived_count == 0:
         return []
     ack = make_message(
-        MessageKind.ACK, msg.road, state.entity, now, ids=ids, correlation=msg.id
+        MessageKind.ACK, msg.road, RoleKind.RSU, now, ids=ids, correlation=msg.id
     )
     actions: List[OutgoingAction] = [
         Broadcast(ack, at=now, source=ActionSource.ORIGIN)
@@ -436,7 +430,7 @@ def _rsu_acknowledge_official(
         restricted = make_message(
             MessageKind.RESTRICTED_MOVEMENT,
             msg.road,
-            state.entity,
+            RoleKind.RSU,
             now,
             ids=ids,
             correlation=msg.id,
@@ -451,6 +445,7 @@ def _rsu_resolution(
     state: RsuState,
     msg: Message,
     sender: RoleKind,
+    first: bool,
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
@@ -462,8 +457,6 @@ def _rsu_resolution(
     announces the road-clear status ``CLEARED_REPEATS`` times; clearances
     for roads with no open incident are only forwarded.
     """
-    first = _first_receipt(state, msg)
-    state.seen.add(msg.id)
     actions: List[OutgoingAction] = []
     if first:
         actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
@@ -485,7 +478,7 @@ def _rsu_resolution(
         cleared = make_message(
             MessageKind.CLEARED_ROAD,
             msg.road,
-            state.entity,
+            RoleKind.RSU,
             now,
             ids=ids,
             correlation=msg.id,
@@ -497,11 +490,14 @@ def _rsu_resolution(
 
 
 def _rsu_service_query(
-    state: RsuState, msg: Message, sender: RoleKind, now: float, ids: MessageIdSource
+    state: RsuState,
+    msg: Message,
+    sender: RoleKind,
+    first: bool,
+    now: float,
+    ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     """Answer a service lookup with the nearest registered entry."""
-    first = _first_receipt(state, msg)
-    state.seen.add(msg.id)
     if not first:
         return []
     category = msg.payload or ""
@@ -509,7 +505,7 @@ def _rsu_service_query(
     reply = make_message(
         MessageKind.SERVICE_REPLY,
         entry.road if entry else msg.road,
-        state.entity,
+        RoleKind.RSU,
         now,
         ids=ids,
         correlation=msg.id,
@@ -541,7 +537,7 @@ def rsu_scripted_resolution(
     state.ledger.resolve(road, now)
     state.announcing.pop(road, None)
     state.restricted.pop(road, None)
-    cleared = make_message(MessageKind.CLEARED_ROAD, road, state.entity, now, ids=ids)
+    cleared = make_message(MessageKind.CLEARED_ROAD, road, RoleKind.RSU, now, ids=ids)
     state.seen.add(cleared.id)
     actions: List[OutgoingAction] = list(_burst(cleared, CLEARED_REPEATS, now))
     actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
@@ -583,21 +579,18 @@ def handle_official(
 ) -> List[OutgoingAction]:
     """Address a report this vehicle responds to; set off on the RSU's
     acknowledgement of the addressing notice."""
-    if state.entity.kind is not RoleKind.OFFICIAL_VEHICLE:
-        raise ValueError("handle_official requires an official vehicle")
     if msg.kind in OFFICIAL_RESPONSE_KINDS and state.responder:
         if msg.road in state.incidents:
             return []
         addressing = make_message(
             MessageKind.ADDRESSING_INCIDENT,
             msg.road,
-            state.entity,
+            RoleKind.OFFICIAL_VEHICLE,
             now,
             ids=ids,
             correlation=msg.id,
         )
         state.seen.add(addressing.id)
-        state.relayed.add(addressing.id)
         state.incidents[msg.road] = OfficialIncident(
             road=msg.road, report=msg, addressing_id=addressing.id
         )
@@ -633,13 +626,12 @@ def official_announce(
     free = make_message(
         MessageKind.FREE_ROAD,
         road,
-        state.entity,
+        RoleKind.OFFICIAL_VEHICLE,
         now,
         ids=ids,
         correlation=incident.report.id,
     )
     state.seen.add(free.id)
-    state.relayed.add(free.id)
     actions.append(
         Broadcast(free, at=now, source=ActionSource.ORIGIN, downstream_only=True)
     )
@@ -647,13 +639,12 @@ def official_announce(
         attending = make_message(
             MessageKind.ATTENDING,
             road,
-            state.entity,
+            RoleKind.OFFICIAL_VEHICLE,
             now,
             ids=ids,
             correlation=incident.report.id,
         )
         state.seen.add(attending.id)
-        state.relayed.add(attending.id)
         actions.append(Broadcast(attending, at=now, source=ActionSource.ORIGIN))
     actions.append(Arm(now + ATTENDING_PERIOD, official_announce, (road,)))
     return actions
@@ -682,13 +673,12 @@ def official_resolve(
     done = make_message(
         done_kind,
         road,
-        state.entity,
+        RoleKind.OFFICIAL_VEHICLE,
         now,
         ids=ids,
         correlation=incident.report.id,
     )
     state.seen.add(done.id)
-    state.relayed.add(done.id)
     return [Broadcast(done, at=now, source=ActionSource.ORIGIN)]
 
 
@@ -697,13 +687,11 @@ def official_resolve(
 
 
 def handle_ta(
-    state: TaState, msg: Message, now: float, *, reporting_rsu: Optional[int] = None
+    state: EntityState, msg: Message, now: float, *, reporting_rsu: Optional[int] = None
 ) -> List[OutgoingAction]:
     """Schedule one resolution notice per report id back to the reporting
     RSU, the authority's service delay after the first receipt;
     non-authority kinds are dropped."""
-    if state.entity.kind is not RoleKind.TA:
-        raise ValueError("handle_ta requires the TA")
     if msg.kind not in TA_REPORT_KINDS or msg.id in state.seen:
         return []
     state.seen.add(msg.id)
@@ -712,7 +700,7 @@ def handle_ta(
 
 
 def ta_resolve(
-    state: TaState,
+    state: EntityState,
     road: str,
     kind: MessageKind,
     report_id: str,
@@ -723,7 +711,7 @@ def ta_resolve(
 ) -> List[OutgoingAction]:
     """The authority's resolution notice, wired to the reporting RSU."""
     resolution = make_message(
-        RESOLUTION_FOR[kind], road, state.entity, now, ids=ids, correlation=report_id
+        RESOLUTION_FOR[kind], road, RoleKind.TA, now, ids=ids, correlation=report_id
     )
     if reporting_rsu is None:
         return []
@@ -735,36 +723,28 @@ def ta_resolve(
 
 
 class SpeedHistory:
-    """Time-ordered speed samples with incremental run tracking.
+    """Incremental run tracking over time-ordered speed samples.
 
-    Keeps enough history to cover both the stationary window and the
-    slow-band window, and remembers whether the current episode already
-    produced a report so each episode reports at most once.
+    Keeps only when the current stationary and slow-band episodes began, and
+    whether each episode already produced a report, so each episode reports
+    at most once.
     """
 
     STATIONARY_SPEED = 0.1   # m/s
     BAND_LOW = 1.0           # m/s
     BAND_HIGH = 13.0         # m/s
 
-    def __init__(self, window: float = 120.0) -> None:
-        self.window = window
-        self.samples: List[Tuple[float, float]] = []
+    def __init__(self) -> None:
+        self.last_time: Optional[float] = None
         self.stationary_since: Optional[float] = None
         self.band_since: Optional[float] = None
         self.jam_reported = False
         self.congestion_reported = False
 
-    def span(self) -> float:
-        if len(self.samples) < 2:
-            return 0.0
-        return self.samples[-1][0] - self.samples[0][0]
-
     def record(self, now: float, speed: float) -> None:
-        if self.samples and now <= self.samples[-1][0]:
+        if self.last_time is not None and now <= self.last_time:
             raise ValueError("samples must be strictly increasing in time")
-        self.samples.append((now, speed))
-        while self.samples and now - self.samples[0][0] > self.window:
-            self.samples.pop(0)
+        self.last_time = now
 
         if speed < self.STATIONARY_SPEED:
             if self.stationary_since is None:
@@ -786,7 +766,7 @@ def detect_jam(
     queue_ahead: bool,
     now: float,
     *,
-    origin: Optional[EntityId] = None,
+    origin: RoleKind = RoleKind.REGULAR_VEHICLE,
     road: str = "X",
     ids: MessageIdSource,
 ) -> Optional[Message]:
@@ -799,8 +779,6 @@ def detect_jam(
     if now - history.stationary_since <= 30.0:
         return None
     history.jam_reported = True
-    if origin is None:
-        origin = EntityId(0)
     return make_message(MessageKind.TRAFFIC_JAM, road, origin, now, ids=ids)
 
 
@@ -808,7 +786,7 @@ def detect_congestion(
     history: SpeedHistory,
     now: float,
     *,
-    origin: Optional[EntityId] = None,
+    origin: RoleKind = RoleKind.REGULAR_VEHICLE,
     road: str = "X",
     ids: MessageIdSource,
 ) -> Optional[Message]:
@@ -822,6 +800,4 @@ def detect_congestion(
     if not (60.0 <= duration <= 90.0):
         return None
     history.congestion_reported = True
-    if origin is None:
-        origin = EntityId(0)
     return make_message(MessageKind.CONGESTION, road, origin, now, ids=ids)

@@ -4,14 +4,15 @@ Two policies are supported: a hop bound (a copy received at hop count h may
 be forwarded iff h is below the bound) and a freshness bound (forwarding is
 allowed only while the message's age is strictly below the bound, evaluated
 at relay-decision time). High-priority messages from official vehicles
-bypass both bounds but never bypass duplicate suppression, which is a plain
-set of message ids per entity, never evicted within a run.
+bypass both bounds but not duplicate suppression: the engine runs the
+decision only on the receipt that first adds an id to the entity's ``seen``
+set, which is never evicted within a run, so no copy is judged twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Union
+from typing import Union
 
 from .domain import Message, Priority, age
 
@@ -40,12 +41,8 @@ HOP4 = HopLimit(4)
 FRESH60 = Freshness(60.0)
 
 
-def should_relay(
-    policy: RelayPolicy, msg: Message, now: float, seen: AbstractSet[str]
-) -> bool:
-    """Decide whether a received copy may be forwarded right now."""
-    if msg.id in seen:
-        return False
+def should_relay(policy: RelayPolicy, msg: Message, now: float) -> bool:
+    """Decide whether a first-seen copy may be forwarded right now."""
     if msg.priority is Priority.OFFICIAL:
         return True
     if isinstance(policy, HopLimit):

@@ -24,8 +24,8 @@ from vanetim.domain import (
 )
 from vanetim.netsim import parse_trace, write_trace
 from vanetim.protocol import (
+    EntityState,
     SpeedHistory,
-    VehicleState,
     detect_congestion,
     detect_jam,
     handle_rsu,
@@ -152,19 +152,16 @@ def test_criterion_04_rule_table_exactness(ids):
         )
 
     VEHICLE, RSU_ROLE = RoleKind.REGULAR_VEHICLE, RoleKind.RSU
-    reporter = EntityId(17, VEHICLE)
     state = fresh_rsu()
-    accident = make_message(MessageKind.ACCIDENT, "X", reporter, 550.0, ids=ids)
+    accident = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
     ok &= counts(state, accident, VEHICLE, 550.0) == (3, 3)        # first, vehicle
     ok &= counts(state, accident, VEHICLE, 580.0) == (2, 0)        # stale, vehicle
-    state2 = fresh_rsu(1)
+    state2 = fresh_rsu()
     ok &= counts(state2, accident, RSU_ROLE, 551.0) == (2, 2)      # first, RSU
-    avoid = make_message(
-        MessageKind.AVOID_ROAD, "X", EntityId(1, RSU_ROLE), 551.0, ids=ids
-    )
-    state3 = fresh_rsu(2)
+    avoid = make_message(MessageKind.AVOID_ROAD, "X", RSU_ROLE, 551.0, ids=ids)
+    state3 = fresh_rsu()
     ok &= counts(state3, avoid, RSU_ROLE, 551.0) == (3, 0)
-    state4 = fresh_rsu(3)
+    state4 = fresh_rsu()
     ok &= counts(state4, avoid, VEHICLE, 560.0) == (2, 0)
     announce(
         "criterion-4 rule-table exactness",
@@ -223,11 +220,10 @@ def _simulate_static_flood(positions, origin, radius, policy):
     import heapq
 
     world = StaticWorld(positions)
-    states = {e: VehicleState(entity=e) for e in positions}
+    states = {e: EntityState() for e in positions}
     ids = MessageIdSource()
-    msg = make_message(MessageKind.ACCIDENT, "X", origin, 0.0, ids=ids)
+    msg = make_message(MessageKind.ACCIDENT, "X", origin.kind, 0.0, ids=ids)
     states[origin].seen.add(msg.id)
-    states[origin].relayed.add(msg.id)
     transmissions = 0
     reached = {origin}
     queue = [(0.0, 0, origin, msg)]
@@ -245,7 +241,7 @@ def _simulate_static_flood(positions, origin, radius, policy):
             state.seen.add(arrived.id)
             from vanetim.protocol import relay_decision
 
-            for action in relay_decision(state, arrived, policy, now + 1.0):
+            for action in relay_decision(arrived, policy, now + 1.0):
                 seq += 1
                 heapq.heappush(queue, (now + 1.0, seq, receiver, action.message))
     return transmissions, reached

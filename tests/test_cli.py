@@ -60,9 +60,10 @@ class TestRunConfig:
     def test_validate(self):
         with pytest.raises(ConfigError):
             RunConfig(trials=0).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(warmup=2000.0).validate()
-        # the loss rate is a model bound, checked with the trial set-up
+        # the warm-up and loss bounds are model bounds, checked with the
+        # trial set-up
+        with pytest.raises(ValueError, match="warm-up"):
+            make_setup(RunConfig(warmup=2000.0)).validate()
         with pytest.raises(ValueError, match="loss"):
             make_setup(RunConfig(loss=1.0)).validate()
         with pytest.raises(ConfigError):
@@ -175,6 +176,12 @@ class TestRunCommand:
     def test_non_finite_input_is_config_error(self, tmp_path, flag, value):
         code = main(["run", flag, value, "--trials", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+    def test_warmup_past_duration_is_config_error(self, tmp_path):
+        code = main(["run", "--warmup", "2000", "--trials", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("loss", ["1.5", "-0.2", "nan"])
     def test_loss_outside_unit_interval_is_config_error(self, tmp_path, loss):

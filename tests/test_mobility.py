@@ -405,10 +405,7 @@ class TestPlatoonJam:
             t += 0.5
             if tail < world.spawned_count:
                 history.record(t, world.speeds[tail])
-                msg = detect_jam(
-                    history, world.queue_ahead(tail), t, origin=EntityId(tail),
-                    ids=ids,
-                )
+                msg = detect_jam(history, world.queue_ahead(tail), t, ids=ids)
                 if msg is not None:
                     fired_at = t
                     break

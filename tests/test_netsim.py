@@ -3,13 +3,16 @@ import heapq
 import pytest
 
 import vanetim.netsim as netsim
+from conftest import run_cell
+from test_golden import GOLDEN, GOLDEN_LOSSY
 from vanetim.domain import (
     ActionSource,
-    EntityId,
     MessageKind,
+    Priority,
     RoleKind,
     make_message,
     relayed_copy,
+    role_of_label,
 )
 from vanetim.mobility import MobilityConfig
 from vanetim.netsim import (
@@ -62,15 +65,16 @@ def run_until(engine, t):
         fn(*args)
 
 
-def spy_on(monkeypatch, name):
-    """Record ``(receiving entity, message id, other arguments, actions)``
+def spy_on(monkeypatch, engine, name):
+    """Record ``(receiver's label, message id, other arguments, actions)``
     per call of the handler ``vanetim.netsim`` calls by ``name``."""
     calls = []
     handler = getattr(netsim, name)
 
     def wrapper(state, msg, *args, **kwargs):
         actions = handler(state, msg, *args, **kwargs)
-        calls.append((state.entity, msg.id, (args, kwargs), actions))
+        slot = next(i for i, known in enumerate(engine.states) if known is state)
+        calls.append((engine.labels[slot], msg.id, (args, kwargs), actions))
         return actions
 
     monkeypatch.setattr(netsim, name, wrapper)
@@ -89,9 +93,7 @@ class TestBroadcast:
         place(engine, [200.0, 300.0, 2200.0, 2300.0])
         sender = 0
         assert len(engine.world.neighbours_within(sender, 300.0)) == 3
-        msg = make_message(
-            MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
-        )
+        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
         deliveries = engine.broadcast(msg, sender, 10.0)
         assert len(deliveries) == 3
         assert len(engine.trace) == 1
@@ -101,9 +103,7 @@ class TestBroadcast:
         engine = tiny_engine(1, mobility=MobilityConfig(route_length=40000.0))
         place(engine, [2000.0])  # midway between RSU0 and RSU1, 4000 m apart
         sender = 0
-        msg = make_message(
-            MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
-        )
+        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
         assert engine.broadcast(msg, sender, 10.0) == []
         assert engine.metrics.total == 1
 
@@ -111,9 +111,7 @@ class TestBroadcast:
         engine = tiny_engine(5)
         place(engine, [0.0, 200.0, 400.0, 600.0, 800.0])
         sender = 2
-        msg = make_message(
-            MessageKind.ACCIDENT, "X", engine.states[2].entity, 10.0, ids=engine.ids
-        )
+        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
         delivered = {receiver for _, receiver in engine.broadcast(msg, sender, 10.0)}
         oracle = set(engine.world.neighbours_within(sender, 300.0))
         assert delivered == oracle
@@ -123,9 +121,7 @@ class TestBroadcast:
             engine = tiny_engine(5, seed=seed, loss=loss)
             place(engine, [0.0, 150.0, 300.0, 450.0, 600.0])
             sender = 2
-            msg = make_message(
-                MessageKind.ACCIDENT, "X", engine.states[2].entity, 10.0, ids=engine.ids
-            )
+            msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
             return [receiver for _, receiver in engine.broadcast(msg, sender, 10.0)]
 
         full = delivered(1, 0.0)
@@ -133,9 +129,6 @@ class TestBroadcast:
         assert set(lossy) <= set(full)
         assert len(lossy) < len(full)
         assert lossy == delivered(1, 0.6)  # same seed, same outcome
-
-
-RSU3 = EntityId(3, RSU)  # origin of the wired test messages
 
 
 def slots(engine, *labels):
@@ -146,38 +139,38 @@ class TestWired:
     def test_rsu_to_rsu_and_rsu_to_ta(self):
         engine = tiny_engine(1)
         rsu3, rsu4, ta = slots(engine, "RSU3", "RSU4", "TA")
-        msg = make_message(MessageKind.ACCIDENT, "X", RSU3, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, "X", RSU, 10.0, ids=engine.ids)
         engine.wired_send(msg, rsu3, rsu4, 10.0)
         engine.wired_send(msg, rsu3, ta, 10.0)
         at = 10.0 + netsim.WIRED_LATENCY
         assert [(when, args) for when, _, _, args in sorted(engine._queue)] == [
             (at, (msg, (rsu4,), rsu3)), (at, (msg, (ta,), rsu3))
         ]
-        assert engine.states[ta].entity.kind is TA
+        assert engine._kinds[ta] is TA
         assert [record.receiver for record in engine.trace] == ["RSU4", "TA"]
 
     def test_wired_to_vehicle_rejected(self):
         engine = tiny_engine(1)
         (rsu3,) = slots(engine, "RSU3")
-        msg = make_message(MessageKind.ACCIDENT, "X", RSU3, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, "X", RSU, 10.0, ids=engine.ids)
         with pytest.raises(ValueError):
             engine.wired_send(msg, rsu3, 0, 10.0)  # slot 0 is V0
 
     def test_wired_target_receives(self, monkeypatch):
         engine = tiny_engine(1)
         rsu3, rsu4, ta = slots(engine, "RSU3", "RSU4", "TA")
-        by_rsu = spy_on(monkeypatch, "handle_rsu")
-        by_ta = spy_on(monkeypatch, "handle_ta")
-        accident = make_message(MessageKind.ACCIDENT, "X", RSU3, 10.0, ids=engine.ids)
-        debris = make_message(MessageKind.DEBRIS, "X", RSU3, 10.0, ids=engine.ids)
+        by_rsu = spy_on(monkeypatch, engine, "handle_rsu")
+        by_ta = spy_on(monkeypatch, engine, "handle_ta")
+        accident = make_message(MessageKind.ACCIDENT, "X", RSU, 10.0, ids=engine.ids)
+        debris = make_message(MessageKind.DEBRIS, "X", RSU, 10.0, ids=engine.ids)
         engine.wired_send(accident, rsu3, rsu4, 10.0)
         engine.wired_send(debris, rsu3, ta, 10.0)
         run_until(engine, 10.0 + netsim.WIRED_LATENCY)
         assert [call[:3] for call in by_rsu] == [
-            (EntityId(4, RSU), accident.id, ((RSU, 10.005), {"ids": engine.ids}))
+            ("RSU4", accident.id, ((RSU, 10.005), {"ids": engine.ids}))
         ]
         assert [call[:3] for call in by_ta] == [
-            (EntityId(0, TA), debris.id, ((10.005,), {"reporting_rsu": rsu3}))
+            ("TA", debris.id, ((10.005,), {"reporting_rsu": rsu3}))
         ]
 
 
@@ -435,9 +428,7 @@ class TestBatchedDelivery:
     def test_one_event_per_broadcast(self):
         engine = tiny_engine(4)
         place(engine, [200.0, 300.0, 2200.0, 2300.0])
-        msg = make_message(
-            MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
-        )
+        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
         deliveries = engine.broadcast(msg, 0, 10.0)
         assert len(deliveries) == 3
         assert len(engine._queue) == 1
@@ -450,14 +441,12 @@ class TestDuplicateReceipts:
     def test_second_accident_copy_makes_the_rsu_burst_twice(self, monkeypatch):
         engine = tiny_engine(2)
         place(engine, [200.0, 2200.0])  # V0 between RSU0 and RSU1
-        calls = spy_on(monkeypatch, "handle_rsu")
-        msg = make_message(
-            MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
-        )
+        calls = spy_on(monkeypatch, engine, "handle_rsu")
+        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
         engine.broadcast(msg, 0, 10.0)
         engine.broadcast(msg, 0, 10.0)  # a second copy of the same report
         run_until(engine, 10.0 + netsim.HOP_LATENCY)
-        rsu0 = [actions for entity, _, _, actions in calls if entity == EntityId(0, RSU)]
+        rsu0 = [actions for label, _, _, actions in calls if label == "RSU0"]
         assert len(rsu0) == 2
         # the (ACCIDENT, REGULAR_VEHICLE, False) row: a burst of 2 repeats
         repeat = rsu0[1]
@@ -469,18 +458,63 @@ class TestDuplicateReceipts:
     def test_duplicate_reaches_the_official_handler(self, monkeypatch):
         engine = tiny_engine(2, scenario="accident-police", police=1)
         place(engine, [1000.0, 1100.0, 3000.0])  # slot 1 is P0, beside V0
-        assert engine.states[1].entity == EntityId(0, POLICE)
-        calls = spy_on(monkeypatch, "handle_official")
-        msg = make_message(
-            MessageKind.ACCIDENT, "X", engine.states[0].entity, 10.0, ids=engine.ids
-        )
+        assert engine.labels[1] == "P0"
+        calls = spy_on(monkeypatch, engine, "handle_official")
+        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
         engine.broadcast(msg, 0, 10.0)
         engine.broadcast(msg, 0, 10.0)
         run_until(engine, 10.0 + netsim.HOP_LATENCY)
-        assert [(entity, msg_id) for entity, msg_id, _, _ in calls] == [
-            (EntityId(0, POLICE), msg.id), (EntityId(0, POLICE), msg.id)
+        assert [(label, msg_id) for label, msg_id, _, _ in calls] == [
+            ("P0", msg.id), ("P0", msg.id)
         ]
         assert msg.id in engine.states[1].seen
+
+    def test_official_copy_delivered_twice_is_relayed_once(self):
+        # official priority lifts the hop and age bounds, not duplicate
+        # suppression: copies after the first, before or after its relay,
+        # are dropped
+        engine = tiny_engine(2)
+        place(engine, [1000.0, 1100.0])
+        msg = make_message(MessageKind.ATTENDING, "X", POLICE, 10.0, ids=engine.ids)
+        assert msg.priority is Priority.OFFICIAL
+        engine.broadcast(msg, 0, 10.0)
+        engine.broadcast(msg, 0, 10.0)
+        run_until(engine, 20.0)
+        engine.broadcast(msg, 0, 20.0)
+        run_until(engine, 30.0)
+        relays = [
+            (record.time, record.msg_id) for record in engine.trace
+            if record.sender == "V1" and record.source is ActionSource.RELAY
+        ]
+        assert relays == [(10.0 + netsim.HOP_LATENCY + netsim.OFFICIAL_HOLD, msg.id)]
+
+
+#: every golden cell, lossy ones with their loss rate
+RELAY_ONCE_CELLS = [
+    (scenario, policy, vehicles, police, seed, 0.0)
+    for scenario, policy, vehicles, police, seed, _ in GOLDEN
+] + [
+    (scenario, policy, vehicles, 0, seed, loss)
+    for scenario, policy, vehicles, seed, loss, _ in GOLDEN_LOSSY
+]
+
+
+@pytest.mark.parametrize(
+    "scenario,policy,vehicles,police,seed,loss",
+    RELAY_ONCE_CELLS,
+    ids=[f"{s}-{p}-{v}v-{n}p-s{seed}-loss{loss}"
+         for s, p, v, n, seed, loss in RELAY_ONCE_CELLS],
+)
+def test_no_sender_relays_an_id_twice(scenario, policy, vehicles, police, seed, loss):
+    ((_, trace, _),) = run_cell(
+        scenario, policy, vehicles, (seed,), police=police, net=NetConfig(loss=loss)
+    )
+    relayed = [
+        (record.sender, record.msg_id) for record in trace
+        if record.source is ActionSource.RELAY
+    ]
+    assert relayed
+    assert len(set(relayed)) == len(relayed)
 
 
 class TestSlots:
@@ -491,16 +525,15 @@ class TestSlots:
         # the officials spawn right after the reporter, V0
         assert engine.labels[:fleet] == ["V0", "P0", "P1", "V1", "V2", "V3", "V4"]
         for slot, label in enumerate(engine.labels[:fleet]):
-            assert engine.states[slot].entity.label == label
-            assert engine._kinds[slot] is engine.states[slot].entity.kind
+            assert engine._kinds[slot] is role_of_label(label)
 
     def test_infrastructure_follows_the_fleet(self):
         engine = tiny_engine(3)
         for i, (slot, arc) in enumerate(engine.world.rsus):
-            assert engine.states[slot].entity == EntityId(i, RSU)
+            assert engine._kinds[slot] is RSU
             assert engine.labels[slot] == f"RSU{i}"
             assert engine.states[slot].position == arc
-        assert engine.states[-1].entity == EntityId(0, TA)
+        assert engine._kinds[-1] is TA
         assert engine.labels[-1] == "TA"
         assert len(engine.states) == len(engine.labels) == 3 + 10 + 1
 
