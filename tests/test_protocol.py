@@ -126,6 +126,20 @@ class TestRuleTable:
         third = handle_rsu(state, msg, VEHICLE, 590.0, ids=ids)
         assert third == []  # stale row fires once
 
+    def test_accident_from_rsu_reburst_once_on_vehicle_repeat(self, ids):
+        # first heard over the wire: repeats from the backbone or a police
+        # vehicle do nothing; the first repeat from a vehicle re-bursts twice
+        state = fresh_rsu()
+        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
+        handle_rsu(state, msg, RSU, 551.0, ids=ids)
+        assert handle_rsu(state, msg, RSU, 555.0, ids=ids) == []
+        assert handle_rsu(state, msg, POLICE, 556.0, ids=ids) == []
+        actions = handle_rsu(state, msg, VEHICLE, 560.0, ids=ids)
+        assert len(broadcasts(actions, MessageKind.ACCIDENT)) == 2
+        assert len(actions) == 2
+        assert handle_rsu(state, msg, VEHICLE, 570.0, ids=ids) == []
+        assert handle_rsu(state, msg, RSU, 571.0, ids=ids) == []
+
     def test_accident_on_resolved_road_ignored(self, ids):
         state = fresh_rsu()
         state.ledger.open("X", 500.0)
@@ -202,6 +216,28 @@ class TestRsuTimers:
         assert rearm.at == arm.at + RESTRICTED_PERIOD
         state.ledger.resolve("X", 600.0)
         assert self._fire(state, rearm, ids) == []
+
+
+class TestRsuAcknowledgement:
+    def test_addressing_first_heard_from_vehicle_never_acked(self, ids):
+        # the RSU acknowledges only an official vehicle's own first copy;
+        # that copy arrives here as a repeat, so no ACK is ever sent
+        state = fresh_rsu()
+        msg = make_message(MessageKind.ADDRESSING_INCIDENT, "X", POLICE, 560.0, ids=ids)
+        assert handle_rsu(state, relayed_copy(msg), VEHICLE, 561.0, ids=ids) == []
+        assert handle_rsu(state, msg, POLICE, 562.0, ids=ids) == []
+        assert "X" not in state.restricted
+
+    def test_second_addressing_on_attended_road_acked_only(self, ids):
+        state = fresh_rsu()
+        first = make_message(MessageKind.ADDRESSING_INCIDENT, "X", POLICE, 560.0, ids=ids)
+        handle_rsu(state, first, POLICE, 560.0, ids=ids)
+        second = make_message(
+            MessageKind.ADDRESSING_INCIDENT, "X", POLICE, 565.0, ids=ids
+        )
+        (ack,) = handle_rsu(state, second, POLICE, 565.0, ids=ids)
+        assert ack.message.kind is MessageKind.ACK
+        assert ack.message.correlation == second.id
 
 
 class TestIncidentLedger:
