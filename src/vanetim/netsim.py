@@ -407,9 +407,9 @@ class Engine:
                 else:
                     self._schedule_relay(receiver, state, msg)
             else:
-                reporting = sender if kinds[sender] is RoleKind.RSU else None
+                # only an RSU's wired link reaches the TA
                 self._execute(
-                    receiver, handle_ta(state, msg, self.now, reporting_rsu=reporting)
+                    receiver, handle_ta(state, msg, self.now, reporting_rsu=sender)
                 )
 
     def _schedule_relay(self, slot: int, state: EntityState, msg: Message) -> None:

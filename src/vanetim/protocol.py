@@ -12,6 +12,9 @@ Handlers address other entities by their engine slot: a ``Wired`` target,
 an RSU's two backbone peers, its TA and the TA's reporting RSU are ints.
 An RSU handler is told only the sender's :class:`RoleKind`.
 
+An RSU keeps one :class:`IncidentStatus` per road. It moves forward only,
+except that a resolved road may open a fresh incident.
+
 Timings that the source material leaves open (burst spacing, periodic
 announcement intervals, authority service delay, official-vehicle travel
 and on-site service time) are module constants, the same in every run.
@@ -93,7 +96,7 @@ SERVICE_TIME = 120.0       # official vehicle: arrival -> resolution
 
 
 # ---------------------------------------------------------------------------
-# incident lifecycle ledger
+# incident status and RSU rebroadcast rule table
 
 
 class IncidentStatus(Enum):
@@ -109,81 +112,16 @@ _FORWARD = {
 }
 
 
-class IncidentLedger:
-    """Per-road incident status with timestamped, forward-only transitions."""
-
-    def __init__(self) -> None:
-        self._history: Dict[str, List[Tuple[IncidentStatus, float]]] = {}
-
-    def status(self, road: str) -> Optional[IncidentStatus]:
-        entries = self._history.get(road)
-        return entries[-1][0] if entries else None
-
-    def history(self, road: str) -> List[Tuple[IncidentStatus, float]]:
-        return list(self._history.get(road, []))
-
-    def open(self, road: str, now: float) -> None:
-        current = self.status(road)
-        if current in (IncidentStatus.OPEN, IncidentStatus.BEING_ATTENDED):
-            return
-        # a resolved road may see a fresh incident episode
-        self._history.setdefault(road, []).append((IncidentStatus.OPEN, now))
-
-    def _advance(self, road: str, to: IncidentStatus, now: float) -> None:
-        current = self.status(road)
-        if current is None:
-            raise ProtocolOrderError(f"no incident open on road {road!r}")
-        if to is current:
-            return
-        if to not in _FORWARD[current]:
-            raise ProtocolOrderError(
-                f"illegal transition {current.value} -> {to.value} on road {road!r}"
-            )
-        self._history[road].append((to, now))
-
-    def attend(self, road: str, now: float) -> None:
-        self._advance(road, IncidentStatus.BEING_ATTENDED, now)
-
-    def resolve(self, road: str, now: float) -> None:
-        self._advance(road, IncidentStatus.RESOLVED, now)
-
-
-# ---------------------------------------------------------------------------
-# RSU rebroadcast rule table
-
-
-@dataclass(frozen=True)
-class RuleRow:
-    same_count: int
-    derived_count: int = 0
-    derived_kind: Optional[MessageKind] = None
-
-
-#: Burst counts per (incoming kind, sender class, first-receipt flag). The
-#: rows cover the accident lifecycle exactly; other incident kinds are
-#: handled by the generic announcement path.
-DEFAULT_RULE_ROWS: Dict[tuple, RuleRow] = {
-    (MessageKind.ACCIDENT, RoleKind.REGULAR_VEHICLE, True): RuleRow(
-        3, 3, MessageKind.AVOID_ROAD
-    ),
-    (MessageKind.ACCIDENT, RoleKind.REGULAR_VEHICLE, False): RuleRow(2),
-    (MessageKind.ACCIDENT, RoleKind.RSU, True): RuleRow(2, 2, MessageKind.AVOID_ROAD),
-    (MessageKind.AVOID_ROAD, RoleKind.REGULAR_VEHICLE, True): RuleRow(2),
-    (MessageKind.AVOID_ROAD, RoleKind.RSU, True): RuleRow(3),
-    (MessageKind.SORTED_ROAD, RoleKind.OFFICIAL_VEHICLE, True): RuleRow(
-        0, 3, MessageKind.CLEARED_ROAD
-    ),
-    (MessageKind.CLEARED_ROAD, RoleKind.OFFICIAL_VEHICLE, True): RuleRow(3),
-    (MessageKind.CLEARED_ROAD, RoleKind.RSU, True): RuleRow(3),
-    (MessageKind.ADDRESSING_INCIDENT, RoleKind.OFFICIAL_VEHICLE, True): RuleRow(
-        0, 1, MessageKind.ACK
-    ),
+#: ``(same, avoid_road)`` burst counts per (incoming kind, sender class,
+#: first-receipt flag): repeats of the received copy, then of a derived
+#: AVOID_ROAD notice. A receipt with no row is not rebroadcast.
+DEFAULT_RULE_ROWS: Dict[Tuple[MessageKind, RoleKind, bool], Tuple[int, int]] = {
+    (MessageKind.ACCIDENT, RoleKind.REGULAR_VEHICLE, True): (3, 3),
+    (MessageKind.ACCIDENT, RoleKind.REGULAR_VEHICLE, False): (2, 0),
+    (MessageKind.ACCIDENT, RoleKind.RSU, True): (2, 2),
+    (MessageKind.AVOID_ROAD, RoleKind.REGULAR_VEHICLE, True): (2, 0),
+    (MessageKind.AVOID_ROAD, RoleKind.RSU, True): (3, 0),
 }
-
-
-def _rule_row(kind: MessageKind, sender: RoleKind, first: bool) -> RuleRow:
-    """The row for one receipt; an unpopulated row yields zero repeats."""
-    return DEFAULT_RULE_ROWS.get((kind, sender, first), RuleRow(0))
 
 
 #: Report kinds an RSU announces itself rather than escalating or relaying.
@@ -238,14 +176,14 @@ class EntityState:
     seen: Set[str] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RsuState(EntityState):
+    ta: int                           # slot of the TA
     neighbours: Tuple[int, ...] = ()  # slots of the backbone ring's two peers
-    ta: Optional[int] = None          # slot of the TA
     position: float = 0.0  # arc metres along the route
     services: ServiceDirectory = ServiceDirectory()
-    ledger: IncidentLedger = field(default_factory=IncidentLedger)
-    applied: Set[Tuple[str, RoleKind, bool]] = field(default_factory=set)
+    status: Dict[str, IncidentStatus] = field(default_factory=dict)  # by road
+    reburst: Set[str] = field(default_factory=set)  # accident ids re-burst on a repeat
     announcing: Dict[str, Message] = field(default_factory=dict)
     restricted: Dict[str, Message] = field(default_factory=dict)
 
@@ -326,12 +264,25 @@ def handle_rsu(
     return RSU_HANDLERS[msg.kind](state, msg, sender, first, now, ids)
 
 
-def _apply_once(state: RsuState, msg: Message, sender: RoleKind, first: bool) -> bool:
-    key = (msg.id, sender, first)
-    if key in state.applied:
-        return False
-    state.applied.add(key)
-    return True
+def _open(state: RsuState, road: str) -> None:
+    """Open an incident on ``road``; a resolved road starts a fresh episode."""
+    if state.status.get(road) in (None, IncidentStatus.RESOLVED):
+        state.status[road] = IncidentStatus.OPEN
+
+
+def advance_incident(state: RsuState, road: str, to: IncidentStatus) -> None:
+    """Move ``road``'s incident forward to ``to``; a backward transition, or
+    one with no incident on the road, is out of order."""
+    current = state.status.get(road)
+    if current is None:
+        raise ProtocolOrderError(f"no incident open on road {road!r}")
+    if to is current:
+        return
+    if to not in _FORWARD[current]:
+        raise ProtocolOrderError(
+            f"illegal transition {current.value} -> {to.value} on road {road!r}"
+        )
+    state.status[road] = to
 
 
 def _rsu_table_driven(
@@ -342,24 +293,32 @@ def _rsu_table_driven(
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
-    if state.ledger.status(msg.road) is IncidentStatus.RESOLVED:
+    """Burst as the rule table says. The one repeat with a row, an accident
+    heard again from a vehicle, re-bursts once per id."""
+    if state.status.get(msg.road) is IncidentStatus.RESOLVED:
         return []
-    if not _apply_once(state, msg, sender, first):
+    row = DEFAULT_RULE_ROWS.get((msg.kind, sender, first))
+    if row is None:
         return []
-    row = _rule_row(msg.kind, sender, first)
-    if row.same_count == 0 and row.derived_count == 0:
-        return []
+    if not first:
+        if msg.id in state.reburst:
+            return []
+        state.reburst.add(msg.id)
 
-    actions: List[OutgoingAction] = []
+    same, avoid = row
     if msg.kind is MessageKind.ACCIDENT:
-        state.ledger.open(msg.road, now)
-    actions.extend(_burst(msg, row.same_count, now))
-    if row.derived_count and row.derived_kind is not None:
+        _open(state, msg.road)
+    actions: List[OutgoingAction] = list(_burst(msg, same, now))
+    if avoid:
         derived = make_message(
-            row.derived_kind, msg.road, RoleKind.RSU, now, ids=ids, correlation=msg.id
+            MessageKind.AVOID_ROAD,
+            msg.road,
+            RoleKind.RSU,
+            now,
+            ids=ids,
+            correlation=msg.id,
         )
-        offset = row.same_count * BURST_INTERVAL
-        actions.extend(_burst(derived, row.derived_count, now + offset))
+        actions.extend(_burst(derived, avoid, now + same * BURST_INTERVAL))
     if msg.kind is MessageKind.ACCIDENT and first and sender is not RoleKind.RSU:
         actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
     return actions
@@ -374,9 +333,9 @@ def _rsu_escalate(
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     """Authority-class reports go straight to the TA over the wired link."""
-    if not first or state.ta is None:
+    if not first:
         return []
-    state.ledger.open(msg.road, now)
+    _open(state, msg.road)
     return [Wired(msg, to=state.ta, at=now)]
 
 
@@ -390,11 +349,11 @@ def _rsu_announce_report(
 ) -> List[OutgoingAction]:
     """Announce an open report three times, notify peers, then re-announce
     periodically until the road is cleared."""
-    if state.ledger.status(msg.road) is IncidentStatus.RESOLVED:
+    if state.status.get(msg.road) is IncidentStatus.RESOLVED:
         return []
     if not first:
         return []
-    state.ledger.open(msg.road, now)
+    _open(state, msg.road)
     state.announcing[msg.road] = msg
     actions: List[OutgoingAction] = list(_burst(msg, 3, now))
     # flood along the backbone ring so every zone learns of the incident;
@@ -412,10 +371,9 @@ def _rsu_acknowledge_official(
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
-    if not _apply_once(state, msg, sender, first):
-        return []
-    row = _rule_row(msg.kind, sender, first)
-    if row.derived_count == 0:
+    """Acknowledge an official vehicle's own addressing notice, and announce
+    restricted movement on a road not yet restricted."""
+    if not first or sender is not RoleKind.OFFICIAL_VEHICLE:
         return []
     ack = make_message(
         MessageKind.ACK, msg.road, RoleKind.RSU, now, ids=ids, correlation=msg.id
@@ -423,9 +381,8 @@ def _rsu_acknowledge_official(
     actions: List[OutgoingAction] = [
         Broadcast(ack, at=now, source=ActionSource.ORIGIN)
     ]
-    state.ledger.open(msg.road, now)
-    if state.ledger.status(msg.road) is IncidentStatus.OPEN:
-        state.ledger.attend(msg.road, now)
+    _open(state, msg.road)
+    advance_incident(state, msg.road, IncidentStatus.BEING_ATTENDED)
     if msg.road not in state.restricted:
         restricted = make_message(
             MessageKind.RESTRICTED_MOVEMENT,
@@ -460,17 +417,11 @@ def _rsu_resolution(
     actions: List[OutgoingAction] = []
     if first:
         actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
-    status = state.ledger.status(msg.road)
-    if status in (None, IncidentStatus.RESOLVED):
+    if state.status.get(msg.road) in (None, IncidentStatus.RESOLVED):
         return actions
-    state.ledger.resolve(msg.road, now)
+    advance_incident(state, msg.road, IncidentStatus.RESOLVED)
     state.announcing.pop(msg.road, None)
     state.restricted.pop(msg.road, None)
-
-    repeats = CLEARED_REPEATS
-    row = _rule_row(msg.kind, sender, first)
-    if row.same_count or row.derived_count:
-        repeats = max(row.same_count, row.derived_count)
 
     if msg.kind is MessageKind.CLEARED_ROAD:
         cleared = msg
@@ -483,7 +434,7 @@ def _rsu_resolution(
             ids=ids,
             correlation=msg.id,
         )
-    actions.extend(_burst(cleared, repeats, now))
+    actions.extend(_burst(cleared, CLEARED_REPEATS, now))
     if cleared is not msg:
         actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
     return actions
@@ -531,10 +482,9 @@ def rsu_scripted_resolution(
 ) -> List[OutgoingAction]:
     """Timed clearance for runs with no attending entity: the coordinating
     RSU originates the road-clear flow itself."""
-    status = state.ledger.status(road)
-    if status in (None, IncidentStatus.RESOLVED):
+    if state.status.get(road) in (None, IncidentStatus.RESOLVED):
         return []
-    state.ledger.resolve(road, now)
+    advance_incident(state, road, IncidentStatus.RESOLVED)
     state.announcing.pop(road, None)
     state.restricted.pop(road, None)
     cleared = make_message(MessageKind.CLEARED_ROAD, road, RoleKind.RSU, now, ids=ids)
@@ -549,7 +499,7 @@ def rsu_report_tick(
 ) -> List[OutgoingAction]:
     """Re-announce an open report until the road is cleared."""
     msg = state.announcing.get(road)
-    if msg is None or state.ledger.status(road) is IncidentStatus.RESOLVED:
+    if msg is None or state.status.get(road) is IncidentStatus.RESOLVED:
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),
@@ -562,7 +512,7 @@ def rsu_restricted_tick(
 ) -> List[OutgoingAction]:
     """Re-announce restricted movement while the incident is attended."""
     msg = state.restricted.get(road)
-    if msg is None or state.ledger.status(road) is not IncidentStatus.BEING_ATTENDED:
+    if msg is None or state.status.get(road) is not IncidentStatus.BEING_ATTENDED:
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),
@@ -687,7 +637,7 @@ def official_resolve(
 
 
 def handle_ta(
-    state: EntityState, msg: Message, now: float, *, reporting_rsu: Optional[int] = None
+    state: EntityState, msg: Message, now: float, *, reporting_rsu: int
 ) -> List[OutgoingAction]:
     """Schedule one resolution notice per report id back to the reporting
     RSU, the authority's service delay after the first receipt;
@@ -704,7 +654,7 @@ def ta_resolve(
     road: str,
     kind: MessageKind,
     report_id: str,
-    reporting_rsu: Optional[int],
+    reporting_rsu: int,
     now: float,
     *,
     ids: MessageIdSource,
@@ -713,8 +663,6 @@ def ta_resolve(
     resolution = make_message(
         RESOLUTION_FOR[kind], road, RoleKind.TA, now, ids=ids, correlation=report_id
     )
-    if reporting_rsu is None:
-        return []
     return [Wired(resolution, to=reporting_rsu, at=now)]
 
 

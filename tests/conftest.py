@@ -8,10 +8,14 @@ import pytest
 
 from vanetim.domain import MessageIdSource
 from vanetim.netsim import Engine, TraceRecord, TrialSetup
+from vanetim.protocol import Broadcast, RsuState, ServiceDirectory, Wired
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
 
 POLICIES = {"hop4": HOP4, "fresh60": FRESH60}
+
+# engine slots of a ten-RSU backbone after a 20-vehicle fleet, then the TA
+RSU0_SLOT, RSU1_SLOT, RSU9_SLOT, TA_SLOT = 20, 21, 29, 30
 
 
 @pytest.fixture
@@ -50,3 +54,28 @@ def run_cell(
 def replay_count(trace) -> int:
     """Independent transmission counter: one per trace record, by replay."""
     return sum(1 for _ in trace)
+
+
+def fresh_rsu(services=ServiceDirectory()) -> RsuState:
+    """RSU0's state: backbone peers RSU9 and RSU1, and the TA."""
+    return RsuState(
+        neighbours=(RSU9_SLOT, RSU1_SLOT),
+        ta=TA_SLOT,
+        services=services,
+    )
+
+
+def broadcasts(actions, kind=None):
+    """The broadcast actions, of one message kind if given."""
+    out = [a for a in actions if isinstance(a, Broadcast)]
+    if kind is not None:
+        out = [a for a in out if a.message.kind is kind]
+    return out
+
+
+def wired(actions, kind=None):
+    """The wired-send actions, of one message kind if given."""
+    out = [a for a in actions if isinstance(a, Wired)]
+    if kind is not None:
+        out = [a for a in out if a.message.kind is kind]
+    return out

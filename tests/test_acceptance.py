@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from conftest import POLICIES, replay_count, run_cell
+from conftest import POLICIES, broadcasts, fresh_rsu, replay_count, run_cell
 from static_world import StaticWorld
 from vanetim.domain import (
     EntityId,
@@ -138,8 +138,6 @@ def test_criterion_03_policy_ordering_with_police(sweep_police):
 
 
 def test_criterion_04_rule_table_exactness(ids):
-    from test_protocol import broadcasts, fresh_rsu
-
     ok = True
 
     def counts(state, msg, sender, now):

@@ -1,5 +1,14 @@
 import pytest
 
+from conftest import (
+    RSU0_SLOT,
+    RSU1_SLOT,
+    RSU9_SLOT,
+    TA_SLOT,
+    broadcasts,
+    fresh_rsu,
+    wired,
+)
 from vanetim.domain import (
     ActionSource,
     MessageIdSource,
@@ -15,19 +24,18 @@ from vanetim.protocol import (
     Broadcast,
     DEFAULT_RULE_ROWS,
     EntityState,
-    IncidentLedger,
     IncidentStatus,
     OfficialPhase,
     OfficialState,
     ProtocolOrderError,
     REPORT_PERIOD,
     RESTRICTED_PERIOD,
-    RsuState,
     ServiceDirectory,
     ServiceEntry,
     SpeedHistory,
     TA_SERVICE_DELAY,
     Wired,
+    advance_incident,
     detect_congestion,
     detect_jam,
     handle_official,
@@ -47,35 +55,10 @@ VEHICLE = RoleKind.REGULAR_VEHICLE
 POLICE = RoleKind.OFFICIAL_VEHICLE
 RSU = RoleKind.RSU
 
-# engine slots of a ten-RSU backbone after a 20-vehicle fleet, then the TA
-RSU0_SLOT, RSU1_SLOT, RSU9_SLOT, TA_SLOT = 20, 21, 29, 30
-
-
-def fresh_rsu(services=ServiceDirectory()):
-    return RsuState(
-        neighbours=(RSU9_SLOT, RSU1_SLOT),
-        ta=TA_SLOT,
-        services=services,
-    )
-
-
-def broadcasts(actions, kind=None):
-    out = [a for a in actions if isinstance(a, Broadcast)]
-    if kind is not None:
-        out = [a for a in out if a.message.kind is kind]
-    return out
-
-
-def wired(actions, kind=None):
-    out = [a for a in actions if isinstance(a, Wired)]
-    if kind is not None:
-        out = [a for a in out if a.message.kind is kind]
-    return out
-
 
 class TestRuleTable:
-    def test_exactly_nine_populated_rows(self):
-        assert len(DEFAULT_RULE_ROWS) == 9
+    def test_exactly_five_populated_rows(self):
+        assert len(DEFAULT_RULE_ROWS) == 5
 
     def test_unpopulated_rows_yield_zero(self, ids):
         # no row covers an accident first heard from an official vehicle
@@ -91,7 +74,7 @@ class TestRuleTable:
         assert len(broadcasts(actions, MessageKind.ACCIDENT)) == 3
         assert len(broadcasts(actions, MessageKind.AVOID_ROAD)) == 3
         assert len(wired(actions, MessageKind.ACCIDENT)) == 2  # both neighbours
-        assert state.ledger.status("X") is IncidentStatus.OPEN
+        assert state.status["X"] is IncidentStatus.OPEN
 
     def test_accident_from_rsu(self, ids):
         state = fresh_rsu()
@@ -142,8 +125,7 @@ class TestRuleTable:
 
     def test_accident_on_resolved_road_ignored(self, ids):
         state = fresh_rsu()
-        state.ledger.open("X", 500.0)
-        state.ledger.resolve("X", 540.0)
+        state.status["X"] = IncidentStatus.RESOLVED
         msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
         assert handle_rsu(state, msg, VEHICLE, 550.0, ids=ids) == []
 
@@ -151,16 +133,16 @@ class TestRuleTable:
 class TestRsuResolution:
     def test_sorted_road_from_police(self, ids):
         state = fresh_rsu()
-        state.ledger.open("X", 550.0)
+        state.status["X"] = IncidentStatus.OPEN
         msg = make_message(MessageKind.SORTED_ROAD, "X", POLICE, 700.0, ids=ids)
         actions = handle_rsu(state, msg, POLICE, 700.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.CLEARED_ROAD)) == 3
         assert len(wired(actions, MessageKind.CLEARED_ROAD)) == 2
-        assert state.ledger.status("X") is IncidentStatus.RESOLVED
+        assert state.status["X"] is IncidentStatus.RESOLVED
 
     def test_derived_notice_flooded_despite_colliding_ids(self, ids):
         state = fresh_rsu()
-        state.ledger.open("X", 550.0)
+        state.status["X"] = IncidentStatus.OPEN
         msg = make_message(MessageKind.SORTED_ROAD, "X", POLICE, 700.0, ids=ids)
         # a second, fresh source hands the derived notice the input's id
         actions = handle_rsu(state, msg, POLICE, 700.0, ids=MessageIdSource())
@@ -170,7 +152,7 @@ class TestRsuResolution:
 
     def test_cleared_road_from_rsu(self, ids):
         state = fresh_rsu()
-        state.ledger.open("X", 550.0)
+        state.status["X"] = IncidentStatus.OPEN
         msg = make_message(MessageKind.CLEARED_ROAD, "X", RSU, 700.0, ids=ids)
         actions = handle_rsu(state, msg, RSU, 700.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.CLEARED_ROAD)) == 3
@@ -199,7 +181,7 @@ class TestRsuTimers:
         assert announce.source is ActionSource.BURST
         assert (rearm.fn, rearm.args) == (rsu_report_tick, ("X",))
         assert rearm.at == arm.at + REPORT_PERIOD
-        state.ledger.resolve("X", 600.0)
+        state.status["X"] = IncidentStatus.RESOLVED
         assert self._fire(state, rearm, ids) == []
 
     def test_restricted_movement_reannounced_while_attended(self, ids):
@@ -214,7 +196,7 @@ class TestRsuTimers:
         assert announce.message.kind is MessageKind.RESTRICTED_MOVEMENT
         assert (rearm.fn, rearm.args) == (rsu_restricted_tick, ("X",))
         assert rearm.at == arm.at + RESTRICTED_PERIOD
-        state.ledger.resolve("X", 600.0)
+        state.status["X"] = IncidentStatus.RESOLVED
         assert self._fire(state, rearm, ids) == []
 
 
@@ -241,41 +223,51 @@ class TestRsuAcknowledgement:
 
 
 class TestIncidentLedger:
-    def test_lifecycle(self):
-        ledger = IncidentLedger()
-        ledger.open("X", 550.0)
-        ledger.attend("X", 560.0)
-        ledger.resolve("X", 700.0)
-        assert ledger.status("X") is IncidentStatus.RESOLVED
-        assert [s for s, _ in ledger.history("X")] == [
-            IncidentStatus.OPEN,
-            IncidentStatus.BEING_ATTENDED,
-            IncidentStatus.RESOLVED,
-        ]
+    """The incident status an RSU keeps per road."""
+
+    def test_lifecycle(self, ids):
+        # report -> addressing notice -> clearance, through the handlers
+        state = fresh_rsu()
+        report = make_message(MessageKind.OBSTACLE, "X", VEHICLE, 550.0, ids=ids)
+        handle_rsu(state, report, VEHICLE, 550.0, ids=ids)
+        assert state.status["X"] is IncidentStatus.OPEN
+        addressing = make_message(
+            MessageKind.ADDRESSING_INCIDENT, "X", POLICE, 560.0, ids=ids
+        )
+        handle_rsu(state, addressing, POLICE, 560.0, ids=ids)
+        assert state.status["X"] is IncidentStatus.BEING_ATTENDED
+        done = make_message(MessageKind.OBSTACLE_CLEARED, "X", POLICE, 700.0, ids=ids)
+        handle_rsu(state, done, POLICE, 700.0, ids=ids)
+        assert state.status["X"] is IncidentStatus.RESOLVED
 
     def test_resolve_without_open_raises(self):
         with pytest.raises(ProtocolOrderError):
-            IncidentLedger().resolve("X", 1.0)
+            advance_incident(fresh_rsu(), "X", IncidentStatus.RESOLVED)
 
     def test_backward_transition_raises(self):
-        ledger = IncidentLedger()
-        ledger.open("X", 1.0)
-        ledger.resolve("X", 2.0)
+        state = fresh_rsu()
+        state.status["X"] = IncidentStatus.RESOLVED
         with pytest.raises(ProtocolOrderError):
-            ledger.attend("X", 3.0)
+            advance_incident(state, "X", IncidentStatus.BEING_ATTENDED)
+        assert state.status["X"] is IncidentStatus.RESOLVED
 
-    def test_reopen_after_resolution(self):
-        ledger = IncidentLedger()
-        ledger.open("X", 1.0)
-        ledger.resolve("X", 2.0)
-        ledger.open("X", 3.0)  # a fresh episode on the same road
-        assert ledger.status("X") is IncidentStatus.OPEN
+    def test_reopen_after_resolution(self, ids):
+        state = fresh_rsu()
+        state.status["X"] = IncidentStatus.RESOLVED
+        # a fresh report on the same road opens a new episode
+        report = make_message(MessageKind.DEBRIS, "X", VEHICLE, 600.0, ids=ids)
+        handle_rsu(state, report, VEHICLE, 600.0, ids=ids)
+        assert state.status["X"] is IncidentStatus.OPEN
 
-    def test_double_open_is_noop(self):
-        ledger = IncidentLedger()
-        ledger.open("X", 1.0)
-        ledger.open("X", 2.0)
-        assert len(ledger.history("X")) == 1
+    def test_double_open_is_noop(self, ids):
+        # a second report on a road with an incident leaves its status be
+        state = fresh_rsu()
+        for now, status in ((600.0, IncidentStatus.OPEN),
+                            (610.0, IncidentStatus.BEING_ATTENDED)):
+            state.status["X"] = status
+            report = make_message(MessageKind.DEBRIS, "X", VEHICLE, now, ids=ids)
+            handle_rsu(state, report, VEHICLE, now, ids=ids)
+            assert state.status["X"] is status
 
 
 class TestOfficialFlow:
