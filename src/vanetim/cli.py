@@ -89,20 +89,18 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 
 
 def _coerce(key: str, value: str) -> object:
-    if key == "densities":
+    """Parse ``value`` as the type of ``key``'s default in :class:`RunConfig`."""
+    default = getattr(RunConfig, key)
+    if isinstance(default, tuple):
         return tuple(int(v) for v in value.split(",") if v)
-    if key == "include_wired":
+    if isinstance(default, bool):
         try:
             return _BOOLEANS[value.lower()]
         except KeyError:
             raise ConfigError(
-                f"include_wired: expected true/false/yes/no/1/0, got {value!r}"
+                f"{key}: expected true/false/yes/no/1/0, got {value!r}"
             ) from None
-    if key in ("vehicles", "police", "seed", "trials"):
-        return int(value)
-    if key in ("duration", "warmup", "loss", "route_length", "dt", "relay_hold"):
-        return float(value)
-    return value
+    return type(default)(value)
 
 
 def parse_policy(name: str) -> RelayPolicy:
@@ -287,13 +285,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     else:
         config = RunConfig()
     overrides = {}
-    for key in ("scenario", "policy", "vehicles", "police", "trials", "seed",
-                "duration", "warmup", "loss", "out_dir", "include_wired"):
-        value = getattr(args, key, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if isinstance(value, str):
+            value = _coerce(f.name, value)
         if value is not None:
-            overrides[key] = value
-    if getattr(args, "densities", None):
-        overrides["densities"] = tuple(int(v) for v in args.densities.split(","))
+            overrides[f.name] = value
     return replace(config, **overrides)
 
 

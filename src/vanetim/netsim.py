@@ -6,7 +6,13 @@ links, protocol timers, and scripted incident events. Identical
 (setup, seed) pairs produce byte-identical traces. Only events schedule
 events, so the mobility tick stops once no event is due by the end of the
 run: a later step could not reach the trace. An event due before the
-current time is an error, not a reordering.
+current time, a send or a timer alike, is an error, not a reordering.
+
+The script's reporter reports on ``ROAD`` at ``REPORT_TIME``; the first
+RSU to receive that report is the trial's coordinator. A script's
+``Clearance`` runs at ``CLEAR_TIME``: the coordinator or the reporter
+clears the road. Without one, the handlers' own events resolve the
+incident.
 
 Every entity is a dense int slot fixed at set-up: the vehicles in spawn
 order (a vehicle's slot indexes ``world.positions`` and ``world.speeds``),
@@ -41,7 +47,6 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from . import scenarios as _scenarios
 from .domain import (
     ActionSource,
     EntityId,
@@ -79,6 +84,7 @@ from .protocol import (
     rsu_scripted_resolution,
 )
 from .relay import RelayPolicy
+from .scenarios import CLEAR_TIME, REPORT_TIME, ROAD, Clearance, ScenarioScript
 
 
 RADIO_RANGE = 300.0     # metres
@@ -107,7 +113,7 @@ def _names_one_of(label: str, kind: RoleKind, count: int) -> bool:
 
 @dataclass(frozen=True)
 class TrialSetup:
-    script: "_scenarios.ScenarioScript"
+    script: ScenarioScript
     policy: RelayPolicy
     vehicles: int
     police: int = 0
@@ -150,8 +156,11 @@ class TrialSetup:
                     f"scenario {name} {label} names no entity in a fleet of "
                     f"{self.vehicles} vehicles and {self.police} police"
                 )
-        if script.report_time < self.warmup:
-            raise ValueError("incident report must not fall inside the warm-up")
+        if REPORT_TIME < self.warmup:
+            raise ValueError(
+                f"the incident report at {REPORT_TIME} s must not fall inside "
+                "the warm-up"
+            )
         fleet = self.vehicles + self.police
         footprint = VEHICLE_LENGTH + STANDSTILL_GAP
         if fleet * footprint > mob.route_length:
@@ -231,7 +240,7 @@ class Engine:
         self._seq = 0
         self._steps = int(setup.duration / setup.mobility.dt)
         self.coordinator: Optional[int] = None  # slot of the coordinating RSU
-        self._report_ids: set = set()
+        self._report_id: Optional[str] = None
 
         script = setup.script
         regulars = [EntityId(i) for i in range(setup.vehicles)]
@@ -305,13 +314,9 @@ class Engine:
         )
         self.trace.append(record)
         self.metrics.count(msg.kind, kind, source)
-        script = self.setup.script
-        if (
-            script.blockage
-            and msg.kind in RESOLUTION_KINDS
-            and msg.road == script.road
-            and self.world.blockages
-        ):
+        # only a blockage script parks the reporter, and every message of a
+        # trial is on ROAD, so any resolution notice lifts the blockage
+        if msg.kind in RESOLUTION_KINDS and self.world.blockages:
             self.world.blockages.clear()
 
     def broadcast(
@@ -365,14 +370,15 @@ class Engine:
     def _execute(self, slot: int, actions) -> None:
         for action in actions:
             if isinstance(action, Broadcast):
-                at = max(action.at, self.now)
                 self._schedule(
-                    at, self.broadcast, action.message, slot, at, action.source,
-                    action.downstream_only,
+                    action.at, self.broadcast, action.message, slot, action.at,
+                    action.source, action.downstream_only,
                 )
             elif isinstance(action, Wired):
-                at = max(action.at, self.now)
-                self._schedule(at, self.wired_send, action.message, slot, action.to, at)
+                self._schedule(
+                    action.at, self.wired_send, action.message, slot, action.to,
+                    action.at,
+                )
             elif isinstance(action, Arm):
                 self._schedule(action.at, self._fire_timer, slot, action)
             else:
@@ -397,7 +403,7 @@ class Engine:
                 )
                 self._schedule_relay(receiver, state, msg)
             elif kind is RoleKind.RSU:
-                if msg_id in self._report_ids and self.coordinator is None:
+                if msg_id == self._report_id and self.coordinator is None:
                     self.coordinator = receiver
                 if msg.kind in RSU_HANDLERS:
                     self._execute(
@@ -435,14 +441,14 @@ class Engine:
         self,
         slot: int,
         kind: MessageKind,
-        road: str,
         now: float,
         *,
         payload: Optional[str] = None,
     ) -> Message:
-        """Create and broadcast a fresh report from the entity in ``slot``."""
+        """Create and broadcast a fresh message on ``ROAD`` from the entity
+        in ``slot``."""
         msg = make_message(
-            kind, road, self._kinds[slot], now, ids=self.ids, payload=payload
+            kind, ROAD, self._kinds[slot], now, ids=self.ids, payload=payload
         )
         self.states[slot].seen.add(msg.id)
         self.broadcast(msg, slot, now, ActionSource.ORIGIN)
@@ -453,23 +459,20 @@ class Engine:
         reporter = self._reporter
         if script.blockage and reporter < self.world.spawned_count:
             self.world.add_blockage(self.world.arc_of(reporter))
-        msg = self.originate(
-            reporter, script.kind, script.road, self.now, payload=script.payload
-        )
-        self._report_ids.add(msg.id)
+        msg = self.originate(reporter, script.kind, self.now, payload=script.payload)
+        self._report_id = msg.id
 
-    def _timed_resolution(self) -> None:
+    def _coordinator_clear(self) -> None:
         rsu = self.coordinator
         if rsu is None:
             return
         state = self.states[rsu]
         self._execute(
-            rsu, rsu_scripted_resolution(state, self.setup.script.road, self.now, ids=self.ids)
+            rsu, rsu_scripted_resolution(state, ROAD, self.now, ids=self.ids)
         )
 
-    def _vehicle_clear(self) -> None:
-        script = self.setup.script
-        self.originate(self._reporter, MessageKind.CLEARED_ROAD, script.road, self.now)
+    def _reporter_clear(self) -> None:
+        self.originate(self._reporter, MessageKind.CLEARED_ROAD, self.now)
 
     # -- main loop ---------------------------------------------------------
 
@@ -493,15 +496,14 @@ class Engine:
 
     def run(self) -> Tuple[List[TraceRecord], TrialMetrics]:
         setup = self.setup
-        script = setup.script
         self._push_tick(0)
-        self._schedule(script.report_time, self._report)
-        resolution = script.resolution
-        if isinstance(resolution, _scenarios.TimedResolution):
-            self._schedule(resolution.at, self._timed_resolution)
-        elif isinstance(resolution, _scenarios.VehicleClearResolution):
-            self._schedule(resolution.at, self._vehicle_clear)
-        # official and authority resolutions are event-driven, not scheduled
+        self._schedule(REPORT_TIME, self._report)
+        clearance = setup.script.clearance
+        if clearance is Clearance.COORDINATOR:
+            self._schedule(CLEAR_TIME, self._coordinator_clear)
+        elif clearance is Clearance.REPORTER:
+            self._schedule(CLEAR_TIME, self._reporter_clear)
+        # an official vehicle or the TA resolves the rest when events say so
 
         while self._queue:
             at, _, fn, args = heapq.heappop(self._queue)

@@ -419,25 +419,29 @@ def _rsu_resolution(
         actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
     if state.status.get(msg.road) in (None, IncidentStatus.RESOLVED):
         return actions
-    advance_incident(state, msg.road, IncidentStatus.RESOLVED)
-    state.announcing.pop(msg.road, None)
-    state.restricted.pop(msg.road, None)
-
     if msg.kind is MessageKind.CLEARED_ROAD:
-        cleared = msg
-    else:
-        cleared = make_message(
-            MessageKind.CLEARED_ROAD,
-            msg.road,
-            RoleKind.RSU,
-            now,
-            ids=ids,
-            correlation=msg.id,
-        )
-    actions.extend(_burst(cleared, CLEARED_REPEATS, now))
-    if cleared is not msg:
-        actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
+        return actions + _close(state, msg, now)
+    cleared = make_message(
+        MessageKind.CLEARED_ROAD,
+        msg.road,
+        RoleKind.RSU,
+        now,
+        ids=ids,
+        correlation=msg.id,
+    )
+    actions.extend(_close(state, cleared, now))
+    actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
     return actions
+
+
+def _close(state: RsuState, cleared: Message, now: float) -> List[OutgoingAction]:
+    """Resolve the incident on ``cleared``'s road, stop re-announcing the
+    road, and burst ``cleared`` ``CLEARED_REPEATS`` times."""
+    road = cleared.road
+    advance_incident(state, road, IncidentStatus.RESOLVED)
+    state.announcing.pop(road, None)
+    state.restricted.pop(road, None)
+    return _burst(cleared, CLEARED_REPEATS, now)
 
 
 def _rsu_service_query(
@@ -484,12 +488,9 @@ def rsu_scripted_resolution(
     RSU originates the road-clear flow itself."""
     if state.status.get(road) in (None, IncidentStatus.RESOLVED):
         return []
-    advance_incident(state, road, IncidentStatus.RESOLVED)
-    state.announcing.pop(road, None)
-    state.restricted.pop(road, None)
     cleared = make_message(MessageKind.CLEARED_ROAD, road, RoleKind.RSU, now, ids=ids)
     state.seen.add(cleared.id)
-    actions: List[OutgoingAction] = list(_burst(cleared, CLEARED_REPEATS, now))
+    actions = _close(state, cleared, now)
     actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
     return actions
 

@@ -1,78 +1,34 @@
 """The incident scenario catalogue and the trace-conformance checker.
 
-Each catalogue entry is a declarative script (who reports what, where,
-when, and how the incident resolves) paired with a sequence specification:
-a partial order of message patterns with repetition bounds. The checker
-validates a finished trace against a spec; relayed copies may interleave
-freely, so ordering constraints compare first occurrences only.
+Each catalogue entry is a declarative script (who reports what, and who
+clears the road) that carries its sequence specification: a partial order
+of message patterns with repetition bounds. Every script reports on the
+one road ``ROAD`` at ``REPORT_TIME``, and a scripted clearance runs at
+``CLEAR_TIME``. The checker validates a finished trace against a spec;
+relayed copies may interleave freely, so ordering constraints compare
+first occurrences only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from enum import Enum
+from typing import Dict, List, Optional, Tuple
 
 from .domain import ActionSource, MessageKind, RoleKind, role_of_label
 from .protocol import ServiceEntry
 
 
-# ---------------------------------------------------------------------------
-# resolution modes
+ROAD = "X"              # the road every incident is reported on
+REPORT_TIME = 550.0     # seconds: the reporter originates its report
+CLEAR_TIME = 850.0      # seconds: a scripted clearance runs
 
 
-@dataclass(frozen=True)
-class TimedResolution:
-    """The coordinating RSU closes the incident at a scripted time."""
+class Clearance(Enum):
+    """Who clears the road at ``CLEAR_TIME``."""
 
-    at: float = 850.0
-
-
-@dataclass(frozen=True)
-class VehicleClearResolution:
-    """The reporting vehicle notices the road is clear at a scripted time."""
-
-    at: float = 850.0
-
-
-@dataclass(frozen=True)
-class OfficialResolution:
-    """An official vehicle attends; timing follows the protocol config."""
-
-
-@dataclass(frozen=True)
-class AuthorityResolution:
-    """The TA services the report after its configured delay."""
-
-
-@dataclass(frozen=True)
-class NoResolution:
-    """Request/reply exchanges with no incident lifecycle."""
-
-
-Resolution = Union[
-    TimedResolution,
-    VehicleClearResolution,
-    OfficialResolution,
-    AuthorityResolution,
-    NoResolution,
-]
-
-
-@dataclass(frozen=True)
-class ScenarioScript:
-    name: str
-    reporter: str                  # entity label, e.g. "V17" or "P0"
-    kind: MessageKind
-    spec_id: str
-    road: str = "X"
-    report_time: float = 550.0
-    resolution: Resolution = TimedResolution()
-    reporter_index: int = 17       # slot after which officials are spawned
-    min_police: int = 0
-    responder: Optional[str] = None
-    blockage: bool = False
-    payload: Optional[str] = None
-    services: Tuple[ServiceEntry, ...] = ()
+    COORDINATOR = "coordinator"  # the first RSU to hear the report
+    REPORTER = "reporter"        # the reporter originates CLEARED_ROAD
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +49,7 @@ class Step:
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    spec_id: str
+    name: str
     steps: Tuple[Step, ...]
 
 
@@ -108,12 +64,12 @@ class StepResult:
 
 @dataclass(frozen=True)
 class ConformanceReport:
-    spec_id: str
+    name: str
     results: Tuple[StepResult, ...]
     passed: bool
 
     def summary(self) -> str:
-        lines = [f"sequence {self.spec_id}: {'PASS' if self.passed else 'FAIL'}"]
+        lines = [f"sequence {self.name}: {'PASS' if self.passed else 'FAIL'}"]
         for result in self.results:
             mark = "ok " if result.satisfied else "VIOLATION"
             lines.append(
@@ -182,7 +138,7 @@ def check_conformance(trace, spec: SequenceSpec) -> ConformanceReport:
                     break
         results.append(StepResult(step.key, satisfied, n, first, reason))
     passed = all(r.satisfied for r in results)
-    return ConformanceReport(spec.spec_id, tuple(results), passed)
+    return ConformanceReport(spec.name, tuple(results), passed)
 
 
 # ---------------------------------------------------------------------------
@@ -217,137 +173,56 @@ def _report_steps(report: MessageKind, origin_role: RoleKind = V) -> Tuple[Step,
     )
 
 
-SEQUENCE_SPECS: Dict[str, SequenceSpec] = {}
-
-
-def _register(spec: SequenceSpec) -> SequenceSpec:
-    SEQUENCE_SPECS[spec.spec_id] = spec
-    return spec
-
-
-_register(SequenceSpec(
-    "accident-announce",
-    (
-        Step("report", MessageKind.ACCIDENT, from_role=V, source=ORIGIN, max_count=1),
-        Step("vehicle-relay", MessageKind.ACCIDENT, from_role=V, source=RELAY,
-             after=("report",)),
-        Step("rsu-announce", MessageKind.ACCIDENT, from_role=R, source=BURST,
-             min_count=3, after=("report",)),
-        Step("avoid", MessageKind.AVOID_ROAD, from_role=R, source=BURST,
-             min_count=3, after=("report",)),
-        Step("peer-notify", MessageKind.ACCIDENT, from_role=R, to_role=R,
-             source=WIRED, min_count=1, after=("report",)),
-        Step("cleared", MessageKind.CLEARED_ROAD, from_role=R, source=BURST,
-             min_count=3, after=("rsu-announce",)),
-        Step("cleared-peer", MessageKind.CLEARED_ROAD, from_role=R, to_role=R,
-             source=WIRED, min_count=1, after=("cleared",)),
-    ),
-))
-
-_register(SequenceSpec(
-    "accident-official",
-    (
-        Step("report", MessageKind.ACCIDENT, from_role=V, source=ORIGIN, max_count=1),
-        Step("addressing", MessageKind.ADDRESSING_INCIDENT, from_role=O,
-             source=ORIGIN, max_count=1, after=("report",)),
-        Step("ack", MessageKind.ACK, from_role=R, after=("addressing",)),
-        Step("restricted", MessageKind.RESTRICTED_MOVEMENT, from_role=R,
-             after=("addressing",)),
-        Step("free-road", MessageKind.FREE_ROAD, from_role=O, source=ORIGIN,
-             after=("ack",)),
-        Step("attending", MessageKind.ATTENDING, from_role=O, source=ORIGIN,
-             after=("ack",)),
-        Step("sorted", MessageKind.SORTED_ROAD, from_role=O, source=ORIGIN,
-             max_count=1, after=("attending",)),
-        Step("cleared", MessageKind.CLEARED_ROAD, from_role=R, source=BURST,
-             min_count=3, after=("sorted",)),
-    ),
-))
-
-_register(SequenceSpec(
-    "traffic-jam",
-    _report_steps(MessageKind.TRAFFIC_JAM) + (
+def _reporter_clear_steps(report: MessageKind) -> Tuple[Step, ...]:
+    return _report_steps(report) + (
         Step("clear", MessageKind.CLEARED_ROAD, from_role=V, source=ORIGIN,
              max_count=1, after=("announce",)),
         Step("cleared", MessageKind.CLEARED_ROAD, from_role=R, source=BURST,
              min_count=3, after=("clear",)),
-    ),
-))
+    )
 
-_register(SequenceSpec(
-    "congestion",
-    _report_steps(MessageKind.CONGESTION) + (
-        Step("clear", MessageKind.CLEARED_ROAD, from_role=V, source=ORIGIN,
-             max_count=1, after=("announce",)),
-        Step("cleared", MessageKind.CLEARED_ROAD, from_role=R, source=BURST,
-             min_count=3, after=("clear",)),
-    ),
-))
 
-_register(SequenceSpec(
-    "obstacle",
-    _report_steps(MessageKind.OBSTACLE) + (
+def _attended_steps(report: MessageKind, done: Step) -> Tuple[Step, ...]:
+    """A broadcast report an official vehicle addresses, attends and closes
+    with ``done``, after which the RSU bursts the road clear."""
+    return _report_steps(report) + (
         Step("addressing", MessageKind.ADDRESSING_INCIDENT, from_role=O,
              source=ORIGIN, max_count=1, after=("report",)),
         Step("attending", MessageKind.ATTENDING, from_role=O, source=ORIGIN,
              after=("addressing",)),
-        Step("removed", MessageKind.OBSTACLE_CLEARED, from_role=O, source=ORIGIN,
-             max_count=1, after=("attending",)),
+        done,
         Step("cleared", MessageKind.CLEARED_ROAD, from_role=R, source=BURST,
-             min_count=3, after=("removed",)),
-    ),
-))
-
-_register(SequenceSpec(
-    "diversion",
-    _report_steps(MessageKind.DIVERSION, origin_role=O) + (
-        Step("cleared", MessageKind.CLEARED_ROAD, from_role=R, source=BURST,
-             min_count=3, after=("announce",)),
-    ),
-))
-
-_register(SequenceSpec(
-    "stranded-vehicle",
-    _report_steps(MessageKind.STRANDED_VEHICLE) + (
-        Step("addressing", MessageKind.ADDRESSING_INCIDENT, from_role=O,
-             source=ORIGIN, max_count=1, after=("report",)),
-        Step("attending", MessageKind.ATTENDING, from_role=O, source=ORIGIN,
-             after=("addressing",)),
-        Step("official-clear", MessageKind.CLEARED_ROAD, from_role=O,
-             source=ORIGIN, max_count=1, after=("attending",)),
-        Step("cleared", MessageKind.CLEARED_ROAD, from_role=R, source=BURST,
-             min_count=3, after=("official-clear",)),
-    ),
-))
-
-_register(SequenceSpec(
-    "debris", _escalation_steps(MessageKind.DEBRIS, MessageKind.DEBRIS_RESOLVED)
-))
-_register(SequenceSpec(
-    "road-defect", _escalation_steps(MessageKind.ROAD_DEFECT, MessageKind.DEFECT_RESOLVED)
-))
-_register(SequenceSpec(
-    "flood", _escalation_steps(MessageKind.FLOOD, MessageKind.FLOOD_RESOLVED)
-))
-_register(SequenceSpec(
-    "signal-malfunction",
-    _escalation_steps(MessageKind.SIGNAL_MALFUNCTION, MessageKind.SIGNAL_RESOLVED),
-))
-
-_register(SequenceSpec(
-    "service-lookup-petrol",
-    (
-        Step("query", MessageKind.SERVICE_QUERY, from_role=V, source=ORIGIN, max_count=1),
-        Step("reply", MessageKind.SERVICE_REPLY, from_role=R, source=ORIGIN,
-             after=("query",)),
-    ),
-))
+             min_count=3, after=(done.key,)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # scenario catalogue
 
-_PETROL = (ServiceEntry("petrol-pump", "X", 500.0),)
+
+@dataclass(frozen=True)
+class ScenarioScript:
+    """Who reports what, who clears the road, and the trace it must leave.
+
+    Every script reports on ``ROAD`` at ``REPORT_TIME``. With a
+    ``clearance`` the road is cleared at ``CLEAR_TIME``; without one an
+    official vehicle or the TA resolves the incident, or nothing does.
+    """
+
+    name: str
+    reporter: str                  # entity label, e.g. "V17" or "P0"
+    kind: MessageKind
+    spec: SequenceSpec
+    clearance: Optional[Clearance] = None
+    reporter_index: int = 17       # slot after which officials are spawned
+    min_police: int = 0
+    responder: Optional[str] = None
+    blockage: bool = False
+    payload: Optional[str] = None
+    services: Tuple[ServiceEntry, ...] = ()
+
+
+_PETROL = (ServiceEntry("petrol-pump", ROAD, 500.0),)
 
 SCENARIOS: Dict[str, ScenarioScript] = {
     script.name: script
@@ -356,96 +231,150 @@ SCENARIOS: Dict[str, ScenarioScript] = {
             name="accident",
             reporter="V17",
             kind=MessageKind.ACCIDENT,
-            spec_id="accident-announce",
+            spec=SequenceSpec("accident-announce", (
+                Step("report", MessageKind.ACCIDENT, from_role=V, source=ORIGIN,
+                     max_count=1),
+                Step("vehicle-relay", MessageKind.ACCIDENT, from_role=V, source=RELAY,
+                     after=("report",)),
+                Step("rsu-announce", MessageKind.ACCIDENT, from_role=R, source=BURST,
+                     min_count=3, after=("report",)),
+                Step("avoid", MessageKind.AVOID_ROAD, from_role=R, source=BURST,
+                     min_count=3, after=("report",)),
+                Step("peer-notify", MessageKind.ACCIDENT, from_role=R, to_role=R,
+                     source=WIRED, min_count=1, after=("report",)),
+                Step("cleared", MessageKind.CLEARED_ROAD, from_role=R, source=BURST,
+                     min_count=3, after=("rsu-announce",)),
+                Step("cleared-peer", MessageKind.CLEARED_ROAD, from_role=R, to_role=R,
+                     source=WIRED, min_count=1, after=("cleared",)),
+            )),
+            clearance=Clearance.COORDINATOR,
             blockage=True,
-            resolution=TimedResolution(850.0),
         ),
         ScenarioScript(
             name="accident-police",
             reporter="V17",
             kind=MessageKind.ACCIDENT,
-            spec_id="accident-official",
-            blockage=True,
+            spec=SequenceSpec("accident-official", (
+                Step("report", MessageKind.ACCIDENT, from_role=V, source=ORIGIN,
+                     max_count=1),
+                Step("addressing", MessageKind.ADDRESSING_INCIDENT, from_role=O,
+                     source=ORIGIN, max_count=1, after=("report",)),
+                Step("ack", MessageKind.ACK, from_role=R, after=("addressing",)),
+                Step("restricted", MessageKind.RESTRICTED_MOVEMENT, from_role=R,
+                     after=("addressing",)),
+                Step("free-road", MessageKind.FREE_ROAD, from_role=O, source=ORIGIN,
+                     after=("ack",)),
+                Step("attending", MessageKind.ATTENDING, from_role=O, source=ORIGIN,
+                     after=("ack",)),
+                Step("sorted", MessageKind.SORTED_ROAD, from_role=O, source=ORIGIN,
+                     max_count=1, after=("attending",)),
+                Step("cleared", MessageKind.CLEARED_ROAD, from_role=R, source=BURST,
+                     min_count=3, after=("sorted",)),
+            )),
             min_police=1,
             responder="P0",
-            resolution=OfficialResolution(),
+            blockage=True,
         ),
         ScenarioScript(
             name="traffic-jam",
             reporter="V17",
             kind=MessageKind.TRAFFIC_JAM,
-            spec_id="traffic-jam",
-            resolution=VehicleClearResolution(850.0),
+            spec=SequenceSpec(
+                "traffic-jam", _reporter_clear_steps(MessageKind.TRAFFIC_JAM)
+            ),
+            clearance=Clearance.REPORTER,
         ),
         ScenarioScript(
             name="congestion",
             reporter="V17",
             kind=MessageKind.CONGESTION,
-            spec_id="congestion",
-            resolution=VehicleClearResolution(850.0),
+            spec=SequenceSpec(
+                "congestion", _reporter_clear_steps(MessageKind.CONGESTION)
+            ),
+            clearance=Clearance.REPORTER,
         ),
         ScenarioScript(
             name="obstacle",
             reporter="V17",
             kind=MessageKind.OBSTACLE,
-            spec_id="obstacle",
+            spec=SequenceSpec("obstacle", _attended_steps(
+                MessageKind.OBSTACLE,
+                Step("removed", MessageKind.OBSTACLE_CLEARED, from_role=O,
+                     source=ORIGIN, max_count=1, after=("attending",)),
+            )),
             min_police=1,
             responder="P0",
-            resolution=OfficialResolution(),
         ),
         ScenarioScript(
             name="diversion",
             reporter="P0",
             kind=MessageKind.DIVERSION,
-            spec_id="diversion",
+            spec=SequenceSpec(
+                "diversion",
+                _report_steps(MessageKind.DIVERSION, origin_role=O) + (
+                    Step("cleared", MessageKind.CLEARED_ROAD, from_role=R,
+                         source=BURST, min_count=3, after=("announce",)),
+                ),
+            ),
+            clearance=Clearance.COORDINATOR,
             min_police=1,
-            resolution=TimedResolution(850.0),
         ),
         ScenarioScript(
             name="stranded-vehicle",
             reporter="V17",
             kind=MessageKind.STRANDED_VEHICLE,
-            spec_id="stranded-vehicle",
+            spec=SequenceSpec("stranded-vehicle", _attended_steps(
+                MessageKind.STRANDED_VEHICLE,
+                Step("official-clear", MessageKind.CLEARED_ROAD, from_role=O,
+                     source=ORIGIN, max_count=1, after=("attending",)),
+            )),
             min_police=1,
             responder="P0",
-            resolution=OfficialResolution(),
         ),
         ScenarioScript(
             name="debris",
             reporter="V17",
             kind=MessageKind.DEBRIS,
-            spec_id="debris",
-            resolution=AuthorityResolution(),
+            spec=SequenceSpec("debris", _escalation_steps(
+                MessageKind.DEBRIS, MessageKind.DEBRIS_RESOLVED
+            )),
         ),
         ScenarioScript(
             name="service-discovery",
             reporter="V17",
             kind=MessageKind.SERVICE_QUERY,
-            spec_id="service-lookup-petrol",
+            spec=SequenceSpec("service-lookup-petrol", (
+                Step("query", MessageKind.SERVICE_QUERY, from_role=V, source=ORIGIN,
+                     max_count=1),
+                Step("reply", MessageKind.SERVICE_REPLY, from_role=R, source=ORIGIN,
+                     after=("query",)),
+            )),
             payload="petrol-pump",
             services=_PETROL,
-            resolution=NoResolution(),
         ),
         ScenarioScript(
             name="road-defect",
             reporter="V17",
             kind=MessageKind.ROAD_DEFECT,
-            spec_id="road-defect",
-            resolution=AuthorityResolution(),
+            spec=SequenceSpec("road-defect", _escalation_steps(
+                MessageKind.ROAD_DEFECT, MessageKind.DEFECT_RESOLVED
+            )),
         ),
         ScenarioScript(
             name="flood",
             reporter="V17",
             kind=MessageKind.FLOOD,
-            spec_id="flood",
-            resolution=AuthorityResolution(),
+            spec=SequenceSpec("flood", _escalation_steps(
+                MessageKind.FLOOD, MessageKind.FLOOD_RESOLVED
+            )),
         ),
         ScenarioScript(
             name="signal-malfunction",
             reporter="V17",
             kind=MessageKind.SIGNAL_MALFUNCTION,
-            spec_id="signal-malfunction",
-            resolution=AuthorityResolution(),
+            spec=SequenceSpec("signal-malfunction", _escalation_steps(
+                MessageKind.SIGNAL_MALFUNCTION, MessageKind.SIGNAL_RESOLVED
+            )),
         ),
     )
 }
@@ -461,4 +390,4 @@ def build_scenario(name: str, **overrides) -> ScenarioScript:
 
 
 def spec_for(script: ScenarioScript) -> SequenceSpec:
-    return SEQUENCE_SPECS[script.spec_id]
+    return script.spec

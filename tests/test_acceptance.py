@@ -32,7 +32,6 @@ from vanetim.protocol import (
 )
 from vanetim.relay import HOP4
 from vanetim.scenarios import (
-    NoResolution,
     SCENARIOS,
     build_scenario,
     check_conformance,
@@ -296,7 +295,7 @@ def test_criterion_08_scenario_conformance():
             if not report.passed:
                 failures.append(f"{name}/seed{seed}: spec\n{report.summary()}")
                 continue
-            if isinstance(script.resolution, NoResolution):
+            if script.kind is MessageKind.SERVICE_QUERY:
                 terminal = any(
                     r.kind is MessageKind.SERVICE_REPLY and r.time < 1500.0
                     for r in trace

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from vanetim.cli import (
@@ -23,9 +25,18 @@ class TestRunConfig:
             police=2,
             seed=7,
             trials=3,
-            densities=(19, 39, 59),
-            include_wired=False,
+            duration=1200.0,
+            warmup=450.0,
             loss=0.1,
+            include_wired=False,
+            out_dir="results",
+            densities=(19, 39, 59),
+            route_length=3000.0,
+            dt=0.25,
+            relay_hold=20.0,
+        )
+        assert all(
+            getattr(config, f.name) != f.default for f in fields(RunConfig)
         )
         assert RunConfig.from_text(config.to_text()) == config
 

@@ -24,7 +24,7 @@ from vanetim.netsim import (
     run_trial,
     write_trace,
 )
-from vanetim.protocol import Arm, Broadcast
+from vanetim.protocol import Arm, Broadcast, Wired
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
 
@@ -218,8 +218,10 @@ class TestTrialSetupValidation:
             setup.validate()
 
     def test_report_inside_warmup_rejected(self):
-        script = build_scenario("accident", report_time=400.0)
-        setup = TrialSetup(script=script, policy=HOP4, vehicles=19)
+        # the report is due at 550 s
+        setup = TrialSetup(
+            script=build_scenario("accident"), policy=HOP4, vehicles=19, warmup=600.0
+        )
         with pytest.raises(ValueError, match="warm-up"):
             setup.validate()
 
@@ -562,6 +564,28 @@ class TestCausalOrder:
             return [Arm(now - 1.0, done, ())]
 
         engine = tiny_engine(1)
+        engine._execute(engine.labels.index("TA"), [Arm(600.0, rewind, ())])
+        with pytest.raises(RuntimeError, match="scheduled at 600"):
+            engine.run()
+
+    def test_broadcast_sent_in_the_past_raises(self):
+        def rewind(state, now, *, ids):
+            msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, now, ids=ids)
+            return [Broadcast(msg, at=now - 1.0, source=ActionSource.ORIGIN)]
+
+        engine = tiny_engine(1)
+        engine._execute(0, [Arm(600.0, rewind, ())])
+        with pytest.raises(RuntimeError, match="scheduled at 600"):
+            engine.run()
+
+    def test_wired_send_in_the_past_raises(self):
+        engine = tiny_engine(1)
+        rsu = engine.labels.index("RSU0")
+
+        def rewind(state, now, *, ids):
+            msg = make_message(MessageKind.DEBRIS_RESOLVED, "X", TA, now, ids=ids)
+            return [Wired(msg, to=rsu, at=now - 1.0)]
+
         engine._execute(engine.labels.index("TA"), [Arm(600.0, rewind, ())])
         with pytest.raises(RuntimeError, match="scheduled at 600"):
             engine.run()

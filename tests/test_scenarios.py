@@ -4,8 +4,10 @@ from vanetim.domain import ActionSource, MessageKind, RoleKind
 from vanetim.netsim import TraceRecord, TrialSetup, run_trial
 from vanetim.relay import HOP4
 from vanetim.scenarios import (
+    REPORT_TIME,
+    ROAD,
     SCENARIOS,
-    SEQUENCE_SPECS,
+    Clearance,
     SequenceSpec,
     Step,
     build_scenario,
@@ -36,24 +38,32 @@ class TestCatalogue:
 
     def test_every_scenario_has_a_spec(self):
         for script in SCENARIOS.values():
-            assert spec_for(script) is SEQUENCE_SPECS[script.spec_id]
+            assert spec_for(script) is script.spec
+            assert script.spec.steps
 
     def test_accident_script_shape(self):
         script = build_scenario("accident")
         assert script.reporter == "V17"
-        assert script.road == "X"
-        assert script.report_time == 550.0
+        assert script.clearance is Clearance.COORDINATOR
+        assert (ROAD, REPORT_TIME) == ("X", 550.0)
+
+    def test_clearances(self):
+        clearances = {name: script.clearance for name, script in SCENARIOS.items()}
+        assert {n for n, c in clearances.items() if c is Clearance.COORDINATOR} == {
+            "accident", "diversion"
+        }
+        assert {n for n, c in clearances.items() if c is Clearance.REPORTER} == {
+            "traffic-jam", "congestion"
+        }
 
     def test_flood_is_authority_resolved(self):
-        from vanetim.scenarios import AuthorityResolution
-
-        assert isinstance(build_scenario("flood").resolution, AuthorityResolution)
+        # no scripted clearance: the TA's resolution notice closes it
+        assert build_scenario("flood").clearance is None
 
     def test_service_discovery_has_no_resolution(self):
-        from vanetim.scenarios import NoResolution
-
         script = build_scenario("service-discovery")
-        assert isinstance(script.resolution, NoResolution)
+        assert script.clearance is None
+        assert script.kind is MessageKind.SERVICE_QUERY
         assert script.payload == "petrol-pump"
 
     def test_unknown_name_lists_valid_ones(self):
@@ -61,9 +71,9 @@ class TestCatalogue:
             build_scenario("earthquake")
 
     def test_overrides(self):
-        script = build_scenario("accident", report_time=600.0)
-        assert script.report_time == 600.0
-        assert build_scenario("accident").report_time == 550.0  # catalogue intact
+        script = build_scenario("accident", reporter="V3")
+        assert script.reporter == "V3"
+        assert build_scenario("accident").reporter == "V17"  # catalogue intact
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +86,16 @@ def accident_trace():
 class TestConformance:
     def test_valid_accident_trace_passes(self, accident_trace):
         report = check_conformance(
-            accident_trace, SEQUENCE_SPECS["accident-announce"]
+            accident_trace, SCENARIOS["accident"].spec
         )
         assert report.passed, report.summary()
 
     def test_summary_mentions_each_step(self, accident_trace):
         report = check_conformance(
-            accident_trace, SEQUENCE_SPECS["accident-announce"]
+            accident_trace, SCENARIOS["accident"].spec
         )
         text = report.summary()
-        for step in SEQUENCE_SPECS["accident-announce"].steps:
+        for step in SCENARIOS["accident"].spec.steps:
             assert step.key in text
 
     def test_cleared_before_report_is_a_violation(self):
