@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .metrics import SweepResult, SweepRow, export_csv, parse_csv
 from .mobility import MobilityConfig
-from .netsim import Engine, NetConfig, TrialSetup, write_trace
+from .netsim import Engine, NetConfig, TrialSetup, warm_world, write_trace
 from .relay import FRESH60, HOP4, Freshness, HopLimit, RelayPolicy
 from .scenarios import build_scenario, check_conformance, spec_for
 
@@ -147,9 +147,12 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
     sweep = SweepResult()
     all_pass = True
     report_lines = []
+    # the trials differ only in their seed, so they start from one road; a
+    # lone trial steps its own
+    world = warm_world(setup) if config.trials > 1 else None
     for trial in range(config.trials):
         seed = config.seed + trial
-        trace, metrics = Engine(setup, seed).run()
+        trace, metrics = Engine(setup, seed, world).run()
         name = f"trace_{config.scenario}_{config.policy}_{setup.vehicles}v_t{trial}.csv"
         try:
             write_trace(trace, out_dir / name)
@@ -176,13 +179,16 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
 
 
 def run_sweep(config: RunConfig, policies: Sequence[str] = ("hop4", "fresh60")) -> SweepResult:
-    """Run both policies across all densities; library form of cmd_sweep."""
+    """Run both policies across all densities; library form of cmd_sweep.
+    Every trial of a density starts from a copy of one road, stepped once
+    up to the report."""
     sweep = SweepResult()
     for vehicles in config.densities:
+        world = warm_world(make_setup(config, vehicles=vehicles))
         for policy in policies:
             setup = make_setup(config, policy=policy, vehicles=vehicles)
             for trial in range(config.trials):
-                _, metrics = Engine(setup, config.seed + trial).run()
+                _, metrics = Engine(setup, config.seed + trial, world).run()
                 total = (
                     metrics.total
                     if config.include_wired

@@ -14,6 +14,12 @@ entity id. A vehicle's leader is the slot before it, which keeps leader
 lookup O(1). :meth:`CircularWorld.step` is one pass over the slots: every
 vehicle reads its leader's position from before the step, then moves.
 
+Step ``i`` runs at ``i * dt``, and the world counts the steps it has taken,
+so :meth:`CircularWorld.advance` can run every step due by a time and
+resume where it stopped. A road with no incident on it depends only on the
+route length, the fleet size and ``dt``: :meth:`CircularWorld.copy` lets
+several trials start from one road stepped once.
+
 :meth:`CircularWorld.neighbours_within` decides by arc distance from the
 centre where the arc settles it, before any trigonometry: an entity beyond
 the arc of a chord as long as the radio range (plus 1 m) is out of range,
@@ -26,6 +32,7 @@ delivery order.
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass
 from itertools import chain
 from typing import List, Tuple
@@ -57,6 +64,8 @@ class CircularWorld:
         self.route_length = route_length
         self.fleet_size = fleet_size
         self.next_spawn_time = 0.0
+        #: index of the next step, which runs at ``next_step * dt``
+        self.next_step = 0
         #: arc metres along the route and speed of each spawned vehicle, by slot
         self.positions: List[float] = []
         self.speeds: List[float] = []
@@ -124,6 +133,23 @@ class CircularWorld:
 
     # -- kinematics --------------------------------------------------------
 
+    def advance(self, until: float, dt: float) -> None:
+        """Run every step due by ``until``, from the next one on: step ``i``
+        at ``i * dt`` spawns what it can first, then moves the fleet."""
+        while self.next_step * dt <= until:
+            if len(self.positions) < self.fleet_size:
+                self.inject_flow(self.next_step * dt)
+            self.step(dt)
+
+    def copy(self) -> CircularWorld:
+        """An independent world in the same state: its own positions, speeds
+        and blockages."""
+        twin = copy(self)
+        twin.positions = self.positions[:]
+        twin.speeds = self.speeds[:]
+        twin.blockages = self.blockages[:]
+        return twin
+
     def step(self, dt: float) -> None:
         """Advance every vehicle by ``dt`` in one pass; each follows its
         leader's position from before the step (vehicle 0 follows the last)."""
@@ -160,6 +186,7 @@ class CircularWorld:
             ahead = position
             speeds[slot] = speed
             positions[slot] = (position + speed * dt) % length
+        self.next_step += 1
         if self.check_invariants:
             self._assert_no_overlap()
 

@@ -3,10 +3,17 @@
 One engine instance runs one trial: a seeded event queue drives mobility
 steps, radio broadcasts with range-limited delivery, wired infrastructure
 links, protocol timers, and scripted incident events. Identical
-(setup, seed) pairs produce byte-identical traces. Only events schedule
-events, so the mobility tick stops once no event is due by the end of the
-run: a later step could not reach the trace. An event due before the
-current time, a send or a timer alike, is an error, not a reordering.
+(setup, seed) pairs produce byte-identical traces. Until the first queued
+event nothing but the road moves, so :meth:`Engine.run` takes those
+mobility steps in one loop, off the queue. From the first queued event on,
+only events schedule events, so the mobility tick stops once no event is
+due by the end of the run: a later step could not reach the trace. An
+event due before the current time, a send or a timer alike, is an error,
+not a reordering.
+
+The road before the report depends only on the route length, the fleet
+size and ``dt``, not on the seed, the policy or the script: trials that
+share those may each start from a copy of one :func:`warm_world`.
 
 The script's reporter reports on ``ROAD`` at ``REPORT_TIME``; the first
 RSU to receive that report is the trial's coordinator. A script's
@@ -227,7 +234,12 @@ def parse_trace(path) -> List[TraceRecord]:
 class Engine:
     """One trial's executor; single logical thread, fully isolated state."""
 
-    def __init__(self, setup: TrialSetup, seed: int) -> None:
+    def __init__(
+        self, setup: TrialSetup, seed: int, world: Optional[CircularWorld] = None
+    ) -> None:
+        """``world``, if given, is a road stepped for ``setup`` no further
+        than its first event, such as a :func:`warm_world`; the trial runs
+        on a copy of it and leaves it as it was."""
         setup.validate()
         self.setup = setup
         self.seed = seed
@@ -247,7 +259,17 @@ class Engine:
         officials = [EntityId(i, RoleKind.OFFICIAL_VEHICLE) for i in range(setup.police)]
         split = min(script.reporter_index + 1, len(regulars))
         spawn_queue = regulars[:split] + officials + regulars[split:]
-        self.world = CircularWorld(setup.mobility.route_length, len(spawn_queue))
+        route_length = setup.mobility.route_length
+        if world is None:
+            self.world = CircularWorld(route_length, len(spawn_queue))
+        elif (world.route_length, world.fleet_size) != (route_length, len(spawn_queue)):
+            raise ValueError(
+                f"a world of {world.fleet_size} vehicles on a {world.route_length} m "
+                f"route cannot host {len(spawn_queue)} vehicles on a "
+                f"{route_length} m route"
+            )
+        else:
+            self.world = world.copy()
         services = ServiceDirectory(
             entries=tuple(script.services), route_length=setup.mobility.route_length
         )
@@ -480,10 +502,7 @@ class Engine:
         """Mobility step i at i * dt; it schedules step i + 1 while an event
         is still due by the end of the run. Only events schedule events, so
         once none is left a further step cannot reach the trace."""
-        world = self.world
-        if world.spawned_count < world.fleet_size:
-            world.inject_flow(self.now)
-        world.step(self.setup.mobility.dt)
+        self.world.advance(self.now, self.setup.mobility.dt)
         queue = self._queue
         if i < self._steps and queue and queue[0][0] <= self.setup.duration:
             self._push_tick(i + 1)
@@ -496,7 +515,6 @@ class Engine:
 
     def run(self) -> Tuple[List[TraceRecord], TrialMetrics]:
         setup = self.setup
-        self._push_tick(0)
         self._schedule(REPORT_TIME, self._report)
         clearance = setup.script.clearance
         if clearance is Clearance.COORDINATOR:
@@ -505,6 +523,23 @@ class Engine:
             self._schedule(CLEAR_TIME, self._reporter_clear)
         # an official vehicle or the TA resolves the rest when events say so
 
+        # a tick sorts before every event due at its time, so the ticks the
+        # queue would run before the first event are the steps due by it,
+        # up to step _steps: run them here, off the queue. A first event
+        # after the end leaves step 0 alone to the tick chain's stop rule.
+        dt = setup.mobility.dt
+        first = self._queue[0][0]
+        world = self.world
+        last = (world.next_step - 1) * dt
+        if last > first:
+            raise ValueError(
+                f"the world has stepped to {last} s, past the first event at {first} s"
+            )
+        if first <= setup.duration:
+            world.advance(min(first, self._steps * dt), dt)
+        if world.next_step <= self._steps:
+            self._push_tick(world.next_step)
+
         while self._queue:
             at, _, fn, args = heapq.heappop(self._queue)
             if at > setup.duration:
@@ -512,6 +547,17 @@ class Engine:
             self.now = at
             fn(*args)
         return self.trace, self.metrics
+
+
+def warm_world(setup: TrialSetup) -> CircularWorld:
+    """The road as every trial of ``setup`` finds it at ``REPORT_TIME``: a
+    trial runs nothing but mobility steps before the report, so this road
+    depends only on the route length, the fleet size and ``dt``."""
+    setup.validate()
+    mobility = setup.mobility
+    world = CircularWorld(mobility.route_length, setup.vehicles + setup.police)
+    world.advance(REPORT_TIME, mobility.dt)
+    return world
 
 
 def run_trial(setup: TrialSetup, seed: int) -> Tuple[List[TraceRecord], TrialMetrics]:

@@ -7,7 +7,7 @@ from typing import List, Tuple
 import pytest
 
 from vanetim.domain import MessageIdSource
-from vanetim.netsim import Engine, TraceRecord, TrialSetup
+from vanetim.netsim import Engine, TraceRecord, TrialSetup, warm_world
 from vanetim.protocol import Broadcast, RsuState, ServiceDirectory, Wired
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
@@ -34,19 +34,23 @@ def run_cell(
 ) -> List[Tuple[int, List[TraceRecord], int]]:
     """Run one (scenario, policy, density) cell over the given seeds.
 
+    Several seeds start from one warm world, as a sweep's trials do; a
+    single seed steps its own, as a lone trial does.
+
     Returns one (seed, trace, total transmissions) triple per trial.
     """
     script = build_scenario(scenario)
+    setup = TrialSetup(
+        script=script,
+        policy=POLICIES[policy],
+        vehicles=vehicles,
+        police=max(police, script.min_police),
+        **setup_kwargs,
+    )
+    world = warm_world(setup) if len(seeds) > 1 else None
     out = []
     for seed in seeds:
-        setup = TrialSetup(
-            script=script,
-            policy=POLICIES[policy],
-            vehicles=vehicles,
-            police=max(police, script.min_police),
-            **setup_kwargs,
-        )
-        trace, metrics = Engine(setup, seed).run()
+        trace, metrics = Engine(setup, seed, world).run()
         out.append((seed, trace, metrics.total))
     return out
 

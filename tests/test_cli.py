@@ -11,6 +11,7 @@ from vanetim.cli import (
     main,
     make_setup,
     parse_policy,
+    run_sweep,
 )
 from vanetim.netsim import parse_trace
 from vanetim.relay import FRESH60, Freshness, HOP4, HopLimit
@@ -254,6 +255,21 @@ class TestSweepAndReport:
         assert main(["report", str(csv_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "hop4 >= fresh60 at all densities: PASS" in out
+
+    def test_sweep_rows_equal_lone_trials(self):
+        # each density's trials share one warm world; a lone trial steps its own
+        from vanetim.metrics import SweepRow
+        from vanetim.netsim import run_trial
+
+        config = RunConfig(densities=(19, 25), trials=2, seed=3)
+        expected = [
+            SweepRow("accident", policy, vehicles, trial, run_trial(
+                make_setup(config, policy=policy, vehicles=vehicles), 3 + trial
+            )[1].total)
+            for vehicles in (19, 25) for policy in ("hop4", "fresh60")
+            for trial in range(2)
+        ]
+        assert run_sweep(config).rows == expected
 
     def test_negative_density_is_config_error(self, tmp_path):
         code = main(["sweep", "--scenario", "diversion", "--densities=-5,19",

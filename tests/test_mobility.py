@@ -175,6 +175,45 @@ class TestStepExactness:
         assert world.speeds[0] == TARGET_SPEED
 
 
+class TestAdvance:
+    def test_advance_takes_the_ticks_steps(self):
+        # the reference is the engine's tick: spawn at i * dt, then step
+        ticked = make_world(19)
+        for i in range(int(550.0 / DT) + 1):
+            if ticked.spawned_count < ticked.fleet_size:
+                ticked.inject_flow(i * DT)
+            ticked.step(DT)
+        advanced = make_world(19)
+        advanced.advance(100.0, DT)
+        assert advanced.next_step == 201
+        advanced.advance(550.0, DT)
+        assert advanced.next_step == ticked.next_step == 1101
+        assert bits(advanced) == bits(ticked)
+        assert advanced.next_spawn_time == ticked.next_spawn_time
+
+    def test_advance_to_a_past_time_takes_no_step(self):
+        world = make_world(3)
+        world.advance(10.0, DT)
+        before = bits(world)
+        world.advance(5.0, DT)
+        assert world.next_step == 21
+        assert bits(world) == before
+
+    def test_copy_is_independent(self):
+        world = make_world(5)
+        world.add_blockage(900.0)
+        world.advance(60.0, DT)
+        twin = world.copy()
+        assert bits(twin) == bits(world)
+        assert (twin.next_step, twin.next_spawn_time, twin.blockages) == (
+            world.next_step, world.next_spawn_time, world.blockages
+        )
+        before = (bits(world), list(world.blockages), world.next_step)
+        twin.advance(120.0, DT)
+        twin.blockages.clear()
+        assert (bits(world), world.blockages, world.next_step) == before
+
+
 class TestInjectFlow:
     def test_fleet_enters_well_before_warmup(self):
         world = make_world(19)

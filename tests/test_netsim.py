@@ -1,9 +1,10 @@
 import heapq
+from dataclasses import replace
 
 import pytest
 
 import vanetim.netsim as netsim
-from conftest import run_cell
+from conftest import POLICIES, run_cell
 from test_golden import GOLDEN, GOLDEN_LOSSY
 from vanetim.domain import (
     ActionSource,
@@ -22,6 +23,7 @@ from vanetim.netsim import (
     TrialSetup,
     parse_trace,
     run_trial,
+    warm_world,
     write_trace,
 )
 from vanetim.protocol import Arm, Broadcast, Wired
@@ -305,21 +307,25 @@ class TestRunProperties:
 
 
 class CountingEngine(Engine):
-    """The engine, counting the mobility steps it takes."""
+    """The engine, counting the mobility steps its world takes, before the
+    first event and on the tick chain alike."""
 
-    steps_taken = 0
-
-    def _tick(self, i):
-        self.steps_taken += 1
-        super()._tick(i)
+    @property
+    def steps_taken(self):
+        return self.world.next_step
 
 
 class AlwaysStepEngine(CountingEngine):
     """The oracle for the stop rule: every tick re-pushes the next one until
     ``_steps``, whether or not any event is left to run."""
 
+    def run(self):
+        # an event at 0 s leaves only step 0 to run before the queue, so
+        # every later step runs through this tick
+        self._schedule(0.0, lambda: None)
+        return super().run()
+
     def _tick(self, i):
-        self.steps_taken += 1
         world = self.world
         if world.spawned_count < world.fleet_size:
             world.inject_flow(self.now)
@@ -358,6 +364,11 @@ class TestStopRule:
     def accident():
         return TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
 
+    def test_the_oracle_takes_every_step(self):
+        oracle = AlwaysStepEngine(self.accident(), 1)
+        oracle.run()
+        assert oracle.steps_taken == oracle._steps + 1 == 3001
+
     def test_an_event_at_the_end_keeps_every_step(self):
         setup = self.accident()
         engine = CountingEngine(setup, 1)
@@ -374,6 +385,89 @@ class TestStopRule:
         engine.run()
         # and the plain trial stops well before the end
         assert engine.steps_taken == plain.steps_taken < 3001
+
+
+#: (scenario, policy, vehicles, police, loss)
+SHARED_WORLD_CELLS = [
+    ("accident", policy, vehicles, 0, 0.0)
+    for vehicles in (19, 79, 139) for policy in ("hop4", "fresh60")
+] + [
+    ("accident-police", "hop4", 21, 2, 0.0),
+    ("accident", "hop4", 79, 0, 0.3),
+]
+
+
+def world_lists(world):
+    return (list(world.positions), list(world.speeds), list(world.blockages),
+            world.next_step, world.next_spawn_time)
+
+
+class TestSharedWorld:
+    """Trials that start from one warm world trace as if each stepped its
+    own road from 0 s."""
+
+    @pytest.mark.parametrize(
+        "scenario,policy,vehicles,police,loss",
+        SHARED_WORLD_CELLS,
+        ids=[f"{s}-{p}-{v}v-{n}p-loss{loss}" for s, p, v, n, loss in SHARED_WORLD_CELLS],
+    )
+    def test_shared_traces_equal_unshared(self, scenario, policy, vehicles, police, loss):
+        setup = TrialSetup(
+            script=build_scenario(scenario), policy=POLICIES[policy],
+            vehicles=vehicles, police=police, net=NetConfig(loss=loss),
+        )
+        seeds = (1, 3, 5)
+        unshared = {seed: lines(Engine(setup, seed).run()[0]) for seed in seeds}
+        world = warm_world(setup)
+        before = world_lists(world)
+        for order in (seeds, seeds[::-1]):
+            for seed in order:
+                assert lines(Engine(setup, seed, world).run()[0]) == unshared[seed]
+        assert world_lists(world) == before
+
+    def test_a_run_that_ends_before_the_report_traces_nothing_either_way(self):
+        setup = TrialSetup(
+            script=build_scenario("accident"), policy=HOP4, vehicles=19,
+            duration=netsim.REPORT_TIME - 10.0,
+        )
+        world = warm_world(setup)
+        alone = Engine(setup, 1)
+        assert alone.run()[0] == Engine(setup, 1, world).run()[0] == []
+        # no event falls within the run, so the stop rule keeps step 0 alone
+        assert alone.world.next_step == 1
+
+    def test_a_blockage_standing_at_the_end_stays_in_its_trial(self):
+        # the run ends between the report and the clearance, so the
+        # reporter's blockage is still on the trial's road when it ends
+        setup = TrialSetup(
+            script=build_scenario("accident"), policy=HOP4, vehicles=19,
+            duration=netsim.CLEAR_TIME - 100.0,
+        )
+        world = warm_world(setup)
+        before = world_lists(world)
+        for seed in (1, 3):
+            engine = Engine(setup, seed, world)
+            assert lines(engine.run()[0]) == lines(Engine(setup, seed).run()[0])
+            assert engine.world.blockages
+        assert world_lists(world) == before
+
+    @pytest.mark.parametrize("other", [
+        dict(vehicles=20),
+        dict(police=2),
+        dict(mobility=MobilityConfig(route_length=5000.0)),
+    ], ids=["fleet", "police", "route"])
+    def test_a_world_for_another_road_is_refused(self, other):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        world = warm_world(replace(setup, **other))
+        with pytest.raises(ValueError, match="cannot host"):
+            Engine(setup, 1, world)
+
+    def test_a_world_stepped_past_the_first_event_is_refused(self):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        engine = Engine(setup, 1, warm_world(setup))
+        engine._schedule(100.0, lambda: None)
+        with pytest.raises(ValueError, match="past the first event"):
+            engine.run()
 
 
 class PerReceiverEngine(Engine):
