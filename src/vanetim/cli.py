@@ -147,9 +147,8 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
     sweep = SweepResult()
     all_pass = True
     report_lines = []
-    # the trials differ only in their seed, so they start from one road; a
-    # lone trial steps its own
-    world = warm_world(setup) if config.trials > 1 else None
+    # the trials differ only in their seed, so they start from one road
+    world = warm_world(setup)
     for trial in range(config.trials):
         seed = config.seed + trial
         trace, metrics = Engine(setup, seed, world).run()

@@ -35,9 +35,6 @@ class TrialMetrics:
             if source is ActionSource.WIRED
         )
 
-    def by_kind(self, kind: MessageKind) -> int:
-        return sum(n for (k, _, _), n in self.counters.items() if k is kind)
-
 
 def aggregate(trials: Sequence) -> Tuple[float, float]:
     """Mean and sample standard deviation of per-trial totals.

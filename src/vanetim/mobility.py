@@ -15,10 +15,11 @@ lookup O(1). :meth:`CircularWorld.step` is one pass over the slots: every
 vehicle reads its leader's position from before the step, then moves.
 
 Step ``i`` runs at ``i * dt``, and the world counts the steps it has taken,
-so :meth:`CircularWorld.advance` can run every step due by a time and
-resume where it stopped. A road with no incident on it depends only on the
-route length, the fleet size and ``dt``: :meth:`CircularWorld.copy` lets
-several trials start from one road stepped once.
+so :meth:`CircularWorld.advance` runs every step due by a time and resumes
+where it stopped. The engine calls it before each event, and a trial's
+road moves no other way. A road with no incident on it depends only on
+the route length, the fleet size and ``dt``: :meth:`CircularWorld.copy`
+lets several trials start from one road stepped once.
 
 :meth:`CircularWorld.neighbours_within` decides by arc distance from the
 centre where the arc settles it, before any trigonometry: an entity beyond
@@ -74,7 +75,6 @@ class CircularWorld:
         self.rsus: List[Tuple[int, float]] = [
             (fleet_size + i, i * route_length / RSU_COUNT) for i in range(RSU_COUNT)
         ]
-        self.check_invariants = False
 
     # -- geometry ----------------------------------------------------------
 
@@ -187,21 +187,6 @@ class CircularWorld:
             speeds[slot] = speed
             positions[slot] = (position + speed * dt) % length
         self.next_step += 1
-        if self.check_invariants:
-            self._assert_no_overlap()
-
-    def _assert_no_overlap(self) -> None:
-        positions = self.positions
-        n = len(positions)
-        if n < 2:
-            return
-        for slot, position in enumerate(positions):
-            leader = (slot - 1) % n
-            gap = self.arc_gap(position, positions[leader]) - VEHICLE_LENGTH
-            if gap < STANDSTILL_GAP - 1e-9:
-                raise AssertionError(
-                    f"gap violation: slot {slot} at {gap:.3f} m behind slot {leader}"
-                )
 
     # -- protocol-facing queries ------------------------------------------
 

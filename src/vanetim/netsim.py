@@ -1,15 +1,14 @@
 """Deterministic discrete-event engine.
 
-One engine instance runs one trial: a seeded event queue drives mobility
-steps, radio broadcasts with range-limited delivery, wired infrastructure
-links, protocol timers, and scripted incident events. Identical
-(setup, seed) pairs produce byte-identical traces. Until the first queued
-event nothing but the road moves, so :meth:`Engine.run` takes those
-mobility steps in one loop, off the queue. From the first queued event on,
-only events schedule events, so the mobility tick stops once no event is
-due by the end of the run: a later step could not reach the trace. An
-event due before the current time, a send or a timer alike, is an error,
-not a reordering.
+One engine instance runs one trial: a seeded event queue drives radio
+broadcasts with range-limited delivery, wired infrastructure links,
+protocol timers, and scripted incident events. Identical (setup, seed)
+pairs produce byte-identical traces. The road is read only by events, so
+it moves only in the event loop: before an event at ``at``,
+:meth:`Engine.run` takes every mobility step due by ``at`` (step ``i`` is
+due at ``i * dt``, up to the end of the run). The last step a trial takes
+is thus the last one due by its last event. An event due before the
+current time, a send or a timer alike, is an error, not a reordering.
 
 The road before the report depends only on the route length, the fleet
 size and ``dt``, not on the seed, the policy or the script: trials that
@@ -498,21 +497,6 @@ class Engine:
 
     # -- main loop ---------------------------------------------------------
 
-    def _tick(self, i: int) -> None:
-        """Mobility step i at i * dt; it schedules step i + 1 while an event
-        is still due by the end of the run. Only events schedule events, so
-        once none is left a further step cannot reach the trace."""
-        self.world.advance(self.now, self.setup.mobility.dt)
-        queue = self._queue
-        if i < self._steps and queue and queue[0][0] <= self.setup.duration:
-            self._push_tick(i + 1)
-
-    def _push_tick(self, i: int) -> None:
-        # seq -i sorts each step before every other event due at its time
-        heapq.heappush(
-            self._queue, (i * self.setup.mobility.dt, -i, self._tick, (i,))
-        )
-
     def run(self) -> Tuple[List[TraceRecord], TrialMetrics]:
         setup = self.setup
         self._schedule(REPORT_TIME, self._report)
@@ -523,10 +507,6 @@ class Engine:
             self._schedule(CLEAR_TIME, self._reporter_clear)
         # an official vehicle or the TA resolves the rest when events say so
 
-        # a tick sorts before every event due at its time, so the ticks the
-        # queue would run before the first event are the steps due by it,
-        # up to step _steps: run them here, off the queue. A first event
-        # after the end leaves step 0 alone to the tick chain's stop rule.
         dt = setup.mobility.dt
         first = self._queue[0][0]
         world = self.world
@@ -535,15 +515,14 @@ class Engine:
             raise ValueError(
                 f"the world has stepped to {last} s, past the first event at {first} s"
             )
-        if first <= setup.duration:
-            world.advance(min(first, self._steps * dt), dt)
-        if world.next_step <= self._steps:
-            self._push_tick(world.next_step)
-
+        end = self._steps * dt
         while self._queue:
             at, _, fn, args = heapq.heappop(self._queue)
             if at > setup.duration:
                 break
+            # step i, due at i * dt up to step _steps, runs before every
+            # event due at its time
+            world.advance(min(at, end), dt)
             self.now = at
             fn(*args)
         return self.trace, self.metrics
@@ -559,7 +538,3 @@ def warm_world(setup: TrialSetup) -> CircularWorld:
     world.advance(REPORT_TIME, mobility.dt)
     return world
 
-
-def run_trial(setup: TrialSetup, seed: int) -> Tuple[List[TraceRecord], TrialMetrics]:
-    """Execute one seeded trial; pure function of (setup, seed)."""
-    return Engine(setup, seed).run()

@@ -114,7 +114,7 @@ class TestRunCommand:
         assert (tmp_path / "conformance_accident.txt").exists()
 
     def test_seed_derivation_is_base_plus_trial(self, tmp_path):
-        from vanetim.netsim import TrialSetup, run_trial
+        from vanetim.netsim import Engine, TrialSetup
         from vanetim.scenarios import build_scenario
 
         main(
@@ -128,7 +128,7 @@ class TestRunCommand:
         )
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
         for trial, seed in ((0, 7), (1, 8)):
-            expected, _ = run_trial(setup, seed)
+            expected, _ = Engine(setup, seed).run()
             got = parse_trace(tmp_path / f"trace_accident_hop4_19v_t{trial}.csv")
             assert [r.to_line() for r in got] == [r.to_line() for r in expected]
 
@@ -259,13 +259,13 @@ class TestSweepAndReport:
     def test_sweep_rows_equal_lone_trials(self):
         # each density's trials share one warm world; a lone trial steps its own
         from vanetim.metrics import SweepRow
-        from vanetim.netsim import run_trial
+        from vanetim.netsim import Engine
 
         config = RunConfig(densities=(19, 25), trials=2, seed=3)
         expected = [
-            SweepRow("accident", policy, vehicles, trial, run_trial(
+            SweepRow("accident", policy, vehicles, trial, Engine(
                 make_setup(config, policy=policy, vehicles=vehicles), 3 + trial
-            )[1].total)
+            ).run()[1].total)
             for vehicles in (19, 25) for policy in ("hop4", "fresh60")
             for trial in range(2)
         ]

@@ -22,7 +22,8 @@ class TestCounting:
         for _ in range(3):
             metrics.count(MessageKind.AVOID_ROAD, RSU, ActionSource.BURST)
         assert metrics.total == 3
-        assert metrics.by_kind(MessageKind.AVOID_ROAD) == 3
+        key = (MessageKind.AVOID_ROAD, RSU, ActionSource.BURST)
+        assert metrics.counters == {key: 3}
 
     def test_vehicle_relay_increments_once(self):
         metrics = TrialMetrics()

@@ -22,13 +22,12 @@ from vanetim.netsim import (
     TraceRecord,
     TrialSetup,
     parse_trace,
-    run_trial,
     warm_world,
     write_trace,
 )
 from vanetim.protocol import Arm, Broadcast, Wired
 from vanetim.relay import FRESH60, HOP4
-from vanetim.scenarios import build_scenario
+from vanetim.scenarios import Clearance, build_scenario
 
 VEHICLE = RoleKind.REGULAR_VEHICLE
 POLICE = RoleKind.OFFICIAL_VEHICLE
@@ -59,7 +58,7 @@ def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0,
 
 
 def run_until(engine, t):
-    """Run the queued events due by ``t``, without the mobility tick."""
+    """Run the queued events due by ``t``, without moving the road."""
     queue = engine._queue
     while queue and queue[0][0] <= t:
         at, _, fn, args = heapq.heappop(queue)
@@ -273,20 +272,20 @@ class TestTrialSetupValidation:
 class TestRunProperties:
     def test_deterministic_rerun_is_byte_identical(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        trace_a, metrics_a = run_trial(setup, 1)
-        trace_b, metrics_b = run_trial(setup, 1)
+        trace_a, metrics_a = Engine(setup, 1).run()
+        trace_b, metrics_b = Engine(setup, 1).run()
         assert [r.to_line() for r in trace_a] == [r.to_line() for r in trace_b]
         assert metrics_a.total == metrics_b.total
 
     def test_different_seed_differs(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        trace_a, _ = run_trial(setup, 1)
-        trace_b, _ = run_trial(setup, 2)
+        trace_a, _ = Engine(setup, 1).run()
+        trace_b, _ = Engine(setup, 2).run()
         assert [r.to_line() for r in trace_a] != [r.to_line() for r in trace_b]
 
     def test_warmup_window_is_silent(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        trace, _ = run_trial(setup, 3)
+        trace, _ = Engine(setup, 3).run()
         assert trace  # the incident does produce traffic
         assert min(record.time for record in trace) >= setup.warmup
 
@@ -294,7 +293,7 @@ class TestRunProperties:
         setup = TrialSetup(
             script=build_scenario("accident-police"), policy=HOP4, vehicles=21, police=1
         )
-        trace, _ = run_trial(setup, 1)
+        trace, _ = Engine(setup, 1).run()
 
         def first(kind):
             return next(i for i, r in enumerate(trace) if r.kind is kind)
@@ -307,31 +306,56 @@ class TestRunProperties:
 
 
 class CountingEngine(Engine):
-    """The engine, counting the mobility steps its world takes, before the
-    first event and on the tick chain alike."""
+    """The engine, counting the mobility steps its world takes."""
 
     @property
     def steps_taken(self):
         return self.world.next_step
 
 
+class LastEventEngine(CountingEngine):
+    """The engine, noting the time of the last scheduled event that ran."""
+
+    last_at = None
+
+    def _schedule(self, at, fn, *args):
+        super()._schedule(at, self._noted, fn, args)
+
+    def _noted(self, fn, args):
+        self.last_at = self.now
+        fn(*args)
+
+
 class AlwaysStepEngine(CountingEngine):
-    """The oracle for the stop rule: every tick re-pushes the next one until
-    ``_steps``, whether or not any event is left to run."""
+    """The oracle for the stop rule: every mobility step 0.._steps is its own
+    queue event at ``i * dt`` with sequence number ``-i``, so it sorts before
+    every other event due at its time, and every one of them runs, whether or
+    not any event is left."""
 
     def run(self):
-        # an event at 0 s leaves only step 0 to run before the queue, so
-        # every later step runs through this tick
-        self._schedule(0.0, lambda: None)
-        return super().run()
+        setup = self.setup
+        self._schedule(netsim.REPORT_TIME, self._report)
+        clearance = setup.script.clearance
+        if clearance is Clearance.COORDINATOR:
+            self._schedule(netsim.CLEAR_TIME, self._coordinator_clear)
+        elif clearance is Clearance.REPORTER:
+            self._schedule(netsim.CLEAR_TIME, self._reporter_clear)
+        dt = setup.mobility.dt
+        for i in range(self._steps + 1):
+            heapq.heappush(self._queue, (i * dt, -i, self._step, ()))
+        while self._queue:
+            at, _, fn, args = heapq.heappop(self._queue)
+            if at > setup.duration:
+                break
+            self.now = at
+            fn(*args)
+        return self.trace, self.metrics
 
-    def _tick(self, i):
+    def _step(self):
         world = self.world
         if world.spawned_count < world.fleet_size:
             world.inject_flow(self.now)
         world.step(self.setup.mobility.dt)
-        if i < self._steps:
-            self._push_tick(i + 1)
 
 
 def lines(trace):
@@ -339,7 +363,7 @@ def lines(trace):
 
 
 class TestStopRule:
-    """A trial stops stepping once no event is due by its end."""
+    """A trial takes the steps due by each event it runs, and no more."""
 
     @pytest.mark.parametrize("scenario, policy, vehicles, police", [
         ("accident", HOP4, 19, 0),
@@ -375,6 +399,23 @@ class TestStopRule:
         engine._schedule(setup.duration, lambda: None)
         engine.run()
         assert engine.steps_taken == 3001
+
+    @pytest.mark.parametrize("scenario, vehicles, police", [
+        ("accident", 19, 0),
+        ("accident-police", 21, 2),
+    ])
+    def test_the_last_step_is_the_last_one_due_by_the_last_event(
+        self, scenario, vehicles, police
+    ):
+        setup = TrialSetup(
+            script=build_scenario(scenario), policy=HOP4, vehicles=vehicles,
+            police=police,
+        )
+        engine = LastEventEngine(setup, 1)
+        engine.run()
+        assert 0 < engine.last_at < setup.duration
+        expected = min(int(engine.last_at / setup.mobility.dt), engine._steps) + 1
+        assert engine.steps_taken == expected
 
     def test_an_event_after_the_end_adds_no_step(self):
         setup = self.accident()
@@ -433,8 +474,8 @@ class TestSharedWorld:
         world = warm_world(setup)
         alone = Engine(setup, 1)
         assert alone.run()[0] == Engine(setup, 1, world).run()[0] == []
-        # no event falls within the run, so the stop rule keeps step 0 alone
-        assert alone.world.next_step == 1
+        # no event falls within the run, so the road takes no step at all
+        assert alone.world.next_step == 0
 
     def test_a_blockage_standing_at_the_end_stays_in_its_trial(self):
         # the run ends between the report and the clearance, so the
@@ -693,7 +734,7 @@ class TestCausalOrder:
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        trace, _ = run_trial(setup, 1)
+        trace, _ = Engine(setup, 1).run()
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
         parsed = parse_trace(path)

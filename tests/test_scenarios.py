@@ -1,7 +1,7 @@
 import pytest
 
 from vanetim.domain import ActionSource, MessageKind, RoleKind
-from vanetim.netsim import TraceRecord, TrialSetup, run_trial
+from vanetim.netsim import Engine, TraceRecord, TrialSetup
 from vanetim.relay import HOP4
 from vanetim.scenarios import (
     REPORT_TIME,
@@ -79,7 +79,7 @@ class TestCatalogue:
 @pytest.fixture(scope="module")
 def accident_trace():
     setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-    trace, _ = run_trial(setup, 1)
+    trace, _ = Engine(setup, 1).run()
     return trace
 
 
