@@ -1,8 +1,11 @@
-"""Core vocabulary shared by every module: entities, roles, message kinds, messages.
+"""Core vocabulary shared by every module: roles, trace labels, message kinds,
+messages.
 
-All values here are plain immutable dataclasses; they carry no behaviour
-beyond construction-time validation and can be copied freely between
-simulation contexts.
+This module owns the label format in both directions: :func:`label_of`
+writes an entity's label from its role and its index within the role, and
+:func:`role_of_label` reads the role back. Messages are plain immutable
+dataclasses; they carry no behaviour beyond construction-time validation
+and can be copied freely between simulation contexts.
 """
 
 from __future__ import annotations
@@ -31,38 +34,25 @@ _LABEL_PREFIX = {
 }
 
 
-@dataclass(frozen=True)
-class EntityId:
-    """Names an entity at set-up: its role and its index within the role,
-    which give its trace label. Inside a trial an entity is a slot."""
-
-    index: int
-    kind: RoleKind = RoleKind.REGULAR_VEHICLE
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("entity index must be non-negative")
-
-    @property
-    def label(self) -> str:
-        if self.kind is RoleKind.TA:
-            return "TA"
-        return f"{_LABEL_PREFIX[self.kind]}{self.index}"
-
-    def __str__(self) -> str:
-        return self.label
+def label_of(kind: RoleKind, index: int) -> str:
+    """The trace label of the ``index``-th entity of ``kind``, such as ``V17``
+    or ``RSU3``; the TA, the only one of its kind, is ``TA``."""
+    if kind is RoleKind.TA:
+        return "TA"
+    return f"{_LABEL_PREFIX[kind]}{index}"
 
 
 def role_of_label(label: str) -> RoleKind:
-    """Recover the role class from a trace label such as ``V17`` or ``RSU3``."""
-    if label == "TA":
-        return RoleKind.TA
-    if label.startswith("RSU"):
-        return RoleKind.RSU
-    if label.startswith("P") and label[1:].isdigit():
-        return RoleKind.OFFICIAL_VEHICLE
+    """Recover the role class from a trace label such as ``V17`` or ``RSU3``;
+    the commonest role is tested first."""
     if label.startswith("V"):
         return RoleKind.REGULAR_VEHICLE
+    if label.startswith("P") and label[1:].isdigit():
+        return RoleKind.OFFICIAL_VEHICLE
+    if label.startswith("RSU"):
+        return RoleKind.RSU
+    if label == "TA":
+        return RoleKind.TA
     raise ValueError(f"unrecognised entity label: {label!r}")
 
 
@@ -163,12 +153,11 @@ class Message:
 class MessageIdSource:
     """Per-run allocator of unique message ids; deterministic given call order."""
 
-    def __init__(self, prefix: str = "m") -> None:
-        self._prefix = prefix
+    def __init__(self) -> None:
         self._counter = itertools.count()
 
     def next(self) -> str:
-        return f"{self._prefix}{next(self._counter):05d}"
+        return f"m{next(self._counter):05d}"
 
 
 def make_message(

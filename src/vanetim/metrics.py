@@ -36,15 +36,12 @@ class TrialMetrics:
         )
 
 
-def aggregate(trials: Sequence) -> Tuple[float, float]:
-    """Mean and sample standard deviation of per-trial totals.
-
-    Accepts TrialMetrics instances or bare totals; a single trial has
-    stddev 0 by convention.
-    """
+def aggregate(trials: Sequence[int]) -> Tuple[float, float]:
+    """Mean and sample standard deviation of per-trial totals; a single
+    trial has stddev 0 by convention."""
     if not trials:
         raise ValueError("aggregate requires at least one trial")
-    totals = [t.total if isinstance(t, TrialMetrics) else float(t) for t in trials]
+    totals = [float(t) for t in trials]
     mean = statistics.fmean(totals)
     stddev = statistics.stdev(totals) if len(totals) > 1 else 0.0
     return mean, stddev

@@ -9,8 +9,8 @@ for every vehicle and every trial; only the route length varies.
 Inside the world every entity is a dense int *slot*: a vehicle's slot is
 its place in the spawn order, and RSU ``i`` has slot ``fleet_size + i``.
 A spawned vehicle is its slot's entries in ``positions`` and ``speeds``.
-Queries take and return slots, so none of them hashes or compares an
-entity id. A vehicle's leader is the slot before it, which keeps leader
+Queries take and return slots, so none of them hashes or compares a
+label. A vehicle's leader is the slot before it, which keeps leader
 lookup O(1). :meth:`CircularWorld.step` is one pass over the slots: every
 vehicle reads its leader's position from before the step, then moves.
 

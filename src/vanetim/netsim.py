@@ -22,13 +22,14 @@ incident.
 
 Every entity is a dense int slot fixed at set-up: the vehicles in spawn
 order (a vehicle's slot indexes ``world.positions`` and ``world.speeds``),
-then the RSUs, then the TA. State, trace labels and role kinds are
-slot-indexed lists; events, ``Wired`` targets and handler addresses are
-slots. A slot's role lives only in ``_kinds``, its label only in
-``labels`` and the ids it has handled only in its state's ``seen`` set;
-an :class:`EntityId` is used only at set-up, to name the slots. The
-kinematics are :mod:`vanetim.mobility` constants; a set-up varies only the
-route length and the step ``dt``.
+then the RSUs, then the TA. :meth:`TrialSetup.fleet` lays out the vehicle
+labels in that order; ``Engine.labels`` adds the RSUs and the TA, and
+``_kinds`` and the states are read off those labels. State, trace labels
+and role kinds are slot-indexed lists; events, ``Wired`` targets and
+handler addresses are slots. A slot's role lives only in ``_kinds``, its
+label only in ``labels`` and the ids it has handled only in its state's
+``seen`` set. The kinematics are :mod:`vanetim.mobility` constants; a
+set-up varies only the route length and the step ``dt``.
 
 A radio broadcast is one event, one hop latency after the send, that hands
 the shared relayed copy to its receivers in order. Per-receiver events
@@ -55,13 +56,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .domain import (
     ActionSource,
-    EntityId,
     Message,
     MessageIdSource,
     MessageKind,
     Priority,
     RESOLUTION_KINDS,
     RoleKind,
+    label_of,
     make_message,
     relayed_copy,
     role_of_label,
@@ -106,17 +107,6 @@ class NetConfig:
     relay_hold: float = 35.0       # store-carry-forward hold before relaying
 
 
-def _names_one_of(label: str, kind: RoleKind, count: int) -> bool:
-    """Whether ``label`` is the label of one of the first ``count`` entities
-    of ``kind``, e.g. ``V17`` of 18 or more regular vehicles."""
-    index = label[1:]
-    return (
-        index.isdecimal()
-        and int(index) < count
-        and EntityId(int(index), kind).label == label
-    )
-
-
 @dataclass(frozen=True)
 class TrialSetup:
     script: ScenarioScript
@@ -128,9 +118,20 @@ class TrialSetup:
     net: NetConfig = NetConfig()
     mobility: MobilityConfig = MobilityConfig()
 
+    def fleet(self) -> List[str]:
+        """The vehicle labels in spawn order, which is slot order: the
+        officials spawn right behind ``V{reporter_index}``, or after the
+        whole fleet when it is smaller."""
+        regulars = [label_of(RoleKind.REGULAR_VEHICLE, i) for i in range(self.vehicles)]
+        officials = [label_of(RoleKind.OFFICIAL_VEHICLE, i) for i in range(self.police)]
+        split = self.script.reporter_index + 1
+        return regulars[:split] + officials + regulars[split:]
+
     def validate(self) -> None:
         if self.vehicles < 0:
             raise ValueError("vehicle count must not be negative")
+        if self.police < 0:
+            raise ValueError("police count must not be negative")
         if not (math.isfinite(self.duration) and math.isfinite(self.warmup)):
             raise ValueError("duration and warm-up must be finite")
         if self.warmup >= self.duration:
@@ -149,15 +150,16 @@ class TrialSetup:
                 f"scenario {script.name!r} requires at least "
                 f"{script.min_police} police vehicles"
             )
-        official_kinds = ((RoleKind.OFFICIAL_VEHICLE, self.police),)
-        fleet_kinds = official_kinds + ((RoleKind.REGULAR_VEHICLE, self.vehicles),)
-        for name, label, kinds in (
-            ("reporter", script.reporter, fleet_kinds),
-            ("responder", script.responder, official_kinds),
+        labels = self.fleet()
+        responder = script.responder
+        for name, label, known in (
+            ("reporter", script.reporter, script.reporter in labels),
+            ("responder", responder, responder is None or (
+                responder in labels
+                and role_of_label(responder) is RoleKind.OFFICIAL_VEHICLE
+            )),
         ):
-            if label is not None and not any(
-                _names_one_of(label, kind, count) for kind, count in kinds
-            ):
+            if not known:
                 raise ValueError(
                     f"scenario {name} {label} names no entity in a fleet of "
                     f"{self.vehicles} vehicles and {self.police} police"
@@ -167,7 +169,7 @@ class TrialSetup:
                 f"the incident report at {REPORT_TIME} s must not fall inside "
                 "the warm-up"
             )
-        fleet = self.vehicles + self.police
+        fleet = len(labels)
         footprint = VEHICLE_LENGTH + STANDSTILL_GAP
         if fleet * footprint > mob.route_length:
             raise ValueError(
@@ -254,18 +256,15 @@ class Engine:
         self._report_id: Optional[str] = None
 
         script = setup.script
-        regulars = [EntityId(i) for i in range(setup.vehicles)]
-        officials = [EntityId(i, RoleKind.OFFICIAL_VEHICLE) for i in range(setup.police)]
-        split = min(script.reporter_index + 1, len(regulars))
-        spawn_queue = regulars[:split] + officials + regulars[split:]
+        labels = setup.fleet()
+        fleet = len(labels)
         route_length = setup.mobility.route_length
         if world is None:
-            self.world = CircularWorld(route_length, len(spawn_queue))
-        elif (world.route_length, world.fleet_size) != (route_length, len(spawn_queue)):
+            self.world = CircularWorld(route_length, fleet)
+        elif (world.route_length, world.fleet_size) != (route_length, fleet):
             raise ValueError(
                 f"a world of {world.fleet_size} vehicles on a {world.route_length} m "
-                f"route cannot host {len(spawn_queue)} vehicles on a "
-                f"{route_length} m route"
+                f"route cannot host {fleet} vehicles on a {route_length} m route"
             )
         else:
             self.world = world.copy()
@@ -273,25 +272,22 @@ class Engine:
             entries=tuple(script.services), route_length=setup.mobility.route_length
         )
 
-        fleet, n_rsus = len(spawn_queue), len(self.world.rsus)
-        entities = (
-            spawn_queue
-            + [EntityId(i, RoleKind.RSU) for i in range(n_rsus)]
-            + [EntityId(0, RoleKind.TA)]
-        )
+        n_rsus = len(self.world.rsus)
+        labels += [label_of(RoleKind.RSU, i) for i in range(n_rsus)] + ["TA"]
         ta = fleet + n_rsus
-        #: slot -> trace label and slot -> role: the spawn queue, the RSUs, the TA
-        self.labels: List[str] = [entity.label for entity in entities]
-        self._kinds: List[RoleKind] = [entity.kind for entity in entities]
-        self._reporter = self.labels.index(script.reporter)
+        #: slot -> trace label and slot -> role: the fleet, the RSUs, the TA
+        self.labels: List[str] = labels
+        self._kinds: List[RoleKind] = []
+        self._reporter = labels.index(script.reporter)
         self.states: List[EntityState] = []
-        for entity in entities:
-            kind = entity.kind
+        for slot, label in enumerate(labels):
+            kind = role_of_label(label)
+            self._kinds.append(kind)
             if kind is RoleKind.OFFICIAL_VEHICLE:
-                state = OfficialState(responder=(entity.label == script.responder))
+                state = OfficialState(responder=(label == script.responder))
             elif kind is RoleKind.RSU:
                 # the backbone is a ring: RSU0's predecessor is the last RSU
-                i = entity.index
+                i = slot - fleet
                 state = RsuState(
                     neighbours=(fleet + (i - 1) % n_rsus, fleet + (i + 1) % n_rsus),
                     ta=ta,
@@ -534,7 +530,7 @@ def warm_world(setup: TrialSetup) -> CircularWorld:
     depends only on the route length, the fleet size and ``dt``."""
     setup.validate()
     mobility = setup.mobility
-    world = CircularWorld(mobility.route_length, setup.vehicles + setup.police)
+    world = CircularWorld(mobility.route_length, len(setup.fleet()))
     world.advance(REPORT_TIME, mobility.dt)
     return world
 

@@ -8,22 +8,20 @@ neighbour query against brute force.
 import math
 from typing import Dict, List, Tuple
 
-from vanetim.domain import EntityId
-
 
 class StaticWorld:
-    """Fixed entity positions in the plane; no kinematics."""
+    """Fixed entity positions in the plane, keyed by slot; no kinematics."""
 
-    def __init__(self, positions: Dict[EntityId, Tuple[float, float]]) -> None:
+    def __init__(self, positions: Dict[int, Tuple[float, float]]) -> None:
         self.positions = dict(positions)
 
-    def entities(self) -> List[EntityId]:
+    def entities(self) -> List[int]:
         return list(self.positions)
 
-    def position_of(self, entity: EntityId) -> Tuple[float, float]:
+    def position_of(self, entity: int) -> Tuple[float, float]:
         return self.positions[entity]
 
-    def neighbours_within(self, center: EntityId, radius: float) -> List[EntityId]:
+    def neighbours_within(self, center: int, radius: float) -> List[int]:
         if radius <= 0:
             raise ValueError("radius must be positive")
         cx, cy = self.positions[center]

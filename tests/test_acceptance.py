@@ -14,7 +14,6 @@ import pytest
 from conftest import POLICIES, broadcasts, fresh_rsu, replay_count, run_cell
 from static_world import StaticWorld
 from vanetim.domain import (
-    EntityId,
     MessageIdSource,
     MessageKind,
     RESOLUTION_KINDS,
@@ -219,7 +218,9 @@ def _simulate_static_flood(positions, origin, radius, policy):
     world = StaticWorld(positions)
     states = {e: EntityState() for e in positions}
     ids = MessageIdSource()
-    msg = make_message(MessageKind.ACCIDENT, "X", origin.kind, 0.0, ids=ids)
+    msg = make_message(
+        MessageKind.ACCIDENT, "X", RoleKind.REGULAR_VEHICLE, 0.0, ids=ids
+    )
     states[origin].seen.add(msg.id)
     transmissions = 0
     reached = {origin}
@@ -245,8 +246,8 @@ def _simulate_static_flood(positions, origin, radius, policy):
 
 
 def test_criterion_06_flood_oracle_equivalence():
-    positions = {EntityId(i): (i * 200.0, 0.0) for i in range(5)}
-    origin = EntityId(0)
+    positions = {i: (i * 200.0, 0.0) for i in range(5)}
+    origin = 0
     sim = _simulate_static_flood(positions, origin, 300.0, HOP4)
     oracle = _bfs_flood_oracle(positions, origin, 300.0, HOP4.max_hops)
     ok = sim[0] == oracle[0] == 4 and sim[1] == oracle[1] and len(sim[1]) == 5

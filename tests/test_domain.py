@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from vanetim.domain import (
     ClockInversionError,
-    EntityId,
     Message,
     MessageIdSource,
     MessageKind,
     Priority,
     RoleKind,
     age,
+    label_of,
     make_message,
     relayed_copy,
     role_of_label,
@@ -26,27 +26,18 @@ TA = RoleKind.TA
 
 class TestRolesAndLabels:
     def test_labels(self):
-        assert EntityId(17, VEHICLE).label == "V17"
-        assert EntityId(0, POLICE).label == "P0"
-        assert EntityId(3, RSU).label == "RSU3"
-        assert EntityId(0, TA).label == "TA"
+        assert label_of(VEHICLE, 17) == "V17"
+        assert label_of(POLICE, 0) == "P0"
+        assert label_of(RSU, 3) == "RSU3"
+        assert label_of(TA, 0) == "TA"
 
     def test_role_of_label_round_trip(self):
-        for entity in (
-            EntityId(17, VEHICLE),
-            EntityId(0, POLICE),
-            EntityId(3, RSU),
-            EntityId(0, TA),
-        ):
-            assert role_of_label(entity.label) is entity.kind
+        for kind, index in ((VEHICLE, 17), (POLICE, 0), (RSU, 3), (TA, 0)):
+            assert role_of_label(label_of(kind, index)) is kind
 
     def test_role_of_label_rejects_junk(self):
         with pytest.raises(ValueError):
             role_of_label("X99")
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            EntityId(-1, VEHICLE)
 
 
 class TestMakeMessage:
@@ -70,9 +61,8 @@ class TestMakeMessage:
         with pytest.raises(ValueError):
             make_message("accident", "X", VEHICLE, 0.0, ids=ids)
         # a message is originated by a role, not by a named entity
-        for origin in ("V0", EntityId(0, VEHICLE)):
-            with pytest.raises(ValueError):
-                make_message(MessageKind.ACCIDENT, "X", origin, 0.0, ids=ids)
+        with pytest.raises(ValueError):
+            make_message(MessageKind.ACCIDENT, "X", "V0", 0.0, ids=ids)
         with pytest.raises(ValueError):
             make_message(MessageKind.ACCIDENT, "X", VEHICLE, -1.0, ids=ids)
         with pytest.raises(ValueError):

@@ -54,13 +54,6 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
-    def test_accepts_trial_metrics(self):
-        a, b = TrialMetrics(), TrialMetrics()
-        a.count(MessageKind.ACCIDENT, VEH, ActionSource.ORIGIN)
-        for _ in range(3):
-            b.count(MessageKind.ACCIDENT, VEH, ActionSource.RELAY)
-        assert aggregate([a, b]) == (2.0, pytest.approx(1.4142135623730951))
-
 
 def make_sweep(policies=2, densities=3, trials=5):
     sweep = SweepResult()

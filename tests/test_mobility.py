@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from static_world import StaticWorld
-from vanetim.domain import EntityId
 from vanetim.mobility import (
     ACCEL,
     STANDSTILL_GAP,
@@ -267,7 +266,7 @@ class TestInjectFlow:
 class TestNeighbours:
     def line(self, spacing, count):
         return StaticWorld(
-            {EntityId(i): (i * spacing, 0.0) for i in range(count)}
+            {i: (i * spacing, 0.0) for i in range(count)}
         )
 
     def test_in_range_pair(self):
@@ -283,7 +282,7 @@ class TestNeighbours:
 
     def test_line_of_five_query_middle(self):
         world = self.line(200.0, 5)
-        middle = EntityId(2)
+        middle = 2
         found = set(world.neighbours_within(middle, 300.0))
         # brute-force pairwise oracle
         oracle = {

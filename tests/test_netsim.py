@@ -211,6 +211,15 @@ class TestTrialSetupValidation:
         with pytest.raises(ValueError, match=f"responder {responder}"):
             setup.validate()
 
+    @pytest.mark.parametrize("scenario", ["accident", "diversion"])
+    def test_negative_police_rejected(self, scenario):
+        # not measured against the scenario's minimum, 0 or 1 police
+        setup = TrialSetup(
+            script=build_scenario(scenario), policy=HOP4, vehicles=19, police=-1
+        )
+        with pytest.raises(ValueError, match="must not be negative"):
+            setup.validate()
+
     def test_minimum_police(self):
         setup = TrialSetup(
             script=build_scenario("accident-police"), policy=HOP4, vehicles=21, police=0
@@ -663,6 +672,23 @@ class TestSlots:
         assert engine.labels[:fleet] == ["V0", "P0", "P1", "V1", "V2", "V3", "V4"]
         for slot, label in enumerate(engine.labels[:fleet]):
             assert engine._kinds[slot] is role_of_label(label)
+
+    @pytest.mark.parametrize("scenario, vehicles, police, fleet", [
+        ("accident-police", 21, 2,
+         [f"V{i}" for i in range(18)] + ["P0", "P1", "V18", "V19", "V20"]),
+        ("diversion", 19, 1, [f"V{i}" for i in range(18)] + ["P0", "V18"]),
+        ("diversion", 0, 1, ["P0"]),
+    ])
+    def test_catalogue_fleet_layout(self, scenario, vehicles, police, fleet):
+        # catalogue scripts spawn the officials right behind V17, or after
+        # the whole fleet when it is smaller
+        setup = TrialSetup(
+            script=build_scenario(scenario), policy=HOP4, vehicles=vehicles,
+            police=police,
+        )
+        assert setup.fleet() == fleet
+        engine = Engine(setup, 1)
+        assert engine.labels[:engine.world.fleet_size] == fleet
 
     def test_infrastructure_follows_the_fleet(self):
         engine = tiny_engine(3)
