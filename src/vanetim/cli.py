@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .metrics import SweepResult, SweepRow, export_csv, parse_csv
 from .mobility import MobilityConfig
-from .netsim import Engine, NetConfig, TrialSetup, warm_world, write_trace
+from .netsim import Engine, NetConfig, TrialSetup, road_for, write_trace
 from .relay import FRESH60, HOP4, Freshness, HopLimit, RelayPolicy
 from .scenarios import build_scenario, check_conformance, spec_for
 
@@ -147,11 +147,11 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
     sweep = SweepResult()
     all_pass = True
     report_lines = []
-    # the trials differ only in their seed, so they start from one road
-    world = warm_world(setup)
+    # the trials differ only in their seed, so they read one road
+    road = road_for(setup)
     for trial in range(config.trials):
         seed = config.seed + trial
-        trace, metrics = Engine(setup, seed, world).run()
+        trace, metrics = Engine(setup, seed, road).run()
         name = f"trace_{config.scenario}_{config.policy}_{setup.vehicles}v_t{trial}.csv"
         try:
             write_trace(trace, out_dir / name)
@@ -179,15 +179,14 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
 
 def run_sweep(config: RunConfig, policies: Sequence[str] = ("hop4", "fresh60")) -> SweepResult:
     """Run both policies across all densities; library form of cmd_sweep.
-    Every trial of a density starts from a copy of one road, stepped once
-    up to the report."""
+    Every trial of a density reads one road (see ``road_for``)."""
     sweep = SweepResult()
     for vehicles in config.densities:
-        world = warm_world(make_setup(config, vehicles=vehicles))
+        road = road_for(make_setup(config, vehicles=vehicles))
         for policy in policies:
             setup = make_setup(config, policy=policy, vehicles=vehicles)
             for trial in range(config.trials):
-                _, metrics = Engine(setup, config.seed + trial, world).run()
+                _, metrics = Engine(setup, config.seed + trial, road).run()
                 total = (
                     metrics.total
                     if config.include_wired

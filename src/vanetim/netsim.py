@@ -10,9 +10,15 @@ due at ``i * dt``, up to the end of the run). The last step a trial takes
 is thus the last one due by its last event. An event due before the
 current time, a send or a timer alike, is an error, not a reordering.
 
-The road before the report depends only on the route length, the fleet
-size and ``dt``, not on the seed, the policy or the script: trials that
-share those may each start from a copy of one :func:`warm_world`.
+A road depends only on route length, fleet size, ``dt`` and its blockage
+history; trials of one density read one recorded road while their
+histories agree. Before the report the history is empty, so trials that
+share those three start from one :func:`warm_world`. After it, a trial
+changes its road only through its blockage history: the reporter's
+blockage, added at the report, and its removal at the first resolution
+notice sent. Every trial of a :func:`road_for` log reads the steps it
+records while the histories agree; ``Engine(setup, seed)`` steps its own
+road from 0 s, which the tests take as the reference.
 
 The script's reporter reports on ``ROAD`` at ``REPORT_TIME``; the first
 RSU to receive that report is the trial's coordinator. A script's
@@ -74,6 +80,7 @@ from .mobility import (
     VEHICLE_LENGTH,
     CircularWorld,
     MobilityConfig,
+    RoadLog,
 )
 from .protocol import (
     Arm,
@@ -127,7 +134,8 @@ class TrialSetup:
         split = self.script.reporter_index + 1
         return regulars[:split] + officials + regulars[split:]
 
-    def validate(self) -> None:
+    def validate(self) -> List[str]:
+        """Check the set-up and return its :meth:`fleet`."""
         if self.vehicles < 0:
             raise ValueError("vehicle count must not be negative")
         if self.police < 0:
@@ -181,6 +189,7 @@ class TrialSetup:
                 f"{fleet} vehicles at a {ENTRY_HEADWAY} s entry headway cannot all "
                 f"spawn before the {self.warmup} s warm-up ends"
             )
+        return labels
 
 
 @dataclass(frozen=True)
@@ -236,12 +245,13 @@ class Engine:
     """One trial's executor; single logical thread, fully isolated state."""
 
     def __init__(
-        self, setup: TrialSetup, seed: int, world: Optional[CircularWorld] = None
+        self, setup: TrialSetup, seed: int, road: Optional[RoadLog] = None
     ) -> None:
-        """``world``, if given, is a road stepped for ``setup`` no further
-        than its first event, such as a :func:`warm_world`; the trial runs
-        on a copy of it and leaves it as it was."""
-        setup.validate()
+        """``road``, if given, is a log for ``setup``'s road whose warm road
+        is stepped no further than the first event, such as a
+        :func:`road_for`; the trial reads it through its own cursor and
+        leaves the log's warm road and recorded rows as they were."""
+        labels = setup.validate()
         self.setup = setup
         self.seed = seed
         self.rng = random.Random(seed)
@@ -256,18 +266,18 @@ class Engine:
         self._report_id: Optional[str] = None
 
         script = setup.script
-        labels = setup.fleet()
         fleet = len(labels)
         route_length = setup.mobility.route_length
-        if world is None:
+        if road is None:
             self.world = CircularWorld(route_length, fleet)
-        elif (world.route_length, world.fleet_size) != (route_length, fleet):
+        elif (road.warm.route_length, road.warm.fleet_size) != (route_length, fleet):
             raise ValueError(
-                f"a world of {world.fleet_size} vehicles on a {world.route_length} m "
-                f"route cannot host {fleet} vehicles on a {route_length} m route"
+                f"a world of {road.warm.fleet_size} vehicles on a "
+                f"{road.warm.route_length} m route cannot host {fleet} vehicles "
+                f"on a {route_length} m route"
             )
         else:
-            self.world = world.copy()
+            self.world = road.cursor(setup.mobility.dt)
         services = ServiceDirectory(
             entries=tuple(script.services), route_length=setup.mobility.route_length
         )
@@ -333,8 +343,8 @@ class Engine:
         self.metrics.count(msg.kind, kind, source)
         # only a blockage script parks the reporter, and every message of a
         # trial is on ROAD, so any resolution notice lifts the blockage
-        if msg.kind in RESOLUTION_KINDS and self.world.blockages:
-            self.world.blockages.clear()
+        if msg.kind in RESOLUTION_KINDS:
+            self.world.clear_blockages()
 
     def broadcast(
         self,
@@ -528,9 +538,14 @@ def warm_world(setup: TrialSetup) -> CircularWorld:
     """The road as every trial of ``setup`` finds it at ``REPORT_TIME``: a
     trial runs nothing but mobility steps before the report, so this road
     depends only on the route length, the fleet size and ``dt``."""
-    setup.validate()
     mobility = setup.mobility
-    world = CircularWorld(mobility.route_length, len(setup.fleet()))
+    world = CircularWorld(mobility.route_length, len(setup.validate()))
     world.advance(REPORT_TIME, mobility.dt)
     return world
 
+
+def road_for(setup: TrialSetup) -> RoadLog:
+    """The road the trials of ``setup``'s density read: a :class:`RoadLog`
+    of its :func:`warm_world`, so that each step after the report is taken
+    once while their blockage histories agree."""
+    return RoadLog(warm_world(setup), setup.mobility.dt)

@@ -7,7 +7,7 @@ from typing import List, Tuple
 import pytest
 
 from vanetim.domain import MessageIdSource
-from vanetim.netsim import Engine, TraceRecord, TrialSetup, warm_world
+from vanetim.netsim import Engine, TraceRecord, TrialSetup, road_for
 from vanetim.protocol import Broadcast, RsuState, ServiceDirectory, Wired
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
@@ -24,33 +24,42 @@ def ids() -> MessageIdSource:
     return MessageIdSource()
 
 
-def run_cell(
-    scenario: str,
-    policy: str,
-    vehicles: int,
-    seeds,
-    police: int = 0,
-    **setup_kwargs,
-) -> List[Tuple[int, List[TraceRecord], int]]:
-    """Run one (scenario, policy, density) cell over the given seeds.
-
-    Several seeds start from one warm world, as a sweep's trials do; a
-    single seed steps its own, as a lone trial does.
-
-    Returns one (seed, trace, total transmissions) triple per trial.
-    """
+def cell_setup(
+    scenario: str, policy: str, vehicles: int, police: int = 0, **setup_kwargs
+) -> TrialSetup:
     script = build_scenario(scenario)
-    setup = TrialSetup(
+    return TrialSetup(
         script=script,
         policy=POLICIES[policy],
         vehicles=vehicles,
         police=max(police, script.min_police),
         **setup_kwargs,
     )
-    world = warm_world(setup) if len(seeds) > 1 else None
+
+
+def run_cell(
+    scenario: str,
+    policy: str,
+    vehicles: int,
+    seeds,
+    police: int = 0,
+    road=None,
+    **setup_kwargs,
+) -> List[Tuple[int, List[TraceRecord], int]]:
+    """Run one (scenario, policy, density) cell over the given seeds.
+
+    The trials read ``road`` if given (from ``road_for``). If not, several
+    seeds share one recorded road, as a sweep's trials do, and a single seed
+    steps its own from 0 s.
+
+    Returns one (seed, trace, total transmissions) triple per trial.
+    """
+    setup = cell_setup(scenario, policy, vehicles, police, **setup_kwargs)
+    if road is None and len(seeds) > 1:
+        road = road_for(setup)
     out = []
     for seed in seeds:
-        trace, metrics = Engine(setup, seed, world).run()
+        trace, metrics = Engine(setup, seed, road).run()
         out.append((seed, trace, metrics.total))
     return out
 

@@ -11,7 +11,14 @@ import sys
 
 import pytest
 
-from conftest import POLICIES, broadcasts, fresh_rsu, replay_count, run_cell
+from conftest import (
+    POLICIES,
+    broadcasts,
+    cell_setup,
+    fresh_rsu,
+    replay_count,
+    run_cell,
+)
 from static_world import StaticWorld
 from vanetim.domain import (
     MessageIdSource,
@@ -21,7 +28,7 @@ from vanetim.domain import (
     make_message,
     relayed_copy,
 )
-from vanetim.netsim import parse_trace, write_trace
+from vanetim.netsim import parse_trace, road_for, write_trace
 from vanetim.protocol import (
     EntityState,
     SpeedHistory,
@@ -54,8 +61,12 @@ def sweep_accident():
     """Criterion-1 sweep: accident scenario, both policies, 7 densities."""
     cells = {}
     for vehicles in DENSITIES_1:
+        # both policies' trials read one road, as run_sweep's do
+        road = road_for(cell_setup("accident", "hop4", vehicles))
         for policy in POLICIES:
-            cells[(policy, vehicles)] = run_cell("accident", policy, vehicles, SEEDS)
+            cells[(policy, vehicles)] = run_cell(
+                "accident", policy, vehicles, SEEDS, road=road
+            )
     return cells
 
 
@@ -64,9 +75,10 @@ def sweep_police():
     """Criterion-3 sweep: police-attended accident, 2 police, 5 densities."""
     cells = {}
     for vehicles in DENSITIES_2:
+        road = road_for(cell_setup("accident-police", "hop4", vehicles, police=2))
         for policy in POLICIES:
             cells[(policy, vehicles)] = run_cell(
-                "accident-police", policy, vehicles, SEEDS, police=2
+                "accident-police", policy, vehicles, SEEDS, police=2, road=road
             )
     return cells
 

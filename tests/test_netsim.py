@@ -15,14 +15,15 @@ from vanetim.domain import (
     relayed_copy,
     role_of_label,
 )
-from vanetim.mobility import MobilityConfig
+from vanetim.cli import RunConfig, run_sweep
+from vanetim.mobility import CircularWorld, MobilityConfig
 from vanetim.netsim import (
     Engine,
     NetConfig,
     TraceRecord,
     TrialSetup,
     parse_trace,
-    warm_world,
+    road_for,
     write_trace,
 )
 from vanetim.protocol import Arm, Broadcast, Wired
@@ -445,6 +446,21 @@ SHARED_WORLD_CELLS = [
     ("accident-police", "hop4", 21, 2, 0.0),
     ("accident", "hop4", 79, 0, 0.3),
 ]
+#: cells whose lost notices move the clearance, so that some trials'
+#: blockage histories differ and they leave the log
+DIVERGING_CELLS = [
+    ("accident-police", "fresh60", 81, 2, 0.3),
+    ("accident-police", "hop4", 21, 2, 0.6),
+]
+
+
+def blockage_changes(log):
+    """The log's blockage history: (step, blockages) at each change."""
+    return [
+        (log.start + i, blockages)
+        for i, blockages in enumerate(log.blockages)
+        if i == 0 or blockages != log.blockages[i - 1]
+    ]
 
 
 def world_lists(world):
@@ -453,36 +469,70 @@ def world_lists(world):
 
 
 class TestSharedWorld:
-    """Trials that start from one warm world trace as if each stepped its
-    own road from 0 s."""
+    """Trials that read one recorded road trace as if each stepped its own
+    road from 0 s."""
+
+    @staticmethod
+    def read_in_both_orders(setup, seeds):
+        """Run every seed's trial on one fresh log per order, forwards and
+        backwards, and check each trace against its unshared run and that no
+        trial changes the warm road or the rows recorded before it; the
+        cursors of both orders and the logs come back."""
+        unshared = {seed: lines(Engine(setup, seed).run()[0]) for seed in seeds}
+        cursors, logs = [], []
+        for order in (seeds, seeds[::-1]):
+            log = road_for(setup)
+            warm = world_lists(log.warm)
+            for seed in order:
+                rows = [bytes(row) for row in log.rows]
+                engine = Engine(setup, seed, log)
+                assert lines(engine.run()[0]) == unshared[seed]
+                assert [bytes(row) for row in log.rows[:len(rows)]] == rows
+                cursors.append(engine.world)
+            assert world_lists(log.warm) == warm
+            logs.append(log)
+        return cursors, logs
 
     @pytest.mark.parametrize(
         "scenario,policy,vehicles,police,loss",
-        SHARED_WORLD_CELLS,
-        ids=[f"{s}-{p}-{v}v-{n}p-loss{loss}" for s, p, v, n, loss in SHARED_WORLD_CELLS],
+        SHARED_WORLD_CELLS + DIVERGING_CELLS,
+        ids=[f"{s}-{p}-{v}v-{n}p-loss{loss}"
+             for s, p, v, n, loss in SHARED_WORLD_CELLS + DIVERGING_CELLS],
     )
     def test_shared_traces_equal_unshared(self, scenario, policy, vehicles, police, loss):
         setup = TrialSetup(
             script=build_scenario(scenario), policy=POLICIES[policy],
             vehicles=vehicles, police=police, net=NetConfig(loss=loss),
         )
-        seeds = (1, 3, 5)
-        unshared = {seed: lines(Engine(setup, seed).run()[0]) for seed in seeds}
-        world = warm_world(setup)
-        before = world_lists(world)
-        for order in (seeds, seeds[::-1]):
-            for seed in order:
-                assert lines(Engine(setup, seed, world).run()[0]) == unshared[seed]
-        assert world_lists(world) == before
+        cursors, logs = self.read_in_both_orders(setup, (1, 3, 5))
+        left = any(cursor.log is None for cursor in cursors)
+        assert left == ((scenario, policy, vehicles, police, loss) in DIVERGING_CELLS)
+        if not left:
+            # one history, so the log holds the steps of the longest trial
+            for log in logs:
+                assert len(log.rows) == max(c.next_step for c in cursors) - log.start
+
+    @pytest.mark.parametrize("vehicles", [19, 139])
+    def test_an_accident_density_has_one_history(self, vehicles):
+        log = road_for(TrialSetup(script=build_scenario("accident"), policy=HOP4,
+                                  vehicles=vehicles))
+        for policy, seed in ((HOP4, 1), (FRESH60, 2)):
+            setup = TrialSetup(script=build_scenario("accident"), policy=policy,
+                               vehicles=vehicles)
+            engine = Engine(setup, seed, log)
+            engine.run()
+            assert engine.world.log is log
+        # the report's blockage, then the clearance
+        (added, (arc,)), cleared = blockage_changes(log)
+        assert (added, cleared) == (1101, (1701, []))
 
     def test_a_run_that_ends_before_the_report_traces_nothing_either_way(self):
         setup = TrialSetup(
             script=build_scenario("accident"), policy=HOP4, vehicles=19,
             duration=netsim.REPORT_TIME - 10.0,
         )
-        world = warm_world(setup)
         alone = Engine(setup, 1)
-        assert alone.run()[0] == Engine(setup, 1, world).run()[0] == []
+        assert alone.run()[0] == Engine(setup, 1, road_for(setup)).run()[0] == []
         # no event falls within the run, so the road takes no step at all
         assert alone.world.next_step == 0
 
@@ -493,13 +543,13 @@ class TestSharedWorld:
             script=build_scenario("accident"), policy=HOP4, vehicles=19,
             duration=netsim.CLEAR_TIME - 100.0,
         )
-        world = warm_world(setup)
-        before = world_lists(world)
+        log = road_for(setup)
+        before = world_lists(log.warm)
         for seed in (1, 3):
-            engine = Engine(setup, seed, world)
+            engine = Engine(setup, seed, log)
             assert lines(engine.run()[0]) == lines(Engine(setup, seed).run()[0])
             assert engine.world.blockages
-        assert world_lists(world) == before
+        assert world_lists(log.warm) == before
 
     @pytest.mark.parametrize("other", [
         dict(vehicles=20),
@@ -508,16 +558,110 @@ class TestSharedWorld:
     ], ids=["fleet", "police", "route"])
     def test_a_world_for_another_road_is_refused(self, other):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        world = warm_world(replace(setup, **other))
+        log = road_for(replace(setup, **other))
         with pytest.raises(ValueError, match="cannot host"):
-            Engine(setup, 1, world)
+            Engine(setup, 1, log)
 
     def test_a_world_stepped_past_the_first_event_is_refused(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        engine = Engine(setup, 1, warm_world(setup))
+        engine = Engine(setup, 1, road_for(setup))
         engine._schedule(100.0, lambda: None)
         with pytest.raises(ValueError, match="past the first event"):
             engine.run()
+
+    def test_a_later_trial_extends_the_frontier(self):
+        accident = build_scenario("accident")
+        short = TrialSetup(script=accident, policy=HOP4, vehicles=79,
+                           duration=netsim.CLEAR_TIME - 100.0)
+        full = replace(short, duration=1500.0)
+        log = road_for(short)
+        warm = world_lists(log.warm)
+        # the short trial ends with its blockage standing, so its history
+        # lacks the clearance the full trials have
+        assert lines(Engine(short, 1, log).run()[0]) == lines(Engine(short, 1).run()[0])
+        before = [bytes(row) for row in log.rows]
+        frontier = log.start + len(before)
+        for seed in (1, 3):
+            engine = Engine(full, seed, log)
+            assert lines(engine.run()[0]) == lines(Engine(full, seed).run()[0])
+            assert engine.world.log is log
+            assert engine.world.next_step > frontier
+        assert [bytes(row) for row in log.rows[:len(before)]] == before
+        assert len(log.rows) > len(before)
+        assert world_lists(log.warm) == warm
+
+    def test_a_cursor_shows_the_row_of_the_last_step_taken(self):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        dt = setup.mobility.dt
+        log = road_for(setup)
+        for _ in range(2):
+            # the first cursor steps the frontier, the second reads its rows
+            cursor, private = log.cursor(dt), log.warm.copy()
+            for until, blockage in ((551.0, 500.0), (600.2, None), (650.0, None)):
+                for world in (cursor, private):
+                    world.advance(until, dt)
+                    if blockage is not None:
+                        world.add_blockage(blockage)
+                    elif world.blockages:
+                        world.clear_blockages()
+                assert list(cursor.positions) == private.positions
+                assert cursor.next_step == private.next_step
+                assert cursor.blockages == private.blockages
+            assert cursor.log is log
+        assert blockage_changes(log) == [(1101, []), (1103, [500.0]), (1201, [])]
+
+    @pytest.mark.parametrize("act", [
+        lambda world: world.speeds,
+        lambda world: world.inject_flow(580.0),
+        lambda world: world.step(0.5),
+    ], ids=["speeds", "inject_flow", "step"])
+    def test_a_cursor_leaves_the_log_before_its_speeds_or_writes(self, act):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        dt = setup.mobility.dt
+        log = road_for(setup)
+        log.cursor(dt).advance(600.0, dt)
+        rows, warm = [bytes(row) for row in log.rows], world_lists(log.warm)
+        cursor, private = log.cursor(dt), log.warm.copy()
+        for world in (cursor, private):
+            world.advance(580.0, dt)
+            act(world)
+        # it goes on as a private world, and the rows others read stay put
+        assert cursor.log is None
+        assert world_lists(cursor) == world_lists(private)
+        assert [bytes(row) for row in log.rows] == rows
+        assert world_lists(log.warm) == warm
+
+    def test_a_log_for_another_dt_is_refused(self):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        log = road_for(setup)
+        with pytest.raises(ValueError, match="cannot be read"):
+            Engine(replace(setup, mobility=MobilityConfig(dt=0.25)), 1, log)
+
+    def test_a_sweep_takes_each_post_report_step_once_per_density(self, monkeypatch):
+        config = RunConfig(scenario="accident", seed=1, trials=2, densities=(19, 79))
+        policies = ("hop4", "fresh60")
+        # a density's road takes as many steps as its longest trial
+        expected = 0
+        for vehicles in config.densities:
+            longest = 0
+            for policy in policies:
+                for trial in range(config.trials):
+                    setup = TrialSetup(script=build_scenario("accident"),
+                                       policy=POLICIES[policy], vehicles=vehicles)
+                    engine = CountingEngine(setup, config.seed + trial)
+                    engine.run()
+                    longest = max(longest, engine.steps_taken)
+            expected += longest
+        steps = []
+        step = CircularWorld.step
+
+        def counted(world, dt):
+            steps.append(world.next_step)
+            step(world, dt)
+
+        monkeypatch.setattr(CircularWorld, "step", counted)
+        run_sweep(config, policies)
+        assert len(steps) == expected
 
 
 class PerReceiverEngine(Engine):
@@ -686,7 +830,7 @@ class TestSlots:
             script=build_scenario(scenario), policy=HOP4, vehicles=vehicles,
             police=police,
         )
-        assert setup.fleet() == fleet
+        assert setup.fleet() == setup.validate() == fleet
         engine = Engine(setup, 1)
         assert engine.labels[:engine.world.fleet_size] == fleet
 
