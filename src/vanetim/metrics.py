@@ -64,12 +64,12 @@ class SweepResult:
         self.rows.append(row)
 
     def cells(self) -> List[Tuple[str, str, int]]:
-        seen: List[Tuple[str, str, int]] = []
+        order: List[Tuple[str, str, int]] = []
         for row in self.rows:
             cell = (row.scenario, row.policy, row.vehicles)
-            if cell not in seen:
-                seen.append(cell)
-        return seen
+            if cell not in order:
+                order.append(cell)
+        return order
 
     def totals(self, scenario: str, policy: str, vehicles: int) -> List[int]:
         return [

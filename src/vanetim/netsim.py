@@ -30,21 +30,28 @@ Every entity is a dense int slot fixed at set-up: the vehicles in spawn
 order (a vehicle's slot indexes ``world.positions`` and ``world.speeds``),
 then the RSUs, then the TA. :meth:`TrialSetup.fleet` lays out the vehicle
 labels in that order; ``Engine.labels`` adds the RSUs and the TA, and
-``_kinds`` and the states are read off those labels. State, trace labels
-and role kinds are slot-indexed lists; events, ``Wired`` targets and
-handler addresses are slots. A slot's role lives only in ``_kinds``, its
-label only in ``labels`` and the ids it has handled only in its state's
-``seen`` set. The kinematics are :mod:`vanetim.mobility` constants; a
-set-up varies only the route length and the step ``dt``.
+``_kinds`` and the states are read off those labels. States (RSUs and
+official vehicles only), ``seen`` sets, trace labels and role kinds are
+slot-indexed lists; events, ``Wired`` targets and handler addresses are
+slots. A slot's role lives only in ``_kinds`` and its label only in
+``labels``. The kinematics are :mod:`vanetim.mobility` constants; a set-up
+varies only the route length and the step ``dt``.
+
+Only the engine writes ``seen``, a set per slot of every id the entity has
+sent or received: :meth:`Engine._record` adds each sender's id, radio or
+wired, and :meth:`Engine._deliver` decides once per receipt whether it is
+the first, then adds the id. So an entity hearing its own message back
+takes it as a repeat.
 
 A radio broadcast is one event, one hop latency after the send, that hands
 the shared relayed copy to its receivers in order. Per-receiver events
 would have had consecutive sequence numbers, and whatever a receipt
 schedules runs after the whole batch, so the receipts run in the same
-order. A regular vehicle drops a copy it has seen at once; RSUs and
-official vehicles run their handlers on every receipt. Only the receipt
-that first adds an id to an entity's ``seen`` set is held for the relay
-decision, so no entity relays an id twice.
+order. A regular vehicle drops a repeat at once; an official vehicle runs
+its handler on every receipt and an RSU on every receipt of a kind it
+handles, told whether it is first; the TA handles first receipts only.
+Only a first receipt is held for the relay decision, so no entity relays
+an id twice.
 
 Relays are store-carry-forward: a vehicle holds a newly received message
 for a jittered hold time before the forwarding decision runs, so
@@ -58,7 +65,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from .domain import (
     ActionSource,
@@ -85,7 +92,6 @@ from .mobility import (
 from .protocol import (
     Arm,
     Broadcast,
-    EntityState,
     OfficialState,
     RSU_HANDLERS,
     RsuState,
@@ -289,10 +295,13 @@ class Engine:
         self.labels: List[str] = labels
         self._kinds: List[RoleKind] = []
         self._reporter = labels.index(script.reporter)
-        self.states: List[EntityState] = []
+        #: slot -> the ids the entity has sent or received
+        self.seen: List[Set[str]] = [set() for _ in labels]
+        self.states: List[Union[OfficialState, RsuState, None]] = []
         for slot, label in enumerate(labels):
             kind = role_of_label(label)
             self._kinds.append(kind)
+            state = None
             if kind is RoleKind.OFFICIAL_VEHICLE:
                 state = OfficialState(responder=(label == script.responder))
             elif kind is RoleKind.RSU:
@@ -304,8 +313,6 @@ class Engine:
                     position=self.world.rsus[i][1],
                     services=services,
                 )
-            else:
-                state = EntityState()
             self.states.append(state)
 
     # -- scheduling --------------------------------------------------------
@@ -340,6 +347,7 @@ class Engine:
             source=source,
         )
         self.trace.append(record)
+        self.seen[sender].add(msg.id)
         self.metrics.count(msg.kind, kind, source)
         # only a blockage script parks the reporter, and every message of a
         # trial is on ROAD, so any resolution notice lifts the blockage
@@ -415,41 +423,37 @@ class Engine:
 
     def _deliver(self, msg: Message, receivers: Sequence[int], sender: int) -> None:
         """Hand one transmission to each receiver slot, in order."""
-        states, kinds = self.states, self._kinds
-        msg_id = msg.id
+        states, kinds, seen, ids = self.states, self._kinds, self.seen, self.ids
+        now, msg_id = self.now, msg.id
         for receiver in receivers:
-            state = states[receiver]
+            held = seen[receiver]
+            first = msg_id not in held
+            held.add(msg_id)
             kind = kinds[receiver]
             if kind is RoleKind.REGULAR_VEHICLE:
-                # a regular vehicle only relays, and only an unseen copy
-                if msg_id not in state.seen:
-                    self._schedule_relay(receiver, state, msg)
+                # a regular vehicle only relays, and only a first copy
+                if first:
+                    self._schedule_relay(receiver, msg)
             elif kind is RoleKind.OFFICIAL_VEHICLE:
-                self._execute(
-                    receiver, handle_official(state, msg, self.now, ids=self.ids)
-                )
-                self._schedule_relay(receiver, state, msg)
+                state = states[receiver]
+                self._execute(receiver, handle_official(state, msg, now, ids=ids))
+                if first:
+                    self._schedule_relay(receiver, msg)
             elif kind is RoleKind.RSU:
                 if msg_id == self._report_id and self.coordinator is None:
                     self.coordinator = receiver
                 if msg.kind in RSU_HANDLERS:
-                    self._execute(
-                        receiver,
-                        handle_rsu(state, msg, kinds[sender], self.now, ids=self.ids),
-                    )
-                else:
-                    self._schedule_relay(receiver, state, msg)
-            else:
+                    state = states[receiver]
+                    actions = handle_rsu(state, msg, kinds[sender], first, now, ids=ids)
+                    self._execute(receiver, actions)
+                elif first:
+                    self._schedule_relay(receiver, msg)
+            elif first:
                 # only an RSU's wired link reaches the TA
-                self._execute(
-                    receiver, handle_ta(state, msg, self.now, reporting_rsu=sender)
-                )
+                self._execute(receiver, handle_ta(msg, now, reporting_rsu=sender))
 
-    def _schedule_relay(self, slot: int, state: EntityState, msg: Message) -> None:
-        """Hold a first-seen copy, then run the relay decision on it."""
-        if msg.id in state.seen:
-            return
-        state.seen.add(msg.id)
+    def _schedule_relay(self, slot: int, msg: Message) -> None:
+        """Hold a first-received copy, then run the relay decision on it."""
         self._schedule(self.now + self._hold_delay(msg), self._relay, slot, msg)
 
     def _relay(self, slot: int, msg: Message) -> None:
@@ -458,7 +462,7 @@ class Engine:
     # -- timers ------------------------------------------------------------
 
     def _fire_timer(self, slot: int, timer: Arm) -> None:
-        """Call the timer's callback on the state of the entity that armed it."""
+        """Call the timer's callback on the arming entity's state (None for the TA)."""
         state = self.states[slot]
         self._execute(slot, timer.fn(state, *timer.args, self.now, ids=self.ids))
 
@@ -477,7 +481,6 @@ class Engine:
         msg = make_message(
             kind, ROAD, self._kinds[slot], now, ids=self.ids, payload=payload
         )
-        self.states[slot].seen.add(msg.id)
         self.broadcast(msg, slot, now, ActionSource.ORIGIN)
         return msg
 
@@ -493,9 +496,8 @@ class Engine:
         rsu = self.coordinator
         if rsu is None:
             return
-        state = self.states[rsu]
         self._execute(
-            rsu, rsu_scripted_resolution(state, ROAD, self.now, ids=self.ids)
+            rsu, rsu_scripted_resolution(self.states[rsu], ROAD, self.now, ids=self.ids)
         )
 
     def _reporter_clear(self) -> None:

@@ -21,12 +21,10 @@ and on-site service time) are module constants, the same in every run.
 
 A state holds no identity of its own: the engine keeps each slot's role
 and label, and a handler originates a message as its own
-:class:`RoleKind`. Each entity's ``seen`` set records every message id it
-has handled, and is the one record of a first receipt. ``handle_rsu``
-decides it once for every receipt of a kind it handles, a copy heard while
-its road is resolved included, and passes it to the kind's handler; the TA
-schedules one resolution per id; and the engine runs the relay decision
-only for the receipt that adds an id.
+:class:`RoleKind`. Only RSUs and official vehicles keep a state. No handler
+reads or writes the ids an entity has sent or received: the engine keeps
+them, and tells ``handle_rsu`` whether a receipt is the first of its id.
+The TA's handler and the relay decision run on first receipts only.
 """
 
 from __future__ import annotations
@@ -169,15 +167,7 @@ class ServiceDirectory:
 
 
 @dataclass
-class EntityState:
-    """A regular vehicle's or the TA's whole state; RSUs and official
-    vehicles extend it."""
-
-    seen: Set[str] = field(default_factory=set)
-
-
-@dataclass(kw_only=True)
-class RsuState(EntityState):
+class RsuState:
     ta: int                           # slot of the TA
     neighbours: Tuple[int, ...] = ()  # slots of the backbone ring's two peers
     position: float = 0.0  # arc metres along the route
@@ -204,7 +194,7 @@ class OfficialIncident:
 
 
 @dataclass
-class OfficialState(EntityState):
+class OfficialState:
     responder: bool = True
     incidents: Dict[str, OfficialIncident] = field(default_factory=dict)
 
@@ -224,13 +214,13 @@ OFFICIAL_RESPONSE_KINDS = {
 def relay_decision(
     msg: Message, policy: RelayPolicy, now: float
 ) -> List[OutgoingAction]:
-    """Forward a first-seen copy if the policy admits it.
+    """Forward a first-received copy if the policy admits it.
 
-    The engine calls this at most once per (entity, id): only the receipt
-    that adds the id to the entity's ``seen`` set schedules it. The copy is
-    retransmitted as received: its hop count was already advanced when the
-    radio delivery happened, so a hop-limit policy sees the number of
-    transmissions the copy has traversed.
+    The engine calls this at most once per (entity, id): only an entity's
+    first receipt of an id, one it has not sent either, schedules it. The
+    copy is retransmitted as received: its hop count was already advanced
+    when the radio delivery happened, so a hop-limit policy sees the number
+    of transmissions the copy has traversed.
     """
     if not should_relay(policy, msg, now):
         return []
@@ -252,15 +242,15 @@ def handle_rsu(
     state: RsuState,
     msg: Message,
     sender: RoleKind,
+    first: bool,
     now: float,
     *,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
     """Dispatch one received message of a kind in ``RSU_HANDLERS`` through
-    the RSU's announcement rules; any other kind is a plain relay candidate,
-    which the engine holds instead."""
-    first = msg.id not in state.seen
-    state.seen.add(msg.id)
+    the RSU's announcement rules; ``first`` says that the RSU has neither
+    sent nor received its id before. Any other kind is a plain relay
+    candidate, which the engine holds instead."""
     return RSU_HANDLERS[msg.kind](state, msg, sender, first, now, ids)
 
 
@@ -408,7 +398,7 @@ def _rsu_resolution(
 ) -> List[OutgoingAction]:
     """Close the incident and spread the road-clear status.
 
-    A first-seen clearance is flooded along the backbone ring so every
+    A first-received clearance is flooded along the backbone ring so every
     zone hears it (message-id dedup terminates the flood). If this RSU
     holds an open incident for the road, it also resolves the incident and
     announces the road-clear status ``CLEARED_REPEATS`` times; clearances
@@ -489,7 +479,6 @@ def rsu_scripted_resolution(
     if state.status.get(road) in (None, IncidentStatus.RESOLVED):
         return []
     cleared = make_message(MessageKind.CLEARED_ROAD, road, RoleKind.RSU, now, ids=ids)
-    state.seen.add(cleared.id)
     actions = _close(state, cleared, now)
     actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
     return actions
@@ -541,7 +530,6 @@ def handle_official(
             ids=ids,
             correlation=msg.id,
         )
-        state.seen.add(addressing.id)
         state.incidents[msg.road] = OfficialIncident(
             road=msg.road, report=msg, addressing_id=addressing.id
         )
@@ -582,7 +570,6 @@ def official_announce(
         ids=ids,
         correlation=incident.report.id,
     )
-    state.seen.add(free.id)
     actions.append(
         Broadcast(free, at=now, source=ActionSource.ORIGIN, downstream_only=True)
     )
@@ -595,7 +582,6 @@ def official_announce(
             ids=ids,
             correlation=incident.report.id,
         )
-        state.seen.add(attending.id)
         actions.append(Broadcast(attending, at=now, source=ActionSource.ORIGIN))
     actions.append(Arm(now + ATTENDING_PERIOD, official_announce, (road,)))
     return actions
@@ -629,7 +615,6 @@ def official_resolve(
         ids=ids,
         correlation=incident.report.id,
     )
-    state.seen.add(done.id)
     return [Broadcast(done, at=now, source=ActionSource.ORIGIN)]
 
 
@@ -637,21 +622,18 @@ def official_resolve(
 # traffic authority
 
 
-def handle_ta(
-    state: EntityState, msg: Message, now: float, *, reporting_rsu: int
-) -> List[OutgoingAction]:
-    """Schedule one resolution notice per report id back to the reporting
-    RSU, the authority's service delay after the first receipt;
-    non-authority kinds are dropped."""
-    if msg.kind not in TA_REPORT_KINDS or msg.id in state.seen:
+def handle_ta(msg: Message, now: float, *, reporting_rsu: int) -> List[OutgoingAction]:
+    """Schedule a resolution notice for a first-received report back to the
+    reporting RSU, the authority's service delay later; non-authority kinds
+    are dropped."""
+    if msg.kind not in TA_REPORT_KINDS:
         return []
-    state.seen.add(msg.id)
     args = (msg.road, msg.kind, msg.id, reporting_rsu)
     return [Arm(now + TA_SERVICE_DELAY, ta_resolve, args)]
 
 
 def ta_resolve(
-    state: EntityState,
+    state: None,
     road: str,
     kind: MessageKind,
     report_id: str,
@@ -660,7 +642,8 @@ def ta_resolve(
     *,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
-    """The authority's resolution notice, wired to the reporting RSU."""
+    """The authority's resolution notice, wired to the reporting RSU; the
+    TA keeps no state, so ``state`` is None."""
     resolution = make_message(
         RESOLUTION_FOR[kind], road, RoleKind.TA, now, ids=ids, correlation=report_id
     )

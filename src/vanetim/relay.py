@@ -5,8 +5,9 @@ be forwarded iff h is below the bound) and a freshness bound (forwarding is
 allowed only while the message's age is strictly below the bound, evaluated
 at relay-decision time). High-priority messages from official vehicles
 bypass both bounds but not duplicate suppression: the engine runs the
-decision only on the receipt that first adds an id to the entity's ``seen``
-set, which is never evicted within a run, so no copy is judged twice.
+decision only on an entity's first receipt of an id, and only if the entity
+has not sent that id itself. The engine keeps every id an entity has sent
+or received until the run ends, so no id is judged twice by one entity.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ FRESH60 = Freshness(60.0)
 
 
 def should_relay(policy: RelayPolicy, msg: Message, now: float) -> bool:
-    """Decide whether a first-seen copy may be forwarded right now."""
+    """Decide whether a first-received copy may be forwarded right now."""
     if msg.priority is Priority.OFFICIAL:
         return True
     if isinstance(policy, HopLimit):

@@ -6,9 +6,10 @@ from typing import List, Tuple
 
 import pytest
 
+from trace_checks import trace_faults
 from vanetim.domain import MessageIdSource
 from vanetim.netsim import Engine, TraceRecord, TrialSetup, road_for
-from vanetim.protocol import Broadcast, RsuState, ServiceDirectory, Wired
+from vanetim.protocol import Broadcast, RsuState, ServiceDirectory, Wired, handle_rsu
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
 
@@ -50,7 +51,7 @@ def run_cell(
 
     The trials read ``road`` if given (from ``road_for``). If not, several
     seeds share one recorded road, as a sweep's trials do, and a single seed
-    steps its own from 0 s.
+    steps its own from 0 s. Each trace must pass ``trace_faults``.
 
     Returns one (seed, trace, total transmissions) triple per trial.
     """
@@ -60,6 +61,11 @@ def run_cell(
     out = []
     for seed in seeds:
         trace, metrics = Engine(setup, seed, road).run()
+        faults = trace_faults(trace, setup.policy)
+        assert not faults, (
+            f"{scenario}/{policy}/{vehicles}/seed {seed}: {len(faults)} faults\n"
+            + "\n".join(faults[:10])
+        )
         out.append((seed, trace, metrics.total))
     return out
 
@@ -76,6 +82,14 @@ def fresh_rsu(services=ServiceDirectory()) -> RsuState:
         ta=TA_SLOT,
         services=services,
     )
+
+
+def rsu_receive(state: RsuState, seen: set, msg, sender, now: float, ids):
+    """One receipt at an RSU, first unless ``seen`` holds its id, as
+    ``Engine._deliver`` decides; the id joins ``seen``."""
+    first = msg.id not in seen
+    seen.add(msg.id)
+    return handle_rsu(state, msg, sender, first, now, ids=ids)
 
 
 def broadcasts(actions, kind=None):

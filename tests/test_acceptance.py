@@ -17,6 +17,7 @@ from conftest import (
     cell_setup,
     fresh_rsu,
     replay_count,
+    rsu_receive,
     run_cell,
 )
 from static_world import StaticWorld
@@ -29,13 +30,7 @@ from vanetim.domain import (
     relayed_copy,
 )
 from vanetim.netsim import parse_trace, road_for, write_trace
-from vanetim.protocol import (
-    EntityState,
-    SpeedHistory,
-    detect_congestion,
-    detect_jam,
-    handle_rsu,
-)
+from vanetim.protocol import SpeedHistory, detect_congestion, detect_jam
 from vanetim.relay import HOP4
 from vanetim.scenarios import (
     SCENARIOS,
@@ -149,9 +144,11 @@ def test_criterion_03_policy_ordering_with_police(sweep_police):
 
 def test_criterion_04_rule_table_exactness(ids):
     ok = True
+    seen_by = {}  # id(state) -> the ids that RSU has received
 
     def counts(state, msg, sender, now):
-        actions = handle_rsu(state, msg, sender, now, ids=ids)
+        seen = seen_by.setdefault(id(state), set())
+        actions = rsu_receive(state, seen, msg, sender, now, ids)
         return (
             len(broadcasts(actions, msg.kind)),
             len(broadcasts(actions, MessageKind.AVOID_ROAD))
@@ -228,12 +225,12 @@ def _simulate_static_flood(positions, origin, radius, policy):
     import heapq
 
     world = StaticWorld(positions)
-    states = {e: EntityState() for e in positions}
+    seen = {e: set() for e in positions}
     ids = MessageIdSource()
     msg = make_message(
         MessageKind.ACCIDENT, "X", RoleKind.REGULAR_VEHICLE, 0.0, ids=ids
     )
-    states[origin].seen.add(msg.id)
+    seen[origin].add(msg.id)
     transmissions = 0
     reached = {origin}
     queue = [(0.0, 0, origin, msg)]
@@ -243,12 +240,11 @@ def _simulate_static_flood(positions, origin, radius, policy):
         transmissions += 1
         for receiver in world.neighbours_within(sender, radius):
             reached.add(receiver)
-            state = states[receiver]
             # a radio hop is counted at delivery, matching the engine
             arrived = relayed_copy(copy)
-            if arrived.id in state.seen:
+            if arrived.id in seen[receiver]:
                 continue
-            state.seen.add(arrived.id)
+            seen[receiver].add(arrived.id)
             from vanetim.protocol import relay_decision
 
             for action in relay_decision(arrived, policy, now + 1.0):

@@ -13,6 +13,14 @@ The police-attended accident at 81 vehicles covers the official-vehicle
 flow at density, and the lossy cell covers the loss draw in the radio
 delivery; both were recorded before the per-entity dedup sets were merged
 into one.
+
+Every digest but traffic-jam, congestion and diversion was re-pinned when
+the engine became the only writer of each entity's set of sent and received
+ids. Until then an RSU did not mark the ids it made (ACK,
+RESTRICTED_MOVEMENT, SERVICE_REPLY, derived AVOID_ROAD and CLEARED_ROAD),
+so one that heard its own message back relayed it, burst it again or wired
+it again. The three unchanged scripts make none of those five; the
+coordinator's scripted clearance in diversion marked its id already.
 """
 
 import hashlib
@@ -24,29 +32,29 @@ from vanetim.netsim import NetConfig
 
 GOLDEN = [
     # (scenario, policy, vehicles, police, seed, sha1 of the trace file)
-    ("accident", "hop4", 19, 0, 1, "e307a17a357eb5cc511ce50b749abc0db119ca61"),
-    ("accident", "fresh60", 19, 0, 1, "d9b0c164a6f526d805944755e1176284a163f28b"),
-    ("accident", "hop4", 79, 0, 1, "e6c76de27fac59b05e7789ea728499ed24ff9193"),
-    ("accident", "fresh60", 79, 0, 1, "0181c175410837e30473d47353d457841cc8a28c"),
-    ("accident-police", "hop4", 21, 2, 1, "929ce0a7b4885a420c221b7035fa6c63783ab393"),
-    ("accident-police", "hop4", 19, 0, 1, "b261178c101f7c20a2ea4597dd08619e8f8f2175"),
+    ("accident", "hop4", 19, 0, 1, "272ea783835b804198861777075c14bb2d2a8770"),
+    ("accident", "fresh60", 19, 0, 1, "51bf518c9f7640f9d47151f073c500e2fd53d71c"),
+    ("accident", "hop4", 79, 0, 1, "5f4883a32cc6536f1946e6d020fa5d8fa0e7d8e2"),
+    ("accident", "fresh60", 79, 0, 1, "5d065caa7f92e64056acce12062794277234ced1"),
+    ("accident-police", "hop4", 21, 2, 1, "84899bde092700f2fe5f6850278b291232e83c8f"),
+    ("accident-police", "hop4", 19, 0, 1, "dfa09d13060f82b9602a600f0757d7f9a293ba1d"),
     ("traffic-jam", "hop4", 19, 0, 1, "aa199994a76060782bd44d975aaf989106fe2e8e"),
     ("congestion", "hop4", 19, 0, 1, "d5114cec771202bf272f21f577d4bb53b2ef86ea"),
-    ("obstacle", "hop4", 19, 0, 1, "171a4a271268ca7b2d039faf2686cdb52051f883"),
+    ("obstacle", "hop4", 19, 0, 1, "fec95d480007c90ec1b72376967df9e6d2624988"),
     ("diversion", "hop4", 19, 0, 1, "b8d8031a9470aae27f412c0eebc32ce72194ecfb"),
-    ("stranded-vehicle", "hop4", 19, 0, 1, "0586567c4410f3bab2eb3648e84d0cfb15796011"),
-    ("debris", "hop4", 19, 0, 1, "c36a5b90b2fed6f4e1f381d8114c5da4b3860579"),
-    ("service-discovery", "hop4", 19, 0, 1, "fc03bcaa64b138e688e4bf1a0b04a7d04f9a3fe5"),
-    ("road-defect", "hop4", 19, 0, 1, "d81bf4e96f76c43b4cfb6acd43c07f6520117d5e"),
-    ("flood", "hop4", 19, 0, 1, "228266091548c81a338b957019d947835c4159f5"),
-    ("signal-malfunction", "hop4", 19, 0, 1, "527e0a8d89e5e655c726ac506238cf5054db60d6"),
-    ("accident-police", "hop4", 81, 2, 1, "49feb9c23df434e3a2022c8bc50dabc4be90543b"),
-    ("accident-police", "fresh60", 81, 2, 1, "6e9a0739935a5d70aa091e8446607ab81f762f32"),
+    ("stranded-vehicle", "hop4", 19, 0, 1, "b5707951daa423ddfc2d885b2f7fd0188d84c951"),
+    ("debris", "hop4", 19, 0, 1, "eeead7d22c9aee1f9f6c8eed64ad058dc75cd2e6"),
+    ("service-discovery", "hop4", 19, 0, 1, "68a3a620e2d12857365dfa64c497f2a833e18c41"),
+    ("road-defect", "hop4", 19, 0, 1, "2fc0421fdbdd2ed4b2b78cd28678054a17c1b81f"),
+    ("flood", "hop4", 19, 0, 1, "44af9ba0713ec06f59cd0226ec2b41661540427f"),
+    ("signal-malfunction", "hop4", 19, 0, 1, "5ad454194293121dbf904a35da18dc41d5ab6ac4"),
+    ("accident-police", "hop4", 81, 2, 1, "f0bfe06ae79c4f97bafbd4893db0022e2aa3cba5"),
+    ("accident-police", "fresh60", 81, 2, 1, "b78130467d7f0c4ecf132a48f47f30974dd30004"),
 ]
 
 GOLDEN_LOSSY = [
     # (scenario, policy, vehicles, seed, loss, sha1 of the trace file)
-    ("accident", "hop4", 79, 1, 0.3, "eee5cd62c4b9a57d8ed175cc22045ebfacad7b93"),
+    ("accident", "hop4", 79, 1, 0.3, "e4699ae5cbca26a1df3c5b33fe80dd44424794a4"),
 ]
 
 

@@ -8,6 +8,7 @@ from conftest import POLICIES, run_cell
 from test_golden import GOLDEN, GOLDEN_LOSSY
 from vanetim.domain import (
     ActionSource,
+    Message,
     MessageKind,
     Priority,
     RoleKind,
@@ -69,14 +70,20 @@ def run_until(engine, t):
 
 def spy_on(monkeypatch, engine, name):
     """Record ``(receiver's label, message id, other arguments, actions)``
-    per call of the handler ``vanetim.netsim`` calls by ``name``."""
+    per call of the handler ``vanetim.netsim`` calls by ``name``. The TA
+    keeps no state, so a handler given none is the TA's."""
     calls = []
     handler = getattr(netsim, name)
 
-    def wrapper(state, msg, *args, **kwargs):
-        actions = handler(state, msg, *args, **kwargs)
-        slot = next(i for i, known in enumerate(engine.states) if known is state)
-        calls.append((engine.labels[slot], msg.id, (args, kwargs), actions))
+    def wrapper(*args, **kwargs):
+        actions = handler(*args, **kwargs)
+        if isinstance(args[0], Message):
+            label, (msg, *rest) = "TA", args
+        else:
+            state, msg, *rest = args
+            slot = next(i for i, known in enumerate(engine.states) if known is state)
+            label = engine.labels[slot]
+        calls.append((label, msg.id, (tuple(rest), kwargs), actions))
         return actions
 
     monkeypatch.setattr(netsim, name, wrapper)
@@ -169,7 +176,7 @@ class TestWired:
         engine.wired_send(debris, rsu3, ta, 10.0)
         run_until(engine, 10.0 + netsim.WIRED_LATENCY)
         assert [call[:3] for call in by_rsu] == [
-            ("RSU4", accident.id, ((RSU, 10.005), {"ids": engine.ids}))
+            ("RSU4", accident.id, ((RSU, True, 10.005), {"ids": engine.ids}))
         ]
         assert [call[:3] for call in by_ta] == [
             ("TA", debris.id, ((10.005,), {"reporting_rsu": rsu3}))
@@ -757,7 +764,7 @@ class TestDuplicateReceipts:
         assert [(label, msg_id) for label, msg_id, _, _ in calls] == [
             ("P0", msg.id), ("P0", msg.id)
         ]
-        assert msg.id in engine.states[1].seen
+        assert msg.id in engine.seen[1]
 
     def test_official_copy_delivered_twice_is_relayed_once(self):
         # official priority lifts the hop and age bounds, not duplicate
@@ -778,6 +785,25 @@ class TestDuplicateReceipts:
         ]
         assert relays == [(10.0 + netsim.HOP_LATENCY + netsim.OFFICIAL_HOLD, msg.id)]
 
+    def test_an_rsu_that_hears_its_own_avoid_road_bursts_nothing_more(self):
+        # RSU0 derives an AVOID_ROAD notice from V0's report and bursts it
+        # three times; V0 relays the notice, and RSU0 hears it back
+        engine = tiny_engine(1)
+        place(engine, [50.0])  # in range of RSU0 only
+        report = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
+        engine.broadcast(report, 0, 10.0)
+        run_until(engine, 200.0)
+        notice = next(
+            record.msg_id for record in engine.trace
+            if record.kind is MessageKind.AVOID_ROAD and record.sender == "RSU0"
+        )
+        sends = [
+            (record.sender, record.source) for record in engine.trace
+            if record.msg_id == notice
+        ]
+        assert ("V0", ActionSource.RELAY) in sends
+        assert sends.count(("RSU0", ActionSource.BURST)) == 3
+
 
 #: every golden cell, lossy ones with their loss rate
 RELAY_ONCE_CELLS = [
@@ -796,15 +822,12 @@ RELAY_ONCE_CELLS = [
          for s, p, v, n, seed, loss in RELAY_ONCE_CELLS],
 )
 def test_no_sender_relays_an_id_twice(scenario, policy, vehicles, police, seed, loss):
+    # run_cell checks each trace with trace_faults, whose first rule is this
+    # test's; here each golden cell must also give that rule relays to check
     ((_, trace, _),) = run_cell(
         scenario, policy, vehicles, (seed,), police=police, net=NetConfig(loss=loss)
     )
-    relayed = [
-        (record.sender, record.msg_id) for record in trace
-        if record.source is ActionSource.RELAY
-    ]
-    assert relayed
-    assert len(set(relayed)) == len(relayed)
+    assert any(record.source is ActionSource.RELAY for record in trace)
 
 
 class TestSlots:

@@ -7,6 +7,7 @@ from conftest import (
     TA_SLOT,
     broadcasts,
     fresh_rsu,
+    rsu_receive,
     wired,
 )
 from vanetim.domain import (
@@ -23,7 +24,6 @@ from vanetim.protocol import (
     BURST_INTERVAL,
     Broadcast,
     DEFAULT_RULE_ROWS,
-    EntityState,
     IncidentStatus,
     OfficialPhase,
     OfficialState,
@@ -49,7 +49,9 @@ from vanetim.protocol import (
     rsu_restricted_tick,
     ta_resolve,
 )
+from vanetim.netsim import Engine, TrialSetup
 from vanetim.relay import FRESH60, HOP4
+from vanetim.scenarios import build_scenario
 
 VEHICLE = RoleKind.REGULAR_VEHICLE
 POLICE = RoleKind.OFFICIAL_VEHICLE
@@ -65,12 +67,12 @@ class TestRuleTable:
         assert (MessageKind.ACCIDENT, POLICE, True) not in DEFAULT_RULE_ROWS
         state = fresh_rsu()
         msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
-        assert handle_rsu(state, msg, POLICE, 550.0, ids=ids) == []
+        assert handle_rsu(state, msg, POLICE, True, 550.0, ids=ids) == []
 
     def test_accident_from_vehicle_first_receipt(self, ids):
         state = fresh_rsu()
         msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
-        actions = handle_rsu(state, msg, VEHICLE, 550.0, ids=ids)
+        actions = handle_rsu(state, msg, VEHICLE, True, 550.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.ACCIDENT)) == 3
         assert len(broadcasts(actions, MessageKind.AVOID_ROAD)) == 3
         assert len(wired(actions, MessageKind.ACCIDENT)) == 2  # both neighbours
@@ -79,7 +81,7 @@ class TestRuleTable:
     def test_accident_from_rsu(self, ids):
         state = fresh_rsu()
         msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
-        actions = handle_rsu(state, msg, RSU, 551.0, ids=ids)
+        actions = handle_rsu(state, msg, RSU, True, 551.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.ACCIDENT)) == 2
         assert len(broadcasts(actions, MessageKind.AVOID_ROAD)) == 2
         assert wired(actions) == []
@@ -87,47 +89,47 @@ class TestRuleTable:
     def test_avoid_road_from_rsu(self, ids):
         state = fresh_rsu()
         msg = make_message(MessageKind.AVOID_ROAD, "X", RSU, 551.0, ids=ids)
-        actions = handle_rsu(state, msg, RSU, 551.0, ids=ids)
+        actions = handle_rsu(state, msg, RSU, True, 551.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.AVOID_ROAD)) == 3
         assert len(actions) == 3
 
     def test_avoid_road_from_vehicle(self, ids):
         state = fresh_rsu()
         msg = make_message(MessageKind.AVOID_ROAD, "X", RSU, 551.0, ids=ids)
-        actions = handle_rsu(state, msg, VEHICLE, 560.0, ids=ids)
+        actions = handle_rsu(state, msg, VEHICLE, True, 560.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.AVOID_ROAD)) == 2
         assert len(actions) == 2
 
     def test_stale_accident_from_vehicle(self, ids):
-        state = fresh_rsu()
+        state, seen = fresh_rsu(), set()
         msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
-        handle_rsu(state, msg, VEHICLE, 550.0, ids=ids)
+        rsu_receive(state, seen, msg, VEHICLE, 550.0, ids)
         # the same report arrives again from another vehicle; incident open
-        actions = handle_rsu(state, msg, VEHICLE, 580.0, ids=ids)
+        actions = rsu_receive(state, seen, msg, VEHICLE, 580.0, ids)
         assert len(broadcasts(actions, MessageKind.ACCIDENT)) == 2
         assert broadcasts(actions, MessageKind.AVOID_ROAD) == []
-        third = handle_rsu(state, msg, VEHICLE, 590.0, ids=ids)
+        third = rsu_receive(state, seen, msg, VEHICLE, 590.0, ids)
         assert third == []  # stale row fires once
 
     def test_accident_from_rsu_reburst_once_on_vehicle_repeat(self, ids):
         # first heard over the wire: repeats from the backbone or a police
         # vehicle do nothing; the first repeat from a vehicle re-bursts twice
-        state = fresh_rsu()
+        state, seen = fresh_rsu(), set()
         msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
-        handle_rsu(state, msg, RSU, 551.0, ids=ids)
-        assert handle_rsu(state, msg, RSU, 555.0, ids=ids) == []
-        assert handle_rsu(state, msg, POLICE, 556.0, ids=ids) == []
-        actions = handle_rsu(state, msg, VEHICLE, 560.0, ids=ids)
+        rsu_receive(state, seen, msg, RSU, 551.0, ids)
+        assert rsu_receive(state, seen, msg, RSU, 555.0, ids) == []
+        assert rsu_receive(state, seen, msg, POLICE, 556.0, ids) == []
+        actions = rsu_receive(state, seen, msg, VEHICLE, 560.0, ids)
         assert len(broadcasts(actions, MessageKind.ACCIDENT)) == 2
         assert len(actions) == 2
-        assert handle_rsu(state, msg, VEHICLE, 570.0, ids=ids) == []
-        assert handle_rsu(state, msg, RSU, 571.0, ids=ids) == []
+        assert rsu_receive(state, seen, msg, VEHICLE, 570.0, ids) == []
+        assert rsu_receive(state, seen, msg, RSU, 571.0, ids) == []
 
     def test_accident_on_resolved_road_ignored(self, ids):
         state = fresh_rsu()
         state.status["X"] = IncidentStatus.RESOLVED
         msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
-        assert handle_rsu(state, msg, VEHICLE, 550.0, ids=ids) == []
+        assert handle_rsu(state, msg, VEHICLE, True, 550.0, ids=ids) == []
 
 
 class TestRsuResolution:
@@ -135,7 +137,7 @@ class TestRsuResolution:
         state = fresh_rsu()
         state.status["X"] = IncidentStatus.OPEN
         msg = make_message(MessageKind.SORTED_ROAD, "X", POLICE, 700.0, ids=ids)
-        actions = handle_rsu(state, msg, POLICE, 700.0, ids=ids)
+        actions = handle_rsu(state, msg, POLICE, True, 700.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.CLEARED_ROAD)) == 3
         assert len(wired(actions, MessageKind.CLEARED_ROAD)) == 2
         assert state.status["X"] is IncidentStatus.RESOLVED
@@ -145,7 +147,7 @@ class TestRsuResolution:
         state.status["X"] = IncidentStatus.OPEN
         msg = make_message(MessageKind.SORTED_ROAD, "X", POLICE, 700.0, ids=ids)
         # a second, fresh source hands the derived notice the input's id
-        actions = handle_rsu(state, msg, POLICE, 700.0, ids=MessageIdSource())
+        actions = handle_rsu(state, msg, POLICE, True, 700.0, ids=MessageIdSource())
         notices = wired(actions, MessageKind.CLEARED_ROAD)
         assert [a.to for a in notices] == [RSU9_SLOT, RSU1_SLOT]
         assert all(a.message.id == msg.id for a in notices)
@@ -154,13 +156,13 @@ class TestRsuResolution:
         state = fresh_rsu()
         state.status["X"] = IncidentStatus.OPEN
         msg = make_message(MessageKind.CLEARED_ROAD, "X", RSU, 700.0, ids=ids)
-        actions = handle_rsu(state, msg, RSU, 700.0, ids=ids)
+        actions = handle_rsu(state, msg, RSU, True, 700.0, ids=ids)
         assert len(broadcasts(actions, MessageKind.CLEARED_ROAD)) == 3
 
     def test_clearance_without_open_incident_not_rebroadcast(self, ids):
         state = fresh_rsu()
         msg = make_message(MessageKind.CLEARED_ROAD, "X", RSU, 700.0, ids=ids)
-        actions = handle_rsu(state, msg, RSU, 700.0, ids=ids)
+        actions = handle_rsu(state, msg, RSU, True, 700.0, ids=ids)
         assert broadcasts(actions) == []  # only forwarded along the backbone
         assert all(isinstance(a, Wired) for a in actions)
 
@@ -172,7 +174,7 @@ class TestRsuTimers:
     def test_open_report_reannounced_until_cleared(self, ids):
         state = fresh_rsu()
         msg = make_message(MessageKind.OBSTACLE, "X", VEHICLE, 550.0, ids=ids)
-        (arm,) = [a for a in handle_rsu(state, msg, VEHICLE, 550.0, ids=ids)
+        (arm,) = [a for a in handle_rsu(state, msg, VEHICLE, True, 550.0, ids=ids)
                   if isinstance(a, Arm)]
         assert (arm.fn, arm.args) == (rsu_report_tick, ("X",))
         assert arm.at == 550.0 + 3 * BURST_INTERVAL
@@ -187,7 +189,7 @@ class TestRsuTimers:
     def test_restricted_movement_reannounced_while_attended(self, ids):
         state = fresh_rsu()
         msg = make_message(MessageKind.ADDRESSING_INCIDENT, "X", POLICE, 560.0, ids=ids)
-        (arm,) = [a for a in handle_rsu(state, msg, POLICE, 560.0, ids=ids)
+        (arm,) = [a for a in handle_rsu(state, msg, POLICE, True, 560.0, ids=ids)
                   if isinstance(a, Arm)]
         assert (arm.fn, arm.args) == (rsu_restricted_tick, ("X",))
         assert arm.at == 560.0 + RESTRICTED_PERIOD
@@ -204,20 +206,21 @@ class TestRsuAcknowledgement:
     def test_addressing_first_heard_from_vehicle_never_acked(self, ids):
         # the RSU acknowledges only an official vehicle's own first copy;
         # that copy arrives here as a repeat, so no ACK is ever sent
-        state = fresh_rsu()
+        state, seen = fresh_rsu(), set()
         msg = make_message(MessageKind.ADDRESSING_INCIDENT, "X", POLICE, 560.0, ids=ids)
-        assert handle_rsu(state, relayed_copy(msg), VEHICLE, 561.0, ids=ids) == []
-        assert handle_rsu(state, msg, POLICE, 562.0, ids=ids) == []
+        copy = relayed_copy(msg)
+        assert rsu_receive(state, seen, copy, VEHICLE, 561.0, ids) == []
+        assert rsu_receive(state, seen, msg, POLICE, 562.0, ids) == []
         assert "X" not in state.restricted
 
     def test_second_addressing_on_attended_road_acked_only(self, ids):
-        state = fresh_rsu()
+        state, seen = fresh_rsu(), set()
         first = make_message(MessageKind.ADDRESSING_INCIDENT, "X", POLICE, 560.0, ids=ids)
-        handle_rsu(state, first, POLICE, 560.0, ids=ids)
+        rsu_receive(state, seen, first, POLICE, 560.0, ids)
         second = make_message(
             MessageKind.ADDRESSING_INCIDENT, "X", POLICE, 565.0, ids=ids
         )
-        (ack,) = handle_rsu(state, second, POLICE, 565.0, ids=ids)
+        (ack,) = rsu_receive(state, seen, second, POLICE, 565.0, ids)
         assert ack.message.kind is MessageKind.ACK
         assert ack.message.correlation == second.id
 
@@ -227,17 +230,17 @@ class TestIncidentLedger:
 
     def test_lifecycle(self, ids):
         # report -> addressing notice -> clearance, through the handlers
-        state = fresh_rsu()
+        state, seen = fresh_rsu(), set()
         report = make_message(MessageKind.OBSTACLE, "X", VEHICLE, 550.0, ids=ids)
-        handle_rsu(state, report, VEHICLE, 550.0, ids=ids)
+        rsu_receive(state, seen, report, VEHICLE, 550.0, ids)
         assert state.status["X"] is IncidentStatus.OPEN
         addressing = make_message(
             MessageKind.ADDRESSING_INCIDENT, "X", POLICE, 560.0, ids=ids
         )
-        handle_rsu(state, addressing, POLICE, 560.0, ids=ids)
+        rsu_receive(state, seen, addressing, POLICE, 560.0, ids)
         assert state.status["X"] is IncidentStatus.BEING_ATTENDED
         done = make_message(MessageKind.OBSTACLE_CLEARED, "X", POLICE, 700.0, ids=ids)
-        handle_rsu(state, done, POLICE, 700.0, ids=ids)
+        rsu_receive(state, seen, done, POLICE, 700.0, ids)
         assert state.status["X"] is IncidentStatus.RESOLVED
 
     def test_resolve_without_open_raises(self):
@@ -256,17 +259,17 @@ class TestIncidentLedger:
         state.status["X"] = IncidentStatus.RESOLVED
         # a fresh report on the same road opens a new episode
         report = make_message(MessageKind.DEBRIS, "X", VEHICLE, 600.0, ids=ids)
-        handle_rsu(state, report, VEHICLE, 600.0, ids=ids)
+        handle_rsu(state, report, VEHICLE, True, 600.0, ids=ids)
         assert state.status["X"] is IncidentStatus.OPEN
 
     def test_double_open_is_noop(self, ids):
         # a second report on a road with an incident leaves its status be
-        state = fresh_rsu()
+        state, seen = fresh_rsu(), set()
         for now, status in ((600.0, IncidentStatus.OPEN),
                             (610.0, IncidentStatus.BEING_ATTENDED)):
             state.status["X"] = status
             report = make_message(MessageKind.DEBRIS, "X", VEHICLE, now, ids=ids)
-            handle_rsu(state, report, VEHICLE, now, ids=ids)
+            rsu_receive(state, seen, report, VEHICLE, now, ids)
             assert state.status["X"] is status
 
 
@@ -349,52 +352,57 @@ class TestOfficialFlow:
 class TestTrafficAuthority:
     def test_flood_resolved_after_delay(self):
         ids = MessageIdSource()
-        state = EntityState()
         report = make_message(MessageKind.FLOOD, "X", VEHICLE, 600.0, ids=ids)
-        actions = handle_ta(state, report, 600.0, reporting_rsu=RSU0_SLOT)
+        actions = handle_ta(report, 600.0, reporting_rsu=RSU0_SLOT)
         assert len(actions) == 1
         arm = actions[0]
         assert arm.at == 600.0 + TA_SERVICE_DELAY
         assert arm.fn is ta_resolve
-        out = arm.fn(state, *arm.args, arm.at, ids=ids)
+        out = arm.fn(None, *arm.args, arm.at, ids=ids)
         assert len(out) == 1
         assert out[0].message.kind is MessageKind.FLOOD_RESOLVED
         assert out[0].to == RSU0_SLOT
 
     def test_signal_malfunction_resolution_kind(self):
         ids = MessageIdSource()
-        state = EntityState()
         report = make_message(
             MessageKind.SIGNAL_MALFUNCTION, "X", VEHICLE, 600.0, ids=ids
         )
-        (arm,) = handle_ta(state, report, 600.0, reporting_rsu=RSU0_SLOT)
-        (out,) = ta_resolve(state, *arm.args, arm.at, ids=ids)
+        (arm,) = handle_ta(report, 600.0, reporting_rsu=RSU0_SLOT)
+        (out,) = ta_resolve(None, *arm.args, arm.at, ids=ids)
         assert out.message.kind is MessageKind.SIGNAL_RESOLVED
 
     def test_non_authority_kind_dropped(self, ids):
-        state = EntityState()
         report = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 600.0, ids=ids)
-        assert handle_ta(state, report, 600.0, reporting_rsu=RSU0_SLOT) == []
+        assert handle_ta(report, 600.0, reporting_rsu=RSU0_SLOT) == []
 
-    def test_duplicate_report_scheduled_once(self, ids):
-        state = EntityState()
-        report = make_message(MessageKind.FLOOD, "X", VEHICLE, 600.0, ids=ids)
-        assert len(handle_ta(state, report, 600.0, reporting_rsu=RSU0_SLOT)) == 1
-        assert handle_ta(state, report, 601.0, reporting_rsu=RSU1_SLOT) == []
+    def test_duplicate_report_scheduled_once(self):
+        # the engine hands the TA the first copy of a report id only
+        setup = TrialSetup(script=build_scenario("flood"), policy=HOP4, vehicles=19)
+        engine = Engine(setup, 1)
+        ta, rsu0, rsu1 = (engine.labels.index(name) for name in ("TA", "RSU0", "RSU1"))
+        report = make_message(MessageKind.FLOOD, "X", VEHICLE, 600.0, ids=engine.ids)
+        engine.now = 600.0
+        engine._deliver(report, (ta,), rsu0)
+        engine.now = 601.0
+        engine._deliver(report, (ta,), rsu1)
+        assert [(at, fn) for at, _, fn, _ in engine._queue] == [
+            (600.0 + TA_SERVICE_DELAY, engine._fire_timer)
+        ]
 
     def test_rsu_escalates_each_report_once(self, ids):
         # one wired send to the TA per message id, however many copies
         # arrive and whichever role sends them
-        state = fresh_rsu()
+        state, seen = fresh_rsu(), set()
         report = make_message(MessageKind.DEBRIS, "X", VEHICLE, 600.0, ids=ids)
-        assert handle_rsu(state, report, VEHICLE, 600.0, ids=ids) == [
+        assert rsu_receive(state, seen, report, VEHICLE, 600.0, ids) == [
             Wired(report, to=TA_SLOT, at=600.0)
         ]
         for now, role in ((601.0, VEHICLE), (602.0, RSU), (603.0, POLICE)):
             copy = relayed_copy(report)
-            assert handle_rsu(state, copy, role, now, ids=ids) == []
+            assert rsu_receive(state, seen, copy, role, now, ids) == []
         again = make_message(MessageKind.DEBRIS, "X", VEHICLE, 610.0, ids=ids)
-        assert handle_rsu(state, again, RSU, 610.0, ids=ids) == [
+        assert rsu_receive(state, seen, again, RSU, 610.0, ids) == [
             Wired(again, to=TA_SLOT, at=610.0)
         ]
 
@@ -407,7 +415,7 @@ class TestServiceDirectory:
             MessageKind.SERVICE_QUERY, "Y", VEHICLE, 600.0, payload="petrol-pump",
             ids=ids,
         )
-        (reply,) = handle_rsu(state, query, VEHICLE, 600.0, ids=ids)
+        (reply,) = handle_rsu(state, query, VEHICLE, True, 600.0, ids=ids)
         assert reply.message.kind is MessageKind.SERVICE_REPLY
         assert reply.message.road == "X"
 
@@ -416,7 +424,7 @@ class TestServiceDirectory:
         query = make_message(
             MessageKind.SERVICE_QUERY, "Y", VEHICLE, 600.0, payload="parking", ids=ids
         )
-        (reply,) = handle_rsu(state, query, VEHICLE, 600.0, ids=ids)
+        (reply,) = handle_rsu(state, query, VEHICLE, True, 600.0, ids=ids)
         assert reply.message.payload == "no-result"
 
     def test_nearest_by_route_distance(self):
@@ -443,8 +451,9 @@ class TestServiceDirectory:
             MessageKind.SERVICE_QUERY, "Y", VEHICLE, 600.0, payload="petrol-pump",
             ids=ids,
         )
-        assert len(handle_rsu(state, query, VEHICLE, 600.0, ids=ids)) == 1
-        assert handle_rsu(state, query, VEHICLE, 601.0, ids=ids) == []
+        seen = set()
+        assert len(rsu_receive(state, seen, query, VEHICLE, 600.0, ids)) == 1
+        assert rsu_receive(state, seen, query, VEHICLE, 601.0, ids) == []
 
 
 class TestDetectors:
