@@ -147,8 +147,9 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
     sweep = SweepResult()
     all_pass = True
     report_lines = []
-    # the trials differ only in their seed, so they read one road
-    road = road_for(setup)
+    # the trials differ only in their seed, so several read one road; a
+    # lone trial steps its own, recording nothing that no other trial reads
+    road = road_for(setup) if config.trials > 1 else None
     for trial in range(config.trials):
         seed = config.seed + trial
         trace, metrics = Engine(setup, seed, road).run()
@@ -236,22 +237,28 @@ def cmd_report(csv_path: str) -> int:
     means = {}
     for scenario, policy, vehicles, mean, _ in aggregates:
         means.setdefault(scenario, {})[(policy, vehicles)] = mean
+    compared_any = False
     for scenario, cells in means.items():
+        # only a density with both policies can be compared
+        both = sorted(v for (p, v) in cells if p == "hop4" and ("fresh60", v) in cells)
+        compared_any = compared_any or bool(both)
         inverted = []
-        for vehicles in sorted({v for (_, v) in cells}):
-            hop = cells.get(("hop4", vehicles))
-            fresh = cells.get(("fresh60", vehicles))
-            if hop is None or fresh is None:
-                continue
+        for vehicles in both:
+            hop, fresh = cells[("hop4", vehicles)], cells[("fresh60", vehicles)]
             print(f"{scenario} {vehicles:4d} vehicles: "
                   f"mean(hop4)={hop:.1f} mean(fresh60)={fresh:.1f}")
             if hop < fresh:
                 inverted.append(vehicles)
-        if inverted:
+        if not both:
+            print(f"{scenario}: no density has both hop4 and fresh60; nothing compared")
+        elif inverted:
             print(f"{scenario}: hop4 >= fresh60 violated at densities: "
                   + ", ".join(str(v) for v in inverted))
         else:
             print(f"{scenario}: hop4 >= fresh60 at all densities: PASS")
+    if not compared_any:
+        print("no data: no density has both hop4 and fresh60", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

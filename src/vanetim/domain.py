@@ -5,7 +5,8 @@ This module owns the label format in both directions: :func:`label_of`
 writes an entity's label from its role and its index within the role, and
 :func:`role_of_label` reads the role back. Messages are plain immutable
 dataclasses; they carry no behaviour beyond construction-time validation
-and can be copied freely between simulation contexts.
+and can be copied freely between simulation contexts. A message names no
+road: every trial runs on one, which only the trace format writes.
 """
 
 from __future__ import annotations
@@ -134,7 +135,6 @@ class ActionSource(Enum):
 class Message:
     id: str
     kind: MessageKind
-    road: str
     created_at: float
     hops: int = 0
     priority: Priority = Priority.NORMAL
@@ -142,8 +142,6 @@ class Message:
     payload: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.road:
-            raise ValueError("road label must be non-empty")
         if self.created_at < 0:
             raise ValueError("creation time must be non-negative")
         if self.hops < 0:
@@ -162,7 +160,6 @@ class MessageIdSource:
 
 def make_message(
     kind: MessageKind,
-    road: str,
     origin: RoleKind,
     now: float,
     *,
@@ -183,7 +180,6 @@ def make_message(
     return Message(
         id=ids.next(),
         kind=kind,
-        road=road,
         created_at=now,
         hops=0,
         priority=priority,

@@ -20,8 +20,10 @@ notice sent. Every trial of a :func:`road_for` log reads the steps it
 records while the histories agree; ``Engine(setup, seed)`` steps its own
 road from 0 s, which the tests take as the reference.
 
-The script's reporter reports on ``ROAD`` at ``REPORT_TIME``; the first
-RSU to receive that report is the trial's coordinator. A script's
+Every trial runs on one road, so messages, states and timers name none; the
+trace format writes ``ROAD`` in its road column, and :func:`parse_trace`
+rejects any other. The script's reporter reports at ``REPORT_TIME``; the
+first RSU to receive that report is the trial's coordinator. A script's
 ``Clearance`` runs at ``CLEAR_TIME``: the coordinator or the reporter
 clears the road. Without one, the handlers' own events resolve the
 incident.
@@ -104,9 +106,10 @@ from .protocol import (
     rsu_scripted_resolution,
 )
 from .relay import RelayPolicy
-from .scenarios import CLEAR_TIME, REPORT_TIME, ROAD, Clearance, ScenarioScript
+from .scenarios import CLEAR_TIME, REPORT_TIME, Clearance, ScenarioScript
 
 
+ROAD = "X"              # the road column of every trace line
 RADIO_RANGE = 300.0     # metres
 HOP_LATENCY = 0.01      # seconds from a radio send to its delivery
 WIRED_LATENCY = 0.005   # seconds from a wired send to its delivery
@@ -206,14 +209,13 @@ class TraceRecord:
     receiver: str  # "*" for radio broadcasts
     msg_id: str
     kind: MessageKind
-    road: str
     hops: int
     source: ActionSource
 
     def to_line(self) -> str:
         return (
             f"{self.time:.6f},{self.sender},{self.receiver},{self.msg_id},"
-            f"{self.kind.value},{self.road},{self.hops},{self.source.value}"
+            f"{self.kind.value},{ROAD},{self.hops},{self.source.value}"
         )
 
 
@@ -231,6 +233,8 @@ def parse_trace(path) -> List[TraceRecord]:
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
             t, sender, receiver, msg_id, kind, road, hops, source = raw.strip().split(",")
+            if road != ROAD:
+                raise ValueError(f"{path}: road {road!r} is not {ROAD!r}")
             records.append(
                 TraceRecord(
                     time=float(t),
@@ -239,7 +243,6 @@ def parse_trace(path) -> List[TraceRecord]:
                     receiver=receiver,
                     msg_id=msg_id,
                     kind=MessageKind(kind),
-                    road=road,
                     hops=int(hops),
                     source=ActionSource(source),
                 )
@@ -342,15 +345,14 @@ class Engine:
             receiver=receiver,
             msg_id=msg.id,
             kind=msg.kind,
-            road=msg.road,
             hops=msg.hops,
             source=source,
         )
         self.trace.append(record)
         self.seen[sender].add(msg.id)
         self.metrics.count(msg.kind, kind, source)
-        # only a blockage script parks the reporter, and every message of a
-        # trial is on ROAD, so any resolution notice lifts the blockage
+        # only a blockage script parks the reporter, and a trial has one
+        # road, so any resolution notice lifts the blockage
         if msg.kind in RESOLUTION_KINDS:
             self.world.clear_blockages()
 
@@ -476,11 +478,8 @@ class Engine:
         *,
         payload: Optional[str] = None,
     ) -> Message:
-        """Create and broadcast a fresh message on ``ROAD`` from the entity
-        in ``slot``."""
-        msg = make_message(
-            kind, ROAD, self._kinds[slot], now, ids=self.ids, payload=payload
-        )
+        """Create and broadcast a fresh message from the entity in ``slot``."""
+        msg = make_message(kind, self._kinds[slot], now, ids=self.ids, payload=payload)
         self.broadcast(msg, slot, now, ActionSource.ORIGIN)
         return msg
 
@@ -496,9 +495,8 @@ class Engine:
         rsu = self.coordinator
         if rsu is None:
             return
-        self._execute(
-            rsu, rsu_scripted_resolution(self.states[rsu], ROAD, self.now, ids=self.ids)
-        )
+        actions = rsu_scripted_resolution(self.states[rsu], self.now, ids=self.ids)
+        self._execute(rsu, actions)
 
     def _reporter_clear(self) -> None:
         self.originate(self._reporter, MessageKind.CLEARED_ROAD, self.now)

@@ -12,8 +12,10 @@ Handlers address other entities by their engine slot: a ``Wired`` target,
 an RSU's two backbone peers, its TA and the TA's reporting RSU are ints.
 An RSU handler is told only the sender's :class:`RoleKind`.
 
-An RSU keeps one :class:`IncidentStatus` per road. It moves forward only,
-except that a resolved road may open a fresh incident.
+Every trial runs on one road, so no message, state or timer names it. An
+RSU keeps one :class:`IncidentStatus` (``None`` until a report opens an
+incident), and an official vehicle at most one incident. The status moves
+forward only, except that a resolved road may open a fresh incident.
 
 Timings that the source material leaves open (burst spacing, periodic
 announcement intervals, authority service delay, official-vehicle travel
@@ -141,7 +143,6 @@ BROADCAST_REPORT_KINDS = frozenset(
 @dataclass(frozen=True)
 class ServiceEntry:
     category: str
-    road: str
     position: float  # arc metres along the route
 
 
@@ -159,7 +160,7 @@ class ServiceDirectory:
             d = abs(entry.position - origin) % self.route_length
             return min(d, self.route_length - d)
 
-        return min(candidates, key=lambda e: (ring_distance(e), e.road))
+        return min(candidates, key=ring_distance)  # the first entry wins a tie
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +173,10 @@ class RsuState:
     neighbours: Tuple[int, ...] = ()  # slots of the backbone ring's two peers
     position: float = 0.0  # arc metres along the route
     services: ServiceDirectory = ServiceDirectory()
-    status: Dict[str, IncidentStatus] = field(default_factory=dict)  # by road
+    status: Optional[IncidentStatus] = None  # None: no incident yet
     reburst: Set[str] = field(default_factory=set)  # accident ids re-burst on a repeat
-    announcing: Dict[str, Message] = field(default_factory=dict)
-    restricted: Dict[str, Message] = field(default_factory=dict)
+    announcing: Optional[Message] = None
+    restricted: Optional[Message] = None
 
 
 class OfficialPhase(Enum):
@@ -187,7 +188,6 @@ class OfficialPhase(Enum):
 
 @dataclass
 class OfficialIncident:
-    road: str
     report: Message
     addressing_id: str
     phase: OfficialPhase = OfficialPhase.ADDRESSING
@@ -196,7 +196,7 @@ class OfficialIncident:
 @dataclass
 class OfficialState:
     responder: bool = True
-    incidents: Dict[str, OfficialIncident] = field(default_factory=dict)
+    incident: Optional[OfficialIncident] = None
 
 
 #: kinds an official vehicle responds to in person
@@ -254,25 +254,23 @@ def handle_rsu(
     return RSU_HANDLERS[msg.kind](state, msg, sender, first, now, ids)
 
 
-def _open(state: RsuState, road: str) -> None:
-    """Open an incident on ``road``; a resolved road starts a fresh episode."""
-    if state.status.get(road) in (None, IncidentStatus.RESOLVED):
-        state.status[road] = IncidentStatus.OPEN
+def _open(state: RsuState) -> None:
+    """Open an incident; a resolved road starts a fresh episode."""
+    if state.status in (None, IncidentStatus.RESOLVED):
+        state.status = IncidentStatus.OPEN
 
 
-def advance_incident(state: RsuState, road: str, to: IncidentStatus) -> None:
-    """Move ``road``'s incident forward to ``to``; a backward transition, or
-    one with no incident on the road, is out of order."""
-    current = state.status.get(road)
+def advance_incident(state: RsuState, to: IncidentStatus) -> None:
+    """Move the incident forward to ``to``; a backward transition, or one
+    with no incident open, is out of order."""
+    current = state.status
     if current is None:
-        raise ProtocolOrderError(f"no incident open on road {road!r}")
+        raise ProtocolOrderError("no incident open")
     if to is current:
         return
     if to not in _FORWARD[current]:
-        raise ProtocolOrderError(
-            f"illegal transition {current.value} -> {to.value} on road {road!r}"
-        )
-    state.status[road] = to
+        raise ProtocolOrderError(f"illegal transition {current.value} -> {to.value}")
+    state.status = to
 
 
 def _rsu_table_driven(
@@ -285,7 +283,7 @@ def _rsu_table_driven(
 ) -> List[OutgoingAction]:
     """Burst as the rule table says. The one repeat with a row, an accident
     heard again from a vehicle, re-bursts once per id."""
-    if state.status.get(msg.road) is IncidentStatus.RESOLVED:
+    if state.status is IncidentStatus.RESOLVED:
         return []
     row = DEFAULT_RULE_ROWS.get((msg.kind, sender, first))
     if row is None:
@@ -297,16 +295,11 @@ def _rsu_table_driven(
 
     same, avoid = row
     if msg.kind is MessageKind.ACCIDENT:
-        _open(state, msg.road)
+        _open(state)
     actions: List[OutgoingAction] = list(_burst(msg, same, now))
     if avoid:
         derived = make_message(
-            MessageKind.AVOID_ROAD,
-            msg.road,
-            RoleKind.RSU,
-            now,
-            ids=ids,
-            correlation=msg.id,
+            MessageKind.AVOID_ROAD, RoleKind.RSU, now, ids=ids, correlation=msg.id
         )
         actions.extend(_burst(derived, avoid, now + same * BURST_INTERVAL))
     if msg.kind is MessageKind.ACCIDENT and first and sender is not RoleKind.RSU:
@@ -325,7 +318,7 @@ def _rsu_escalate(
     """Authority-class reports go straight to the TA over the wired link."""
     if not first:
         return []
-    _open(state, msg.road)
+    _open(state)
     return [Wired(msg, to=state.ta, at=now)]
 
 
@@ -339,17 +332,17 @@ def _rsu_announce_report(
 ) -> List[OutgoingAction]:
     """Announce an open report three times, notify peers, then re-announce
     periodically until the road is cleared."""
-    if state.status.get(msg.road) is IncidentStatus.RESOLVED:
+    if state.status is IncidentStatus.RESOLVED:
         return []
     if not first:
         return []
-    _open(state, msg.road)
-    state.announcing[msg.road] = msg
+    _open(state)
+    state.announcing = msg
     actions: List[OutgoingAction] = list(_burst(msg, 3, now))
     # flood along the backbone ring so every zone learns of the incident;
     # message-id dedup terminates the flood after one lap
     actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
-    actions.append(Arm(now + 3 * BURST_INTERVAL, rsu_report_tick, (msg.road,)))
+    actions.append(Arm(now + 3 * BURST_INTERVAL, rsu_report_tick, ()))
     return actions
 
 
@@ -365,26 +358,23 @@ def _rsu_acknowledge_official(
     restricted movement on a road not yet restricted."""
     if not first or sender is not RoleKind.OFFICIAL_VEHICLE:
         return []
-    ack = make_message(
-        MessageKind.ACK, msg.road, RoleKind.RSU, now, ids=ids, correlation=msg.id
-    )
+    ack = make_message(MessageKind.ACK, RoleKind.RSU, now, ids=ids, correlation=msg.id)
     actions: List[OutgoingAction] = [
         Broadcast(ack, at=now, source=ActionSource.ORIGIN)
     ]
-    _open(state, msg.road)
-    advance_incident(state, msg.road, IncidentStatus.BEING_ATTENDED)
-    if msg.road not in state.restricted:
+    _open(state)
+    advance_incident(state, IncidentStatus.BEING_ATTENDED)
+    if state.restricted is None:
         restricted = make_message(
             MessageKind.RESTRICTED_MOVEMENT,
-            msg.road,
             RoleKind.RSU,
             now,
             ids=ids,
             correlation=msg.id,
         )
-        state.restricted[msg.road] = restricted
+        state.restricted = restricted
         actions.append(Broadcast(restricted, at=now, source=ActionSource.ORIGIN))
-        actions.append(Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, (msg.road,)))
+        actions.append(Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, ()))
     return actions
 
 
@@ -400,24 +390,19 @@ def _rsu_resolution(
 
     A first-received clearance is flooded along the backbone ring so every
     zone hears it (message-id dedup terminates the flood). If this RSU
-    holds an open incident for the road, it also resolves the incident and
-    announces the road-clear status ``CLEARED_REPEATS`` times; clearances
-    for roads with no open incident are only forwarded.
+    holds an open incident, it also resolves the incident and announces the
+    road-clear status ``CLEARED_REPEATS`` times; a clearance with no open
+    incident is only forwarded.
     """
     actions: List[OutgoingAction] = []
     if first:
         actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
-    if state.status.get(msg.road) in (None, IncidentStatus.RESOLVED):
+    if state.status in (None, IncidentStatus.RESOLVED):
         return actions
     if msg.kind is MessageKind.CLEARED_ROAD:
         return actions + _close(state, msg, now)
     cleared = make_message(
-        MessageKind.CLEARED_ROAD,
-        msg.road,
-        RoleKind.RSU,
-        now,
-        ids=ids,
-        correlation=msg.id,
+        MessageKind.CLEARED_ROAD, RoleKind.RSU, now, ids=ids, correlation=msg.id
     )
     actions.extend(_close(state, cleared, now))
     actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
@@ -425,12 +410,11 @@ def _rsu_resolution(
 
 
 def _close(state: RsuState, cleared: Message, now: float) -> List[OutgoingAction]:
-    """Resolve the incident on ``cleared``'s road, stop re-announcing the
-    road, and burst ``cleared`` ``CLEARED_REPEATS`` times."""
-    road = cleared.road
-    advance_incident(state, road, IncidentStatus.RESOLVED)
-    state.announcing.pop(road, None)
-    state.restricted.pop(road, None)
+    """Resolve the incident, stop re-announcing it, and burst ``cleared``
+    ``CLEARED_REPEATS`` times."""
+    advance_incident(state, IncidentStatus.RESOLVED)
+    state.announcing = None
+    state.restricted = None
     return _burst(cleared, CLEARED_REPEATS, now)
 
 
@@ -442,14 +426,14 @@ def _rsu_service_query(
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
-    """Answer a service lookup with the nearest registered entry."""
+    """Answer a service lookup: the reply carries the category if an entry
+    of it is registered, ``no-result`` otherwise."""
     if not first:
         return []
     category = msg.payload or ""
     entry = state.services.nearest(category, state.position)
     reply = make_message(
         MessageKind.SERVICE_REPLY,
-        entry.road if entry else msg.road,
         RoleKind.RSU,
         now,
         ids=ids,
@@ -472,41 +456,41 @@ RSU_HANDLERS: Dict[MessageKind, Callable[..., List[OutgoingAction]]] = {
 
 
 def rsu_scripted_resolution(
-    state: RsuState, road: str, now: float, *, ids: MessageIdSource
+    state: RsuState, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Timed clearance for runs with no attending entity: the coordinating
     RSU originates the road-clear flow itself."""
-    if state.status.get(road) in (None, IncidentStatus.RESOLVED):
+    if state.status in (None, IncidentStatus.RESOLVED):
         return []
-    cleared = make_message(MessageKind.CLEARED_ROAD, road, RoleKind.RSU, now, ids=ids)
+    cleared = make_message(MessageKind.CLEARED_ROAD, RoleKind.RSU, now, ids=ids)
     actions = _close(state, cleared, now)
     actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
     return actions
 
 
 def rsu_report_tick(
-    state: RsuState, road: str, now: float, *, ids: MessageIdSource
+    state: RsuState, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Re-announce an open report until the road is cleared."""
-    msg = state.announcing.get(road)
-    if msg is None or state.status.get(road) is IncidentStatus.RESOLVED:
+    msg = state.announcing
+    if msg is None or state.status is IncidentStatus.RESOLVED:
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),
-        Arm(now + REPORT_PERIOD, rsu_report_tick, (road,)),
+        Arm(now + REPORT_PERIOD, rsu_report_tick, ()),
     ]
 
 
 def rsu_restricted_tick(
-    state: RsuState, road: str, now: float, *, ids: MessageIdSource
+    state: RsuState, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Re-announce restricted movement while the incident is attended."""
-    msg = state.restricted.get(road)
-    if msg is None or state.status.get(road) is not IncidentStatus.BEING_ATTENDED:
+    msg = state.restricted
+    if msg is None or state.status is not IncidentStatus.BEING_ATTENDED:
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),
-        Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, (road,)),
+        Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, ()),
     ]
 
 
@@ -520,51 +504,44 @@ def handle_official(
     """Address a report this vehicle responds to; set off on the RSU's
     acknowledgement of the addressing notice."""
     if msg.kind in OFFICIAL_RESPONSE_KINDS and state.responder:
-        if msg.road in state.incidents:
+        if state.incident is not None:
             return []
         addressing = make_message(
             MessageKind.ADDRESSING_INCIDENT,
-            msg.road,
             RoleKind.OFFICIAL_VEHICLE,
             now,
             ids=ids,
             correlation=msg.id,
         )
-        state.incidents[msg.road] = OfficialIncident(
-            road=msg.road, report=msg, addressing_id=addressing.id
-        )
+        state.incident = OfficialIncident(report=msg, addressing_id=addressing.id)
         return [Broadcast(addressing, at=now, source=ActionSource.ORIGIN)]
     if msg.kind is MessageKind.ACK:
-        incident = _incident_for_ack(state, msg)
-        if incident is None or incident.phase is not OfficialPhase.ADDRESSING:
+        incident = state.incident
+        if (
+            incident is None
+            or msg.correlation != incident.addressing_id
+            or incident.phase is not OfficialPhase.ADDRESSING
+        ):
             return []
         incident.phase = OfficialPhase.EN_ROUTE
         return [
-            Arm(now, official_announce, (incident.road,)),
-            Arm(now + TRAVEL_TIME, official_arrival, (incident.road,)),
+            Arm(now, official_announce, ()),
+            Arm(now + TRAVEL_TIME, official_arrival, ()),
         ]
     return []
 
 
-def _incident_for_ack(state: OfficialState, ack: Message) -> Optional[OfficialIncident]:
-    for incident in state.incidents.values():
-        if ack.correlation == incident.addressing_id:
-            return incident
-    return None
-
-
 def official_announce(
-    state: OfficialState, road: str, now: float, *, ids: MessageIdSource
+    state: OfficialState, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Periodic free-road notice downstream, plus an attending notice while
     en route, until the incident is done."""
-    incident = state.incidents.get(road)
+    incident = state.incident
     if incident is None or incident.phase is OfficialPhase.DONE:
         return []
     actions: List[OutgoingAction] = []
     free = make_message(
         MessageKind.FREE_ROAD,
-        road,
         RoleKind.OFFICIAL_VEHICLE,
         now,
         ids=ids,
@@ -576,40 +553,38 @@ def official_announce(
     if incident.phase is OfficialPhase.EN_ROUTE:
         attending = make_message(
             MessageKind.ATTENDING,
-            road,
             RoleKind.OFFICIAL_VEHICLE,
             now,
             ids=ids,
             correlation=incident.report.id,
         )
         actions.append(Broadcast(attending, at=now, source=ActionSource.ORIGIN))
-    actions.append(Arm(now + ATTENDING_PERIOD, official_announce, (road,)))
+    actions.append(Arm(now + ATTENDING_PERIOD, official_announce, ()))
     return actions
 
 
 def official_arrival(
-    state: OfficialState, road: str, now: float, *, ids: MessageIdSource
+    state: OfficialState, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """On site: the incident is resolved after the service time."""
-    incident = state.incidents.get(road)
+    incident = state.incident
     if incident is None:
-        raise ProtocolOrderError(f"arrival with no incident on {road!r}")
+        raise ProtocolOrderError("arrival with no incident")
     incident.phase = OfficialPhase.ON_SITE
-    return [Arm(now + SERVICE_TIME, official_resolve, (road,))]
+    return [Arm(now + SERVICE_TIME, official_resolve, ())]
 
 
 def official_resolve(
-    state: OfficialState, road: str, now: float, *, ids: MessageIdSource
+    state: OfficialState, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Announce the incident's resolution notice once."""
-    incident = state.incidents.get(road)
+    incident = state.incident
     if incident is None or incident.phase is OfficialPhase.DONE:
-        raise ProtocolOrderError(f"resolution with no open incident on {road!r}")
+        raise ProtocolOrderError("resolution with no open incident")
     incident.phase = OfficialPhase.DONE
     done_kind = OFFICIAL_RESPONSE_KINDS[incident.report.kind]
     done = make_message(
         done_kind,
-        road,
         RoleKind.OFFICIAL_VEHICLE,
         now,
         ids=ids,
@@ -628,13 +603,12 @@ def handle_ta(msg: Message, now: float, *, reporting_rsu: int) -> List[OutgoingA
     are dropped."""
     if msg.kind not in TA_REPORT_KINDS:
         return []
-    args = (msg.road, msg.kind, msg.id, reporting_rsu)
+    args = (msg.kind, msg.id, reporting_rsu)
     return [Arm(now + TA_SERVICE_DELAY, ta_resolve, args)]
 
 
 def ta_resolve(
     state: None,
-    road: str,
     kind: MessageKind,
     report_id: str,
     reporting_rsu: int,
@@ -645,7 +619,7 @@ def ta_resolve(
     """The authority's resolution notice, wired to the reporting RSU; the
     TA keeps no state, so ``state`` is None."""
     resolution = make_message(
-        RESOLUTION_FOR[kind], road, RoleKind.TA, now, ids=ids, correlation=report_id
+        RESOLUTION_FOR[kind], RoleKind.TA, now, ids=ids, correlation=report_id
     )
     return [Wired(resolution, to=reporting_rsu, at=now)]
 
@@ -699,7 +673,6 @@ def detect_jam(
     now: float,
     *,
     origin: RoleKind = RoleKind.REGULAR_VEHICLE,
-    road: str = "X",
     ids: MessageIdSource,
 ) -> Optional[Message]:
     """One report per stop: stationary strictly longer than 30 s with a
@@ -711,7 +684,7 @@ def detect_jam(
     if now - history.stationary_since <= 30.0:
         return None
     history.jam_reported = True
-    return make_message(MessageKind.TRAFFIC_JAM, road, origin, now, ids=ids)
+    return make_message(MessageKind.TRAFFIC_JAM, origin, now, ids=ids)
 
 
 def detect_congestion(
@@ -719,7 +692,6 @@ def detect_congestion(
     now: float,
     *,
     origin: RoleKind = RoleKind.REGULAR_VEHICLE,
-    road: str = "X",
     ids: MessageIdSource,
 ) -> Optional[Message]:
     """One report per episode: speed inside the slow band continuously for
@@ -732,4 +704,4 @@ def detect_congestion(
     if not (60.0 <= duration <= 90.0):
         return None
     history.congestion_reported = True
-    return make_message(MessageKind.CONGESTION, road, origin, now, ids=ids)
+    return make_message(MessageKind.CONGESTION, origin, now, ids=ids)

@@ -2,11 +2,11 @@
 
 Each catalogue entry is a declarative script (who reports what, and who
 clears the road) that carries its sequence specification: a partial order
-of message patterns with repetition bounds. Every script reports on the
-one road ``ROAD`` at ``REPORT_TIME``, and a scripted clearance runs at
-``CLEAR_TIME``. The checker validates a finished trace against a spec;
-relayed copies may interleave freely, so ordering constraints compare
-first occurrences only.
+of message patterns with repetition bounds. Every script reports its one
+incident at ``REPORT_TIME``, and a scripted clearance runs at
+``CLEAR_TIME``. A trial runs on one road, so no script names it. The
+checker validates a finished trace against a spec; relayed copies may
+interleave freely, so ordering constraints compare first occurrences only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .domain import ActionSource, MessageKind, RoleKind, role_of_label
 from .protocol import ServiceEntry
 
 
-ROAD = "X"              # the road every incident is reported on
 REPORT_TIME = 550.0     # seconds: the reporter originates its report
 CLEAR_TIME = 850.0      # seconds: a scripted clearance runs
 
@@ -204,7 +203,7 @@ def _attended_steps(report: MessageKind, done: Step) -> Tuple[Step, ...]:
 class ScenarioScript:
     """Who reports what, who clears the road, and the trace it must leave.
 
-    Every script reports on ``ROAD`` at ``REPORT_TIME``. With a
+    Every script reports at ``REPORT_TIME``. With a
     ``clearance`` the road is cleared at ``CLEAR_TIME``; without one an
     official vehicle or the TA resolves the incident, or nothing does.
     """
@@ -222,7 +221,7 @@ class ScenarioScript:
     services: Tuple[ServiceEntry, ...] = ()
 
 
-_PETROL = (ServiceEntry("petrol-pump", ROAD, 500.0),)
+_PETROL = (ServiceEntry("petrol-pump", 500.0),)
 
 SCENARIOS: Dict[str, ScenarioScript] = {
     script.name: script

@@ -158,12 +158,12 @@ def test_criterion_04_rule_table_exactness(ids):
 
     VEHICLE, RSU_ROLE = RoleKind.REGULAR_VEHICLE, RoleKind.RSU
     state = fresh_rsu()
-    accident = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
+    accident = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
     ok &= counts(state, accident, VEHICLE, 550.0) == (3, 3)        # first, vehicle
     ok &= counts(state, accident, VEHICLE, 580.0) == (2, 0)        # stale, vehicle
     state2 = fresh_rsu()
     ok &= counts(state2, accident, RSU_ROLE, 551.0) == (2, 2)      # first, RSU
-    avoid = make_message(MessageKind.AVOID_ROAD, "X", RSU_ROLE, 551.0, ids=ids)
+    avoid = make_message(MessageKind.AVOID_ROAD, RSU_ROLE, 551.0, ids=ids)
     state3 = fresh_rsu()
     ok &= counts(state3, avoid, RSU_ROLE, 551.0) == (3, 0)
     state4 = fresh_rsu()
@@ -228,7 +228,7 @@ def _simulate_static_flood(positions, origin, radius, policy):
     seen = {e: set() for e in positions}
     ids = MessageIdSource()
     msg = make_message(
-        MessageKind.ACCIDENT, "X", RoleKind.REGULAR_VEHICLE, 0.0, ids=ids
+        MessageKind.ACCIDENT, RoleKind.REGULAR_VEHICLE, 0.0, ids=ids
     )
     seen[origin].add(msg.id)
     transmissions = 0

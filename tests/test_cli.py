@@ -313,6 +313,27 @@ class TestSweepAndReport:
         assert "accident: hop4 >= fresh60 at all densities: PASS" in out
         assert "flood: hop4 >= fresh60 violated at densities: 19" in out
 
+    def test_report_passes_no_scenario_it_could_not_compare(self, tmp_path, capsys):
+        from vanetim.metrics import AGGREGATE_HEADER, DETAIL_HEADER
+
+        hop4_only = "\naccident,hop4,19,100.0,0.0"
+        csv_path = tmp_path / "hop4.csv"
+        csv_path.write_text(DETAIL_HEADER + "\n" + AGGREGATE_HEADER + hop4_only + "\n")
+        assert main(["report", str(csv_path)]) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        assert "accident: no density has both hop4 and fresh60; nothing compared" in out
+        assert "PASS" not in out
+
+        # one comparable scenario is enough to report
+        csv_path.write_text(
+            DETAIL_HEADER + "\n" + AGGREGATE_HEADER + hop4_only
+            + "\nflood,hop4,19,130.0,0.0\nflood,fresh60,19,120.0,0.0\n"
+        )
+        assert main(["report", str(csv_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "accident: hop4 >= fresh60" not in out
+        assert "flood: hop4 >= fresh60 at all densities: PASS" in out
+
     def test_report_empty_aggregates(self, tmp_path):
         from vanetim.metrics import AGGREGATE_HEADER, DETAIL_HEADER
 

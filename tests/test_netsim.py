@@ -102,7 +102,7 @@ class TestBroadcast:
         place(engine, [200.0, 300.0, 2200.0, 2300.0])
         sender = 0
         assert len(engine.world.neighbours_within(sender, 300.0)) == 3
-        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
         deliveries = engine.broadcast(msg, sender, 10.0)
         assert len(deliveries) == 3
         assert len(engine.trace) == 1
@@ -112,7 +112,7 @@ class TestBroadcast:
         engine = tiny_engine(1, mobility=MobilityConfig(route_length=40000.0))
         place(engine, [2000.0])  # midway between RSU0 and RSU1, 4000 m apart
         sender = 0
-        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
         assert engine.broadcast(msg, sender, 10.0) == []
         assert engine.metrics.total == 1
 
@@ -120,7 +120,7 @@ class TestBroadcast:
         engine = tiny_engine(5)
         place(engine, [0.0, 200.0, 400.0, 600.0, 800.0])
         sender = 2
-        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
         delivered = {receiver for _, receiver in engine.broadcast(msg, sender, 10.0)}
         oracle = set(engine.world.neighbours_within(sender, 300.0))
         assert delivered == oracle
@@ -130,7 +130,7 @@ class TestBroadcast:
             engine = tiny_engine(5, seed=seed, loss=loss)
             place(engine, [0.0, 150.0, 300.0, 450.0, 600.0])
             sender = 2
-            msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
+            msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
             return [receiver for _, receiver in engine.broadcast(msg, sender, 10.0)]
 
         full = delivered(1, 0.0)
@@ -148,7 +148,7 @@ class TestWired:
     def test_rsu_to_rsu_and_rsu_to_ta(self):
         engine = tiny_engine(1)
         rsu3, rsu4, ta = slots(engine, "RSU3", "RSU4", "TA")
-        msg = make_message(MessageKind.ACCIDENT, "X", RSU, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, RSU, 10.0, ids=engine.ids)
         engine.wired_send(msg, rsu3, rsu4, 10.0)
         engine.wired_send(msg, rsu3, ta, 10.0)
         at = 10.0 + netsim.WIRED_LATENCY
@@ -161,7 +161,7 @@ class TestWired:
     def test_wired_to_vehicle_rejected(self):
         engine = tiny_engine(1)
         (rsu3,) = slots(engine, "RSU3")
-        msg = make_message(MessageKind.ACCIDENT, "X", RSU, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, RSU, 10.0, ids=engine.ids)
         with pytest.raises(ValueError):
             engine.wired_send(msg, rsu3, 0, 10.0)  # slot 0 is V0
 
@@ -170,8 +170,8 @@ class TestWired:
         rsu3, rsu4, ta = slots(engine, "RSU3", "RSU4", "TA")
         by_rsu = spy_on(monkeypatch, engine, "handle_rsu")
         by_ta = spy_on(monkeypatch, engine, "handle_ta")
-        accident = make_message(MessageKind.ACCIDENT, "X", RSU, 10.0, ids=engine.ids)
-        debris = make_message(MessageKind.DEBRIS, "X", RSU, 10.0, ids=engine.ids)
+        accident = make_message(MessageKind.ACCIDENT, RSU, 10.0, ids=engine.ids)
+        debris = make_message(MessageKind.DEBRIS, RSU, 10.0, ids=engine.ids)
         engine.wired_send(accident, rsu3, rsu4, 10.0)
         engine.wired_send(debris, rsu3, ta, 10.0)
         run_until(engine, 10.0 + netsim.WIRED_LATENCY)
@@ -725,7 +725,7 @@ class TestBatchedDelivery:
     def test_one_event_per_broadcast(self):
         engine = tiny_engine(4)
         place(engine, [200.0, 300.0, 2200.0, 2300.0])
-        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
         deliveries = engine.broadcast(msg, 0, 10.0)
         assert len(deliveries) == 3
         assert len(engine._queue) == 1
@@ -739,7 +739,7 @@ class TestDuplicateReceipts:
         engine = tiny_engine(2)
         place(engine, [200.0, 2200.0])  # V0 between RSU0 and RSU1
         calls = spy_on(monkeypatch, engine, "handle_rsu")
-        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
         engine.broadcast(msg, 0, 10.0)
         engine.broadcast(msg, 0, 10.0)  # a second copy of the same report
         run_until(engine, 10.0 + netsim.HOP_LATENCY)
@@ -757,7 +757,7 @@ class TestDuplicateReceipts:
         place(engine, [1000.0, 1100.0, 3000.0])  # slot 1 is P0, beside V0
         assert engine.labels[1] == "P0"
         calls = spy_on(monkeypatch, engine, "handle_official")
-        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
         engine.broadcast(msg, 0, 10.0)
         engine.broadcast(msg, 0, 10.0)
         run_until(engine, 10.0 + netsim.HOP_LATENCY)
@@ -772,7 +772,7 @@ class TestDuplicateReceipts:
         # are dropped
         engine = tiny_engine(2)
         place(engine, [1000.0, 1100.0])
-        msg = make_message(MessageKind.ATTENDING, "X", POLICE, 10.0, ids=engine.ids)
+        msg = make_message(MessageKind.ATTENDING, POLICE, 10.0, ids=engine.ids)
         assert msg.priority is Priority.OFFICIAL
         engine.broadcast(msg, 0, 10.0)
         engine.broadcast(msg, 0, 10.0)
@@ -790,7 +790,7 @@ class TestDuplicateReceipts:
         # three times; V0 relays the notice, and RSU0 hears it back
         engine = tiny_engine(1)
         place(engine, [50.0])  # in range of RSU0 only
-        report = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 10.0, ids=engine.ids)
+        report = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
         engine.broadcast(report, 0, 10.0)
         run_until(engine, 200.0)
         notice = next(
@@ -898,7 +898,7 @@ class TestCausalOrder:
 
     def test_broadcast_sent_in_the_past_raises(self):
         def rewind(state, now, *, ids):
-            msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, now, ids=ids)
+            msg = make_message(MessageKind.ACCIDENT, VEHICLE, now, ids=ids)
             return [Broadcast(msg, at=now - 1.0, source=ActionSource.ORIGIN)]
 
         engine = tiny_engine(1)
@@ -911,7 +911,7 @@ class TestCausalOrder:
         rsu = engine.labels.index("RSU0")
 
         def rewind(state, now, *, ids):
-            msg = make_message(MessageKind.DEBRIS_RESOLVED, "X", TA, now, ids=ids)
+            msg = make_message(MessageKind.DEBRIS_RESOLVED, TA, now, ids=ids)
             return [Wired(msg, to=rsu, at=now - 1.0)]
 
         engine._execute(engine.labels.index("TA"), [Arm(600.0, rewind, ())])
@@ -942,11 +942,17 @@ class TestTraceFiles:
             receiver="*",
             msg_id="m00000",
             kind=MessageKind.ACCIDENT,
-            road="X",
             hops=0,
             source=ActionSource.ORIGIN,
         )
         assert record.to_line() == "550.010000,V17,*,m00000,accident,X,0,origin"
+
+    def test_other_road_rejected(self, tmp_path):
+        # a trial runs on one road, which the trace format writes as X
+        path = tmp_path / "trace.csv"
+        path.write_text("550.000000,V17,*,m00000,accident,Y,0,origin\n")
+        with pytest.raises(ValueError, match="trace.csv: road 'Y' is not 'X'"):
+            parse_trace(path)
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError, match="cannot write"):

@@ -45,28 +45,28 @@ class TestPolicyConstruction:
 
 class TestShouldRelay:
     def test_hop_limit_admits_below_bound(self, ids):
-        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
         msg = _at_hops(msg, 3)
         assert should_relay(HOP4, msg, 551.0)
 
     def test_hop_limit_boundary(self, ids):
         # relaying a hop-4 copy would create a 5th hop
-        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
         msg = _at_hops(msg, 4)
         assert not should_relay(HOP4, msg, 551.0)
 
     def test_hops_two_admitted(self, ids):
-        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
         msg = _at_hops(msg, 2)
         assert should_relay(HOP4, msg, 551.0)
 
     def test_freshness_boundary_is_strict(self, ids):
-        msg = make_message(MessageKind.ACCIDENT, "X", VEHICLE, 550.0, ids=ids)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
         assert not should_relay(FRESH60, msg, 610.0)
         assert should_relay(FRESH60, msg, 609.99)
 
     def test_official_priority_bypasses_both_bounds(self, ids):
-        msg = make_message(MessageKind.FREE_ROAD, "X", POLICE, 300.0, ids=ids)
+        msg = make_message(MessageKind.FREE_ROAD, POLICE, 300.0, ids=ids)
         msg = _at_hops(msg, 7)
         assert should_relay(HOP4, msg, 600.0)
         assert should_relay(FRESH60, msg, 600.0)
@@ -74,7 +74,7 @@ class TestShouldRelay:
     @given(hops=st.integers(0, 20), bound=st.integers(1, 20))
     def test_hop_rule_matches_arithmetic(self, hops, bound):
         msg = _at_hops(
-            make_message(MessageKind.ACCIDENT, "X", VEHICLE, 0.0, ids=MessageIdSource()),
+            make_message(MessageKind.ACCIDENT, VEHICLE, 0.0, ids=MessageIdSource()),
             hops,
         )
         assert should_relay(HopLimit(bound), msg, 1.0) == (
@@ -87,7 +87,7 @@ class TestShouldRelay:
     )
     def test_freshness_rule_matches_arithmetic(self, age_s, bound):
         msg = make_message(
-            MessageKind.ACCIDENT, "X", VEHICLE, 100.0, ids=MessageIdSource()
+            MessageKind.ACCIDENT, VEHICLE, 100.0, ids=MessageIdSource()
         )
         now = 100.0 + age_s
         actual_age = now - 100.0  # the float difference the policy sees

@@ -1,11 +1,10 @@
 import pytest
 
 from vanetim.domain import ActionSource, MessageKind, RoleKind
-from vanetim.netsim import Engine, TraceRecord, TrialSetup
+from vanetim.netsim import ROAD, Engine, TraceRecord, TrialSetup
 from vanetim.relay import HOP4
 from vanetim.scenarios import (
     REPORT_TIME,
-    ROAD,
     SCENARIOS,
     Clearance,
     SequenceSpec,
@@ -26,7 +25,6 @@ def rec(kind, sender="V17", source=ActionSource.ORIGIN, receiver="*", time=550.0
         receiver=receiver,
         msg_id="m00000",
         kind=kind,
-        road="X",
         hops=0,
         source=source,
     )

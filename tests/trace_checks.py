@@ -12,7 +12,7 @@ every acceptance trial and every golden cell is checked. A trace keeps:
   reads a copy as older than it is. Ids first sent by an official vehicle
   are exempt, as official priority lifts both bounds;
 - record times that never decrease;
-- no resolution kind on a road before a report on that road.
+- no resolution kind before the trial's first report.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def trace_faults(trace: List[TraceRecord], policy: RelayPolicy) -> List[str]:
     sent: Set[Tuple[str, str]] = set()
     wired: Set[Tuple[str, str, str]] = set()
     first: Dict[str, TraceRecord] = {}
-    reported: Set[str] = set()  # roads with a report so far
+    reported = False  # whether a report has been sent so far
     last = float("-inf")
     for i, record in enumerate(trace):
         where = f"record {i} [{record.to_line()}]"
@@ -68,7 +68,7 @@ def trace_faults(trace: List[TraceRecord], policy: RelayPolicy) -> List[str]:
             wired.add(triple)
         sent.add(key)
         if record.kind in REPORT_KINDS:
-            reported.add(record.road)
-        elif record.kind in RESOLUTION_KINDS and record.road not in reported:
-            faults.append(f"{where}: resolution before any report on its road")
+            reported = True
+        elif record.kind in RESOLUTION_KINDS and not reported:
+            faults.append(f"{where}: resolution before any report")
     return faults
