@@ -12,7 +12,7 @@ road: every trial runs on one, which only the trace format writes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -199,4 +199,7 @@ def age(msg: Message, now: float) -> float:
 
 def relayed_copy(msg: Message) -> Message:
     """The copy a forwarder transmits: identical except for one more hop."""
-    return replace(msg, hops=msg.hops + 1)
+    return Message(
+        msg.id, msg.kind, msg.created_at, msg.hops + 1, msg.priority,
+        msg.correlation, msg.payload,
+    )

@@ -40,7 +40,12 @@ the arc of a chord as long as the radio range (plus 1 m) is out of range,
 and one within the arc of a chord 1 m shorter than the range is in range.
 Only the entities in the 2 m band between take the exact Euclidean test;
 receivers come back in slot order (vehicles, then RSUs), which fixes
-delivery order.
+delivery order. The world keeps the two arcs of the last radius asked for,
+so a run at one radio range computes them once.
+
+Every position and every arc lies in ``[0, route_length)``. So the step and
+the neighbour query wrap a difference of two arcs, or a position one move
+past the wrap point, by comparison, and get the float that ``%`` would.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ import math
 from array import array
 from copy import copy
 from dataclasses import dataclass
-from itertools import chain
 from typing import List, Optional, Tuple
 
 #: metres of slack between the neighbour query's arcs and the radio range,
@@ -89,6 +93,9 @@ class CircularWorld:
         self.rsus: List[Tuple[int, float]] = [
             (fleet_size + i, i * route_length / RSU_COUNT) for i in range(RSU_COUNT)
         ]
+        #: the neighbour query's (radius, window arc, sure arc) of the last
+        #: radius asked for; no query has radius 0
+        self._arcs: Tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     # -- geometry ----------------------------------------------------------
 
@@ -174,22 +181,31 @@ class CircularWorld:
         blockages = self.blockages
         accel_dt = ACCEL * dt
         target, standstill, car_length = TARGET_SPEED, STANDSTILL_GAP, VEHICLE_LENGTH
+        inf = math.inf
         followed = len(positions) > 1
         if positions:
             ahead = positions[-1]
         # each comparison below picks the operand min() or max() would, ties
-        # included, so speeds and positions are the same floats as theirs
+        # included, and each wrap gives the float % would, so speeds and
+        # positions are the same floats as theirs
         for slot, position in enumerate(positions):
             speed = speeds[slot] + accel_dt
             if not speed < target:
                 speed = target
             # clear distance ahead: the leader's tail, or a nearer blockage
-            gap = (ahead - position) % length - car_length if followed else math.inf
-            for blockage in blockages:
-                arc = (blockage - position) % length
-                if arc < gap:
-                    gap = arc
-            if gap < math.inf:
+            if followed:
+                gap = ahead - position
+                if gap < 0.0:
+                    gap += length
+                gap -= car_length
+            else:
+                gap = inf
+            if blockages:
+                for blockage in blockages:
+                    arc = (blockage - position) % length
+                    if arc < gap:
+                        gap = arc
+            if gap < inf:
                 # cap the advance so the standstill gap survives even if the
                 # leader does not move this step
                 cap = (gap - standstill) / dt
@@ -199,7 +215,10 @@ class CircularWorld:
                     speed = cap
             ahead = position
             speeds[slot] = speed
-            positions[slot] = (position + speed * dt) % length
+            position += speed * dt
+            if position >= length:
+                position %= length
+            positions[slot] = position
         self.next_step += 1
 
     # -- protocol-facing queries ------------------------------------------
@@ -216,24 +235,32 @@ class CircularWorld:
         length = self.route_length
         center_arc = self.arc_of(center)
         cx, cy = self.point_of_arc(center_arc)
-        window = self.chord_for_radius(radius) + _ARC_WINDOW_MARGIN
-        far = length - window
-        # within this arc the chord is at most radius - 1 m (or the arc is 0)
-        sure = self.chord_for_radius(max(radius - _ARC_WINDOW_MARGIN, 0.0))
-        sure_far = length - sure
+        arcs = self._arcs
+        if arcs[0] != radius:
+            window = self.chord_for_radius(radius) + _ARC_WINDOW_MARGIN
+            # within this arc the chord is at most radius - 1 m (or the arc is 0)
+            sure = self.chord_for_radius(max(radius - _ARC_WINDOW_MARGIN, 0.0))
+            arcs = self._arcs = (radius, window, sure)
+        _, window, sure = arcs
+        far, sure_far = length - window, length - sure
         found: List[int] = []
-        for slot, arc in chain(enumerate(self.positions), self.rsus):
-            offset = (arc - center_arc) % length
-            # more than the window of arc away, one way round or the other
-            if window < offset < far or slot == center:
-                continue
-            # in range, whatever the rounding of the Euclidean test
-            if offset <= sure or offset >= sure_far:
-                found.append(slot)
-                continue
-            x, y = self.point_of_arc(arc)
-            if math.hypot(x - cx, y - cy) <= radius:
-                found.append(slot)
+        for pairs in (enumerate(self.positions), self.rsus):
+            for slot, arc in pairs:
+                offset = arc - center_arc
+                if offset < 0.0:
+                    offset += length
+                # more than the window of arc away, one way round or the other
+                if window < offset < far:
+                    continue
+                # in range, whatever the rounding of the Euclidean test; the
+                # centre itself is here, at offset 0
+                if offset <= sure or offset >= sure_far:
+                    found.append(slot)
+                    continue
+                x, y = self.point_of_arc(arc)
+                if math.hypot(x - cx, y - cy) <= radius:
+                    found.append(slot)
+        found.remove(center)
         return found
 
     def downstream_of(self, a: int, b: int) -> bool:

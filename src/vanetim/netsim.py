@@ -67,7 +67,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .domain import (
     ActionSource,
@@ -97,7 +97,6 @@ from .protocol import (
     OfficialState,
     RSU_HANDLERS,
     RsuState,
-    ServiceDirectory,
     Wired,
     handle_official,
     handle_rsu,
@@ -201,8 +200,7 @@ class TrialSetup:
         return labels
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     time: float
     sender: str
     sender_class: RoleKind
@@ -287,9 +285,6 @@ class Engine:
             )
         else:
             self.world = road.cursor(setup.mobility.dt)
-        services = ServiceDirectory(
-            entries=tuple(script.services), route_length=setup.mobility.route_length
-        )
 
         n_rsus = len(self.world.rsus)
         labels += [label_of(RoleKind.RSU, i) for i in range(n_rsus)] + ["TA"]
@@ -313,8 +308,7 @@ class Engine:
                 state = RsuState(
                     neighbours=(fleet + (i - 1) % n_rsus, fleet + (i + 1) % n_rsus),
                     ta=ta,
-                    position=self.world.rsus[i][1],
-                    services=services,
+                    services=script.services,
                 )
             self.states.append(state)
 
@@ -338,17 +332,10 @@ class Engine:
         source: ActionSource,
     ) -> None:
         kind = self._kinds[sender]
-        record = TraceRecord(
-            time=self.now,
-            sender=self.labels[sender],
-            sender_class=kind,
-            receiver=receiver,
-            msg_id=msg.id,
-            kind=msg.kind,
-            hops=msg.hops,
-            source=source,
-        )
-        self.trace.append(record)
+        self.trace.append(TraceRecord(
+            self.now, self.labels[sender], kind, receiver, msg.id, msg.kind,
+            msg.hops, source,
+        ))
         self.seen[sender].add(msg.id)
         self.metrics.count(msg.kind, kind, source)
         # only a blockage script parks the reporter, and a trial has one
@@ -427,16 +414,20 @@ class Engine:
         """Hand one transmission to each receiver slot, in order."""
         states, kinds, seen, ids = self.states, self._kinds, self.seen, self.ids
         now, msg_id = self.now, msg.id
+        regular = RoleKind.REGULAR_VEHICLE
         for receiver in receivers:
             held = seen[receiver]
             first = msg_id not in held
-            held.add(msg_id)
             kind = kinds[receiver]
-            if kind is RoleKind.REGULAR_VEHICLE:
-                # a regular vehicle only relays, and only a first copy
+            if kind is regular:
+                # a regular vehicle only relays, and only a first copy; most
+                # receipts are its repeats, dropped here
                 if first:
+                    held.add(msg_id)
                     self._schedule_relay(receiver, msg)
-            elif kind is RoleKind.OFFICIAL_VEHICLE:
+                continue
+            held.add(msg_id)
+            if kind is RoleKind.OFFICIAL_VEHICLE:
                 state = states[receiver]
                 self._execute(receiver, handle_official(state, msg, now, ids=ids))
                 if first:
@@ -528,7 +519,8 @@ class Engine:
                 break
             # step i, due at i * dt up to step _steps, runs before every
             # event due at its time
-            world.advance(min(at, end), dt)
+            if world.next_step * dt <= at:
+                world.advance(min(at, end), dt)
             self.now = at
             fn(*args)
         return self.trace, self.metrics

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .domain import (
     ActionSource,
@@ -137,33 +137,6 @@ BROADCAST_REPORT_KINDS = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# service directory
-
-
-@dataclass(frozen=True)
-class ServiceEntry:
-    category: str
-    position: float  # arc metres along the route
-
-
-@dataclass(frozen=True)
-class ServiceDirectory:
-    entries: Tuple[ServiceEntry, ...] = ()
-    route_length: float = 4000.0
-
-    def nearest(self, category: str, origin: float) -> Optional[ServiceEntry]:
-        candidates = [e for e in self.entries if e.category == category]
-        if not candidates:
-            return None
-
-        def ring_distance(entry: ServiceEntry) -> float:
-            d = abs(entry.position - origin) % self.route_length
-            return min(d, self.route_length - d)
-
-        return min(candidates, key=ring_distance)  # the first entry wins a tie
-
-
-# ---------------------------------------------------------------------------
 # entity state
 
 
@@ -171,8 +144,7 @@ class ServiceDirectory:
 class RsuState:
     ta: int                           # slot of the TA
     neighbours: Tuple[int, ...] = ()  # slots of the backbone ring's two peers
-    position: float = 0.0  # arc metres along the route
-    services: ServiceDirectory = ServiceDirectory()
+    services: FrozenSet[str] = frozenset()  # service categories it can name
     status: Optional[IncidentStatus] = None  # None: no incident yet
     reburst: Set[str] = field(default_factory=set)  # accident ids re-burst on a repeat
     announcing: Optional[Message] = None
@@ -426,19 +398,18 @@ def _rsu_service_query(
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
-    """Answer a service lookup: the reply carries the category if an entry
-    of it is registered, ``no-result`` otherwise."""
+    """Answer a service lookup: the reply carries the category if it is
+    registered, ``no-result`` otherwise."""
     if not first:
         return []
     category = msg.payload or ""
-    entry = state.services.nearest(category, state.position)
     reply = make_message(
         MessageKind.SERVICE_REPLY,
         RoleKind.RSU,
         now,
         ids=ids,
         correlation=msg.id,
-        payload=category if entry else "no-result",
+        payload=category if category in state.services else "no-result",
     )
     return [Broadcast(reply, at=now, source=ActionSource.ORIGIN)]
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .domain import ActionSource, MessageKind, RoleKind, role_of_label
-from .protocol import ServiceEntry
 
 
 REPORT_TIME = 550.0     # seconds: the reporter originates its report
@@ -218,10 +217,8 @@ class ScenarioScript:
     responder: Optional[str] = None
     blockage: bool = False
     payload: Optional[str] = None
-    services: Tuple[ServiceEntry, ...] = ()
+    services: FrozenSet[str] = frozenset()  # categories the RSUs can name
 
-
-_PETROL = (ServiceEntry("petrol-pump", 500.0),)
 
 SCENARIOS: Dict[str, ScenarioScript] = {
     script.name: script
@@ -349,7 +346,7 @@ SCENARIOS: Dict[str, ScenarioScript] = {
                      after=("query",)),
             )),
             payload="petrol-pump",
-            services=_PETROL,
+            services=frozenset({"petrol-pump"}),
         ),
         ScenarioScript(
             name="road-defect",

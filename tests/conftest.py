@@ -5,11 +5,12 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import pytest
+from hypothesis import settings
 
 from trace_checks import trace_faults
 from vanetim.domain import MessageIdSource
 from vanetim.netsim import Engine, TraceRecord, TrialSetup, road_for
-from vanetim.protocol import Broadcast, RsuState, ServiceDirectory, Wired, handle_rsu
+from vanetim.protocol import Broadcast, RsuState, Wired, handle_rsu
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
 
@@ -17,6 +18,20 @@ POLICIES = {"hop4": HOP4, "fresh60": FRESH60}
 
 # engine slots of a ten-RSU backbone after a 20-vehicle fleet, then the TA
 RSU0_SLOT, RSU1_SLOT, RSU9_SLOT, TA_SLOT = 20, 21, 29, 30
+
+#: ``--hypothesis-profile floats`` runs the float-exactness properties (the
+#: mobility step against its two-loop oracle, the neighbour query against a
+#: brute-force scan) at 2 000 examples each
+settings.register_profile("floats", max_examples=2000)
+
+
+def examples(tier1: int) -> int:
+    """A property's example count: ``tier1``, unless the loaded profile asks
+    for more examples than the default profile does."""
+    loaded = settings.default.max_examples
+    if loaded > settings.get_profile("default").max_examples:
+        return max(tier1, loaded)
+    return tier1
 
 
 @pytest.fixture
@@ -75,7 +90,7 @@ def replay_count(trace) -> int:
     return sum(1 for _ in trace)
 
 
-def fresh_rsu(services=ServiceDirectory()) -> RsuState:
+def fresh_rsu(services=frozenset()) -> RsuState:
     """RSU0's state: backbone peers RSU9 and RSU1, and the TA."""
     return RsuState(
         neighbours=(RSU9_SLOT, RSU1_SLOT),

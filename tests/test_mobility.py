@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from static_world import StaticWorld
 from vanetim.mobility import (
     ACCEL,
@@ -130,27 +131,40 @@ def oracle_step(world, dt):
         world.positions[i] = (world.positions[i] + speed * dt) % world.route_length
 
 
-ARCS = st.one_of(
-    st.floats(0.0, 3999.99, allow_nan=False),
-    st.floats(0.0, 120.0, allow_nan=False),  # a crowded stretch: gaps cap speeds
-    st.sampled_from([0.0, 6.5, 13.0, 2000.0, 3993.5]),  # exact and zero gaps
-)
+def arcs_on(length, move):
+    """Arcs in ``[0, length)``, as the step keeps every position."""
+    exact = [0.0, 6.5, 13.0, length / 2, length - 6.5, length - move]
+    return st.one_of(
+        st.floats(0.0, length, exclude_max=True),
+        st.floats(0.0, min(120.0, length), exclude_max=True),  # a crowded stretch
+        # within one move of the wrap point: the new position wraps
+        st.floats(max(0.0, length - move), length, exclude_max=True),
+        st.sampled_from([a for a in exact if 0.0 <= a < length]),  # exact and zero gaps
+    )
 
 
 @st.composite
 def rings(draw):
     """A world in any state the step can meet: unordered, crowded, stopped,
-    or exactly one acceleration step below the target speed."""
+    exactly one acceleration step below the target speed, on a short route
+    near its capacity, or within one move of the wrap point."""
     dt = draw(st.one_of(st.sampled_from([0.5, 0.25, 1.0]), st.floats(0.05, 1.0)))
-    cfg = MobilityConfig(dt=dt)
+    n = draw(st.integers(1, 40))
+    footprint = VEHICLE_LENGTH + STANDSTILL_GAP
+    length = draw(st.one_of(
+        st.just(MobilityConfig().route_length),
+        # from a ring the fleet exactly fills to half as much again
+        st.floats(1.0, 1.5).map(lambda slack: n * footprint * slack),
+    ))
+    cfg = MobilityConfig(route_length=length, dt=dt)
+    arcs = arcs_on(length, TARGET_SPEED * dt)
     edge = TARGET_SPEED - ACCEL * dt
     speed = st.one_of(
         st.floats(0.0, TARGET_SPEED, allow_nan=False),
         st.sampled_from([0.0, edge, TARGET_SPEED]),
     )
-    n = draw(st.integers(1, 40))
-    states = draw(st.lists(st.tuples(ARCS, speed), min_size=n, max_size=n))
-    blockages = draw(st.lists(ARCS, max_size=3))
+    states = draw(st.lists(st.tuples(arcs, speed), min_size=n, max_size=n))
+    blockages = draw(st.lists(arcs, max_size=3))
     return cfg, states, blockages
 
 
@@ -169,7 +183,7 @@ def bits(world):
 
 
 class TestStepExactness:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(ring=rings())
     def test_one_pass_step_equals_two_loop_step(self, ring):
         cfg = ring[0]
@@ -186,6 +200,26 @@ class TestStepExactness:
         world = build_ring(cfg, [(0.0, edge)], [])
         world.step(cfg.dt)
         assert world.speeds[0] == TARGET_SPEED
+
+    def test_move_onto_the_wrap_point_gives_plus_zero(self):
+        cfg = MobilityConfig()
+        start = cfg.route_length - TARGET_SPEED * cfg.dt
+        assert start + TARGET_SPEED * cfg.dt == cfg.route_length
+        world = build_ring(cfg, [(start, TARGET_SPEED)], [])
+        world.step(cfg.dt)
+        # +0.0, as (start + move) % route_length gives, never -0.0 or 4000.0
+        assert world.positions[0].hex() == "0x0.0p+0"
+
+    def test_leader_across_the_wrap_point_caps_the_follower(self):
+        # slot 1 follows slot 0, which sits 9 m ahead, past the wrap point
+        cfg = MobilityConfig()
+        ring = (cfg, [(1.0, 0.0), (3992.0, TARGET_SPEED)], [])
+        fused, oracle = build_ring(*ring), build_ring(*ring)
+        fused.step(cfg.dt)
+        oracle_step(oracle, cfg.dt)
+        assert bits(fused) == bits(oracle)
+        # (9 m - car length - standstill gap) / dt
+        assert fused.speeds[1] == (9.0 - VEHICLE_LENGTH - STANDSTILL_GAP) / cfg.dt
 
 
 class TestAdvance:
@@ -311,7 +345,7 @@ class TestNeighbours:
             if e != center and math.dist(position(e), position(center)) <= radius
         ]
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(
         arcs=st.lists(
             st.floats(0, 3999.9, allow_nan=False), min_size=2, max_size=12, unique=True
@@ -327,6 +361,19 @@ class TestNeighbours:
             assert world.neighbours_within(center, radius) == self.brute_force(
                 world, center, radius
             )
+
+    def test_each_radius_gets_its_own_arcs(self):
+        world = make_world(8)
+        spawn_all(world)
+        place(world, [0.0, 100.0, 140.0, 160.0, 250.0, 310.0, 3850.0, 3700.0])
+        answers = []
+        for radius in (300.0, 150.0, 300.0):
+            for center in world.entities():
+                found = world.neighbours_within(center, radius)
+                assert found == self.brute_force(world, center, radius)
+            answers.append(world.neighbours_within(0, radius))
+        # the middle query reaches fewer: arcs kept from 300 m would fail it
+        assert answers[0] == answers[2] != answers[1]
 
     # 0.5 and 1.0 leave a sure arc of length 0; 1274 lies between the ring's
     # diameter (about 1273.24 m) and the diameter plus the 1 m margin

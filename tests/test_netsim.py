@@ -859,10 +859,9 @@ class TestSlots:
 
     def test_infrastructure_follows_the_fleet(self):
         engine = tiny_engine(3)
-        for i, (slot, arc) in enumerate(engine.world.rsus):
+        for i, (slot, _) in enumerate(engine.world.rsus):
             assert engine._kinds[slot] is RSU
             assert engine.labels[slot] == f"RSU{i}"
-            assert engine.states[slot].position == arc
         assert engine._kinds[-1] is TA
         assert engine.labels[-1] == "TA"
         assert len(engine.states) == len(engine.labels) == 3 + 10 + 1

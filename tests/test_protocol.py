@@ -30,8 +30,6 @@ from vanetim.protocol import (
     ProtocolOrderError,
     REPORT_PERIOD,
     RESTRICTED_PERIOD,
-    ServiceDirectory,
-    ServiceEntry,
     SpeedHistory,
     TA_SERVICE_DELAY,
     Wired,
@@ -423,33 +421,16 @@ class TestServiceDirectory:
         (reply,) = handle_rsu(state, query, VEHICLE, True, 600.0, ids=ids)
         assert reply.message.payload == "no-result"
 
-    def test_nearest_by_route_distance(self):
-        # brute-force oracle over the registry entries
-        entries = (
-            ServiceEntry("restaurant", 1200.0),
-            ServiceEntry("restaurant", 3600.0),
+    def test_other_category_gives_empty_reply(self, ids):
+        state = fresh_rsu(services=frozenset({"petrol-pump"}))
+        query = make_message(
+            MessageKind.SERVICE_QUERY, VEHICLE, 600.0, payload="parking", ids=ids
         )
-        registry = ServiceDirectory(entries, route_length=4000.0)
-        origin = 3900.0
-
-        def ring(p):
-            d = abs(p - origin) % 4000.0
-            return min(d, 4000.0 - d)
-
-        oracle = min(entries, key=lambda e: ring(e.position))
-        assert registry.nearest("restaurant", origin) == oracle
-        assert oracle.position == 3600.0
-
-    def test_first_registered_wins_a_tie(self):
-        # 1000 m from each entry, one each way round the ring
-        entries = (ServiceEntry("garage", 3000.0), ServiceEntry("garage", 1000.0))
-        for order in (entries, entries[::-1]):
-            registry = ServiceDirectory(order, route_length=4000.0)
-            assert registry.nearest("garage", 0.0) is order[0]
+        (reply,) = handle_rsu(state, query, VEHICLE, True, 600.0, ids=ids)
+        assert reply.message.payload == "no-result"
 
     def test_query_answered_once(self, ids):
-        registry = ServiceDirectory((ServiceEntry("petrol-pump", 500.0),))
-        state = fresh_rsu(services=registry)
+        state = fresh_rsu(services=frozenset({"petrol-pump"}))
         query = make_message(
             MessageKind.SERVICE_QUERY, VEHICLE, 600.0, payload="petrol-pump", ids=ids
         )
