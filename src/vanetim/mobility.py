@@ -12,7 +12,9 @@ A spawned vehicle is its slot's entries in ``positions`` and ``speeds``.
 Queries take and return slots, so none of them hashes or compares a
 label. A vehicle's leader is the slot before it, which keeps leader
 lookup O(1). :meth:`CircularWorld.step` is one pass over the slots: every
-vehicle reads its leader's position from before the step, then moves.
+vehicle reads its leader's position from before the step, then moves. A
+vehicle cruising on clear road, or standing at the standstill gap, skips the
+car-following arithmetic, which would give it the same floats.
 
 Step ``i`` runs at ``i * dt``, and the world counts the steps it has taken,
 so :meth:`CircularWorld.advance` runs every step due by a time and resumes
@@ -59,6 +61,10 @@ from typing import List, Optional, Tuple
 #: metres of slack between the neighbour query's arcs and the radio range,
 #: far above float rounding
 _ARC_WINDOW_MARGIN = 1.0
+#: metres of clear road, past one target-speed move and the standstill gap, a
+#: cruising vehicle needs to skip the car-following arithmetic; far above the
+#: rounding of ``/ dt`` for any ``dt`` below 1e12 s
+_CRUISE_MARGIN = 1.0
 
 # the kinematics the model fixes, the same for every vehicle
 TARGET_SPEED = 13.0     # m/s a vehicle accelerates towards
@@ -145,12 +151,15 @@ class CircularWorld:
             self.next_spawn_time = now + ENTRY_HEADWAY
 
     def _entry_clear(self) -> bool:
+        """No vehicle within a car length and a standstill gap of the entry
+        point: ``route_length - p`` does not rise with ``p``, so the nearest
+        each way are the lowest and the highest position."""
+        positions = self.positions
         required = VEHICLE_LENGTH + STANDSTILL_GAP
-        for position in self.positions:
-            ahead = self.arc_gap(0.0, position)
-            if ahead < required or self.route_length - ahead < required:
-                return False
-        return True
+        return not positions or (
+            min(positions) >= required
+            and self.route_length - max(positions) >= required
+        )
 
     # -- kinematics --------------------------------------------------------
 
@@ -173,7 +182,15 @@ class CircularWorld:
 
     def step(self, dt: float) -> None:
         """Advance every vehicle by ``dt`` in one pass; each follows its
-        leader's position from before the step (vehicle 0 follows the last)."""
+        leader's position from before the step (vehicle 0 follows the last).
+
+        A vehicle at the target speed with at least ``STANDSTILL_GAP +
+        TARGET_SPEED * dt`` and a margin of clear road moves by
+        ``TARGET_SPEED * dt``; one with at most ``STANDSTILL_GAP`` gets speed
+        0 and stays. The full rule gives the same floats: for the first the
+        speed clamps to the target and the cap exceeds it; for the second
+        ``gap - STANDSTILL_GAP <= 0`` holds exactly, the cap is 0, and
+        ``position + 0.0 * dt == position``. Every other vehicle takes it."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         positions, speeds = self.positions, self.speeds
@@ -181,6 +198,8 @@ class CircularWorld:
         blockages = self.blockages
         accel_dt = ACCEL * dt
         target, standstill, car_length = TARGET_SPEED, STANDSTILL_GAP, VEHICLE_LENGTH
+        cruise = target * dt
+        cruise_gap = standstill + cruise + _CRUISE_MARGIN
         inf = math.inf
         followed = len(positions) > 1
         if positions:
@@ -189,9 +208,6 @@ class CircularWorld:
         # included, and each wrap gives the float % would, so speeds and
         # positions are the same floats as theirs
         for slot, position in enumerate(positions):
-            speed = speeds[slot] + accel_dt
-            if not speed < target:
-                speed = target
             # clear distance ahead: the leader's tail, or a nearer blockage
             if followed:
                 gap = ahead - position
@@ -202,20 +218,31 @@ class CircularWorld:
                 gap = inf
             if blockages:
                 for blockage in blockages:
-                    arc = (blockage - position) % length
+                    arc = blockage - position
+                    if arc < 0.0:
+                        arc += length
                     if arc < gap:
                         gap = arc
-            if gap < inf:
-                # cap the advance so the standstill gap survives even if the
-                # leader does not move this step
-                cap = (gap - standstill) / dt
-                if not cap > 0.0:
-                    cap = 0.0
-                if cap < speed:
-                    speed = cap
             ahead = position
-            speeds[slot] = speed
-            position += speed * dt
+            if gap >= cruise_gap and speeds[slot] == target:
+                position += cruise
+            elif gap <= standstill:
+                speeds[slot] = 0.0
+                continue
+            else:
+                speed = speeds[slot] + accel_dt
+                if not speed < target:
+                    speed = target
+                if gap < inf:
+                    # cap the advance so the standstill gap survives even if
+                    # the leader does not move this step
+                    cap = (gap - standstill) / dt
+                    if not cap > 0.0:
+                        cap = 0.0
+                    if cap < speed:
+                        speed = cap
+                speeds[slot] = speed
+                position += speed * dt
             if position >= length:
                 position %= length
             positions[slot] = position

@@ -20,8 +20,8 @@ POLICIES = {"hop4": HOP4, "fresh60": FRESH60}
 RSU0_SLOT, RSU1_SLOT, RSU9_SLOT, TA_SLOT = 20, 21, 29, 30
 
 #: ``--hypothesis-profile floats`` runs the float-exactness properties (the
-#: mobility step against its two-loop oracle, the neighbour query against a
-#: brute-force scan) at 2 000 examples each
+#: mobility step against its two-loop oracle, the neighbour query and the
+#: entry check against brute-force scans) at 2 000 examples each
 settings.register_profile("floats", max_examples=2000)
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
@@ -168,6 +168,47 @@ def rings(draw):
     return cfg, states, blockages
 
 
+@st.composite
+def cruising_rings(draw):
+    """A fleet all at the target speed whose clear gaps, to the leader or to
+    a blockage, lie a few ulps either side of the step's branch points: the
+    standstill gap, one target-speed move past it (where the cap equals the
+    target) and the cruising threshold a margin beyond, or between them."""
+    dt = draw(st.one_of(st.sampled_from([0.5, 0.25, 1.0]), st.floats(0.05, 1.0)))
+    length = draw(st.one_of(
+        st.just(MobilityConfig().route_length), st.floats(200.0, 4000.0)
+    ))
+    move = TARGET_SPEED * dt
+    points = [STANDSTILL_GAP, STANDSTILL_GAP + move, STANDSTILL_GAP + move + 1.0]
+    gaps = st.one_of(
+        st.sampled_from(points),
+        st.floats(STANDSTILL_GAP - 1.0, STANDSTILL_GAP + move + 2.0),
+    )
+    ulps = st.integers(-4, 4)
+
+    def nudge(arc, steps):
+        for _ in range(abs(steps)):
+            arc = math.nextafter(arc, math.copysign(math.inf, steps))
+        return arc
+
+    n = draw(st.integers(1, 30))
+    arcs = [draw(st.floats(0.0, length, exclude_max=True))]
+    for _ in range(n - 1):
+        arc = arcs[-1] - VEHICLE_LENGTH - draw(gaps)
+        if arc < 0.0:
+            arc += length
+        arcs.append(nudge(arc, draw(ulps)))
+    blockages = []
+    for _ in range(draw(st.integers(0, 2))):
+        arc = arcs[draw(st.integers(0, n - 1))] + draw(gaps)
+        if arc >= length:
+            arc -= length
+        blockages.append(nudge(arc, draw(ulps)))
+    assume(all(0.0 <= arc < length for arc in arcs + blockages))
+    cfg = MobilityConfig(route_length=length, dt=dt)
+    return cfg, [(arc, TARGET_SPEED) for arc in arcs], blockages
+
+
 def build_ring(cfg, states, blockages):
     world = CircularWorld(cfg.route_length, len(states))
     for arc, speed in states:
@@ -182,16 +223,50 @@ def bits(world):
     return [(p.hex(), s.hex()) for p, s in zip(world.positions, world.speeds)]
 
 
+def assert_steps_like_the_oracle(ring, steps):
+    cfg = ring[0]
+    fused, oracle = build_ring(*ring), build_ring(*ring)
+    for _ in range(steps):
+        fused.step(cfg.dt)
+        oracle_step(oracle, cfg.dt)
+        assert bits(fused) == bits(oracle)
+    return fused
+
+
 class TestStepExactness:
     @settings(max_examples=examples(200), deadline=None)
     @given(ring=rings())
     def test_one_pass_step_equals_two_loop_step(self, ring):
-        cfg = ring[0]
-        fused, oracle = build_ring(*ring), build_ring(*ring)
-        for _ in range(3):
-            fused.step(cfg.dt)
-            oracle_step(oracle, cfg.dt)
-            assert bits(fused) == bits(oracle)
+        assert_steps_like_the_oracle(ring, 3)
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(ring=cruising_rings())
+    def test_cruising_and_standing_fleets_match_the_two_loop_step(self, ring):
+        assert_steps_like_the_oracle(ring, 3)
+
+    def test_blocked_fleet_of_139_in_lockstep_with_the_two_loop_step(self):
+        # a bare world at 139 spawns followers exactly 13 m behind their
+        # leaders, a clear gap on which the cap equals the target speed
+        fused, oracle = make_world(139), make_world(139)
+        exact = 0
+        for i in range(1800):
+            now = i * DT
+            for world in (fused, oracle):
+                if now == 550.0:
+                    world.add_blockage(2000.0)
+                elif now == 850.0:
+                    world.clear_blockages()
+                world.inject_flow(now)
+            positions = oracle.positions
+            exact += sum(
+                positions[slot - 1] - position == 13.0
+                and oracle.speeds[slot] == TARGET_SPEED
+                for slot, position in enumerate(positions)
+            )
+            fused.step(DT)
+            oracle_step(oracle, DT)
+            assert bits(fused) == bits(oracle), f"step {i}"
+        assert exact > 0, "no follower cruised exactly 13 m behind its leader"
 
     def test_edge_speed_reaches_target_exactly(self):
         cfg = MobilityConfig()
@@ -214,10 +289,7 @@ class TestStepExactness:
         # slot 1 follows slot 0, which sits 9 m ahead, past the wrap point
         cfg = MobilityConfig()
         ring = (cfg, [(1.0, 0.0), (3992.0, TARGET_SPEED)], [])
-        fused, oracle = build_ring(*ring), build_ring(*ring)
-        fused.step(cfg.dt)
-        oracle_step(oracle, cfg.dt)
-        assert bits(fused) == bits(oracle)
+        fused = assert_steps_like_the_oracle(ring, 1)
         # (9 m - car length - standstill gap) / dt
         assert fused.speeds[1] == (9.0 - VEHICLE_LENGTH - STANDSTILL_GAP) / cfg.dt
 
@@ -261,7 +333,40 @@ class TestAdvance:
         assert (bits(world), world.blockages, world.next_step) == before
 
 
+def oracle_entry_clear(world):
+    """The entry check as a scan of every vehicle's gaps to the entry point."""
+    required = VEHICLE_LENGTH + STANDSTILL_GAP
+    for position in world.positions:
+        ahead = world.arc_gap(0.0, position)
+        if ahead < required or world.route_length - ahead < required:
+            return False
+    return True
+
+
 class TestInjectFlow:
+    @settings(max_examples=examples(200), deadline=None)
+    @given(data=st.data())
+    def test_entry_check_matches_a_scan_of_every_vehicle(self, data):
+        length = data.draw(st.one_of(
+            st.just(MobilityConfig().route_length), st.floats(20.0, 4000.0)
+        ))
+        required = VEHICLE_LENGTH + STANDSTILL_GAP
+        arcs = st.one_of(
+            st.floats(0.0, length, exclude_max=True),
+            # within the entry's reach ahead of it and behind it
+            st.floats(0.0, required),
+            st.floats(length - required, length, exclude_max=True),
+            st.sampled_from([0.0, required, length - required]),
+        )
+        parked = data.draw(st.lists(arcs, max_size=8))
+        world = CircularWorld(length, len(parked) + 1)
+        world.positions.extend(parked)
+        world.speeds.extend([0.0] * len(parked))
+        clear = oracle_entry_clear(world)
+        world.inject_flow(0.0)
+        assert world.spawned_count == len(parked) + clear
+
+
     def test_fleet_enters_well_before_warmup(self):
         world = make_world(19)
         finished = spawn_all(world)
