@@ -107,7 +107,8 @@ def export_csv(sweep: SweepResult, path) -> None:
 
 
 def parse_csv(path) -> Tuple[SweepResult, List[Tuple[str, str, int, float, float]]]:
-    """Read a sweep CSV back; raises ValueError with a line number on junk."""
+    """Read a sweep CSV back; raises ValueError with a line number on junk,
+    a row of other than five fields included."""
     sweep = SweepResult()
     aggregates: List[Tuple[str, str, int, float, float]] = []
     section = None
@@ -124,6 +125,8 @@ def parse_csv(path) -> Tuple[SweepResult, List[Tuple[str, str, int, float, float
                 continue
             parts = line.split(",")
             try:
+                if len(parts) != 5:
+                    raise ValueError(f"{len(parts)} fields, not 5")
                 if section == "detail":
                     sweep.add(
                         SweepRow(parts[0], parts[1], int(parts[2]), int(parts[3]), int(parts[4]))

@@ -22,6 +22,18 @@ where it stopped. The engine calls it before each event, and a trial's
 road moves no other way. A blockage added or cleared once ``i`` steps are
 taken acts from step ``i`` on.
 
+A free-flowing fleet glides: when every vehicle has spawned, no blockage is
+parked, every speed is the target and every clear gap passes the step's
+cruising test, and every position, the move ``TARGET_SPEED * dt`` and the
+route length lie on the grid of multiples of ``2**(e - 53)`` with
+``2 * route_length < 2**e``, ``advance`` takes all the steps due at once as
+one shift of the fleet. On that grid every move the step would make is exact,
+so each gap stays the same float, every step would cruise, and the shift gives
+the step's floats bit for bit. At the default ``dt`` of 0.5 s the speeds are
+whole m/s and the positions multiples of 0.5 m, so a fleet on clear road
+glides once it cruises; at ``dt = 0.1`` the move is off the grid and the road
+steps one step at a time.
+
 A road depends only on route length, fleet size, ``dt`` and its blockage
 history; trials of one density read one recorded road while their
 histories agree. :meth:`CircularWorld.copy` lets trials start from one road
@@ -165,11 +177,59 @@ class CircularWorld:
 
     def advance(self, until: float, dt: float) -> None:
         """Run every step due by ``until``, from the next one on: step ``i``
-        at ``i * dt`` spawns what it can first, then moves the fleet."""
+        at ``i * dt`` spawns what it can first, then moves the fleet. Once
+        the whole fleet has spawned and two or more steps are due, a fleet
+        that glides (see :meth:`_glide`) takes them all at once."""
         while self.next_step * dt <= until:
             if len(self.positions) < self.fleet_size:
                 self.inject_flow(self.next_step * dt)
+            elif (self.next_step + 1) * dt <= until and self._glide(until, dt):
+                return
             self.step(dt)
+
+    def _glide(self, until: float, dt: float) -> bool:
+        """Take every step due by ``until`` as one shift of the fleet if it
+        is in free flow on the grid (see the module docstring); return
+        whether it did. The grid makes every sum or difference of two of the
+        positions, the move and the route length that stays below twice the
+        route length exact, and a move shorter than the route wraps by one
+        subtraction; so each of the ``k`` steps would cruise, and together
+        they come to one shift by ``k`` moves modulo the route length, built
+        by ``k`` exact additions."""
+        positions, length = self.positions, self.route_length
+        move = TARGET_SPEED * dt
+        if (self.blockages or not 0.0 < move < length
+                or self.speeds.count(TARGET_SPEED) != len(positions)):
+            return False
+        grid = math.ldexp(1.0, math.frexp(2.0 * length)[1] - 53)
+        if move % grid or length % grid:
+            return False
+        if len(positions) > 1:
+            cruise_gap = STANDSTILL_GAP + move + _CRUISE_MARGIN
+            ahead = positions[-1]
+            for position in positions:
+                gap = ahead - position
+                if gap < 0.0:
+                    gap += length
+                gap -= VEHICLE_LENGTH
+                if not gap >= cruise_gap or position % grid:
+                    return False
+                ahead = position
+        elif positions and positions[0] % grid:
+            return False
+        steps, shift = self.next_step, 0.0
+        while steps * dt <= until:
+            shift += move
+            if shift >= length:
+                shift -= length
+            steps += 1
+        for slot, position in enumerate(positions):
+            position += shift
+            if position >= length:
+                position -= length
+            positions[slot] = position
+        self.next_step = steps
+        return True
 
     def copy(self) -> CircularWorld:
         """An independent world in the same state: its own positions, speeds

@@ -103,6 +103,17 @@ class TestSweepCsv:
         with pytest.raises(ValueError, match=":2:"):
             parse_csv(path)
 
+    @pytest.mark.parametrize("header, row", [
+        (DETAIL_HEADER, "accident,hop4,19,0,211,junk"),
+        (DETAIL_HEADER, "accident,hop4,19,0"),
+        (AGGREGATE_HEADER, "accident,hop4,19,211.0,3.5,junk"),
+    ], ids=["detail-extra", "detail-short", "aggregate-extra"])
+    def test_row_with_other_than_five_fields_rejected(self, tmp_path, header, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match=":2: malformed row"):
+            parse_csv(path)
+
     def test_data_before_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("accident,hop4,19,0,5\n")

@@ -168,6 +168,13 @@ def rings(draw):
     return cfg, states, blockages
 
 
+def nudge(arc, steps):
+    """``arc`` moved by ``steps`` ulps, up or down."""
+    for _ in range(abs(steps)):
+        arc = math.nextafter(arc, math.copysign(math.inf, steps))
+    return arc
+
+
 @st.composite
 def cruising_rings(draw):
     """A fleet all at the target speed whose clear gaps, to the leader or to
@@ -185,12 +192,6 @@ def cruising_rings(draw):
         st.floats(STANDSTILL_GAP - 1.0, STANDSTILL_GAP + move + 2.0),
     )
     ulps = st.integers(-4, 4)
-
-    def nudge(arc, steps):
-        for _ in range(abs(steps)):
-            arc = math.nextafter(arc, math.copysign(math.inf, steps))
-        return arc
-
     n = draw(st.integers(1, 30))
     arcs = [draw(st.floats(0.0, length, exclude_max=True))]
     for _ in range(n - 1):
@@ -331,6 +332,201 @@ class TestAdvance:
         twin.advance(120.0, DT)
         twin.blockages.clear()
         assert (bits(world), world.blockages, world.next_step) == before
+
+
+def oracle_advance(world, until, dt):
+    """``advance`` one step at a time: spawn at ``i * dt``, then the two-loop
+    step."""
+    while world.next_step * dt <= until:
+        if world.spawned_count < world.fleet_size:
+            world.inject_flow(world.next_step * dt)
+        oracle_step(world, dt)
+        world.next_step += 1
+
+
+@st.composite
+def gliding_rings(draw):
+    """A spawned fleet at the target speed on clear road, with its route,
+    ``dt``, spacing and positions on the 0.5 m grid; or the same with one
+    flaw: a move off the grid, a route off it, spacings anywhere from a car
+    length and the standstill gap up, spacings at the cruising threshold a
+    few ulps either side, one position off the grid, one vehicle below the
+    target speed, or a blockage. Returns the ring, the first step and the
+    time to advance to."""
+    flaw = draw(st.sampled_from([
+        None, None, None, "dt", "length", "spacing", "threshold", "position",
+        "speed", "blockage",
+    ]))
+    dt = draw(st.sampled_from([0.5, 0.25]))
+    if flaw == "dt":
+        dt = draw(st.one_of(st.just(0.1), st.floats(0.05, 1.0)))
+    length = draw(st.one_of(
+        st.just(MobilityConfig().route_length), st.integers(100, 4000).map(float)
+    ))
+    if flaw == "length":
+        length = draw(st.floats(100.0, 4000.0))
+    n = draw(st.integers(0, 12))
+    move = TARGET_SPEED * dt
+    # from the front of a leader to the front of its follower
+    threshold = VEHICLE_LENGTH + STANDSTILL_GAP + move + 1.0
+    roomy = max(threshold, length / max(n, 1))
+    least = math.ceil(2 * threshold)
+    spacings = st.integers(least, max(least, math.floor(2 * roomy))).map(lambda h: h / 2)
+    ulps = st.just(0)
+    if flaw == "spacing":
+        spacings = st.floats(VEHICLE_LENGTH + STANDSTILL_GAP, roomy)
+    elif flaw == "threshold":
+        spacings, ulps = st.just(threshold), st.integers(-4, 4)
+    arcs = [draw(st.integers(0, 2 * int(length) - 1)) / 2] if n else []
+    for _ in range(n - 1):
+        arc = arcs[-1] - draw(spacings)
+        if arc < 0.0:
+            arc += length
+        arcs.append(nudge(arc, draw(ulps)))
+    speeds = [TARGET_SPEED] * n
+    blockages = []
+    if n and flaw == "position":
+        slot = draw(st.integers(0, n - 1))
+        arcs[slot] = nudge(arcs[slot], draw(st.integers(-4, 4)))
+    elif n and flaw == "speed":
+        speeds[draw(st.integers(0, n - 1))] = draw(st.one_of(
+            st.sampled_from([0.0, TARGET_SPEED - ACCEL * dt]),
+            st.floats(0.0, TARGET_SPEED),
+        ))
+    elif flaw == "blockage":
+        blockages.append(draw(st.floats(0.0, length, exclude_max=True)))
+    assume(all(0.0 <= arc < length for arc in arcs))
+    cfg = MobilityConfig(route_length=length, dt=dt)
+    first = draw(st.integers(0, 2000))
+    due = draw(st.one_of(st.integers(0, 3), st.integers(0, 3000)))
+    until = (first + due) * dt - draw(st.floats(0.0, dt, exclude_max=True))
+    return (cfg, list(zip(arcs, speeds)), blockages), first, until
+
+
+def count_steps(monkeypatch):
+    """The ``step`` calls every world makes from here on, as a list."""
+    calls = []
+    step = CircularWorld.step
+
+    def counted(world, dt):
+        calls.append(world.next_step)
+        step(world, dt)
+
+    monkeypatch.setattr(CircularWorld, "step", counted)
+    return calls
+
+
+# changes to TestGlide.fleet, each of which stops its glide
+
+def off_grid(ring):
+    states = ring[1]
+    states[5] = (math.nextafter(states[5][0], 0.0), TARGET_SPEED)
+    return ring
+
+
+def slower(ring):
+    cfg, states, _ = ring
+    states[5] = (states[5][0], TARGET_SPEED - ACCEL * cfg.dt)
+    return ring
+
+
+def close(ring):
+    # 8 m clear behind slot 4: one target-speed move and the standstill gap
+    # fit, the cruising margin does not
+    states = ring[1]
+    states[5] = (states[4][0] - VEHICLE_LENGTH - 8.0, TARGET_SPEED)
+    return ring
+
+
+def tailgating(ring):
+    states = ring[1]
+    states[5] = (states[4][0] - VEHICLE_LENGTH - 3.0, TARGET_SPEED)
+    return ring
+
+
+def blocked(ring):
+    ring[2].append(100.0)
+    return ring
+
+
+class TestGlide:
+    @settings(max_examples=examples(200), deadline=None)
+    @given(case=gliding_rings())
+    def test_advance_equals_stepping_one_step_at_a_time(self, case):
+        ring, first, until = case
+        dt = ring[0].dt
+        glided, oracle = build_ring(*ring), build_ring(*ring)
+        for world in (glided, oracle):
+            world.next_step = first
+        glided.advance(until, dt)
+        oracle_advance(oracle, until, dt)
+        assert glided.next_step == oracle.next_step
+        assert bits(glided) == bits(oracle)
+
+    def test_a_bare_fleet_glides_once_it_cruises(self, monkeypatch):
+        glided, oracle = make_world(19), make_world(19)
+        calls = count_steps(monkeypatch)
+        glided.advance(1500.0, DT)
+        # 3001 steps are due; the fleet spawns by about 40 s and reaches the
+        # target speed a few seconds later
+        assert len(calls) < 200
+        oracle_advance(oracle, 1500.0, DT)
+        assert glided.next_step == oracle.next_step == 3001
+        assert bits(glided) == bits(oracle)
+        assert glided.next_spawn_time == oracle.next_spawn_time
+
+    @staticmethod
+    def fleet(dt=DT):
+        """19 vehicles 200 m apart at the target speed: a gliding fleet."""
+        cfg = MobilityConfig(dt=dt)
+        return cfg, [(3900.0 - 200.0 * slot, TARGET_SPEED) for slot in range(19)], []
+
+    def test_the_fleet_glides(self, monkeypatch):
+        ring = self.fleet()
+        glided, oracle = build_ring(*ring), build_ring(*ring)
+        calls = count_steps(monkeypatch)
+        glided.advance(300.0, DT)
+        assert calls == []
+        oracle_advance(oracle, 300.0, DT)
+        assert glided.next_step == 601
+        assert bits(glided) == bits(oracle)
+
+    # a fleet off the grid or blocked never glides; a slower or closer
+    # vehicle stops a glide only until it recovers, so that fleet is
+    # advanced over two due steps, the fewest a glide takes
+    @pytest.mark.parametrize("change, dt, until", [
+        (off_grid, DT, 50.0),
+        (lambda ring: ring, 0.1, 50.0),
+        (blocked, DT, 50.0),
+        (slower, DT, DT),
+        (close, DT, DT),
+        (tailgating, DT, DT),
+    ], ids=["off-grid", "dt-0.1", "blocked", "slower", "close", "tailgating"])
+    def test_a_fleet_that_does_not_glide_takes_every_step(
+        self, monkeypatch, change, dt, until
+    ):
+        ring = change(self.fleet(dt))
+        stepped, oracle = build_ring(*ring), build_ring(*ring)
+        calls = count_steps(monkeypatch)
+        stepped.advance(until, dt)
+        oracle_advance(oracle, until, dt)
+        assert len(calls) == stepped.next_step == oracle.next_step
+        assert bits(stepped) == bits(oracle)
+
+    def test_a_glide_onto_the_wrap_point_gives_plus_zero(self, monkeypatch):
+        cfg = MobilityConfig()
+        start = cfg.route_length - 2 * TARGET_SPEED * cfg.dt
+        world = build_ring(cfg, [(start, TARGET_SPEED)], [])
+        calls = count_steps(monkeypatch)
+        world.advance(cfg.dt, cfg.dt)
+        assert calls == [] and world.next_step == 2
+        # +0.0, as two steps give, never route_length
+        assert world.positions[0].hex() == "0x0.0p+0"
+
+    def test_an_empty_fleet_counts_its_steps(self):
+        world = CircularWorld(4000.0, 0)
+        world.advance(1500.0, DT)
+        assert world.next_step == 3001 and world.positions == []
 
 
 def oracle_entry_clear(world):

@@ -390,6 +390,8 @@ class TestStopRule:
         ("accident-police", HOP4, 21, 2),
         ("debris", HOP4, 19, 0),
         ("service-discovery", FRESH60, 19, 0),
+        # no blockage: the trial glides, the oracle steps one by one
+        ("traffic-jam", HOP4, 19, 0),
     ])
     def test_matches_the_always_step_oracle(self, scenario, policy, vehicles, police):
         setup = TrialSetup(
@@ -659,16 +661,21 @@ class TestSharedWorld:
                     engine.run()
                     longest = max(longest, engine.steps_taken)
             expected += longest
-        steps = []
-        step = CircularWorld.step
+        # the steps each world takes, one by one or in a glide
+        taken = []
 
-        def counted(world, dt):
-            steps.append(world.next_step)
-            step(world, dt)
+        def counting(take):
+            def counted(world, *args):
+                before = world.next_step
+                done = take(world, *args)
+                taken.append(world.next_step - before)
+                return done
+            return counted
 
-        monkeypatch.setattr(CircularWorld, "step", counted)
+        for name in ("step", "_glide"):
+            monkeypatch.setattr(CircularWorld, name, counting(getattr(CircularWorld, name)))
         run_sweep(config, policies)
-        assert len(steps) == expected
+        assert sum(taken) == expected
 
 
 class PerReceiverEngine(Engine):
