@@ -52,6 +52,10 @@ class RunConfig:
             raise ConfigError("trials: must be at least 1")
         if self.police < 0:
             raise ConfigError("police: must not be negative")
+        for i, vehicles in enumerate(self.densities):
+            # a sweep would run it twice and count its trials twice over
+            if vehicles in self.densities[:i]:
+                raise ConfigError(f"densities: {vehicles} is repeated")
         parse_policy(self.policy)
 
     # -- flat key=value round trip ----------------------------------------

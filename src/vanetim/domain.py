@@ -4,24 +4,36 @@ messages.
 This module owns the label format in both directions: :func:`label_of`
 writes an entity's label from its role and its index within the role, and
 :func:`role_of_label` reads the role back. Messages are plain immutable
-dataclasses; they carry no behaviour beyond construction-time validation
+named tuples; they carry no behaviour beyond construction-time validation
 and can be copied freely between simulation contexts. A message names no
 road: every trial runs on one, which only the trace format writes.
+
+Every vanetim enum derives from :class:`IdentityEnum`: its members hash by
+identity, in C, so no set or dict keyed by them calls the Python-level
+``Enum.__hash__``. Identity hashes follow object addresses, so the order of
+a set of members may differ from run to run, and nothing a run reports may
+depend on it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class ClockInversionError(ValueError):
     """A timestamp earlier than a message's creation time was supplied."""
 
 
-class RoleKind(Enum):
+class IdentityEnum(Enum):
+    """An enum whose members hash by identity. Members are singletons and
+    ``Enum.__eq__`` is ``object.__eq__``, so equal members hash alike."""
+
+    __hash__ = object.__hash__
+
+
+class RoleKind(IdentityEnum):
     REGULAR_VEHICLE = "vehicle"
     OFFICIAL_VEHICLE = "official"
     RSU = "rsu"
@@ -57,7 +69,7 @@ def role_of_label(label: str) -> RoleKind:
     raise ValueError(f"unrecognised entity label: {label!r}")
 
 
-class MessageKind(Enum):
+class MessageKind(IdentityEnum):
     ACCIDENT = "accident"
     AVOID_ROAD = "avoid-road"
     RESTRICTED_MOVEMENT = "restricted-movement"
@@ -117,12 +129,12 @@ RESOLUTION_KINDS = frozenset(
 )
 
 
-class Priority(Enum):
+class Priority(IdentityEnum):
     NORMAL = "normal"
     OFFICIAL = "official"
 
 
-class ActionSource(Enum):
+class ActionSource(IdentityEnum):
     """Why a transmission happened, recorded per trace line."""
 
     ORIGIN = "origin"
@@ -131,8 +143,7 @@ class ActionSource(Enum):
     WIRED = "wired"
 
 
-@dataclass(frozen=True)
-class Message:
+class _MessageFields(NamedTuple):
     id: str
     kind: MessageKind
     created_at: float
@@ -141,11 +152,20 @@ class Message:
     correlation: Optional[str] = None
     payload: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.created_at < 0:
+
+class Message(_MessageFields):
+    """One message; its constructor rejects a negative creation time or
+    hop count."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Message:
+        msg = super().__new__(cls, *args, **kwargs)
+        if msg.created_at < 0:
             raise ValueError("creation time must be non-negative")
-        if self.hops < 0:
+        if msg.hops < 0:
             raise ValueError("hop count must be non-negative")
+        return msg
 
 
 class MessageIdSource:
@@ -197,9 +217,14 @@ def age(msg: Message, now: float) -> float:
     return now - msg.created_at
 
 
+_new_tuple = tuple.__new__
+
+
 def relayed_copy(msg: Message) -> Message:
-    """The copy a forwarder transmits: identical except for one more hop."""
-    return Message(
-        msg.id, msg.kind, msg.created_at, msg.hops + 1, msg.priority,
-        msg.correlation, msg.payload,
+    """The copy a forwarder transmits: identical except for one more hop.
+    A copy of a checked message passes the constructor's checks, so it is
+    built without them."""
+    id_, kind, created_at, hops, priority, correlation, payload = msg
+    return _new_tuple(
+        Message, (id_, kind, created_at, hops + 1, priority, correlation, payload)
     )

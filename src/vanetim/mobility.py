@@ -23,16 +23,19 @@ road moves no other way. A blockage added or cleared once ``i`` steps are
 taken acts from step ``i`` on.
 
 A free-flowing fleet glides: when every vehicle has spawned, no blockage is
-parked, every speed is the target and every clear gap passes the step's
-cruising test, and every position, the move ``TARGET_SPEED * dt`` and the
-route length lie on the grid of multiples of ``2**(e - 53)`` with
-``2 * route_length < 2**e``, ``advance`` takes all the steps due at once as
-one shift of the fleet. On that grid every move the step would make is exact,
-so each gap stays the same float, every step would cruise, and the shift gives
-the step's floats bit for bit. At the default ``dt`` of 0.5 s the speeds are
-whole m/s and the positions multiples of 0.5 m, so a fleet on clear road
-glides once it cruises; at ``dt = 0.1`` the move is off the grid and the road
-steps one step at a time.
+parked, every speed is the target, every clear gap passes the step's own cap
+test ``(gap - STANDSTILL_GAP) / dt >= TARGET_SPEED``, and every position, the
+move ``TARGET_SPEED * dt`` and the route length lie on the grid of multiples
+of ``2**(e - 53)`` with ``2 * route_length < 2**e``, ``advance`` takes all the
+steps due at once as one shift of the fleet. On that grid every move the step
+would make is exact, so each gap stays the same float and every step moves
+every vehicle by ``TARGET_SPEED * dt``: a vehicle cruises, or, with a cap
+within the cruising margin of the target, takes the car-following arithmetic,
+whose speed clamps to the target and which moves it by the same float. So the
+shift gives the step's floats bit for bit. At the default ``dt`` of 0.5 s the
+speeds are whole m/s and the positions multiples of 0.5 m, so a fleet on clear
+road glides once it cruises; at ``dt = 0.1`` the move is off the grid and the
+road steps one step at a time.
 
 A road depends only on route length, fleet size, ``dt`` and its blockage
 history; trials of one density read one recorded road while their
@@ -52,7 +55,8 @@ asked for its speeds, to spawn or to take a step other than through
 centre where the arc settles it, before any trigonometry: an entity beyond
 the arc of a chord as long as the radio range (plus 1 m) is out of range,
 and one within the arc of a chord 1 m shorter than the range is in range.
-Only the entities in the 2 m band between take the exact Euclidean test;
+Only the entities in the 2 m band between take the exact Euclidean test,
+and a query computes the centre's point only once one of them needs it;
 receivers come back in slot order (vehicles, then RSUs), which fixes
 delivery order. The world keeps the two arcs of the last radius asked for,
 so a run at one radio range computes them once.
@@ -193,9 +197,11 @@ class CircularWorld:
         whether it did. The grid makes every sum or difference of two of the
         positions, the move and the route length that stays below twice the
         route length exact, and a move shorter than the route wraps by one
-        subtraction; so each of the ``k`` steps would cruise, and together
-        they come to one shift by ``k`` moves modulo the route length, built
-        by ``k`` exact additions."""
+        subtraction. So every clear gap stays the float it is, and a gap that
+        passes the step's cap test now passes it at each of the ``k`` steps,
+        where the step moves its vehicle by ``TARGET_SPEED * dt`` whether it
+        cruises or not. Together the steps come to one shift by ``k`` moves
+        modulo the route length, built by ``k`` exact additions."""
         positions, length = self.positions, self.route_length
         move = TARGET_SPEED * dt
         if (self.blockages or not 0.0 < move < length
@@ -205,14 +211,15 @@ class CircularWorld:
         if move % grid or length % grid:
             return False
         if len(positions) > 1:
-            cruise_gap = STANDSTILL_GAP + move + _CRUISE_MARGIN
             ahead = positions[-1]
             for position in positions:
                 gap = ahead - position
                 if gap < 0.0:
                     gap += length
                 gap -= VEHICLE_LENGTH
-                if not gap >= cruise_gap or position % grid:
+                # the step caps the speed at this; at or above the target
+                # it keeps the target
+                if not (gap - STANDSTILL_GAP) / dt >= TARGET_SPEED or position % grid:
                     return False
                 ahead = position
         elif positions and positions[0] % grid:
@@ -321,7 +328,7 @@ class CircularWorld:
             raise ValueError("radius must be positive")
         length = self.route_length
         center_arc = self.arc_of(center)
-        cx, cy = self.point_of_arc(center_arc)
+        centre = None  # the centre's point, computed for the first band entity
         arcs = self._arcs
         if arcs[0] != radius:
             window = self.chord_for_radius(radius) + _ARC_WINDOW_MARGIN
@@ -344,8 +351,10 @@ class CircularWorld:
                 if offset <= sure or offset >= sure_far:
                     found.append(slot)
                     continue
+                if centre is None:
+                    centre = self.point_of_arc(center_arc)
                 x, y = self.point_of_arc(arc)
-                if math.hypot(x - cx, y - cy) <= radius:
+                if math.hypot(x - centre[0], y - centre[1]) <= radius:
                     found.append(slot)
         found.remove(center)
         return found

@@ -213,7 +213,7 @@ class TraceRecord(NamedTuple):
     def to_line(self) -> str:
         return (
             f"{self.time:.6f},{self.sender},{self.receiver},{self.msg_id},"
-            f"{self.kind.value},{ROAD},{self.hops},{self.source.value}"
+            f"{self.kind._value_},{ROAD},{self.hops},{self.source._value_}"
         )
 
 

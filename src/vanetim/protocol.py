@@ -32,11 +32,13 @@ The TA's handler and the relay decision run on first receipts only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union,
+)
 
 from .domain import (
     ActionSource,
+    IdentityEnum,
     Message,
     MessageIdSource,
     MessageKind,
@@ -57,23 +59,20 @@ class ProtocolOrderError(RuntimeError):
 # outgoing actions
 
 
-@dataclass(frozen=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     message: Message
     at: float
     source: ActionSource
     downstream_only: bool = False
 
 
-@dataclass(frozen=True)
-class Wired:
+class Wired(NamedTuple):
     message: Message
     to: int  # slot of the receiving RSU or TA
     at: float
 
 
-@dataclass(frozen=True)
-class Arm:
+class Arm(NamedTuple):
     """Request a timer: at ``at`` the engine calls
     ``fn(state, *args, at, ids=ids)`` on the arming entity's state."""
 
@@ -99,7 +98,7 @@ SERVICE_TIME = 120.0       # official vehicle: arrival -> resolution
 # incident status and RSU rebroadcast rule table
 
 
-class IncidentStatus(Enum):
+class IncidentStatus(IdentityEnum):
     OPEN = "open"
     BEING_ATTENDED = "being-attended"
     RESOLVED = "resolved"
@@ -151,7 +150,7 @@ class RsuState:
     restricted: Optional[Message] = None
 
 
-class OfficialPhase(Enum):
+class OfficialPhase(IdentityEnum):
     ADDRESSING = "addressing"
     EN_ROUTE = "en-route"
     ON_SITE = "on-site"

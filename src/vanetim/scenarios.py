@@ -12,17 +12,16 @@ interleave freely, so ordering constraints compare first occurrences only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .domain import ActionSource, MessageKind, RoleKind, role_of_label
+from .domain import ActionSource, IdentityEnum, MessageKind, RoleKind, role_of_label
 
 
 REPORT_TIME = 550.0     # seconds: the reporter originates its report
 CLEAR_TIME = 850.0      # seconds: a scripted clearance runs
 
 
-class Clearance(Enum):
+class Clearance(IdentityEnum):
     """Who clears the road at ``CLEAR_TIME``."""
 
     COORDINATOR = "coordinator"  # the first RSU to hear the report
@@ -78,8 +77,7 @@ class ConformanceReport:
 
 
 def _matches(record, step: Step) -> bool:
-    if record.kind is not step.kind:
-        return False
+    """Whether a record of ``step.kind`` matches the step's other fields."""
     if step.from_role is not None and record.sender_class is not step.from_role:
         return False
     if step.source is not None and record.source is not step.source:
@@ -96,20 +94,24 @@ def check_conformance(trace, spec: SequenceSpec) -> ConformanceReport:
     """Validate a finished trace against a sequence spec.
 
     Violations are data, not errors: the report lists each constraint with
-    the first offending trace index where applicable.
+    the first offending trace index where applicable. One pass over the
+    trace tests each record against the steps of its own kind only, and
+    keeps nothing per record.
     """
-    firsts: Dict[str, Optional[int]] = {}
-    counts: Dict[str, int] = {}
-    for step in spec.steps:
-        first = None
-        n = 0
-        for i, record in enumerate(trace):
-            if _matches(record, step):
-                n += 1
-                if first is None:
-                    first = i
-        firsts[step.key] = first
-        counts[step.key] = n
+    steps = spec.steps
+    of_kind: Dict[MessageKind, List[int]] = {}  # step positions by kind
+    for n, step in enumerate(steps):
+        of_kind.setdefault(step.kind, []).append(n)
+    step_firsts: List[Optional[int]] = [None] * len(steps)
+    step_counts = [0] * len(steps)
+    for i, record in enumerate(trace):
+        for n in of_kind.get(record.kind, ()):
+            if _matches(record, steps[n]):
+                step_counts[n] += 1
+                if step_firsts[n] is None:
+                    step_firsts[n] = i
+    firsts = {step.key: first for step, first in zip(steps, step_firsts)}
+    counts = {step.key: count for step, count in zip(steps, step_counts)}
 
     results: List[StepResult] = []
     for step in spec.steps:

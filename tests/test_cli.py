@@ -277,6 +277,15 @@ class TestSweepAndReport:
         assert code == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
+    def test_repeated_density_is_config_error(self, tmp_path, capsys):
+        # run twice, 19 would write each detail row and summary line twice
+        # and read its stddev off four trials instead of two
+        code = main(["sweep", "--scenario", "accident", "--densities", "19,19",
+                     "--trials", "2", "--seed", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "densities: 19 is repeated" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_requires_densities(self, tmp_path):
         code = main(["sweep", "--scenario", "accident", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG

@@ -1,9 +1,12 @@
-import dataclasses
+import enum
+import importlib
+import pkgutil
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vanetim
 from vanetim.domain import (
     ClockInversionError,
     Message,
@@ -64,8 +67,13 @@ class TestMakeMessage:
             make_message(MessageKind.ACCIDENT, "V0", 0.0, ids=ids)
         with pytest.raises(ValueError):
             make_message(MessageKind.ACCIDENT, VEHICLE, -1.0, ids=ids)
+        # the constructor's own checks, by position and by keyword
         with pytest.raises(ValueError):
             Message("m1", MessageKind.ACCIDENT, 0.0, hops=-1)
+        with pytest.raises(ValueError):
+            Message("m1", MessageKind.ACCIDENT, -1.0)
+        with pytest.raises(ValueError):
+            Message(id="m1", kind=MessageKind.ACCIDENT, created_at=0.0, hops=-1)
 
 
 class TestAge:
@@ -105,8 +113,14 @@ class TestRelayedCopy:
 
     def test_message_is_immutable(self, ids):
         msg = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             msg.hops = 5
+
+    def test_copy_is_a_message(self, ids):
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
+        copy = relayed_copy(msg)
+        assert type(copy) is Message
+        assert copy == Message(msg.id, msg.kind, msg.created_at, hops=1)
 
     @given(n=st.integers(1, 50))
     def test_chain_of_relays_accumulates(self, n):
@@ -131,3 +145,24 @@ class TestMessageIdSource:
 
     def test_independent_sources_restart(self):
         assert MessageIdSource().next() == MessageIdSource().next()
+
+
+class TestEnums:
+    def test_every_member_hashes_by_identity(self):
+        # a new enum that forgets IdentityEnum would fall back to the
+        # Python-level Enum.__hash__ on every set or dict lookup
+        enums = set()
+        for info in pkgutil.walk_packages(vanetim.__path__, "vanetim."):
+            module = importlib.import_module(info.name)
+            enums.update(
+                value for value in vars(module).values()
+                if isinstance(value, type) and issubclass(value, enum.Enum)
+            )
+        assert {cls.__name__ for cls in enums} >= {
+            "RoleKind", "MessageKind", "Priority", "ActionSource",
+            "IncidentStatus", "OfficialPhase", "Clearance",
+        }
+        for cls in enums:
+            for member in cls:
+                assert type(member).__hash__ is object.__hash__, member
+                assert hash(member) == object.__hash__(member), member

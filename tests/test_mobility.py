@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import assume, given, settings
@@ -349,7 +350,7 @@ def gliding_rings(draw):
     """A spawned fleet at the target speed on clear road, with its route,
     ``dt``, spacing and positions on the 0.5 m grid; or the same with one
     flaw: a move off the grid, a route off it, spacings anywhere from a car
-    length and the standstill gap up, spacings at the cruising threshold a
+    length and the standstill gap up, spacings at the glide's threshold a
     few ulps either side, one position off the grid, one vehicle below the
     target speed, or a blockage. Returns the ring, the first step and the
     time to advance to."""
@@ -368,7 +369,7 @@ def gliding_rings(draw):
     n = draw(st.integers(0, 12))
     move = TARGET_SPEED * dt
     # from the front of a leader to the front of its follower
-    threshold = VEHICLE_LENGTH + STANDSTILL_GAP + move + 1.0
+    threshold = VEHICLE_LENGTH + STANDSTILL_GAP + move
     roomy = max(threshold, length / max(n, 1))
     least = math.ceil(2 * threshold)
     spacings = st.integers(least, max(least, math.floor(2 * roomy))).map(lambda h: h / 2)
@@ -431,8 +432,8 @@ def slower(ring):
 
 
 def close(ring):
-    # 8 m clear behind slot 4: one target-speed move and the standstill gap
-    # fit, the cruising margin does not
+    # 8 m clear behind slot 4: less than one target-speed move and the
+    # standstill gap, so the step caps the speed below the target
     states = ring[1]
     states[5] = (states[4][0] - VEHICLE_LENGTH - 8.0, TARGET_SPEED)
     return ring
@@ -512,6 +513,38 @@ class TestGlide:
         oracle_advance(oracle, until, dt)
         assert len(calls) == stepped.next_step == oracle.next_step
         assert bits(stepped) == bits(oracle)
+
+    def test_a_fleet_at_the_exact_cap_glides(self, monkeypatch):
+        # 13.0 m from front to front leaves 8.5 m clear: one move and the
+        # standstill gap, so the step's cap is exactly the target speed and
+        # the step takes the car-following arithmetic, moving each vehicle
+        # as a cruise would
+        cfg = MobilityConfig()
+        gap = VEHICLE_LENGTH + STANDSTILL_GAP + TARGET_SPEED * cfg.dt
+        assert gap == 13.0
+        ring = (cfg, [(3900.0 - gap * slot, TARGET_SPEED) for slot in range(19)], [])
+        glided, oracle = build_ring(*ring), build_ring(*ring)
+        calls = count_steps(monkeypatch)
+        glided.advance(300.0, cfg.dt)
+        assert calls == []
+        oracle_advance(oracle, 300.0, cfg.dt)
+        assert glided.next_step == 601
+        assert bits(glided) == bits(oracle)
+
+    def test_a_bare_warm_up_of_139_ends_on_the_two_loop_steps_bits(self, monkeypatch):
+        # the fleet of 139 glides with followers exactly 13 m behind their
+        # leaders, where the spawn-wrap overlap leaves them
+        glided, oracle = make_world(139), make_world(139)
+        calls = count_steps(monkeypatch)
+        glided.advance(550.0, DT)
+        oracle_advance(oracle, 550.0, DT)
+        assert glided.next_step == oracle.next_step == 1101
+        assert len(calls) < 1101 - 300
+        n = oracle.fleet_size
+        for attribute in ("positions", "speeds"):
+            assert struct.pack(f"{n}d", *getattr(glided, attribute)) == struct.pack(
+                f"{n}d", *getattr(oracle, attribute)
+            ), attribute
 
     def test_a_glide_onto_the_wrap_point_gives_plus_zero(self, monkeypatch):
         cfg = MobilityConfig()
@@ -712,9 +745,26 @@ class TestNeighbours:
         )
         found = world.neighbours_within(0, 300.0)
         assert found == [1, 2, world.rsus[0][0]]
-        # only the centre's point: the RSU at 0 is in the sure arc, the rest
-        # lie beyond the window
-        assert calls == [10.0]
+        # no point at all: the RSU at 0 is in the sure arc, the rest lie
+        # beyond the window, so no entity needs the centre's point either
+        assert calls == []
+
+    def test_band_entity_needs_its_point_and_the_centres(self, monkeypatch):
+        world = make_world(3)
+        spawn_all(world)
+        sure = world.chord_for_radius(299.0)
+        edge = world.chord_for_radius(300.0)
+        band = 10.0 + (sure + edge) / 2
+        # one vehicle in the band between the sure arc and the range's arc
+        place(world, [10.0, band, 10.0 - sure])
+        calls = []
+        point_of_arc = world.point_of_arc
+        monkeypatch.setattr(
+            world, "point_of_arc", lambda arc: calls.append(arc) or point_of_arc(arc)
+        )
+        found = world.neighbours_within(0, 300.0)
+        assert found == [1, 2, world.rsus[0][0]]
+        assert calls == [10.0, band]
 
 
 class TestDownstream:
