@@ -15,7 +15,7 @@ Usage: python scripts/trace_digests.py > digests.txt
 import hashlib
 import sys
 
-from vanetim.netsim import Engine, NetConfig, TrialSetup
+from vanetim.netsim import Engine, TrialSetup
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import SCENARIOS, build_scenario
 
@@ -43,7 +43,7 @@ def main() -> int:
             policy=POLICIES[policy],
             vehicles=vehicles,
             police=max(police, script.min_police),
-            net=NetConfig(loss=loss),
+            loss=loss,
         )
         for seed in SEEDS:
             trace, _ = Engine(setup, seed).run()

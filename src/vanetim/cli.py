@@ -14,8 +14,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .metrics import SweepResult, SweepRow, export_csv, parse_csv
-from .mobility import MobilityConfig
-from .netsim import Engine, NetConfig, TrialSetup, road_for, write_trace
+from .netsim import Engine, TrialSetup, road_for, write_trace
 from .relay import FRESH60, HOP4, Freshness, HopLimit, RelayPolicy
 from .scenarios import build_scenario, check_conformance, spec_for
 
@@ -38,7 +37,6 @@ class RunConfig:
     seed: int = 1
     trials: int = 5
     duration: float = 1500.0
-    warmup: float = 500.0
     loss: float = 0.0
     include_wired: bool = True
     out_dir: str = "out"
@@ -129,9 +127,10 @@ def make_setup(config: RunConfig, *, policy: Optional[str] = None,
         vehicles=vehicles if vehicles is not None else config.vehicles,
         police=max(config.police, script.min_police),
         duration=config.duration,
-        warmup=config.warmup,
-        net=NetConfig(loss=config.loss, relay_hold=config.relay_hold),
-        mobility=MobilityConfig(route_length=config.route_length, dt=config.dt),
+        loss=config.loss,
+        relay_hold=config.relay_hold,
+        route_length=config.route_length,
+        dt=config.dt,
     )
 
 
@@ -185,6 +184,7 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
 def run_sweep(config: RunConfig, policies: Sequence[str] = ("hop4", "fresh60")) -> SweepResult:
     """Run both policies across all densities; library form of cmd_sweep.
     Every trial of a density reads one road (see ``road_for``)."""
+    config.validate()
     sweep = SweepResult()
     for vehicles in config.densities:
         road = road_for(make_setup(config, vehicles=vehicles))
@@ -271,17 +271,14 @@ def cmd_report(csv_path: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The flags both ``run`` and ``sweep`` read; each adds its own."""
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--scenario")
-    parser.add_argument("--policy")
-    parser.add_argument("--vehicles", type=int)
     parser.add_argument("--police", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--duration", type=float)
-    parser.add_argument("--warmup", type=float)
     parser.add_argument("--loss", type=float)
-    parser.add_argument("--densities", help="comma-separated vehicle counts")
     parser.add_argument("--out-dir", dest="out_dir")
     parser.add_argument(
         "--include-wired", dest="include_wired", action="store_true", default=None
@@ -318,8 +315,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     run_parser = sub.add_parser("run", help="run one scenario for N seeded trials")
     _add_common(run_parser)
+    run_parser.add_argument("--policy")
+    run_parser.add_argument("--vehicles", type=int)
     sweep_parser = sub.add_parser("sweep", help="sweep both policies over densities")
     _add_common(sweep_parser)
+    sweep_parser.add_argument("--densities", help="comma-separated vehicle counts")
     report_parser = sub.add_parser("report", help="summarise a sweep CSV")
     report_parser.add_argument("csv", help="path to a sweep CSV")
 

@@ -71,7 +71,6 @@ from __future__ import annotations
 import math
 from array import array
 from copy import copy
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 #: metres of slack between the neighbour query's arcs and the radio range,
@@ -90,12 +89,6 @@ VEHICLE_LENGTH = 4.5    # metres
 ENTRY_HEADWAY = 2.0     # seconds between two spawns at the entry point
 RSU_COUNT = 10          # RSUs, equally spaced round the loop
 QUEUE_LOOKAHEAD = 50.0  # metres downstream that queue detection looks
-
-
-@dataclass(frozen=True)
-class MobilityConfig:
-    route_length: float = 4000.0
-    dt: float = 0.5
 
 
 class CircularWorld:
@@ -411,11 +404,7 @@ class RoadLog:
         self.blockages: List[List[float]] = []
         self._frontier = warm.copy()
 
-    def cursor(self, dt: float) -> RoadCursor:
-        if dt != self.dt:
-            raise ValueError(
-                f"a road recorded at dt {self.dt} s cannot be read at {dt} s"
-            )
+    def cursor(self) -> RoadCursor:
         return RoadCursor(self)
 
     def extend(self, until: float, blockages: List[float]) -> None:

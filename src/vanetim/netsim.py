@@ -88,7 +88,6 @@ from .mobility import (
     STANDSTILL_GAP,
     VEHICLE_LENGTH,
     CircularWorld,
-    MobilityConfig,
     RoadLog,
 )
 from .protocol import (
@@ -114,12 +113,9 @@ HOP_LATENCY = 0.01      # seconds from a radio send to its delivery
 WIRED_LATENCY = 0.005   # seconds from a wired send to its delivery
 RELAY_JITTER = 0.2      # +/- fraction applied to the relay hold
 OFFICIAL_HOLD = 0.5     # hold for high-priority messages
-
-
-@dataclass(frozen=True)
-class NetConfig:
-    loss: float = 0.0
-    relay_hold: float = 35.0       # store-carry-forward hold before relaying
+#: seconds before the report (at ``REPORT_TIME``, 550 s) by which every
+#: scheduled entry is due; every run outlasts it
+WARMUP = 500.0
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,10 @@ class TrialSetup:
     vehicles: int
     police: int = 0
     duration: float = 1500.0
-    warmup: float = 500.0
-    net: NetConfig = NetConfig()
-    mobility: MobilityConfig = MobilityConfig()
+    loss: float = 0.0
+    relay_hold: float = 35.0       # store-carry-forward hold before relaying
+    route_length: float = 4000.0
+    dt: float = 0.5
 
     def fleet(self) -> List[str]:
         """The vehicle labels in spawn order, which is slot order: the
@@ -148,17 +145,17 @@ class TrialSetup:
             raise ValueError("vehicle count must not be negative")
         if self.police < 0:
             raise ValueError("police count must not be negative")
-        if not (math.isfinite(self.duration) and math.isfinite(self.warmup)):
-            raise ValueError("duration and warm-up must be finite")
-        if self.warmup >= self.duration:
-            raise ValueError("warm-up must end before the run does")
-        mob = self.mobility
-        for name, value in (("step dt", mob.dt), ("route length", mob.route_length)):
+        # a non-finite duration slips past every comparison
+        if not (math.isfinite(self.duration) and self.duration > WARMUP):
+            raise ValueError(
+                f"duration must be finite and outlast the {WARMUP} s warm-up"
+            )
+        for name, value in (("step dt", self.dt), ("route length", self.route_length)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
-        if not (math.isfinite(self.net.relay_hold) and self.net.relay_hold >= 0):
+        if not (math.isfinite(self.relay_hold) and self.relay_hold >= 0):
             raise ValueError("relay hold must be finite and not negative")
-        if not 0.0 <= self.net.loss < 1.0:  # NaN fails too
+        if not 0.0 <= self.loss < 1.0:  # NaN fails too
             raise ValueError("loss must be in [0, 1)")
         script = self.script
         if self.police < script.min_police:
@@ -180,22 +177,17 @@ class TrialSetup:
                     f"scenario {name} {label} names no entity in a fleet of "
                     f"{self.vehicles} vehicles and {self.police} police"
                 )
-        if REPORT_TIME < self.warmup:
-            raise ValueError(
-                f"the incident report at {REPORT_TIME} s must not fall inside "
-                "the warm-up"
-            )
         fleet = len(labels)
         footprint = VEHICLE_LENGTH + STANDSTILL_GAP
-        if fleet * footprint > mob.route_length:
+        if fleet * footprint > self.route_length:
             raise ValueError(
                 f"{fleet} vehicles of {footprint} m each do not fit on a "
-                f"{mob.route_length} m route"
+                f"{self.route_length} m route"
             )
-        if (fleet - 1) * ENTRY_HEADWAY >= self.warmup:
+        if (fleet - 1) * ENTRY_HEADWAY >= WARMUP:
             raise ValueError(
                 f"{fleet} vehicles at a {ENTRY_HEADWAY} s entry headway cannot all "
-                f"spawn before the {self.warmup} s warm-up ends"
+                f"spawn before the {WARMUP} s warm-up ends"
             )
         return labels
 
@@ -268,23 +260,24 @@ class Engine:
         self.now = 0.0
         self._queue: List[tuple] = []
         self._seq = 0
-        self._steps = int(setup.duration / setup.mobility.dt)
+        self._steps = int(setup.duration / setup.dt)
         self.coordinator: Optional[int] = None  # slot of the coordinating RSU
         self._report_id: Optional[str] = None
 
         script = setup.script
         fleet = len(labels)
-        route_length = setup.mobility.route_length
+        route_length, dt = setup.route_length, setup.dt
         if road is None:
             self.world = CircularWorld(route_length, fleet)
-        elif (road.warm.route_length, road.warm.fleet_size) != (route_length, fleet):
-            raise ValueError(
-                f"a world of {road.warm.fleet_size} vehicles on a "
-                f"{road.warm.route_length} m route cannot host {fleet} vehicles "
-                f"on a {route_length} m route"
-            )
         else:
-            self.world = road.cursor(setup.mobility.dt)
+            warm = road.warm
+            if (warm.route_length, warm.fleet_size, road.dt) != (route_length, fleet, dt):
+                raise ValueError(
+                    f"a road of {warm.fleet_size} vehicles on a {warm.route_length} m "
+                    f"route at dt {road.dt} s cannot host {fleet} vehicles on a "
+                    f"{route_length} m route at dt {dt} s"
+                )
+            self.world = road.cursor()
 
         n_rsus = len(self.world.rsus)
         labels += [label_of(RoleKind.RSU, i) for i in range(n_rsus)] + ["TA"]
@@ -354,11 +347,6 @@ class Engine:
         """Transmit once; one event delivers the copy to every in-range
         receiver, in receiver order. Returns each delivery's time and slot."""
         self._record(msg, sender, "*", source)
-        # a radio hop is counted at delivery: the receivers' copy carries
-        # one more hop than the sender's, so a hop-limit policy cuts off
-        # after exactly max_hops transmissions from the origin; messages are
-        # immutable, so every receiver shares the one copy
-        copy = relayed_copy(msg)
         receivers = self.world.neighbours_within(sender, RADIO_RANGE)
         if downstream_only:
             kinds, world = self._kinds, self.world
@@ -367,13 +355,17 @@ class Engine:
                 if kinds[receiver] is not RoleKind.RSU
                 and world.downstream_of(sender, receiver)
             ]
-        loss = self.setup.net.loss
+        loss = self.setup.loss
         if loss > 0:
             rng = self.rng
             receivers = [receiver for receiver in receivers if not rng.random() < loss]
         at = now + HOP_LATENCY
         if receivers:
-            self._schedule(at, self._deliver, copy, receivers, sender)
+            # a radio hop is counted at delivery: the receivers' copy carries
+            # one more hop than the sender's, so a hop-limit policy cuts off
+            # after exactly max_hops transmissions from the origin; messages
+            # are immutable, so every receiver shares the one copy
+            self._schedule(at, self._deliver, relayed_copy(msg), receivers, sender)
         return [(at, receiver) for receiver in receivers]
 
     def wired_send(self, msg: Message, sender: int, to: int, now: float) -> None:
@@ -387,7 +379,7 @@ class Engine:
         if msg.priority is Priority.OFFICIAL:
             return OFFICIAL_HOLD
         jitter = self.rng.uniform(1 - RELAY_JITTER, 1 + RELAY_JITTER)
-        return self.setup.net.relay_hold * jitter
+        return self.setup.relay_hold * jitter
 
     # -- action execution --------------------------------------------------
 
@@ -504,7 +496,7 @@ class Engine:
             self._schedule(CLEAR_TIME, self._reporter_clear)
         # an official vehicle or the TA resolves the rest when events say so
 
-        dt = setup.mobility.dt
+        dt = setup.dt
         first = self._queue[0][0]
         world = self.world
         last = (world.next_step - 1) * dt
@@ -530,9 +522,8 @@ def warm_world(setup: TrialSetup) -> CircularWorld:
     """The road as every trial of ``setup`` finds it at ``REPORT_TIME``: a
     trial runs nothing but mobility steps before the report, so this road
     depends only on the route length, the fleet size and ``dt``."""
-    mobility = setup.mobility
-    world = CircularWorld(mobility.route_length, len(setup.validate()))
-    world.advance(REPORT_TIME, mobility.dt)
+    world = CircularWorld(setup.route_length, len(setup.validate()))
+    world.advance(REPORT_TIME, setup.dt)
     return world
 
 
@@ -540,4 +531,4 @@ def road_for(setup: TrialSetup) -> RoadLog:
     """The road the trials of ``setup``'s density read: a :class:`RoadLog`
     of its :func:`warm_world`, so that each step after the report is taken
     once while their blockage histories agree."""
-    return RoadLog(warm_world(setup), setup.mobility.dt)
+    return RoadLog(warm_world(setup), setup.dt)

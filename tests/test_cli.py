@@ -27,7 +27,6 @@ class TestRunConfig:
             seed=7,
             trials=3,
             duration=1200.0,
-            warmup=450.0,
             loss=0.1,
             include_wired=False,
             out_dir="results",
@@ -75,7 +74,7 @@ class TestRunConfig:
         # the warm-up and loss bounds are model bounds, checked with the
         # trial set-up
         with pytest.raises(ValueError, match="warm-up"):
-            make_setup(RunConfig(warmup=2000.0)).validate()
+            make_setup(RunConfig(duration=400.0)).validate()
         with pytest.raises(ValueError, match="loss"):
             make_setup(RunConfig(loss=1.0)).validate()
         with pytest.raises(ConfigError):
@@ -182,7 +181,6 @@ class TestRunCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--duration", "nan"),
         ("--duration", "inf"),
-        ("--warmup", "nan"),
         ("--policy", "age=nan"),
     ])
     def test_non_finite_input_is_config_error(self, tmp_path, flag, value):
@@ -190,7 +188,8 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
 
     def test_warmup_past_duration_is_config_error(self, tmp_path):
-        code = main(["run", "--warmup", "2000", "--trials", "1",
+        # the run ends inside the 500 s warm-up
+        code = main(["run", "--duration", "400", "--trials", "1",
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
@@ -284,6 +283,24 @@ class TestSweepAndReport:
                      "--trials", "2", "--seed", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "densities: 19 is repeated" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_sweep_rejects_a_repeated_density(self):
+        # the library path validates as `vanetim sweep` does, before any trial
+        config = RunConfig(scenario="diversion", densities=(19, 19), trials=1)
+        with pytest.raises(ConfigError, match="densities: 19 is repeated"):
+            run_sweep(config)
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--trials", "1", "--warmup", "500"],
+        ["sweep", "--densities", "19", "--trials", "1", "--policy", "hop4"],
+        ["sweep", "--densities", "19", "--trials", "1", "--vehicles", "50"],
+        ["run", "--trials", "1", "--densities", "19"],
+    ], ids=["run-warmup", "sweep-policy", "sweep-vehicles", "run-densities"])
+    def test_a_flag_the_command_does_not_read_is_rejected(self, tmp_path, args):
+        with pytest.raises(SystemExit) as exit_:
+            main(args + ["--out-dir", str(tmp_path)])
+        assert exit_.value.code == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_requires_densities(self, tmp_path):

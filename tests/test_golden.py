@@ -28,7 +28,6 @@ import hashlib
 import pytest
 
 from conftest import run_cell
-from vanetim.netsim import NetConfig
 
 GOLDEN = [
     # (scenario, policy, vehicles, police, seed, sha1 of the trace file)
@@ -82,6 +81,6 @@ def test_trace_digest_unchanged(scenario, policy, vehicles, police, seed, expect
 )
 def test_lossy_trace_digest_unchanged(scenario, policy, vehicles, seed, loss, expected):
     ((_, trace, _),) = run_cell(
-        scenario, policy, vehicles, (seed,), net=NetConfig(loss=loss)
+        scenario, policy, vehicles, (seed,), loss=loss
     )
     assert _digest(trace) == expected

@@ -13,15 +13,16 @@ from vanetim.mobility import (
     TARGET_SPEED,
     VEHICLE_LENGTH,
     CircularWorld,
-    MobilityConfig,
 )
 from vanetim.protocol import SpeedHistory, detect_jam
 
-DT = MobilityConfig().dt
+#: the default road: ``TrialSetup``'s route length and step
+ROUTE_LENGTH = 4000.0
+DT = 0.5
 
 
 def make_world(fleet=1):
-    return CircularWorld(MobilityConfig().route_length, fleet)
+    return CircularWorld(ROUTE_LENGTH, fleet)
 
 
 def spawn_all(world, until=500.0):
@@ -153,11 +154,10 @@ def rings(draw):
     n = draw(st.integers(1, 40))
     footprint = VEHICLE_LENGTH + STANDSTILL_GAP
     length = draw(st.one_of(
-        st.just(MobilityConfig().route_length),
+        st.just(ROUTE_LENGTH),
         # from a ring the fleet exactly fills to half as much again
         st.floats(1.0, 1.5).map(lambda slack: n * footprint * slack),
     ))
-    cfg = MobilityConfig(route_length=length, dt=dt)
     arcs = arcs_on(length, TARGET_SPEED * dt)
     edge = TARGET_SPEED - ACCEL * dt
     speed = st.one_of(
@@ -166,7 +166,7 @@ def rings(draw):
     )
     states = draw(st.lists(st.tuples(arcs, speed), min_size=n, max_size=n))
     blockages = draw(st.lists(arcs, max_size=3))
-    return cfg, states, blockages
+    return length, dt, states, blockages
 
 
 def nudge(arc, steps):
@@ -184,7 +184,7 @@ def cruising_rings(draw):
     target) and the cruising threshold a margin beyond, or between them."""
     dt = draw(st.one_of(st.sampled_from([0.5, 0.25, 1.0]), st.floats(0.05, 1.0)))
     length = draw(st.one_of(
-        st.just(MobilityConfig().route_length), st.floats(200.0, 4000.0)
+        st.just(ROUTE_LENGTH), st.floats(200.0, 4000.0)
     ))
     move = TARGET_SPEED * dt
     points = [STANDSTILL_GAP, STANDSTILL_GAP + move, STANDSTILL_GAP + move + 1.0]
@@ -207,12 +207,13 @@ def cruising_rings(draw):
             arc -= length
         blockages.append(nudge(arc, draw(ulps)))
     assume(all(0.0 <= arc < length for arc in arcs + blockages))
-    cfg = MobilityConfig(route_length=length, dt=dt)
-    return cfg, [(arc, TARGET_SPEED) for arc in arcs], blockages
+    return length, dt, [(arc, TARGET_SPEED) for arc in arcs], blockages
 
 
-def build_ring(cfg, states, blockages):
-    world = CircularWorld(cfg.route_length, len(states))
+def build_ring(ring):
+    """The world of a ``(route length, dt, states, blockages)`` ring."""
+    length, _, states, blockages = ring
+    world = CircularWorld(length, len(states))
     for arc, speed in states:
         world.positions.append(arc)
         world.speeds.append(speed)
@@ -226,11 +227,11 @@ def bits(world):
 
 
 def assert_steps_like_the_oracle(ring, steps):
-    cfg = ring[0]
-    fused, oracle = build_ring(*ring), build_ring(*ring)
+    dt = ring[1]
+    fused, oracle = build_ring(ring), build_ring(ring)
     for _ in range(steps):
-        fused.step(cfg.dt)
-        oracle_step(oracle, cfg.dt)
+        fused.step(dt)
+        oracle_step(oracle, dt)
         assert bits(fused) == bits(oracle)
     return fused
 
@@ -271,29 +272,26 @@ class TestStepExactness:
         assert exact > 0, "no follower cruised exactly 13 m behind its leader"
 
     def test_edge_speed_reaches_target_exactly(self):
-        cfg = MobilityConfig()
-        edge = TARGET_SPEED - ACCEL * cfg.dt
-        assert edge + ACCEL * cfg.dt == TARGET_SPEED
-        world = build_ring(cfg, [(0.0, edge)], [])
-        world.step(cfg.dt)
+        edge = TARGET_SPEED - ACCEL * DT
+        assert edge + ACCEL * DT == TARGET_SPEED
+        world = build_ring((ROUTE_LENGTH, DT, [(0.0, edge)], []))
+        world.step(DT)
         assert world.speeds[0] == TARGET_SPEED
 
     def test_move_onto_the_wrap_point_gives_plus_zero(self):
-        cfg = MobilityConfig()
-        start = cfg.route_length - TARGET_SPEED * cfg.dt
-        assert start + TARGET_SPEED * cfg.dt == cfg.route_length
-        world = build_ring(cfg, [(start, TARGET_SPEED)], [])
-        world.step(cfg.dt)
+        start = ROUTE_LENGTH - TARGET_SPEED * DT
+        assert start + TARGET_SPEED * DT == ROUTE_LENGTH
+        world = build_ring((ROUTE_LENGTH, DT, [(start, TARGET_SPEED)], []))
+        world.step(DT)
         # +0.0, as (start + move) % route_length gives, never -0.0 or 4000.0
         assert world.positions[0].hex() == "0x0.0p+0"
 
     def test_leader_across_the_wrap_point_caps_the_follower(self):
         # slot 1 follows slot 0, which sits 9 m ahead, past the wrap point
-        cfg = MobilityConfig()
-        ring = (cfg, [(1.0, 0.0), (3992.0, TARGET_SPEED)], [])
+        ring = (ROUTE_LENGTH, DT, [(1.0, 0.0), (3992.0, TARGET_SPEED)], [])
         fused = assert_steps_like_the_oracle(ring, 1)
         # (9 m - car length - standstill gap) / dt
-        assert fused.speeds[1] == (9.0 - VEHICLE_LENGTH - STANDSTILL_GAP) / cfg.dt
+        assert fused.speeds[1] == (9.0 - VEHICLE_LENGTH - STANDSTILL_GAP) / DT
 
 
 class TestAdvance:
@@ -362,7 +360,7 @@ def gliding_rings(draw):
     if flaw == "dt":
         dt = draw(st.one_of(st.just(0.1), st.floats(0.05, 1.0)))
     length = draw(st.one_of(
-        st.just(MobilityConfig().route_length), st.integers(100, 4000).map(float)
+        st.just(ROUTE_LENGTH), st.integers(100, 4000).map(float)
     ))
     if flaw == "length":
         length = draw(st.floats(100.0, 4000.0))
@@ -397,11 +395,10 @@ def gliding_rings(draw):
     elif flaw == "blockage":
         blockages.append(draw(st.floats(0.0, length, exclude_max=True)))
     assume(all(0.0 <= arc < length for arc in arcs))
-    cfg = MobilityConfig(route_length=length, dt=dt)
     first = draw(st.integers(0, 2000))
     due = draw(st.one_of(st.integers(0, 3), st.integers(0, 3000)))
     until = (first + due) * dt - draw(st.floats(0.0, dt, exclude_max=True))
-    return (cfg, list(zip(arcs, speeds)), blockages), first, until
+    return (length, dt, list(zip(arcs, speeds)), blockages), first, until
 
 
 def count_steps(monkeypatch):
@@ -420,33 +417,33 @@ def count_steps(monkeypatch):
 # changes to TestGlide.fleet, each of which stops its glide
 
 def off_grid(ring):
-    states = ring[1]
+    states = ring[2]
     states[5] = (math.nextafter(states[5][0], 0.0), TARGET_SPEED)
     return ring
 
 
 def slower(ring):
-    cfg, states, _ = ring
-    states[5] = (states[5][0], TARGET_SPEED - ACCEL * cfg.dt)
+    _, dt, states, _ = ring
+    states[5] = (states[5][0], TARGET_SPEED - ACCEL * dt)
     return ring
 
 
 def close(ring):
     # 8 m clear behind slot 4: less than one target-speed move and the
     # standstill gap, so the step caps the speed below the target
-    states = ring[1]
+    states = ring[2]
     states[5] = (states[4][0] - VEHICLE_LENGTH - 8.0, TARGET_SPEED)
     return ring
 
 
 def tailgating(ring):
-    states = ring[1]
+    states = ring[2]
     states[5] = (states[4][0] - VEHICLE_LENGTH - 3.0, TARGET_SPEED)
     return ring
 
 
 def blocked(ring):
-    ring[2].append(100.0)
+    ring[3].append(100.0)
     return ring
 
 
@@ -455,8 +452,8 @@ class TestGlide:
     @given(case=gliding_rings())
     def test_advance_equals_stepping_one_step_at_a_time(self, case):
         ring, first, until = case
-        dt = ring[0].dt
-        glided, oracle = build_ring(*ring), build_ring(*ring)
+        dt = ring[1]
+        glided, oracle = build_ring(ring), build_ring(ring)
         for world in (glided, oracle):
             world.next_step = first
         glided.advance(until, dt)
@@ -479,12 +476,12 @@ class TestGlide:
     @staticmethod
     def fleet(dt=DT):
         """19 vehicles 200 m apart at the target speed: a gliding fleet."""
-        cfg = MobilityConfig(dt=dt)
-        return cfg, [(3900.0 - 200.0 * slot, TARGET_SPEED) for slot in range(19)], []
+        states = [(3900.0 - 200.0 * slot, TARGET_SPEED) for slot in range(19)]
+        return ROUTE_LENGTH, dt, states, []
 
     def test_the_fleet_glides(self, monkeypatch):
         ring = self.fleet()
-        glided, oracle = build_ring(*ring), build_ring(*ring)
+        glided, oracle = build_ring(ring), build_ring(ring)
         calls = count_steps(monkeypatch)
         glided.advance(300.0, DT)
         assert calls == []
@@ -507,7 +504,7 @@ class TestGlide:
         self, monkeypatch, change, dt, until
     ):
         ring = change(self.fleet(dt))
-        stepped, oracle = build_ring(*ring), build_ring(*ring)
+        stepped, oracle = build_ring(ring), build_ring(ring)
         calls = count_steps(monkeypatch)
         stepped.advance(until, dt)
         oracle_advance(oracle, until, dt)
@@ -519,15 +516,15 @@ class TestGlide:
         # standstill gap, so the step's cap is exactly the target speed and
         # the step takes the car-following arithmetic, moving each vehicle
         # as a cruise would
-        cfg = MobilityConfig()
-        gap = VEHICLE_LENGTH + STANDSTILL_GAP + TARGET_SPEED * cfg.dt
+        gap = VEHICLE_LENGTH + STANDSTILL_GAP + TARGET_SPEED * DT
         assert gap == 13.0
-        ring = (cfg, [(3900.0 - gap * slot, TARGET_SPEED) for slot in range(19)], [])
-        glided, oracle = build_ring(*ring), build_ring(*ring)
+        states = [(3900.0 - gap * slot, TARGET_SPEED) for slot in range(19)]
+        ring = (ROUTE_LENGTH, DT, states, [])
+        glided, oracle = build_ring(ring), build_ring(ring)
         calls = count_steps(monkeypatch)
-        glided.advance(300.0, cfg.dt)
+        glided.advance(300.0, DT)
         assert calls == []
-        oracle_advance(oracle, 300.0, cfg.dt)
+        oracle_advance(oracle, 300.0, DT)
         assert glided.next_step == 601
         assert bits(glided) == bits(oracle)
 
@@ -547,11 +544,10 @@ class TestGlide:
             ), attribute
 
     def test_a_glide_onto_the_wrap_point_gives_plus_zero(self, monkeypatch):
-        cfg = MobilityConfig()
-        start = cfg.route_length - 2 * TARGET_SPEED * cfg.dt
-        world = build_ring(cfg, [(start, TARGET_SPEED)], [])
+        start = ROUTE_LENGTH - 2 * TARGET_SPEED * DT
+        world = build_ring((ROUTE_LENGTH, DT, [(start, TARGET_SPEED)], []))
         calls = count_steps(monkeypatch)
-        world.advance(cfg.dt, cfg.dt)
+        world.advance(DT, DT)
         assert calls == [] and world.next_step == 2
         # +0.0, as two steps give, never route_length
         assert world.positions[0].hex() == "0x0.0p+0"
@@ -577,7 +573,7 @@ class TestInjectFlow:
     @given(data=st.data())
     def test_entry_check_matches_a_scan_of_every_vehicle(self, data):
         length = data.draw(st.one_of(
-            st.just(MobilityConfig().route_length), st.floats(20.0, 4000.0)
+            st.just(ROUTE_LENGTH), st.floats(20.0, 4000.0)
         ))
         required = VEHICLE_LENGTH + STANDSTILL_GAP
         arcs = st.one_of(

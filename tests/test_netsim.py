@@ -17,10 +17,9 @@ from vanetim.domain import (
     role_of_label,
 )
 from vanetim.cli import RunConfig, run_sweep
-from vanetim.mobility import CircularWorld, MobilityConfig
+from vanetim.mobility import CircularWorld
 from vanetim.netsim import (
     Engine,
-    NetConfig,
     TraceRecord,
     TrialSetup,
     parse_trace,
@@ -37,8 +36,7 @@ RSU = RoleKind.RSU
 TA = RoleKind.TA
 
 
-def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0,
-                mobility=MobilityConfig(), **net_kwargs):
+def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0, **setup_kwargs):
     """An engine whose fleet is spawned and repositionable by hand; V0 is
     slot 0 and any police follow it."""
     script = build_scenario(scenario, reporter="V0", reporter_index=0)
@@ -47,8 +45,7 @@ def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0,
         policy=HOP4,
         vehicles=vehicles,
         police=police,
-        net=NetConfig(**net_kwargs),
-        mobility=mobility,
+        **setup_kwargs,
     )
     engine = Engine(setup, seed)
     t = 0.0
@@ -109,11 +106,33 @@ class TestBroadcast:
         assert engine.metrics.total == 1  # counted per send, not per receipt
 
     def test_zero_neighbours_still_one_transmission(self):
-        engine = tiny_engine(1, mobility=MobilityConfig(route_length=40000.0))
+        engine = tiny_engine(1, route_length=40000.0)
         place(engine, [2000.0])  # midway between RSU0 and RSU1, 4000 m apart
         sender = 0
         msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
         assert engine.broadcast(msg, sender, 10.0) == []
+        assert engine.metrics.total == 1
+
+    @pytest.mark.parametrize("arcs, loss, copies", [
+        ([2000.0, 2200.0], 0.0, 1),   # V1 in range, midway between two RSUs
+        ([2000.0, 2700.0], 0.0, 0),   # no one in range
+        ([2000.0, 2200.0], 0.99, 0),  # V1 in range, its copy lost at seed 1
+    ], ids=["receiver", "out-of-range", "lost"])
+    def test_a_broadcast_with_no_receiver_makes_no_copy(
+        self, monkeypatch, arcs, loss, copies
+    ):
+        made = []
+
+        def counting_copy(msg):
+            made.append(msg.id)
+            return relayed_copy(msg)
+
+        monkeypatch.setattr(netsim, "relayed_copy", counting_copy)
+        engine = tiny_engine(2, route_length=40000.0, loss=loss)
+        place(engine, arcs)
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
+        assert len(engine.broadcast(msg, 0, 10.0)) == copies
+        assert len(made) == copies
         assert engine.metrics.total == 1
 
     def test_lossless_delivery_set_matches_adjacency(self):
@@ -185,18 +204,15 @@ class TestWired:
 
 class TestTrialSetupValidation:
     def test_warmup_must_precede_duration(self):
-        nan, inf = float("nan"), float("inf")
-        # a non-finite duration or warm-up slips past every comparison
-        for duration, warmup in ((400.0, 500.0), (nan, 500.0), (inf, 500.0),
-                                 (1500.0, nan)):
+        # a non-finite duration slips past every comparison
+        for duration in (400.0, netsim.WARMUP, float("nan"), float("inf")):
             setup = TrialSetup(
                 script=build_scenario("accident"),
                 policy=HOP4,
                 vehicles=19,
                 duration=duration,
-                warmup=warmup,
             )
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="warm-up"):
                 setup.validate()
 
     def test_reporter_must_exist(self):
@@ -235,14 +251,6 @@ class TestTrialSetupValidation:
         with pytest.raises(ValueError, match="police"):
             setup.validate()
 
-    def test_report_inside_warmup_rejected(self):
-        # the report is due at 550 s
-        setup = TrialSetup(
-            script=build_scenario("accident"), policy=HOP4, vehicles=19, warmup=600.0
-        )
-        with pytest.raises(ValueError, match="warm-up"):
-            setup.validate()
-
     @pytest.mark.parametrize("loss", [1.5, float("nan"), -0.2])
     def test_loss_must_lie_in_the_unit_interval(self, loss):
         # otherwise 1.5 drops every copy and NaN or -0.2 runs lossless
@@ -250,7 +258,7 @@ class TestTrialSetupValidation:
             script=build_scenario("accident"),
             policy=HOP4,
             vehicles=19,
-            net=NetConfig(loss=loss),
+            loss=loss,
         )
         with pytest.raises(ValueError, match="loss"):
             setup.validate()
@@ -262,7 +270,7 @@ class TestTrialSetupValidation:
                 script=build_scenario("accident"),
                 policy=HOP4,
                 vehicles=vehicles,
-                mobility=MobilityConfig(route_length=130.0),
+                route_length=130.0,
             )
 
         setup(20).validate()
@@ -304,7 +312,7 @@ class TestRunProperties:
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
         trace, _ = Engine(setup, 3).run()
         assert trace  # the incident does produce traffic
-        assert min(record.time for record in trace) >= setup.warmup
+        assert min(record.time for record in trace) >= netsim.WARMUP
 
     def test_official_exchange_causal_order(self):
         setup = TrialSetup(
@@ -357,7 +365,7 @@ class AlwaysStepEngine(CountingEngine):
             self._schedule(netsim.CLEAR_TIME, self._coordinator_clear)
         elif clearance is Clearance.REPORTER:
             self._schedule(netsim.CLEAR_TIME, self._reporter_clear)
-        dt = setup.mobility.dt
+        dt = setup.dt
         for i in range(self._steps + 1):
             heapq.heappush(self._queue, (i * dt, -i, self._step, ()))
         while self._queue:
@@ -372,7 +380,7 @@ class AlwaysStepEngine(CountingEngine):
         world = self.world
         if world.spawned_count < world.fleet_size:
             world.inject_flow(self.now)
-        world.step(self.setup.mobility.dt)
+        world.step(self.setup.dt)
 
 
 def lines(trace):
@@ -433,7 +441,7 @@ class TestStopRule:
         engine = LastEventEngine(setup, 1)
         engine.run()
         assert 0 < engine.last_at < setup.duration
-        expected = min(int(engine.last_at / setup.mobility.dt), engine._steps) + 1
+        expected = min(int(engine.last_at / setup.dt), engine._steps) + 1
         assert engine.steps_taken == expected
 
     def test_an_event_after_the_end_adds_no_step(self):
@@ -441,7 +449,7 @@ class TestStopRule:
         plain = CountingEngine(setup, 1)
         plain.run()
         engine = CountingEngine(setup, 1)
-        engine._schedule(setup.duration + setup.mobility.dt, lambda: None)
+        engine._schedule(setup.duration + setup.dt, lambda: None)
         engine.run()
         # and the plain trial stops well before the end
         assert engine.steps_taken == plain.steps_taken < 3001
@@ -511,7 +519,7 @@ class TestSharedWorld:
     def test_shared_traces_equal_unshared(self, scenario, policy, vehicles, police, loss):
         setup = TrialSetup(
             script=build_scenario(scenario), policy=POLICIES[policy],
-            vehicles=vehicles, police=police, net=NetConfig(loss=loss),
+            vehicles=vehicles, police=police, loss=loss,
         )
         cursors, logs = self.read_in_both_orders(setup, (1, 3, 5))
         left = any(cursor.log is None for cursor in cursors)
@@ -563,8 +571,9 @@ class TestSharedWorld:
     @pytest.mark.parametrize("other", [
         dict(vehicles=20),
         dict(police=2),
-        dict(mobility=MobilityConfig(route_length=5000.0)),
-    ], ids=["fleet", "police", "route"])
+        dict(route_length=5000.0),
+        dict(dt=0.25),
+    ], ids=["fleet", "police", "route", "dt"])
     def test_a_world_for_another_road_is_refused(self, other):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
         log = road_for(replace(setup, **other))
@@ -601,11 +610,11 @@ class TestSharedWorld:
 
     def test_a_cursor_shows_the_row_of_the_last_step_taken(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        dt = setup.mobility.dt
+        dt = setup.dt
         log = road_for(setup)
         for _ in range(2):
             # the first cursor steps the frontier, the second reads its rows
-            cursor, private = log.cursor(dt), log.warm.copy()
+            cursor, private = log.cursor(), log.warm.copy()
             for until, blockage in ((551.0, 500.0), (600.2, None), (650.0, None)):
                 for world in (cursor, private):
                     world.advance(until, dt)
@@ -626,11 +635,11 @@ class TestSharedWorld:
     ], ids=["speeds", "inject_flow", "step"])
     def test_a_cursor_leaves_the_log_before_its_speeds_or_writes(self, act):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        dt = setup.mobility.dt
+        dt = setup.dt
         log = road_for(setup)
-        log.cursor(dt).advance(600.0, dt)
+        log.cursor().advance(600.0, dt)
         rows, warm = [bytes(row) for row in log.rows], world_lists(log.warm)
-        cursor, private = log.cursor(dt), log.warm.copy()
+        cursor, private = log.cursor(), log.warm.copy()
         for world in (cursor, private):
             world.advance(580.0, dt)
             act(world)
@@ -639,12 +648,6 @@ class TestSharedWorld:
         assert world_lists(cursor) == world_lists(private)
         assert [bytes(row) for row in log.rows] == rows
         assert world_lists(log.warm) == warm
-
-    def test_a_log_for_another_dt_is_refused(self):
-        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        log = road_for(setup)
-        with pytest.raises(ValueError, match="cannot be read"):
-            Engine(replace(setup, mobility=MobilityConfig(dt=0.25)), 1, log)
 
     def test_a_sweep_takes_each_post_report_step_once_per_density(self, monkeypatch):
         config = RunConfig(scenario="accident", seed=1, trials=2, densities=(19, 79))
@@ -685,7 +688,7 @@ class PerReceiverEngine(Engine):
     def broadcast(self, msg, sender, now, source=ActionSource.ORIGIN,
                   downstream_only=False):
         self._record(msg, sender, "*", source)
-        net = self.setup.net
+        loss = self.setup.loss
         copy = relayed_copy(msg)
         deliveries = []
         for receiver in self.world.neighbours_within(sender, netsim.RADIO_RANGE):
@@ -694,7 +697,7 @@ class PerReceiverEngine(Engine):
                     continue
                 if not self.world.downstream_of(sender, receiver):
                     continue
-            if net.loss > 0 and self.rng.random() < net.loss:
+            if loss > 0 and self.rng.random() < loss:
                 continue
             at = now + netsim.HOP_LATENCY
             self._schedule(at, self._deliver, copy, (receiver,), sender)
@@ -722,7 +725,7 @@ class TestBatchedDelivery:
                                              loss):
         setup = TrialSetup(
             script=build_scenario(scenario), policy=policy, vehicles=vehicles,
-            police=police, net=NetConfig(loss=loss),
+            police=police, loss=loss,
         )
         trace, metrics = Engine(setup, 1).run()
         expected, expected_metrics = PerReceiverEngine(setup, 1).run()
@@ -832,7 +835,7 @@ def test_no_sender_relays_an_id_twice(scenario, policy, vehicles, police, seed, 
     # run_cell checks each trace with trace_faults, whose first rule is this
     # test's; here each golden cell must also give that rule relays to check
     ((_, trace, _),) = run_cell(
-        scenario, policy, vehicles, (seed,), police=police, net=NetConfig(loss=loss)
+        scenario, policy, vehicles, (seed,), police=police, loss=loss
     )
     assert any(record.source is ActionSource.RELAY for record in trace)
 
