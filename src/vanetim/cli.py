@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Collection, List, Optional, Sequence, Tuple
 
 from .metrics import SweepResult, SweepRow, export_csv, parse_csv
 from .netsim import Engine, TrialSetup, road_for, write_trace
@@ -59,16 +59,24 @@ class RunConfig:
     # -- flat key=value round trip ----------------------------------------
 
     def to_text(self) -> str:
+        """The keys whose values differ from the defaults, one a line: a
+        file that either command reads unless it sets a key the command
+        does not read (see :meth:`from_text`)."""
         lines = []
         for f in fields(self):
             value = getattr(self, f.name)
+            if value == f.default:
+                continue
             if f.name == "densities":
                 value = ",".join(str(v) for v in value)
             lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
+    def from_text(cls, text: str, unread: Collection[str] = ()) -> "RunConfig":
+        """Parse a flat ``key = value`` file; a key in ``unread``, one the
+        command reading the file does not read, is refused like an unknown
+        one."""
         known = {f.name for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -82,6 +90,8 @@ class RunConfig:
             value = value.strip()
             if key not in known:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key in unread:
+                raise ConfigError(f"line {lineno}: this command does not read {key!r}")
             values[key] = _coerce(key, value)
         return cls(**values)
 
@@ -288,10 +298,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: the config keys each command does not read, as it takes no flag for them
+_UNREAD_KEYS = {"run": ("densities",), "sweep": ("policy", "vehicles")}
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
-            config = RunConfig.from_text(Path(args.config).read_text(encoding="utf-8"))
+            config = RunConfig.from_text(
+                Path(args.config).read_text(encoding="utf-8"), _UNREAD_KEYS[args.command]
+            )
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     else:

@@ -217,6 +217,9 @@ def age(msg: Message, now: float) -> float:
     return now - msg.created_at
 
 
+#: ``_new_tuple(T, fields)`` builds the named tuple ``T`` from a tuple of its
+#: fields without the generated constructor's argument handling; only for
+#: fields already checked or made by the simulator itself
 _new_tuple = tuple.__new__
 
 

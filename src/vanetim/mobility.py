@@ -38,18 +38,9 @@ road glides once it cruises; at ``dt = 0.1`` the move is off the grid and the
 road steps one step at a time.
 
 A road depends only on route length, fleet size, ``dt`` and its blockage
-history; trials of one density read one recorded road while their
-histories agree. :meth:`CircularWorld.copy` lets trials start from one road
-stepped once. A :class:`RoadLog` goes further: it steps one frontier world
-past that warm road and records, per step, the positions as one row and
-the blockages the step was taken under. Each trial reads it through its
-own :class:`RoadCursor`, which copies the row of the step it has reached
-into its ``positions``. The first trial to need a step not yet recorded
-steps the frontier under its own blockages. A cursor whose history
-differs from the log's at a step it needs replays a copy of the warm road
-up to that step and steps the copy on its own from there; so does one
-asked for its speeds, to spawn or to take a step other than through
-``advance``.
+history. :meth:`CircularWorld.copy` lets trials start from one road stepped
+once, and :mod:`vanetim.roadlog` records its steps past that for every
+trial whose history agrees.
 
 :meth:`CircularWorld.neighbours_within` decides by arc distance from the
 centre where the arc settles it, before any trigonometry: an entity beyond
@@ -69,9 +60,8 @@ past the wrap point, by comparison, and get the float that ``%`` would.
 from __future__ import annotations
 
 import math
-from array import array
 from copy import copy
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 #: metres of slack between the neighbour query's arcs and the radio range,
 #: far above float rounding
@@ -384,112 +374,3 @@ class CircularWorld:
 
     def clear_blockages(self) -> None:
         self.blockages = []
-
-
-class RoadLog:
-    """One road stepped once past ``warm`` and recorded for every trial that
-    reads it through a :class:`RoadCursor`.
-
-    ``rows[i]`` holds the vehicle positions after step ``start + i``, and
-    ``blockages[i]`` the blockages that step was taken under: the history
-    of the trials that stepped the frontier, each the first to need a step.
-    ``warm`` is never stepped.
-    """
-
-    def __init__(self, warm: CircularWorld, dt: float) -> None:
-        self.warm = warm
-        self.dt = dt
-        self.start = warm.next_step
-        self.rows: List[array] = []
-        self.blockages: List[List[float]] = []
-        self._frontier = warm.copy()
-
-    def cursor(self) -> RoadCursor:
-        return RoadCursor(self)
-
-    def extend(self, until: float, blockages: List[float]) -> None:
-        """Take every step due by ``until`` on the frontier under
-        ``blockages``, recording each."""
-        frontier, dt = self._frontier, self.dt
-        if frontier.blockages != blockages:
-            # a new list, so the rows already recorded keep theirs
-            frontier.blockages = list(blockages)
-        while frontier.next_step * dt <= until:
-            frontier.advance(frontier.next_step * dt, dt)
-            self.rows.append(array("d", frontier.positions))
-            self.blockages.append(frontier.blockages)
-
-
-class RoadCursor(CircularWorld):
-    """One trial's road, read from a :class:`RoadLog`. While the trial's
-    blockages agree with those each recorded step was taken under,
-    ``positions`` is its own copy of the row of the last step taken, and no
-    speeds are kept. At the first step where they differ, or at the first
-    read of ``speeds``, call of :meth:`inject_flow` or of :meth:`step`, it
-    leaves the log: it replays a copy of the warm road under the recorded
-    blockages of the steps it read, and is a plain :class:`CircularWorld`
-    from there. No cursor holds a list or row that another reads."""
-
-    def __init__(self, log: RoadLog) -> None:
-        warm = log.warm
-        super().__init__(warm.route_length, warm.fleet_size)
-        self.log: Optional[RoadLog] = log
-        self.next_step = warm.next_step
-        self.next_spawn_time = warm.next_spawn_time
-        self.positions = warm.positions[:]
-        self.blockages = list(warm.blockages)
-
-    @property
-    def speeds(self) -> List[float]:
-        if self.log is not None:
-            self._leave()
-        return self._speeds
-
-    @speeds.setter
-    def speeds(self, speeds: List[float]) -> None:
-        self._speeds = speeds
-
-    def inject_flow(self, now: float) -> None:
-        if self.log is not None:
-            self._leave()
-        super().inject_flow(now)
-
-    def step(self, dt: float) -> None:
-        if self.log is not None:
-            self._leave()
-        super().step(dt)
-
-    def advance(self, until: float, dt: float) -> None:
-        if self.next_step * dt > until:
-            return
-        log = self.log
-        if log is not None:
-            # read every recorded step due by ``until`` taken under this
-            # trial's blockages, stepping the frontier past the last one
-            start, read = log.start, self.next_step - log.start
-            while (start + read) * dt <= until:
-                if read == len(log.rows):
-                    log.extend(until, self.blockages)
-                    read = len(log.rows)
-                elif log.blockages[read] == self.blockages:
-                    read += 1
-                else:
-                    break
-            if start + read > self.next_step:
-                self.next_step = start + read
-                self.positions = log.rows[read - 1].tolist()
-            if (start + read) * dt > until:
-                return
-            # the next step due was taken under other blockages
-            self._leave()
-        super().advance(until, dt)
-
-    def _leave(self) -> None:
-        log = self.log
-        world = log.warm.copy()
-        for blockages in log.blockages[:self.next_step - log.start]:
-            world.blockages = blockages
-            world.advance(world.next_step * log.dt, log.dt)
-        self.log = None
-        self.positions, self.speeds = world.positions, world.speeds
-        self.next_spawn_time = world.next_spawn_time

@@ -77,19 +77,14 @@ from .domain import (
     Priority,
     RESOLUTION_KINDS,
     RoleKind,
+    _new_tuple,
     label_of,
     make_message,
     relayed_copy,
     role_of_label,
 )
 from .metrics import TrialMetrics
-from .mobility import (
-    ENTRY_HEADWAY,
-    STANDSTILL_GAP,
-    VEHICLE_LENGTH,
-    CircularWorld,
-    RoadLog,
-)
+from .mobility import ENTRY_HEADWAY, STANDSTILL_GAP, VEHICLE_LENGTH, CircularWorld
 from .protocol import (
     Arm,
     Broadcast,
@@ -104,6 +99,7 @@ from .protocol import (
     rsu_scripted_resolution,
 )
 from .relay import RelayPolicy
+from .roadlog import RoadLog
 from .scenarios import CLEAR_TIME, REPORT_TIME, Clearance, ScenarioScript
 
 
@@ -325,10 +321,12 @@ class Engine:
         source: ActionSource,
     ) -> None:
         kind = self._kinds[sender]
-        self.trace.append(TraceRecord(
+        # every field is the engine's own, so the generated constructor's
+        # argument handling is skipped
+        self.trace.append(_new_tuple(TraceRecord, (
             self.now, self.labels[sender], kind, receiver, msg.id, msg.kind,
             msg.hops, source,
-        ))
+        )))
         self.seen[sender].add(msg.id)
         self.metrics.count(msg.kind, kind, source)
         # only a blockage script parks the reporter, and a trial has one
@@ -343,9 +341,10 @@ class Engine:
         now: float,
         source: ActionSource = ActionSource.ORIGIN,
         downstream_only: bool = False,
-    ) -> List[Tuple[float, int]]:
+    ) -> List[int]:
         """Transmit once; one event delivers the copy to every in-range
-        receiver, in receiver order. Returns each delivery's time and slot."""
+        receiver, in receiver order. Returns the receivers' slots: the list
+        that event holds, so a caller must not write it."""
         self._record(msg, sender, "*", source)
         receivers = self.world.neighbours_within(sender, RADIO_RANGE)
         if downstream_only:
@@ -366,7 +365,7 @@ class Engine:
             # after exactly max_hops transmissions from the origin; messages
             # are immutable, so every receiver shares the one copy
             self._schedule(at, self._deliver, relayed_copy(msg), receivers, sender)
-        return [(at, receiver) for receiver in receivers]
+        return receivers
 
     def wired_send(self, msg: Message, sender: int, to: int, now: float) -> None:
         for kind in (self._kinds[sender], self._kinds[to]):

@@ -46,6 +46,7 @@ from .domain import (
     RESOLUTION_KINDS,
     RoleKind,
     TA_REPORT_KINDS,
+    _new_tuple,
     make_message,
 )
 from .relay import RelayPolicy, should_relay
@@ -195,7 +196,9 @@ def relay_decision(
     """
     if not should_relay(policy, msg, now):
         return []
-    return [Broadcast(msg, at=now, source=ActionSource.RELAY)]
+    # Broadcast(msg, at=now, source=ActionSource.RELAY), without the
+    # generated constructor's argument handling
+    return [_new_tuple(Broadcast, (msg, now, ActionSource.RELAY, False))]
 
 
 # ---------------------------------------------------------------------------

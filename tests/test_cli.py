@@ -303,6 +303,24 @@ class TestSweepAndReport:
         assert exit_.value.code == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, read, unread", [
+        ("run", "trials = 1", "densities = 19"),
+        ("sweep", "densities = 19\ntrials = 1", "policy = fresh60"),
+        ("sweep", "densities = 19\ntrials = 1", "vehicles = 50"),
+    ], ids=["run-densities", "sweep-policy", "sweep-vehicles"])
+    def test_a_config_key_the_command_does_not_read_is_rejected(
+        self, tmp_path, capsys, command, read, unread
+    ):
+        config_file = tmp_path / "unread.cfg"
+        config_file.write_text(f"{read}\n{unread}\n")
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(config_file),
+                     "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        key = unread.split()[0]
+        line = read.count("\n") + 2
+        assert f"line {line}: this command does not read {key!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_sweep_requires_densities(self, tmp_path):
         code = main(["sweep", "--scenario", "accident", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG

@@ -1,5 +1,6 @@
 import math
 import struct
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,7 @@ from vanetim.mobility import (
     CircularWorld,
 )
 from vanetim.protocol import SpeedHistory, detect_jam
+from vanetim.roadlog import RoadLog
 
 #: the default road: ``TrialSetup``'s route length and step
 ROUTE_LENGTH = 4000.0
@@ -556,6 +558,107 @@ class TestGlide:
         world = CircularWorld(4000.0, 0)
         world.advance(1500.0, DT)
         assert world.next_step == 3001 and world.positions == []
+
+
+#: bare roads stepped from 0 s, by (fleet, dt, time), each stepped once
+_BARE_ROADS = {}
+
+
+def bare_road(fleet, dt, until):
+    """``CircularWorld(ROUTE_LENGTH, fleet)`` advanced to ``until``; shared,
+    so never to be stepped."""
+    key = (fleet, dt, until)
+    if key not in _BARE_ROADS:
+        world = make_world(fleet)
+        world.advance(until, dt)
+        _BARE_ROADS[key] = world
+    return _BARE_ROADS[key]
+
+
+@st.composite
+def straddling_rings(draw):
+    """A few vehicles at the target speed on a route of 2**52 m or more,
+    one behind the other with clear gaps from the cruising threshold up,
+    about the point 2**52 where the spacing of floats doubles. The move is
+    off the grid: a vehicle behind that point can move by a float up to half
+    a metre longer than one ahead of it, so a gap shrinks while the two
+    straddle it."""
+    dt = draw(st.one_of(st.just(0.1), st.floats(0.05, 1.0)))
+    length = draw(st.floats(2.0**52 + 1e6, 2.0**53, exclude_max=True))
+    threshold = STANDSTILL_GAP + TARGET_SPEED * dt + 1.0
+    arcs = [2.0**52 + draw(st.floats(0.0, 30.0))]
+    for _ in range(draw(st.integers(1, 5))):
+        gap = draw(st.floats(threshold, threshold + 4.0))
+        arcs.append(arcs[-1] - VEHICLE_LENGTH - gap)
+    return length, dt, [(arc, TARGET_SPEED) for arc in arcs], []
+
+
+@st.composite
+def logged_roads(draw):
+    """A warm road to record a log from, its ``dt``, and a history: the
+    steps to record, the step at which a blockage is added at a vehicle or
+    at any arc, the step from which the blockages are cleared, and the steps
+    at which a trial stops extending the log. The road is a drawn ring
+    (unordered, crowded, near the step's branch points, or straddling a
+    doubling of the float spacing) or a bare road of the default route
+    stepped from 0 s, warm or still spawning, with ``dt`` on the grid or off
+    it; the 139-vehicle warm road overlaps at the spawn wrap."""
+    source = draw(st.sampled_from(["ring", "cruising", "straddling", "bare", "bare"]))
+    if source == "bare":
+        dt = draw(st.sampled_from([DT, DT, 0.1]))
+        fleet = draw(st.sampled_from([1, 2, 19, 79, 139]))
+        warm = bare_road(fleet, dt, draw(st.sampled_from([15.0, 100.0, 550.0])))
+    else:
+        strategy = {"ring": rings, "cruising": cruising_rings,
+                    "straddling": straddling_rings}[source]
+        ring = draw(strategy())
+        warm, dt = build_ring(ring), ring[1]
+    steps = draw(st.one_of(st.just(300), st.integers(1, 300)))
+    added = draw(st.integers(0, steps))
+    cleared = draw(st.integers(added, steps))
+    at = draw(st.one_of(
+        st.floats(0.0, warm.route_length, exclude_max=True),
+        st.integers(0, max(warm.fleet_size - 1, 0)),
+    ))
+    cuts = draw(st.sets(st.integers(1, steps), max_size=4))
+    return warm, dt, steps, added, cleared, at, sorted(cuts | {steps})
+
+
+class TestRoadLog:
+    @settings(max_examples=examples(200), deadline=None)
+    @given(case=logged_roads())
+    def test_records_the_rows_of_a_world_stepped_by_step(self, case):
+        warm, dt, steps, added, cleared, at, cuts = case
+        # the reference: spawn at each step's time, then step, as advance
+        world, history, rows = warm.copy(), [], []
+        for i in range(steps):
+            if i == added:
+                # at a vehicle's position, as a report parks its reporter
+                if isinstance(at, int):
+                    at = world.positions[at] if at < world.spawned_count else 0.0
+                world.add_blockage(at)
+            if i == cleared:
+                world.clear_blockages()
+            history.append(list(world.blockages))
+            if world.spawned_count < world.fleet_size:
+                world.inject_flow(world.next_step * dt)
+            world.step(dt)
+            rows.append(array("d", world.positions).tobytes())
+        log = RoadLog(warm, dt)
+        taken = 0
+        for cut in cuts:
+            # a trial extends the log up to a step under its own blockages
+            while taken < cut:
+                end = taken + 1
+                while end < cut and history[end] == history[taken]:
+                    end += 1
+                log.extend((log.start + end - 1) * dt, history[taken])
+                taken = end
+        assert len(log.rows) == steps
+        for i, row in enumerate(log.rows):
+            assert row.tobytes() == rows[i], f"step {i}"
+        assert log.blockages == history
+        assert bits(log._frontier) == bits(world)
 
 
 def oracle_entry_clear(world):

@@ -28,6 +28,7 @@ from vanetim.netsim import (
 )
 from vanetim.protocol import Arm, Broadcast, Wired
 from vanetim.relay import FRESH60, HOP4
+from vanetim.roadlog import RoadLog
 from vanetim.scenarios import Clearance, build_scenario
 
 VEHICLE = RoleKind.REGULAR_VEHICLE
@@ -140,7 +141,7 @@ class TestBroadcast:
         place(engine, [0.0, 200.0, 400.0, 600.0, 800.0])
         sender = 2
         msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-        delivered = {receiver for _, receiver in engine.broadcast(msg, sender, 10.0)}
+        delivered = set(engine.broadcast(msg, sender, 10.0))
         oracle = set(engine.world.neighbours_within(sender, 300.0))
         assert delivered == oracle
 
@@ -150,7 +151,7 @@ class TestBroadcast:
             place(engine, [0.0, 150.0, 300.0, 450.0, 600.0])
             sender = 2
             msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-            return [receiver for _, receiver in engine.broadcast(msg, sender, 10.0)]
+            return list(engine.broadcast(msg, sender, 10.0))
 
         full = delivered(1, 0.0)
         lossy = delivered(1, 0.6)
@@ -664,19 +665,24 @@ class TestSharedWorld:
                     engine.run()
                     longest = max(longest, engine.steps_taken)
             expected += longest
-        # the steps each world takes, one by one or in a glide
+        # the steps each world takes, one by one or in a glide, and each
+        # step a log's frontier takes with its own step
         taken = []
 
-        def counting(take):
-            def counted(world, *args):
+        def counting(take, world_of):
+            def counted(owner, *args):
+                world = world_of(owner)
                 before = world.next_step
-                done = take(world, *args)
+                done = take(owner, *args)
                 taken.append(world.next_step - before)
                 return done
             return counted
 
         for name in ("step", "_glide"):
-            monkeypatch.setattr(CircularWorld, name, counting(getattr(CircularWorld, name)))
+            monkeypatch.setattr(CircularWorld, name, counting(
+                getattr(CircularWorld, name), lambda world: world))
+        monkeypatch.setattr(RoadLog, "_step", counting(
+            RoadLog._step, lambda log: log._frontier))
         run_sweep(config, policies)
         assert sum(taken) == expected
 
