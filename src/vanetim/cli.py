@@ -76,9 +76,9 @@ class RunConfig:
     def from_text(cls, text: str, unread: Collection[str] = ()) -> "RunConfig":
         """Parse a flat ``key = value`` file; a key in ``unread``, one the
         command reading the file does not read, is refused like an unknown
-        one."""
+        one, and so is a key given twice."""
         known = {f.name for f in fields(cls)}
-        values = {}
+        values, given_on = {}, {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -92,6 +92,11 @@ class RunConfig:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in unread:
                 raise ConfigError(f"line {lineno}: this command does not read {key!r}")
+            if key in given_on:
+                raise ConfigError(
+                    f"line {lineno}: {key!r} is already given on line {given_on[key]}"
+                )
+            given_on[key] = lineno
             values[key] = _coerce(key, value)
         return cls(**values)
 

@@ -81,6 +81,15 @@ RSU_COUNT = 10          # RSUs, equally spaced round the loop
 QUEUE_LOOKAHEAD = 50.0  # metres downstream that queue detection looks
 
 
+def glide_grid(route_length: float, move: float) -> float:
+    """The glide's grid, ``2**(e - 53)`` with ``2 * route_length < 2**e``, if
+    ``move`` is shorter than the route and both lie on it; else 0.0."""
+    grid = math.ldexp(1.0, math.frexp(2.0 * route_length)[1] - 53)
+    if 0.0 < move < route_length and not (move % grid or route_length % grid):
+        return grid
+    return 0.0
+
+
 class CircularWorld:
     """Mutable mobility state for one trial."""
 
@@ -187,11 +196,10 @@ class CircularWorld:
         modulo the route length, built by ``k`` exact additions."""
         positions, length = self.positions, self.route_length
         move = TARGET_SPEED * dt
-        if (self.blockages or not 0.0 < move < length
-                or self.speeds.count(TARGET_SPEED) != len(positions)):
+        if self.blockages or self.speeds.count(TARGET_SPEED) != len(positions):
             return False
-        grid = math.ldexp(1.0, math.frexp(2.0 * length)[1] - 53)
-        if move % grid or length % grid:
+        grid = glide_grid(length, move)
+        if not grid:
             return False
         if len(positions) > 1:
             ahead = positions[-1]

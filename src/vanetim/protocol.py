@@ -14,8 +14,10 @@ An RSU handler is told only the sender's :class:`RoleKind`.
 
 Every trial runs on one road, so no message, state or timer names it. An
 RSU keeps one :class:`IncidentStatus` (``None`` until a report opens an
-incident), and an official vehicle at most one incident. The status moves
-forward only, except that a resolved road may open a fresh incident.
+incident), moved by one table, ``_LIFECYCLE``, and an official vehicle at
+most one incident. At an RSU, a message made before the road's last
+resolution is stale and dropped (a stale clearance is still forwarded), and
+one made since it opens a fresh incident, whatever its kind.
 
 Timings that the source material leaves open (burst spacing, periodic
 announcement intervals, authority service delay, official-vehicle travel
@@ -105,10 +107,22 @@ class IncidentStatus(IdentityEnum):
     RESOLVED = "resolved"
 
 
-_FORWARD = {
-    IncidentStatus.OPEN: {IncidentStatus.BEING_ATTENDED, IncidentStatus.RESOLVED},
-    IncidentStatus.BEING_ATTENDED: {IncidentStatus.RESOLVED},
-    IncidentStatus.RESOLVED: set(),
+class IncidentStep(IdentityEnum):  # valued by its column in ``_LIFECYCLE``
+    REPORT = 0   # a report of the incident
+    ATTEND = 1   # an official vehicle's addressing notice
+    RESOLVE = 2  # a clearance
+
+
+_OPEN, _ATTENDED, _RESOLVED = (
+    IncidentStatus.OPEN, IncidentStatus.BEING_ATTENDED, IncidentStatus.RESOLVED
+)
+#: the status each step (a column) leads to, by the status before it (a row;
+#: None: no incident yet); None marks a step out of order
+_LIFECYCLE: Dict[Optional[IncidentStatus], Tuple[Optional[IncidentStatus], ...]] = {
+    None: (_OPEN, _ATTENDED, None),
+    _OPEN: (_OPEN, _ATTENDED, _RESOLVED),
+    _ATTENDED: (_ATTENDED, _ATTENDED, _RESOLVED),
+    _RESOLVED: (_OPEN, _ATTENDED, None),
 }
 
 
@@ -146,6 +160,7 @@ class RsuState:
     neighbours: Tuple[int, ...] = ()  # slots of the backbone ring's two peers
     services: FrozenSet[str] = frozenset()  # service categories it can name
     status: Optional[IncidentStatus] = None  # None: no incident yet
+    resolved_at: float = float("-inf")  # time of the last resolution
     reburst: Set[str] = field(default_factory=set)  # accident ids re-burst on a repeat
     announcing: Optional[Message] = None
     restricted: Optional[Message] = None
@@ -223,28 +238,21 @@ def handle_rsu(
 ) -> List[OutgoingAction]:
     """Dispatch one received message of a kind in ``RSU_HANDLERS`` through
     the RSU's announcement rules; ``first`` says that the RSU has neither
-    sent nor received its id before. Any other kind is a plain relay
-    candidate, which the engine holds instead."""
+    sent nor received its id before. A copy of an incident kind made before
+    the road's last resolution is stale and dropped. Any other kind is a
+    plain relay candidate, which the engine holds instead."""
+    if msg.created_at < state.resolved_at and msg.kind in INCIDENT_KINDS:
+        return []
     return RSU_HANDLERS[msg.kind](state, msg, sender, first, now, ids)
 
 
-def _open(state: RsuState) -> None:
-    """Open an incident; a resolved road starts a fresh episode."""
-    if state.status in (None, IncidentStatus.RESOLVED):
-        state.status = IncidentStatus.OPEN
-
-
-def advance_incident(state: RsuState, to: IncidentStatus) -> None:
-    """Move the incident forward to ``to``; a backward transition, or one
-    with no incident open, is out of order."""
-    current = state.status
-    if current is None:
-        raise ProtocolOrderError("no incident open")
-    if to is current:
-        return
-    if to not in _FORWARD[current]:
-        raise ProtocolOrderError(f"illegal transition {current.value} -> {to.value}")
-    state.status = to
+def advance_incident(state: RsuState, step: IncidentStep) -> None:
+    """Take ``step`` in the road's incident lifecycle as ``_LIFECYCLE``
+    says; a step it marks None is out of order."""
+    status = _LIFECYCLE[state.status][step.value]
+    if status is None:
+        raise ProtocolOrderError(f"{step.name} out of order at {state.status}")
+    state.status = status
 
 
 def _rsu_table_driven(
@@ -257,8 +265,6 @@ def _rsu_table_driven(
 ) -> List[OutgoingAction]:
     """Burst as the rule table says. The one repeat with a row, an accident
     heard again from a vehicle, re-bursts once per id."""
-    if state.status is IncidentStatus.RESOLVED:
-        return []
     row = DEFAULT_RULE_ROWS.get((msg.kind, sender, first))
     if row is None:
         return []
@@ -269,7 +275,7 @@ def _rsu_table_driven(
 
     same, avoid = row
     if msg.kind is MessageKind.ACCIDENT:
-        _open(state)
+        advance_incident(state, IncidentStep.REPORT)
     actions: List[OutgoingAction] = list(_burst(msg, same, now))
     if avoid:
         derived = make_message(
@@ -292,7 +298,7 @@ def _rsu_escalate(
     """Authority-class reports go straight to the TA over the wired link."""
     if not first:
         return []
-    _open(state)
+    advance_incident(state, IncidentStep.REPORT)
     return [Wired(msg, to=state.ta, at=now)]
 
 
@@ -306,11 +312,9 @@ def _rsu_announce_report(
 ) -> List[OutgoingAction]:
     """Announce an open report three times, notify peers, then re-announce
     periodically until the road is cleared."""
-    if state.status is IncidentStatus.RESOLVED:
-        return []
     if not first:
         return []
-    _open(state)
+    advance_incident(state, IncidentStep.REPORT)
     state.announcing = msg
     actions: List[OutgoingAction] = list(_burst(msg, 3, now))
     # flood along the backbone ring so every zone learns of the incident;
@@ -333,18 +337,11 @@ def _rsu_acknowledge_official(
     if not first or sender is not RoleKind.OFFICIAL_VEHICLE:
         return []
     ack = make_message(MessageKind.ACK, RoleKind.RSU, now, ids=ids, correlation=msg.id)
-    actions: List[OutgoingAction] = [
-        Broadcast(ack, at=now, source=ActionSource.ORIGIN)
-    ]
-    _open(state)
-    advance_incident(state, IncidentStatus.BEING_ATTENDED)
+    actions: List[OutgoingAction] = [Broadcast(ack, at=now, source=ActionSource.ORIGIN)]
+    advance_incident(state, IncidentStep.ATTEND)
     if state.restricted is None:
         restricted = make_message(
-            MessageKind.RESTRICTED_MOVEMENT,
-            RoleKind.RSU,
-            now,
-            ids=ids,
-            correlation=msg.id,
+            MessageKind.RESTRICTED_MOVEMENT, RoleKind.RSU, now, ids=ids, correlation=msg.id
         )
         state.restricted = restricted
         actions.append(Broadcast(restricted, at=now, source=ActionSource.ORIGIN))
@@ -360,36 +357,38 @@ def _rsu_resolution(
     now: float,
     ids: MessageIdSource,
 ) -> List[OutgoingAction]:
-    """Close the incident and spread the road-clear status.
-
-    A first-received clearance is flooded along the backbone ring so every
-    zone hears it (message-id dedup terminates the flood). If this RSU
-    holds an open incident, it also resolves the incident and announces the
-    road-clear status ``CLEARED_REPEATS`` times; a clearance with no open
-    incident is only forwarded.
-    """
+    """Flood a first-received clearance along the backbone ring, so every
+    zone hears it (message-id dedup terminates the flood), and close the
+    incident if one is open; a clearance with no open incident is only
+    forwarded."""
     actions: List[OutgoingAction] = []
     if first:
         actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
+    return actions + _close(state, now, ids, msg)
+
+
+def _close(
+    state: RsuState, now: float, ids: MessageIdSource, heard: Optional[Message] = None
+) -> List[OutgoingAction]:
+    """Resolve an open incident, stop re-announcing it, and burst a
+    road-clear notice ``CLEARED_REPEATS`` times: ``heard`` if it is one, else
+    one this RSU makes in answer to it (if any) and floods along the
+    backbone. With no incident open, do nothing."""
     if state.status in (None, IncidentStatus.RESOLVED):
-        return actions
-    if msg.kind is MessageKind.CLEARED_ROAD:
-        return actions + _close(state, msg, now)
-    cleared = make_message(
-        MessageKind.CLEARED_ROAD, RoleKind.RSU, now, ids=ids, correlation=msg.id
-    )
-    actions.extend(_close(state, cleared, now))
-    actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
-    return actions
-
-
-def _close(state: RsuState, cleared: Message, now: float) -> List[OutgoingAction]:
-    """Resolve the incident, stop re-announcing it, and burst ``cleared``
-    ``CLEARED_REPEATS`` times."""
-    advance_incident(state, IncidentStatus.RESOLVED)
+        return []
+    advance_incident(state, IncidentStep.RESOLVE)
+    state.resolved_at = now
     state.announcing = None
     state.restricted = None
-    return _burst(cleared, CLEARED_REPEATS, now)
+    if heard is not None and heard.kind is MessageKind.CLEARED_ROAD:
+        return _burst(heard, CLEARED_REPEATS, now)
+    correlation = None if heard is None else heard.id
+    cleared = make_message(
+        MessageKind.CLEARED_ROAD, RoleKind.RSU, now, ids=ids, correlation=correlation
+    )
+    actions = _burst(cleared, CLEARED_REPEATS, now)
+    actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
+    return actions
 
 
 def _rsu_service_query(
@@ -427,18 +426,16 @@ RSU_HANDLERS: Dict[MessageKind, Callable[..., List[OutgoingAction]]] = {
     **dict.fromkeys(BROADCAST_REPORT_KINDS, _rsu_announce_report),
 }
 
+#: the kinds whose copies made before a road's last resolution are stale
+INCIDENT_KINDS = frozenset(RSU_HANDLERS) - RESOLUTION_KINDS - {MessageKind.SERVICE_QUERY}
+
 
 def rsu_scripted_resolution(
     state: RsuState, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
     """Timed clearance for runs with no attending entity: the coordinating
     RSU originates the road-clear flow itself."""
-    if state.status in (None, IncidentStatus.RESOLVED):
-        return []
-    cleared = make_message(MessageKind.CLEARED_ROAD, RoleKind.RSU, now, ids=ids)
-    actions = _close(state, cleared, now)
-    actions.extend(Wired(cleared, to=n, at=now) for n in state.neighbours)
-    return actions
+    return _close(state, now, ids)
 
 
 def rsu_report_tick(
@@ -446,7 +443,7 @@ def rsu_report_tick(
 ) -> List[OutgoingAction]:
     """Re-announce an open report until the road is cleared."""
     msg = state.announcing
-    if msg is None or state.status is IncidentStatus.RESOLVED:
+    if msg is None:
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),
@@ -459,7 +456,7 @@ def rsu_restricted_tick(
 ) -> List[OutgoingAction]:
     """Re-announce restricted movement while the incident is attended."""
     msg = state.restricted
-    if msg is None or state.status is not IncidentStatus.BEING_ATTENDED:
+    if msg is None:
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),

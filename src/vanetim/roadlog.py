@@ -45,6 +45,7 @@ from .mobility import (
     VEHICLE_LENGTH,
     _CRUISE_MARGIN,
     CircularWorld,
+    glide_grid,
 )
 
 
@@ -78,12 +79,9 @@ class RoadLog:
         #: its gap could close below the one it moved on or it could reach
         #: the route length
         self._wake: List[Tuple[int, int]] = []
-        length, move = warm.route_length, TARGET_SPEED * dt
-        grid = math.ldexp(1.0, math.frexp(2.0 * length)[1] - 53)
         #: the grid of :meth:`CircularWorld._glide` if the move and the route
         #: length lie on it, else 0.0: no cruiser repeats its move
-        self._grid = grid if 0.0 < move < length and not (
-            move % grid or length % grid) else 0.0
+        self._grid = glide_grid(warm.route_length, TARGET_SPEED * dt)
 
     def cursor(self) -> RoadCursor:
         return RoadCursor(self)

@@ -19,10 +19,11 @@ POLICIES = {"hop4": HOP4, "fresh60": FRESH60}
 # engine slots of a ten-RSU backbone after a 20-vehicle fleet, then the TA
 RSU0_SLOT, RSU1_SLOT, RSU9_SLOT, TA_SLOT = 20, 21, 29, 30
 
-#: ``--hypothesis-profile floats`` runs the float-exactness properties (the
-#: mobility step and the glide of a free-flowing fleet against the two-loop
-#: step, a recorded road against a world stepped by ``step``, the neighbour
-#: query and the entry check against brute-force scans) at 2 000 examples each
+#: ``-m floats --hypothesis-profile floats`` runs the tests marked ``floats``,
+#: the float-exactness properties (the mobility step and the glide of a
+#: free-flowing fleet against the two-loop step, a recorded road against a
+#: world stepped by ``step``, the neighbour query and the entry check against
+#: brute-force scans), at 2 000 examples each
 settings.register_profile("floats", max_examples=2000)
 
 

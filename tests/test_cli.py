@@ -64,6 +64,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="line 2"):
             RunConfig.from_text("vehicles = 5\nwheels = 4\n")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: 'loss' is already given on line 1"):
+            RunConfig.from_text("loss = 0.1\ntrials = 2\nloss = 0.2\n")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             RunConfig.from_text("vehicles 5\n")
@@ -319,6 +323,21 @@ class TestSweepAndReport:
         key = unread.split()[0]
         line = read.count("\n") + 2
         assert f"line {line}: this command does not read {key!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", "trials = 1\nloss = 0.1\nloss = 0.2\n"),
+        ("sweep", "densities = 19\ntrials = 1\nloss = 0.1\nloss = 0.2\n"),
+    ], ids=["run", "sweep"])
+    def test_a_config_key_given_twice_is_rejected(self, tmp_path, capsys, command, text):
+        config_file = tmp_path / "twice.cfg"
+        config_file.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(config_file),
+                     "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        last = text.count("\n")
+        assert f"line {last}: 'loss' is already given on line {last - 1}" in (
+            capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_sweep_requires_densities(self, tmp_path):

@@ -238,6 +238,7 @@ def assert_steps_like_the_oracle(ring, steps):
     return fused
 
 
+@pytest.mark.floats
 class TestStepExactness:
     @settings(max_examples=examples(200), deadline=None)
     @given(ring=rings())
@@ -449,6 +450,7 @@ def blocked(ring):
     return ring
 
 
+@pytest.mark.floats
 class TestGlide:
     @settings(max_examples=examples(200), deadline=None)
     @given(case=gliding_rings())
@@ -624,6 +626,7 @@ def logged_roads(draw):
     return warm, dt, steps, added, cleared, at, sorted(cuts | {steps})
 
 
+@pytest.mark.floats
 class TestRoadLog:
     @settings(max_examples=examples(200), deadline=None)
     @given(case=logged_roads())
@@ -671,6 +674,7 @@ def oracle_entry_clear(world):
     return True
 
 
+@pytest.mark.floats
 class TestInjectFlow:
     @settings(max_examples=examples(200), deadline=None)
     @given(data=st.data())
@@ -730,6 +734,7 @@ class TestInjectFlow:
         assert world.spawned_count == 1
 
 
+@pytest.mark.floats
 class TestNeighbours:
     def line(self, spacing, count):
         return StaticWorld(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from conftest import (
@@ -25,6 +27,7 @@ from vanetim.protocol import (
     Broadcast,
     DEFAULT_RULE_ROWS,
     IncidentStatus,
+    IncidentStep,
     OfficialPhase,
     OfficialState,
     ProtocolOrderError,
@@ -54,6 +57,74 @@ from vanetim.scenarios import build_scenario
 VEHICLE = RoleKind.REGULAR_VEHICLE
 POLICE = RoleKind.OFFICIAL_VEHICLE
 RSU = RoleKind.RSU
+
+
+def clear(state, now, ids):
+    """Resolve ``state``'s road through a clearance heard from a peer RSU."""
+    cleared = make_message(MessageKind.CLEARED_ROAD, RSU, now, ids=ids)
+    handle_rsu(state, cleared, RSU, True, now, ids=ids)
+    assert state.status is IncidentStatus.RESOLVED
+
+
+def resolved_road(ids):
+    """An RSU, and the ids it has seen, whose road an accident opened at
+    550 s and a clearance resolved at 700 s."""
+    state, seen = fresh_rsu(), set()
+    report = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
+    rsu_receive(state, seen, report, VEHICLE, 550.0, ids)
+    clear(state, 700.0, ids)
+    return state, seen
+
+
+def road_at(status, ids):
+    """An RSU whose road reached ``status`` through its handlers: none yet,
+    or resolved at 700 s, then reopened by a debris report at 750 s and
+    attended at 760 s as far as ``status`` asks."""
+    if status is None:
+        return fresh_rsu(), set()
+    state, seen = resolved_road(ids)
+    later = [(MessageKind.DEBRIS, VEHICLE, 750.0),
+             (MessageKind.ADDRESSING_INCIDENT, POLICE, 760.0)]
+    steps = {IncidentStatus.RESOLVED: 0, IncidentStatus.OPEN: 1,
+             IncidentStatus.BEING_ATTENDED: 2}[status]
+    for kind, sender, now in later[:steps]:
+        rsu_receive(state, seen, make_message(kind, sender, now, ids=ids), sender, now, ids)
+    assert state.status is status
+    return state, seen
+
+
+def signature(actions):
+    """Each action as its type and its message kind, or its timer callback."""
+    return [
+        (type(a), a.fn if isinstance(a, Arm) else a.message.kind) for a in actions
+    ]
+
+
+#: per kind: its sender, what a first receipt sends on a road not yet
+#: attended, and the lifecycle step it takes (None: it keeps the status)
+FRESH_RECEIPT = {
+    MessageKind.ACCIDENT: (VEHICLE, {
+        (Broadcast, MessageKind.ACCIDENT): 3,
+        (Broadcast, MessageKind.AVOID_ROAD): 3,
+        (Wired, MessageKind.ACCIDENT): 2,
+    }, IncidentStep.REPORT),
+    MessageKind.AVOID_ROAD: (VEHICLE, {
+        (Broadcast, MessageKind.AVOID_ROAD): 2,
+    }, None),
+    MessageKind.OBSTACLE: (VEHICLE, {
+        (Broadcast, MessageKind.OBSTACLE): 3,
+        (Wired, MessageKind.OBSTACLE): 2,
+        (Arm, rsu_report_tick): 1,
+    }, IncidentStep.REPORT),
+    MessageKind.DEBRIS: (VEHICLE, {
+        (Wired, MessageKind.DEBRIS): 1,
+    }, IncidentStep.REPORT),
+    MessageKind.ADDRESSING_INCIDENT: (POLICE, {
+        (Broadcast, MessageKind.ACK): 1,
+        (Broadcast, MessageKind.RESTRICTED_MOVEMENT): 1,
+        (Arm, rsu_restricted_tick): 1,
+    }, IncidentStep.ATTEND),
+}
 
 
 class TestRuleTable:
@@ -123,11 +194,14 @@ class TestRuleTable:
         assert rsu_receive(state, seen, msg, VEHICLE, 570.0, ids) == []
         assert rsu_receive(state, seen, msg, RSU, 571.0, ids) == []
 
-    def test_accident_on_resolved_road_ignored(self, ids):
-        state = fresh_rsu()
-        state.status = IncidentStatus.RESOLVED
-        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
-        assert handle_rsu(state, msg, VEHICLE, True, 550.0, ids=ids) == []
+    def test_accident_on_resolved_road_bursts_if_made_since(self, ids):
+        state, seen = resolved_road(ids)
+        stale = make_message(MessageKind.ACCIDENT, VEHICLE, 600.0, ids=ids)
+        assert rsu_receive(state, seen, stale, VEHICLE, 810.0, ids) == []
+        fresh = make_message(MessageKind.ACCIDENT, VEHICLE, 800.0, ids=ids)
+        actions = rsu_receive(state, seen, fresh, VEHICLE, 810.0, ids)
+        assert len(broadcasts(actions, MessageKind.ACCIDENT)) == 3
+        assert state.status is IncidentStatus.OPEN
 
 
 class TestRsuResolution:
@@ -181,7 +255,7 @@ class TestRsuTimers:
         assert announce.source is ActionSource.BURST
         assert (rearm.fn, rearm.args) == (rsu_report_tick, ())
         assert rearm.at == arm.at + REPORT_PERIOD
-        state.status = IncidentStatus.RESOLVED
+        clear(state, 600.0, ids)
         assert self._fire(state, rearm, ids) == []
 
     def test_restricted_movement_reannounced_while_attended(self, ids):
@@ -196,7 +270,7 @@ class TestRsuTimers:
         assert announce.message.kind is MessageKind.RESTRICTED_MOVEMENT
         assert (rearm.fn, rearm.args) == (rsu_restricted_tick, ())
         assert rearm.at == arm.at + RESTRICTED_PERIOD
-        state.status = IncidentStatus.RESOLVED
+        clear(state, 600.0, ids)
         assert self._fire(state, rearm, ids) == []
 
 
@@ -243,22 +317,62 @@ class TestIncidentLedger:
 
     def test_resolve_without_open_raises(self):
         with pytest.raises(ProtocolOrderError):
-            advance_incident(fresh_rsu(), IncidentStatus.RESOLVED)
+            advance_incident(fresh_rsu(), IncidentStep.RESOLVE)
 
-    def test_backward_transition_raises(self):
-        state = fresh_rsu()
-        state.status = IncidentStatus.RESOLVED
+    def test_second_resolution_raises(self, ids):
+        state, _ = resolved_road(ids)
         with pytest.raises(ProtocolOrderError):
-            advance_incident(state, IncidentStatus.BEING_ATTENDED)
+            advance_incident(state, IncidentStep.RESOLVE)
         assert state.status is IncidentStatus.RESOLVED
 
     def test_reopen_after_resolution(self, ids):
-        state = fresh_rsu()
-        state.status = IncidentStatus.RESOLVED
+        state, seen = resolved_road(ids)
         # a fresh report on the same road opens a new episode
-        report = make_message(MessageKind.DEBRIS, VEHICLE, 600.0, ids=ids)
-        handle_rsu(state, report, VEHICLE, True, 600.0, ids=ids)
+        report = make_message(MessageKind.DEBRIS, VEHICLE, 750.0, ids=ids)
+        rsu_receive(state, seen, report, VEHICLE, 750.0, ids)
         assert state.status is IncidentStatus.OPEN
+
+    @pytest.mark.parametrize("made", [600.0, 700.0, 800.0], ids=["before", "at", "after"])
+    @pytest.mark.parametrize("kind", list(FRESH_RECEIPT), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "status",
+        [None, IncidentStatus.OPEN, IncidentStatus.BEING_ATTENDED, IncidentStatus.RESOLVED],
+        ids=lambda s: "none" if s is None else s.value,
+    )
+    def test_receipt_stale_only_if_made_before_resolution(self, ids, status, kind, made):
+        # a road brought to ``status`` through the handlers: all but the
+        # first were resolved at 700 s, and the open and attended ones
+        # reopened since; a receipt at 810 s is stale only if made before
+        # the resolution, whatever the status, and a fresh one takes the
+        # lifecycle step of its kind
+        state, seen = road_at(status, ids)
+        sender, sends, step = FRESH_RECEIPT[kind]
+        msg = make_message(kind, sender, made, ids=ids)
+        actions = rsu_receive(state, seen, msg, sender, 810.0, ids)
+        if status is not None and made < 700.0:
+            assert actions == []
+            assert state.status is status
+            return
+        if kind is MessageKind.ADDRESSING_INCIDENT and status is IncidentStatus.BEING_ATTENDED:
+            sends = {(Broadcast, MessageKind.ACK): 1}  # already restricted
+        assert Counter(signature(actions)) == sends
+        if step is None:
+            after = status
+        elif step is IncidentStep.ATTEND or status is IncidentStatus.BEING_ATTENDED:
+            after = IncidentStatus.BEING_ATTENDED
+        else:
+            after = IncidentStatus.OPEN
+        assert state.status is after
+
+    def test_stale_clearance_on_resolved_road_forwarded(self, ids):
+        state, seen = resolved_road(ids)
+        cleared = make_message(MessageKind.CLEARED_ROAD, RSU, 600.0, ids=ids)
+        actions = rsu_receive(state, seen, cleared, RSU, 810.0, ids)
+        assert [(a.to, a.message) for a in wired(actions)] == [
+            (RSU9_SLOT, cleared), (RSU1_SLOT, cleared)
+        ]
+        assert broadcasts(actions) == []
+        assert state.status is IncidentStatus.RESOLVED
 
     def test_double_open_is_noop(self, ids):
         # a second report on a road with an incident leaves its status be
