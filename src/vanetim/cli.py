@@ -14,18 +14,15 @@ from pathlib import Path
 from typing import Collection, List, Optional, Sequence, Tuple
 
 from .metrics import SweepResult, SweepRow, export_csv, parse_csv
-from .netsim import Engine, TrialSetup, road_for, write_trace
+from .netsim import ConfigError, Engine, TrialSetup, road_for, warm_world, write_trace
 from .relay import FRESH60, HOP4, Freshness, HopLimit, RelayPolicy
+from .roadlog import RoadLog
 from .scenarios import build_scenario, check_conformance, spec_for
 
 EXIT_OK = 0
 EXIT_CONFORMANCE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -154,6 +151,9 @@ def make_setup(config: RunConfig, *, policy: Optional[str] = None,
 
 
 def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
+    # the trials differ only in their seed, so several read one road; a
+    # lone trial warms its own, recording nothing that no other trial reads
+    road = road_for(setup) if config.trials > 1 else None
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -165,9 +165,6 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
     sweep = SweepResult()
     all_pass = True
     report_lines = []
-    # the trials differ only in their seed, so several read one road; a
-    # lone trial steps its own, recording nothing that no other trial reads
-    road = road_for(setup) if config.trials > 1 else None
     for trial in range(config.trials):
         seed = config.seed + trial
         trace, metrics = Engine(setup, seed, road).run()
@@ -198,11 +195,14 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
 
 def run_sweep(config: RunConfig, policies: Sequence[str] = ("hop4", "fresh60")) -> SweepResult:
     """Run both policies across all densities; library form of cmd_sweep.
-    Every trial of a density reads one road (see ``road_for``)."""
+    Every trial of a density reads one road (see ``road_for``); every
+    density is warmed, and so checked, before the first trial."""
     config.validate()
+    warm = [warm_world(make_setup(config, vehicles=v)) for v in config.densities]
     sweep = SweepResult()
-    for vehicles in config.densities:
-        road = road_for(make_setup(config, vehicles=vehicles))
+    for vehicles, world in zip(config.densities, warm):
+        # one density's recorded rows at a time
+        road = RoadLog(world, config.dt)
         for policy in policies:
             setup = make_setup(config, policy=policy, vehicles=vehicles)
             for trial in range(config.trials):
@@ -347,25 +347,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "report":
         return cmd_report(args.csv)
-    # only building and validating the trial set-up can fail with a config
-    # error; a fault raised while a trial runs is not the user's input
+    # building the set-up, and warming its road before the first trial, are
+    # config errors; a fault raised while a trial runs is not the user's input
     try:
         config = _build_config(args)
         config.validate()
+        setup = make_setup(config)  # for a sweep, it checks the scenario only
         if args.command == "run":
-            setup = make_setup(config)
             setup.validate()
-        else:
-            if not config.densities:
-                raise ConfigError("sweep requires --densities")
-            for vehicles in config.densities:
-                make_setup(config, vehicles=vehicles).validate()
-    except (ConfigError, ValueError, KeyError) as exc:
+        elif not config.densities:
+            raise ConfigError("sweep requires --densities")
+    except (ValueError, KeyError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "run":
-        return cmd_run(config, setup)
-    return cmd_sweep(config)
+    try:
+        return cmd_run(config, setup) if args.command == "run" else cmd_sweep(config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

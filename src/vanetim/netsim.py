@@ -16,9 +16,11 @@ histories agree. Before the report the history is empty, so trials that
 share those three start from one :func:`warm_world`. After it, a trial
 changes its road only through its blockage history: the reporter's
 blockage, added at the report, and its removal at the first resolution
-notice sent. Every trial of a :func:`road_for` log reads the steps it
+notice sent. The trials of a :func:`road_for` log read the steps it
 records while the histories agree; ``Engine(setup, seed)`` steps its own
-road from 0 s, which the tests take as the reference.
+:func:`warm_world`, which the tests take as the reference. A warm road has
+spawned its whole fleet, or :func:`warm_world` refuses it, so no trial's
+road spawns.
 
 Every trial runs on one road, so messages, states and timers name none; the
 trace format writes ``ROAD`` in its road column, and :func:`parse_trace`
@@ -84,7 +86,7 @@ from .domain import (
     role_of_label,
 )
 from .metrics import TrialMetrics
-from .mobility import ENTRY_HEADWAY, STANDSTILL_GAP, VEHICLE_LENGTH, CircularWorld
+from .mobility import STANDSTILL_GAP, VEHICLE_LENGTH, CircularWorld
 from .protocol import (
     Arm,
     Broadcast,
@@ -109,9 +111,10 @@ HOP_LATENCY = 0.01      # seconds from a radio send to its delivery
 WIRED_LATENCY = 0.005   # seconds from a wired send to its delivery
 RELAY_JITTER = 0.2      # +/- fraction applied to the relay hold
 OFFICIAL_HOLD = 0.5     # hold for high-priority messages
-#: seconds before the report (at ``REPORT_TIME``, 550 s) by which every
-#: scheduled entry is due; every run outlasts it
-WARMUP = 500.0
+
+
+class ConfigError(ValueError):
+    """A set-up the model cannot honour; the command line exits 2 for it."""
 
 
 @dataclass(frozen=True)
@@ -136,26 +139,27 @@ class TrialSetup:
         return regulars[:split] + officials + regulars[split:]
 
     def validate(self) -> List[str]:
-        """Check the set-up and return its :meth:`fleet`."""
+        """Check the set-up and return its :meth:`fleet`. Whether the fleet
+        spawns by the report is :func:`warm_world`'s check."""
         if self.vehicles < 0:
-            raise ValueError("vehicle count must not be negative")
+            raise ConfigError("vehicle count must not be negative")
         if self.police < 0:
-            raise ValueError("police count must not be negative")
+            raise ConfigError("police count must not be negative")
         # a non-finite duration slips past every comparison
-        if not (math.isfinite(self.duration) and self.duration > WARMUP):
-            raise ValueError(
-                f"duration must be finite and outlast the {WARMUP} s warm-up"
+        if not (math.isfinite(self.duration) and self.duration > REPORT_TIME):
+            raise ConfigError(
+                f"duration must be finite and end after the report at {REPORT_TIME} s"
             )
         for name, value in (("step dt", self.dt), ("route length", self.route_length)):
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+                raise ConfigError(f"{name} must be finite and positive")
         if not (math.isfinite(self.relay_hold) and self.relay_hold >= 0):
-            raise ValueError("relay hold must be finite and not negative")
+            raise ConfigError("relay hold must be finite and not negative")
         if not 0.0 <= self.loss < 1.0:  # NaN fails too
-            raise ValueError("loss must be in [0, 1)")
+            raise ConfigError("loss must be in [0, 1)")
         script = self.script
         if self.police < script.min_police:
-            raise ValueError(
+            raise ConfigError(
                 f"scenario {script.name!r} requires at least "
                 f"{script.min_police} police vehicles"
             )
@@ -169,21 +173,16 @@ class TrialSetup:
             )),
         ):
             if not known:
-                raise ValueError(
+                raise ConfigError(
                     f"scenario {name} {label} names no entity in a fleet of "
                     f"{self.vehicles} vehicles and {self.police} police"
                 )
         fleet = len(labels)
         footprint = VEHICLE_LENGTH + STANDSTILL_GAP
         if fleet * footprint > self.route_length:
-            raise ValueError(
+            raise ConfigError(
                 f"{fleet} vehicles of {footprint} m each do not fit on a "
                 f"{self.route_length} m route"
-            )
-        if (fleet - 1) * ENTRY_HEADWAY >= WARMUP:
-            raise ValueError(
-                f"{fleet} vehicles at a {ENTRY_HEADWAY} s entry headway cannot all "
-                f"spawn before the {WARMUP} s warm-up ends"
             )
         return labels
 
@@ -245,7 +244,8 @@ class Engine:
         """``road``, if given, is a log for ``setup``'s road whose warm road
         is stepped no further than the first event, such as a
         :func:`road_for`; the trial reads it through its own cursor and
-        leaves the log's warm road and recorded rows as they were."""
+        leaves the log's warm road and recorded rows as they were. Without
+        one, the trial builds its own :func:`warm_world`."""
         labels = setup.validate()
         self.setup = setup
         self.seed = seed
@@ -264,7 +264,7 @@ class Engine:
         fleet = len(labels)
         route_length, dt = setup.route_length, setup.dt
         if road is None:
-            self.world = CircularWorld(route_length, fleet)
+            self.world = warm_world(setup)
         else:
             warm = road.warm
             if (warm.route_length, warm.fleet_size, road.dt) != (route_length, fleet, dt):
@@ -468,7 +468,7 @@ class Engine:
     def _report(self) -> None:
         script = self.setup.script
         reporter = self._reporter
-        if script.blockage and reporter < self.world.spawned_count:
+        if script.blockage:
             self.world.add_blockage(self.world.arc_of(reporter))
         msg = self.originate(reporter, script.kind, self.now, payload=script.payload)
         self._report_id = msg.id
@@ -520,9 +520,15 @@ class Engine:
 def warm_world(setup: TrialSetup) -> CircularWorld:
     """The road as every trial of ``setup`` finds it at ``REPORT_TIME``: a
     trial runs nothing but mobility steps before the report, so this road
-    depends only on the route length, the fleet size and ``dt``."""
+    depends only on the route length, the fleet size and ``dt``. A fleet
+    not all spawned by then is a :class:`ConfigError`."""
     world = CircularWorld(setup.route_length, len(setup.validate()))
     world.advance(REPORT_TIME, setup.dt)
+    if world.spawned_count < world.fleet_size:
+        raise ConfigError(
+            f"only {world.spawned_count} of {world.fleet_size} vehicles have "
+            f"spawned by the report at {REPORT_TIME} s"
+        )
     return world
 
 

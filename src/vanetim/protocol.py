@@ -6,7 +6,8 @@ execute. No handler performs I/O or touches the event queue directly.
 
 A timer names its callback: an :class:`Arm` carries the function, and its
 arguments, that the engine calls back on the arming entity's state when the
-timer fires.
+timer fires. An RSU's re-announcement timer carries the message it repeats
+and stops once the RSU announces another, so each RSU runs one chain.
 
 Handlers address other entities by their engine slot: a ``Wired`` target,
 an RSU's two backbone peers, its TA and the TA's reporting RSU are ints.
@@ -320,7 +321,7 @@ def _rsu_announce_report(
     # flood along the backbone ring so every zone learns of the incident;
     # message-id dedup terminates the flood after one lap
     actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
-    actions.append(Arm(now + 3 * BURST_INTERVAL, rsu_report_tick, ()))
+    actions.append(Arm(now + 3 * BURST_INTERVAL, rsu_report_tick, (msg,)))
     return actions
 
 
@@ -345,7 +346,7 @@ def _rsu_acknowledge_official(
         )
         state.restricted = restricted
         actions.append(Broadcast(restricted, at=now, source=ActionSource.ORIGIN))
-        actions.append(Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, ()))
+        actions.append(Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, (restricted,)))
     return actions
 
 
@@ -439,28 +440,26 @@ def rsu_scripted_resolution(
 
 
 def rsu_report_tick(
-    state: RsuState, now: float, *, ids: MessageIdSource
+    state: RsuState, msg: Message, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
-    """Re-announce an open report until the road is cleared."""
-    msg = state.announcing
-    if msg is None:
+    """Re-announce ``msg`` while it is the report the RSU announces."""
+    if state.announcing is not msg:
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),
-        Arm(now + REPORT_PERIOD, rsu_report_tick, ()),
+        Arm(now + REPORT_PERIOD, rsu_report_tick, (msg,)),
     ]
 
 
 def rsu_restricted_tick(
-    state: RsuState, now: float, *, ids: MessageIdSource
+    state: RsuState, msg: Message, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
-    """Re-announce restricted movement while the incident is attended."""
-    msg = state.restricted
-    if msg is None:
+    """Re-announce ``msg`` while it is the RSU's restricted-movement notice."""
+    if state.restricted is not msg:
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),
-        Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, ()),
+        Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, (msg,)),
     ]
 
 

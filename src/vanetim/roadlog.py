@@ -10,7 +10,9 @@ its ``positions``. The first trial to need a step not yet recorded steps
 the frontier under its own blockages. A cursor whose history differs from
 the log's at a step it needs replays a copy of the warm road up to that
 step and steps the copy on its own from there; so does one asked for its
-speeds, to spawn or to take a step other than through ``advance``.
+speeds or to take a step other than through ``advance``. A log records only
+a warm road whose whole fleet has spawned, so neither its frontier nor a
+cursor ever spawns.
 
 The frontier takes each step with the log's own step, which keeps every
 vehicle's last move and runs the car-following rule of
@@ -65,6 +67,11 @@ class RoadLog:
     """
 
     def __init__(self, warm: CircularWorld, dt: float) -> None:
+        if warm.spawned_count < warm.fleet_size:
+            raise ValueError(
+                f"a warm road with {warm.spawned_count} of {warm.fleet_size} "
+                "vehicles spawned cannot be recorded: a recorded road never spawns"
+            )
         self.warm = warm
         self.dt = dt
         self.start = warm.next_step
@@ -101,7 +108,7 @@ class RoadLog:
 
     def _step(self) -> None:
         """The frontier's next step, as :meth:`CircularWorld.advance` takes
-        it: spawn what can spawn, then move every vehicle.
+        it on a fleet that has spawned: move every vehicle.
 
         A vehicle takes the rule of :meth:`CircularWorld.step`, with its
         arithmetic, only when its inputs may have changed; any other repeats
@@ -122,20 +129,14 @@ class RoadLog:
           step. Waking a vehicle early gives the same floats.
 
         Every other vehicle is computed at the next step, as is one whose
-        leader's move changed, and every vehicle is after a spawn or a
-        change of blockages. Each new position is the old one plus the move;
+        leader's move changed, and every vehicle is after a change of
+        blockages. Each new position is the old one plus the move;
         one that reaches the route length, always a computed one, is wrapped
         by ``%`` as in :meth:`CircularWorld.step`."""
         frontier, dt = self._frontier, self.dt
         positions, speeds, moves = frontier.positions, frontier.speeds, self._moves
         step = frontier.next_step
         count = len(positions)
-        if count < frontier.fleet_size:
-            frontier.inject_flow(step * dt)
-            if len(positions) > count:
-                moves += [0.0] * (len(positions) - count)
-                count = len(positions)
-                self._due = None
         due, wake = self._due, self._wake
         if due is None:
             due = range(count)
@@ -243,17 +244,17 @@ class RoadCursor(CircularWorld):
     blockages agree with those each recorded step was taken under,
     ``positions`` is its own copy of the row of the last step taken, and no
     speeds are kept. At the first step where they differ, or at the first
-    read of ``speeds``, call of :meth:`inject_flow` or of :meth:`step`, it
-    leaves the log: it replays a copy of the warm road under the recorded
-    blockages of the steps it read, and is a plain :class:`CircularWorld`
-    from there. No cursor holds a list or row that another reads."""
+    read of ``speeds`` or call of :meth:`step`, it leaves the log: it
+    replays a copy of the warm road under the recorded blockages of the
+    steps it read, and is a plain :class:`CircularWorld` from there. Its
+    whole fleet has spawned, so it never spawns, on the log or off it. No
+    cursor holds a list or row that another reads."""
 
     def __init__(self, log: RoadLog) -> None:
         warm = log.warm
         super().__init__(warm.route_length, warm.fleet_size)
         self.log: Optional[RoadLog] = log
         self.next_step = warm.next_step
-        self.next_spawn_time = warm.next_spawn_time
         self.positions = warm.positions[:]
         self.blockages = list(warm.blockages)
 
@@ -266,11 +267,6 @@ class RoadCursor(CircularWorld):
     @speeds.setter
     def speeds(self, speeds: List[float]) -> None:
         self._speeds = speeds
-
-    def inject_flow(self, now: float) -> None:
-        if self.log is not None:
-            self._leave()
-        super().inject_flow(now)
 
     def step(self, dt: float) -> None:
         if self.log is not None:
@@ -310,4 +306,3 @@ class RoadCursor(CircularWorld):
             world.advance(world.next_step * log.dt, log.dt)
         self.log = None
         self.positions, self.speeds = world.positions, world.speeds
-        self.next_spawn_time = world.next_spawn_time

@@ -603,13 +603,18 @@ def logged_roads(draw):
     at which a trial stops extending the log. The road is a drawn ring
     (unordered, crowded, near the step's branch points, or straddling a
     doubling of the float spacing) or a bare road of the default route
-    stepped from 0 s, warm or still spawning, with ``dt`` on the grid or off
-    it; the 139-vehicle warm road overlaps at the spawn wrap."""
+    stepped from 0 s until its whole fleet has spawned, or on to the report,
+    with ``dt`` on the grid or off it; the 139-vehicle warm road overlaps at
+    the spawn wrap."""
     source = draw(st.sampled_from(["ring", "cruising", "straddling", "bare", "bare"]))
     if source == "bare":
         dt = draw(st.sampled_from([DT, DT, 0.1]))
         fleet = draw(st.sampled_from([1, 2, 19, 79, 139]))
-        warm = bare_road(fleet, dt, draw(st.sampled_from([15.0, 100.0, 550.0])))
+        # a log records only a road that has spawned its whole fleet
+        warm = bare_road(fleet, dt, draw(st.sampled_from([
+            until for until in (15.0, 100.0, 550.0)
+            if bare_road(fleet, dt, until).spawned_count == fleet
+        ])))
     else:
         strategy = {"ring": rings, "cruising": cruising_rings,
                     "straddling": straddling_rings}[source]
@@ -632,7 +637,7 @@ class TestRoadLog:
     @given(case=logged_roads())
     def test_records_the_rows_of_a_world_stepped_by_step(self, case):
         warm, dt, steps, added, cleared, at, cuts = case
-        # the reference: spawn at each step's time, then step, as advance
+        # the reference: step by step, as advance on a spawned fleet
         world, history, rows = warm.copy(), [], []
         for i in range(steps):
             if i == added:
@@ -643,8 +648,6 @@ class TestRoadLog:
             if i == cleared:
                 world.clear_blockages()
             history.append(list(world.blockages))
-            if world.spawned_count < world.fleet_size:
-                world.inject_flow(world.next_step * dt)
             world.step(dt)
             rows.append(array("d", world.positions).tobytes())
         log = RoadLog(warm, dt)
@@ -662,6 +665,18 @@ class TestRoadLog:
             assert row.tobytes() == rows[i], f"step {i}"
         assert log.blockages == history
         assert bits(log._frontier) == bits(world)
+
+    @pytest.mark.parametrize("fleet, until", [
+        (19, 0.0), (19, 15.0), (139, 100.0), (220, 550.0),
+    ])
+    def test_refuses_a_road_still_spawning(self, fleet, until):
+        warm = bare_road(fleet, DT, until)
+        assert warm.spawned_count < fleet
+        with pytest.raises(ValueError, match=(
+            f"a warm road with {warm.spawned_count} of {fleet} vehicles spawned "
+            "cannot be recorded"
+        )):
+            RoadLog(warm, DT)
 
 
 def oracle_entry_clear(world):

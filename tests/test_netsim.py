@@ -19,11 +19,13 @@ from vanetim.domain import (
 from vanetim.cli import RunConfig, run_sweep
 from vanetim.mobility import CircularWorld
 from vanetim.netsim import (
+    ConfigError,
     Engine,
     TraceRecord,
     TrialSetup,
     parse_trace,
     road_for,
+    warm_world,
     write_trace,
 )
 from vanetim.protocol import Arm, Broadcast, Wired
@@ -38,8 +40,8 @@ TA = RoleKind.TA
 
 
 def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0, **setup_kwargs):
-    """An engine whose fleet is spawned and repositionable by hand; V0 is
-    slot 0 and any police follow it."""
+    """An engine on its warm road, whose fleet has spawned and is
+    repositionable by hand; V0 is slot 0 and any police follow it."""
     script = build_scenario(scenario, reporter="V0", reporter_index=0)
     setup = TrialSetup(
         script=script,
@@ -48,13 +50,7 @@ def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0, **setup_kwarg
         police=police,
         **setup_kwargs,
     )
-    engine = Engine(setup, seed)
-    t = 0.0
-    while engine.world.spawned_count < vehicles + police:
-        engine.world.inject_flow(t)
-        engine.world.step(0.5)
-        t += 0.5
-    return engine
+    return Engine(setup, seed)
 
 
 def run_until(engine, t):
@@ -204,17 +200,20 @@ class TestWired:
 
 
 class TestTrialSetupValidation:
-    def test_warmup_must_precede_duration(self):
-        # a non-finite duration slips past every comparison
-        for duration in (400.0, netsim.WARMUP, float("nan"), float("inf")):
+    def test_the_run_must_end_after_the_report(self):
+        # a non-finite duration slips past every comparison; a run that ends
+        # at the report or before it never reports
+        for duration in (400.0, netsim.REPORT_TIME - 30.0, netsim.REPORT_TIME,
+                         float("nan"), float("inf")):
             setup = TrialSetup(
                 script=build_scenario("accident"),
                 policy=HOP4,
                 vehicles=19,
                 duration=duration,
             )
-            with pytest.raises(ValueError, match="warm-up"):
+            with pytest.raises(ConfigError, match="end after the report"):
                 setup.validate()
+        replace(setup, duration=netsim.REPORT_TIME + 0.5).validate()
 
     def test_reporter_must_exist(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=10)
@@ -278,8 +277,9 @@ class TestTrialSetupValidation:
         with pytest.raises(ValueError, match="do not fit"):
             setup(21).validate()
 
-    def test_fleet_must_spawn_before_warmup_ends(self):
-        # at a 2 s headway the 251st vehicle would enter at 500 s
+    def test_fleet_must_spawn_before_the_report(self):
+        # the entry defers a spawn while it is not clear, so on the default
+        # route at dt 0.5 the 220th vehicle has not entered by 550 s
         def setup(vehicles, police=0):
             return TrialSetup(
                 script=build_scenario("accident-police"),
@@ -288,11 +288,17 @@ class TestTrialSetupValidation:
                 police=police,
             )
 
-        setup(249, police=1).validate()
-        with pytest.raises(ValueError, match="cannot all spawn"):
-            setup(250, police=1).validate()
-        with pytest.raises(ValueError, match="cannot all spawn"):
-            setup(249, police=2).validate()
+        assert warm_world(setup(218, police=1)).spawned_count == 219
+        for fleet in (setup(219, police=1), setup(218, police=2), setup(249, police=1)):
+            # the nominal 2 s headway would pass every one of them
+            fleet.validate()
+            with pytest.raises(ConfigError, match=(
+                f"only 219 of {fleet.vehicles + fleet.police} vehicles have "
+                "spawned by the report at 550.0 s"
+            )):
+                warm_world(fleet)
+            with pytest.raises(ConfigError, match="only 219"):
+                Engine(fleet, 1)
 
 
 class TestRunProperties:
@@ -309,11 +315,11 @@ class TestRunProperties:
         trace_b, _ = Engine(setup, 2).run()
         assert [r.to_line() for r in trace_a] != [r.to_line() for r in trace_b]
 
-    def test_warmup_window_is_silent(self):
+    def test_nothing_is_sent_before_the_report(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
         trace, _ = Engine(setup, 3).run()
         assert trace  # the incident does produce traffic
-        assert min(record.time for record in trace) >= netsim.WARMUP
+        assert min(record.time for record in trace) == netsim.REPORT_TIME
 
     def test_official_exchange_causal_order(self):
         setup = TrialSetup(
@@ -353,13 +359,15 @@ class LastEventEngine(CountingEngine):
 
 
 class AlwaysStepEngine(CountingEngine):
-    """The oracle for the stop rule: every mobility step 0.._steps is its own
-    queue event at ``i * dt`` with sequence number ``-i``, so it sorts before
+    """The oracle for the stop rule: on a road of its own that it steps from
+    0 s, not the warm road, every mobility step 0.._steps is its own queue
+    event at ``i * dt`` with sequence number ``-i``, so it sorts before
     every other event due at its time, and every one of them runs, whether or
     not any event is left."""
 
     def run(self):
         setup = self.setup
+        self.world = CircularWorld(setup.route_length, self.world.fleet_size)
         self._schedule(netsim.REPORT_TIME, self._report)
         clearance = setup.script.clearance
         if clearance is Clearance.COORDINATOR:
@@ -482,8 +490,10 @@ def blockage_changes(log):
 
 
 def world_lists(world):
+    """A road's state; one whose fleet has spawned never reads its next
+    spawn time."""
     return (list(world.positions), list(world.speeds), list(world.blockages),
-            world.next_step, world.next_spawn_time)
+            world.next_step)
 
 
 class TestSharedWorld:
@@ -544,15 +554,23 @@ class TestSharedWorld:
         (added, (arc,)), cleared = blockage_changes(log)
         assert (added, cleared) == (1101, (1701, []))
 
-    def test_a_run_that_ends_before_the_report_traces_nothing_either_way(self):
+    def test_a_lone_trial_starts_from_its_warm_road(self):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        world, warm = Engine(setup, 1).world, warm_world(setup)
+        assert (world.positions, world.speeds, world.next_step) == (
+            warm.positions, warm.speeds, warm.next_step
+        )
+        assert world.next_step * setup.dt > netsim.REPORT_TIME
+
+    def test_a_run_that_ends_before_the_report_is_refused_either_way(self):
         setup = TrialSetup(
             script=build_scenario("accident"), policy=HOP4, vehicles=19,
             duration=netsim.REPORT_TIME - 10.0,
         )
-        alone = Engine(setup, 1)
-        assert alone.run()[0] == Engine(setup, 1, road_for(setup)).run()[0] == []
-        # no event falls within the run, so the road takes no step at all
-        assert alone.world.next_step == 0
+        with pytest.raises(ConfigError, match="end after the report"):
+            Engine(setup, 1)
+        with pytest.raises(ConfigError, match="end after the report"):
+            road_for(setup)
 
     def test_a_blockage_standing_at_the_end_stays_in_its_trial(self):
         # the run ends between the report and the clearance, so the
@@ -631,9 +649,8 @@ class TestSharedWorld:
 
     @pytest.mark.parametrize("act", [
         lambda world: world.speeds,
-        lambda world: world.inject_flow(580.0),
         lambda world: world.step(0.5),
-    ], ids=["speeds", "inject_flow", "step"])
+    ], ids=["speeds", "step"])
     def test_a_cursor_leaves_the_log_before_its_speeds_or_writes(self, act):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
         dt = setup.dt

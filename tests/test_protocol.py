@@ -1,3 +1,5 @@
+import heapq
+import itertools
 from collections import Counter
 
 import pytest
@@ -248,12 +250,12 @@ class TestRsuTimers:
         msg = make_message(MessageKind.OBSTACLE, VEHICLE, 550.0, ids=ids)
         (arm,) = [a for a in handle_rsu(state, msg, VEHICLE, True, 550.0, ids=ids)
                   if isinstance(a, Arm)]
-        assert (arm.fn, arm.args) == (rsu_report_tick, ())
+        assert (arm.fn, arm.args) == (rsu_report_tick, (msg,))
         assert arm.at == 550.0 + 3 * BURST_INTERVAL
         announce, rearm = self._fire(state, arm, ids)
         assert announce.message is msg
         assert announce.source is ActionSource.BURST
-        assert (rearm.fn, rearm.args) == (rsu_report_tick, ())
+        assert (rearm.fn, rearm.args) == (rsu_report_tick, (msg,))
         assert rearm.at == arm.at + REPORT_PERIOD
         clear(state, 600.0, ids)
         assert self._fire(state, rearm, ids) == []
@@ -263,15 +265,63 @@ class TestRsuTimers:
         msg = make_message(MessageKind.ADDRESSING_INCIDENT, POLICE, 560.0, ids=ids)
         (arm,) = [a for a in handle_rsu(state, msg, POLICE, True, 560.0, ids=ids)
                   if isinstance(a, Arm)]
-        assert (arm.fn, arm.args) == (rsu_restricted_tick, ())
+        assert (arm.fn, arm.args) == (rsu_restricted_tick, (state.restricted,))
         assert arm.at == 560.0 + RESTRICTED_PERIOD
         announce, rearm = self._fire(state, arm, ids)
         assert announce.message is state.restricted
         assert announce.message.kind is MessageKind.RESTRICTED_MOVEMENT
-        assert (rearm.fn, rearm.args) == (rsu_restricted_tick, ())
+        assert (rearm.fn, rearm.args) == (rsu_restricted_tick, (state.restricted,))
         assert rearm.at == arm.at + RESTRICTED_PERIOD
         clear(state, 600.0, ids)
         assert self._fire(state, rearm, ids) == []
+
+    def reannounced(self, state, receipts, until, ids):
+        """Take each first ``(time, message, sender)`` receipt and fire each
+        Arm that they and the ticks make, all in time order up to ``until``;
+        return the ``(time, message)`` of every re-announcement."""
+        order = itertools.count()
+        queue = [(at, next(order), (msg, sender)) for at, msg, sender in receipts]
+        heapq.heapify(queue)
+        out = []
+        while queue and queue[0][0] <= until:
+            at, _, event = heapq.heappop(queue)
+            if isinstance(event, Arm):
+                actions = self._fire(state, event, ids)
+                out.extend((at, action.message) for action in broadcasts(actions))
+            else:
+                msg, sender = event
+                actions = handle_rsu(state, msg, sender, True, at, ids=ids)
+            for action in actions:
+                if isinstance(action, Arm):
+                    heapq.heappush(queue, (action.at, next(order), action))
+        return out
+
+    def test_a_second_report_leaves_one_chain(self, ids):
+        state = fresh_rsu()
+        obstacle = make_message(MessageKind.OBSTACLE, VEHICLE, 550.0, ids=ids)
+        congestion = make_message(MessageKind.CONGESTION, VEHICLE, 560.0, ids=ids)
+        out = self.reannounced(
+            state, [(550.0, obstacle, VEHICLE), (560.0, congestion, VEHICLE)], 620.0, ids
+        )
+        # one re-announcement a period: the obstacle's chain ends once the
+        # congestion is the report announced
+        assert out == [(556.0, obstacle)] + [
+            (566.0 + k * REPORT_PERIOD, congestion) for k in range(6)
+        ]
+
+    def test_a_fresh_notice_after_a_clearance_leaves_one_chain(self, ids):
+        state = fresh_rsu()
+        first = make_message(MessageKind.ADDRESSING_INCIDENT, POLICE, 560.0, ids=ids)
+        cleared = make_message(MessageKind.CLEARED_ROAD, RSU, 563.0, ids=ids)
+        second = make_message(MessageKind.ADDRESSING_INCIDENT, POLICE, 565.0, ids=ids)
+        out = self.reannounced(state, [
+            (560.0, first, POLICE), (563.0, cleared, RSU), (565.0, second, POLICE)
+        ], 620.0, ids)
+        # the first notice's tick, due at 570 s, finds the second's notice
+        # announced and ends its chain
+        notice = state.restricted
+        assert notice.correlation == second.id
+        assert out == [(575.0 + k * RESTRICTED_PERIOD, notice) for k in range(5)]
 
 
 class TestRsuAcknowledgement:
