@@ -9,13 +9,19 @@ the density and the catalogue group). It pins no digest: compare its
 output between two commits, or between two ``PYTHONHASHSEED`` values, to
 show that a change leaves every trace byte-identical.
 
+Each cell's three seeds then run again on one recorded road
+(``road_for``), as a sweep's trials do. If any of those traces differs from
+its lone trial's, the script names the cell on stderr and exits 1. The
+lossy ``accident-police fresh60 81`` cell's trials leave the recorded road,
+so the check covers that path too.
+
 Usage: python scripts/trace_digests.py > digests.txt
 """
 
 import hashlib
 import sys
 
-from vanetim.netsim import Engine, TrialSetup
+from vanetim.netsim import Engine, TrialSetup, road_for
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import SCENARIOS, build_scenario
 
@@ -35,8 +41,16 @@ CELLS = (
 )
 
 
+def digest(trace) -> str:
+    return hashlib.sha1(
+        "".join(record.to_line() + "\n" for record in trace).encode("utf-8")
+    ).hexdigest()
+
+
 def main() -> int:
-    for scenario, policy, vehicles, police, loss in CELLS:
+    differ = []
+    for cell in CELLS:
+        scenario, policy, vehicles, police, loss = cell
         script = build_scenario(scenario)
         setup = TrialSetup(
             script=script,
@@ -45,13 +59,18 @@ def main() -> int:
             police=max(police, script.min_police),
             loss=loss,
         )
+        lone = {}
         for seed in SEEDS:
-            trace, _ = Engine(setup, seed).run()
-            digest = hashlib.sha1(
-                "".join(record.to_line() + "\n" for record in trace).encode("utf-8")
-            ).hexdigest()
-            print(scenario, policy, vehicles, setup.police, loss, seed, digest)
-    return 0
+            lone[seed] = digest(Engine(setup, seed).run()[0])
+            print(scenario, policy, vehicles, setup.police, loss, seed, lone[seed])
+        road = road_for(setup)
+        shared = {seed: digest(Engine(setup, seed, road).run()[0]) for seed in SEEDS}
+        if shared != lone:
+            differ.append(cell)
+    for scenario, policy, vehicles, police, loss in differ:
+        print(f"shared-road traces differ from lone ones: {scenario} {policy} "
+              f"{vehicles} {police} {loss}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -151,9 +151,10 @@ def make_setup(config: RunConfig, *, policy: Optional[str] = None,
 
 
 def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
-    # the trials differ only in their seed, so several read one road; a
-    # lone trial warms its own, recording nothing that no other trial reads
+    # the trials differ only in their seed, so several read one road; a lone
+    # trial warms its own. Either is warmed, and so checked, before any write
     road = road_for(setup) if config.trials > 1 else None
+    engine = Engine(setup, config.seed, road)
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -167,7 +168,9 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
     report_lines = []
     for trial in range(config.trials):
         seed = config.seed + trial
-        trace, metrics = Engine(setup, seed, road).run()
+        if trial:
+            engine = Engine(setup, seed, road)
+        trace, metrics = engine.run()
         name = f"trace_{config.scenario}_{config.policy}_{setup.vehicles}v_t{trial}.csv"
         try:
             write_trace(trace, out_dir / name)
@@ -217,14 +220,14 @@ def run_sweep(config: RunConfig, policies: Sequence[str] = ("hop4", "fresh60")) 
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    # every road is warmed, and so checked, before anything is written
+    sweep = run_sweep(config)
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    sweep = run_sweep(config)
     path = out_dir / f"sweep_{config.scenario}.csv"
     try:
         export_csv(sweep, path)

@@ -245,8 +245,22 @@ class Engine:
         is stepped no further than the first event, such as a
         :func:`road_for`; the trial reads it through its own cursor and
         leaves the log's warm road and recorded rows as they were. Without
-        one, the trial builds its own :func:`warm_world`."""
-        labels = setup.validate()
+        one, the trial builds its own :func:`warm_world`, which validates
+        ``setup``; either way it is validated once."""
+        if road is None:
+            self.world: CircularWorld = warm_world(setup)
+            labels = setup.fleet()
+        else:
+            labels = setup.validate()
+            warm, fleet = road.warm, len(labels)
+            route_length, dt = setup.route_length, setup.dt
+            if (warm.route_length, warm.fleet_size, road.dt) != (route_length, fleet, dt):
+                raise ValueError(
+                    f"a road of {warm.fleet_size} vehicles on a {warm.route_length} m "
+                    f"route at dt {road.dt} s cannot host {fleet} vehicles on a "
+                    f"{route_length} m route at dt {dt} s"
+                )
+            self.world = road.cursor()
         self.setup = setup
         self.seed = seed
         self.rng = random.Random(seed)
@@ -262,19 +276,6 @@ class Engine:
 
         script = setup.script
         fleet = len(labels)
-        route_length, dt = setup.route_length, setup.dt
-        if road is None:
-            self.world = warm_world(setup)
-        else:
-            warm = road.warm
-            if (warm.route_length, warm.fleet_size, road.dt) != (route_length, fleet, dt):
-                raise ValueError(
-                    f"a road of {warm.fleet_size} vehicles on a {warm.route_length} m "
-                    f"route at dt {road.dt} s cannot host {fleet} vehicles on a "
-                    f"{route_length} m route at dt {dt} s"
-                )
-            self.world = road.cursor()
-
         n_rsus = len(self.world.rsus)
         labels += [label_of(RoleKind.RSU, i) for i in range(n_rsus)] + ["TA"]
         ta = fleet + n_rsus

@@ -321,7 +321,7 @@ def _rsu_announce_report(
     # flood along the backbone ring so every zone learns of the incident;
     # message-id dedup terminates the flood after one lap
     actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
-    actions.append(Arm(now + 3 * BURST_INTERVAL, rsu_report_tick, (msg,)))
+    actions.append(Arm(now + 3 * BURST_INTERVAL, rsu_reannounce_tick, (msg, REPORT_PERIOD)))
     return actions
 
 
@@ -346,7 +346,9 @@ def _rsu_acknowledge_official(
         )
         state.restricted = restricted
         actions.append(Broadcast(restricted, at=now, source=ActionSource.ORIGIN))
-        actions.append(Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, (restricted,)))
+        actions.append(
+            Arm(now + RESTRICTED_PERIOD, rsu_reannounce_tick, (restricted, RESTRICTED_PERIOD))
+        )
     return actions
 
 
@@ -439,27 +441,17 @@ def rsu_scripted_resolution(
     return _close(state, now, ids)
 
 
-def rsu_report_tick(
-    state: RsuState, msg: Message, now: float, *, ids: MessageIdSource
+def rsu_reannounce_tick(
+    state: RsuState, msg: Message, period: float, now: float, *, ids: MessageIdSource
 ) -> List[OutgoingAction]:
-    """Re-announce ``msg`` while it is the report the RSU announces."""
-    if state.announcing is not msg:
+    """Re-announce ``msg`` every ``period`` while it is the report the RSU
+    announces or its restricted-movement notice; a received report is never
+    the RSU's own notice, so at most one of the two holds."""
+    if msg is not state.announcing and msg is not state.restricted:
         return []
     return [
         Broadcast(msg, at=now, source=ActionSource.BURST),
-        Arm(now + REPORT_PERIOD, rsu_report_tick, (msg,)),
-    ]
-
-
-def rsu_restricted_tick(
-    state: RsuState, msg: Message, now: float, *, ids: MessageIdSource
-) -> List[OutgoingAction]:
-    """Re-announce ``msg`` while it is the RSU's restricted-movement notice."""
-    if state.restricted is not msg:
-        return []
-    return [
-        Broadcast(msg, at=now, source=ActionSource.BURST),
-        Arm(now + RESTRICTED_PERIOD, rsu_restricted_tick, (msg,)),
+        Arm(now + period, rsu_reannounce_tick, (msg, period)),
     ]
 
 

@@ -3,16 +3,19 @@
 A road depends only on route length, fleet size, ``dt`` and its blockage
 history, so trials of one density read one recorded road while their
 histories agree. A :class:`RoadLog` steps one frontier world past a warm
-road and records, per step, the positions as one row and the blockages the
-step was taken under. Each trial reads it through its own
-:class:`RoadCursor`, which copies the row of the step it has reached into
-its ``positions``. The first trial to need a step not yet recorded steps
-the frontier under its own blockages. A cursor whose history differs from
-the log's at a step it needs replays a copy of the warm road up to that
-step and steps the copy on its own from there; so does one asked for its
-speeds or to take a step other than through ``advance``. A log records only
-a warm road whose whole fleet has spawned, so neither its frontier nor a
-cursor ever spawns.
+road and records, per step, the positions as one row, the speeds the step
+changed and the blockages it was taken under. Each trial reads it through
+its own :class:`RoadCursor`, which copies the row of each step it reads into
+its ``positions`` and applies the step's speed changes to its own copy of
+the warm speeds, so it always holds its last step's whole state. The first
+trial to need a step not yet recorded steps the frontier under its own
+blockages. A cursor whose history differs from the log's at a step it
+needs, or that takes a step other than through ``advance``, drops the log
+and steps on from its own lists, replaying nothing. A log records only a
+warm road whose whole fleet has spawned, so neither its frontier nor a
+cursor ever spawns. Most speeds hold from step to step (a whole accident
+sweep's pass at 19, 79 and 139 vehicles changes 283, 1 087 and 1 378), so
+the log records the changes, not a row of speeds per step.
 
 The frontier takes each step with the log's own step, which keeps every
 vehicle's last move and runs the car-following rule of
@@ -58,7 +61,8 @@ class RoadLog:
     ``rows[i]`` holds the vehicle positions after step ``start + i``, and
     ``blockages[i]`` the blockages that step was taken under: the history
     of the trials that stepped the frontier, each the first to need a step.
-    ``warm`` is never stepped, and no row is written once appended.
+    The speeds the step changed are recorded beside them. ``warm`` is never
+    stepped, and nothing is written once recorded.
 
     The frontier takes the steps of :meth:`CircularWorld.advance` with the
     log's own step, which keeps each vehicle's last move and computes a move
@@ -77,6 +81,12 @@ class RoadLog:
         self.start = warm.next_step
         self.rows: List[array] = []
         self.blockages: List[List[float]] = []
+        #: each speed a recorded step changed, in step order: its slot and its
+        #: new value; the changes of step ``start + i`` are those from
+        #: ``speed_ends[i]`` up to ``speed_ends[i + 1]``
+        self.speed_slots = array("i")
+        self.speed_values = array("d")
+        self.speed_ends = array("i", [0])
         self._frontier = warm.copy()
         #: each vehicle's move at the frontier's last step, by slot
         self._moves: List[float] = [0.0] * len(warm.positions)
@@ -105,6 +115,7 @@ class RoadLog:
             self._step()
             self.rows.append(array("d", frontier.positions))
             self.blockages.append(frontier.blockages)
+            self.speed_ends.append(len(self.speed_slots))
 
     def _step(self) -> None:
         """The frontier's next step, as :meth:`CircularWorld.advance` takes
@@ -138,6 +149,7 @@ class RoadLog:
         step = frontier.next_step
         count = len(positions)
         due, wake = self._due, self._wake
+        speed_slots, speed_values = self.speed_slots, self.speed_values
         if due is None:
             due = range(count)
             del wake[:]
@@ -176,11 +188,11 @@ class RoadLog:
                 if arc < nearest:
                     nearest = arc
             gap = nearest if nearest < ahead else ahead
-            speed = speeds[slot]
+            last = speed = speeds[slot]
             if gap >= cruise_gap and speed == target:
                 move = cruise
             elif gap <= standstill:
-                speeds[slot] = speed = move = 0.0
+                speed = move = 0.0
             else:
                 speed += accel_dt
                 if not speed < target:
@@ -191,8 +203,11 @@ class RoadLog:
                         cap = 0.0
                     if cap < speed:
                         speed = cap
-                speeds[slot] = speed
                 move = speed * dt
+            if speed != last:
+                speeds[slot] = speed
+                speed_slots.append(slot)
+                speed_values.append(speed)
             if move != moves[slot]:
                 moves[slot] = move
                 changed.append(slot)
@@ -241,14 +256,15 @@ class RoadLog:
 
 class RoadCursor(CircularWorld):
     """One trial's road, read from a :class:`RoadLog`. While the trial's
-    blockages agree with those each recorded step was taken under,
-    ``positions`` is its own copy of the row of the last step taken, and no
-    speeds are kept. At the first step where they differ, or at the first
-    read of ``speeds`` or call of :meth:`step`, it leaves the log: it
-    replays a copy of the warm road under the recorded blockages of the
-    steps it read, and is a plain :class:`CircularWorld` from there. Its
-    whole fleet has spawned, so it never spawns, on the log or off it. No
-    cursor holds a list or row that another reads."""
+    blockages agree with those each recorded step was taken under, each
+    step it reads makes ``positions`` its own copy of the step's row and
+    applies the step's recorded speed changes to its own ``speeds``, so it
+    always holds the whole state of the last step taken. At the first step
+    where they differ, or at a call of :meth:`step`, it drops the log and
+    steps on from its own lists as a plain :class:`CircularWorld`; nothing
+    is replayed or copied. Its whole fleet has spawned, so it never spawns,
+    on the log or off it. No cursor holds a list or row that another
+    reads."""
 
     def __init__(self, log: RoadLog) -> None:
         warm = log.warm
@@ -256,21 +272,11 @@ class RoadCursor(CircularWorld):
         self.log: Optional[RoadLog] = log
         self.next_step = warm.next_step
         self.positions = warm.positions[:]
+        self.speeds = warm.speeds[:]
         self.blockages = list(warm.blockages)
 
-    @property
-    def speeds(self) -> List[float]:
-        if self.log is not None:
-            self._leave()
-        return self._speeds
-
-    @speeds.setter
-    def speeds(self, speeds: List[float]) -> None:
-        self._speeds = speeds
-
     def step(self, dt: float) -> None:
-        if self.log is not None:
-            self._leave()
+        self.log = None
         super().step(dt)
 
     def advance(self, until: float, dt: float) -> None:
@@ -290,19 +296,13 @@ class RoadCursor(CircularWorld):
                 else:
                     break
             if start + read > self.next_step:
+                speeds, slots, values = self.speeds, log.speed_slots, log.speed_values
+                for i in range(log.speed_ends[self.next_step - start], log.speed_ends[read]):
+                    speeds[slots[i]] = values[i]
                 self.next_step = start + read
                 self.positions = log.rows[read - 1].tolist()
             if (start + read) * dt > until:
                 return
             # the next step due was taken under other blockages
-            self._leave()
+            self.log = None
         super().advance(until, dt)
-
-    def _leave(self) -> None:
-        log = self.log
-        world = log.warm.copy()
-        for blockages in log.blockages[:self.next_step - log.start]:
-            world.blockages = blockages
-            world.advance(world.next_step * log.dt, log.dt)
-        self.log = None
-        self.positions, self.speeds = world.positions, world.speeds

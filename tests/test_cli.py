@@ -194,12 +194,13 @@ class TestRunCommand:
         # the entry defers spawns while it is not clear, so only 219 of
         # them have entered the default route by the report
         runs = stub_runs(monkeypatch)
+        out_dir = tmp_path / "new"
         code = main(["run", "--vehicles", vehicles, "--trials", trials,
-                     "--out-dir", str(tmp_path)])
+                     "--out-dir", str(out_dir)])
         assert code == EXIT_CONFIG
         assert f"only 219 of {vehicles} vehicles have spawned" in capsys.readouterr().err
         assert runs == []
-        assert list(tmp_path.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_the_largest_fleet_that_spawns_by_the_report_runs(self, tmp_path):
         code = main(["run", "--vehicles", "219", "--trials", "1",
@@ -322,11 +323,12 @@ class TestSweepAndReport:
         assert list(tmp_path.iterdir()) == []
 
     def test_a_density_not_spawned_by_the_report_is_config_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "new"
         code = main(["sweep", "--scenario", "accident", "--densities", "19,230",
-                     "--trials", "1", "--out-dir", str(tmp_path)])
+                     "--trials", "1", "--out-dir", str(out_dir)])
         assert code == EXIT_CONFIG
         assert "only 219 of 230 vehicles have spawned" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_run_sweep_warms_every_density_before_any_trial(self, monkeypatch):
         runs = stub_runs(monkeypatch)

@@ -638,7 +638,7 @@ class TestRoadLog:
     def test_records_the_rows_of_a_world_stepped_by_step(self, case):
         warm, dt, steps, added, cleared, at, cuts = case
         # the reference: step by step, as advance on a spawned fleet
-        world, history, rows = warm.copy(), [], []
+        world, history, rows, speeds = warm.copy(), [], [], []
         for i in range(steps):
             if i == added:
                 # at a vehicle's position, as a report parks its reporter
@@ -650,6 +650,7 @@ class TestRoadLog:
             history.append(list(world.blockages))
             world.step(dt)
             rows.append(array("d", world.positions).tobytes())
+            speeds.append(array("d", world.speeds).tobytes())
         log = RoadLog(warm, dt)
         taken = 0
         for cut in cuts:
@@ -664,6 +665,15 @@ class TestRoadLog:
         for i, row in enumerate(log.rows):
             assert row.tobytes() == rows[i], f"step {i}"
         assert log.blockages == history
+        # the warm speeds plus each step's recorded changes are the stepped
+        # world's speeds, bit for bit: no change is lost, a signed zero's
+        # included
+        read, ends = array("d", warm.speeds), log.speed_ends
+        assert len(ends) == steps + 1
+        for i in range(steps):
+            for j in range(ends[i], ends[i + 1]):
+                read[log.speed_slots[j]] = log.speed_values[j]
+            assert read.tobytes() == speeds[i], f"step {i}"
         assert bits(log._frontier) == bits(world)
 
     @pytest.mark.parametrize("fleet, until", [

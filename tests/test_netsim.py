@@ -300,6 +300,22 @@ class TestTrialSetupValidation:
             with pytest.raises(ConfigError, match="only 219"):
                 Engine(fleet, 1)
 
+    def test_an_engine_validates_its_set_up_once(self, monkeypatch):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        road = road_for(setup)
+        calls = []
+        validate = TrialSetup.validate
+
+        def counted(self):
+            calls.append(self)
+            return validate(self)
+
+        monkeypatch.setattr(TrialSetup, "validate", counted)
+        for log in (None, road):
+            del calls[:]
+            Engine(setup, 1, log)
+            assert calls == [setup]
+
 
 class TestRunProperties:
     def test_deterministic_rerun_is_byte_identical(self):
@@ -489,6 +505,30 @@ def blockage_changes(log):
     ]
 
 
+def count_steps(monkeypatch):
+    """Record each step a world takes from here on, one by one or in a
+    glide, and each step a log's frontier takes with its own step: a list of
+    (world, first step, next step, blockages the steps were taken under)."""
+    taken = []
+
+    def counting(take, world_of):
+        def counted(owner, *args):
+            world = world_of(owner)
+            before, blockages = world.next_step, list(world.blockages)
+            done = take(owner, *args)
+            if world.next_step > before:
+                taken.append((world, before, world.next_step, blockages))
+            return done
+        return counted
+
+    for name in ("step", "_glide"):
+        monkeypatch.setattr(CircularWorld, name, counting(
+            getattr(CircularWorld, name), lambda world: world))
+    monkeypatch.setattr(RoadLog, "_step", counting(
+        RoadLog._step, lambda log: log._frontier))
+    return taken
+
+
 def world_lists(world):
     """A road's state; one whose fleet has spawned never reads its next
     spawn time."""
@@ -647,10 +687,33 @@ class TestSharedWorld:
             assert cursor.log is log
         assert blockage_changes(log) == [(1101, []), (1103, [500.0]), (1201, [])]
 
+    def test_a_speeds_read_keeps_the_cursor_on_its_log(self):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        dt = setup.dt
+        log = road_for(setup)
+        warm, cursors = world_lists(log.warm), []
+        for _ in range(2):
+            # the first cursor steps the frontier, the second reads its rows;
+            # a blockage parked from the report on changes speeds
+            cursor, private = log.cursor(), log.warm.copy()
+            for until in (551.0, 580.0, 600.2, 700.0):
+                for world in (cursor, private):
+                    world.advance(until, dt)
+                    if not world.blockages:
+                        world.add_blockage(500.0)
+                assert world_lists(cursor) == world_lists(private)
+                assert cursor.log is log
+            assert cursor.speeds != warm[1]
+            cursors.append(cursor)
+        assert world_lists(log.warm) == warm
+        # each cursor's speeds are its own
+        first, second = cursors
+        for other in (second, log.warm, log._frontier):
+            assert first.speeds is not other.speeds
+
     @pytest.mark.parametrize("act", [
-        lambda world: world.speeds,
         lambda world: world.step(0.5),
-    ], ids=["speeds", "step"])
+    ], ids=["step"])
     def test_a_cursor_leaves_the_log_before_its_speeds_or_writes(self, act):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
         dt = setup.dt
@@ -682,26 +745,47 @@ class TestSharedWorld:
                     engine.run()
                     longest = max(longest, engine.steps_taken)
             expected += longest
-        # the steps each world takes, one by one or in a glide, and each
-        # step a log's frontier takes with its own step
-        taken = []
-
-        def counting(take, world_of):
-            def counted(owner, *args):
-                world = world_of(owner)
-                before = world.next_step
-                done = take(owner, *args)
-                taken.append(world.next_step - before)
-                return done
-            return counted
-
-        for name in ("step", "_glide"):
-            monkeypatch.setattr(CircularWorld, name, counting(
-                getattr(CircularWorld, name), lambda world: world))
-        monkeypatch.setattr(RoadLog, "_step", counting(
-            RoadLog._step, lambda log: log._frontier))
+        taken = count_steps(monkeypatch)
         run_sweep(config, policies)
-        assert sum(taken) == expected
+        assert sum(after - before for _, before, after, _ in taken) == expected
+
+    @pytest.mark.parametrize(
+        "scenario,policy,vehicles,police,loss", DIVERGING_CELLS,
+        ids=[f"{s}-{p}-{v}v-{n}p-loss{loss}" for s, p, v, n, loss in DIVERGING_CELLS],
+    )
+    def test_a_cursor_that_leaves_takes_no_recorded_step(
+        self, monkeypatch, scenario, policy, vehicles, police, loss
+    ):
+        setup = TrialSetup(
+            script=build_scenario(scenario), policy=POLICIES[policy],
+            vehicles=vehicles, police=police, loss=loss,
+        )
+        log = road_for(setup)
+        taken = count_steps(monkeypatch)
+        cursors = []
+        for seed in (1, 3, 5):
+            engine = Engine(setup, seed, log)
+            engine.run()
+            cursors.append(engine.world)
+        left = [cursor for cursor in cursors if cursor.log is None]
+        assert left
+        # the steps each world took: the frontier's are the recorded ones,
+        # and only a cursor that left the log steps on its own
+        steps = {id(world): [] for world in [log._frontier] + left}
+        for world, before, after, blockages in taken:
+            assert id(world) in steps, "a step of neither the frontier nor a cursor that left"
+            steps[id(world)].append((before, after, blockages))
+        for world in [log._frontier] + left:
+            runs = steps[id(world)]
+            # one step after another, none taken twice
+            for (_, after, _), (before, _, _) in zip(runs, runs[1:]):
+                assert before == after
+        assert len(log.rows) == sum(a - b for b, a, _ in steps[id(log._frontier)])
+        for cursor in left:
+            # it read every recorded step before its first own one, which
+            # its history takes under other blockages than the log's
+            (first, _, blockages), *_ = steps[id(cursor)]
+            assert log.blockages[first - log.start] != blockages
 
 
 class PerReceiverEngine(Engine):

@@ -48,8 +48,7 @@ from vanetim.protocol import (
     official_arrival,
     official_resolve,
     relay_decision,
-    rsu_report_tick,
-    rsu_restricted_tick,
+    rsu_reannounce_tick,
     ta_resolve,
 )
 from vanetim.netsim import Engine, TrialSetup
@@ -116,7 +115,7 @@ FRESH_RECEIPT = {
     MessageKind.OBSTACLE: (VEHICLE, {
         (Broadcast, MessageKind.OBSTACLE): 3,
         (Wired, MessageKind.OBSTACLE): 2,
-        (Arm, rsu_report_tick): 1,
+        (Arm, rsu_reannounce_tick): 1,
     }, IncidentStep.REPORT),
     MessageKind.DEBRIS: (VEHICLE, {
         (Wired, MessageKind.DEBRIS): 1,
@@ -124,7 +123,7 @@ FRESH_RECEIPT = {
     MessageKind.ADDRESSING_INCIDENT: (POLICE, {
         (Broadcast, MessageKind.ACK): 1,
         (Broadcast, MessageKind.RESTRICTED_MOVEMENT): 1,
-        (Arm, rsu_restricted_tick): 1,
+        (Arm, rsu_reannounce_tick): 1,
     }, IncidentStep.ATTEND),
 }
 
@@ -250,12 +249,12 @@ class TestRsuTimers:
         msg = make_message(MessageKind.OBSTACLE, VEHICLE, 550.0, ids=ids)
         (arm,) = [a for a in handle_rsu(state, msg, VEHICLE, True, 550.0, ids=ids)
                   if isinstance(a, Arm)]
-        assert (arm.fn, arm.args) == (rsu_report_tick, (msg,))
+        assert (arm.fn, arm.args) == (rsu_reannounce_tick, (msg, REPORT_PERIOD))
         assert arm.at == 550.0 + 3 * BURST_INTERVAL
         announce, rearm = self._fire(state, arm, ids)
         assert announce.message is msg
         assert announce.source is ActionSource.BURST
-        assert (rearm.fn, rearm.args) == (rsu_report_tick, (msg,))
+        assert (rearm.fn, rearm.args) == (rsu_reannounce_tick, (msg, REPORT_PERIOD))
         assert rearm.at == arm.at + REPORT_PERIOD
         clear(state, 600.0, ids)
         assert self._fire(state, rearm, ids) == []
@@ -265,12 +264,16 @@ class TestRsuTimers:
         msg = make_message(MessageKind.ADDRESSING_INCIDENT, POLICE, 560.0, ids=ids)
         (arm,) = [a for a in handle_rsu(state, msg, POLICE, True, 560.0, ids=ids)
                   if isinstance(a, Arm)]
-        assert (arm.fn, arm.args) == (rsu_restricted_tick, (state.restricted,))
+        assert (arm.fn, arm.args) == (
+            rsu_reannounce_tick, (state.restricted, RESTRICTED_PERIOD)
+        )
         assert arm.at == 560.0 + RESTRICTED_PERIOD
         announce, rearm = self._fire(state, arm, ids)
         assert announce.message is state.restricted
         assert announce.message.kind is MessageKind.RESTRICTED_MOVEMENT
-        assert (rearm.fn, rearm.args) == (rsu_restricted_tick, (state.restricted,))
+        assert (rearm.fn, rearm.args) == (
+            rsu_reannounce_tick, (state.restricted, RESTRICTED_PERIOD)
+        )
         assert rearm.at == arm.at + RESTRICTED_PERIOD
         clear(state, 600.0, ids)
         assert self._fire(state, rearm, ids) == []
