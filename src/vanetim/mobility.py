@@ -45,12 +45,23 @@ trial whose history agrees.
 :meth:`CircularWorld.neighbours_within` decides by arc distance from the
 centre where the arc settles it, before any trigonometry: an entity beyond
 the arc of a chord as long as the radio range (plus 1 m) is out of range,
-and one within the arc of a chord 1 m shorter than the range is in range.
-Only the entities in the 2 m band between take the exact Euclidean test,
-and a query computes the centre's point only once one of them needs it;
-receivers come back in slot order (vehicles, then RSUs), which fixes
-delivery order. The world keeps the two arcs of the last radius asked for,
-so a run at one radio range computes them once.
+and one within the arc of a chord 1 m shorter than the range is in range. It
+reads an arc index of the road, every slot sorted by arc, which the first
+query at a step builds. The index is keyed by the step count, the spawned
+count and the ``positions`` list's ``id``, and every writer of the road
+changes one of the counts: ``step`` and the glide count steps,
+``inject_flow`` appends, and a road cursor or a recorded road's frontier
+counts steps as it assigns a new list. So no writer invalidates an index,
+and none is stale. A list assigned at the same step has another ``id``, as
+it is built while the indexed one lives; code that writes ``positions`` in
+place must not query again before the next step. A query bisects the index
+for its window and takes the slots well inside the sure arc as one slice.
+Only the few in the two edge strips get the test by arc and, in the 2 m band
+between the arcs, the exact Euclidean test; a query computes the centre's
+point only once one of them needs it. Receivers come back in slot order
+(vehicles, then RSUs), which fixes delivery order. The world keeps the two
+arcs of the last radius asked for, so a run at one radio range computes them
+once.
 
 Every position and every arc lies in ``[0, route_length)``. So the step and
 the neighbour query wrap a difference of two arcs, or a position one move
@@ -60,6 +71,7 @@ past the wrap point, by comparison, and get the float that ``%`` would.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from copy import copy
 from typing import List, Tuple
 
@@ -79,6 +91,16 @@ VEHICLE_LENGTH = 4.5    # metres
 ENTRY_HEADWAY = 2.0     # seconds between two spawns at the entry point
 RSU_COUNT = 10          # RSUs, equally spaced round the loop
 QUEUE_LOOKAHEAD = 50.0  # metres downstream that queue detection looks
+
+#: the neighbour query's index of one road state: the ``id`` of the
+#: ``positions`` list it was built from, the step count and the spawned count
+#: then, every slot sorted by arc (vehicles and RSUs, ties in slot order)
+#: twice over, so a window across the wrap point is one slice, and the sorted
+#: arcs. It keeps the list's ``id``, not the list: a road cursor's last row
+#: would otherwise stay alive beside its new one
+_ArcIndex = Tuple[int, int, int, List[int], List[float]]
+#: the index of no road: no object's ``id`` is 0
+_NO_INDEX: _ArcIndex = (0, 0, 0, [], [])
 
 
 def glide_grid(route_length: float, move: float) -> float:
@@ -110,6 +132,9 @@ class CircularWorld:
         #: the neighbour query's (radius, window arc, sure arc) of the last
         #: radius asked for; no query has radius 0
         self._arcs: Tuple[float, float, float] = (0.0, 0.0, 0.0)
+        #: the neighbour query's arc index, built by its first query at a step
+        #: (see the module docstring)
+        self._index: _ArcIndex = _NO_INDEX
 
     # -- geometry ----------------------------------------------------------
 
@@ -308,13 +333,33 @@ class CircularWorld:
 
     # -- protocol-facing queries ------------------------------------------
 
+    def _index_arcs(self) -> _ArcIndex:
+        """The arc index of the road as it stands: every slot sorted by arc,
+        twice over, and the sorted arcs; see :meth:`neighbours_within`. The
+        old index goes first, and the new one is built in its own lists, so
+        a build holds no more than one index at a time."""
+        self._index = _NO_INDEX
+        positions = self.positions
+        count = len(positions)
+        arcs = positions + [arc for _, arc in self.rsus]
+        order = sorted(range(len(arcs)), key=arcs.__getitem__)
+        arcs.sort()
+        if count < self.fleet_size:
+            # an RSU's place in ``arcs`` is not its slot until all have spawned
+            unspawned = self.fleet_size - count
+            order = [k if k < count else k + unspawned for k in order]
+        order *= 2
+        index = self._index = (id(positions), self.next_step, count, order, arcs)
+        return index
+
     def neighbours_within(self, center: int, radius: float) -> List[int]:
         """The slots of all entities within Euclidean range of slot
-        ``center``, excluding it, in slot order (vehicles, then RSUs). Chord
-        length rises with arc length, so entities beyond
-        ``chord_for_radius(radius)`` of arc are skipped, and those within
-        ``chord_for_radius(radius - 1)`` are in range without the Euclidean
-        test."""
+        ``center``, excluding it, in slot order (vehicles, then RSUs), from
+        the road's arc index (see the module docstring). Four bisections find
+        the window, each arc widened by the margin; the slots more than the
+        margin inside the sure arc are one slice, and only those in the two
+        edge strips between get the exact test. A window of half the route or
+        more sends every slot through it."""
         if radius <= 0:
             raise ValueError("radius must be positive")
         length = self.route_length
@@ -328,25 +373,59 @@ class CircularWorld:
             arcs = self._arcs = (radius, window, sure)
         _, window, sure = arcs
         far, sure_far = length - window, length - sure
-        found: List[int] = []
-        for pairs in (enumerate(self.positions), self.rsus):
-            for slot, arc in pairs:
+        positions, index = self.positions, self._index
+        if (index[0] != id(positions) or index[1] != self.next_step
+                or index[2] != len(positions)):
+            index = self._index_arcs()
+        order, keys = index[3], index[4]
+        count = len(keys)
+        reach = window + _ARC_WINDOW_MARGIN
+        if reach + reach < length:
+            # the window's four bounds, each on the arc of a centre moved one
+            # route length on if the window starts before the wrap point; a
+            # bound past the wrap point indexes the second copy of ``order``
+            base = center_arc if center_arc >= reach else center_arc + length
+            inner = sure - _ARC_WINDOW_MARGIN
+            bound = base - reach
+            start = (bisect_left(keys, bound) if bound < length
+                     else bisect_left(keys, bound - length) + count)
+            bound = base + reach
+            stop = (bisect_right(keys, bound) if bound < length
+                    else bisect_right(keys, bound - length) + count)
+            if inner > 0.0:
+                bound = base - inner
+                first = (bisect_left(keys, bound) if bound < length
+                         else bisect_left(keys, bound - length) + count)
+                bound = base + inner
+                last = (bisect_right(keys, bound) if bound < length
+                        else bisect_right(keys, bound - length) + count)
+            else:
+                first = last = start
+        else:
+            start, first, last, stop = 0, 0, 0, count
+        # in range, whatever the rounding of the Euclidean test; the centre
+        # itself is here, unless the sure arc is empty
+        found = order[first:last]
+        for strip in (range(start, first), range(last, stop)):
+            for k in strip:
+                # ``keys`` is not doubled: a negative index reads it for the
+                # first copy of ``order``
+                arc = keys[k - count]
                 offset = arc - center_arc
                 if offset < 0.0:
                     offset += length
                 # more than the window of arc away, one way round or the other
                 if window < offset < far:
                     continue
-                # in range, whatever the rounding of the Euclidean test; the
-                # centre itself is here, at offset 0
                 if offset <= sure or offset >= sure_far:
-                    found.append(slot)
+                    found.append(order[k])
                     continue
                 if centre is None:
                     centre = self.point_of_arc(center_arc)
                 x, y = self.point_of_arc(arc)
                 if math.hypot(x - centre[0], y - centre[1]) <= radius:
-                    found.append(slot)
+                    found.append(order[k])
+        found.sort()
         found.remove(center)
         return found
 

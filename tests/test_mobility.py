@@ -13,6 +13,7 @@ from vanetim.mobility import (
     STANDSTILL_GAP,
     TARGET_SPEED,
     VEHICLE_LENGTH,
+    _ARC_WINDOW_MARGIN,
     CircularWorld,
 )
 from vanetim.protocol import SpeedHistory, detect_jam
@@ -759,6 +760,78 @@ class TestInjectFlow:
         assert world.spawned_count == 1
 
 
+def linear_neighbours(world, center, radius):
+    """The neighbour query as one pass over every entity, with the arcs,
+    tests and floats of :meth:`CircularWorld.neighbours_within`: the oracle
+    for its arc index."""
+    length = world.route_length
+    center_arc = world.arc_of(center)
+    window = world.chord_for_radius(radius) + _ARC_WINDOW_MARGIN
+    sure = world.chord_for_radius(max(radius - _ARC_WINDOW_MARGIN, 0.0))
+    far, sure_far = length - window, length - sure
+    centre = world.point_of_arc(center_arc)
+    found = []
+    for pairs in (enumerate(world.positions), world.rsus):
+        for slot, arc in pairs:
+            offset = arc - center_arc
+            if offset < 0.0:
+                offset += length
+            if window < offset < far:
+                continue
+            if offset <= sure or offset >= sure_far:
+                found.append(slot)
+                continue
+            x, y = world.point_of_arc(arc)
+            if math.hypot(x - centre[0], y - centre[1]) <= radius:
+                found.append(slot)
+    found.remove(center)
+    return found
+
+
+@st.composite
+def neighbour_roads(draw):
+    """A road to query and a radius. The route is 4 000 m or any other; the
+    fleet is wholly or partly spawned, in no order, at arcs anywhere, in a
+    crowded stretch, within 5 m of either side of the wrap point, on an RSU
+    or on an earlier vehicle's arc. The radius runs from 1 m or less, which
+    leaves an empty sure arc, to beyond half the ring."""
+    length = draw(st.one_of(st.just(ROUTE_LENGTH), st.floats(123.25, 40000.0)))
+    fleet = draw(st.integers(1, 30))
+    world = CircularWorld(length, fleet)
+    arc = st.one_of(
+        st.floats(0.0, length, exclude_max=True),
+        st.floats(0.0, 120.0),
+        st.floats(0.0, 5.0),
+        st.floats(length - 5.0, length, exclude_max=True),
+        st.sampled_from([arc for _, arc in world.rsus]),
+    )
+    arcs = []
+    for _ in range(draw(st.integers(0, fleet))):
+        if arcs and draw(st.booleans()):
+            arcs.append(draw(st.sampled_from(arcs)))
+        else:
+            arcs.append(draw(arc))
+    world.positions = arcs
+    world.speeds = [0.0] * len(arcs)
+    radius = draw(st.one_of(
+        st.floats(0.01, 1.0),
+        st.just(300.0),
+        st.floats(1.0, length),
+        st.floats(length / 2, 3 * length),
+    ))
+    return world, radius
+
+
+def answers(world, radii=(3.0, 300.0)):
+    """Every entity's neighbours at each radius, by the query and by the
+    linear oracle."""
+    keys = [(center, radius) for center in world.entities() for radius in radii]
+    return (
+        {key: world.neighbours_within(*key) for key in keys},
+        {key: linear_neighbours(world, *key) for key in keys},
+    )
+
+
 @pytest.mark.floats
 class TestNeighbours:
     def line(self, spacing, count):
@@ -824,6 +897,71 @@ class TestNeighbours:
             assert world.neighbours_within(center, radius) == self.brute_force(
                 world, center, radius
             )
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(road=neighbour_roads())
+    def test_indexed_query_equals_the_linear_one(self, road):
+        world, radius = road
+        for center in world.entities():
+            assert world.neighbours_within(center, radius) == linear_neighbours(
+                world, center, radius
+            )
+
+    def test_a_second_query_at_a_step_reuses_the_index(self):
+        world = make_world(19)
+        world.advance(300.0, DT)
+        world.neighbours_within(0, 300.0)
+        index = world._index
+        world.neighbours_within(7, 300.0)
+        world.neighbours_within(world.rsus[3][0], 120.0)
+        assert world._index is index
+
+    @staticmethod
+    def step(world, monkeypatch):
+        world.step(DT)
+
+    @staticmethod
+    def glide(world, monkeypatch):
+        calls = count_steps(monkeypatch)
+        world.advance(300.0, DT)
+        assert calls == []
+
+    @staticmethod
+    def read_the_log(cursor, monkeypatch):
+        cursor.advance(160.0, DT)
+        assert cursor.log is not None
+
+    @staticmethod
+    def spawn(world, monkeypatch):
+        world.inject_flow(5.0)
+        assert world.spawned_count == 2
+
+    @staticmethod
+    def assign(world, monkeypatch):
+        # a new list at the same step, as a test may assign one
+        world.positions = [403.5]
+
+    @pytest.mark.parametrize(
+        "writer", ["step", "glide", "read_the_log", "spawn", "assign"]
+    )
+    def test_the_index_follows_every_writer(self, writer, monkeypatch):
+        if writer in ("step", "assign"):
+            # a lone cruiser 3 m short of RSU1, 3.5 m past it a step later
+            world = build_ring((ROUTE_LENGTH, DT, [(397.0, TARGET_SPEED)], []))
+        elif writer == "glide":
+            world = build_ring(TestGlide.fleet())
+        elif writer == "read_the_log":
+            world = RoadLog(bare_road(19, DT, 100.0), DT).cursor()
+        else:
+            world = make_world(2)
+            world.inject_flow(0.0)
+            for _ in range(10):
+                world.step(DT)
+        stale, _ = answers(world)
+        getattr(self, writer)(world, monkeypatch)
+        found, oracle = answers(world)
+        assert found == oracle
+        assert found != stale
 
     def test_each_radius_gets_its_own_arcs(self):
         world = make_world(8)

@@ -41,6 +41,13 @@ def _admitted(policy: RelayPolicy, relay: TraceRecord, first: TraceRecord) -> bo
     return relay.time - first.time < policy.max_age
 
 
+def _fault(i: int, record: TraceRecord, broken: str) -> str:
+    """A fault's line: where in the trace, the record, and what it broke;
+    built only for a fault, since formatting every record costs more than
+    the checks."""
+    return f"record {i} [{record.to_line()}]: {broken}"
+
+
 def trace_faults(trace: List[TraceRecord], policy: RelayPolicy) -> List[str]:
     """One line per broken invariant, in trace order; empty for a sound trace."""
     faults: List[str] = []
@@ -50,25 +57,24 @@ def trace_faults(trace: List[TraceRecord], policy: RelayPolicy) -> List[str]:
     reported = False  # whether a report has been sent so far
     last = float("-inf")
     for i, record in enumerate(trace):
-        where = f"record {i} [{record.to_line()}]"
         if record.time < last:
-            faults.append(f"{where}: time goes back from {last}")
+            faults.append(_fault(i, record, f"time goes back from {last}"))
         last = record.time
         origin = first.setdefault(record.msg_id, record)
         key = (record.sender, record.msg_id)
         if record.source is ActionSource.RELAY:
             if key in sent:
-                faults.append(f"{where}: relays an id its sender has sent before")
+                faults.append(_fault(i, record, "relays an id its sender has sent before"))
             if not _admitted(policy, record, origin):
-                faults.append(f"{where}: relay not admitted by {policy}")
+                faults.append(_fault(i, record, f"relay not admitted by {policy}"))
         elif record.source is ActionSource.WIRED:
             triple = key + (record.receiver,)
             if triple in wired:
-                faults.append(f"{where}: repeats a wired send")
+                faults.append(_fault(i, record, "repeats a wired send"))
             wired.add(triple)
         sent.add(key)
         if record.kind in REPORT_KINDS:
             reported = True
         elif record.kind in RESOLUTION_KINDS and not reported:
-            faults.append(f"{where}: resolution before any report")
+            faults.append(_fault(i, record, "resolution before any report"))
     return faults
