@@ -94,27 +94,36 @@ class RunConfig:
                     f"line {lineno}: {key!r} is already given on line {given_on[key]}"
                 )
             given_on[key] = lineno
-            values[key] = _coerce(key, value)
+            values[key] = _coerce(key, value, f"line {lineno}: {key}")
         return cls(**values)
 
 
 #: the spellings a config file may give a boolean, in any case
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+#: what a value of each type of :class:`RunConfig` default must spell
+_EXPECTED = {
+    tuple: "comma-separated integers",
+    bool: "true/false/yes/no/1/0",
+    int: "an integer",
+    float: "a number",
+}
 
 
-def _coerce(key: str, value: str) -> object:
-    """Parse ``value`` as the type of ``key``'s default in :class:`RunConfig`."""
+def _coerce(key: str, value: str, where: str) -> object:
+    """Parse ``value`` as the type of ``key``'s default in :class:`RunConfig`;
+    a value that does not parse is a :class:`ConfigError` that names
+    ``where`` it was given and what was expected."""
     default = getattr(RunConfig, key)
-    if isinstance(default, tuple):
-        return tuple(int(v) for v in value.split(",") if v)
-    if isinstance(default, bool):
-        try:
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(v) for v in value.split(",") if v)
+        if isinstance(default, bool):
             return _BOOLEANS[value.lower()]
-        except KeyError:
-            raise ConfigError(
-                f"{key}: expected true/false/yes/no/1/0, got {value!r}"
-            ) from None
-    return type(default)(value)
+        return type(default)(value)
+    except (KeyError, ValueError):
+        raise ConfigError(
+            f"{where}: expected {_EXPECTED[type(default)]}, got {value!r}"
+        ) from None
 
 
 def parse_policy(name: str) -> RelayPolicy:
@@ -324,7 +333,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if isinstance(value, str):
-            value = _coerce(f.name, value)
+            value = _coerce(f.name, value, "--" + f.name.replace("_", "-"))
         if value is not None:
             overrides[f.name] = value
     return replace(config, **overrides)

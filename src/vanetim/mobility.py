@@ -42,30 +42,37 @@ history. :meth:`CircularWorld.copy` lets trials start from one road stepped
 once, and :mod:`vanetim.roadlog` records its steps past that for every
 trial whose history agrees.
 
-:meth:`CircularWorld.neighbours_within` decides by arc distance from the
-centre where the arc settles it, before any trigonometry: an entity beyond
-the arc of a chord as long as the radio range (plus 1 m) is out of range,
-and one within the arc of a chord 1 m shorter than the range is in range. It
-reads an arc index of the road, every slot sorted by arc, which the first
-query at a step builds. The index is keyed by the step count, the spawned
-count and the ``positions`` list's ``id``, and every writer of the road
-changes one of the counts: ``step`` and the glide count steps,
-``inject_flow`` appends, and a road cursor or a recorded road's frontier
-counts steps as it assigns a new list. So no writer invalidates an index,
-and none is stale. A list assigned at the same step has another ``id``, as
-it is built while the indexed one lives; code that writes ``positions`` in
-place must not query again before the next step. A query bisects the index
-for its window and takes the slots well inside the sure arc as one slice.
-Only the few in the two edge strips get the test by arc and, in the 2 m band
-between the arcs, the exact Euclidean test; a query computes the centre's
-point only once one of them needs it. Receivers come back in slot order
-(vehicles, then RSUs), which fixes delivery order. The world keeps the two
-arcs of the last radius asked for, so a run at one radio range computes them
-once.
+:meth:`CircularWorld.neighbours_within` decides range by arc. On a loop of
+radius ``R`` the chord between two points, ``2R sin(s / 2R)``, rises
+strictly with their shorter arc ``s`` up to half the loop, so an entity is
+within radio range ``r`` of the centre exactly when its arc from the centre,
+one way round or the other, is at most :meth:`CircularWorld.chord_for_radius`
+of ``r``. So the query takes every slot in the closed window of that arc
+either side of the centre's arc, and computes no point and no distance. Two
+rules keep the window's float bounds true to the loop. A radius of the
+diameter or more, which every chord is within, gets the whole route as its
+window: ``chord_for_radius`` would give half the route, rounded, which can
+drop the entity exactly opposite the centre. And the slice is clipped to one
+lap, so a window that covers the loop returns each slot once. Below the
+diameter, ``asin`` keeps the window short of half the route by far more than
+rounding. The query reads an arc
+index of the road, every slot sorted by arc, which the first query at a step
+builds. The index is keyed by the step count, the spawned count and the
+``positions`` list's ``id``, and every writer of the road changes one of the
+counts: ``step`` and the glide count steps, ``inject_flow`` appends, and a
+road cursor or a recorded road's frontier counts steps as it assigns a new
+list. So no writer invalidates an index, and none is stale. A list assigned
+at the same step has another ``id``, as it is built while the indexed one
+lives; code that writes ``positions`` in place must not query again before
+the next step. A query bisects the index for its window's two bounds and
+takes the slots between as one slice. Receivers come back in slot order
+(vehicles, then RSUs), which fixes delivery order. The world keeps the window
+of the last radius asked for, so a run at one radio range computes it once.
 
-Every position and every arc lies in ``[0, route_length)``. So the step and
-the neighbour query wrap a difference of two arcs, or a position one move
-past the wrap point, by comparison, and get the float that ``%`` would.
+Every position and every arc lies in ``[0, route_length)``. So the step
+wraps a difference of two arcs, or a position one move past the wrap point,
+by comparison, and gets the float that ``%`` would; the neighbour query wraps
+a window bound past 0 or past the route length by one route length.
 """
 
 from __future__ import annotations
@@ -75,9 +82,6 @@ from bisect import bisect_left, bisect_right
 from copy import copy
 from typing import List, Tuple
 
-#: metres of slack between the neighbour query's arcs and the radio range,
-#: far above float rounding
-_ARC_WINDOW_MARGIN = 1.0
 #: metres of clear road, past one target-speed move and the standstill gap, a
 #: cruising vehicle needs to skip the car-following arithmetic; far above the
 #: rounding of ``/ dt`` for any ``dt`` below 1e12 s
@@ -129,9 +133,9 @@ class CircularWorld:
         self.rsus: List[Tuple[int, float]] = [
             (fleet_size + i, i * route_length / RSU_COUNT) for i in range(RSU_COUNT)
         ]
-        #: the neighbour query's (radius, window arc, sure arc) of the last
-        #: radius asked for; no query has radius 0
-        self._arcs: Tuple[float, float, float] = (0.0, 0.0, 0.0)
+        #: the neighbour query's (radius, window arc) of the last radius asked
+        #: for; no query has radius 0
+        self._arcs: Tuple[float, float] = (0.0, 0.0)
         #: the neighbour query's arc index, built by its first query at a step
         #: (see the module docstring)
         self._index: _ArcIndex = _NO_INDEX
@@ -140,11 +144,6 @@ class CircularWorld:
 
     def _radius(self) -> float:
         return self.route_length / (2 * math.pi)
-
-    def point_of_arc(self, arc: float) -> Tuple[float, float]:
-        theta = 2 * math.pi * (arc % self.route_length) / self.route_length
-        r = self._radius()
-        return (r * math.cos(theta), r * math.sin(theta))
 
     def arc_of(self, slot: int) -> float:
         if slot < len(self.positions):
@@ -354,77 +353,42 @@ class CircularWorld:
 
     def neighbours_within(self, center: int, radius: float) -> List[int]:
         """The slots of all entities within Euclidean range of slot
-        ``center``, excluding it, in slot order (vehicles, then RSUs), from
-        the road's arc index (see the module docstring). Four bisections find
-        the window, each arc widened by the margin; the slots more than the
-        margin inside the sure arc are one slice, and only those in the two
-        edge strips between get the exact test. A window of half the route or
-        more sends every slot through it."""
+        ``center``, excluding it, in slot order (vehicles, then RSUs): every
+        slot whose arc lies in the closed window ``[c - w, c + w]`` on the
+        loop, where ``c`` is the centre's arc and ``w`` the arc of a chord
+        as long as ``radius`` (see the module docstring). Two bisections of
+        the road's arc index find the window; a bound past 0 or past the
+        route length wraps by one route length and reads into the second
+        copy of the order. The window is one slice, clipped to one lap."""
         if radius <= 0:
             raise ValueError("radius must be positive")
         length = self.route_length
-        center_arc = self.arc_of(center)
-        centre = None  # the centre's point, computed for the first band entity
         arcs = self._arcs
         if arcs[0] != radius:
-            window = self.chord_for_radius(radius) + _ARC_WINDOW_MARGIN
-            # within this arc the chord is at most radius - 1 m (or the arc is 0)
-            sure = self.chord_for_radius(max(radius - _ARC_WINDOW_MARGIN, 0.0))
-            arcs = self._arcs = (radius, window, sure)
-        _, window, sure = arcs
-        far, sure_far = length - window, length - sure
+            # a radius of the diameter or more reaches every slot
+            window = (self.chord_for_radius(radius) if radius < 2 * self._radius()
+                      else length)
+            arcs = self._arcs = (radius, window)
+        window = arcs[1]
         positions, index = self.positions, self._index
         if (index[0] != id(positions) or index[1] != self.next_step
                 or index[2] != len(positions)):
             index = self._index_arcs()
         order, keys = index[3], index[4]
         count = len(keys)
-        reach = window + _ARC_WINDOW_MARGIN
-        if reach + reach < length:
-            # the window's four bounds, each on the arc of a centre moved one
-            # route length on if the window starts before the wrap point; a
-            # bound past the wrap point indexes the second copy of ``order``
-            base = center_arc if center_arc >= reach else center_arc + length
-            inner = sure - _ARC_WINDOW_MARGIN
-            bound = base - reach
-            start = (bisect_left(keys, bound) if bound < length
-                     else bisect_left(keys, bound - length) + count)
-            bound = base + reach
-            stop = (bisect_right(keys, bound) if bound < length
-                    else bisect_right(keys, bound - length) + count)
-            if inner > 0.0:
-                bound = base - inner
-                first = (bisect_left(keys, bound) if bound < length
-                         else bisect_left(keys, bound - length) + count)
-                bound = base + inner
-                last = (bisect_right(keys, bound) if bound < length
-                        else bisect_right(keys, bound - length) + count)
-            else:
-                first = last = start
+        center_arc = self.arc_of(center)
+        low, high = center_arc - window, center_arc + window
+        if low < 0.0:
+            start = bisect_left(keys, low + length)
+            stop = bisect_right(keys, high) + count
+        elif high >= length:
+            start = bisect_left(keys, low)
+            stop = bisect_right(keys, high - length) + count
         else:
-            start, first, last, stop = 0, 0, 0, count
-        # in range, whatever the rounding of the Euclidean test; the centre
-        # itself is here, unless the sure arc is empty
-        found = order[first:last]
-        for strip in (range(start, first), range(last, stop)):
-            for k in strip:
-                # ``keys`` is not doubled: a negative index reads it for the
-                # first copy of ``order``
-                arc = keys[k - count]
-                offset = arc - center_arc
-                if offset < 0.0:
-                    offset += length
-                # more than the window of arc away, one way round or the other
-                if window < offset < far:
-                    continue
-                if offset <= sure or offset >= sure_far:
-                    found.append(order[k])
-                    continue
-                if centre is None:
-                    centre = self.point_of_arc(center_arc)
-                x, y = self.point_of_arc(arc)
-                if math.hypot(x - centre[0], y - centre[1]) <= radius:
-                    found.append(order[k])
+            start = bisect_left(keys, low)
+            stop = bisect_right(keys, high)
+        # a window of a lap or more would take a slot twice
+        found = order[start:min(stop, start + count)]
         found.sort()
         found.remove(center)
         return found

@@ -255,6 +255,16 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(config_file)]) == EXIT_CONFIG
 
+    def test_a_malformed_file_value_names_its_line_and_key(self, tmp_path, capsys):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("trials = 1\nvehicles = abc\n")
+        code = main(["run", "--config", str(config_file), "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: line 2: vehicles: expected an integer, got 'abc'\n"
+        )
+        assert list(tmp_path.iterdir()) == [config_file]
+
     def test_engine_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
         from vanetim.netsim import Engine
 
@@ -311,6 +321,15 @@ class TestSweepAndReport:
         code = main(["sweep", "--scenario", "diversion", "--densities=-5,19",
                      "--trials", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_malformed_density_names_its_flag(self, tmp_path, capsys):
+        code = main(["sweep", "--scenario", "accident", "--densities", "19,x",
+                     "--trials", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --densities: expected comma-separated integers, got '19,x'\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_repeated_density_is_config_error(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from vanetim.mobility import (
     STANDSTILL_GAP,
     TARGET_SPEED,
     VEHICLE_LENGTH,
-    _ARC_WINDOW_MARGIN,
     CircularWorld,
 )
 from vanetim.protocol import SpeedHistory, detect_jam
@@ -761,31 +760,53 @@ class TestInjectFlow:
 
 
 def linear_neighbours(world, center, radius):
-    """The neighbour query as one pass over every entity, with the arcs,
-    tests and floats of :meth:`CircularWorld.neighbours_within`: the oracle
+    """The neighbour query as one pass over every entity, with the window and
+    the float bounds of :meth:`CircularWorld.neighbours_within`: the oracle
     for its arc index."""
     length = world.route_length
     center_arc = world.arc_of(center)
-    window = world.chord_for_radius(radius) + _ARC_WINDOW_MARGIN
-    sure = world.chord_for_radius(max(radius - _ARC_WINDOW_MARGIN, 0.0))
-    far, sure_far = length - window, length - sure
-    centre = world.point_of_arc(center_arc)
-    found = []
-    for pairs in (enumerate(world.positions), world.rsus):
-        for slot, arc in pairs:
-            offset = arc - center_arc
-            if offset < 0.0:
-                offset += length
-            if window < offset < far:
-                continue
-            if offset <= sure or offset >= sure_far:
-                found.append(slot)
-                continue
-            x, y = world.point_of_arc(arc)
-            if math.hypot(x - centre[0], y - centre[1]) <= radius:
-                found.append(slot)
+    if radius < 2 * world._radius():
+        window = world.chord_for_radius(radius)
+    else:
+        window = length
+    low, high = center_arc - window, center_arc + window
+    found = [
+        slot
+        for pairs in (enumerate(world.positions), world.rsus)
+        for slot, arc in pairs
+        if low <= arc <= high
+        or (low < 0.0 and arc >= low + length)
+        or (high >= length and arc <= high - length)
+    ]
     found.remove(center)
     return found
+
+
+def point_of_arc(world, arc):
+    """The point in the plane of an arc of ``world``'s loop, centred on the
+    origin: the Euclidean oracle's geometry."""
+    theta = 2 * math.pi * (arc % world.route_length) / world.route_length
+    r = world._radius()
+    return (r * math.cos(theta), r * math.sin(theta))
+
+
+#: metres either side of the radio range within which a ``math.dist`` of two
+#: points of the loop may round to the other side of the range
+EUCLID_TOLERANCE = 1e-6
+
+
+def assert_euclidean(world, center, radius, found):
+    """``found`` holds every other entity that a ``math.dist`` scan of the
+    loop's points puts within ``radius`` of ``center`` and none that it puts
+    beyond, save those within ``EUCLID_TOLERANCE`` of the radius; each once,
+    in slot order."""
+    assert found == sorted(set(found))
+    origin = point_of_arc(world, world.arc_of(center))
+    for entity in world.entities():
+        distance = math.dist(point_of_arc(world, world.arc_of(entity)), origin)
+        if entity == center or abs(distance - radius) <= EUCLID_TOLERANCE:
+            continue
+        assert (entity in found) == (distance < radius), (entity, distance)
 
 
 @st.composite
@@ -793,8 +814,8 @@ def neighbour_roads(draw):
     """A road to query and a radius. The route is 4 000 m or any other; the
     fleet is wholly or partly spawned, in no order, at arcs anywhere, in a
     crowded stretch, within 5 m of either side of the wrap point, on an RSU
-    or on an earlier vehicle's arc. The radius runs from 1 m or less, which
-    leaves an empty sure arc, to beyond half the ring."""
+    or on an earlier vehicle's arc. The radius runs from 1 m or less to
+    three times the route, past the loop's diameter."""
     length = draw(st.one_of(st.just(ROUTE_LENGTH), st.floats(123.25, 40000.0)))
     fleet = draw(st.integers(1, 30))
     world = CircularWorld(length, fleet)
@@ -869,18 +890,6 @@ class TestNeighbours:
         with pytest.raises(ValueError):
             world.neighbours_within(world.entities()[0], 0.0)
 
-    @staticmethod
-    def brute_force(world, center, radius):
-        """Every other slot within range, in ``entities()`` order."""
-        def position(slot):
-            return world.point_of_arc(world.arc_of(slot))
-
-        return [
-            e
-            for e in world.entities()
-            if e != center and math.dist(position(e), position(center)) <= radius
-        ]
-
     @settings(max_examples=examples(25), deadline=None)
     @given(
         arcs=st.lists(
@@ -894,8 +903,8 @@ class TestNeighbours:
         # list order need not be ring order
         place(world, arcs)
         for center in world.entities():
-            assert world.neighbours_within(center, radius) == self.brute_force(
-                world, center, radius
+            assert_euclidean(
+                world, center, radius, world.neighbours_within(center, radius)
             )
 
     @settings(max_examples=examples(100), deadline=None)
@@ -905,6 +914,15 @@ class TestNeighbours:
         for center in world.entities():
             assert world.neighbours_within(center, radius) == linear_neighbours(
                 world, center, radius
+            )
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(road=neighbour_roads())
+    def test_query_agrees_with_euclid_off_the_range(self, road):
+        world, radius = road
+        for center in world.entities():
+            assert_euclidean(
+                world, center, radius, world.neighbours_within(center, radius)
             )
 
     def test_a_second_query_at_a_step_reuses_the_index(self):
@@ -971,67 +989,63 @@ class TestNeighbours:
         for radius in (300.0, 150.0, 300.0):
             for center in world.entities():
                 found = world.neighbours_within(center, radius)
-                assert found == self.brute_force(world, center, radius)
+                assert_euclidean(world, center, radius, found)
             answers.append(world.neighbours_within(0, radius))
-        # the middle query reaches fewer: arcs kept from 300 m would fail it
+        # the middle query reaches fewer: a window kept from 300 m would fail it
         assert answers[0] == answers[2] != answers[1]
 
-    # 0.5 and 1.0 leave a sure arc of length 0; 1274 lies between the ring's
-    # diameter (about 1273.24 m) and the diameter plus the 1 m margin
-    @pytest.mark.parametrize(
-        "radius", [0.5, 1.0, 300.0, 637.0, 1273.0, 1274.0, 1500.0]
-    )
+    # 0.5 m up to a hair below the loop's diameter (about 1273.24 m); at 0.0
+    # the window's near bound wraps, at 3999.5 its far one
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 300.0, 637.0, 1273.0, 1273.2])
     @pytest.mark.parametrize("center_arc", [0.0, 150.0, 3999.5])
     def test_vehicle_at_window_edge(self, radius, center_arc):
-        world = make_world(10)
+        world = make_world(5)
         spawn_all(world)
-        edge = world.chord_for_radius(radius)
-        # either side of the edge of the arc accepted without trigonometry
-        sure = world.chord_for_radius(radius - 1.0)
-        arcs = [center_arc, center_arc + edge, center_arc - edge, center_arc + 2 * edge]
-        arcs += [center_arc + sure + 1e-9, center_arc + sure - 1e-9,
-                 center_arc - sure + 1e-9, center_arc - sure - 1e-9]
-        # inside the arc window but out of range
-        arcs += [center_arc + edge + 0.5, center_arc - edge - 0.5]
-        place(world, arcs)
-        for center in world.entities():
-            assert world.neighbours_within(center, radius) == self.brute_force(
-                world, center, radius
-            )
+        length = world.route_length
+        window = world.chord_for_radius(radius)
+        # the window's bounds, each wrapped by one route length as the
+        # query wraps it
+        low, high = center_arc - window, center_arc + window
+        low = low + length if low < 0.0 else low
+        high = high - length if high >= length else high
+        beyond = [math.nextafter(high, math.inf), math.nextafter(low, -math.inf)]
+        place(world, [center_arc, high, low] + beyond)
+        found = world.neighbours_within(0, radius)
+        assert 1 in found and 2 in found
+        assert 3 not in found and 4 not in found
+        assert found == linear_neighbours(world, 0, radius)
 
-    def test_sure_arc_needs_no_trigonometry(self, monkeypatch):
-        world = make_world(3)
-        spawn_all(world)
-        sure = world.chord_for_radius(299.0)
-        # either side of the centre, the far one across the wrap
-        place(world, [10.0, 10.0 + sure, 10.0 - sure])
-        calls = []
-        point_of_arc = world.point_of_arc
-        monkeypatch.setattr(
-            world, "point_of_arc", lambda arc: calls.append(arc) or point_of_arc(arc)
-        )
-        found = world.neighbours_within(0, 300.0)
-        assert found == [1, 2, world.rsus[0][0]]
-        # no point at all: the RSU at 0 is in the sure arc, the rest lie
-        # beyond the window, so no entity needs the centre's point either
-        assert calls == []
+    @pytest.mark.parametrize("times", [1, 3])
+    def test_a_diameter_reaches_the_slot_opposite(self, times):
+        # on a 272 m loop the arc of a chord as long as the diameter,
+        # 2R asin(1), rounds below the half route from RSU7 to RSU2
+        world = CircularWorld(272.0, 2)
+        world.positions, world.speeds = [10.0, 200.0], [0.0, 0.0]
+        (rsu2, opposite), (rsu7, center_arc) = world.rsus[2], world.rsus[7]
+        assert center_arc - opposite == world.route_length / 2
+        radius = times * 2 * world._radius()
+        found = world.neighbours_within(rsu7, radius)
+        assert rsu2 in found
+        assert found == [slot for slot in world.entities() if slot != rsu7]
 
-    def test_band_entity_needs_its_point_and_the_centres(self, monkeypatch):
+    # vehicles on the wrap point, opposite it and just before it; radii a
+    # hair below the diameter, the diameter and three routes
+    @pytest.mark.parametrize("center", [0, 1, 2])
+    @pytest.mark.parametrize("reach", ["below", "diameter", "beyond"])
+    def test_no_slot_comes_back_twice(self, center, reach):
         world = make_world(3)
-        spawn_all(world)
-        sure = world.chord_for_radius(299.0)
-        edge = world.chord_for_radius(300.0)
-        band = 10.0 + (sure + edge) / 2
-        # one vehicle in the band between the sure arc and the range's arc
-        place(world, [10.0, band, 10.0 - sure])
-        calls = []
-        point_of_arc = world.point_of_arc
-        monkeypatch.setattr(
-            world, "point_of_arc", lambda arc: calls.append(arc) or point_of_arc(arc)
-        )
-        found = world.neighbours_within(0, 300.0)
-        assert found == [1, 2, world.rsus[0][0]]
-        assert calls == [10.0, band]
+        length = world.route_length
+        world.positions = [0.0, length / 2, math.nextafter(length, 0.0)]
+        world.speeds = [0.0] * 3
+        diameter = 2 * world._radius()
+        radius = {
+            "below": math.nextafter(diameter, 0.0),
+            "diameter": diameter,
+            "beyond": 3 * length,
+        }[reach]
+        found = world.neighbours_within(center, radius)
+        assert len(found) == len(set(found))
+        assert found == linear_neighbours(world, center, radius)
 
 
 class TestDownstream:
