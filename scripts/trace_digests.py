@@ -3,9 +3,11 @@
 
 One line per trace: ``scenario policy vehicles police loss seed sha1``.
 The matrix covers the accident density sweep, the police-attended accident
-at density, every catalogue scenario at 19 vehicles and three lossy cells,
-each at seeds 1, 3 and 5 (117 traces; accident at 19 vehicles is in both
-the density and the catalogue group). It pins no digest: compare its
+at density, every catalogue scenario at 19 vehicles and five lossy cells,
+each at seeds 1, 3 and 5 (123 traces; accident at 19 vehicles is in both
+the density and the catalogue group). The two lossy police cells at 131
+vehicles hold relays due at the same instant as other events (a fixed
+0.5 s official hold and 0.01 s hop latency), so they pin the tie rule. It pins no digest: compare its
 output between two commits, or between two ``PYTHONHASHSEED`` values, to
 show that a change leaves every trace byte-identical.
 
@@ -37,6 +39,8 @@ CELLS = (
         ("accident", "hop4", 79, 0, 0.3),
         ("accident-police", "fresh60", 81, 2, 0.3),
         ("debris", "hop4", 19, 0, 0.3),
+        ("accident-police", "hop4", 131, 2, 0.3),
+        ("accident-police", "fresh60", 131, 2, 0.3),
     ]
 )
 

@@ -7,6 +7,7 @@ default and tagged so they can be excluded for sensitivity analysis.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
@@ -107,10 +108,12 @@ def export_csv(sweep: SweepResult, path) -> None:
 
 
 def parse_csv(path) -> Tuple[SweepResult, List[Tuple[str, str, int, float, float]]]:
-    """Read a sweep CSV back; raises ValueError with a line number on junk,
-    a row of other than five fields included."""
+    """Read a sweep CSV back; raises ValueError with a line number on junk:
+    a row of other than five fields, a non-finite mean or stddev, or a
+    (scenario, policy, vehicles) aggregate given twice."""
     sweep = SweepResult()
     aggregates: List[Tuple[str, str, int, float, float]] = []
+    cells = set()
     section = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -131,12 +134,17 @@ def parse_csv(path) -> Tuple[SweepResult, List[Tuple[str, str, int, float, float
                     sweep.add(
                         SweepRow(parts[0], parts[1], int(parts[2]), int(parts[3]), int(parts[4]))
                     )
-                elif section == "aggregate":
-                    aggregates.append(
-                        (parts[0], parts[1], int(parts[2]), float(parts[3]), float(parts[4]))
-                    )
-                else:
+                    continue
+                if section != "aggregate":
                     raise ValueError("data before any section header")
+                row = (parts[0], parts[1], int(parts[2]), float(parts[3]), float(parts[4]))
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {line!r}") from exc
+            # a NaN mean compares false both ways, so it would pass any check
+            if not (math.isfinite(row[3]) and math.isfinite(row[4])):
+                raise ValueError(f"{path}:{lineno}: non-finite mean or stddev: {line!r}")
+            if row[:3] in cells:
+                raise ValueError(f"{path}:{lineno}: aggregate given twice: {line!r}")
+            cells.add(row[:3])
+            aggregates.append(row)
     return sweep, aggregates

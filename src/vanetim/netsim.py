@@ -57,10 +57,14 @@ handles, told whether it is first; the TA handles first receipts only.
 Only a first receipt is held for the relay decision, so no entity relays
 an id twice.
 
-Relays are store-carry-forward: a vehicle holds a newly received message
-for a jittered hold time before the forwarding decision runs, so
+Relays are store-carry-forward: an entity holds a newly received message
+for a jittered hold time, drawn at receipt, and then forwards it, so
 dissemination advances at roughly one hop per hold period. High-priority
-official messages use a much shorter hold.
+official messages use a much shorter hold. The relay policy reads only the
+copy and the relay time, so the decision is made at receipt for the end of
+the hold: an admitted copy schedules its broadcast then, and a refused one
+schedules nothing. A relay's broadcast thus takes its sequence number, and
+its place among events due at the same instant, at its copy's arrival.
 """
 
 from __future__ import annotations
@@ -97,10 +101,9 @@ from .protocol import (
     handle_official,
     handle_rsu,
     handle_ta,
-    relay_decision,
     rsu_scripted_resolution,
 )
-from .relay import RelayPolicy
+from .relay import RelayPolicy, should_relay
 from .roadlog import RoadLog
 from .scenarios import CLEAR_TIME, REPORT_TIME, Clearance, ScenarioScript
 
@@ -339,11 +342,10 @@ class Engine:
         self,
         msg: Message,
         sender: int,
-        now: float,
         source: ActionSource = ActionSource.ORIGIN,
         downstream_only: bool = False,
     ) -> List[int]:
-        """Transmit once; one event delivers the copy to every in-range
+        """Transmit once, now; one event delivers the copy to every in-range
         receiver, in receiver order. Returns the receivers' slots: the list
         that event holds, so a caller must not write it."""
         self._record(msg, sender, "*", source)
@@ -359,27 +361,22 @@ class Engine:
         if loss > 0:
             rng = self.rng
             receivers = [receiver for receiver in receivers if not rng.random() < loss]
-        at = now + HOP_LATENCY
         if receivers:
             # a radio hop is counted at delivery: the receivers' copy carries
             # one more hop than the sender's, so a hop-limit policy cuts off
             # after exactly max_hops transmissions from the origin; messages
             # are immutable, so every receiver shares the one copy
-            self._schedule(at, self._deliver, relayed_copy(msg), receivers, sender)
+            self._schedule(
+                self.now + HOP_LATENCY, self._deliver, relayed_copy(msg), receivers, sender
+            )
         return receivers
 
-    def wired_send(self, msg: Message, sender: int, to: int, now: float) -> None:
+    def wired_send(self, msg: Message, sender: int, to: int) -> None:
         for kind in (self._kinds[sender], self._kinds[to]):
             if kind not in (RoleKind.RSU, RoleKind.TA):
                 raise ValueError("wired links join infrastructure nodes only")
         self._record(msg, sender, self.labels[to], ActionSource.WIRED)
-        self._schedule(now + WIRED_LATENCY, self._deliver, msg, (to,), sender)
-
-    def _hold_delay(self, msg: Message) -> float:
-        if msg.priority is Priority.OFFICIAL:
-            return OFFICIAL_HOLD
-        jitter = self.rng.uniform(1 - RELAY_JITTER, 1 + RELAY_JITTER)
-        return self.setup.relay_hold * jitter
+        self._schedule(self.now + WIRED_LATENCY, self._deliver, msg, (to,), sender)
 
     # -- action execution --------------------------------------------------
 
@@ -387,14 +384,11 @@ class Engine:
         for action in actions:
             if isinstance(action, Broadcast):
                 self._schedule(
-                    action.at, self.broadcast, action.message, slot, action.at,
+                    action.at, self.broadcast, action.message, slot,
                     action.source, action.downstream_only,
                 )
             elif isinstance(action, Wired):
-                self._schedule(
-                    action.at, self.wired_send, action.message, slot, action.to,
-                    action.at,
-                )
+                self._schedule(action.at, self.wired_send, action.message, slot, action.to)
             elif isinstance(action, Arm):
                 self._schedule(action.at, self._fire_timer, slot, action)
             else:
@@ -438,11 +432,18 @@ class Engine:
                 self._execute(receiver, handle_ta(msg, now, reporting_rsu=sender))
 
     def _schedule_relay(self, slot: int, msg: Message) -> None:
-        """Hold a first-received copy, then run the relay decision on it."""
-        self._schedule(self.now + self._hold_delay(msg), self._relay, slot, msg)
-
-    def _relay(self, slot: int, msg: Message) -> None:
-        self._execute(slot, relay_decision(msg, self.setup.policy, self.now))
+        """Hold a first-received copy, and schedule its broadcast at the end
+        of the hold if the policy admits it then. The copy is sent as it
+        arrived: its hop count was advanced at delivery, so a hop-limit
+        policy sees the transmissions it has traversed."""
+        setup = self.setup
+        if msg.priority is Priority.OFFICIAL:
+            at = self.now + OFFICIAL_HOLD
+        else:
+            jitter = self.rng.uniform(1 - RELAY_JITTER, 1 + RELAY_JITTER)
+            at = self.now + setup.relay_hold * jitter
+        if should_relay(setup.policy, msg, at):
+            self._schedule(at, self.broadcast, msg, slot, ActionSource.RELAY)
 
     # -- timers ------------------------------------------------------------
 
@@ -457,13 +458,12 @@ class Engine:
         self,
         slot: int,
         kind: MessageKind,
-        now: float,
         *,
         payload: Optional[str] = None,
     ) -> Message:
-        """Create and broadcast a fresh message from the entity in ``slot``."""
-        msg = make_message(kind, self._kinds[slot], now, ids=self.ids, payload=payload)
-        self.broadcast(msg, slot, now, ActionSource.ORIGIN)
+        """Create and broadcast, now, a fresh message from the entity in ``slot``."""
+        msg = make_message(kind, self._kinds[slot], self.now, ids=self.ids, payload=payload)
+        self.broadcast(msg, slot)
         return msg
 
     def _report(self) -> None:
@@ -471,7 +471,7 @@ class Engine:
         reporter = self._reporter
         if script.blockage:
             self.world.add_blockage(self.world.arc_of(reporter))
-        msg = self.originate(reporter, script.kind, self.now, payload=script.payload)
+        msg = self.originate(reporter, script.kind, payload=script.payload)
         self._report_id = msg.id
 
     def _coordinator_clear(self) -> None:
@@ -482,7 +482,7 @@ class Engine:
         self._execute(rsu, actions)
 
     def _reporter_clear(self) -> None:
-        self.originate(self._reporter, MessageKind.CLEARED_ROAD, self.now)
+        self.originate(self._reporter, MessageKind.CLEARED_ROAD)
 
     # -- main loop ---------------------------------------------------------
 

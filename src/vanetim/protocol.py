@@ -17,8 +17,9 @@ Every trial runs on one road, so no message, state or timer names it. An
 RSU keeps one :class:`IncidentStatus` (``None`` until a report opens an
 incident), moved by one table, ``_LIFECYCLE``, and an official vehicle at
 most one incident. At an RSU, a message made before the road's last
-resolution is stale and dropped (a stale clearance is still forwarded), and
-one made since it opens a fresh incident, whatever its kind.
+resolution is stale and dropped (a stale clearance is still forwarded, but
+closes nothing), and one made since it opens a fresh incident, whatever its
+kind.
 
 Timings that the source material leaves open (burst spacing, periodic
 announcement intervals, authority service delay, official-vehicle travel
@@ -29,7 +30,9 @@ and label, and a handler originates a message as its own
 :class:`RoleKind`. Only RSUs and official vehicles keep a state. No handler
 reads or writes the ids an entity has sent or received: the engine keeps
 them, and tells ``handle_rsu`` whether a receipt is the first of its id.
-The TA's handler and the relay decision run on first receipts only.
+The TA's handler runs on first receipts only. Relaying is not a handler's:
+the engine decides each first-received copy at receipt through
+:func:`vanetim.relay.should_relay`.
 """
 
 from __future__ import annotations
@@ -49,10 +52,8 @@ from .domain import (
     RESOLUTION_KINDS,
     RoleKind,
     TA_REPORT_KINDS,
-    _new_tuple,
     make_message,
 )
-from .relay import RelayPolicy, should_relay
 
 
 class ProtocolOrderError(RuntimeError):
@@ -193,28 +194,6 @@ OFFICIAL_RESPONSE_KINDS = {
     MessageKind.OBSTACLE: MessageKind.OBSTACLE_CLEARED,
     MessageKind.STRANDED_VEHICLE: MessageKind.CLEARED_ROAD,
 }
-
-
-# ---------------------------------------------------------------------------
-# shared relay decision
-
-
-def relay_decision(
-    msg: Message, policy: RelayPolicy, now: float
-) -> List[OutgoingAction]:
-    """Forward a first-received copy if the policy admits it.
-
-    The engine calls this at most once per (entity, id): only an entity's
-    first receipt of an id, one it has not sent either, schedules it. The
-    copy is retransmitted as received: its hop count was already advanced
-    when the radio delivery happened, so a hop-limit policy sees the number
-    of transmissions the copy has traversed.
-    """
-    if not should_relay(policy, msg, now):
-        return []
-    # Broadcast(msg, at=now, source=ActionSource.RELAY), without the
-    # generated constructor's argument handling
-    return [_new_tuple(Broadcast, (msg, now, ActionSource.RELAY, False))]
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +341,13 @@ def _rsu_resolution(
 ) -> List[OutgoingAction]:
     """Flood a first-received clearance along the backbone ring, so every
     zone hears it (message-id dedup terminates the flood), and close the
-    incident if one is open; a clearance with no open incident is only
-    forwarded."""
+    incident if one is open; a clearance with no open incident, or a stale
+    one made before the road's last resolution, is only forwarded."""
     actions: List[OutgoingAction] = []
     if first:
         actions.extend(Wired(msg, to=n, at=now) for n in state.neighbours)
+    if msg.created_at < state.resolved_at:
+        return actions
     return actions + _close(state, now, ids, msg)
 
 

@@ -31,7 +31,7 @@ from vanetim.domain import (
 )
 from vanetim.netsim import parse_trace, road_for, write_trace
 from vanetim.protocol import SpeedHistory, detect_congestion, detect_jam
-from vanetim.relay import HOP4
+from vanetim.relay import HOP4, should_relay
 from vanetim.scenarios import (
     SCENARIOS,
     build_scenario,
@@ -245,11 +245,9 @@ def _simulate_static_flood(positions, origin, radius, policy):
             if arrived.id in seen[receiver]:
                 continue
             seen[receiver].add(arrived.id)
-            from vanetim.protocol import relay_decision
-
-            for action in relay_decision(arrived, policy, now + 1.0):
+            if should_relay(policy, arrived, now + 1.0):
                 seq += 1
-                heapq.heappush(queue, (now + 1.0, seq, receiver, action.message))
+                heapq.heappush(queue, (now + 1.0, seq, receiver, arrived))
     return transmissions, reached
 
 

@@ -483,6 +483,38 @@ class TestSweepAndReport:
         assert "accident: hop4 >= fresh60" not in out
         assert "flood: hop4 >= fresh60 at all densities: PASS" in out
 
+    @pytest.mark.parametrize("mean, stddev", [
+        ("nan", "0.0"), ("inf", "0.0"), ("200.0", "nan"),
+    ], ids=["nan-mean", "inf-mean", "nan-stddev"])
+    def test_report_rejects_a_non_finite_aggregate(self, tmp_path, capsys, mean, stddev):
+        from vanetim.metrics import AGGREGATE_HEADER, DETAIL_HEADER
+
+        # a NaN mean compares false both ways, so it would read as a PASS
+        csv_path = tmp_path / "nan.csv"
+        csv_path.write_text(
+            DETAIL_HEADER + "\n" + AGGREGATE_HEADER
+            + f"\naccident,hop4,19,{mean},{stddev}\naccident,fresh60,19,150.0,0.0\n"
+        )
+        assert main(["report", str(csv_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{csv_path}:3: non-finite mean or stddev" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_report_rejects_an_aggregate_given_twice(self, tmp_path, capsys):
+        from vanetim.metrics import AGGREGATE_HEADER, DETAIL_HEADER
+
+        # the failing first row must not be hidden by a later one
+        csv_path = tmp_path / "twice.csv"
+        csv_path.write_text(
+            DETAIL_HEADER + "\n" + AGGREGATE_HEADER
+            + "\naccident,hop4,19,100.0,0.0\naccident,fresh60,19,150.0,0.0"
+            + "\naccident,hop4,19,200.0,0.0\n"
+        )
+        assert main(["report", str(csv_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{csv_path}:5: aggregate given twice" in captured.err
+        assert "PASS" not in captured.out
+
     def test_report_empty_aggregates(self, tmp_path):
         from vanetim.metrics import AGGREGATE_HEADER, DETAIL_HEADER
 

@@ -39,13 +39,14 @@ RSU = RoleKind.RSU
 TA = RoleKind.TA
 
 
-def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0, **setup_kwargs):
+def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0, policy=HOP4,
+                **setup_kwargs):
     """An engine on its warm road, whose fleet has spawned and is
     repositionable by hand; V0 is slot 0 and any police follow it."""
     script = build_scenario(scenario, reporter="V0", reporter_index=0)
     setup = TrialSetup(
         script=script,
-        policy=HOP4,
+        policy=policy,
         vehicles=vehicles,
         police=police,
         **setup_kwargs,
@@ -97,7 +98,8 @@ class TestBroadcast:
         sender = 0
         assert len(engine.world.neighbours_within(sender, 300.0)) == 3
         msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-        deliveries = engine.broadcast(msg, sender, 10.0)
+        engine.now = 10.0
+        deliveries = engine.broadcast(msg, sender)
         assert len(deliveries) == 3
         assert len(engine.trace) == 1
         assert engine.metrics.total == 1  # counted per send, not per receipt
@@ -107,7 +109,8 @@ class TestBroadcast:
         place(engine, [2000.0])  # midway between RSU0 and RSU1, 4000 m apart
         sender = 0
         msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-        assert engine.broadcast(msg, sender, 10.0) == []
+        engine.now = 10.0
+        assert engine.broadcast(msg, sender) == []
         assert engine.metrics.total == 1
 
     @pytest.mark.parametrize("arcs, loss, copies", [
@@ -128,7 +131,8 @@ class TestBroadcast:
         engine = tiny_engine(2, route_length=40000.0, loss=loss)
         place(engine, arcs)
         msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-        assert len(engine.broadcast(msg, 0, 10.0)) == copies
+        engine.now = 10.0
+        assert len(engine.broadcast(msg, 0)) == copies
         assert len(made) == copies
         assert engine.metrics.total == 1
 
@@ -137,7 +141,8 @@ class TestBroadcast:
         place(engine, [0.0, 200.0, 400.0, 600.0, 800.0])
         sender = 2
         msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-        delivered = set(engine.broadcast(msg, sender, 10.0))
+        engine.now = 10.0
+        delivered = set(engine.broadcast(msg, sender))
         oracle = set(engine.world.neighbours_within(sender, 300.0))
         assert delivered == oracle
 
@@ -147,7 +152,8 @@ class TestBroadcast:
             place(engine, [0.0, 150.0, 300.0, 450.0, 600.0])
             sender = 2
             msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-            return list(engine.broadcast(msg, sender, 10.0))
+            engine.now = 10.0
+            return list(engine.broadcast(msg, sender))
 
         full = delivered(1, 0.0)
         lossy = delivered(1, 0.6)
@@ -165,8 +171,9 @@ class TestWired:
         engine = tiny_engine(1)
         rsu3, rsu4, ta = slots(engine, "RSU3", "RSU4", "TA")
         msg = make_message(MessageKind.ACCIDENT, RSU, 10.0, ids=engine.ids)
-        engine.wired_send(msg, rsu3, rsu4, 10.0)
-        engine.wired_send(msg, rsu3, ta, 10.0)
+        engine.now = 10.0
+        engine.wired_send(msg, rsu3, rsu4)
+        engine.wired_send(msg, rsu3, ta)
         at = 10.0 + netsim.WIRED_LATENCY
         assert [(when, args) for when, _, _, args in sorted(engine._queue)] == [
             (at, (msg, (rsu4,), rsu3)), (at, (msg, (ta,), rsu3))
@@ -179,7 +186,7 @@ class TestWired:
         (rsu3,) = slots(engine, "RSU3")
         msg = make_message(MessageKind.ACCIDENT, RSU, 10.0, ids=engine.ids)
         with pytest.raises(ValueError):
-            engine.wired_send(msg, rsu3, 0, 10.0)  # slot 0 is V0
+            engine.wired_send(msg, rsu3, 0)  # slot 0 is V0
 
     def test_wired_target_receives(self, monkeypatch):
         engine = tiny_engine(1)
@@ -188,8 +195,9 @@ class TestWired:
         by_ta = spy_on(monkeypatch, engine, "handle_ta")
         accident = make_message(MessageKind.ACCIDENT, RSU, 10.0, ids=engine.ids)
         debris = make_message(MessageKind.DEBRIS, RSU, 10.0, ids=engine.ids)
-        engine.wired_send(accident, rsu3, rsu4, 10.0)
-        engine.wired_send(debris, rsu3, ta, 10.0)
+        engine.now = 10.0
+        engine.wired_send(accident, rsu3, rsu4)
+        engine.wired_send(debris, rsu3, ta)
         run_until(engine, 10.0 + netsim.WIRED_LATENCY)
         assert [call[:3] for call in by_rsu] == [
             ("RSU4", accident.id, ((RSU, True, 10.005), {"ids": engine.ids}))
@@ -792,8 +800,7 @@ class PerReceiverEngine(Engine):
     """The oracle for batched delivery: one delivery event per receiver,
     each with its own sequence number."""
 
-    def broadcast(self, msg, sender, now, source=ActionSource.ORIGIN,
-                  downstream_only=False):
+    def broadcast(self, msg, sender, source=ActionSource.ORIGIN, downstream_only=False):
         self._record(msg, sender, "*", source)
         loss = self.setup.loss
         copy = relayed_copy(msg)
@@ -806,7 +813,7 @@ class PerReceiverEngine(Engine):
                     continue
             if loss > 0 and self.rng.random() < loss:
                 continue
-            at = now + netsim.HOP_LATENCY
+            at = self.now + netsim.HOP_LATENCY
             self._schedule(at, self._deliver, copy, (receiver,), sender)
             deliveries.append((at, receiver))
         return deliveries
@@ -843,7 +850,8 @@ class TestBatchedDelivery:
         engine = tiny_engine(4)
         place(engine, [200.0, 300.0, 2200.0, 2300.0])
         msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-        deliveries = engine.broadcast(msg, 0, 10.0)
+        engine.now = 10.0
+        deliveries = engine.broadcast(msg, 0)
         assert len(deliveries) == 3
         assert len(engine._queue) == 1
 
@@ -857,8 +865,9 @@ class TestDuplicateReceipts:
         place(engine, [200.0, 2200.0])  # V0 between RSU0 and RSU1
         calls = spy_on(monkeypatch, engine, "handle_rsu")
         msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-        engine.broadcast(msg, 0, 10.0)
-        engine.broadcast(msg, 0, 10.0)  # a second copy of the same report
+        engine.now = 10.0
+        engine.broadcast(msg, 0)
+        engine.broadcast(msg, 0)  # a second copy of the same report
         run_until(engine, 10.0 + netsim.HOP_LATENCY)
         rsu0 = [actions for label, _, _, actions in calls if label == "RSU0"]
         assert len(rsu0) == 2
@@ -875,8 +884,9 @@ class TestDuplicateReceipts:
         assert engine.labels[1] == "P0"
         calls = spy_on(monkeypatch, engine, "handle_official")
         msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-        engine.broadcast(msg, 0, 10.0)
-        engine.broadcast(msg, 0, 10.0)
+        engine.now = 10.0
+        engine.broadcast(msg, 0)
+        engine.broadcast(msg, 0)
         run_until(engine, 10.0 + netsim.HOP_LATENCY)
         assert [(label, msg_id) for label, msg_id, _, _ in calls] == [
             ("P0", msg.id), ("P0", msg.id)
@@ -891,10 +901,12 @@ class TestDuplicateReceipts:
         place(engine, [1000.0, 1100.0])
         msg = make_message(MessageKind.ATTENDING, POLICE, 10.0, ids=engine.ids)
         assert msg.priority is Priority.OFFICIAL
-        engine.broadcast(msg, 0, 10.0)
-        engine.broadcast(msg, 0, 10.0)
+        engine.now = 10.0
+        engine.broadcast(msg, 0)
+        engine.broadcast(msg, 0)
         run_until(engine, 20.0)
-        engine.broadcast(msg, 0, 20.0)
+        engine.now = 20.0
+        engine.broadcast(msg, 0)
         run_until(engine, 30.0)
         relays = [
             (record.time, record.msg_id) for record in engine.trace
@@ -908,7 +920,8 @@ class TestDuplicateReceipts:
         engine = tiny_engine(1)
         place(engine, [50.0])  # in range of RSU0 only
         report = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
-        engine.broadcast(report, 0, 10.0)
+        engine.now = 10.0
+        engine.broadcast(report, 0)
         run_until(engine, 200.0)
         notice = next(
             record.msg_id for record in engine.trace
@@ -920,6 +933,62 @@ class TestDuplicateReceipts:
         ]
         assert ("V0", ActionSource.RELAY) in sends
         assert sends.count(("RSU0", ActionSource.BURST)) == 3
+
+
+
+class TestRelayAtReceipt:
+    """A first receipt decides its relay for the end of its hold: an
+    admitted copy schedules its broadcast, and nothing else, at once."""
+
+    def test_a_relay_precedes_same_instant_events_scheduled_after_its_receipt(self):
+        engine = tiny_engine(2, route_length=40000.0)
+        place(engine, [2000.0, 2200.0])  # V0 and V1 in range, no RSU
+        msg = make_message(MessageKind.ATTENDING, POLICE, 10.0, ids=engine.ids)
+        engine.now = 10.0
+        engine.broadcast(msg, 0)
+        run_until(engine, 10.0 + netsim.HOP_LATENCY)  # V1's first receipt
+        seen_by_marker = []
+        engine._schedule(
+            engine.now + netsim.OFFICIAL_HOLD,
+            lambda: seen_by_marker.append([(r.sender, r.source) for r in engine.trace]),
+        )
+        run_until(engine, 20.0)
+        # the relay is due at the marker's instant, and takes its place by
+        # the copy's arrival, before the marker was scheduled
+        assert seen_by_marker == [[("V0", ActionSource.ORIGIN), ("V1", ActionSource.RELAY)]]
+
+    @pytest.mark.parametrize("policy", [HOP4, FRESH60], ids=["hop4", "fresh60"])
+    def test_an_admitted_copy_schedules_only_its_broadcast(self, policy):
+        engine = tiny_engine(2, route_length=40000.0, policy=policy)
+        copy = relayed_copy(make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids))
+        engine.now = 10.0
+        engine._deliver(copy, (1,), 0)
+        ((at, _, fn, args),) = engine._queue
+        assert fn == engine.broadcast
+        assert args == (copy, 1, ActionSource.RELAY)
+        hold, jitter = engine.setup.relay_hold, netsim.RELAY_JITTER
+        assert 10.0 + hold * (1 - jitter) <= at <= 10.0 + hold * (1 + jitter)
+
+    def test_a_copy_fresh_at_receipt_but_stale_at_its_relay_time_schedules_nothing(self):
+        engine = tiny_engine(2, route_length=40000.0, policy=FRESH60)
+        copy = relayed_copy(make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=engine.ids))
+        # 50 s old at receipt; the hold of at least 28 s takes it past 60 s
+        engine.now = 600.0
+        engine._deliver(copy, (1,), 0)
+        assert engine._queue == []
+        assert copy.id in engine.seen[1]
+
+    def test_the_relayed_copy_keeps_the_hop_count_it_arrived_with(self):
+        # a hop is counted at radio delivery, not again at the relay
+        engine = tiny_engine(2, route_length=40000.0)
+        place(engine, [2000.0, 2200.0])
+        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 10.0, ids=engine.ids)
+        engine.now = 10.0
+        engine.broadcast(msg, 0)
+        run_until(engine, 100.0)
+        assert [
+            (record.sender, record.msg_id, record.hops) for record in engine.trace
+        ] == [("V0", msg.id, 0), ("V1", msg.id, 1)]
 
 
 #: every golden cell, lossy ones with their loss rate

@@ -47,12 +47,11 @@ from vanetim.protocol import (
     official_announce,
     official_arrival,
     official_resolve,
-    relay_decision,
     rsu_reannounce_tick,
     ta_resolve,
 )
 from vanetim.netsim import Engine, TrialSetup
-from vanetim.relay import FRESH60, HOP4
+from vanetim.relay import HOP4
 from vanetim.scenarios import build_scenario
 
 VEHICLE = RoleKind.REGULAR_VEHICLE
@@ -427,6 +426,23 @@ class TestIncidentLedger:
         assert broadcasts(actions) == []
         assert state.status is IncidentStatus.RESOLVED
 
+    def test_stale_clearance_leaves_a_reopened_incident_open(self, ids):
+        # resolved on a clearance at 700 s and reopened by an accident made
+        # at 800 s; a sorted-road notice made at 650 s, before the
+        # resolution, arrives at 810 s: it is forwarded and closes nothing
+        state, seen = resolved_road(ids)
+        report = make_message(MessageKind.ACCIDENT, VEHICLE, 800.0, ids=ids)
+        rsu_receive(state, seen, report, VEHICLE, 800.0, ids)
+        assert state.status is IncidentStatus.OPEN
+        done = make_message(MessageKind.SORTED_ROAD, POLICE, 650.0, ids=ids)
+        actions = rsu_receive(state, seen, done, POLICE, 810.0, ids)
+        assert [(a.to, a.message) for a in wired(actions)] == [
+            (RSU9_SLOT, done), (RSU1_SLOT, done)
+        ]
+        assert broadcasts(actions) == []
+        assert state.status is IncidentStatus.OPEN
+        assert state.resolved_at == 700.0
+
     def test_double_open_is_noop(self, ids):
         # a second report on a road with an incident leaves its status be
         state, seen = fresh_rsu(), set()
@@ -661,19 +677,3 @@ class TestDetectors:
         history.record(1.0, 0.0)
         with pytest.raises(ValueError):
             history.record(1.0, 0.0)
-
-
-class TestRelayDecision:
-    def test_copy_forwarded_as_received(self, ids):
-        # hop counting happens at radio delivery, so the relayed copy keeps
-        # the hop count it arrived with
-        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
-        (out,) = relay_decision(relayed_copy(msg), HOP4, 551.0)
-        assert out.message.hops == 1
-        assert out.message.id == msg.id
-
-    def test_policy_block_yields_no_action(self, ids):
-        msg = make_message(MessageKind.ACCIDENT, VEHICLE, 550.0, ids=ids)
-        assert relay_decision(msg, FRESH60, 650.0) == []
-        # a blocked copy leaves no record that would stop a later decision
-        assert relay_decision(msg, HOP4, 651.0) != []
