@@ -126,17 +126,28 @@ def _coerce(key: str, value: str, where: str) -> object:
         ) from None
 
 
+#: the parameterised policies: key, then how its value parses and the policy
+_LIMITS = {"hops": (int, HopLimit), "age": (float, Freshness)}
+
+
 def parse_policy(name: str) -> RelayPolicy:
     """hop4, fresh60, hops=N, or age=SECONDS."""
     if name == "hop4":
         return HOP4
     if name == "fresh60":
         return FRESH60
-    if name.startswith("hops="):
-        return HopLimit(int(name[5:]))
-    if name.startswith("age="):
-        return Freshness(float(name[4:]))
-    raise ConfigError(f"policy: unknown policy {name!r}")
+    key, _, value = name.partition("=")
+    if key in _LIMITS:
+        parse, policy = _LIMITS[key]
+        try:
+            limit = parse(value)
+        except ValueError:
+            pass
+        else:
+            return policy(limit)
+    raise ConfigError(
+        f"policy: expected hop4, fresh60, hops=N or age=SECONDS, got {name!r}"
+    )
 
 
 def make_setup(config: RunConfig, *, policy: Optional[str] = None,

@@ -109,11 +109,13 @@ def export_csv(sweep: SweepResult, path) -> None:
 
 def parse_csv(path) -> Tuple[SweepResult, List[Tuple[str, str, int, float, float]]]:
     """Read a sweep CSV back; raises ValueError with a line number on junk:
-    a row of other than five fields, a non-finite mean or stddev, or a
-    (scenario, policy, vehicles) aggregate given twice."""
+    a row of other than five fields, a non-finite mean or stddev, a
+    (scenario, policy, vehicles) aggregate given twice, or one that is not
+    the :func:`aggregate` of its cell's detail rows. ``export_csv`` writes
+    ``repr``, so that check is exact."""
     sweep = SweepResult()
     aggregates: List[Tuple[str, str, int, float, float]] = []
-    cells = set()
+    cells: Dict[Tuple[str, str, int], int] = {}
     section = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -145,6 +147,13 @@ def parse_csv(path) -> Tuple[SweepResult, List[Tuple[str, str, int, float, float
                 raise ValueError(f"{path}:{lineno}: non-finite mean or stddev: {line!r}")
             if row[:3] in cells:
                 raise ValueError(f"{path}:{lineno}: aggregate given twice: {line!r}")
-            cells.add(row[:3])
+            cells[row[:3]] = lineno
             aggregates.append(row)
+    for row in aggregates:
+        totals = sweep.totals(*row[:3])
+        if totals and aggregate(totals) != row[3:]:
+            raise ValueError(
+                f"{path}:{cells[row[:3]]}: aggregate {row[3]!r}, {row[4]!r} is not "
+                f"the mean and stddev of its {len(totals)} detail rows"
+            )
     return sweep, aggregates

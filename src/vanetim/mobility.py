@@ -11,10 +11,20 @@ its place in the spawn order, and RSU ``i`` has slot ``fleet_size + i``.
 A spawned vehicle is its slot's entries in ``positions`` and ``speeds``.
 Queries take and return slots, so none of them hashes or compares a
 label. A vehicle's leader is the slot before it, which keeps leader
-lookup O(1). :meth:`CircularWorld.step` is one pass over the slots: every
-vehicle reads its leader's position from before the step, then moves. A
-vehicle cruising on clear road, or standing at the standstill gap, skips the
-car-following arithmetic, which would give it the same floats.
+lookup O(1).
+
+:meth:`CircularWorld.step` is the road's one car-following step: every
+vehicle follows its leader's position from before the step. The world keeps
+each vehicle's last move, and the step runs the rule, with its arithmetic,
+only for the vehicles whose inputs may have changed; every other vehicle
+repeats its last move, which gives the floats the rule would, and the new
+row is the last one plus the moves, added in one pass in C. After a report
+most vehicles cruise or stand just as at the step before, so on the
+accident sweep's roads of 19, 79 and 139 vehicles the rule runs for about
+0.7, 2.5 and 3.7 vehicles a step. That state describes the road as the
+world's own steps, glides and spawns left it: code that writes
+``positions`` or ``speeds`` in place between two steps must step a
+:meth:`CircularWorld.copy`, whose first step computes every vehicle.
 
 Step ``i`` runs at ``i * dt``, and the world counts the steps it has taken,
 so :meth:`CircularWorld.advance` runs every step due by a time and resumes
@@ -32,10 +42,12 @@ would make is exact, so each gap stays the same float and every step moves
 every vehicle by ``TARGET_SPEED * dt``: a vehicle cruises, or, with a cap
 within the cruising margin of the target, takes the car-following arithmetic,
 whose speed clamps to the target and which moves it by the same float. So the
-shift gives the step's floats bit for bit. At the default ``dt`` of 0.5 s the
-speeds are whole m/s and the positions multiples of 0.5 m, so a fleet on clear
-road glides once it cruises; at ``dt = 0.1`` the move is off the grid and the
-road steps one step at a time.
+shift gives the step's floats bit for bit, and it leaves the step's state as
+the shifted steps would: each vehicle repeated its move. At the default ``dt``
+of 0.5 s the speeds are whole m/s and the positions multiples of 0.5 m, so a
+fleet on clear road glides once it cruises; at ``dt = 0.1`` the move is off
+the grid, the road steps one step at a time, and each step computes every
+vehicle.
 
 A road depends only on route length, fleet size, ``dt`` and its blockage
 history. :meth:`CircularWorld.copy` lets trials start from one road stepped
@@ -55,19 +67,19 @@ window: ``chord_for_radius`` would give half the route, rounded, which can
 drop the entity exactly opposite the centre. And the slice is clipped to one
 lap, so a window that covers the loop returns each slot once. Below the
 diameter, ``asin`` keeps the window short of half the route by far more than
-rounding. The query reads an arc
-index of the road, every slot sorted by arc, which the first query at a step
-builds. The index is keyed by the step count, the spawned count and the
-``positions`` list's ``id``, and every writer of the road changes one of the
-counts: ``step`` and the glide count steps, ``inject_flow`` appends, and a
-road cursor or a recorded road's frontier counts steps as it assigns a new
-list. So no writer invalidates an index, and none is stale. A list assigned
-at the same step has another ``id``, as it is built while the indexed one
-lives; code that writes ``positions`` in place must not query again before
-the next step. A query bisects the index for its window's two bounds and
-takes the slots between as one slice. Receivers come back in slot order
-(vehicles, then RSUs), which fixes delivery order. The world keeps the window
-of the last radius asked for, so a run at one radio range computes it once.
+rounding. The query reads an arc index of the road, every slot sorted by
+arc, which the first query at a step builds. The index is keyed by the step
+count, the spawned count and the ``positions`` list's ``id``, and every
+writer of the road changes one of the counts: ``step`` and the glide count
+steps, ``inject_flow`` appends, and a road cursor counts steps as it assigns
+a new list. So no writer invalidates an index, and none is stale. A list
+assigned at the same step has another ``id``, as it is built while the
+indexed one lives; code that writes ``positions`` in place must not query
+again before the next step. A query bisects the index for its window's two
+bounds and takes the slots between as one slice. Receivers come back in slot
+order (vehicles, then RSUs), which fixes delivery order. The world keeps the
+window of the last radius asked for, so a run at one radio range computes it
+once.
 
 Every position and every arc lies in ``[0, route_length)``. So the step
 wraps a difference of two arcs, or a position one move past the wrap point,
@@ -80,7 +92,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from copy import copy
-from typing import List, Tuple
+from heapq import heappop, heappush
+from operator import add
+from typing import Dict, List, Optional, Set, Tuple
 
 #: metres of clear road, past one target-speed move and the standstill gap, a
 #: cruising vehicle needs to skip the car-following arithmetic; far above the
@@ -139,6 +153,19 @@ class CircularWorld:
         #: the neighbour query's arc index, built by its first query at a step
         #: (see the module docstring)
         self._index: _ArcIndex = _NO_INDEX
+        #: the step's own state (see :meth:`step`): the ``dt`` and a copy of
+        #: the blockages of its last step, the glide's grid for that ``dt`` (0.0
+        #: off the grid), each vehicle's last move by slot, the slots the next
+        #: step computes (None for every slot), a heap of (step, slot): a
+        #: cruiser to compute at that step, and the step of each slot's live
+        #: entry there
+        self._dt = math.nan
+        self._under: List[float] = []
+        self._grid = 0.0
+        self._moves: List[float] = []
+        self._due: Optional[Set[int]] = None
+        self._wake: List[Tuple[int, int]] = []
+        self._wake_at: Dict[int, int] = {}
 
     # -- geometry ----------------------------------------------------------
 
@@ -180,6 +207,10 @@ class CircularWorld:
                 return
             self.positions.append(0.0)
             self.speeds.append(0.0)
+            if self._due is not None:
+                # the new slot, and slot 0, which follows it
+                self._due.update((0, len(self.positions) - 1))
+                self._moves.append(0.0)
             self.next_spawn_time = now + ENTRY_HEADWAY
 
     def _entry_clear(self) -> bool:
@@ -255,16 +286,19 @@ class CircularWorld:
 
     def copy(self) -> CircularWorld:
         """An independent world in the same state: its own positions, speeds
-        and blockages."""
+        and blockages, and none of the step's state, so its first step
+        computes every vehicle."""
         twin = copy(self)
+        twin._due, twin._moves, twin._wake, twin._wake_at = None, [], [], {}
         twin.positions = self.positions[:]
         twin.speeds = self.speeds[:]
         twin.blockages = self.blockages[:]
         return twin
 
-    def step(self, dt: float) -> None:
-        """Advance every vehicle by ``dt`` in one pass; each follows its
-        leader's position from before the step (vehicle 0 follows the last).
+    def step(self, dt: float) -> Dict[int, float]:
+        """Take the next step: move every vehicle by the car-following rule,
+        each after its leader's position from before the step (vehicle 0
+        follows the last); return the speeds the step changed, by slot.
 
         A vehicle at the target speed with at least ``STANDSTILL_GAP +
         TARGET_SPEED * dt`` and a margin of clear road moves by
@@ -272,47 +306,97 @@ class CircularWorld:
         0 and stays. The full rule gives the same floats: for the first the
         speed clamps to the target and the cap exceeds it; for the second
         ``gap - STANDSTILL_GAP <= 0`` holds exactly, the cap is 0, and
-        ``position + 0.0 * dt == position``. Every other vehicle takes it."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        ``position + 0.0 * dt == position``. Every other vehicle takes it.
+
+        The step keeps each vehicle's last move, and a vehicle takes the
+        rule, with its arithmetic, only when its inputs may have changed;
+        any other repeats its last move, which gives the floats the rule
+        would:
+
+        - a stander keeps standing while its leader stands, or while a
+          blockage within the standstill gap holds it: its gap is unchanged;
+        - a cruiser, one left at the target speed, keeps it while its gap
+          stays at or above the one it moved on (or the cruising threshold,
+          if lower), since the cap rises with the gap. On the grid of
+          :meth:`_glide`, which its position, its leader's position and
+          move, ``TARGET_SPEED * dt`` and the route length lie on, every
+          move and wrap is exact, and the gap to its leader changes by the
+          difference of their moves at each step. So it is woken, computed
+          again, two steps before that gap or the arc to its nearest
+          blockage could fall below that bound, and a step before it could
+          reach the route length, unless an earlier wake is due for it.
+          Waking a vehicle early gives the same floats. Off the grid the
+          step computes every vehicle at every step.
+
+        Every other vehicle is computed at the next step, as is one whose
+        leader's move changed. A spawn marks the new slot and slot 0, and
+        every vehicle is computed at a step taken under other blockages or
+        another ``dt`` than the last, and at the first step of a world or of
+        a copy. Each new position is the old one plus the move; one that
+        reaches the route length, always a computed one, is wrapped by
+        ``%``."""
         positions, speeds = self.positions, self.speeds
-        length = self.route_length
-        blockages = self.blockages
+        length, blockages = self.route_length, self.blockages
+        if dt != self._dt or blockages != self._under:
+            if dt <= 0:
+                raise ValueError("dt must be positive")
+            self._dt, self._under, self._due = dt, blockages[:], None
+            self._grid = glide_grid(length, TARGET_SPEED * dt)
+        step, count, grid = self.next_step, len(positions), self._grid
+        due, wake, wake_at, moves = self._due, self._wake, self._wake_at, self._moves
+        if due is None:
+            due = range(count)
+            wake, wake_at = self._wake, self._wake_at = [], {}
+            moves = self._moves = [0.0] * count
+        while wake and wake[0][0] <= step:
+            at, slot = heappop(wake)
+            # an entry that a later one for its slot replaced is stale
+            if wake_at.get(slot) == at:
+                del wake_at[slot]
+                due.add(slot)
         accel_dt = ACCEL * dt
         target, standstill, car_length = TARGET_SPEED, STANDSTILL_GAP, VEHICLE_LENGTH
         cruise = target * dt
         cruise_gap = standstill + cruise + _CRUISE_MARGIN
         inf = math.inf
-        followed = len(positions) > 1
-        if positions:
-            ahead = positions[-1]
+        followed = count > 1
+        changes: Dict[int, float] = {}
+        next_due: Set[int] = set()
+        wrapped: List[Tuple[int, float]] = []
         # each comparison below picks the operand min() or max() would, ties
         # included, and each wrap gives the float % would, so speeds and
         # positions are the same floats as theirs
-        for slot, position in enumerate(positions):
+        for slot in due:
             # clear distance ahead: the leader's tail, or a nearer blockage
+            position = positions[slot]
             if followed:
-                gap = ahead - position
-                if gap < 0.0:
-                    gap += length
-                gap -= car_length
+                ahead = positions[slot - 1] - position
+                if ahead < 0.0:
+                    ahead += length
+                ahead -= car_length
             else:
-                gap = inf
+                ahead = inf
+            gap = ahead
+            nearest = inf
             if blockages:
                 for blockage in blockages:
                     arc = blockage - position
                     if arc < 0.0:
                         arc += length
-                    if arc < gap:
-                        gap = arc
-            ahead = position
-            if gap >= cruise_gap and speeds[slot] == target:
-                position += cruise
+                    if arc < nearest:
+                        nearest = arc
+                if nearest < gap:
+                    gap = nearest
+            speed = speeds[slot]
+            if gap >= cruise_gap and speed == target:
+                move = cruise
             elif gap <= standstill:
-                speeds[slot] = 0.0
-                continue
+                move = 0.0
+                if speed != 0.0:
+                    speed = speeds[slot] = changes[slot] = 0.0
             else:
-                speed = speeds[slot] + accel_dt
+                last = speed
+                speed += accel_dt
                 if not speed < target:
                     speed = target
                 if gap < inf:
@@ -323,12 +407,54 @@ class CircularWorld:
                         cap = 0.0
                     if cap < speed:
                         speed = cap
-                speeds[slot] = speed
-                position += speed * dt
-            if position >= length:
-                position %= length
-            positions[slot] = position
-        self.next_step += 1
+                if speed != last:
+                    speeds[slot] = changes[slot] = speed
+                move = speed * dt
+            moved = position + move
+            if moved >= length:
+                wrapped.append((slot, moved % length))
+            if not grid:
+                # off the grid the next step computes every vehicle
+                moves[slot] = move
+                continue
+            if move != moves[slot]:
+                moves[slot] = move
+                # its follower: computed at the next step
+                next_due.add(slot + 1 if slot + 1 < count else 0)
+            # a leader computed later in this loop whose move changes marks
+            # this vehicle too, so its leader's move as it reads now serves
+            if speed == target:
+                # the cap, monotone in the gap, stays at or above the target
+                # on any gap at least this one
+                lead = moves[slot - 1]
+                if position % grid or positions[slot - 1] % grid or lead % grid:
+                    next_due.add(slot)
+                    continue
+                least = gap if gap < cruise_gap else cruise_gap
+                # the steps it may repeat its move for: until it reaches the
+                # route length, its nearest blockage or its leader, less two
+                later = int((length - position) / cruise) - 1
+                if nearest < inf:
+                    later = min(later, int((nearest - least) / cruise) - 2)
+                if lead < cruise:
+                    later = min(later, int((ahead - least) / (cruise - lead)) - 2)
+                if later <= 1:
+                    next_due.add(slot)
+                elif wake_at.get(slot, inf) > step + later:
+                    # no entry wakes it by then already
+                    wake_at[slot] = step + later
+                    heappush(wake, (step + later, slot))
+            elif gap > standstill or (nearest > standstill and moves[slot - 1]):
+                # a blockage within the standstill gap holds a stander
+                # whatever its leader does
+                next_due.add(slot)
+        self._due = next_due if grid else None
+        moved = list(map(add, positions, moves))
+        for slot, position in wrapped:
+            moved[slot] = position
+        self.positions = moved
+        self.next_step = step + 1
+        return changes
 
     # -- protocol-facing queries ------------------------------------------
 

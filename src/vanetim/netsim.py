@@ -522,7 +522,10 @@ def warm_world(setup: TrialSetup) -> CircularWorld:
     """The road as every trial of ``setup`` finds it at ``REPORT_TIME``: a
     trial runs nothing but mobility steps before the report, so this road
     depends only on the route length, the fleet size and ``dt``. A fleet
-    not all spawned by then is a :class:`ConfigError`."""
+    not all spawned by then is a :class:`ConfigError`. It is a copy of the
+    road the warm-up stepped, without that step's state: every trial of a
+    sweep reads it and none steps it, and a lone trial's first step
+    computes every vehicle."""
     world = CircularWorld(setup.route_length, len(setup.validate()))
     world.advance(REPORT_TIME, setup.dt)
     if world.spawned_count < world.fleet_size:
@@ -530,7 +533,7 @@ def warm_world(setup: TrialSetup) -> CircularWorld:
             f"only {world.spawned_count} of {world.fleet_size} vehicles have "
             f"spawned by the report at {REPORT_TIME} s"
         )
-    return world
+    return world.copy()
 
 
 def road_for(setup: TrialSetup) -> RoadLog:

@@ -17,17 +17,12 @@ cursor ever spawns. Most speeds hold from step to step (a whole accident
 sweep's pass at 19, 79 and 139 vehicles changes 283, 1 087 and 1 378), so
 the log records the changes, not a row of speeds per step.
 
-The frontier takes each step with the log's own step, which keeps every
-vehicle's last move and runs the car-following rule of
-:meth:`vanetim.mobility.CircularWorld.step`, with its arithmetic, only for
-the vehicles whose inputs may have changed; the next row is the last one
-plus the moves, added in one pass in C. After a report
-most vehicles cruise or stand just as at the step before, so on the
-accident sweep's roads of 19, 79 and 139 vehicles the rule runs for about
-0.7, 2.5 and 3.7 vehicles a recorded step. The frontier is the log's own,
-so no other code reads or writes its lists. ``CircularWorld``'s ``step``,
-``advance`` and ``_glide`` step warm-ups, lone trials and cursors that leave
-the log, and are the reference the log is tested against.
+The frontier is a plain :class:`vanetim.mobility.CircularWorld`, a copy of
+the warm road that only the log reads or writes. It takes each step with
+:meth:`vanetim.mobility.CircularWorld.step`, the one step every road takes,
+which returns the speeds it changed; the log records them with the row. A
+change of blockages makes the step compute every vehicle, and a cursor that
+leaves the log starts from a state in which the step computes every vehicle.
 
 The log has a module of its own, apart from :mod:`vanetim.mobility`:
 CPython compiles a module on its first import from a fresh checkout, and
@@ -37,21 +32,10 @@ process's peak resident size.
 
 from __future__ import annotations
 
-import math
 from array import array
-from heapq import heappop, heappush
-from operator import add
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
-from .mobility import (
-    ACCEL,
-    STANDSTILL_GAP,
-    TARGET_SPEED,
-    VEHICLE_LENGTH,
-    _CRUISE_MARGIN,
-    CircularWorld,
-    glide_grid,
-)
+from .mobility import CircularWorld
 
 
 class RoadLog:
@@ -62,12 +46,8 @@ class RoadLog:
     ``blockages[i]`` the blockages that step was taken under: the history
     of the trials that stepped the frontier, each the first to need a step.
     The speeds the step changed are recorded beside them. ``warm`` is never
-    stepped, and nothing is written once recorded.
-
-    The frontier takes the steps of :meth:`CircularWorld.advance` with the
-    log's own step, which keeps each vehicle's last move and computes a move
-    by the car-following rule only for a vehicle whose inputs may have
-    changed (see :meth:`_step`); every other vehicle repeats its last move.
+    stepped, and nothing is written once recorded. The frontier is a copy
+    of ``warm``, stepped by :meth:`CircularWorld.step`.
     """
 
     def __init__(self, warm: CircularWorld, dt: float) -> None:
@@ -88,17 +68,6 @@ class RoadLog:
         self.speed_values = array("d")
         self.speed_ends = array("i", [0])
         self._frontier = warm.copy()
-        #: each vehicle's move at the frontier's last step, by slot
-        self._moves: List[float] = [0.0] * len(warm.positions)
-        #: the slots whose move the next step computes; None for every slot
-        self._due: Optional[Set[int]] = None
-        #: a heap of (step, slot): a cruiser to compute at that step, before
-        #: its gap could close below the one it moved on or it could reach
-        #: the route length
-        self._wake: List[Tuple[int, int]] = []
-        #: the grid of :meth:`CircularWorld._glide` if the move and the route
-        #: length lie on it, else 0.0: no cruiser repeats its move
-        self._grid = glide_grid(warm.route_length, TARGET_SPEED * dt)
 
     def cursor(self) -> RoadCursor:
         return RoadCursor(self)
@@ -110,148 +79,14 @@ class RoadLog:
         if frontier.blockages != blockages:
             # a new list, so the rows already recorded keep theirs
             frontier.blockages = list(blockages)
-            self._due = None
         while frontier.next_step * dt <= until:
-            self._step()
+            changes = frontier.step(dt)
             self.rows.append(array("d", frontier.positions))
             self.blockages.append(frontier.blockages)
+            if changes:
+                self.speed_slots.extend(changes)
+                self.speed_values.extend(changes.values())
             self.speed_ends.append(len(self.speed_slots))
-
-    def _step(self) -> None:
-        """The frontier's next step, as :meth:`CircularWorld.advance` takes
-        it on a fleet that has spawned: move every vehicle.
-
-        A vehicle takes the rule of :meth:`CircularWorld.step`, with its
-        arithmetic, only when its inputs may have changed; any other repeats
-        its last move, which gives the floats the rule would:
-
-        - a stander keeps standing while its leader stands, or while a
-          blockage within the standstill gap holds it: its gap is unchanged;
-        - a cruiser, one left at the target speed, keeps it while its gap
-          stays at or above the one it moved on (or the cruising threshold,
-          if lower), since the cap rises with the gap. On the grid of
-          :meth:`CircularWorld._glide`, which its position, its leader's
-          position and move, ``TARGET_SPEED * dt`` and the route length lie
-          on, every move and wrap is exact, and the gap to its leader changes
-          by the difference of their moves at each step. So it is woken,
-          computed again, two steps before that gap or the arc to its
-          nearest blockage could fall below that bound, and a step before it
-          could reach the route length. Off the grid it is computed at every
-          step. Waking a vehicle early gives the same floats.
-
-        Every other vehicle is computed at the next step, as is one whose
-        leader's move changed, and every vehicle is after a change of
-        blockages. Each new position is the old one plus the move;
-        one that reaches the route length, always a computed one, is wrapped
-        by ``%`` as in :meth:`CircularWorld.step`."""
-        frontier, dt = self._frontier, self.dt
-        positions, speeds, moves = frontier.positions, frontier.speeds, self._moves
-        step = frontier.next_step
-        count = len(positions)
-        due, wake = self._due, self._wake
-        speed_slots, speed_values = self.speed_slots, self.speed_values
-        if due is None:
-            due = range(count)
-            del wake[:]
-        while wake and wake[0][0] <= step:
-            due.add(heappop(wake)[1])
-        length, blockages, grid = frontier.route_length, frontier.blockages, self._grid
-        accel_dt = ACCEL * dt
-        target, standstill, car_length = TARGET_SPEED, STANDSTILL_GAP, VEHICLE_LENGTH
-        cruise = target * dt
-        cruise_gap = standstill + cruise + _CRUISE_MARGIN
-        inf = math.inf
-        followed = count > 1
-        next_due: Set[int] = set()
-        changed: List[int] = []
-        standers: List[int] = []
-        #: (slot, position, clear distance to the leader, arc to the nearest
-        #: blockage, the least gap it may repeat its move on)
-        cruisers: List[Tuple[int, float, float, float, float]] = []
-        wrapped: List[Tuple[int, float]] = []
-        for slot in due:
-            # CircularWorld.step's arithmetic, on the positions from before
-            # the step
-            position = positions[slot]
-            if followed:
-                ahead = positions[slot - 1] - position
-                if ahead < 0.0:
-                    ahead += length
-                ahead -= car_length
-            else:
-                ahead = inf
-            nearest = inf
-            for blockage in blockages:
-                arc = blockage - position
-                if arc < 0.0:
-                    arc += length
-                if arc < nearest:
-                    nearest = arc
-            gap = nearest if nearest < ahead else ahead
-            last = speed = speeds[slot]
-            if gap >= cruise_gap and speed == target:
-                move = cruise
-            elif gap <= standstill:
-                speed = move = 0.0
-            else:
-                speed += accel_dt
-                if not speed < target:
-                    speed = target
-                if gap < inf:
-                    cap = (gap - standstill) / dt
-                    if not cap > 0.0:
-                        cap = 0.0
-                    if cap < speed:
-                        speed = cap
-                move = speed * dt
-            if speed != last:
-                speeds[slot] = speed
-                speed_slots.append(slot)
-                speed_values.append(speed)
-            if move != moves[slot]:
-                moves[slot] = move
-                changed.append(slot)
-            if speed == target:
-                # the cap, monotone in the gap, stays at or above the target
-                # on any gap at least this one
-                cruisers.append((slot, position, ahead, nearest,
-                                 gap if gap < cruise_gap else cruise_gap))
-            elif gap <= standstill:
-                # a blockage this close holds it whatever its leader does
-                if nearest > standstill:
-                    standers.append(slot)
-            else:
-                next_due.add(slot)
-            position += move
-            if position >= length:
-                wrapped.append((slot, position % length))
-        for slot in changed:
-            next_due.add(slot + 1 if slot + 1 < count else 0)
-        for slot in standers:
-            if moves[slot - 1]:
-                next_due.add(slot)
-        for slot, position, ahead, nearest, least in cruisers:
-            lead = moves[slot - 1]
-            if not grid or position % grid or positions[slot - 1] % grid or lead % grid:
-                next_due.add(slot)
-                continue
-            # the steps it may repeat its move for: until it reaches the
-            # route length, its nearest blockage or its leader, less two
-            later = int((length - position) / cruise) - 1
-            if nearest < inf:
-                later = min(later, int((nearest - least) / cruise) - 2)
-            if lead < cruise:
-                later = min(later, int((ahead - least) / (cruise - lead)) - 2)
-            if later > 1:
-                heappush(wake, (step + later, slot))
-            else:
-                next_due.add(slot)
-        self._due = next_due
-        moved = list(map(add, positions, moves))
-        for slot, position in wrapped:
-            moved[slot] = position
-        frontier.positions = moved
-        frontier.next_step = step + 1
 
 
 class RoadCursor(CircularWorld):
@@ -275,9 +110,9 @@ class RoadCursor(CircularWorld):
         self.speeds = warm.speeds[:]
         self.blockages = list(warm.blockages)
 
-    def step(self, dt: float) -> None:
+    def step(self, dt: float) -> Dict[int, float]:
         self.log = None
-        super().step(dt)
+        return super().step(dt)
 
     def advance(self, until: float, dt: float) -> None:
         if self.next_step * dt > until:

@@ -113,6 +113,16 @@ class TestParsePolicy:
         with pytest.raises(ConfigError):
             parse_policy("ttl")
 
+    @pytest.mark.parametrize("value", ["hops=abc", "age=x", "hops=", "hops=2.5"])
+    def test_a_malformed_limit_names_the_policy_key(self, tmp_path, capsys, value):
+        code = main(["run", "--policy", value, "--trials", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: policy: expected hop4, fresh60, hops=N or age=SECONDS, "
+            f"got {value!r}\n"
+        )
+
 
 class TestRunCommand:
     def test_run_writes_traces_and_csv(self, tmp_path):
@@ -513,6 +523,25 @@ class TestSweepAndReport:
         assert main(["report", str(csv_path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert f"{csv_path}:5: aggregate given twice" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_report_rejects_an_aggregate_its_detail_rows_contradict(
+        self, tmp_path, capsys
+    ):
+        from vanetim.metrics import AGGREGATE_HEADER, DETAIL_HEADER
+
+        # the details give hop4 100 and fresh60 150; the aggregates would pass
+        csv_path = tmp_path / "contradicted.csv"
+        csv_path.write_text(
+            DETAIL_HEADER
+            + "\naccident,hop4,19,0,100\naccident,fresh60,19,0,150\n"
+            + AGGREGATE_HEADER
+            + "\naccident,hop4,19,200.0,0.0\naccident,fresh60,19,150.0,0.0\n"
+        )
+        assert main(["report", str(csv_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{csv_path}:5: aggregate 200.0, 0.0 is not the mean and stddev" in (
+            captured.err)
         assert "PASS" not in captured.out
 
     def test_report_empty_aggregates(self, tmp_path):

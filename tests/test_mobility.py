@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
+from road_oracle import bits, oracle_advance, oracle_step
 from static_world import StaticWorld
 from vanetim.mobility import (
     ACCEL,
@@ -110,31 +111,6 @@ class TestCarFollowing:
             make_world(1).step(0.0)
 
 
-def oracle_leader_gap(world, i):
-    """The clear distance ahead of vehicle i, as the two-loop step found it."""
-    position = world.positions[i]
-    gap = math.inf
-    if world.spawned_count > 1:
-        gap = world.arc_gap(position, world.positions[i - 1]) - VEHICLE_LENGTH
-    for blockage in world.blockages:
-        gap = min(gap, world.arc_gap(position, blockage))
-    return gap
-
-
-def oracle_step(world, dt):
-    """The two-loop step: every new speed from the old state, then every move."""
-    speeds = []
-    for i, speed in enumerate(world.speeds):
-        desired = min(TARGET_SPEED, speed + ACCEL * dt)
-        gap = oracle_leader_gap(world, i)
-        if math.isfinite(gap):
-            desired = min(desired, max(0.0, (gap - STANDSTILL_GAP) / dt))
-        speeds.append(desired)
-    for i, speed in enumerate(speeds):
-        world.speeds[i] = speed
-        world.positions[i] = (world.positions[i] + speed * dt) % world.route_length
-
-
 def arcs_on(length, move):
     """Arcs in ``[0, length)``, as the step keeps every position."""
     exact = [0.0, 6.5, 13.0, length / 2, length - 6.5, length - move]
@@ -224,10 +200,6 @@ def build_ring(ring):
     return world
 
 
-def bits(world):
-    return [(p.hex(), s.hex()) for p, s in zip(world.positions, world.speeds)]
-
-
 def assert_steps_like_the_oracle(ring, steps):
     dt = ring[1]
     fused, oracle = build_ring(ring), build_ring(ring)
@@ -299,12 +271,10 @@ class TestStepExactness:
 
 class TestAdvance:
     def test_advance_takes_the_ticks_steps(self):
-        # the reference takes one step at a time: spawn at i * dt, then step
+        # the reference takes one step at a time: spawn at i * dt, then the
+        # two-loop step
         ticked = make_world(19)
-        for i in range(int(550.0 / DT) + 1):
-            if ticked.spawned_count < ticked.fleet_size:
-                ticked.inject_flow(i * DT)
-            ticked.step(DT)
+        oracle_advance(ticked, 550.0, DT)
         advanced = make_world(19)
         advanced.advance(100.0, DT)
         assert advanced.next_step == 201
@@ -334,16 +304,6 @@ class TestAdvance:
         twin.advance(120.0, DT)
         twin.blockages.clear()
         assert (bits(world), world.blockages, world.next_step) == before
-
-
-def oracle_advance(world, until, dt):
-    """``advance`` one step at a time: spawn at ``i * dt``, then the two-loop
-    step."""
-    while world.next_step * dt <= until:
-        if world.spawned_count < world.fleet_size:
-            world.inject_flow(world.next_step * dt)
-        oracle_step(world, dt)
-        world.next_step += 1
 
 
 @st.composite
@@ -411,7 +371,7 @@ def count_steps(monkeypatch):
 
     def counted(world, dt):
         calls.append(world.next_step)
-        step(world, dt)
+        return step(world, dt)
 
     monkeypatch.setattr(CircularWorld, "step", counted)
     return calls
@@ -562,6 +522,36 @@ class TestGlide:
         assert world.next_step == 3001 and world.positions == []
 
 
+class TestBareRoads:
+    """A bare road stepped from 0 s as a trial steps it, through spawning, a
+    glide once its fleet cruises on the grid, a blockage parked at a vehicle
+    at the report and its clearance, checked against the two-loop step at
+    each event time: every time the step keeps its state for changes."""
+
+    @pytest.mark.parametrize("dt", [DT, 0.1])
+    @pytest.mark.parametrize("fleet", [1, 2, 19, 79, 139])
+    def test_steps_like_the_two_loop_step(self, monkeypatch, fleet, dt):
+        world, oracle = make_world(fleet), make_world(fleet)
+        calls = count_steps(monkeypatch)
+        # events between steps, and the report and the clearance
+        times = sorted({round(7.3 * k, 1) for k in range(1, 110)} | {550.0, 650.0})
+        for until in times:
+            world.advance(until, dt)
+            oracle_advance(oracle, until, dt)
+            assert world.next_step == oracle.next_step
+            assert bits(world) == bits(oracle), f"at {until} s"
+            if until == 550.0:
+                # at a vehicle's position, as a report parks its reporter
+                for road in (world, oracle):
+                    road.add_blockage(oracle.positions[fleet // 2])
+            elif until == 650.0:
+                for road in (world, oracle):
+                    road.clear_blockages()
+        assert world.spawned_count == fleet
+        if dt == DT:
+            assert len(calls) < world.next_step, "no step glided"
+
+
 #: bare roads stepped from 0 s, by (fleet, dt, time), each stepped once
 _BARE_ROADS = {}
 
@@ -637,7 +627,8 @@ class TestRoadLog:
     @given(case=logged_roads())
     def test_records_the_rows_of_a_world_stepped_by_step(self, case):
         warm, dt, steps, added, cleared, at, cuts = case
-        # the reference: step by step, as advance on a spawned fleet
+        # the reference: the two-loop step, step by step, as advance on a
+        # spawned fleet
         world, history, rows, speeds = warm.copy(), [], [], []
         for i in range(steps):
             if i == added:
@@ -648,7 +639,8 @@ class TestRoadLog:
             if i == cleared:
                 world.clear_blockages()
             history.append(list(world.blockages))
-            world.step(dt)
+            oracle_step(world, dt)
+            world.next_step += 1
             rows.append(array("d", world.positions).tobytes())
             speeds.append(array("d", world.speeds).tobytes())
         log = RoadLog(warm, dt)

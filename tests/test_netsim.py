@@ -5,6 +5,7 @@ import pytest
 
 import vanetim.netsim as netsim
 from conftest import POLICIES, run_cell
+from road_oracle import bits, oracle_advance
 from test_golden import GOLDEN, GOLDEN_LOSSY
 from vanetim.domain import (
     ActionSource,
@@ -30,7 +31,6 @@ from vanetim.netsim import (
 )
 from vanetim.protocol import Arm, Broadcast, Wired
 from vanetim.relay import FRESH60, HOP4
-from vanetim.roadlog import RoadLog
 from vanetim.scenarios import Clearance, build_scenario
 
 VEHICLE = RoleKind.REGULAR_VEHICLE
@@ -515,25 +515,21 @@ def blockage_changes(log):
 
 def count_steps(monkeypatch):
     """Record each step a world takes from here on, one by one or in a
-    glide, and each step a log's frontier takes with its own step: a list of
-    (world, first step, next step, blockages the steps were taken under)."""
+    glide, a log's frontier included: a list of (world, first step, next
+    step, blockages the steps were taken under)."""
     taken = []
 
-    def counting(take, world_of):
-        def counted(owner, *args):
-            world = world_of(owner)
+    def counting(take):
+        def counted(world, *args):
             before, blockages = world.next_step, list(world.blockages)
-            done = take(owner, *args)
+            done = take(world, *args)
             if world.next_step > before:
                 taken.append((world, before, world.next_step, blockages))
             return done
         return counted
 
     for name in ("step", "_glide"):
-        monkeypatch.setattr(CircularWorld, name, counting(
-            getattr(CircularWorld, name), lambda world: world))
-    monkeypatch.setattr(RoadLog, "_step", counting(
-        RoadLog._step, lambda log: log._frontier))
+        monkeypatch.setattr(CircularWorld, name, counting(getattr(CircularWorld, name)))
     return taken
 
 
@@ -737,6 +733,39 @@ class TestSharedWorld:
         assert world_lists(cursor) == world_lists(private)
         assert [bytes(row) for row in log.rows] == rows
         assert world_lists(log.warm) == warm
+
+    @pytest.mark.parametrize("vehicles", [79, 139])
+    def test_a_cursor_that_leaves_under_the_logs_blockage_steps_like_the_two_loop_step(
+        self, vehicles
+    ):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4,
+                           vehicles=vehicles)
+        dt = setup.dt
+        log = road_for(setup)
+        arc = log.warm.positions[17]
+        # the log records a blockage parked at a vehicle from the report to
+        # 700 s
+        first = log.cursor()
+        first.advance(550.0, dt)
+        first.add_blockage(arc)
+        first.advance(700.0, dt)
+        first.clear_blockages()
+        first.advance(800.0, dt)
+        assert first.log is log
+        # this trial clears it at 600 s, so it leaves the log at a step the
+        # log took under the blockage, with a queue standing behind it
+        cursor, oracle = log.cursor(), log.warm.copy()
+        for until in (550.0, 600.0, 650.3, 700.0, 800.0):
+            cursor.advance(until, dt)
+            oracle_advance(oracle, until, dt)
+            assert cursor.next_step == oracle.next_step
+            assert bits(cursor) == bits(oracle), f"at {until} s"
+            for world in (cursor, oracle):
+                if until == 550.0:
+                    world.add_blockage(arc)
+                elif until == 600.0:
+                    world.clear_blockages()
+        assert cursor.log is None
 
     def test_a_sweep_takes_each_post_report_step_once_per_density(self, monkeypatch):
         config = RunConfig(scenario="accident", seed=1, trials=2, densities=(19, 79))
