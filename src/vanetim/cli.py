@@ -2,13 +2,15 @@
 experiments across traffic densities, or summarise a sweep CSV.
 
 Exit codes: 0 success, 1 conformance failure, 2 configuration error,
-3 I/O error.
+3 I/O error, a closed stdout included.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Collection, List, Optional, Sequence, Tuple
@@ -38,8 +40,6 @@ class RunConfig:
     include_wired: bool = True
     out_dir: str = "out"
     densities: Tuple[int, ...] = ()
-    route_length: float = 4000.0
-    dt: float = 0.5
     relay_hold: float = 35.0
 
     def validate(self) -> None:
@@ -161,8 +161,6 @@ def make_setup(config: RunConfig, *, policy: Optional[str] = None,
         duration=config.duration,
         loss=config.loss,
         relay_hold=config.relay_hold,
-        route_length=config.route_length,
-        dt=config.dt,
     )
 
 
@@ -225,7 +223,7 @@ def run_sweep(config: RunConfig, policies: Sequence[str] = ("hop4", "fresh60")) 
     sweep = SweepResult()
     for vehicles, world in zip(config.densities, warm):
         # one density's recorded rows at a time
-        road = RoadLog(world, config.dt)
+        road = RoadLog(world)
         for policy in policies:
             setup = make_setup(config, policy=policy, vehicles=vehicles)
             for trial in range(config.trials):
@@ -351,6 +349,24 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run a command; a stdout whose reader has gone, such as a pipe into
+    ``head``, is an I/O error."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # what a pipe buffers is written now, not at exit
+    except BrokenPipeError:
+        # the flush at interpreter exit writes what is left to devnull; a
+        # stdout with no file descriptor has nothing to redirect
+        with suppress(OSError):
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        return EXIT_IO
+    return code
+
+
+def _main(argv: Optional[List[str]]) -> int:
     parser = argparse.ArgumentParser(
         prog="vanetim",
         description="VANET traffic-incident dissemination simulator",

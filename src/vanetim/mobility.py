@@ -1,10 +1,11 @@
 """Road geometry, vehicle flow, and car-following kinematics.
 
-The road network is a parameterised circular loop; vehicles enter
-one after another from a fixed point and keep a safe gap behind their
-leader with a simple accelerate-or-brake rule. Speed target, acceleration,
-length, gaps, entry headway and RSU count are module constants, the same
-for every vehicle and every trial; only the route length varies.
+The road network is a circular loop; vehicles enter one after another
+from a fixed point and keep a safe gap behind their leader with a simple
+accelerate-or-brake rule. The route length, the step and the kinematics are
+module constants, the same for every vehicle and every trial. A world takes
+its route length, so that tests can build other loops, but refuses one off
+the glide's grid (see below).
 
 Inside the world every entity is a dense int *slot*: a vehicle's slot is
 its place in the spawn order, and RSU ``i`` has slot ``fleet_size + i``.
@@ -26,7 +27,7 @@ world's own steps, glides and spawns left it: code that writes
 ``positions`` or ``speeds`` in place between two steps must step a
 :meth:`CircularWorld.copy`, whose first step computes every vehicle.
 
-Step ``i`` runs at ``i * dt``, and the world counts the steps it has taken,
+Step ``i`` runs at ``i * STEP``, and the world counts the steps it has taken,
 so :meth:`CircularWorld.advance` runs every step due by a time and resumes
 where it stopped. The engine calls it before each event, and a trial's
 road moves no other way. A blockage added or cleared once ``i`` steps are
@@ -34,25 +35,24 @@ taken acts from step ``i`` on.
 
 A free-flowing fleet glides: when every vehicle has spawned, no blockage is
 parked, every speed is the target, every clear gap passes the step's own cap
-test ``(gap - STANDSTILL_GAP) / dt >= TARGET_SPEED``, and every position, the
-move ``TARGET_SPEED * dt`` and the route length lie on the grid of multiples
-of ``2**(e - 53)`` with ``2 * route_length < 2**e``, ``advance`` takes all the
-steps due at once as one shift of the fleet. On that grid every move the step
-would make is exact, so each gap stays the same float and every step moves
-every vehicle by ``TARGET_SPEED * dt``: a vehicle cruises, or, with a cap
-within the cruising margin of the target, takes the car-following arithmetic,
-whose speed clamps to the target and which moves it by the same float. So the
-shift gives the step's floats bit for bit, and it leaves the step's state as
-the shifted steps would: each vehicle repeated its move. At the default ``dt``
-of 0.5 s the speeds are whole m/s and the positions multiples of 0.5 m, so a
-fleet on clear road glides once it cruises; at ``dt = 0.1`` the move is off
-the grid, the road steps one step at a time, and each step computes every
-vehicle.
+test ``(gap - STANDSTILL_GAP) / STEP >= TARGET_SPEED``, and every position
+lies on the grid of multiples of ``2**(e - 53)`` with ``2 * route_length <
+2**e``, ``advance`` takes all the steps due at once as one shift of the
+fleet. A world refuses a route length off that grid, or no longer than the
+move ``TARGET_SPEED * STEP``, which lies on it. On that grid every move the
+step would make is exact, so each gap stays the same float and every step
+moves every vehicle by ``TARGET_SPEED * STEP``: a vehicle cruises, or, with a
+cap within the cruising margin of the target, takes the car-following
+arithmetic, whose speed clamps to the target and which moves it by the same
+float. So the shift gives the step's floats bit for bit, and it leaves the
+step's state as the shifted steps would: each vehicle repeated its move. The
+speeds are whole m/s and the positions multiples of 0.5 m, so a fleet on
+clear road glides once it cruises.
 
-A road depends only on route length, fleet size, ``dt`` and its blockage
-history. :meth:`CircularWorld.copy` lets trials start from one road stepped
-once, and :mod:`vanetim.roadlog` records its steps past that for every
-trial whose history agrees.
+A road depends only on fleet size and its blockage history.
+:meth:`CircularWorld.copy` lets trials start from one road stepped once, and
+:mod:`vanetim.roadlog` records its steps past that for every trial whose
+history agrees.
 
 :meth:`CircularWorld.neighbours_within` decides range by arc. On a loop of
 radius ``R`` the chord between two points, ``2R sin(s / 2R)``, rises
@@ -98,10 +98,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 #: metres of clear road, past one target-speed move and the standstill gap, a
 #: cruising vehicle needs to skip the car-following arithmetic; far above the
-#: rounding of ``/ dt`` for any ``dt`` below 1e12 s
+#: rounding of ``/ STEP``
 _CRUISE_MARGIN = 1.0
 
-# the kinematics the model fixes, the same for every vehicle
+# the road and the kinematics the model fixes, the same for every vehicle
+ROUTE_LENGTH = 4000.0   # metres round the loop
+STEP = 0.5              # seconds between two mobility steps
 TARGET_SPEED = 13.0     # m/s a vehicle accelerates towards
 ACCEL = 2.0             # m/s^2
 STANDSTILL_GAP = 2.0    # metres a vehicle keeps behind its leader's tail
@@ -121,23 +123,24 @@ _ArcIndex = Tuple[int, int, int, List[int], List[float]]
 _NO_INDEX: _ArcIndex = (0, 0, 0, [], [])
 
 
-def glide_grid(route_length: float, move: float) -> float:
-    """The glide's grid, ``2**(e - 53)`` with ``2 * route_length < 2**e``, if
-    ``move`` is shorter than the route and both lie on it; else 0.0."""
-    grid = math.ldexp(1.0, math.frexp(2.0 * route_length)[1] - 53)
-    if 0.0 < move < route_length and not (move % grid or route_length % grid):
-        return grid
-    return 0.0
-
-
 class CircularWorld:
     """Mutable mobility state for one trial."""
 
     def __init__(self, route_length: float, fleet_size: int) -> None:
+        grid = math.ldexp(1.0, math.frexp(2.0 * route_length)[1] - 53)
+        move = TARGET_SPEED * STEP
+        if not move < route_length or move % grid or route_length % grid:
+            raise ValueError(
+                f"a route of {route_length} m must be longer than one move of "
+                f"{move} m and lie on the grid of {grid} m"
+            )
+        #: the glide's grid, ``2**(e - 53)`` with ``2 * route_length < 2**e``
+        #: (see :meth:`_glide`), on which the route and one move lie
+        self._grid = grid
         self.route_length = route_length
         self.fleet_size = fleet_size
         self.next_spawn_time = 0.0
-        #: index of the next step, which runs at ``next_step * dt``
+        #: index of the next step, which runs at ``next_step * STEP``
         self.next_step = 0
         #: arc metres along the route and speed of each spawned vehicle, by slot
         self.positions: List[float] = []
@@ -153,15 +156,12 @@ class CircularWorld:
         #: the neighbour query's arc index, built by its first query at a step
         #: (see the module docstring)
         self._index: _ArcIndex = _NO_INDEX
-        #: the step's own state (see :meth:`step`): the ``dt`` and a copy of
-        #: the blockages of its last step, the glide's grid for that ``dt`` (0.0
-        #: off the grid), each vehicle's last move by slot, the slots the next
+        #: the step's own state (see :meth:`step`): a copy of the blockages of
+        #: its last step, each vehicle's last move by slot, the slots the next
         #: step computes (None for every slot), a heap of (step, slot): a
         #: cruiser to compute at that step, and the step of each slot's live
         #: entry there
-        self._dt = math.nan
         self._under: List[float] = []
-        self._grid = 0.0
         self._moves: List[float] = []
         self._due: Optional[Set[int]] = None
         self._wake: List[Tuple[int, int]] = []
@@ -226,19 +226,20 @@ class CircularWorld:
 
     # -- kinematics --------------------------------------------------------
 
-    def advance(self, until: float, dt: float) -> None:
+    def advance(self, until: float) -> None:
         """Run every step due by ``until``, from the next one on: step ``i``
-        at ``i * dt`` spawns what it can first, then moves the fleet. Once
+        at ``i * STEP`` spawns what it can first, then moves the fleet. Once
         the whole fleet has spawned and two or more steps are due, a fleet
         that glides (see :meth:`_glide`) takes them all at once."""
+        dt = STEP
         while self.next_step * dt <= until:
             if len(self.positions) < self.fleet_size:
                 self.inject_flow(self.next_step * dt)
-            elif (self.next_step + 1) * dt <= until and self._glide(until, dt):
+            elif (self.next_step + 1) * dt <= until and self._glide(until):
                 return
-            self.step(dt)
+            self.step()
 
-    def _glide(self, until: float, dt: float) -> bool:
+    def _glide(self, until: float) -> bool:
         """Take every step due by ``until`` as one shift of the fleet if it
         is in free flow on the grid (see the module docstring); return
         whether it did. The grid makes every sum or difference of two of the
@@ -246,15 +247,13 @@ class CircularWorld:
         route length exact, and a move shorter than the route wraps by one
         subtraction. So every clear gap stays the float it is, and a gap that
         passes the step's cap test now passes it at each of the ``k`` steps,
-        where the step moves its vehicle by ``TARGET_SPEED * dt`` whether it
+        where the step moves its vehicle by ``TARGET_SPEED * STEP`` whether it
         cruises or not. Together the steps come to one shift by ``k`` moves
         modulo the route length, built by ``k`` exact additions."""
-        positions, length = self.positions, self.route_length
+        positions, length, grid = self.positions, self.route_length, self._grid
+        dt = STEP
         move = TARGET_SPEED * dt
         if self.blockages or self.speeds.count(TARGET_SPEED) != len(positions):
-            return False
-        grid = glide_grid(length, move)
-        if not grid:
             return False
         if len(positions) > 1:
             ahead = positions[-1]
@@ -295,18 +294,18 @@ class CircularWorld:
         twin.blockages = self.blockages[:]
         return twin
 
-    def step(self, dt: float) -> Dict[int, float]:
+    def step(self) -> Dict[int, float]:
         """Take the next step: move every vehicle by the car-following rule,
         each after its leader's position from before the step (vehicle 0
         follows the last); return the speeds the step changed, by slot.
 
         A vehicle at the target speed with at least ``STANDSTILL_GAP +
-        TARGET_SPEED * dt`` and a margin of clear road moves by
-        ``TARGET_SPEED * dt``; one with at most ``STANDSTILL_GAP`` gets speed
+        TARGET_SPEED * STEP`` and a margin of clear road moves by
+        ``TARGET_SPEED * STEP``; one with at most ``STANDSTILL_GAP`` gets speed
         0 and stays. The full rule gives the same floats: for the first the
         speed clamps to the target and the cap exceeds it; for the second
         ``gap - STANDSTILL_GAP <= 0`` holds exactly, the cap is 0, and
-        ``position + 0.0 * dt == position``. Every other vehicle takes it.
+        ``position + 0.0 * STEP == position``. Every other vehicle takes it.
 
         The step keeps each vehicle's last move, and a vehicle takes the
         rule, with its arithmetic, only when its inputs may have changed;
@@ -317,31 +316,26 @@ class CircularWorld:
           blockage within the standstill gap holds it: its gap is unchanged;
         - a cruiser, one left at the target speed, keeps it while its gap
           stays at or above the one it moved on (or the cruising threshold,
-          if lower), since the cap rises with the gap. On the grid of
-          :meth:`_glide`, which its position, its leader's position and
-          move, ``TARGET_SPEED * dt`` and the route length lie on, every
-          move and wrap is exact, and the gap to its leader changes by the
-          difference of their moves at each step. So it is woken, computed
-          again, two steps before that gap or the arc to its nearest
-          blockage could fall below that bound, and a step before it could
-          reach the route length, unless an earlier wake is due for it.
-          Waking a vehicle early gives the same floats. Off the grid the
-          step computes every vehicle at every step.
+          if lower), since the cap rises with the gap. When its position,
+          its leader's position and move lie on the grid of :meth:`_glide`,
+          as ``TARGET_SPEED * STEP`` and the route length do, every move and
+          wrap is exact, and the gap to its leader changes by the difference
+          of their moves at each step. So it is woken, computed again, two
+          steps before that gap or the arc to its nearest blockage could
+          fall below that bound, and a step before it could reach the route
+          length, unless an earlier wake is due for it. Waking a vehicle
+          early gives the same floats.
 
         Every other vehicle is computed at the next step, as is one whose
         leader's move changed. A spawn marks the new slot and slot 0, and
-        every vehicle is computed at a step taken under other blockages or
-        another ``dt`` than the last, and at the first step of a world or of
-        a copy. Each new position is the old one plus the move; one that
-        reaches the route length, always a computed one, is wrapped by
-        ``%``."""
+        every vehicle is computed at a step taken under other blockages than
+        the last, and at the first step of a world or of a copy. Each new
+        position is the old one plus the move; one that reaches the route
+        length, always a computed one, is wrapped by ``%``."""
         positions, speeds = self.positions, self.speeds
         length, blockages = self.route_length, self.blockages
-        if dt != self._dt or blockages != self._under:
-            if dt <= 0:
-                raise ValueError("dt must be positive")
-            self._dt, self._under, self._due = dt, blockages[:], None
-            self._grid = glide_grid(length, TARGET_SPEED * dt)
+        if blockages != self._under:
+            self._under, self._due = blockages[:], None
         step, count, grid = self.next_step, len(positions), self._grid
         due, wake, wake_at, moves = self._due, self._wake, self._wake_at, self._moves
         if due is None:
@@ -354,6 +348,7 @@ class CircularWorld:
             if wake_at.get(slot) == at:
                 del wake_at[slot]
                 due.add(slot)
+        dt = STEP
         accel_dt = ACCEL * dt
         target, standstill, car_length = TARGET_SPEED, STANDSTILL_GAP, VEHICLE_LENGTH
         cruise = target * dt
@@ -413,10 +408,6 @@ class CircularWorld:
             moved = position + move
             if moved >= length:
                 wrapped.append((slot, moved % length))
-            if not grid:
-                # off the grid the next step computes every vehicle
-                moves[slot] = move
-                continue
             if move != moves[slot]:
                 moves[slot] = move
                 # its follower: computed at the next step
@@ -448,7 +439,7 @@ class CircularWorld:
                 # a blockage within the standstill gap holds a stander
                 # whatever its leader does
                 next_due.add(slot)
-        self._due = next_due if grid else None
+        self._due = next_due
         moved = list(map(add, positions, moves))
         for slot, position in wrapped:
             moved[slot] = position

@@ -6,21 +6,20 @@ protocol timers, and scripted incident events. Identical (setup, seed)
 pairs produce byte-identical traces. The road is read only by events, so
 it moves only in the event loop: before an event at ``at``,
 :meth:`Engine.run` takes every mobility step due by ``at`` (step ``i`` is
-due at ``i * dt``, up to the end of the run). The last step a trial takes
+due at ``i * STEP``, up to the end of the run). The last step a trial takes
 is thus the last one due by its last event. An event due before the
 current time, a send or a timer alike, is an error, not a reordering.
 
-A road depends only on route length, fleet size, ``dt`` and its blockage
-history; trials of one density read one recorded road while their
-histories agree. Before the report the history is empty, so trials that
-share those three start from one :func:`warm_world`. After it, a trial
-changes its road only through its blockage history: the reporter's
-blockage, added at the report, and its removal at the first resolution
-notice sent. The trials of a :func:`road_for` log read the steps it
-records while the histories agree; ``Engine(setup, seed)`` steps its own
-:func:`warm_world`, which the tests take as the reference. A warm road has
-spawned its whole fleet, or :func:`warm_world` refuses it, so no trial's
-road spawns.
+A road depends only on fleet size and its blockage history; trials of one
+density read one recorded road while their histories agree. Before the
+report the history is empty, so trials of one fleet size start from one
+:func:`warm_world`. After it, a trial changes its road only through its
+blockage history: the reporter's blockage, added at the report, and its
+removal at the first resolution notice sent. The trials of a
+:func:`road_for` log read the steps it records while the histories agree;
+``Engine(setup, seed)`` steps its own :func:`warm_world`, which the tests
+take as the reference. A warm road has spawned its whole fleet, or
+:func:`warm_world` refuses it, so no trial's road spawns.
 
 Every trial runs on one road, so messages, states and timers name none; the
 trace format writes ``ROAD`` in its road column, and :func:`parse_trace`
@@ -38,8 +37,8 @@ labels in that order; ``Engine.labels`` adds the RSUs and the TA, and
 official vehicles only), ``seen`` sets, trace labels and role kinds are
 slot-indexed lists; events, ``Wired`` targets and handler addresses are
 slots. A slot's role lives only in ``_kinds`` and its label only in
-``labels``. The kinematics are :mod:`vanetim.mobility` constants; a set-up
-varies only the route length and the step ``dt``.
+``labels``. The road, the step and the kinematics are
+:mod:`vanetim.mobility` constants, which no set-up varies.
 
 Only the engine writes ``seen``, a set per slot of every id the entity has
 sent or received: :meth:`Engine._record` adds each sender's id, radio or
@@ -90,7 +89,7 @@ from .domain import (
     role_of_label,
 )
 from .metrics import TrialMetrics
-from .mobility import STANDSTILL_GAP, VEHICLE_LENGTH, CircularWorld
+from .mobility import ROUTE_LENGTH, STANDSTILL_GAP, STEP, VEHICLE_LENGTH, CircularWorld
 from .protocol import (
     Arm,
     Broadcast,
@@ -129,8 +128,6 @@ class TrialSetup:
     duration: float = 1500.0
     loss: float = 0.0
     relay_hold: float = 35.0       # store-carry-forward hold before relaying
-    route_length: float = 4000.0
-    dt: float = 0.5
 
     def fleet(self) -> List[str]:
         """The vehicle labels in spawn order, which is slot order: the
@@ -153,9 +150,6 @@ class TrialSetup:
             raise ConfigError(
                 f"duration must be finite and end after the report at {REPORT_TIME} s"
             )
-        for name, value in (("step dt", self.dt), ("route length", self.route_length)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive")
         if not (math.isfinite(self.relay_hold) and self.relay_hold >= 0):
             raise ConfigError("relay hold must be finite and not negative")
         if not 0.0 <= self.loss < 1.0:  # NaN fails too
@@ -182,10 +176,10 @@ class TrialSetup:
                 )
         fleet = len(labels)
         footprint = VEHICLE_LENGTH + STANDSTILL_GAP
-        if fleet * footprint > self.route_length:
+        if fleet * footprint > ROUTE_LENGTH:
             raise ConfigError(
                 f"{fleet} vehicles of {footprint} m each do not fit on a "
-                f"{self.route_length} m route"
+                f"{ROUTE_LENGTH} m route"
             )
         return labels
 
@@ -256,12 +250,9 @@ class Engine:
         else:
             labels = setup.validate()
             warm, fleet = road.warm, len(labels)
-            route_length, dt = setup.route_length, setup.dt
-            if (warm.route_length, warm.fleet_size, road.dt) != (route_length, fleet, dt):
+            if warm.fleet_size != fleet:
                 raise ValueError(
-                    f"a road of {warm.fleet_size} vehicles on a {warm.route_length} m "
-                    f"route at dt {road.dt} s cannot host {fleet} vehicles on a "
-                    f"{route_length} m route at dt {dt} s"
+                    f"a road of {warm.fleet_size} vehicles cannot host {fleet} vehicles"
                 )
             self.world = road.cursor()
         self.setup = setup
@@ -273,7 +264,7 @@ class Engine:
         self.now = 0.0
         self._queue: List[tuple] = []
         self._seq = 0
-        self._steps = int(setup.duration / setup.dt)
+        self._steps = int(setup.duration / STEP)
         self.coordinator: Optional[int] = None  # slot of the coordinating RSU
         self._report_id: Optional[str] = None
 
@@ -496,7 +487,7 @@ class Engine:
             self._schedule(CLEAR_TIME, self._reporter_clear)
         # an official vehicle or the TA resolves the rest when events say so
 
-        dt = setup.dt
+        dt = STEP
         first = self._queue[0][0]
         world = self.world
         last = (world.next_step - 1) * dt
@@ -509,10 +500,10 @@ class Engine:
             at, _, fn, args = heapq.heappop(self._queue)
             if at > setup.duration:
                 break
-            # step i, due at i * dt up to step _steps, runs before every
+            # step i, due at i * STEP up to step _steps, runs before every
             # event due at its time
             if world.next_step * dt <= at:
-                world.advance(min(at, end), dt)
+                world.advance(min(at, end))
             self.now = at
             fn(*args)
         return self.trace, self.metrics
@@ -521,13 +512,12 @@ class Engine:
 def warm_world(setup: TrialSetup) -> CircularWorld:
     """The road as every trial of ``setup`` finds it at ``REPORT_TIME``: a
     trial runs nothing but mobility steps before the report, so this road
-    depends only on the route length, the fleet size and ``dt``. A fleet
-    not all spawned by then is a :class:`ConfigError`. It is a copy of the
-    road the warm-up stepped, without that step's state: every trial of a
-    sweep reads it and none steps it, and a lone trial's first step
-    computes every vehicle."""
-    world = CircularWorld(setup.route_length, len(setup.validate()))
-    world.advance(REPORT_TIME, setup.dt)
+    depends only on the fleet size. A fleet not all spawned by then is a
+    :class:`ConfigError`. It is a copy of the road the warm-up stepped,
+    without that step's state: every trial of a sweep reads it and none
+    steps it, and a lone trial's first step computes every vehicle."""
+    world = CircularWorld(ROUTE_LENGTH, len(setup.validate()))
+    world.advance(REPORT_TIME)
     if world.spawned_count < world.fleet_size:
         raise ConfigError(
             f"only {world.spawned_count} of {world.fleet_size} vehicles have "
@@ -540,4 +530,4 @@ def road_for(setup: TrialSetup) -> RoadLog:
     """The road the trials of ``setup``'s density read: a :class:`RoadLog`
     of its :func:`warm_world`, so that each step after the report is taken
     once while their blockage histories agree."""
-    return RoadLog(warm_world(setup), setup.dt)
+    return RoadLog(warm_world(setup))

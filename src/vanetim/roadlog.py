@@ -1,12 +1,12 @@
 """A road recorded once and read by every trial whose history agrees.
 
-A road depends only on route length, fleet size, ``dt`` and its blockage
-history, so trials of one density read one recorded road while their
-histories agree. A :class:`RoadLog` steps one frontier world past a warm
-road and records, per step, the positions as one row, the speeds the step
-changed and the blockages it was taken under. Each trial reads it through
-its own :class:`RoadCursor`, which copies the row of each step it reads into
-its ``positions`` and applies the step's speed changes to its own copy of
+A road depends only on fleet size and its blockage history, so trials of
+one density read one recorded road while their histories agree. A
+:class:`RoadLog` steps one frontier world past a warm road and records, per
+step, the positions as one row, the speeds the step changed and the
+blockages it was taken under. Each trial reads it through its own
+:class:`RoadCursor`, which copies the row of each step it reads into its
+``positions`` and applies the step's speed changes to its own copy of
 the warm speeds, so it always holds its last step's whole state. The first
 trial to need a step not yet recorded steps the frontier under its own
 blockages. A cursor whose history differs from the log's at a step it
@@ -35,7 +35,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional
 
-from .mobility import CircularWorld
+from .mobility import STEP, CircularWorld
 
 
 class RoadLog:
@@ -50,14 +50,13 @@ class RoadLog:
     of ``warm``, stepped by :meth:`CircularWorld.step`.
     """
 
-    def __init__(self, warm: CircularWorld, dt: float) -> None:
+    def __init__(self, warm: CircularWorld) -> None:
         if warm.spawned_count < warm.fleet_size:
             raise ValueError(
                 f"a warm road with {warm.spawned_count} of {warm.fleet_size} "
                 "vehicles spawned cannot be recorded: a recorded road never spawns"
             )
         self.warm = warm
-        self.dt = dt
         self.start = warm.next_step
         self.rows: List[array] = []
         self.blockages: List[List[float]] = []
@@ -75,12 +74,12 @@ class RoadLog:
     def extend(self, until: float, blockages: List[float]) -> None:
         """Take every step due by ``until`` on the frontier under
         ``blockages``, recording each."""
-        frontier, dt = self._frontier, self.dt
+        frontier = self._frontier
         if frontier.blockages != blockages:
             # a new list, so the rows already recorded keep theirs
             frontier.blockages = list(blockages)
-        while frontier.next_step * dt <= until:
-            changes = frontier.step(dt)
+        while frontier.next_step * STEP <= until:
+            changes = frontier.step()
             self.rows.append(array("d", frontier.positions))
             self.blockages.append(frontier.blockages)
             if changes:
@@ -110,11 +109,12 @@ class RoadCursor(CircularWorld):
         self.speeds = warm.speeds[:]
         self.blockages = list(warm.blockages)
 
-    def step(self, dt: float) -> Dict[int, float]:
+    def step(self) -> Dict[int, float]:
         self.log = None
-        return super().step(dt)
+        return super().step()
 
-    def advance(self, until: float, dt: float) -> None:
+    def advance(self, until: float) -> None:
+        dt = STEP
         if self.next_step * dt > until:
             return
         log = self.log
@@ -140,4 +140,4 @@ class RoadCursor(CircularWorld):
                 return
             # the next step due was taken under other blockages
             self.log = None
-        super().advance(until, dt)
+        super().advance(until)

@@ -10,7 +10,7 @@ these loops bit for bit.
 
 import math
 
-from vanetim.mobility import ACCEL, STANDSTILL_GAP, TARGET_SPEED, VEHICLE_LENGTH
+from vanetim.mobility import ACCEL, STANDSTILL_GAP, STEP, TARGET_SPEED, VEHICLE_LENGTH
 
 
 def oracle_leader_gap(world, i):
@@ -24,8 +24,9 @@ def oracle_leader_gap(world, i):
     return gap
 
 
-def oracle_step(world, dt):
+def oracle_step(world):
     """The two-loop step: every new speed from the old state, then every move."""
+    dt = STEP
     speeds = []
     for i, speed in enumerate(world.speeds):
         desired = min(TARGET_SPEED, speed + ACCEL * dt)
@@ -38,13 +39,13 @@ def oracle_step(world, dt):
         world.positions[i] = (world.positions[i] + speed * dt) % world.route_length
 
 
-def oracle_advance(world, until, dt):
-    """``advance`` one step at a time: spawn at ``i * dt``, then the two-loop
-    step."""
-    while world.next_step * dt <= until:
+def oracle_advance(world, until):
+    """``advance`` one step at a time: spawn at ``i * STEP``, then the
+    two-loop step."""
+    while world.next_step * STEP <= until:
         if world.spawned_count < world.fleet_size:
-            world.inject_flow(world.next_step * dt)
-        oracle_step(world, dt)
+            world.inject_flow(world.next_step * STEP)
+        oracle_step(world)
         world.next_step += 1
 
 

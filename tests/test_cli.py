@@ -1,7 +1,13 @@
+import io
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import vanetim
 from vanetim.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -46,8 +52,6 @@ class TestRunConfig:
             include_wired=False,
             out_dir="results",
             densities=(19, 39, 59),
-            route_length=3000.0,
-            dt=0.25,
             relay_hold=20.0,
         )
         assert all(
@@ -247,11 +251,6 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("key, value", [
-        ("dt", "0"),
-        ("dt", "-0.5"),
-        ("dt", "nan"),
-        ("route_length", "nan"),
-        ("route_length", "inf"),
         ("relay_hold", "-10"),
         ("relay_hold", "nan"),
         ("include_wired", "ture"),
@@ -265,6 +264,30 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(config_file)]) == EXIT_CONFIG
 
+    # the road's length and step are model constants: a file that sets
+    # either, even to the constant, names it as a key no command reads
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "0.5"),
+        ("dt", "5"),
+        ("dt", "0"),
+        ("dt", "-0.5"),
+        ("dt", "nan"),
+        ("route_length", "4000"),
+        ("route_length", "1000"),
+        ("route_length", "nan"),
+        ("route_length", "inf"),
+    ])
+    def test_a_config_file_that_sets_the_road_names_the_unknown_key(
+        self, tmp_path, capsys, key, value
+    ):
+        config_file = tmp_path / "run.cfg"
+        text = RunConfig(trials=1, out_dir=str(tmp_path)).to_text()
+        config_file.write_text(text + f"{key} = {value}\n")
+        assert main(["run", "--config", str(config_file)]) == EXIT_CONFIG
+        line = text.count("\n") + 1
+        assert capsys.readouterr().err == f"error: line {line}: unknown key {key!r}\n"
+        assert list(tmp_path.iterdir()) == [config_file]
+
     def test_a_malformed_file_value_names_its_line_and_key(self, tmp_path, capsys):
         config_file = tmp_path / "run.cfg"
         config_file.write_text("trials = 1\nvehicles = abc\n")
@@ -274,6 +297,39 @@ class TestRunCommand:
             "error: line 2: vehicles: expected an integer, got 'abc'\n"
         )
         assert list(tmp_path.iterdir()) == [config_file]
+
+    def test_a_closed_stdout_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            """A stdout whose reader has gone, as a pipe into ``head``."""
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["run", "--trials", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == ""
+        # the run wrote its files before it printed
+        assert (tmp_path / "conformance_accident.txt").exists()
+
+    def test_a_pipe_closed_before_the_run_prints_exits_3_without_a_traceback(
+        self, tmp_path
+    ):
+        # the reader is gone before the process starts: its print, or the
+        # flush at interpreter exit, meets a broken pipe
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(vanetim.__file__).resolve().parents[1])
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "vanetim.cli", "run", "--trials", "1",
+                 "--out-dir", str(tmp_path)],
+                stdout=write, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (EXIT_IO, b"")
 
     def test_engine_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
         from vanetim.netsim import Engine

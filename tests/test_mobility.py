@@ -11,17 +11,15 @@ from road_oracle import bits, oracle_advance, oracle_step
 from static_world import StaticWorld
 from vanetim.mobility import (
     ACCEL,
+    ROUTE_LENGTH,
     STANDSTILL_GAP,
+    STEP,
     TARGET_SPEED,
     VEHICLE_LENGTH,
     CircularWorld,
 )
 from vanetim.protocol import SpeedHistory, detect_jam
 from vanetim.roadlog import RoadLog
-
-#: the default road: ``TrialSetup``'s route length and step
-ROUTE_LENGTH = 4000.0
-DT = 0.5
 
 
 def make_world(fleet=1):
@@ -32,8 +30,8 @@ def spawn_all(world, until=500.0):
     t = 0.0
     while t <= until and world.spawned_count < world.fleet_size:
         world.inject_flow(t)
-        world.step(DT)
-        t += DT
+        world.step()
+        t += STEP
     return t
 
 
@@ -61,12 +59,12 @@ class TestFreeFlow:
         world = make_world(1)
         world.inject_flow(0.0)
         speeds = []
-        for _ in range(10):
-            world.step(1.0)
+        for _ in range(20):
+            world.step()
             speeds.append(world.speeds[0])
         # accelerates 2 m/s^2 up to the 13 m/s target, then holds
-        assert speeds[:6] == [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
-        assert all(s == 13.0 for s in speeds[7:])
+        assert speeds[:12] == [float(v) for v in range(1, 13)]
+        assert all(s == 13.0 for s in speeds[12:])
 
 
 class TestCarFollowing:
@@ -80,7 +78,7 @@ class TestCarFollowing:
         world.inject_flow(10.0)
         world.positions[follower] = 90.0  # 10 m behind a stopped leader
         for _ in range(100):
-            world.step(0.5)
+            world.step()
             assert_no_overlap(world)
         assert world.positions[leader] == 100.0
         assert world.speeds[follower] == 0.0
@@ -93,7 +91,7 @@ class TestCarFollowing:
         t = 0.0
         while t < 300.0:
             world.inject_flow(t)
-            world.step(0.5)
+            world.step()
             assert_no_overlap(world)  # raises on any gap violation
             t += 0.5
 
@@ -102,13 +100,31 @@ class TestCarFollowing:
         world.add_blockage(200.0)
         spawn_all(world)
         for _ in range(400):
-            world.step(0.5)
+            world.step()
         assert world.speeds[0] == 0.0
         assert world.arc_gap(world.positions[0], 200.0) >= STANDSTILL_GAP - 1e-9
 
-    def test_step_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            make_world(1).step(0.0)
+    def test_refuses_a_route_off_the_glide_grid(self):
+        # one ulp past 4 000 m: its last bit is set, so it is off the grid of
+        # 2**-40 m on which the glide and the cruisers' wakes are exact
+        length = math.nextafter(ROUTE_LENGTH, math.inf)
+        assert length % math.ldexp(1.0, -40)
+        with pytest.raises(ValueError, match="grid"):
+            CircularWorld(length, 1)
+        CircularWorld(on_grid(length), 1)
+
+    @pytest.mark.parametrize("length", [
+        TARGET_SPEED * STEP, 4.0, 0.0, -ROUTE_LENGTH, math.inf, math.nan,
+    ])
+    def test_refuses_a_route_of_at_most_one_move(self, length):
+        with pytest.raises(ValueError, match="longer than one move of 6.5 m"):
+            CircularWorld(length, 1)
+
+
+def on_grid(length):
+    """``length`` with its last bit cleared: a route length on the glide's
+    grid, ``2**(e - 53)`` with ``2 * length < 2**e``, which a world needs."""
+    return length - length % math.ldexp(1.0, math.frexp(2.0 * length)[1] - 53)
 
 
 def arcs_on(length, move):
@@ -128,23 +144,25 @@ def rings(draw):
     """A world in any state the step can meet: unordered, crowded, stopped,
     exactly one acceleration step below the target speed, on a short route
     near its capacity, or within one move of the wrap point."""
-    dt = draw(st.one_of(st.sampled_from([0.5, 0.25, 1.0]), st.floats(0.05, 1.0)))
     n = draw(st.integers(1, 40))
     footprint = VEHICLE_LENGTH + STANDSTILL_GAP
+    move = TARGET_SPEED * STEP
     length = draw(st.one_of(
         st.just(ROUTE_LENGTH),
-        # from a ring the fleet exactly fills to half as much again
-        st.floats(1.0, 1.5).map(lambda slack: n * footprint * slack),
+        # from a ring the fleet exactly fills to half as much again, on the
+        # grid and longer than one move
+        st.floats(1.0, 1.5).map(lambda slack: on_grid(n * footprint * slack))
+        .filter(lambda length: length > move),
     ))
-    arcs = arcs_on(length, TARGET_SPEED * dt)
-    edge = TARGET_SPEED - ACCEL * dt
+    arcs = arcs_on(length, move)
+    edge = TARGET_SPEED - ACCEL * STEP
     speed = st.one_of(
         st.floats(0.0, TARGET_SPEED, allow_nan=False),
         st.sampled_from([0.0, edge, TARGET_SPEED]),
     )
     states = draw(st.lists(st.tuples(arcs, speed), min_size=n, max_size=n))
     blockages = draw(st.lists(arcs, max_size=3))
-    return length, dt, states, blockages
+    return length, states, blockages
 
 
 def nudge(arc, steps):
@@ -160,11 +178,10 @@ def cruising_rings(draw):
     a blockage, lie a few ulps either side of the step's branch points: the
     standstill gap, one target-speed move past it (where the cap equals the
     target) and the cruising threshold a margin beyond, or between them."""
-    dt = draw(st.one_of(st.sampled_from([0.5, 0.25, 1.0]), st.floats(0.05, 1.0)))
     length = draw(st.one_of(
-        st.just(ROUTE_LENGTH), st.floats(200.0, 4000.0)
+        st.just(ROUTE_LENGTH), st.floats(200.0, 4000.0).map(on_grid)
     ))
-    move = TARGET_SPEED * dt
+    move = TARGET_SPEED * STEP
     points = [STANDSTILL_GAP, STANDSTILL_GAP + move, STANDSTILL_GAP + move + 1.0]
     gaps = st.one_of(
         st.sampled_from(points),
@@ -185,12 +202,12 @@ def cruising_rings(draw):
             arc -= length
         blockages.append(nudge(arc, draw(ulps)))
     assume(all(0.0 <= arc < length for arc in arcs + blockages))
-    return length, dt, [(arc, TARGET_SPEED) for arc in arcs], blockages
+    return length, [(arc, TARGET_SPEED) for arc in arcs], blockages
 
 
 def build_ring(ring):
-    """The world of a ``(route length, dt, states, blockages)`` ring."""
-    length, _, states, blockages = ring
+    """The world of a ``(route length, states, blockages)`` ring."""
+    length, states, blockages = ring
     world = CircularWorld(length, len(states))
     for arc, speed in states:
         world.positions.append(arc)
@@ -201,11 +218,10 @@ def build_ring(ring):
 
 
 def assert_steps_like_the_oracle(ring, steps):
-    dt = ring[1]
     fused, oracle = build_ring(ring), build_ring(ring)
     for _ in range(steps):
-        fused.step(dt)
-        oracle_step(oracle, dt)
+        fused.step()
+        oracle_step(oracle)
         assert bits(fused) == bits(oracle)
     return fused
 
@@ -228,7 +244,7 @@ class TestStepExactness:
         fused, oracle = make_world(139), make_world(139)
         exact = 0
         for i in range(1800):
-            now = i * DT
+            now = i * STEP
             for world in (fused, oracle):
                 if now == 550.0:
                     world.add_blockage(2000.0)
@@ -241,94 +257,89 @@ class TestStepExactness:
                 and oracle.speeds[slot] == TARGET_SPEED
                 for slot, position in enumerate(positions)
             )
-            fused.step(DT)
-            oracle_step(oracle, DT)
+            fused.step()
+            oracle_step(oracle)
             assert bits(fused) == bits(oracle), f"step {i}"
         assert exact > 0, "no follower cruised exactly 13 m behind its leader"
 
     def test_edge_speed_reaches_target_exactly(self):
-        edge = TARGET_SPEED - ACCEL * DT
-        assert edge + ACCEL * DT == TARGET_SPEED
-        world = build_ring((ROUTE_LENGTH, DT, [(0.0, edge)], []))
-        world.step(DT)
+        edge = TARGET_SPEED - ACCEL * STEP
+        assert edge + ACCEL * STEP == TARGET_SPEED
+        world = build_ring((ROUTE_LENGTH, [(0.0, edge)], []))
+        world.step()
         assert world.speeds[0] == TARGET_SPEED
 
     def test_move_onto_the_wrap_point_gives_plus_zero(self):
-        start = ROUTE_LENGTH - TARGET_SPEED * DT
-        assert start + TARGET_SPEED * DT == ROUTE_LENGTH
-        world = build_ring((ROUTE_LENGTH, DT, [(start, TARGET_SPEED)], []))
-        world.step(DT)
+        start = ROUTE_LENGTH - TARGET_SPEED * STEP
+        assert start + TARGET_SPEED * STEP == ROUTE_LENGTH
+        world = build_ring((ROUTE_LENGTH, [(start, TARGET_SPEED)], []))
+        world.step()
         # +0.0, as (start + move) % route_length gives, never -0.0 or 4000.0
         assert world.positions[0].hex() == "0x0.0p+0"
 
     def test_leader_across_the_wrap_point_caps_the_follower(self):
         # slot 1 follows slot 0, which sits 9 m ahead, past the wrap point
-        ring = (ROUTE_LENGTH, DT, [(1.0, 0.0), (3992.0, TARGET_SPEED)], [])
+        ring = (ROUTE_LENGTH, [(1.0, 0.0), (3992.0, TARGET_SPEED)], [])
         fused = assert_steps_like_the_oracle(ring, 1)
-        # (9 m - car length - standstill gap) / dt
-        assert fused.speeds[1] == (9.0 - VEHICLE_LENGTH - STANDSTILL_GAP) / DT
+        # (9 m - car length - standstill gap) / STEP
+        assert fused.speeds[1] == (9.0 - VEHICLE_LENGTH - STANDSTILL_GAP) / STEP
 
 
 class TestAdvance:
     def test_advance_takes_the_ticks_steps(self):
-        # the reference takes one step at a time: spawn at i * dt, then the
+        # the reference takes one step at a time: spawn at i * STEP, then the
         # two-loop step
         ticked = make_world(19)
-        oracle_advance(ticked, 550.0, DT)
+        oracle_advance(ticked, 550.0)
         advanced = make_world(19)
-        advanced.advance(100.0, DT)
+        advanced.advance(100.0)
         assert advanced.next_step == 201
-        advanced.advance(550.0, DT)
+        advanced.advance(550.0)
         assert advanced.next_step == ticked.next_step == 1101
         assert bits(advanced) == bits(ticked)
         assert advanced.next_spawn_time == ticked.next_spawn_time
 
     def test_advance_to_a_past_time_takes_no_step(self):
         world = make_world(3)
-        world.advance(10.0, DT)
+        world.advance(10.0)
         before = bits(world)
-        world.advance(5.0, DT)
+        world.advance(5.0)
         assert world.next_step == 21
         assert bits(world) == before
 
     def test_copy_is_independent(self):
         world = make_world(5)
         world.add_blockage(900.0)
-        world.advance(60.0, DT)
+        world.advance(60.0)
         twin = world.copy()
         assert bits(twin) == bits(world)
         assert (twin.next_step, twin.next_spawn_time, twin.blockages) == (
             world.next_step, world.next_spawn_time, world.blockages
         )
         before = (bits(world), list(world.blockages), world.next_step)
-        twin.advance(120.0, DT)
+        twin.advance(120.0)
         twin.blockages.clear()
         assert (bits(world), world.blockages, world.next_step) == before
 
 
 @st.composite
 def gliding_rings(draw):
-    """A spawned fleet at the target speed on clear road, with its route,
-    ``dt``, spacing and positions on the 0.5 m grid; or the same with one
-    flaw: a move off the grid, a route off it, spacings anywhere from a car
-    length and the standstill gap up, spacings at the glide's threshold a
-    few ulps either side, one position off the grid, one vehicle below the
+    """A spawned fleet at the target speed on clear road, with its spacing
+    and positions on the 0.5 m grid, on a route of whole metres or anywhere
+    on the glide's grid; or the same with one flaw: spacings anywhere from a
+    car length and the standstill gap up, spacings at the glide's threshold
+    a few ulps either side, one position off the grid, one vehicle below the
     target speed, or a blockage. Returns the ring, the first step and the
     time to advance to."""
     flaw = draw(st.sampled_from([
-        None, None, None, "dt", "length", "spacing", "threshold", "position",
-        "speed", "blockage",
+        None, None, None, "spacing", "threshold", "position", "speed", "blockage",
     ]))
-    dt = draw(st.sampled_from([0.5, 0.25]))
-    if flaw == "dt":
-        dt = draw(st.one_of(st.just(0.1), st.floats(0.05, 1.0)))
     length = draw(st.one_of(
-        st.just(ROUTE_LENGTH), st.integers(100, 4000).map(float)
+        st.just(ROUTE_LENGTH), st.integers(100, 4000).map(float),
+        st.floats(100.0, 4000.0).map(on_grid),
     ))
-    if flaw == "length":
-        length = draw(st.floats(100.0, 4000.0))
     n = draw(st.integers(0, 12))
-    move = TARGET_SPEED * dt
+    move = TARGET_SPEED * STEP
     # from the front of a leader to the front of its follower
     threshold = VEHICLE_LENGTH + STANDSTILL_GAP + move
     roomy = max(threshold, length / max(n, 1))
@@ -352,7 +363,7 @@ def gliding_rings(draw):
         arcs[slot] = nudge(arcs[slot], draw(st.integers(-4, 4)))
     elif n and flaw == "speed":
         speeds[draw(st.integers(0, n - 1))] = draw(st.one_of(
-            st.sampled_from([0.0, TARGET_SPEED - ACCEL * dt]),
+            st.sampled_from([0.0, TARGET_SPEED - ACCEL * STEP]),
             st.floats(0.0, TARGET_SPEED),
         ))
     elif flaw == "blockage":
@@ -360,8 +371,8 @@ def gliding_rings(draw):
     assume(all(0.0 <= arc < length for arc in arcs))
     first = draw(st.integers(0, 2000))
     due = draw(st.one_of(st.integers(0, 3), st.integers(0, 3000)))
-    until = (first + due) * dt - draw(st.floats(0.0, dt, exclude_max=True))
-    return (length, dt, list(zip(arcs, speeds)), blockages), first, until
+    until = (first + due) * STEP - draw(st.floats(0.0, STEP, exclude_max=True))
+    return (length, list(zip(arcs, speeds)), blockages), first, until
 
 
 def count_steps(monkeypatch):
@@ -369,9 +380,9 @@ def count_steps(monkeypatch):
     calls = []
     step = CircularWorld.step
 
-    def counted(world, dt):
+    def counted(world):
         calls.append(world.next_step)
-        return step(world, dt)
+        return step(world)
 
     monkeypatch.setattr(CircularWorld, "step", counted)
     return calls
@@ -380,33 +391,33 @@ def count_steps(monkeypatch):
 # changes to TestGlide.fleet, each of which stops its glide
 
 def off_grid(ring):
-    states = ring[2]
+    states = ring[1]
     states[5] = (math.nextafter(states[5][0], 0.0), TARGET_SPEED)
     return ring
 
 
 def slower(ring):
-    _, dt, states, _ = ring
-    states[5] = (states[5][0], TARGET_SPEED - ACCEL * dt)
+    states = ring[1]
+    states[5] = (states[5][0], TARGET_SPEED - ACCEL * STEP)
     return ring
 
 
 def close(ring):
     # 8 m clear behind slot 4: less than one target-speed move and the
     # standstill gap, so the step caps the speed below the target
-    states = ring[2]
+    states = ring[1]
     states[5] = (states[4][0] - VEHICLE_LENGTH - 8.0, TARGET_SPEED)
     return ring
 
 
 def tailgating(ring):
-    states = ring[2]
+    states = ring[1]
     states[5] = (states[4][0] - VEHICLE_LENGTH - 3.0, TARGET_SPEED)
     return ring
 
 
 def blocked(ring):
-    ring[3].append(100.0)
+    ring[2].append(100.0)
     return ring
 
 
@@ -416,62 +427,60 @@ class TestGlide:
     @given(case=gliding_rings())
     def test_advance_equals_stepping_one_step_at_a_time(self, case):
         ring, first, until = case
-        dt = ring[1]
         glided, oracle = build_ring(ring), build_ring(ring)
         for world in (glided, oracle):
             world.next_step = first
-        glided.advance(until, dt)
-        oracle_advance(oracle, until, dt)
+        glided.advance(until)
+        oracle_advance(oracle, until)
         assert glided.next_step == oracle.next_step
         assert bits(glided) == bits(oracle)
 
     def test_a_bare_fleet_glides_once_it_cruises(self, monkeypatch):
         glided, oracle = make_world(19), make_world(19)
         calls = count_steps(monkeypatch)
-        glided.advance(1500.0, DT)
+        glided.advance(1500.0)
         # 3001 steps are due; the fleet spawns by about 40 s and reaches the
         # target speed a few seconds later
         assert len(calls) < 200
-        oracle_advance(oracle, 1500.0, DT)
+        oracle_advance(oracle, 1500.0)
         assert glided.next_step == oracle.next_step == 3001
         assert bits(glided) == bits(oracle)
         assert glided.next_spawn_time == oracle.next_spawn_time
 
     @staticmethod
-    def fleet(dt=DT):
+    def fleet():
         """19 vehicles 200 m apart at the target speed: a gliding fleet."""
         states = [(3900.0 - 200.0 * slot, TARGET_SPEED) for slot in range(19)]
-        return ROUTE_LENGTH, dt, states, []
+        return ROUTE_LENGTH, states, []
 
     def test_the_fleet_glides(self, monkeypatch):
         ring = self.fleet()
         glided, oracle = build_ring(ring), build_ring(ring)
         calls = count_steps(monkeypatch)
-        glided.advance(300.0, DT)
+        glided.advance(300.0)
         assert calls == []
-        oracle_advance(oracle, 300.0, DT)
+        oracle_advance(oracle, 300.0)
         assert glided.next_step == 601
         assert bits(glided) == bits(oracle)
 
-    # a fleet off the grid or blocked never glides; a slower or closer
-    # vehicle stops a glide only until it recovers, so that fleet is
-    # advanced over two due steps, the fewest a glide takes
-    @pytest.mark.parametrize("change, dt, until", [
-        (off_grid, DT, 50.0),
-        (lambda ring: ring, 0.1, 50.0),
-        (blocked, DT, 50.0),
-        (slower, DT, DT),
-        (close, DT, DT),
-        (tailgating, DT, DT),
-    ], ids=["off-grid", "dt-0.1", "blocked", "slower", "close", "tailgating"])
+    # a fleet with a position off the grid or blocked never glides; a
+    # slower or closer vehicle stops a glide only until it recovers, so that
+    # fleet is advanced over two due steps, the fewest a glide takes
+    @pytest.mark.parametrize("change, until", [
+        (off_grid, 50.0),
+        (blocked, 50.0),
+        (slower, STEP),
+        (close, STEP),
+        (tailgating, STEP),
+    ], ids=["off-grid", "blocked", "slower", "close", "tailgating"])
     def test_a_fleet_that_does_not_glide_takes_every_step(
-        self, monkeypatch, change, dt, until
+        self, monkeypatch, change, until
     ):
-        ring = change(self.fleet(dt))
+        ring = change(self.fleet())
         stepped, oracle = build_ring(ring), build_ring(ring)
         calls = count_steps(monkeypatch)
-        stepped.advance(until, dt)
-        oracle_advance(oracle, until, dt)
+        stepped.advance(until)
+        oracle_advance(oracle, until)
         assert len(calls) == stepped.next_step == oracle.next_step
         assert bits(stepped) == bits(oracle)
 
@@ -480,15 +489,15 @@ class TestGlide:
         # standstill gap, so the step's cap is exactly the target speed and
         # the step takes the car-following arithmetic, moving each vehicle
         # as a cruise would
-        gap = VEHICLE_LENGTH + STANDSTILL_GAP + TARGET_SPEED * DT
+        gap = VEHICLE_LENGTH + STANDSTILL_GAP + TARGET_SPEED * STEP
         assert gap == 13.0
         states = [(3900.0 - gap * slot, TARGET_SPEED) for slot in range(19)]
-        ring = (ROUTE_LENGTH, DT, states, [])
+        ring = (ROUTE_LENGTH, states, [])
         glided, oracle = build_ring(ring), build_ring(ring)
         calls = count_steps(monkeypatch)
-        glided.advance(300.0, DT)
+        glided.advance(300.0)
         assert calls == []
-        oracle_advance(oracle, 300.0, DT)
+        oracle_advance(oracle, 300.0)
         assert glided.next_step == 601
         assert bits(glided) == bits(oracle)
 
@@ -497,8 +506,8 @@ class TestGlide:
         # leaders, where the spawn-wrap overlap leaves them
         glided, oracle = make_world(139), make_world(139)
         calls = count_steps(monkeypatch)
-        glided.advance(550.0, DT)
-        oracle_advance(oracle, 550.0, DT)
+        glided.advance(550.0)
+        oracle_advance(oracle, 550.0)
         assert glided.next_step == oracle.next_step == 1101
         assert len(calls) < 1101 - 300
         n = oracle.fleet_size
@@ -508,36 +517,35 @@ class TestGlide:
             ), attribute
 
     def test_a_glide_onto_the_wrap_point_gives_plus_zero(self, monkeypatch):
-        start = ROUTE_LENGTH - 2 * TARGET_SPEED * DT
-        world = build_ring((ROUTE_LENGTH, DT, [(start, TARGET_SPEED)], []))
+        start = ROUTE_LENGTH - 2 * TARGET_SPEED * STEP
+        world = build_ring((ROUTE_LENGTH, [(start, TARGET_SPEED)], []))
         calls = count_steps(monkeypatch)
-        world.advance(DT, DT)
+        world.advance(STEP)
         assert calls == [] and world.next_step == 2
         # +0.0, as two steps give, never route_length
         assert world.positions[0].hex() == "0x0.0p+0"
 
     def test_an_empty_fleet_counts_its_steps(self):
         world = CircularWorld(4000.0, 0)
-        world.advance(1500.0, DT)
+        world.advance(1500.0)
         assert world.next_step == 3001 and world.positions == []
 
 
 class TestBareRoads:
     """A bare road stepped from 0 s as a trial steps it, through spawning, a
-    glide once its fleet cruises on the grid, a blockage parked at a vehicle
-    at the report and its clearance, checked against the two-loop step at
-    each event time: every time the step keeps its state for changes."""
+    glide once its fleet cruises, a blockage parked at a vehicle at the
+    report and its clearance, checked against the two-loop step at each
+    event time: every time the step keeps its state for changes."""
 
-    @pytest.mark.parametrize("dt", [DT, 0.1])
     @pytest.mark.parametrize("fleet", [1, 2, 19, 79, 139])
-    def test_steps_like_the_two_loop_step(self, monkeypatch, fleet, dt):
+    def test_steps_like_the_two_loop_step(self, monkeypatch, fleet):
         world, oracle = make_world(fleet), make_world(fleet)
         calls = count_steps(monkeypatch)
         # events between steps, and the report and the clearance
         times = sorted({round(7.3 * k, 1) for k in range(1, 110)} | {550.0, 650.0})
         for until in times:
-            world.advance(until, dt)
-            oracle_advance(oracle, until, dt)
+            world.advance(until)
+            oracle_advance(oracle, until)
             assert world.next_step == oracle.next_step
             assert bits(world) == bits(oracle), f"at {until} s"
             if until == 550.0:
@@ -548,68 +556,64 @@ class TestBareRoads:
                 for road in (world, oracle):
                     road.clear_blockages()
         assert world.spawned_count == fleet
-        if dt == DT:
-            assert len(calls) < world.next_step, "no step glided"
+        assert len(calls) < world.next_step, "no step glided"
 
 
-#: bare roads stepped from 0 s, by (fleet, dt, time), each stepped once
+#: bare roads stepped from 0 s, by (fleet, time), each stepped once
 _BARE_ROADS = {}
 
 
-def bare_road(fleet, dt, until):
+def bare_road(fleet, until):
     """``CircularWorld(ROUTE_LENGTH, fleet)`` advanced to ``until``; shared,
     so never to be stepped."""
-    key = (fleet, dt, until)
+    key = (fleet, until)
     if key not in _BARE_ROADS:
         world = make_world(fleet)
-        world.advance(until, dt)
+        world.advance(until)
         _BARE_ROADS[key] = world
     return _BARE_ROADS[key]
 
 
 @st.composite
 def straddling_rings(draw):
-    """A few vehicles at the target speed on a route of 2**52 m or more,
+    """A few vehicles at the target speed on a route of 2**50 m or more,
     one behind the other with clear gaps from the cruising threshold up,
-    about the point 2**52 where the spacing of floats doubles. The move is
-    off the grid: a vehicle behind that point can move by a float up to half
-    a metre longer than one ahead of it, so a gap shrinks while the two
-    straddle it."""
-    dt = draw(st.one_of(st.just(0.1), st.floats(0.05, 1.0)))
-    length = draw(st.floats(2.0**52 + 1e6, 2.0**53, exclude_max=True))
-    threshold = STANDSTILL_GAP + TARGET_SPEED * dt + 1.0
-    arcs = [2.0**52 + draw(st.floats(0.0, 30.0))]
+    about the point 2**50 where the spacing of floats doubles. The route,
+    on the glide's grid of 0.5 m, is as long as one can be. Positions lie on
+    that grid or off it: a vehicle off it behind that point can move by a
+    float an eighth of a metre longer or shorter than one ahead of it, so a
+    gap changes while the two straddle it."""
+    length = on_grid(draw(st.floats(2.0**50 + 1e6, 2.0**51, exclude_max=True)))
+    threshold = STANDSTILL_GAP + TARGET_SPEED * STEP + 1.0
+    arcs = [2.0**50 + draw(st.floats(0.0, 30.0))]
     for _ in range(draw(st.integers(1, 5))):
         gap = draw(st.floats(threshold, threshold + 4.0))
         arcs.append(arcs[-1] - VEHICLE_LENGTH - gap)
-    return length, dt, [(arc, TARGET_SPEED) for arc in arcs], []
+    return length, [(arc, TARGET_SPEED) for arc in arcs], []
 
 
 @st.composite
 def logged_roads(draw):
-    """A warm road to record a log from, its ``dt``, and a history: the
+    """A warm road to record a log from, and a history: the
     steps to record, the step at which a blockage is added at a vehicle or
     at any arc, the step from which the blockages are cleared, and the steps
     at which a trial stops extending the log. The road is a drawn ring
     (unordered, crowded, near the step's branch points, or straddling a
     doubling of the float spacing) or a bare road of the default route
-    stepped from 0 s until its whole fleet has spawned, or on to the report,
-    with ``dt`` on the grid or off it; the 139-vehicle warm road overlaps at
-    the spawn wrap."""
+    stepped from 0 s until its whole fleet has spawned, or on to the report;
+    the 139-vehicle warm road overlaps at the spawn wrap."""
     source = draw(st.sampled_from(["ring", "cruising", "straddling", "bare", "bare"]))
     if source == "bare":
-        dt = draw(st.sampled_from([DT, DT, 0.1]))
         fleet = draw(st.sampled_from([1, 2, 19, 79, 139]))
         # a log records only a road that has spawned its whole fleet
-        warm = bare_road(fleet, dt, draw(st.sampled_from([
+        warm = bare_road(fleet, draw(st.sampled_from([
             until for until in (15.0, 100.0, 550.0)
-            if bare_road(fleet, dt, until).spawned_count == fleet
+            if bare_road(fleet, until).spawned_count == fleet
         ])))
     else:
         strategy = {"ring": rings, "cruising": cruising_rings,
                     "straddling": straddling_rings}[source]
-        ring = draw(strategy())
-        warm, dt = build_ring(ring), ring[1]
+        warm = build_ring(draw(strategy()))
     steps = draw(st.one_of(st.just(300), st.integers(1, 300)))
     added = draw(st.integers(0, steps))
     cleared = draw(st.integers(added, steps))
@@ -618,7 +622,7 @@ def logged_roads(draw):
         st.integers(0, max(warm.fleet_size - 1, 0)),
     ))
     cuts = draw(st.sets(st.integers(1, steps), max_size=4))
-    return warm, dt, steps, added, cleared, at, sorted(cuts | {steps})
+    return warm, steps, added, cleared, at, sorted(cuts | {steps})
 
 
 @pytest.mark.floats
@@ -626,7 +630,7 @@ class TestRoadLog:
     @settings(max_examples=examples(200), deadline=None)
     @given(case=logged_roads())
     def test_records_the_rows_of_a_world_stepped_by_step(self, case):
-        warm, dt, steps, added, cleared, at, cuts = case
+        warm, steps, added, cleared, at, cuts = case
         # the reference: the two-loop step, step by step, as advance on a
         # spawned fleet
         world, history, rows, speeds = warm.copy(), [], [], []
@@ -639,11 +643,11 @@ class TestRoadLog:
             if i == cleared:
                 world.clear_blockages()
             history.append(list(world.blockages))
-            oracle_step(world, dt)
+            oracle_step(world)
             world.next_step += 1
             rows.append(array("d", world.positions).tobytes())
             speeds.append(array("d", world.speeds).tobytes())
-        log = RoadLog(warm, dt)
+        log = RoadLog(warm)
         taken = 0
         for cut in cuts:
             # a trial extends the log up to a step under its own blockages
@@ -651,7 +655,7 @@ class TestRoadLog:
                 end = taken + 1
                 while end < cut and history[end] == history[taken]:
                     end += 1
-                log.extend((log.start + end - 1) * dt, history[taken])
+                log.extend((log.start + end - 1) * STEP, history[taken])
                 taken = end
         assert len(log.rows) == steps
         for i, row in enumerate(log.rows):
@@ -672,13 +676,13 @@ class TestRoadLog:
         (19, 0.0), (19, 15.0), (139, 100.0), (220, 550.0),
     ])
     def test_refuses_a_road_still_spawning(self, fleet, until):
-        warm = bare_road(fleet, DT, until)
+        warm = bare_road(fleet, until)
         assert warm.spawned_count < fleet
         with pytest.raises(ValueError, match=(
             f"a warm road with {warm.spawned_count} of {fleet} vehicles spawned "
             "cannot be recorded"
         )):
-            RoadLog(warm, DT)
+            RoadLog(warm)
 
 
 def oracle_entry_clear(world):
@@ -697,7 +701,7 @@ class TestInjectFlow:
     @given(data=st.data())
     def test_entry_check_matches_a_scan_of_every_vehicle(self, data):
         length = data.draw(st.one_of(
-            st.just(ROUTE_LENGTH), st.floats(20.0, 4000.0)
+            st.just(ROUTE_LENGTH), st.floats(20.0, 4000.0).map(on_grid)
         ))
         required = VEHICLE_LENGTH + STANDSTILL_GAP
         arcs = st.one_of(
@@ -803,12 +807,14 @@ def assert_euclidean(world, center, radius, found):
 
 @st.composite
 def neighbour_roads(draw):
-    """A road to query and a radius. The route is 4 000 m or any other; the
-    fleet is wholly or partly spawned, in no order, at arcs anywhere, in a
-    crowded stretch, within 5 m of either side of the wrap point, on an RSU
-    or on an earlier vehicle's arc. The radius runs from 1 m or less to
+    """A road to query and a radius. The route is 4 000 m or any other on the
+    glide's grid; the fleet is wholly or partly spawned, in no order, at arcs
+    anywhere, in a crowded stretch, within 5 m of either side of the wrap
+    point, on an RSU or on an earlier vehicle's arc. The radius runs from 1 m or less to
     three times the route, past the loop's diameter."""
-    length = draw(st.one_of(st.just(ROUTE_LENGTH), st.floats(123.25, 40000.0)))
+    length = draw(st.one_of(
+        st.just(ROUTE_LENGTH), st.floats(123.25, 40000.0).map(on_grid)
+    ))
     fleet = draw(st.integers(1, 30))
     world = CircularWorld(length, fleet)
     arc = st.one_of(
@@ -919,7 +925,7 @@ class TestNeighbours:
 
     def test_a_second_query_at_a_step_reuses_the_index(self):
         world = make_world(19)
-        world.advance(300.0, DT)
+        world.advance(300.0)
         world.neighbours_within(0, 300.0)
         index = world._index
         world.neighbours_within(7, 300.0)
@@ -928,17 +934,17 @@ class TestNeighbours:
 
     @staticmethod
     def step(world, monkeypatch):
-        world.step(DT)
+        world.step()
 
     @staticmethod
     def glide(world, monkeypatch):
         calls = count_steps(monkeypatch)
-        world.advance(300.0, DT)
+        world.advance(300.0)
         assert calls == []
 
     @staticmethod
     def read_the_log(cursor, monkeypatch):
-        cursor.advance(160.0, DT)
+        cursor.advance(160.0)
         assert cursor.log is not None
 
     @staticmethod
@@ -957,16 +963,16 @@ class TestNeighbours:
     def test_the_index_follows_every_writer(self, writer, monkeypatch):
         if writer in ("step", "assign"):
             # a lone cruiser 3 m short of RSU1, 3.5 m past it a step later
-            world = build_ring((ROUTE_LENGTH, DT, [(397.0, TARGET_SPEED)], []))
+            world = build_ring((ROUTE_LENGTH, [(397.0, TARGET_SPEED)], []))
         elif writer == "glide":
             world = build_ring(TestGlide.fleet())
         elif writer == "read_the_log":
-            world = RoadLog(bare_road(19, DT, 100.0), DT).cursor()
+            world = RoadLog(bare_road(19, 100.0)).cursor()
         else:
             world = make_world(2)
             world.inject_flow(0.0)
             for _ in range(10):
-                world.step(DT)
+                world.step()
         stale, _ = answers(world)
         getattr(self, writer)(world, monkeypatch)
         found, oracle = answers(world)
@@ -1124,7 +1130,7 @@ class TestPlatoonJam:
         fired_at = None
         while t < 300.0:
             world.inject_flow(t)
-            world.step(0.5)
+            world.step()
             t += 0.5
             if tail < world.spawned_count:
                 history.record(t, world.speeds[tail])

@@ -18,7 +18,7 @@ from vanetim.domain import (
     role_of_label,
 )
 from vanetim.cli import RunConfig, run_sweep
-from vanetim.mobility import CircularWorld
+from vanetim.mobility import ROUTE_LENGTH, STEP, CircularWorld
 from vanetim.netsim import (
     ConfigError,
     Engine,
@@ -40,9 +40,13 @@ TA = RoleKind.TA
 
 
 def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0, policy=HOP4,
-                **setup_kwargs):
+                route_length=None, **setup_kwargs):
     """An engine on its warm road, whose fleet has spawned and is
-    repositionable by hand; V0 is slot 0 and any police follow it."""
+    repositionable by hand; V0 is slot 0 and any police follow it. Given
+    ``route_length``, the engine reads a bare world of that length instead,
+    its fleet at rest on the entry point, at the warm road's step: on a
+    40 000 m loop the RSUs stand 4 000 m apart, with road between them that
+    no RSU reaches."""
     script = build_scenario(scenario, reporter="V0", reporter_index=0)
     setup = TrialSetup(
         script=script,
@@ -51,7 +55,14 @@ def tiny_engine(vehicles=4, seed=1, scenario="accident", police=0, policy=HOP4,
         police=police,
         **setup_kwargs,
     )
-    return Engine(setup, seed)
+    engine = Engine(setup, seed)
+    if route_length is not None:
+        warm = engine.world
+        world = engine.world = CircularWorld(route_length, warm.fleet_size)
+        world.positions = [0.0] * warm.fleet_size
+        world.speeds = [0.0] * warm.fleet_size
+        world.next_step = warm.next_step
+    return engine
 
 
 def run_until(engine, t):
@@ -272,22 +283,23 @@ class TestTrialSetupValidation:
             setup.validate()
 
     def test_fleet_must_fit_on_the_route(self):
-        # 20 vehicles of 4.5 m plus a 2 m gap fill a 130 m route exactly
+        # 615 vehicles of 4.5 m plus a 2 m gap take 3 997.5 m of the 4 000 m
+        # route, 616 take 4 004 m
         def setup(vehicles):
             return TrialSetup(
                 script=build_scenario("accident"),
                 policy=HOP4,
                 vehicles=vehicles,
-                route_length=130.0,
             )
 
-        setup(20).validate()
+        assert 615 * 6.5 <= ROUTE_LENGTH < 616 * 6.5
+        setup(615).validate()
         with pytest.raises(ValueError, match="do not fit"):
-            setup(21).validate()
+            setup(616).validate()
 
     def test_fleet_must_spawn_before_the_report(self):
-        # the entry defers a spawn while it is not clear, so on the default
-        # route at dt 0.5 the 220th vehicle has not entered by 550 s
+        # the entry defers a spawn while it is not clear, so the 220th
+        # vehicle has not entered by 550 s
         def setup(vehicles, police=0):
             return TrialSetup(
                 script=build_scenario("accident-police"),
@@ -385,22 +397,21 @@ class LastEventEngine(CountingEngine):
 class AlwaysStepEngine(CountingEngine):
     """The oracle for the stop rule: on a road of its own that it steps from
     0 s, not the warm road, every mobility step 0.._steps is its own queue
-    event at ``i * dt`` with sequence number ``-i``, so it sorts before
+    event at ``i * STEP`` with sequence number ``-i``, so it sorts before
     every other event due at its time, and every one of them runs, whether or
     not any event is left."""
 
     def run(self):
         setup = self.setup
-        self.world = CircularWorld(setup.route_length, self.world.fleet_size)
+        self.world = CircularWorld(ROUTE_LENGTH, self.world.fleet_size)
         self._schedule(netsim.REPORT_TIME, self._report)
         clearance = setup.script.clearance
         if clearance is Clearance.COORDINATOR:
             self._schedule(netsim.CLEAR_TIME, self._coordinator_clear)
         elif clearance is Clearance.REPORTER:
             self._schedule(netsim.CLEAR_TIME, self._reporter_clear)
-        dt = setup.dt
         for i in range(self._steps + 1):
-            heapq.heappush(self._queue, (i * dt, -i, self._step, ()))
+            heapq.heappush(self._queue, (i * STEP, -i, self._step, ()))
         while self._queue:
             at, _, fn, args = heapq.heappop(self._queue)
             if at > setup.duration:
@@ -413,7 +424,7 @@ class AlwaysStepEngine(CountingEngine):
         world = self.world
         if world.spawned_count < world.fleet_size:
             world.inject_flow(self.now)
-        world.step(self.setup.dt)
+        world.step()
 
 
 def lines(trace):
@@ -474,7 +485,7 @@ class TestStopRule:
         engine = LastEventEngine(setup, 1)
         engine.run()
         assert 0 < engine.last_at < setup.duration
-        expected = min(int(engine.last_at / setup.dt), engine._steps) + 1
+        expected = min(int(engine.last_at / STEP), engine._steps) + 1
         assert engine.steps_taken == expected
 
     def test_an_event_after_the_end_adds_no_step(self):
@@ -482,7 +493,7 @@ class TestStopRule:
         plain = CountingEngine(setup, 1)
         plain.run()
         engine = CountingEngine(setup, 1)
-        engine._schedule(setup.duration + setup.dt, lambda: None)
+        engine._schedule(setup.duration + STEP, lambda: None)
         engine.run()
         # and the plain trial stops well before the end
         assert engine.steps_taken == plain.steps_taken < 3001
@@ -604,7 +615,7 @@ class TestSharedWorld:
         assert (world.positions, world.speeds, world.next_step) == (
             warm.positions, warm.speeds, warm.next_step
         )
-        assert world.next_step * setup.dt > netsim.REPORT_TIME
+        assert world.next_step * STEP > netsim.REPORT_TIME
 
     def test_a_run_that_ends_before_the_report_is_refused_either_way(self):
         setup = TrialSetup(
@@ -634,9 +645,7 @@ class TestSharedWorld:
     @pytest.mark.parametrize("other", [
         dict(vehicles=20),
         dict(police=2),
-        dict(route_length=5000.0),
-        dict(dt=0.25),
-    ], ids=["fleet", "police", "route", "dt"])
+    ], ids=["fleet", "police"])
     def test_a_world_for_another_road_is_refused(self, other):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
         log = road_for(replace(setup, **other))
@@ -673,14 +682,13 @@ class TestSharedWorld:
 
     def test_a_cursor_shows_the_row_of_the_last_step_taken(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        dt = setup.dt
         log = road_for(setup)
         for _ in range(2):
             # the first cursor steps the frontier, the second reads its rows
             cursor, private = log.cursor(), log.warm.copy()
             for until, blockage in ((551.0, 500.0), (600.2, None), (650.0, None)):
                 for world in (cursor, private):
-                    world.advance(until, dt)
+                    world.advance(until)
                     if blockage is not None:
                         world.add_blockage(blockage)
                     elif world.blockages:
@@ -693,7 +701,6 @@ class TestSharedWorld:
 
     def test_a_speeds_read_keeps_the_cursor_on_its_log(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        dt = setup.dt
         log = road_for(setup)
         warm, cursors = world_lists(log.warm), []
         for _ in range(2):
@@ -702,7 +709,7 @@ class TestSharedWorld:
             cursor, private = log.cursor(), log.warm.copy()
             for until in (551.0, 580.0, 600.2, 700.0):
                 for world in (cursor, private):
-                    world.advance(until, dt)
+                    world.advance(until)
                     if not world.blockages:
                         world.add_blockage(500.0)
                 assert world_lists(cursor) == world_lists(private)
@@ -716,17 +723,16 @@ class TestSharedWorld:
             assert first.speeds is not other.speeds
 
     @pytest.mark.parametrize("act", [
-        lambda world: world.step(0.5),
+        lambda world: world.step(),
     ], ids=["step"])
     def test_a_cursor_leaves_the_log_before_its_speeds_or_writes(self, act):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        dt = setup.dt
         log = road_for(setup)
-        log.cursor().advance(600.0, dt)
+        log.cursor().advance(600.0)
         rows, warm = [bytes(row) for row in log.rows], world_lists(log.warm)
         cursor, private = log.cursor(), log.warm.copy()
         for world in (cursor, private):
-            world.advance(580.0, dt)
+            world.advance(580.0)
             act(world)
         # it goes on as a private world, and the rows others read stay put
         assert cursor.log is None
@@ -740,24 +746,23 @@ class TestSharedWorld:
     ):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4,
                            vehicles=vehicles)
-        dt = setup.dt
         log = road_for(setup)
         arc = log.warm.positions[17]
         # the log records a blockage parked at a vehicle from the report to
         # 700 s
         first = log.cursor()
-        first.advance(550.0, dt)
+        first.advance(550.0)
         first.add_blockage(arc)
-        first.advance(700.0, dt)
+        first.advance(700.0)
         first.clear_blockages()
-        first.advance(800.0, dt)
+        first.advance(800.0)
         assert first.log is log
         # this trial clears it at 600 s, so it leaves the log at a step the
         # log took under the blockage, with a queue standing behind it
         cursor, oracle = log.cursor(), log.warm.copy()
         for until in (550.0, 600.0, 650.3, 700.0, 800.0):
-            cursor.advance(until, dt)
-            oracle_advance(oracle, until, dt)
+            cursor.advance(until)
+            oracle_advance(oracle, until)
             assert cursor.next_step == oracle.next_step
             assert bits(cursor) == bits(oracle), f"at {until} s"
             for world in (cursor, oracle):
