@@ -11,11 +11,11 @@ vehicles hold relays due at the same instant as other events (a fixed
 output between two commits, or between two ``PYTHONHASHSEED`` values, to
 show that a change leaves every trace byte-identical.
 
-Each cell's three seeds then run again on one recorded road
-(``road_for``), as a sweep's trials do. If any of those traces differs from
-its lone trial's, the script names the cell on stderr and exits 1. The
-lossy ``accident-police fresh60 81`` cell's trials leave the recorded road,
-so the check covers that path too.
+Each cell's three seeds then run again in lockstep on one warm road (a
+``SharedRoad``), as a sweep's trials do. If any of those traces differs
+from its lone trial's, the script names the cell on stderr and exits 1.
+Some of the lossy ``accident-police fresh60 81`` cell's trials leave the
+shared road, so the check covers that path too.
 
 Usage: python scripts/trace_digests.py > digests.txt
 """
@@ -23,7 +23,8 @@ Usage: python scripts/trace_digests.py > digests.txt
 import hashlib
 import sys
 
-from vanetim.netsim import Engine, TrialSetup, road_for
+from vanetim.lockstep import SharedRoad
+from vanetim.netsim import Engine, TrialSetup, warm_world
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import SCENARIOS, build_scenario
 
@@ -67,8 +68,9 @@ def main() -> int:
         for seed in SEEDS:
             lone[seed] = digest(Engine(setup, seed).run()[0])
             print(scenario, policy, vehicles, setup.police, loss, seed, lone[seed])
-        road = road_for(setup)
-        shared = {seed: digest(Engine(setup, seed, road).run()[0]) for seed in SEEDS}
+        road = SharedRoad(warm_world(setup))
+        engines = {seed: Engine(setup, seed, road) for seed in SEEDS}
+        shared = {seed: digest(engine.run()[0]) for seed, engine in engines.items()}
         if shared != lone:
             differ.append(cell)
     for scenario, policy, vehicles, police, loss in differ:

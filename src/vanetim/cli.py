@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import Collection, List, Optional, Sequence, Tuple
 
 from .metrics import SweepResult, SweepRow, export_csv, parse_csv
-from .netsim import ConfigError, Engine, TrialSetup, road_for, warm_world, write_trace
+from .lockstep import SharedRoad
+from .netsim import ConfigError, Engine, TrialSetup, warm_world, write_trace
 from .relay import FRESH60, HOP4, Freshness, HopLimit, RelayPolicy
-from .roadlog import RoadLog
 from .scenarios import build_scenario, check_conformance, spec_for
 
 EXIT_OK = 0
@@ -169,10 +169,11 @@ def make_setup(config: RunConfig, *, policy: Optional[str] = None,
 
 
 def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
-    # the trials differ only in their seed, so several read one road; a lone
-    # trial warms its own. Either is warmed, and so checked, before any write
-    road = road_for(setup) if config.trials > 1 else None
-    engine = Engine(setup, config.seed, road)
+    # the trials differ only in their seed, so they run in lockstep on one
+    # road, warmed, and so checked, before any write; the first trial's run
+    # runs them all
+    road = SharedRoad(warm_world(setup))
+    engines = [Engine(setup, config.seed + trial, road) for trial in range(config.trials)]
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -184,10 +185,8 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
     sweep = SweepResult()
     all_pass = True
     report_lines = []
-    for trial in range(config.trials):
-        seed = config.seed + trial
-        if trial:
-            engine = Engine(setup, seed, road)
+    for trial, engine in enumerate(engines):
+        seed = engine.seed
         trace, metrics = engine.run()
         name = f"trace_{config.scenario}_{config.policy}_{setup.vehicles}v_t{trial}.csv"
         try:
@@ -216,24 +215,29 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
 
 def run_sweep(config: RunConfig, policies: Sequence[str] = ("hop4", "fresh60")) -> SweepResult:
     """Run both policies across all densities; library form of cmd_sweep.
-    Every trial of a density reads one road (see ``road_for``); every
-    density is warmed, and so checked, before the first trial."""
+    Every trial of a density runs in lockstep on its warm road (see
+    :class:`SharedRoad`), so the first trial's run runs them all and one
+    density's traces are held at a time; every density is warmed, and so
+    checked, before the first trial."""
     config.validate()
     warm = [warm_world(make_setup(config, vehicles=v)) for v in config.densities]
     sweep = SweepResult()
     for vehicles, world in zip(config.densities, warm):
-        # one density's recorded rows at a time
-        road = RoadLog(world)
-        for policy in policies:
-            setup = make_setup(config, policy=policy, vehicles=vehicles)
-            for trial in range(config.trials):
-                _, metrics = Engine(setup, config.seed + trial, road).run()
-                total = (
-                    metrics.total
-                    if config.include_wired
-                    else metrics.total_excluding_wired()
-                )
-                sweep.add(SweepRow(config.scenario, policy, vehicles, trial, total))
+        road = SharedRoad(world)
+        trials = [
+            (policy, trial, Engine(make_setup(config, policy=policy, vehicles=vehicles),
+                                   config.seed + trial, road))
+            for policy in policies
+            for trial in range(config.trials)
+        ]
+        for policy, trial, engine in trials:
+            metrics = engine.run()[1]
+            total = (
+                metrics.total
+                if config.include_wired
+                else metrics.total_excluding_wired()
+            )
+            sweep.add(SweepRow(config.scenario, policy, vehicles, trial, total))
     return sweep
 
 

@@ -19,19 +19,19 @@ vehicle follows its leader's position from before the step. The world keeps
 each vehicle's last move, and the step runs the rule, with its arithmetic,
 only for the vehicles whose inputs may have changed; every other vehicle
 repeats its last move, which gives the floats the rule would, and the new
-row is the last one plus the moves, added in one pass in C. After a report
-most vehicles cruise or stand just as at the step before, so on the
+positions are the last ones plus the moves, added in one pass in C. After a
+report most vehicles cruise or stand just as at the step before, so on the
 accident sweep's roads of 19, 79 and 139 vehicles the rule runs for about
 0.7, 2.5 and 3.7 vehicles a step. That state describes the road as the
 world's own steps, glides and spawns left it: code that writes
 ``positions`` or ``speeds`` in place between two steps must step a
 :meth:`CircularWorld.copy`, whose first step computes every vehicle.
 
-Step ``i`` runs at ``i * STEP``, and the world counts the steps it has taken,
-so :meth:`CircularWorld.advance` runs every step due by a time and resumes
-where it stopped. The engine calls it before each event, and a trial's
-road moves no other way. A blockage added or cleared once ``i`` steps are
-taken acts from step ``i`` on.
+Step ``i`` runs at ``i * STEP``, and the world counts the steps it has
+taken, so :meth:`CircularWorld.advance` runs every step due by a time and
+resumes where it stopped. The runner of :mod:`vanetim.lockstep` calls it
+between a trial's events, and a trial's road moves no other way. A blockage
+added or cleared once ``i`` steps are taken acts from step ``i`` on.
 
 A free-flowing fleet glides: when every vehicle has spawned, no blockage is
 parked, every speed is the target, every clear gap passes the step's own cap
@@ -49,37 +49,38 @@ step's state as the shifted steps would: each vehicle repeated its move. The
 speeds are whole m/s and the positions multiples of 0.5 m, so a fleet on
 clear road glides once it cruises.
 
-A road depends only on fleet size and its blockage history.
-:meth:`CircularWorld.copy` lets trials start from one road stepped once, and
-:mod:`vanetim.roadlog` records its steps past that for every trial whose
-history agrees.
+A road depends only on fleet size and its blockage history, so
+:mod:`vanetim.lockstep` steps one road for every trial whose history
+agrees, and hands a trial whose history differs a :meth:`CircularWorld.copy`
+to step on its own.
 
 :meth:`CircularWorld.neighbours_within` decides range by arc. On a loop of
 radius ``R`` the chord between two points, ``2R sin(s / 2R)``, rises
 strictly with their shorter arc ``s`` up to half the loop, so an entity is
-within radio range ``r`` of the centre exactly when its arc from the centre,
-one way round or the other, is at most :meth:`CircularWorld.chord_for_radius`
-of ``r``. So the query takes every slot in the closed window of that arc
-either side of the centre's arc, and computes no point and no distance. Two
-rules keep the window's float bounds true to the loop. A radius of the
-diameter or more, which every chord is within, gets the whole route as its
-window: ``chord_for_radius`` would give half the route, rounded, which can
-drop the entity exactly opposite the centre. And the slice is clipped to one
-lap, so a window that covers the loop returns each slot once. Below the
-diameter, ``asin`` keeps the window short of half the route by far more than
-rounding. The query reads an arc index of the road, every slot sorted by
-arc, which the first query at a step builds. The index is keyed by the step
-count, the spawned count and the ``positions`` list's ``id``, and every
-writer of the road changes one of the counts: ``step`` and the glide count
-steps, ``inject_flow`` appends, and a road cursor counts steps as it assigns
-a new list. So no writer invalidates an index, and none is stale. A list
-assigned at the same step has another ``id``, as it is built while the
-indexed one lives; code that writes ``positions`` in place must not query
-again before the next step. A query bisects the index for its window's two
-bounds and takes the slots between as one slice. Receivers come back in slot
-order (vehicles, then RSUs), which fixes delivery order. The world keeps the
-window of the last radius asked for, so a run at one radio range computes it
-once.
+within radio range ``r`` of the centre exactly when its arc from the
+centre, one way round or the other, is at most
+:meth:`CircularWorld.chord_for_radius` of ``r``. So the query takes every
+slot in the closed window of that arc either side of the centre's arc, and
+computes no point and no distance. Two rules keep the window's float bounds
+true to the loop. A radius of the diameter or more, which every chord is
+within, gets the whole route as its window: ``chord_for_radius`` would give
+half the route, rounded, which can drop the entity exactly opposite the
+centre. And the slice is clipped to one lap, so a window that covers the
+loop returns each slot once. Below the diameter, ``asin`` keeps the window
+short of half the route by far more than rounding. The query reads an arc
+index of the road, every slot sorted by arc, which the first query at a
+step builds. The index is keyed by the step count, the spawned count and
+the ``positions`` list's ``id``, and every writer of the road changes one
+of the counts: ``step`` and the glide count steps and ``inject_flow``
+appends. So no writer invalidates an index, and none is stale; the trials
+that query one road at one step share its index. A list assigned at the
+same step has another ``id``, as it is built while the indexed one lives;
+code that writes ``positions`` in place must not query again before the
+next step. A query bisects the index for its window's two bounds and takes
+the slots between as one slice. Receivers come back in slot order
+(vehicles, then RSUs), which fixes delivery order. The world keeps the
+window of the last radius asked for, so a run at one radio range computes
+it once.
 
 Every position and every arc lies in ``[0, route_length)``. So the step
 wraps a difference of two arcs, or a position one move past the wrap point,
@@ -116,15 +117,15 @@ QUEUE_LOOKAHEAD = 50.0  # metres downstream that queue detection looks
 #: ``positions`` list it was built from, the step count and the spawned count
 #: then, every slot sorted by arc (vehicles and RSUs, ties in slot order)
 #: twice over, so a window across the wrap point is one slice, and the sorted
-#: arcs. It keeps the list's ``id``, not the list: a road cursor's last row
-#: would otherwise stay alive beside its new one
+#: arcs. It keeps the list's ``id``, not the list: the list of the step
+#: before would otherwise stay alive beside the new one
 _ArcIndex = Tuple[int, int, int, List[int], List[float]]
 #: the index of no road: no object's ``id`` is 0
 _NO_INDEX: _ArcIndex = (0, 0, 0, [], [])
 
 
 class CircularWorld:
-    """Mutable mobility state for one trial."""
+    """Mutable mobility state of one road, read by one trial or several."""
 
     def __init__(self, route_length: float, fleet_size: int) -> None:
         grid = math.ldexp(1.0, math.frexp(2.0 * route_length)[1] - 53)
@@ -145,6 +146,8 @@ class CircularWorld:
         #: arc metres along the route and speed of each spawned vehicle, by slot
         self.positions: List[float] = []
         self.speeds: List[float] = []
+        #: the arcs, each in ``[0, route_length)``, where the steps from here
+        #: on find the road blocked
         self.blockages: List[float] = []
         #: (slot, arc) of each RSU, in RSU index order
         self.rsus: List[Tuple[int, float]] = [
@@ -534,11 +537,3 @@ class CircularWorld:
             return False
         leader_speed = speeds[slot - 1]
         return leader_speed < speeds[slot] or leader_speed < 0.1
-
-    # -- incidents ---------------------------------------------------------
-
-    def add_blockage(self, arc: float) -> None:
-        self.blockages.append(arc % self.route_length)
-
-    def clear_blockages(self) -> None:
-        self.blockages = []

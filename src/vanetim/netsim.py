@@ -4,22 +4,26 @@ One engine instance runs one trial: a seeded event queue drives radio
 broadcasts with range-limited delivery, wired infrastructure links,
 protocol timers, and scripted incident events. Identical (setup, seed)
 pairs produce byte-identical traces. The road is read only by events, so
-it moves only in the event loop: before an event at ``at``,
-:meth:`Engine.run` takes every mobility step due by ``at`` (step ``i`` is
-due at ``i * STEP``, up to the end of the run). The last step a trial takes
-is thus the last one due by its last event. An event due before the
-current time, a send or a timer alike, is an error, not a reordering.
+it moves only between them: before an event at ``at``, the trial's road
+has taken every mobility step due by ``at`` (step ``i`` is due at
+``i * STEP``, up to the end of the run), and no later one. The last step a
+trial takes is thus the last one due by its last event. An event due
+before the current time, a send or a timer alike, is an error, not a
+reordering.
 
-A road depends only on fleet size and its blockage history; trials of one
-density read one recorded road while their histories agree. Before the
+A road depends only on fleet size and its blockage history. Before the
 report the history is empty, so trials of one fleet size start from one
 :func:`warm_world`. After it, a trial changes its road only through its
-blockage history: the reporter's blockage, added at the report, and its
-removal at the first resolution notice sent. The trials of a
-:func:`road_for` log read the steps it records while the histories agree;
-``Engine(setup, seed)`` steps its own :func:`warm_world`, which the tests
-take as the reference. A warm road has spawned its whole fleet, or
-:func:`warm_world` refuses it, so no trial's road spawns.
+blockage history, which the engine keeps as ``blockages``: the reporter's
+blockage, added at the report, and its removal at the first resolution
+notice sent. So the trials of one density run in lockstep on one
+:class:`vanetim.lockstep.SharedRoad` of their warm road, which steps once
+for all of them while their histories agree and hands a trial whose
+history differs a copy to finish on. :meth:`Engine.run` runs every trial
+that has joined its road, and returns its own trace; ``Engine(setup,
+seed)`` joins a road of its own, which the tests take as the reference. A
+warm road has spawned its whole fleet, or :func:`warm_world` refuses it,
+so no trial's road spawns.
 
 Every trial runs on one road, so messages, states and timers name none; the
 trace format writes ``ROAD`` in its road column, and :func:`parse_trace`
@@ -34,17 +38,20 @@ order (a vehicle's slot indexes ``world.positions`` and ``world.speeds``),
 then the RSUs, then the TA. :meth:`TrialSetup.fleet` lays out the vehicle
 labels in that order; ``Engine.labels`` adds the RSUs and the TA, and
 ``_kinds`` and the states are read off those labels. States (RSUs and
-official vehicles only), ``seen`` sets, trace labels and role kinds are
-slot-indexed lists; events, ``Wired`` targets and handler addresses are
-slots. A slot's role lives only in ``_kinds`` and its label only in
-``labels``. The road, the step and the kinematics are
-:mod:`vanetim.mobility` constants, which no set-up varies.
+official vehicles only), trace labels and role kinds are slot-indexed
+lists, and each ``seen`` mask a slot-indexed ``bytearray``; events,
+``Wired`` targets and handler addresses are slots. A slot's role lives
+only in ``_kinds`` and its label only in ``labels``. The road, the step
+and the kinematics are :mod:`vanetim.mobility` constants, which no set-up
+varies.
 
-Only the engine writes ``seen``, a set per slot of every id the entity has
-sent or received: :meth:`Engine._record` adds each sender's id, radio or
-wired, and :meth:`Engine._deliver` decides once per receipt whether it is
-the first, then adds the id. So an entity hearing its own message back
-takes it as a repeat.
+Only the engine writes ``seen``, one mask over the slots per message id,
+1 where the entity has sent or received that id: :meth:`Engine._record`
+marks each sender, radio or wired, and :meth:`Engine._deliver` reads the
+receiver's mark once per receipt to decide whether it is the first, then
+marks it. So an entity hearing its own message back takes it as a repeat.
+A trial makes a few ids and most receipts are repeats, so a mask per id
+is smaller than a set per slot, and a delivery looks its id up once.
 
 A radio broadcast is one event, one hop latency after the send, that hands
 the shared relayed copy to its receivers in order. Per-receiver events
@@ -71,8 +78,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .domain import (
     ActionSource,
@@ -102,8 +111,8 @@ from .protocol import (
     handle_ta,
     rsu_scripted_resolution,
 )
+from .lockstep import SharedRoad
 from .relay import RelayPolicy, should_relay
-from .roadlog import RoadLog
 from .scenarios import CLEAR_TIME, REPORT_TIME, Clearance, ScenarioScript
 
 
@@ -233,28 +242,30 @@ def parse_trace(path) -> List[TraceRecord]:
 
 
 class Engine:
-    """One trial's executor; single logical thread, fully isolated state."""
+    """One trial's executor on a single logical thread: its own queue,
+    random stream, states and trace, on a road it may share."""
 
     def __init__(
-        self, setup: TrialSetup, seed: int, road: Optional[RoadLog] = None
+        self, setup: TrialSetup, seed: int, road: Optional[SharedRoad] = None
     ) -> None:
-        """``road``, if given, is a log for ``setup``'s road whose warm road
-        is stepped no further than the first event, such as a
-        :func:`road_for`; the trial reads it through its own cursor and
-        leaves the log's warm road and recorded rows as they were. Without
-        one, the trial builds its own :func:`warm_world`, which validates
-        ``setup``; either way it is validated once."""
+        """``road``, if given, is a shared road for ``setup``'s fleet whose
+        world is stepped no further than the first event, such as a
+        :class:`SharedRoad` of its :func:`warm_world`: the trial joins it,
+        and runs with the road's other trials when the first of them runs.
+        Without one, the trial joins a road of its own, a
+        :func:`warm_world`, which validates ``setup``; either way it is
+        validated once."""
         if road is None:
-            self.world: CircularWorld = warm_world(setup)
+            road = SharedRoad(warm_world(setup))
             labels = setup.fleet()
         else:
             labels = setup.validate()
-            warm, fleet = road.warm, len(labels)
-            if warm.fleet_size != fleet:
-                raise ValueError(
-                    f"a road of {warm.fleet_size} vehicles cannot host {fleet} vehicles"
-                )
-            self.world = road.cursor()
+        road.join(self, len(labels))
+        self._road = road
+        #: the road the trial's events read (see :mod:`vanetim.lockstep`)
+        self.world: CircularWorld = road.world
+        #: the trial's blockage history as it stands: replaced, never written
+        self.blockages: List[float] = []
         self.setup = setup
         self.seed = seed
         self.rng = random.Random(seed)
@@ -265,6 +276,7 @@ class Engine:
         self._queue: List[tuple] = []
         self._seq = 0
         self._steps = int(setup.duration / STEP)
+        self._ended = False  # set once no event is left by the end
         self.coordinator: Optional[int] = None  # slot of the coordinating RSU
         self._report_id: Optional[str] = None
 
@@ -277,8 +289,9 @@ class Engine:
         self.labels: List[str] = labels
         self._kinds: List[RoleKind] = []
         self._reporter = labels.index(script.reporter)
-        #: slot -> the ids the entity has sent or received
-        self.seen: List[Set[str]] = [set() for _ in labels]
+        #: message id -> a mask over the slots, 1 where the entity has sent
+        #: or received that id; an id's first look adds its mask of zeros
+        self.seen: Dict[str, bytearray] = defaultdict(partial(bytearray, len(labels)))
         self.states: List[Union[OfficialState, RsuState, None]] = []
         for slot, label in enumerate(labels):
             kind = role_of_label(label)
@@ -322,12 +335,12 @@ class Engine:
             self.now, self.labels[sender], kind, receiver, msg.id, msg.kind,
             msg.hops, source,
         )))
-        self.seen[sender].add(msg.id)
+        self.seen[msg.id][sender] = 1
         self.metrics.count(msg.kind, kind, source)
         # only a blockage script parks the reporter, and a trial has one
         # road, so any resolution notice lifts the blockage
         if msg.kind in RESOLUTION_KINDS:
-            self.world.clear_blockages()
+            self.blockages = []
 
     def broadcast(
         self,
@@ -389,21 +402,21 @@ class Engine:
 
     def _deliver(self, msg: Message, receivers: Sequence[int], sender: int) -> None:
         """Hand one transmission to each receiver slot, in order."""
-        states, kinds, seen, ids = self.states, self._kinds, self.seen, self.ids
+        states, kinds, ids = self.states, self._kinds, self.ids
         now, msg_id = self.now, msg.id
+        held = self.seen[msg_id]
         regular = RoleKind.REGULAR_VEHICLE
         for receiver in receivers:
-            held = seen[receiver]
-            first = msg_id not in held
+            first = not held[receiver]
             kind = kinds[receiver]
             if kind is regular:
                 # a regular vehicle only relays, and only a first copy; most
                 # receipts are its repeats, dropped here
                 if first:
-                    held.add(msg_id)
+                    held[receiver] = 1
                     self._schedule_relay(receiver, msg)
                 continue
-            held.add(msg_id)
+            held[receiver] = 1
             if kind is RoleKind.OFFICIAL_VEHICLE:
                 state = states[receiver]
                 self._execute(receiver, handle_official(state, msg, now, ids=ids))
@@ -461,7 +474,7 @@ class Engine:
         script = self.setup.script
         reporter = self._reporter
         if script.blockage:
-            self.world.add_blockage(self.world.arc_of(reporter))
+            self.blockages = self.blockages + [self.world.arc_of(reporter)]
         msg = self.originate(reporter, script.kind, payload=script.payload)
         self._report_id = msg.id
 
@@ -478,44 +491,52 @@ class Engine:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> Tuple[List[TraceRecord], TrialMetrics]:
-        setup = self.setup
+        """Run the trial to its end, with every other trial that has joined
+        its road and not yet run, and return its trace and counts; a trial
+        that has run returns them at once. A trial whose road stopped
+        before it ended, as when another trial of the road raised, raises."""
+        self._road.run()
+        if not self._ended:
+            raise RuntimeError("the trial's road stopped before the trial ended")
+        return self.trace, self.metrics
+
+    def begin(self) -> float:
+        """Queue the script's events; return the time of the earliest event."""
         self._schedule(REPORT_TIME, self._report)
-        clearance = setup.script.clearance
+        clearance = self.setup.script.clearance
         if clearance is Clearance.COORDINATOR:
             self._schedule(CLEAR_TIME, self._coordinator_clear)
         elif clearance is Clearance.REPORTER:
             self._schedule(CLEAR_TIME, self._reporter_clear)
         # an official vehicle or the TA resolves the rest when events say so
+        return self._queue[0][0]
 
-        dt = STEP
-        first = self._queue[0][0]
-        world = self.world
-        last = (world.next_step - 1) * dt
-        if last > first:
-            raise ValueError(
-                f"the world has stepped to {last} s, past the first event at {first} s"
-            )
-        end = self._steps * dt
-        while self._queue:
-            at, _, fn, args = heapq.heappop(self._queue)
-            if at > setup.duration:
+    def run_before(self, limit: float) -> float:
+        """Run every event due before ``limit``, the road's next step time;
+        return the time the road must reach before the next event (step
+        ``i``, due at ``i * STEP`` up to step ``_steps``, runs before every
+        event due at its time), or ``inf`` once no event is left by the
+        end of the run."""
+        queue, duration = self._queue, self.setup.duration
+        while queue:
+            at = queue[0][0]
+            if at > duration:
                 break
-            # step i, due at i * STEP up to step _steps, runs before every
-            # event due at its time
-            if world.next_step * dt <= at:
-                world.advance(min(at, end))
+            if at >= limit:
+                return min(at, self._steps * STEP)
+            _, _, fn, args = heapq.heappop(queue)
             self.now = at
             fn(*args)
-        return self.trace, self.metrics
+        self._ended = True
+        return math.inf
 
 
 def warm_world(setup: TrialSetup) -> CircularWorld:
     """The road as every trial of ``setup`` finds it at ``REPORT_TIME``: a
     trial runs nothing but mobility steps before the report, so this road
     depends only on the fleet size. A fleet not all spawned by then is a
-    :class:`ConfigError`. It is a copy of the road the warm-up stepped,
-    without that step's state: every trial of a sweep reads it and none
-    steps it, and a lone trial's first step computes every vehicle."""
+    :class:`ConfigError`. The trials that share it step it on from there
+    (see :mod:`vanetim.lockstep`)."""
     world = CircularWorld(ROUTE_LENGTH, len(setup.validate()))
     world.advance(REPORT_TIME)
     if world.spawned_count < world.fleet_size:
@@ -523,11 +544,4 @@ def warm_world(setup: TrialSetup) -> CircularWorld:
             f"only {world.spawned_count} of {world.fleet_size} vehicles have "
             f"spawned by the report at {REPORT_TIME} s"
         )
-    return world.copy()
-
-
-def road_for(setup: TrialSetup) -> RoadLog:
-    """The road the trials of ``setup``'s density read: a :class:`RoadLog`
-    of its :func:`warm_world`, so that each step after the report is taken
-    once while their blockage histories agree."""
-    return RoadLog(warm_world(setup))
+    return world

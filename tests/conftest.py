@@ -9,7 +9,8 @@ from hypothesis import settings
 
 from trace_checks import trace_faults
 from vanetim.domain import MessageIdSource
-from vanetim.netsim import Engine, TraceRecord, TrialSetup, road_for
+from vanetim.lockstep import SharedRoad
+from vanetim.netsim import Engine, TraceRecord, TrialSetup, warm_world
 from vanetim.protocol import Broadcast, RsuState, Wired, handle_rsu
 from vanetim.relay import FRESH60, HOP4
 from vanetim.scenarios import build_scenario
@@ -21,7 +22,7 @@ RSU0_SLOT, RSU1_SLOT, RSU9_SLOT, TA_SLOT = 20, 21, 29, 30
 
 #: ``-m floats --hypothesis-profile floats`` runs the tests marked ``floats``,
 #: the float-exactness properties (the mobility step and the glide of a
-#: free-flowing fleet against the two-loop step, a recorded road against the
+#: free-flowing fleet against the two-loop step, a shared road against the
 #: two-loop step, the neighbour query and the entry check against
 #: brute-force scans), at 2 000 examples each
 settings.register_profile("floats", max_examples=2000)
@@ -55,7 +56,7 @@ def cell_setup(
     )
 
 
-def run_cell(
+def join_cell(
     scenario: str,
     policy: str,
     vehicles: int,
@@ -63,28 +64,54 @@ def run_cell(
     police: int = 0,
     road=None,
     **setup_kwargs,
-) -> List[Tuple[int, List[TraceRecord], int]]:
-    """Run one (scenario, policy, density) cell over the given seeds.
+) -> Tuple[TrialSetup, List[Tuple[int, Engine]]]:
+    """One trial of a (scenario, policy, density) cell per seed, each joined
+    to ``road``, a ``SharedRoad``, if given. The trials of a road run in
+    lockstep when the first of them runs, so every trial that is to share
+    the road joins it before any runs. If not given, several seeds join one
+    warm road, as a sweep's trials do, and a single seed joins a road of its
+    own.
 
-    The trials read ``road`` if given (from ``road_for``). If not, several
-    seeds share one recorded road, as a sweep's trials do, and a single seed
-    steps its own from 0 s. Each trace must pass ``trace_faults``.
-
-    Returns one (seed, trace, total transmissions) triple per trial.
+    Returns the cell's set-up and one (seed, engine) pair per trial.
     """
     setup = cell_setup(scenario, policy, vehicles, police, **setup_kwargs)
     if road is None and len(seeds) > 1:
-        road = road_for(setup)
+        road = SharedRoad(warm_world(setup))
+    return setup, [(seed, Engine(setup, seed, road)) for seed in seeds]
+
+
+def run_joined(
+    setup: TrialSetup, trials: List[Tuple[int, Engine]]
+) -> List[Tuple[int, List[TraceRecord], int]]:
+    """Run the trials :func:`join_cell` joined, in order. Each trace must
+    pass ``trace_faults``.
+
+    Returns one (seed, trace, total transmissions) triple per trial.
+    """
     out = []
-    for seed in seeds:
-        trace, metrics = Engine(setup, seed, road).run()
+    for seed, engine in trials:
+        trace, metrics = engine.run()
         faults = trace_faults(trace, setup.policy)
         assert not faults, (
-            f"{scenario}/{policy}/{vehicles}/seed {seed}: {len(faults)} faults\n"
-            + "\n".join(faults[:10])
+            f"{setup.script.name}/{setup.policy}/{setup.vehicles}/seed {seed}: "
+            f"{len(faults)} faults\n" + "\n".join(faults[:10])
         )
         out.append((seed, trace, metrics.total))
     return out
+
+
+def run_cell(
+    scenario: str,
+    policy: str,
+    vehicles: int,
+    seeds,
+    police: int = 0,
+    **setup_kwargs,
+) -> List[Tuple[int, List[TraceRecord], int]]:
+    """Run one (scenario, policy, density) cell over the given seeds, several
+    in lockstep on one warm road (see :func:`join_cell` and
+    :func:`run_joined`)."""
+    return run_joined(*join_cell(scenario, policy, vehicles, seeds, police, **setup_kwargs))
 
 
 def replay_count(trace) -> int:

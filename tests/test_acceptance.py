@@ -16,9 +16,11 @@ from conftest import (
     broadcasts,
     cell_setup,
     fresh_rsu,
+    join_cell,
     replay_count,
     rsu_receive,
     run_cell,
+    run_joined,
 )
 from static_world import StaticWorld
 from vanetim.domain import (
@@ -29,7 +31,8 @@ from vanetim.domain import (
     make_message,
     relayed_copy,
 )
-from vanetim.netsim import parse_trace, road_for, write_trace
+from vanetim.lockstep import SharedRoad
+from vanetim.netsim import parse_trace, warm_world, write_trace
 from vanetim.protocol import SpeedHistory, detect_congestion, detect_jam
 from vanetim.relay import HOP4, should_relay
 from vanetim.scenarios import (
@@ -56,12 +59,14 @@ def sweep_accident():
     """Criterion-1 sweep: accident scenario, both policies, 7 densities."""
     cells = {}
     for vehicles in DENSITIES_1:
-        # both policies' trials read one road, as run_sweep's do
-        road = road_for(cell_setup("accident", "hop4", vehicles))
+        # both policies' trials run in lockstep on one road, as run_sweep's do
+        road = SharedRoad(warm_world(cell_setup("accident", "hop4", vehicles)))
+        joined = {
+            policy: join_cell("accident", policy, vehicles, SEEDS, road=road)
+            for policy in POLICIES
+        }
         for policy in POLICIES:
-            cells[(policy, vehicles)] = run_cell(
-                "accident", policy, vehicles, SEEDS, road=road
-            )
+            cells[(policy, vehicles)] = run_joined(*joined[policy])
     return cells
 
 
@@ -70,11 +75,16 @@ def sweep_police():
     """Criterion-3 sweep: police-attended accident, 2 police, 5 densities."""
     cells = {}
     for vehicles in DENSITIES_2:
-        road = road_for(cell_setup("accident-police", "hop4", vehicles, police=2))
+        road = SharedRoad(warm_world(
+            cell_setup("accident-police", "hop4", vehicles, police=2)
+        ))
+        joined = {
+            policy: join_cell("accident-police", policy, vehicles, SEEDS, police=2,
+                              road=road)
+            for policy in POLICIES
+        }
         for policy in POLICIES:
-            cells[(policy, vehicles)] = run_cell(
-                "accident-police", policy, vehicles, SEEDS, police=2, road=road
-            )
+            cells[(policy, vehicles)] = run_joined(*joined[policy])
     return cells
 
 

@@ -11,6 +11,7 @@ import vanetim
 from vanetim.cli import (
     ConfigError,
     EXIT_CONFIG,
+    EXIT_CONFORMANCE,
     EXIT_IO,
     EXIT_OK,
     RunConfig,
@@ -609,3 +610,62 @@ class TestSweepAndReport:
 
     def test_report_missing_file(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.csv")]) == EXIT_IO
+
+
+#: a lossless sweep, and a lossy police sweep whose trials' histories may
+#: differ, so that some leave the shared road
+HARNESS_SWEEPS = [
+    RunConfig(densities=(19, 79), trials=2, seed=3),
+    RunConfig(scenario="accident-police", police=2, densities=(21, 81), trials=3,
+              seed=1, loss=0.3),
+]
+
+
+class TestHarnessContract:
+    """The benchmark harness (``perfbench/``) reads each trial's result from
+    ``Engine.run``: it wraps the method on the class and digests every value
+    it returns, in the order of its cells."""
+
+    @pytest.mark.parametrize("config", HARNESS_SWEEPS, ids=["accident", "lossy-police"])
+    def test_run_sweep_runs_each_trial_once_in_order(self, monkeypatch, config):
+        from vanetim.netsim import Engine
+
+        calls, run = [], Engine.run
+
+        def wrapped(engine, *args, **kwargs):
+            result = run(engine, *args, **kwargs)
+            calls.append((engine.setup, engine.seed, [r.to_line() for r in result[0]]))
+            return result
+
+        monkeypatch.setattr(Engine, "run", wrapped)
+        run_sweep(config)
+        monkeypatch.undo()
+        expected = [
+            (make_setup(config, policy=policy, vehicles=vehicles), config.seed + trial)
+            for vehicles in config.densities for policy in ("hop4", "fresh60")
+            for trial in range(config.trials)
+        ]
+        assert [(setup, seed) for setup, seed, _ in calls] == expected
+        for setup, seed, lines in calls:
+            assert lines == [r.to_line() for r in Engine(setup, seed).run()[0]]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--seed", "4"], RunConfig(seed=4)),
+        (["--scenario", "accident-police", "--police", "2", "--vehicles", "81",
+          "--policy", "fresh60", "--loss", "0.3"],
+         RunConfig(scenario="accident-police", police=2, vehicles=81,
+                   policy="fresh60", loss=0.3)),
+    ], ids=["accident", "lossy-police"])
+    def test_run_trials_write_the_traces_of_lone_trials(self, tmp_path, argv, config):
+        from vanetim.netsim import Engine, write_trace
+
+        out = tmp_path / "run"
+        # a lossy trial may fail its sequence spec; its trace is written still
+        code = main(["run", "--trials", "3", "--out-dir", str(out)] + argv)
+        assert code in (EXIT_OK, EXIT_CONFORMANCE)
+        setup = make_setup(config)
+        for trial in range(3):
+            lone = tmp_path / f"lone{trial}.csv"
+            write_trace(Engine(setup, config.seed + trial).run()[0], lone)
+            name = f"trace_{config.scenario}_{config.policy}_{config.vehicles}v_t{trial}.csv"
+            assert (out / name).read_bytes() == lone.read_bytes()

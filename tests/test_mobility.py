@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
-from road_oracle import bits, oracle_advance, oracle_step
+from road_oracle import ProbeTrial, bits, oracle_advance, oracle_notes, oracle_step
 from static_world import StaticWorld
 from vanetim.mobility import (
     ACCEL,
@@ -19,7 +19,7 @@ from vanetim.mobility import (
     CircularWorld,
 )
 from vanetim.protocol import SpeedHistory, detect_jam
-from vanetim.roadlog import RoadLog
+from vanetim.lockstep import SharedRoad
 
 
 def make_world(fleet=1):
@@ -74,7 +74,7 @@ class TestCarFollowing:
         leader, follower = 0, 1
         world.positions[leader] = 100.0
         world.speeds[leader] = 0.0
-        world.add_blockage(102.0)  # parked: it must not pull away
+        world.blockages.append(102.0)  # parked: it must not pull away
         world.inject_flow(10.0)
         world.positions[follower] = 90.0  # 10 m behind a stopped leader
         for _ in range(100):
@@ -87,7 +87,7 @@ class TestCarFollowing:
 
     def test_no_overlap_through_a_long_run(self):
         world = make_world(30)
-        world.add_blockage(900.0)
+        world.blockages.append(900.0)
         t = 0.0
         while t < 300.0:
             world.inject_flow(t)
@@ -97,7 +97,7 @@ class TestCarFollowing:
 
     def test_blockage_stops_the_column(self):
         world = make_world(5)
-        world.add_blockage(200.0)
+        world.blockages.append(200.0)
         spawn_all(world)
         for _ in range(400):
             world.step()
@@ -213,7 +213,7 @@ def build_ring(ring):
         world.positions.append(arc)
         world.speeds.append(speed)
     for arc in blockages:
-        world.add_blockage(arc)
+        world.blockages.append(arc)
     return world
 
 
@@ -247,9 +247,9 @@ class TestStepExactness:
             now = i * STEP
             for world in (fused, oracle):
                 if now == 550.0:
-                    world.add_blockage(2000.0)
+                    world.blockages.append(2000.0)
                 elif now == 850.0:
-                    world.clear_blockages()
+                    world.blockages = []
                 world.inject_flow(now)
             positions = oracle.positions
             exact += sum(
@@ -309,7 +309,7 @@ class TestAdvance:
 
     def test_copy_is_independent(self):
         world = make_world(5)
-        world.add_blockage(900.0)
+        world.blockages.append(900.0)
         world.advance(60.0)
         twin = world.copy()
         assert bits(twin) == bits(world)
@@ -551,10 +551,10 @@ class TestBareRoads:
             if until == 550.0:
                 # at a vehicle's position, as a report parks its reporter
                 for road in (world, oracle):
-                    road.add_blockage(oracle.positions[fleet // 2])
+                    road.blockages.append(oracle.positions[fleet // 2])
             elif until == 650.0:
                 for road in (world, oracle):
-                    road.clear_blockages()
+                    road.blockages = []
         assert world.spawned_count == fleet
         assert len(calls) < world.next_step, "no step glided"
 
@@ -593,96 +593,64 @@ def straddling_rings(draw):
 
 
 @st.composite
-def logged_roads(draw):
-    """A warm road to record a log from, and a history: the
-    steps to record, the step at which a blockage is added at a vehicle or
-    at any arc, the step from which the blockages are cleared, and the steps
-    at which a trial stops extending the log. The road is a drawn ring
-    (unordered, crowded, near the step's branch points, or straddling a
-    doubling of the float spacing) or a bare road of the default route
-    stepped from 0 s until its whole fleet has spawned, or on to the report;
-    the 139-vehicle warm road overlaps at the spawn wrap."""
+def shared_histories(draw):
+    """A warm road to share, and one to three trials' events on it: a
+    blockage added at one step, at a vehicle or at any arc, and cleared from
+    a later one, notes of the road at a few more steps, and the trial's last
+    step. Each trial takes the first trial's blockage history or one of its
+    own, and its events fall at step times or a quarter of a second before.
+    The road is a drawn ring (unordered, crowded, near the step's branch
+    points, or straddling a doubling of the float spacing) or a bare road of
+    the default route stepped from 0 s, still spawning or not; the
+    139-vehicle road overlaps at the spawn wrap."""
     source = draw(st.sampled_from(["ring", "cruising", "straddling", "bare", "bare"]))
     if source == "bare":
         fleet = draw(st.sampled_from([1, 2, 19, 79, 139]))
-        # a log records only a road that has spawned its whole fleet
-        warm = bare_road(fleet, draw(st.sampled_from([
-            until for until in (15.0, 100.0, 550.0)
-            if bare_road(fleet, until).spawned_count == fleet
-        ])))
+        warm = bare_road(fleet, draw(st.sampled_from([15.0, 100.0, 550.0]))).copy()
     else:
         strategy = {"ring": rings, "cruising": cruising_rings,
                     "straddling": straddling_rings}[source]
         warm = build_ring(draw(strategy()))
     steps = draw(st.one_of(st.just(300), st.integers(1, 300)))
-    added = draw(st.integers(0, steps))
-    cleared = draw(st.integers(added, steps))
     at = draw(st.one_of(
         st.floats(0.0, warm.route_length, exclude_max=True),
         st.integers(0, max(warm.fleet_size - 1, 0)),
     ))
-    cuts = draw(st.sets(st.integers(1, steps), max_size=4))
-    return warm, steps, added, cleared, at, sorted(cuts | {steps})
+    if isinstance(at, int):
+        # at a vehicle's position, as a report parks its reporter
+        at = warm.positions[at] if at < warm.spawned_count else 0.0
+    histories, trials = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        added = draw(st.integers(0, steps))
+        history = (added, draw(st.integers(added, steps)))
+        if histories:
+            history = draw(st.sampled_from([histories[0], history]))
+        histories.append(history)
+        added, cleared = history
+        last = draw(st.integers(1, steps))
+        early = draw(st.sampled_from([0.0, 0.25]))
+        noted = draw(st.sets(st.integers(0, last), max_size=4))
+        events = []
+        for k in sorted(noted | {added, cleared, last}):
+            if k > last:
+                continue
+            blockages = [at] if added <= k < cleared else []
+            events.append(((warm.next_step + k) * STEP - early, blockages))
+        trials.append(events)
+    return warm, trials
 
 
 @pytest.mark.floats
-class TestRoadLog:
+class TestSharedRoad:
     @settings(max_examples=examples(200), deadline=None)
-    @given(case=logged_roads())
-    def test_records_the_rows_of_a_world_stepped_by_step(self, case):
-        warm, steps, added, cleared, at, cuts = case
-        # the reference: the two-loop step, step by step, as advance on a
-        # spawned fleet
-        world, history, rows, speeds = warm.copy(), [], [], []
-        for i in range(steps):
-            if i == added:
-                # at a vehicle's position, as a report parks its reporter
-                if isinstance(at, int):
-                    at = world.positions[at] if at < world.spawned_count else 0.0
-                world.add_blockage(at)
-            if i == cleared:
-                world.clear_blockages()
-            history.append(list(world.blockages))
-            oracle_step(world)
-            world.next_step += 1
-            rows.append(array("d", world.positions).tobytes())
-            speeds.append(array("d", world.speeds).tobytes())
-        log = RoadLog(warm)
-        taken = 0
-        for cut in cuts:
-            # a trial extends the log up to a step under its own blockages
-            while taken < cut:
-                end = taken + 1
-                while end < cut and history[end] == history[taken]:
-                    end += 1
-                log.extend((log.start + end - 1) * STEP, history[taken])
-                taken = end
-        assert len(log.rows) == steps
-        for i, row in enumerate(log.rows):
-            assert row.tobytes() == rows[i], f"step {i}"
-        assert log.blockages == history
-        # the warm speeds plus each step's recorded changes are the stepped
-        # world's speeds, bit for bit: no change is lost, a signed zero's
-        # included
-        read, ends = array("d", warm.speeds), log.speed_ends
-        assert len(ends) == steps + 1
-        for i in range(steps):
-            for j in range(ends[i], ends[i + 1]):
-                read[log.speed_slots[j]] = log.speed_values[j]
-            assert read.tobytes() == speeds[i], f"step {i}"
-        assert bits(log._frontier) == bits(world)
-
-    @pytest.mark.parametrize("fleet, until", [
-        (19, 0.0), (19, 15.0), (139, 100.0), (220, 550.0),
-    ])
-    def test_refuses_a_road_still_spawning(self, fleet, until):
-        warm = bare_road(fleet, until)
-        assert warm.spawned_count < fleet
-        with pytest.raises(ValueError, match=(
-            f"a warm road with {warm.spawned_count} of {fleet} vehicles spawned "
-            "cannot be recorded"
-        )):
-            RoadLog(warm)
+    @given(case=shared_histories())
+    def test_each_trial_sees_the_road_the_two_loop_step_gives_its_history(self, case):
+        warm, trials = case
+        road = SharedRoad(warm.copy())
+        probes = [ProbeTrial(road, events) for events in trials]
+        road.run()
+        for probe, events in zip(probes, trials):
+            assert probe.notes == oracle_notes(warm, events)
 
 
 def oracle_entry_clear(world):
@@ -943,11 +911,6 @@ class TestNeighbours:
         assert calls == []
 
     @staticmethod
-    def read_the_log(cursor, monkeypatch):
-        cursor.advance(160.0)
-        assert cursor.log is not None
-
-    @staticmethod
     def spawn(world, monkeypatch):
         world.inject_flow(5.0)
         assert world.spawned_count == 2
@@ -958,7 +921,7 @@ class TestNeighbours:
         world.positions = [403.5]
 
     @pytest.mark.parametrize(
-        "writer", ["step", "glide", "read_the_log", "spawn", "assign"]
+        "writer", ["step", "glide", "spawn", "assign"]
     )
     def test_the_index_follows_every_writer(self, writer, monkeypatch):
         if writer in ("step", "assign"):
@@ -966,8 +929,6 @@ class TestNeighbours:
             world = build_ring((ROUTE_LENGTH, [(397.0, TARGET_SPEED)], []))
         elif writer == "glide":
             world = build_ring(TestGlide.fleet())
-        elif writer == "read_the_log":
-            world = RoadLog(bare_road(19, 100.0)).cursor()
         else:
             world = make_world(2)
             world.inject_flow(0.0)
@@ -1123,7 +1084,7 @@ class TestPlatoonJam:
         then 30 s of standstill, so the report must fire well before 300 s.
         """
         world = make_world(20)
-        world.add_blockage(1000.0)
+        world.blockages.append(1000.0)
         history = SpeedHistory()
         tail = 19  # the last slot of the spawn queue
         t = 0.0

@@ -5,7 +5,7 @@ import pytest
 
 import vanetim.netsim as netsim
 from conftest import POLICIES, run_cell
-from road_oracle import bits, oracle_advance
+from road_oracle import ProbeTrial, oracle_notes
 from test_golden import GOLDEN, GOLDEN_LOSSY
 from vanetim.domain import (
     ActionSource,
@@ -18,6 +18,7 @@ from vanetim.domain import (
     role_of_label,
 )
 from vanetim.cli import RunConfig, run_sweep
+from vanetim.lockstep import SharedRoad
 from vanetim.mobility import ROUTE_LENGTH, STEP, CircularWorld
 from vanetim.netsim import (
     ConfigError,
@@ -25,7 +26,6 @@ from vanetim.netsim import (
     TraceRecord,
     TrialSetup,
     parse_trace,
-    road_for,
     warm_world,
     write_trace,
 )
@@ -322,7 +322,7 @@ class TestTrialSetupValidation:
 
     def test_an_engine_validates_its_set_up_once(self, monkeypatch):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        road = road_for(setup)
+        road = shared_road(setup)
         calls = []
         validate = TrialSetup.validate
 
@@ -331,9 +331,9 @@ class TestTrialSetupValidation:
             return validate(self)
 
         monkeypatch.setattr(TrialSetup, "validate", counted)
-        for log in (None, road):
+        for shared in (None, road):
             del calls[:]
-            Engine(setup, 1, log)
+            Engine(setup, 1, shared)
             assert calls == [setup]
 
 
@@ -424,6 +424,7 @@ class AlwaysStepEngine(CountingEngine):
         world = self.world
         if world.spawned_count < world.fleet_size:
             world.inject_flow(self.now)
+        world.blockages = self.blockages
         world.step()
 
 
@@ -488,6 +489,16 @@ class TestStopRule:
         expected = min(int(engine.last_at / STEP), engine._steps) + 1
         assert engine.steps_taken == expected
 
+    def test_a_step_due_at_an_events_time_runs_before_it(self):
+        # the event at 600 s falls on step 1200's time, half a step after
+        # the road last moved for the event before it
+        engine = CountingEngine(self.accident(), 1)
+        seen = []
+        for at in (599.7, 600.0, 600.2):
+            engine._schedule(at, lambda: seen.append(engine.steps_taken))
+        engine.run()
+        assert seen == [1200, 1201, 1201]
+
     def test_an_event_after_the_end_adds_no_step(self):
         setup = self.accident()
         plain = CountingEngine(setup, 1)
@@ -508,26 +519,17 @@ SHARED_WORLD_CELLS = [
     ("accident", "hop4", 79, 0, 0.3),
 ]
 #: cells whose lost notices move the clearance, so that some trials'
-#: blockage histories differ and they leave the log
+#: blockage histories differ and they leave the shared road
 DIVERGING_CELLS = [
     ("accident-police", "fresh60", 81, 2, 0.3),
     ("accident-police", "hop4", 21, 2, 0.6),
 ]
 
 
-def blockage_changes(log):
-    """The log's blockage history: (step, blockages) at each change."""
-    return [
-        (log.start + i, blockages)
-        for i, blockages in enumerate(log.blockages)
-        if i == 0 or blockages != log.blockages[i - 1]
-    ]
-
-
 def count_steps(monkeypatch):
     """Record each step a world takes from here on, one by one or in a
-    glide, a log's frontier included: a list of (world, first step, next
-    step, blockages the steps were taken under)."""
+    glide: a list of (world, first step, next step, blockages the steps
+    were taken under)."""
     taken = []
 
     def counting(take):
@@ -544,37 +546,24 @@ def count_steps(monkeypatch):
     return taken
 
 
-def world_lists(world):
-    """A road's state; one whose fleet has spawned never reads its next
-    spawn time."""
-    return (list(world.positions), list(world.speeds), list(world.blockages),
-            world.next_step)
+def shared_road(setup):
+    return SharedRoad(warm_world(setup))
+
+
+def lockstep(setup, seeds, road=None):
+    """Join one trial per seed, in order, to ``road`` or to a new shared
+    road of ``setup``'s warm road, then run each; returns the road and the
+    engines."""
+    road = road or shared_road(setup)
+    engines = [Engine(setup, seed, road) for seed in seeds]
+    for engine in engines:
+        engine.run()
+    return road, engines
 
 
 class TestSharedWorld:
-    """Trials that read one recorded road trace as if each stepped its own
-    road from 0 s."""
-
-    @staticmethod
-    def read_in_both_orders(setup, seeds):
-        """Run every seed's trial on one fresh log per order, forwards and
-        backwards, and check each trace against its unshared run and that no
-        trial changes the warm road or the rows recorded before it; the
-        cursors of both orders and the logs come back."""
-        unshared = {seed: lines(Engine(setup, seed).run()[0]) for seed in seeds}
-        cursors, logs = [], []
-        for order in (seeds, seeds[::-1]):
-            log = road_for(setup)
-            warm = world_lists(log.warm)
-            for seed in order:
-                rows = [bytes(row) for row in log.rows]
-                engine = Engine(setup, seed, log)
-                assert lines(engine.run()[0]) == unshared[seed]
-                assert [bytes(row) for row in log.rows[:len(rows)]] == rows
-                cursors.append(engine.world)
-            assert world_lists(log.warm) == warm
-            logs.append(log)
-        return cursors, logs
+    """Trials that run in lockstep on one shared road trace as if each
+    stepped its own road from 0 s."""
 
     @pytest.mark.parametrize(
         "scenario,policy,vehicles,police,loss",
@@ -587,26 +576,45 @@ class TestSharedWorld:
             script=build_scenario(scenario), policy=POLICIES[policy],
             vehicles=vehicles, police=police, loss=loss,
         )
-        cursors, logs = self.read_in_both_orders(setup, (1, 3, 5))
-        left = any(cursor.log is None for cursor in cursors)
+        seeds = (1, 3, 5)
+        lone = {}
+        for seed in seeds:
+            engine = CountingEngine(setup, seed)
+            lone[seed] = (lines(engine.run()[0]), engine.steps_taken)
+        left = False
+        for order in (seeds, seeds[::-1]):
+            road, engines = lockstep(setup, order)
+            for engine in engines:
+                assert lines(engine.trace) == lone[engine.seed][0]
+                # a trial that left steps its own road to its own end
+                if engine.world is not road.world:
+                    left = True
+                    assert engine.world.next_step == lone[engine.seed][1]
+            if not left:
+                # one history, so the road takes the steps of the longest trial
+                assert road.world.next_step == max(steps for _, steps in lone.values())
         assert left == ((scenario, policy, vehicles, police, loss) in DIVERGING_CELLS)
-        if not left:
-            # one history, so the log holds the steps of the longest trial
-            for log in logs:
-                assert len(log.rows) == max(c.next_step for c in cursors) - log.start
 
     @pytest.mark.parametrize("vehicles", [19, 139])
-    def test_an_accident_density_has_one_history(self, vehicles):
-        log = road_for(TrialSetup(script=build_scenario("accident"), policy=HOP4,
-                                  vehicles=vehicles))
-        for policy, seed in ((HOP4, 1), (FRESH60, 2)):
-            setup = TrialSetup(script=build_scenario("accident"), policy=policy,
-                               vehicles=vehicles)
-            engine = Engine(setup, seed, log)
+    def test_an_accident_density_has_one_history(self, monkeypatch, vehicles):
+        road = shared_road(TrialSetup(script=build_scenario("accident"), policy=HOP4,
+                                      vehicles=vehicles))
+        engines = [
+            Engine(TrialSetup(script=build_scenario("accident"), policy=policy,
+                              vehicles=vehicles), seed, road)
+            for policy, seed in ((HOP4, 1), (FRESH60, 2))
+        ]
+        taken = count_steps(monkeypatch)
+        for engine in engines:
             engine.run()
-            assert engine.world.log is log
+            assert engine.world is road.world
         # the report's blockage, then the clearance
-        (added, (arc,)), cleared = blockage_changes(log)
+        changes = [
+            (before, blockages) for i, (world, before, _, blockages) in enumerate(taken)
+            if i == 0 or blockages != taken[i - 1][3]
+        ]
+        assert {world for world, _, _, _ in taken} == {road.world}
+        (added, (arc,)), cleared = changes
         assert (added, cleared) == (1101, (1701, []))
 
     def test_a_lone_trial_starts_from_its_warm_road(self):
@@ -618,14 +626,13 @@ class TestSharedWorld:
         assert world.next_step * STEP > netsim.REPORT_TIME
 
     def test_a_run_that_ends_before_the_report_is_refused_either_way(self):
-        setup = TrialSetup(
-            script=build_scenario("accident"), policy=HOP4, vehicles=19,
-            duration=netsim.REPORT_TIME - 10.0,
-        )
-        with pytest.raises(ConfigError, match="end after the report"):
-            Engine(setup, 1)
-        with pytest.raises(ConfigError, match="end after the report"):
-            road_for(setup)
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        short = replace(setup, duration=netsim.REPORT_TIME - 10.0)
+        for make in (lambda: Engine(short, 1),
+                     lambda: Engine(short, 1, shared_road(setup)),
+                     lambda: warm_world(short)):
+            with pytest.raises(ConfigError, match="end after the report"):
+                make()
 
     def test_a_blockage_standing_at_the_end_stays_in_its_trial(self):
         # the run ends between the report and the clearance, so the
@@ -634,13 +641,10 @@ class TestSharedWorld:
             script=build_scenario("accident"), policy=HOP4, vehicles=19,
             duration=netsim.CLEAR_TIME - 100.0,
         )
-        log = road_for(setup)
-        before = world_lists(log.warm)
-        for seed in (1, 3):
-            engine = Engine(setup, seed, log)
-            assert lines(engine.run()[0]) == lines(Engine(setup, seed).run()[0])
-            assert engine.world.blockages
-        assert world_lists(log.warm) == before
+        _, engines = lockstep(setup, (1, 3))
+        for engine in engines:
+            assert lines(engine.trace) == lines(Engine(setup, engine.seed).run()[0])
+            assert engine.blockages
 
     @pytest.mark.parametrize("other", [
         dict(vehicles=20),
@@ -648,129 +652,96 @@ class TestSharedWorld:
     ], ids=["fleet", "police"])
     def test_a_world_for_another_road_is_refused(self, other):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        log = road_for(replace(setup, **other))
+        road = shared_road(replace(setup, **other))
         with pytest.raises(ValueError, match="cannot host"):
-            Engine(setup, 1, log)
+            Engine(setup, 1, road)
 
     def test_a_world_stepped_past_the_first_event_is_refused(self):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        engine = Engine(setup, 1, road_for(setup))
+        engine = Engine(setup, 1, shared_road(setup))
         engine._schedule(100.0, lambda: None)
         with pytest.raises(ValueError, match="past the first event"):
             engine.run()
 
-    def test_a_later_trial_extends_the_frontier(self):
+    def test_a_trial_that_joins_a_road_that_has_run_is_refused(self):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        road, (first,) = lockstep(setup, (1,))
+        late = Engine(setup, 3, road)
+        with pytest.raises(ValueError, match="past the first event"):
+            late.run()
+        # a trial that has run returns its result again
+        assert first.run() == (first.trace, first.metrics)
+
+    def test_a_trial_whose_road_stopped_before_it_ended_raises(self):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        road = shared_road(setup)
+        first, second = Engine(setup, 1, road), Engine(setup, 3, road)
+        second._schedule(100.0, lambda: None)
+        with pytest.raises(ValueError, match="past the first event"):
+            first.run()
+        for engine in (first, second):
+            with pytest.raises(RuntimeError, match="stopped before the trial ended"):
+                engine.run()
+
+    def test_trials_of_other_durations_share_a_road(self):
         accident = build_scenario("accident")
-        short = TrialSetup(script=accident, policy=HOP4, vehicles=79,
-                           duration=netsim.CLEAR_TIME - 100.0)
-        full = replace(short, duration=1500.0)
-        log = road_for(short)
-        warm = world_lists(log.warm)
+        full = TrialSetup(script=accident, policy=HOP4, vehicles=79)
         # the short trial ends with its blockage standing, so its history
-        # lacks the clearance the full trials have
-        assert lines(Engine(short, 1, log).run()[0]) == lines(Engine(short, 1).run()[0])
-        before = [bytes(row) for row in log.rows]
-        frontier = log.start + len(before)
-        for seed in (1, 3):
-            engine = Engine(full, seed, log)
-            assert lines(engine.run()[0]) == lines(Engine(full, seed).run()[0])
-            assert engine.world.log is log
-            assert engine.world.next_step > frontier
-        assert [bytes(row) for row in log.rows[:len(before)]] == before
-        assert len(log.rows) > len(before)
-        assert world_lists(log.warm) == warm
-
-    def test_a_cursor_shows_the_row_of_the_last_step_taken(self):
-        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        log = road_for(setup)
-        for _ in range(2):
-            # the first cursor steps the frontier, the second reads its rows
-            cursor, private = log.cursor(), log.warm.copy()
-            for until, blockage in ((551.0, 500.0), (600.2, None), (650.0, None)):
-                for world in (cursor, private):
-                    world.advance(until)
-                    if blockage is not None:
-                        world.add_blockage(blockage)
-                    elif world.blockages:
-                        world.clear_blockages()
-                assert list(cursor.positions) == private.positions
-                assert cursor.next_step == private.next_step
-                assert cursor.blockages == private.blockages
-            assert cursor.log is log
-        assert blockage_changes(log) == [(1101, []), (1103, [500.0]), (1201, [])]
-
-    def test_a_speeds_read_keeps_the_cursor_on_its_log(self):
-        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        log = road_for(setup)
-        warm, cursors = world_lists(log.warm), []
-        for _ in range(2):
-            # the first cursor steps the frontier, the second reads its rows;
-            # a blockage parked from the report on changes speeds
-            cursor, private = log.cursor(), log.warm.copy()
-            for until in (551.0, 580.0, 600.2, 700.0):
-                for world in (cursor, private):
-                    world.advance(until)
-                    if not world.blockages:
-                        world.add_blockage(500.0)
-                assert world_lists(cursor) == world_lists(private)
-                assert cursor.log is log
-            assert cursor.speeds != warm[1]
-            cursors.append(cursor)
-        assert world_lists(log.warm) == warm
-        # each cursor's speeds are its own
-        first, second = cursors
-        for other in (second, log.warm, log._frontier):
-            assert first.speeds is not other.speeds
-
-    @pytest.mark.parametrize("act", [
-        lambda world: world.step(),
-    ], ids=["step"])
-    def test_a_cursor_leaves_the_log_before_its_speeds_or_writes(self, act):
-        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
-        log = road_for(setup)
-        log.cursor().advance(600.0)
-        rows, warm = [bytes(row) for row in log.rows], world_lists(log.warm)
-        cursor, private = log.cursor(), log.warm.copy()
-        for world in (cursor, private):
-            world.advance(580.0)
-            act(world)
-        # it goes on as a private world, and the rows others read stay put
-        assert cursor.log is None
-        assert world_lists(cursor) == world_lists(private)
-        assert [bytes(row) for row in log.rows] == rows
-        assert world_lists(log.warm) == warm
+        # lacks the clearance the full trials have; it ends first
+        short = replace(full, duration=netsim.CLEAR_TIME - 100.0)
+        road = shared_road(full)
+        engines = [Engine(short, 1, road)] + [Engine(full, seed, road) for seed in (1, 3)]
+        longest = 0
+        for engine in engines:
+            lone = CountingEngine(engine.setup, engine.seed)
+            assert lines(engine.run()[0]) == lines(lone.run()[0])
+            assert engine.world is road.world
+            longest = max(longest, lone.steps_taken)
+        assert road.world.next_step == longest
 
     @pytest.mark.parametrize("vehicles", [79, 139])
-    def test_a_cursor_that_leaves_under_the_logs_blockage_steps_like_the_two_loop_step(
+    def test_a_trial_that_leaves_under_the_roads_blockage_steps_like_the_two_loop_step(
         self, vehicles
     ):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4,
                            vehicles=vehicles)
-        log = road_for(setup)
-        arc = log.warm.positions[17]
-        # the log records a blockage parked at a vehicle from the report to
-        # 700 s
-        first = log.cursor()
-        first.advance(550.0)
-        first.add_blockage(arc)
-        first.advance(700.0)
-        first.clear_blockages()
-        first.advance(800.0)
-        assert first.log is log
-        # this trial clears it at 600 s, so it leaves the log at a step the
-        # log took under the blockage, with a queue standing behind it
-        cursor, oracle = log.cursor(), log.warm.copy()
-        for until in (550.0, 600.0, 650.3, 700.0, 800.0):
-            cursor.advance(until)
-            oracle_advance(oracle, until)
-            assert cursor.next_step == oracle.next_step
-            assert bits(cursor) == bits(oracle), f"at {until} s"
-            for world in (cursor, oracle):
-                if until == 550.0:
-                    world.add_blockage(arc)
-                elif until == 600.0:
-                    world.clear_blockages()
-        assert cursor.log is None
+        road = shared_road(setup)
+        warm = road.world.copy()
+        arc = warm.positions[17]
+        # both park a blockage at a vehicle at 550 s; the first clears it at
+        # 700 s, the second at 600 s, so the second leaves at a step the road
+        # takes under the blockage, with a queue standing behind it
+        stays = [(550.0, [arc]), (650.3, None), (700.0, []), (800.0, None)]
+        leaves = [(550.0, [arc]), (600.0, []), (650.3, None), (700.0, None),
+                  (800.0, None)]
+        trials = [ProbeTrial(road, events) for events in (stays, leaves)]
+        road.run()
+        stayed, left = trials
+        assert stayed.world is road.world and left.world is not road.world
+        for trial, events in zip(trials, (stays, leaves)):
+            assert trial.notes == oracle_notes(warm, events)
+
+    @pytest.mark.parametrize("odd, stays", [
+        (0, [False, True, True]),
+        (1, [True, False, True]),
+        (2, [True, True, False]),
+        # a tie goes to the trial that joined first
+        (None, [True, False]),
+    ], ids=["first", "middle", "last", "tie"])
+    def test_the_road_steps_under_the_list_most_trials_hold(self, odd, stays):
+        setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
+        road = shared_road(setup)
+        warm = road.world.copy()
+        arc = warm.positions[5]
+        blocked = [(560.0, [arc]), (600.0, None)]
+        clear = [(560.0, []), (600.0, None)]
+        histories = ([blocked, clear] if odd is None else
+                     [blocked if i == odd else clear for i in range(3)])
+        trials = [ProbeTrial(road, events) for events in histories]
+        road.run()
+        assert [trial.world is road.world for trial in trials] == stays
+        for trial, events in zip(trials, histories):
+            assert trial.notes == oracle_notes(warm, events)
 
     def test_a_sweep_takes_each_post_report_step_once_per_density(self, monkeypatch):
         config = RunConfig(scenario="accident", seed=1, trials=2, densities=(19, 79))
@@ -795,39 +766,36 @@ class TestSharedWorld:
         "scenario,policy,vehicles,police,loss", DIVERGING_CELLS,
         ids=[f"{s}-{p}-{v}v-{n}p-loss{loss}" for s, p, v, n, loss in DIVERGING_CELLS],
     )
-    def test_a_cursor_that_leaves_takes_no_recorded_step(
+    def test_a_trial_that_leaves_steps_only_its_own_road(
         self, monkeypatch, scenario, policy, vehicles, police, loss
     ):
         setup = TrialSetup(
             script=build_scenario(scenario), policy=POLICIES[policy],
             vehicles=vehicles, police=police, loss=loss,
         )
-        log = road_for(setup)
+        road = shared_road(setup)
         taken = count_steps(monkeypatch)
-        cursors = []
-        for seed in (1, 3, 5):
-            engine = Engine(setup, seed, log)
-            engine.run()
-            cursors.append(engine.world)
-        left = [cursor for cursor in cursors if cursor.log is None]
+        _, engines = lockstep(setup, (1, 3, 5), road)
+        left = [engine.world for engine in engines if engine.world is not road.world]
         assert left
-        # the steps each world took: the frontier's are the recorded ones,
-        # and only a cursor that left the log steps on its own
-        steps = {id(world): [] for world in [log._frontier] + left}
+        steps = {id(world): [] for world in [road.world] + left}
         for world, before, after, blockages in taken:
-            assert id(world) in steps, "a step of neither the frontier nor a cursor that left"
+            assert id(world) in steps, "a step of neither the road nor a trial that left"
             steps[id(world)].append((before, after, blockages))
-        for world in [log._frontier] + left:
+        for world in [road.world] + left:
             runs = steps[id(world)]
             # one step after another, none taken twice
             for (_, after, _), (before, _, _) in zip(runs, runs[1:]):
                 assert before == after
-        assert len(log.rows) == sum(a - b for b, a, _ in steps[id(log._frontier)])
-        for cursor in left:
-            # it read every recorded step before its first own one, which
-            # its history takes under other blockages than the log's
-            (first, _, blockages), *_ = steps[id(cursor)]
-            assert log.blockages[first - log.start] != blockages
+        shared = {}
+        for before, after, blockages in steps[id(road.world)]:
+            shared.update((step, blockages) for step in range(before, after))
+        for world in left:
+            # it shared every step before its first own one, which its
+            # history takes under other blockages than the road's
+            (first, _, blockages), *_ = steps[id(world)]
+            assert min(shared) < first
+            assert shared[first] != blockages
 
 
 class PerReceiverEngine(Engine):
@@ -925,7 +893,7 @@ class TestDuplicateReceipts:
         assert [(label, msg_id) for label, msg_id, _, _ in calls] == [
             ("P0", msg.id), ("P0", msg.id)
         ]
-        assert msg.id in engine.seen[1]
+        assert engine.seen[msg.id][1]
 
     def test_official_copy_delivered_twice_is_relayed_once(self):
         # official priority lifts the hop and age bounds, not duplicate
@@ -1010,7 +978,7 @@ class TestRelayAtReceipt:
         engine.now = 600.0
         engine._deliver(copy, (1,), 0)
         assert engine._queue == []
-        assert copy.id in engine.seen[1]
+        assert engine.seen[copy.id][1]
 
     def test_the_relayed_copy_keeps_the_hop_count_it_arrived_with(self):
         # a hop is counted at radio delivery, not again at the relay
