@@ -186,7 +186,6 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
     all_pass = True
     report_lines = []
     for trial, engine in enumerate(engines):
-        seed = engine.seed
         trace, metrics = engine.run()
         name = f"trace_{config.scenario}_{config.policy}_{setup.vehicles}v_t{trial}.csv"
         try:
@@ -197,7 +196,7 @@ def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
         total = metrics.total if config.include_wired else metrics.total_excluding_wired()
         sweep.add(SweepRow(config.scenario, config.policy, setup.vehicles, trial, total))
         report = check_conformance(trace, spec)
-        report_lines.append(f"trial {trial} (seed {seed}):")
+        report_lines.append(f"trial {trial} (seed {engine.seed}):")
         report_lines.append(report.summary())
         all_pass = all_pass and report.passed
 
