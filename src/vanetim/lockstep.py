@@ -9,8 +9,8 @@ run runs them all, repeating one round:
 
 - every trial runs its events due before the road's next step time;
 - the road takes every step due by the earliest time a trial needs it to
-  reach, gliding where it can, under the trials' common blockage list: the
-  one most of them hold, ties to the first joined;
+  reach, gliding where it can, under the blockage list of the first
+  trial still running;
 - a trial whose list differs leaves first with a :meth:`CircularWorld.copy`
   of the road, and finishes alone on it.
 
@@ -76,29 +76,20 @@ class SharedRoad:
 
 
 def _lockstep(world: CircularWorld, trials: List) -> None:
-    """Run the rounds of ``trials`` on ``world`` until every one has ended;
-    a trial left alone runs its rounds on its own."""
+    """Run the rounds of ``trials`` on ``world`` until every one has ended."""
     inf = math.inf
-    while len(trials) > 1:
+    while trials:
         limit = world.next_step * STEP
         due = {trial: trial.run_before(limit) for trial in trials}
         trials = [trial for trial in trials if due[trial] < inf]
-        lists = [trial.blockages for trial in trials]
-        if not lists:
+        if not trials:
             return
-        blockages = lists[0]
-        if lists.count(blockages) < len(lists):
-            blockages = max(lists, key=lists.count)
-            left = [trial for trial in trials if trial.blockages != blockages]
+        blockages = trials[0].blockages
+        left = [trial for trial in trials if trial.blockages != blockages]
+        if left:
             trials = [trial for trial in trials if trial.blockages == blockages]
             for trial in left:
                 trial.world = world.copy()
                 _lockstep(trial.world, [trial])
         world.blockages = blockages
         world.advance(min(due[trial] for trial in trials))
-    for trial in trials:
-        due = trial.run_before(world.next_step * STEP)
-        while due < inf:
-            world.blockages = trial.blockages
-            world.advance(due)
-            due = trial.run_before(world.next_step * STEP)

@@ -722,13 +722,12 @@ class TestSharedWorld:
             assert trial.notes == oracle_notes(warm, events)
 
     @pytest.mark.parametrize("odd, stays", [
-        (0, [False, True, True]),
+        (0, [True, False, False]),
         (1, [True, False, True]),
         (2, [True, True, False]),
-        # a tie goes to the trial that joined first
         (None, [True, False]),
-    ], ids=["first", "middle", "last", "tie"])
-    def test_the_road_steps_under_the_list_most_trials_hold(self, odd, stays):
+    ], ids=["first", "middle", "last", "two"])
+    def test_the_road_steps_under_the_first_joined_trials_list(self, odd, stays):
         setup = TrialSetup(script=build_scenario("accident"), policy=HOP4, vehicles=19)
         road = shared_road(setup)
         warm = road.world.copy()
