@@ -171,7 +171,7 @@ def make_setup(config: RunConfig, *, policy: Optional[str] = None,
 def cmd_run(config: RunConfig, setup: TrialSetup) -> int:
     # the trials differ only in their seed, so they run in lockstep on one
     # road, warmed, and so checked, before any write; the first trial's run
-    # runs them all
+    # runs them all, so every trace is held until the last is written
     road = SharedRoad(warm_world(setup))
     engines = [Engine(setup, config.seed + trial, road) for trial in range(config.trials)]
     out_dir = Path(config.out_dir)
